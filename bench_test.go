@@ -177,10 +177,7 @@ func BenchmarkEngineStep_LMHybrid(b *testing.B) {
 func BenchmarkRealTrainingStep(b *testing.B) {
 	b.ReportAllocs()
 	g := buildAPIModel(16, 500)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	runner := openSession(b, g, Uniform(2, 2), WithSparsePartitions(4))
 	defer runner.Close()
 	ds := data.NewZipfText(500, 16, 1, 1.0, 3)
 	feeds := make([]Feed, runner.Workers())
@@ -190,7 +187,7 @@ func BenchmarkRealTrainingStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(feeds); err != nil {
+		if _, err := runner.RunStep(feeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,8 +202,7 @@ func BenchmarkRealTrainingStep(b *testing.B) {
 // before/after record); BenchmarkTrainerStepUnfused is the same workload
 // with per-variable collectives.
 func BenchmarkTrainerStep(b *testing.B) {
-	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32),
-		Config{SparsePartitions: 8}, 1000, 32)
+	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32), 1000, 32, WithSparsePartitions(8))
 }
 
 // buildLMBenchGraph is the hybrid LM-style workload of
@@ -229,13 +225,10 @@ func buildLMBenchGraph(vocab, batch, dim int) *Graph {
 	return g
 }
 
-func benchTrainerSteps(b *testing.B, g *Graph, cfg Config, vocab, batch int) {
+func benchTrainerSteps(b *testing.B, g *Graph, vocab, batch int, opts ...Option) {
 	b.Helper()
 	b.ReportAllocs()
-	runner, err := GetRunner(g, Uniform(2, 2), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	runner := openSession(b, g, Uniform(2, 2), opts...)
 	defer runner.Close()
 	ds := data.NewZipfText(vocab, batch, 1, 1.0, 13)
 	feeds := make([]Feed, runner.Workers())
@@ -246,7 +239,7 @@ func benchTrainerSteps(b *testing.B, g *Graph, cfg Config, vocab, batch int) {
 	var comm, wait time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(feeds); err != nil {
+		if _, err := runner.RunStep(feeds); err != nil {
 			b.Fatal(err)
 		}
 		ph := runner.PhaseStatsLastStep()
@@ -265,8 +258,8 @@ func benchTrainerSteps(b *testing.B, g *Graph, cfg Config, vocab, batch int) {
 // disabled (one collective per dense variable): the before/after pair for
 // the fused synchronization schedule on the LM hybrid workload.
 func BenchmarkTrainerStepUnfused(b *testing.B) {
-	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32),
-		Config{SparsePartitions: 8, FusionBytes: -1}, 1000, 32)
+	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32), 1000, 32,
+		WithSparsePartitions(8), WithFusionBytes(-1))
 }
 
 // BenchmarkTrainerStepFusedManySmallDense measures the schedule where
@@ -298,10 +291,10 @@ func BenchmarkTrainerStepFusedManySmallDense(b *testing.B) {
 		return g
 	}
 	b.Run("fused", func(b *testing.B) {
-		benchTrainerSteps(b, build(), Config{Arch: AllReduceOnly}, vocab, batch)
+		benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly))
 	})
 	b.Run("unfused", func(b *testing.B) {
-		benchTrainerSteps(b, build(), Config{Arch: AllReduceOnly, FusionBytes: -1}, vocab, batch)
+		benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly), WithFusionBytes(-1))
 	})
 }
 

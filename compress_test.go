@@ -66,9 +66,9 @@ func runCompressedSteps(t *testing.T, totalSteps int, policy CompressionPolicy, 
 
 // TestCompressedLossTolerance: training under each lossy policy tracks
 // the exact-f32 run closely — the loss after 10 steps stays within a
-// pinned relative tolerance. (CompressionNone itself must be bitwise
-// exact, which TestSessionStepsMatchesRunLoop already pins since the
-// zero policy is the default.)
+// pinned relative tolerance. (CompressionNone is the zero policy — the
+// default every bit-identity suite runs under — so its exactness is
+// pinned by those.)
 func TestCompressedLossTolerance(t *testing.T) {
 	const steps = 10
 	ref := runCompressedSteps(t, steps, CompressionNone)

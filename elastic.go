@@ -6,9 +6,8 @@ package parallax
 //
 //   - Scale-out: a new agent starts with DistConfig.JoinTarget and sends
 //     a join request to a running agent's listener. That agent parks the
-//     request and, at its next step boundary, proposes admission through
-//     the membership agreement round every elastic agent runs per step.
-//     All survivors save at the boundary, adopt the agreed member list,
+//     request and, at its next step boundary, proposes admission in the
+//     control word every agent exchanges there. All survivors save at the boundary, adopt the agreed member list,
 //     bump the fabric epoch, and re-rendezvous at the new world size;
 //     the joiner pulls its share of the saved state off the shared
 //     checkpoint root and enters the collective at the same boundary.
@@ -20,11 +19,11 @@ package parallax
 //     RecoveryPolicy.AllowShrink is set — the shrink replaces the
 //     in-place recovery that would otherwise wait out a restart.
 //
-// The agreement is one AgreeScalarMax-style fold per boundary: each
-// agent contributes a proposal code (0 = nothing to propose) and the
+// The agreement rides the step boundary's one control word (session.go):
+// each agent contributes a proposal code (0 = nothing to propose) and the
 // cluster-wide maximum elects a single winner; the winner's full member
 // list travels out of band as a membership record it wrote to the
-// checkpoint root *before* the round, so losing proposals leave no
+// checkpoint root *before* the exchange, so losing proposals leave no
 // trace and every survivor reads exactly the elected list. Membership
 // state machine helpers and codes live in membership.go.
 
@@ -32,52 +31,20 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"parallax/internal/checkpoint"
 	"parallax/internal/cluster"
 	"parallax/internal/transport"
 )
 
-// memberRounds reports whether this session runs a membership agreement
-// round at every step boundary. Deliberately not conditioned on the
-// trainer being distributed: a cluster shrunk to one machine still
-// proposes (the fold degenerates to its own value), which is how it can
-// re-grow.
+// memberRounds reports whether this session contributes membership
+// proposals to the step-boundary control word.
 func (s *Session) memberRounds() bool {
 	return s.cfg.Elastic && s.dist != nil && s.cfg.AutoCheckpoint.Dir != "" && !s.closed
 }
 
-// membership runs one membership round at the current step boundary:
-// propose (or pass), fold, and — when a proposal wins — transition to
-// the agreed topology. It returns true when the trainer was rebuilt at
-// a new world size, in which case the driver must refresh its agreement
-// flag and re-enter the boundary from the top.
-func (d *stepDriver) membership() (bool, error) {
-	s := d.s
-	code, err := s.localProposal()
-	if err != nil {
-		return false, err
-	}
-	agreed, err := s.trainer.AgreeMembership(code)
-	if err != nil {
-		return false, err
-	}
-	if agreed == 0 {
-		return false, nil
-	}
-	winner, kind, err := decodeProposal(agreed)
-	if err != nil {
-		return false, fmt.Errorf("parallax: membership agreement folded to %v: %w", agreed, err)
-	}
-	if err := s.transition(d.ctx, winner, kind); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // localProposal decides what this agent contributes to the boundary's
-// membership round and, when it has something to propose, durably
+// control word and, when it has something to propose, durably
 // publishes the proposed member list before returning its code — so the
 // list is readable by every survivor the moment the proposal wins.
 func (s *Session) localProposal() (float64, error) {
@@ -124,8 +91,7 @@ func (s *Session) localProposal() (float64, error) {
 	return proposalCode(machine, proposeJoin), nil
 }
 
-// transition executes an agreed membership change at the current step
-// boundary:
+// transition executes the membership change the boundary agreed on:
 //
 //  1. every agent saves the full state at the boundary (old topology);
 //  2. a barrier round confirms every shard is durably on disk;
@@ -133,15 +99,19 @@ func (s *Session) localProposal() (float64, error) {
 //     new epoch and membership in the root;
 //  4. the winner (for a join) releases the parked joiner with the offer;
 //  5. departing machines close and surface ErrLeft; survivors rebuild
-//     at the new world size via rebuildAt.
-func (s *Session) transition(ctx context.Context, winner, kind int) error {
+//     at the new world size from the boundary save.
+func (s *Session) transition(ctx context.Context, proposal float64) error {
+	winner, kind, err := decodeProposal(proposal)
+	if err != nil {
+		return fmt.Errorf("parallax: membership agreement folded to %v: %w", proposal, err)
+	}
 	root := s.cfg.AutoCheckpoint.Dir
 	step := s.trainer.StepCount()
 	sdir := checkpoint.StepDir(root, step)
 	if err := s.Save(sdir); err != nil {
 		return err
 	}
-	if _, err := s.trainer.AgreeMembership(0); err != nil {
+	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
 		return err
 	}
 	rec, err := checkpoint.ReadMembershipRecord(root, s.epoch+1, winner)
@@ -167,137 +137,101 @@ func (s *Session) transition(ctx context.Context, winner, kind int) error {
 			}
 		}
 	}
-	idx := rec.IndexOf(s.dist.Addrs[s.dist.Machine])
-	if idx < 0 {
+	if rec.IndexOf(s.dist.Addrs[s.dist.Machine]) < 0 {
 		// This machine left: its state is saved and the survivors own the
 		// reshard from here. Terminal by design — not a failure.
-		s.trainer.Close()
-		s.closed = true
+		s.Close()
 		return fmt.Errorf("parallax: %w at step %d (epoch %d)", ErrLeft, step, s.epoch+1)
 	}
-	return s.rebuildAt(ctx, sdir, rec, idx, s.epoch+1)
+	return s.rebuildAs(ctx, rec, sdir)
 }
 
-// rebuildAt tears down this agent's runtime and rebuilds it as machine
-// idx of the agreed membership, restoring the boundary checkpoint in
-// sdir through the resharding install. After the restore, every member
-// re-saves sdir at the new topology (between two barrier rounds, so no
-// agent reads shards mid-overwrite), making the directory a valid
-// recovery fallback at the new machine count.
-func (s *Session) rebuildAt(ctx context.Context, sdir string, mem *transport.Membership, idx, epoch int) error {
-	meta, recs, err := checkpoint.ReadShard(sdir, 0)
-	if err != nil {
+// rebuildAs rebuilds this agent as a member of the agreed membership
+// from the checkpoint in sdir (written at the previous topology), then
+// settles the re-formed cluster with resave.
+func (s *Session) rebuildAs(ctx context.Context, mem *transport.Membership, sdir string) error {
+	tgt := target{dist: s.redial(), epoch: mem.Epoch}
+	if err := tgt.place(mem, s.dist.Addrs[s.dist.Machine]); err != nil {
 		return err
 	}
-	s.trainer.Close()
+	if err := s.rebuild(ctx, tgt, sdir); err != nil {
+		return err
+	}
+	return s.resave(sdir)
+}
 
-	newRes := resourceFromMembers(mem)
-	cfg := s.cfg
-	dc := *s.cfg.Dist
-	dc.Machine = idx
-	dc.Addrs = mem.Addrs()
-	dc.Listener = nil
-	dc.JoinTarget, dc.JoinAddr = "", ""
-	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
-	if dc.DialTimeout <= 0 {
-		dc.DialTimeout = 2 * time.Minute
-	}
-	cfg.Dist = &dc
-	ns, err := open(ctx, s.g, newRes, cfg, &restoreSpec{meta: meta}, s.chaos)
-	if err != nil {
+// resave is the collective schedule every member of a re-formed cluster
+// — survivor or joiner — runs after its rebuild: re-save dir at the new
+// topology between two barrier rounds, making it a valid recovery
+// fallback at the new machine count. The barriers bracket the overwrite
+// so no member reads old-topology shards that a faster peer is already
+// replacing.
+func (s *Session) resave(dir string) error {
+	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
 		return err
 	}
-	if err := s.adoptRebuilt(ns, sdir, meta, recs); err != nil {
+	if err := s.Save(dir); err != nil {
 		return err
 	}
-	s.resource = newRes
-	s.workers = newRes.TotalGPUs()
-	s.feeds = make([]Feed, s.workers)
-	s.cfg = cfg
-	s.dist = &dc
-	s.epoch = epoch
-	if idx == 0 {
+	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
+		return err
+	}
+	if s.dist.Machine == 0 {
 		// Machine 0 of the new world clears proposal debris from epochs
 		// no survivor can need again; best-effort.
-		_ = checkpoint.PruneMembershipRecords(s.cfg.AutoCheckpoint.Dir, epoch)
+		_ = checkpoint.PruneMembershipRecords(s.cfg.AutoCheckpoint.Dir, s.epoch)
 	}
 	return nil
 }
 
-// adoptRebuilt installs the checkpoint into a freshly opened session,
-// runs the post-restore collective schedule (verify, install barrier,
-// resave, resave barrier), and adopts its runtime into s. Shared by the
-// survivor rebuild; the joiner runs the same schedule in joinCluster.
-func (s *Session) adoptRebuilt(ns *Session, sdir string, meta checkpoint.Meta, recs []checkpoint.Record) error {
-	if err := elasticRestore(ns, sdir, meta, recs); err != nil {
-		ns.Close()
-		return err
+// redial is this agent's placement for a re-rendezvous on a live
+// session: the listener (if any) died with the old fabric, so the dial
+// rebinds from Addrs, with a window wide enough for a restarting or
+// still-saving peer to arrive.
+func (s *Session) redial() *DistConfig {
+	dc := *s.dist
+	dc.Listener = nil
+	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
+	return &dc
+}
+
+// place points the target's placement at the member serving on addr:
+// the membership, not the launch flags, assigns machine indices.
+func (t *target) place(m *transport.Membership, addr string) error {
+	idx := m.IndexOf(addr)
+	if idx < 0 {
+		return fmt.Errorf("parallax: %s is not a member of the elastic cluster at membership epoch %d; rejoin with DistConfig.JoinTarget",
+			addr, m.Epoch)
 	}
-	if s.replay != nil {
-		if err := s.replay.rewindTo(meta.Cursor); err != nil {
-			ns.Close()
-			return err
-		}
-	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
-	s.cursor = meta.Cursor
-	s.pendingSkip = 0
+	dc := *t.dist
+	dc.Machine = idx
+	dc.Addrs = m.Addrs()
+	dc.JoinTarget, dc.JoinAddr = "", ""
+	t.dist = &dc
+	t.resource = resourceFromMembers(m)
 	return nil
 }
 
-// elasticRestore is the collective schedule every member of a new
-// topology runs after its rendezvous: install the boundary checkpoint,
-// verify the restore step cluster-wide, barrier, re-save the directory
-// at the new topology, barrier again. The two barriers bracket the
-// overwrite so no member reads old-topology shards that a faster peer
-// is already replacing.
-func elasticRestore(ns *Session, sdir string, meta checkpoint.Meta, recs []checkpoint.Record) error {
-	if err := ns.install(sdir, 0, meta, recs); err != nil {
-		return err
-	}
-	if err := ns.verifyJoin(); err != nil {
-		return err
-	}
-	if _, err := ns.trainer.AgreeMembership(0); err != nil {
-		return err
-	}
-	if err := ns.Save(sdir); err != nil {
-		return err
-	}
-	if _, err := ns.trainer.AgreeMembership(0); err != nil {
-		return err
-	}
-	return nil
-}
-
-// joinCluster is Open's path for an agent started with
-// DistConfig.JoinTarget: request admission from the running cluster,
-// wait (parked) for the offer, then restore the boundary checkpoint and
-// enter the collective as the newest member. The returned session's
-// first Steps boundary runs the same agreement sequence the survivors
-// re-enter after their rebuild, so the schedules align by construction.
-func joinCluster(ctx context.Context, g *Graph, resource ResourceInfo, cfg Config) (*Session, error) {
+// requestAdmission is Open's path for an agent started with
+// DistConfig.JoinTarget: request admission from the running cluster and
+// wait (parked) for the offer, which names the rebuild's target — this
+// agent as the newest member, at the offer's epoch — and the boundary
+// checkpoint to restore. The session's first Steps boundary then runs
+// the same agreement the survivors re-enter after their rebuild, so the
+// schedules align by construction.
+func requestAdmission(ctx context.Context, resource ResourceInfo, cfg Config) (target, string, error) {
 	d := cfg.Dist
 	if !cfg.Elastic {
-		return nil, fmt.Errorf("parallax: DistConfig.JoinTarget requires WithElastic")
+		return target{}, "", fmt.Errorf("parallax: DistConfig.JoinTarget requires WithElastic")
 	}
 	if d.JoinAddr == "" {
-		return nil, fmt.Errorf("parallax: joining requires DistConfig.JoinAddr (the address this agent will serve on)")
+		return target{}, "", fmt.Errorf("parallax: joining requires DistConfig.JoinAddr (the address this agent will serve on)")
 	}
 	if cfg.AutoCheckpoint.Dir == "" {
-		return nil, fmt.Errorf("parallax: joining requires WithAutoCheckpoint on the cluster's shared root")
+		return target{}, "", fmt.Errorf("parallax: joining requires WithAutoCheckpoint on the cluster's shared root")
 	}
 	if err := resource.Validate(); err != nil {
-		return nil, err
-	}
-	timeout := d.DialTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
+		return target{}, "", err
 	}
 	// The joiner contributes one machine: the first machine of the
 	// resource info it was launched with describes its GPUs.
@@ -305,72 +239,40 @@ func joinCluster(ctx context.Context, g *Graph, resource ResourceInfo, cfg Confi
 		Addr:        d.JoinAddr,
 		GPUs:        resource.GPUsPerMachine(0),
 		Fingerprint: cfg.Compression.Fingerprint(),
-	}, timeout)
+	}, d.DialTimeout)
 	if err != nil {
-		return nil, err
+		return target{}, "", err
 	}
 	if offer.Joiner < 0 || offer.Joiner >= len(offer.Members) ||
 		offer.Members[offer.Joiner].Addr != d.JoinAddr {
-		return nil, fmt.Errorf("parallax: admission offer does not list this agent at its joiner slot")
+		return target{}, "", fmt.Errorf("parallax: admission offer does not list this agent at its joiner slot")
 	}
-	newRes := resourceFromMembers(offer)
-	ndc := *d
-	ndc.Machine = offer.Joiner
-	ndc.Addrs = offer.Addrs()
-	ndc.JoinTarget = ""
-	ndc.DialTimeout = timeout
-	cfg.Dist = &ndc
-	root := cfg.AutoCheckpoint.Dir
-	sdir := checkpoint.StepDir(root, int(offer.Step))
-	// Shard 0 of the boundary save is the old topology's; the elastic
-	// install reads every old shard, and the joiner (like the survivors)
-	// only reads them before the post-rendezvous barriers allow anyone
-	// to start the new-topology re-save.
-	meta, recs, err := checkpoint.ReadShard(sdir, 0)
-	if err != nil {
-		return nil, err
+	tgt := target{dist: d, epoch: offer.Epoch}
+	if err := tgt.place(offer, d.JoinAddr); err != nil {
+		return target{}, "", err
 	}
-	ns, err := open(ctx, g, newRes, cfg, &restoreSpec{meta: meta}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := elasticRestore(ns, sdir, meta, recs); err != nil {
-		ns.Close()
-		return nil, err
-	}
-	ns.armChaosElastic()
-	return ns, nil
+	// The boundary save is the old topology's; the resharding install
+	// reads every old shard, and the joiner (like the survivors) only
+	// reads them before the post-rendezvous barriers allow anyone to
+	// start the new-topology re-save.
+	return tgt, checkpoint.StepDir(cfg.AutoCheckpoint.Dir, int(offer.Step)), nil
 }
 
-// adoptMembers rewrites a restarting agent's launch flags from the
+// adoptMembers rewrites a restarting agent's launch target from the
 // MEMBERS record in the checkpoint root: the cluster may have grown or
 // shrunk around the restart, and the record — not the flags — is the
 // authoritative membership. The agent finds itself by its own address;
 // an address no longer listed means the cluster shed this machine.
-func adoptMembers(cfg *Config, resource *ResourceInfo) error {
-	d := cfg.Dist
+func adoptMembers(root string, tgt *target) error {
+	d := tgt.dist
 	if d.Machine < 0 || d.Machine >= len(d.Addrs) {
 		return fmt.Errorf("parallax: machine %d outside the %d-address list", d.Machine, len(d.Addrs))
 	}
-	m, err := checkpoint.ReadMembers(cfg.AutoCheckpoint.Dir)
-	if err != nil {
+	m, err := checkpoint.ReadMembers(root)
+	if err != nil || m == nil {
 		return err
 	}
-	if m == nil {
-		return nil
-	}
-	self := d.Addrs[d.Machine]
-	idx := m.IndexOf(self)
-	if idx < 0 {
-		return fmt.Errorf("parallax: %s is no longer a member of the elastic cluster (membership epoch %d); rejoin with DistConfig.JoinTarget",
-			self, m.Epoch)
-	}
-	dc := *d
-	dc.Machine = idx
-	dc.Addrs = m.Addrs()
-	cfg.Dist = &dc
-	*resource = resourceFromMembers(m)
-	return nil
+	return tgt.place(m, d.Addrs[d.Machine])
 }
 
 // shrinkTarget reports whether err names a dead peer this agent should
@@ -391,52 +293,6 @@ func (s *Session) shrinkTarget(cause error) (int, bool) {
 	return pf.Rank, true
 }
 
-// shrinkRecover re-forms the cluster without the failed machine: every
-// survivor independently derives the identical post-shrink membership
-// (same failure attribution, same member list), records it, and
-// rebuilds from the latest complete checkpoint at the reduced world
-// size. Unlike the in-place path, the post-shrink loss trajectory
-// necessarily diverges from the uninterrupted run — a machine's workers
-// vanished — but replayed steps stay suppressed, so every step is still
-// yielded exactly once.
-func (s *Session) shrinkRecover(ctx context.Context, failed int) error {
-	root := s.cfg.AutoCheckpoint.Dir
-	oldN := s.resource.NumMachines()
-	step, sdir, err := checkpoint.LatestComplete(root, oldN)
-	if err != nil {
-		return err
-	}
-	if step < 0 {
-		return fmt.Errorf("parallax: no complete auto-checkpoint under %s to shrink from", root)
-	}
-	meta0, _, err := checkpoint.ReadShard(sdir, 0)
-	if err != nil {
-		return err
-	}
-	cur := s.currentMembers()
-	rec := &transport.Membership{
-		Epoch: s.epoch + 1, Step: meta0.Step, Cursor: meta0.Cursor,
-		Parts: meta0.Parts, Joiner: -1,
-		Members: removeMember(cur.Members, failed),
-	}
-	// Every survivor writes the same bytes; the atomic renames commute.
-	if err := checkpoint.WriteEpoch(root, s.epoch+1); err != nil {
-		return err
-	}
-	if err := checkpoint.WriteMembers(root, rec); err != nil {
-		return err
-	}
-	idx := rec.IndexOf(s.dist.Addrs[s.dist.Machine])
-	if idx < 0 {
-		return fmt.Errorf("parallax: shrink membership dropped this machine")
-	}
-	if err := s.rebuildAt(ctx, sdir, rec, idx, s.epoch+1); err != nil {
-		return err
-	}
-	s.recoveries++
-	return nil
-}
-
 // currentMembers renders the session's live membership from its address
 // list and resources.
 func (s *Session) currentMembers() *transport.Membership {
@@ -455,7 +311,11 @@ func (s *Session) currentMembers() *transport.Membership {
 // for in-process fabrics.
 func (s *Session) tcpFabric() *transport.TCP {
 	fab := s.trainer.Fabric()
-	if u, ok := fab.(interface{ Unwrap() transport.Fabric }); ok {
+	for {
+		u, ok := fab.(interface{ Unwrap() transport.Fabric })
+		if !ok {
+			break
+		}
 		fab = u.Unwrap()
 	}
 	t, _ := fab.(*transport.TCP)
@@ -477,20 +337,6 @@ func resourceFromMembers(m *transport.Membership) ResourceInfo {
 		ms[i] = cluster.Machine{Host: fmt.Sprintf("m%d", i), GPUs: gpus}
 	}
 	return ResourceInfo{Machines: ms}
-}
-
-// armChaosElastic wires the chaos injector's elastic hooks to this
-// session; armed once on the long-lived outer session so the closures
-// survive fabric rebuilds (the injector itself already does).
-func (s *Session) armChaosElastic() {
-	if s.chaos == nil || !s.cfg.Elastic {
-		return
-	}
-	s.chaos.OnLeave = func(step, machine int) {
-		if s.dist != nil && s.dist.Machine == machine {
-			s.leaving.Store(true)
-		}
-	}
 }
 
 // Leave requests this agent's voluntary departure from its elastic
@@ -528,9 +374,6 @@ func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
 	if !s.cfg.Elastic {
 		return fmt.Errorf("parallax: Resize requires WithElastic")
 	}
-	if err := resource.Validate(); err != nil {
-		return err
-	}
 	dir, err := os.MkdirTemp("", "parallax-resize-*")
 	if err != nil {
 		return err
@@ -539,31 +382,7 @@ func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
 	if err := s.Save(dir); err != nil {
 		return err
 	}
-	meta, recs, err := checkpoint.ReadShard(dir, 0)
-	if err != nil {
-		return err
-	}
-	s.trainer.Close()
-	ns, err := open(ctx, s.g, resource, s.cfg, &restoreSpec{meta: meta}, s.chaos)
-	if err != nil {
-		s.closed = true
-		return err
-	}
-	if err := ns.install(dir, 0, meta, recs); err != nil {
-		ns.Close()
-		s.closed = true
-		return err
-	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.resource = resource
-	s.workers = resource.TotalGPUs()
-	s.feeds = make([]Feed, s.workers)
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
-	return nil
+	return s.rebuild(ctx, target{resource: resource, epoch: s.epoch}, dir)
 }
 
 // Members returns the agent addresses of the cluster this session is

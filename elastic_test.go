@@ -11,6 +11,7 @@ package parallax
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"net"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 
 	"parallax/internal/checkpoint"
 	"parallax/internal/data"
+	"parallax/internal/transport"
 )
 
 // elasticTCPCluster opens the n agents of an n×2 TCP cluster with every
@@ -258,9 +260,7 @@ func TestSessionElasticGrowTCP(t *testing.T) {
 	if m.Members[2].Addr != joinAddr {
 		t.Fatalf("MEMBERS[2] = %q, want the joiner %q", m.Members[2].Addr, joinAddr)
 	}
-	sessions[0].Close()
-	sessions[1].Close()
-	joiner.Close()
+	closeTogether(t, sessions[0], sessions[1], joiner)
 	waitSessionGoroutines(t, base)
 }
 
@@ -339,9 +339,7 @@ func TestSessionElasticLeaveTCP(t *testing.T) {
 	if err := sessions[0].Resize(context.Background(), Uniform(2, 2)); err == nil {
 		t.Fatal("Resize on a distributed session must refuse")
 	}
-	for _, s := range sessions {
-		s.Close()
-	}
+	closeTogether(t, sessions...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -418,9 +416,7 @@ func TestSessionElasticShrinkOnKillTCP(t *testing.T) {
 	if err != nil || m == nil || len(m.Members) != 2 {
 		t.Fatalf("MEMBERS record %+v (err %v), want 2 members", m, err)
 	}
-	for _, s := range sessions {
-		s.Close()
-	}
+	closeTogether(t, sessions...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -477,8 +473,7 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 			t.Fatalf("agent %d sees %d members, want 2 (no membership change)", p, got)
 		}
 	}
-	sessions[0].Close()
-	sessions[1].Close()
+	closeTogether(t, sessions[:]...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -668,4 +663,214 @@ func TestSessionElasticValidation(t *testing.T) {
 		WithDistConfig(DistConfig{JoinTarget: "127.0.0.1:1", JoinAddr: "127.0.0.1:2"})); err == nil {
 		t.Fatal("JoinTarget without WithElastic must fail")
 	}
+}
+
+// scalarCounter is the fabricSeam wrapper of the exchange-count test: it
+// counts every scalar frame a session's workers send, by tag.
+type scalarCounter struct {
+	mu    sync.Mutex
+	sends map[string]int
+}
+
+func (c *scalarCounter) wrap(f transport.Fabric) transport.Fabric {
+	return &countingFabric{Fabric: f, c: c}
+}
+
+func (c *scalarCounter) snapshot() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.sends)
+}
+
+type countingFabric struct {
+	transport.Fabric
+	c *scalarCounter
+}
+
+func (f *countingFabric) Unwrap() transport.Fabric { return f.Fabric }
+
+func (f *countingFabric) Conduit(rank int) transport.Conduit {
+	return &countingConduit{Conduit: f.Fabric.Conduit(rank), c: f.c}
+}
+
+type countingConduit struct {
+	transport.Conduit
+	c *scalarCounter
+}
+
+func (cc *countingConduit) SendScalar(dst int, tag string, v float64) {
+	cc.c.mu.Lock()
+	cc.c.sends[tag]++
+	cc.c.mu.Unlock()
+	cc.Conduit.SendScalar(dst, tag, v)
+}
+
+// TestSessionBoundaryIsOneExchange pins the step-boundary protocol on
+// the configuration that used to run two rounds: an elastic, recovering
+// TCP cluster under a cancellable context. Between Open and Close the
+// only scalar frames on the fabric are each step's loss gather and ONE
+// control-word gather per boundary — k steps cross k+1 boundaries (the
+// last one agrees the stop).
+func TestSessionBoundaryIsOneExchange(t *testing.T) {
+	const steps = 6
+	counter := &scalarCounter{sends: map[string]int{}}
+	fabricSeam = counter.wrap
+	defer func() { fabricSeam = nil }()
+
+	root := t.TempDir()
+	sessions, _ := elasticTCPCluster(t, 2, func(p int, dc *DistConfig) []Option {
+		return elasticOpts(root)
+	})
+	before := counter.snapshot()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	for p := range sessions {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for st, err := range sessions[p].Steps(ctx, data.NewZipfText(150, 8, 1, 1.0, 5)) {
+				if err != nil {
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("agent %d: %v", p, err)
+					}
+					return
+				}
+				if p == 0 && st.Step == steps-1 {
+					cancel()
+				}
+			}
+		}(p)
+	}
+	waitElastic(t, &wg, "counted run")
+	after := counter.snapshot()
+	closeTogether(t, sessions...)
+
+	// One gather is one scalar from every worker to every other worker.
+	workers := sessions[0].Workers()
+	perGather := workers * (workers - 1)
+	window := map[string]int{}
+	for tag, n := range after {
+		if d := n - before[tag]; d != 0 {
+			window[tag] = d
+		}
+	}
+	want := map[string]int{"loss": steps * perGather, "ctl": (steps + 1) * perGather}
+	if len(window) != len(want) || window["loss"] != want["loss"] || window["ctl"] != want["ctl"] {
+		t.Fatalf("scalar frames over %d steps = %v, want %v (one control exchange per boundary)", steps, window, want)
+	}
+}
+
+// TestSessionStopBeatsProposalSameBoundary lands a leave proposal and a
+// cancellation on the same step boundary: agent 2 asks to leave and
+// agent 0 cancels after the same step. The stop flag outranks every
+// proposal in the control word, so all three agents — the would-be
+// leaver included — end with context.Canceled at that step and the
+// membership is untouched.
+func TestSessionStopBeatsProposalSameBoundary(t *testing.T) {
+	const at = 3
+	base := runtime.NumGoroutine()
+	root := t.TempDir()
+	sessions, _ := elasticTCPCluster(t, 3, func(p int, dc *DistConfig) []Option {
+		return elasticOpts(root)
+	})
+	ctx0, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	last := make([]int, 3)
+	final := make([]error, 3)
+	var wg sync.WaitGroup
+	for p := range sessions {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			ctx := context.Background()
+			if p == 0 {
+				ctx = ctx0
+			}
+			last[p] = -1
+			for st, err := range sessions[p].Steps(ctx, data.NewZipfText(150, 8, 1, 1.0, 5)) {
+				if err != nil {
+					final[p] = err
+					continue
+				}
+				last[p] = st.Step
+				if st.Step != at {
+					continue
+				}
+				switch p {
+				case 0:
+					cancel()
+				case 2:
+					if err := sessions[p].Leave(); err != nil {
+						t.Errorf("Leave: %v", err)
+					}
+				}
+			}
+		}(p)
+	}
+	waitElastic(t, &wg, "stop vs leave")
+	for p := range sessions {
+		if !errors.Is(final[p], context.Canceled) {
+			t.Fatalf("agent %d ended with %v, want context.Canceled", p, final[p])
+		}
+		if last[p] != at {
+			t.Fatalf("agent %d stopped after step %d, want %d", p, last[p], at)
+		}
+		if got := len(sessions[p].Members()); got != 3 {
+			t.Fatalf("agent %d sees %d members, want 3 (the stop must pre-empt the leave)", p, got)
+		}
+		if e := sessions[p].Epoch(); e != 0 {
+			t.Fatalf("agent %d at epoch %d, want 0", p, e)
+		}
+	}
+	closeTogether(t, sessions...)
+	waitSessionGoroutines(t, base)
+}
+
+// TestSessionFailedRebuildLeavesClosed: a rebuild that fails after it
+// tore the live runtime down leaves the session closed — every later
+// operation reports ErrClosed instead of touching a dead trainer. The
+// failure is provoked through Resize: the optimizer constructor changes
+// its mind after the save, so the rebuilt trainer refuses the
+// checkpoint's momentum slots at install time.
+func TestSessionFailedRebuildLeavesClosed(t *testing.T) {
+	ctx := context.Background()
+	base := runtime.NumGoroutine()
+	plainSGD := false
+	s, err := Open(ctx, buildAPIModel(8, 150), Uniform(2, 2), WithSparsePartitions(3), WithElastic(),
+		WithOptimizer(func() Optimizer {
+			if plainSGD {
+				return NewSGD(0.3)
+			}
+			return NewMomentum(0.3, 0.9)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := data.NewZipfText(150, 8, 1, 1.0, 5)
+	runSteps(t, s, ds, 3, nil)
+
+	// A refusal before the teardown leaves the session running.
+	if err := s.Resize(ctx, ResourceInfo{}); err == nil {
+		t.Fatal("Resize onto empty resources must fail")
+	}
+	runSteps(t, s, ds, 1, nil)
+
+	plainSGD = true
+	if err := s.Resize(ctx, Uniform(3, 2)); !errors.Is(err, ErrTopologyMismatch) {
+		t.Fatalf("Resize with a mismatched optimizer: %v, want ErrTopologyMismatch", err)
+	}
+	if err := s.Save(t.TempDir()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Save after a failed rebuild: %v, want ErrClosed", err)
+	}
+	for _, err := range s.Steps(ctx, ds) {
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Steps after a failed rebuild: %v, want ErrClosed", err)
+		}
+	}
+	if err := s.Repartition(2); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Repartition after a failed rebuild: %v, want ErrClosed", err)
+	}
+	s.Close()
+	waitSessionGoroutines(t, base)
 }

@@ -8,8 +8,10 @@ import "parallax/internal/errs"
 //
 //	if errors.Is(err, parallax.ErrTopologyMismatch) { ... }
 var (
-	// ErrClosed marks an operation against a closed Session (or Runner):
-	// stepping, saving, or resharding after Close. It also surfaces when
+	// ErrClosed marks an operation against a closed Session: stepping,
+	// saving, or resharding after Close — or after a rebuild (recovery,
+	// membership transition, Resize) that failed once the previous
+	// runtime was torn down. It also surfaces when
 	// the wire transport shuts down underneath an in-flight
 	// parameter-server call.
 	ErrClosed = errs.ErrClosed

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,33 +46,27 @@ func main() {
 	g.SoftmaxCE(g.MatMul(h, w2), labels)
 
 	alpha := parallax.MeasureAlpha(data.NewZipfText(vocab, batch, 1, 1.0, 31), vocab, 10)
-	runner, err := parallax.GetRunner(g, parallax.Uniform(2, 2), parallax.Config{
-		NewOptimizer: func() parallax.Optimizer { return parallax.NewSGD(0.5) },
-		AlphaHint:    map[string]float64{"embedding": alpha},
-	})
+	ctx := context.Background()
+	sess, err := parallax.Open(ctx, g, parallax.Uniform(2, 2),
+		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.5) }),
+		parallax.WithAlphaHints(map[string]float64{"embedding": alpha}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer runner.Close()
-	fmt.Print(runner.Describe())
-	fmt.Printf("measured alpha %.4f, searched partitions %d\n\n", alpha, runner.SparsePartitions())
+	defer sess.Close()
+	fmt.Print(sess.Describe())
+	fmt.Printf("measured alpha %.4f, searched partitions %d\n\n", alpha, sess.SparsePartitions())
 
-	shards := make([]parallax.Dataset, runner.Workers())
-	for w := range shards {
-		shards[w] = parallax.Shard(data.NewZipfText(vocab, batch, 1, 1.0, 31), w, runner.Workers())
-	}
-	for step := 0; step < 50; step++ {
-		feeds := make([]parallax.Feed, runner.Workers())
-		for w := range feeds {
-			b := shards[w].Next()
-			feeds[w] = parallax.Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
-		}
-		loss, err := runner.Run(feeds)
+	// One endless stream, consumed as disjoint per-worker shards.
+	for st, err := range sess.Steps(ctx, data.NewZipfText(vocab, batch, 1, 1.0, 31)) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if step%10 == 0 || step == 49 {
-			fmt.Printf("step %2d  loss %.4f\n", step, loss)
+		if st.Step%10 == 0 || st.Step == 49 {
+			fmt.Printf("step %2d  loss %.4f\n", st.Step, st.Loss)
+		}
+		if st.Step == 49 {
+			break
 		}
 	}
 

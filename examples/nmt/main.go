@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,39 +50,42 @@ func main() {
 	srcAlpha := parallax.MeasureAlpha(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), srcVocab, 8)
 	dstAlpha := parallax.MeasureAlpha(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), dstVocab, 8)
 
-	runner, err := parallax.GetRunner(g, parallax.Uniform(2, 2), parallax.Config{
-		NewOptimizer: func() parallax.Optimizer { return parallax.NewSGD(0.3) },
-		AlphaHint:    map[string]float64{"emb_enc": srcAlpha, "emb_dec": dstAlpha},
-		ClipNorm:     5.0,
-	})
+	ctx := context.Background()
+	sess, err := parallax.Open(ctx, g, parallax.Uniform(2, 2),
+		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.3) }),
+		parallax.WithAlphaHints(map[string]float64{"emb_enc": srcAlpha, "emb_dec": dstAlpha}),
+		parallax.WithClipNorm(5.0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer runner.Close()
-	fmt.Print(runner.Describe())
-	fmt.Printf("alpha enc %.4f dec %.4f, partitions %d\n\n", srcAlpha, dstAlpha, runner.SparsePartitions())
+	defer sess.Close()
+	fmt.Print(sess.Describe())
+	fmt.Printf("alpha enc %.4f dec %.4f, partitions %d\n\n", srcAlpha, dstAlpha, sess.SparsePartitions())
 
-	srcShards := make([]parallax.Dataset, runner.Workers())
-	dstShards := make([]parallax.Dataset, runner.Workers())
+	// The graph's inputs are not the token-model pair Steps feeds, so the
+	// loop supplies each worker's feed itself from per-worker shards (the
+	// paper's parallax.shard, Fig. 3 line 6).
+	srcShards := make([]parallax.Dataset, sess.Workers())
+	dstShards := make([]parallax.Dataset, sess.Workers())
 	for w := range srcShards {
-		srcShards[w] = parallax.Shard(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), w, runner.Workers())
-		dstShards[w] = parallax.Shard(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), w, runner.Workers())
+		srcShards[w] = parallax.Shard(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), w, sess.Workers())
+		dstShards[w] = parallax.Shard(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), w, sess.Workers())
 	}
-	for step := 0; step < 40; step++ {
-		feeds := make([]parallax.Feed, runner.Workers())
-		for w := range feeds {
-			src := srcShards[w].Next()
-			dst := dstShards[w].Next()
-			feeds[w] = parallax.Feed{Ints: map[string][]int{
-				"en_texts": src.Tokens, "de_texts": dst.Tokens, "labels": dst.Labels,
-			}}
-		}
-		loss, err := runner.Run(feeds)
+	next := func(step, w int) (parallax.Feed, error) {
+		src, dst := srcShards[w].Next(), dstShards[w].Next()
+		return parallax.Feed{Ints: map[string][]int{
+			"en_texts": src.Tokens, "de_texts": dst.Tokens, "labels": dst.Labels,
+		}}, nil
+	}
+	for st, err := range sess.StepsFeeds(ctx, next) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if step%10 == 0 || step == 39 {
-			fmt.Printf("step %2d  loss %.4f\n", step, loss)
+		if st.Step%10 == 0 || st.Step == 39 {
+			fmt.Printf("step %2d  loss %.4f\n", st.Step, st.Loss)
+		}
+		if st.Step == 39 {
+			break
 		}
 	}
 }

@@ -192,25 +192,6 @@ func Broadcast(c *Comm, tag string, t *tensor.Dense, root int) {
 	}
 }
 
-// ReduceScalar sums a float64 across all ranks and returns the total on
-// every rank (an allreduce over one value), used for aggregating loss
-// metrics and global gradient norms.
-func ReduceScalar(c *Comm, tag string, v float64) float64 {
-	n := c.Size()
-	total := v
-	// Simple ring accumulation: n-1 shifts.
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := v
-	redTag := tag + "/red"
-	for s := 0; s < n-1; s++ {
-		c.t.SendScalar(right, redTag, cur)
-		cur = c.t.RecvScalar(left, redTag)
-		total += cur
-	}
-	return total
-}
-
 // AllGatherScalarsInto gathers every rank's v into out (out[r] holds rank
 // r's value on every rank; len(out) must be the group size). It is a
 // direct exchange — one scalar per directed pair — used by the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parallax/internal/optim"
 	"parallax/internal/tensor"
 )
 
@@ -33,6 +34,60 @@ func TestRingAllReduceSums(t *testing.T) {
 					t.Fatalf("n=%d rank %d elem %d = %v, want %v", n, r, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAllReduceMeanMatchesSequential: the dense-bucket synchronization
+// the trainer runs (tagged all-reduce, then mean finalization) leaves
+// every rank holding the sequentially computed mean.
+func TestAllReduceMeanMatchesSequential(t *testing.T) {
+	const n = 3
+	grads := make([]*tensor.Dense, n)
+	want := tensor.NewDense(10)
+	for i := range grads {
+		grads[i] = tensor.NewRNG(int64(i)).RandN(1, 10)
+		want.AddInto(grads[i])
+	}
+	want.Scale(1.0 / n)
+	outs := make([]*tensor.Dense, n)
+	RunWorld(n, func(c *Comm) {
+		g := grads[c.Rank()].Clone()
+		AllReduceTagged(c, TagsFor("g"), g)
+		optim.FinalizeDense(g, c.Size(), optim.AggMean)
+		outs[c.Rank()] = g
+	})
+	for i, o := range outs {
+		if o.MaxAbsDiff(want) > 1e-5 {
+			t.Fatalf("rank %d mean-aggregated grad wrong by %v", i, o.MaxAbsDiff(want))
+		}
+	}
+}
+
+// TestReplicasStayIdenticalOverSteps is the AR-architecture invariant
+// (§2.1: "all workers always have the same variable values"): replicas
+// initialized differently, synchronized by a root broadcast and then
+// trained on per-rank gradients through all-reduce + mean, never
+// diverge.
+func TestReplicasStayIdenticalOverSteps(t *testing.T) {
+	const n = 4
+	finals := make([]*tensor.Dense, n)
+	RunWorld(n, func(c *Comm) {
+		v := tensor.NewRNG(int64(100+c.Rank())).RandN(1, 6) // different init per rank
+		Broadcast(c, "init/v", v, 0)
+		opt := optim.NewSGD(0.1)
+		tags := TagsFor("v")
+		for step := 0; step < 5; step++ {
+			g := tensor.NewRNG(int64(step*10+c.Rank())).RandN(1, 6)
+			AllReduceTagged(c, tags, g)
+			optim.FinalizeDense(g, c.Size(), optim.AggMean)
+			opt.ApplyDense("v", v, g)
+		}
+		finals[c.Rank()] = v
+	})
+	for rank := 1; rank < n; rank++ {
+		if d := finals[rank].MaxAbsDiff(finals[0]); d != 0 {
+			t.Fatalf("replica %d diverged by %v", rank, d)
 		}
 	}
 }
@@ -125,19 +180,22 @@ func TestBroadcastFromEveryRoot(t *testing.T) {
 	}
 }
 
-func TestReduceScalar(t *testing.T) {
+// TestAllGatherScalarsRankOrder: the scalar gather every session-level
+// agreement and the loss fold ride on delivers rank r's value at out[r]
+// on every rank, so any fold over it is identical everywhere.
+func TestAllGatherScalarsRankOrder(t *testing.T) {
 	const n = 6
-	var mu sync.Mutex
-	var got []float64
+	outs := make([][]float64, n)
 	RunWorld(n, func(c *Comm) {
-		total := ReduceScalar(c, "r", float64(c.Rank()+1))
-		mu.Lock()
-		got = append(got, total)
-		mu.Unlock()
+		out := make([]float64, n)
+		AllGatherScalarsInto(c, "g", float64(10*c.Rank()+1), out)
+		outs[c.Rank()] = out
 	})
-	for _, v := range got {
-		if v != 21 {
-			t.Fatalf("ReduceScalar = %v, want 21", v)
+	for r, out := range outs {
+		for p, v := range out {
+			if v != float64(10*p+1) {
+				t.Fatalf("rank %d out[%d] = %v, want %v", r, p, v, 10*p+1)
+			}
 		}
 	}
 }

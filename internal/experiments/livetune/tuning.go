@@ -1,5 +1,5 @@
 // Package livetune holds the experiment scenarios that run on the LIVE
-// data plane (real tensors, the public Runner) rather than the
+// data plane (real tensors, the public Session) rather than the
 // discrete-event simulator the rest of internal/experiments uses. It is
 // a separate package because it imports the root parallax package,
 // which the simulator-backed experiments must not (the root benchmark
@@ -7,6 +7,7 @@
 package livetune
 
 import (
+	"context"
 	"fmt"
 
 	"parallax"
@@ -33,7 +34,7 @@ func DefaultTuningConfig() TuningConfig {
 }
 
 // TuningResult compares a statically partitioned run (P = machine
-// count, the no-knowledge default) against Config.AutoPartition's
+// count, the no-knowledge default) against WithAutoPartition's
 // tune-while-training search on the same workload.
 type TuningResult struct {
 	StaticP, TunedP int
@@ -72,30 +73,34 @@ func buildTuningLM(cfg TuningConfig) *parallax.Graph {
 
 // runTuningCase trains one configuration and returns its aggregate plus
 // the steady-state throughput over the post-warmup window.
-func runTuningCase(tc TuningConfig, pcfg parallax.Config) (*parallax.Runner, metrics.LoopStats, float64, error) {
-	g := buildTuningLM(tc)
-	runner, err := parallax.GetRunner(g, parallax.Uniform(tc.Machines, tc.GPUs), pcfg)
+func runTuningCase(tc TuningConfig, opts ...parallax.Option) (*parallax.Session, metrics.LoopStats, float64, error) {
+	ctx := context.Background()
+	opts = append(opts, parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.5) }))
+	sess, err := parallax.Open(ctx, buildTuningLM(tc), parallax.Uniform(tc.Machines, tc.GPUs), opts...)
 	if err != nil {
 		return nil, metrics.LoopStats{}, 0, err
 	}
-	var steady metrics.LoopStats
-	total, err := runner.RunLoop(data.NewZipfText(tc.Vocab, tc.Batch, 1, 1.0, 37), tc.Steps,
-		func(s parallax.StepStats) {
-			if s.Step >= tc.WarmupSteps {
-				steady.Observe(s)
-			}
-		})
-	if err != nil {
-		runner.Close()
-		return nil, metrics.LoopStats{}, 0, err
+	var total, steady metrics.LoopStats
+	for st, err := range sess.Steps(ctx, data.NewZipfText(tc.Vocab, tc.Batch, 1, 1.0, 37)) {
+		if err != nil {
+			sess.Close()
+			return nil, metrics.LoopStats{}, 0, err
+		}
+		total.Observe(st)
+		if st.Step >= tc.WarmupSteps {
+			steady.Observe(st)
+		}
+		if total.Steps == tc.Steps {
+			break
+		}
 	}
-	return runner, total, steady.StepsPerSec(), nil
+	return sess, total, steady.StepsPerSec(), nil
 }
 
 // OnlinePartitionTuning is the tune-while-training scenario: the same
 // Zipf LM trained twice on the real data plane — once with the static
 // default partitioning (one partition per machine), once with
-// Config.AutoPartition resharding the live job to the searched optimum
+// WithAutoPartition resharding the live job to the searched optimum
 // — and the steady-state throughputs compared. It is the live-runtime
 // counterpart of the §6.5 search-efficiency experiment: the tuned run
 // pays ≤ 5 measurement runs up front and then trains at the fitted
@@ -103,19 +108,13 @@ func runTuningCase(tc TuningConfig, pcfg parallax.Config) (*parallax.Runner, met
 func OnlinePartitionTuning(tc TuningConfig) (TuningResult, *metrics.Table, error) {
 	var res TuningResult
 
-	staticRunner, staticTotal, staticSteady, err := runTuningCase(tc, parallax.Config{
-		NewOptimizer:     func() parallax.Optimizer { return parallax.NewSGD(0.5) },
-		SparsePartitions: tc.Machines,
-	})
+	staticRunner, staticTotal, staticSteady, err := runTuningCase(tc, parallax.WithSparsePartitions(tc.Machines))
 	if err != nil {
 		return res, nil, fmt.Errorf("static run: %w", err)
 	}
 	defer staticRunner.Close()
 
-	tunedRunner, tunedTotal, tunedSteady, err := runTuningCase(tc, parallax.Config{
-		NewOptimizer:  func() parallax.Optimizer { return parallax.NewSGD(0.5) },
-		AutoPartition: true,
-	})
+	tunedRunner, tunedTotal, tunedSteady, err := runTuningCase(tc, parallax.WithAutoPartition())
 	if err != nil {
 		return res, nil, fmt.Errorf("tuned run: %w", err)
 	}

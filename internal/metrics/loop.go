@@ -6,7 +6,7 @@ import (
 )
 
 // StepStats is one training step's measurements, emitted by the persistent
-// runtime's RunLoop for every iteration: the quantities the paper's
+// runtime's step loop for every iteration: the quantities the paper's
 // evaluation tracks per step (loss curves in Fig. 7, step time behind the
 // throughput tables, network transfer in Table 3).
 type StepStats struct {

@@ -256,22 +256,31 @@ func (s *Service) jobDone(j *Job) {
 // keep running.
 func (s *Service) run(ctx context.Context, j *Job) {
 	defer s.wg.Done()
-	var finished bool
+	// The outcome is published last: a job turns terminal only once its
+	// GPUs are back in the inventory, so whoever sees it finished also
+	// sees the capacity it held as free.
+	var outcome func()
+	finish := func(st State, err error, loss float64, bits uint64) {
+		outcome = func() {
+			j.finish(st, err, loss, bits)
+			s.met.jobsDone.Inc(string(st), j.Tenant)
+		}
+	}
 	defer func() {
-		if r := recover(); r != nil && !finished {
-			j.finish(Failed, fmt.Errorf("runner panic: %v", r), 0, 0)
-			s.met.jobsDone.Inc(string(Failed), j.Tenant)
+		if r := recover(); r != nil && outcome == nil {
+			finish(Failed, fmt.Errorf("runner panic: %v", r), 0, 0)
+		}
+		s.jobDone(j)
+		if outcome != nil {
+			outcome()
 		}
 		s.drainCheckpoints(j)
-		s.jobDone(j)
 	}()
 
 	spec := j.Spec
 	opts, err := spec.Options()
 	if err != nil {
-		finished = true
-		j.finish(Failed, err, 0, 0)
-		s.met.jobsDone.Inc(string(Failed), j.Tenant)
+		finish(Failed, err, 0, 0)
 		return
 	}
 	// The job joins the resident fleet under its own namespace: its
@@ -280,9 +289,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 	opts = append(opts, parallax.WithResidentPS(s.fleet, j.Namespace()))
 	sess, err := parallax.Open(ctx, spec.Graph(), spec.Resources(), opts...)
 	if err != nil {
-		finished = true
-		j.finish(Failed, fmt.Errorf("open: %w", err), 0, 0)
-		s.met.jobsDone.Inc(string(Failed), j.Tenant)
+		finish(Failed, fmt.Errorf("open: %w", err), 0, 0)
 		return
 	}
 	defer sess.Close()
@@ -310,18 +317,14 @@ func (s *Service) run(ctx context.Context, j *Job) {
 		}
 	}
 
-	finished = true
 	bits := math.Float64bits(stats.LastLoss)
 	switch {
 	case runErr != nil:
-		j.finish(Failed, runErr, 0, 0)
-		s.met.jobsDone.Inc(string(Failed), j.Tenant)
+		finish(Failed, runErr, 0, 0)
 	case cancelled:
-		j.finish(Cancelled, nil, stats.LastLoss, bits)
-		s.met.jobsDone.Inc(string(Cancelled), j.Tenant)
+		finish(Cancelled, nil, stats.LastLoss, bits)
 	default:
-		j.finish(Succeeded, nil, stats.LastLoss, bits)
-		s.met.jobsDone.Inc(string(Succeeded), j.Tenant)
+		finish(Succeeded, nil, stats.LastLoss, bits)
 	}
 }
 

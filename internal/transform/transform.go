@@ -63,7 +63,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parallax/internal/arrt"
 	"parallax/internal/cluster"
 	"parallax/internal/collective"
 	"parallax/internal/core"
@@ -274,10 +273,9 @@ type Trainer struct {
 
 	// Per-worker state; slices are indexed by global worker rank with nil
 	// entries for workers hosted by other agents.
-	execs    []*graph.Exec
-	replicas []*arrt.Replica
-	comms    []*collective.Comm
-	arOpts   []optim.Optimizer
+	execs  []*graph.Exec
+	comms  []*collective.Comm
+	arOpts []optim.Optimizer
 
 	servers []*psrt.Server // one per LOCAL machine; nil elsewhere or when no PS variables
 	// nsHandles[m] is this trainer's namespace registration handle on
@@ -310,8 +308,6 @@ type Trainer struct {
 	// topkScratch[w] is the selection workspace of w's comm goroutine.
 	fuseResid   [][]*tensor.Dense
 	topkScratch []collective.TopKScratch
-	// compressDense gates the compressed bucket path in commLoop.
-	compressDense bool
 
 	// slots[ri][m] is the local-aggregation slot for route ri on machine
 	// m; merge buffers exist only for machines hosted here.
@@ -536,7 +532,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	// GPUs"; remote GPUs are replicated by their own agents).
 	t.execs = make([]*graph.Exec, workers)
 	t.arOpts = make([]optim.Optimizer, workers)
-	t.replicas = make([]*arrt.Replica, workers)
 	t.comms = make([]*collective.Comm, workers)
 	for _, w := range t.localWorkers {
 		e, err := graph.NewExec(g)
@@ -546,7 +541,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		t.execs[w] = e
 		t.arOpts[w] = opts.NewOptimizer()
 		t.comms[w] = collective.NewComm(fab.Conduit(w), workers)
-		t.replicas[w] = arrt.New(t.comms[w], opts.DenseAgg, opts.SparseAgg)
 	}
 
 	// Route variables.
@@ -682,7 +676,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	t.agvTags = make([]string, len(t.routes))
 	for ri, r := range t.routes {
 		if r.assign.Method == core.MethodAllGatherv {
-			t.agvTags[ri] = arrt.SparseTag(r.v.Name)
+			t.agvTags[ri] = "agv/" + r.v.Name
 		}
 	}
 
@@ -705,7 +699,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 						if r.assign.Method == core.MethodPS {
 							continue
 						}
-						t.replicas[w].BroadcastInit(r.v.Name, t.execs[w].VarValue(r.v.Name), 0)
+						collective.Broadcast(t.comms[w], "init/"+r.v.Name, t.execs[w].VarValue(r.v.Name), 0)
 					}
 					return nil
 				}()
@@ -859,7 +853,6 @@ func (t *Trainer) buildFusion() {
 	t.fuseBufs = make([][]*tensor.Dense, t.workers)
 	t.fuseViews = make([][]*tensor.Dense, t.workers)
 	t.bucketPending = make([][]int, t.workers)
-	t.compressDense = t.opt.Compression.Dense != transport.CodecF32 || t.opt.Compression.DenseTopK > 0
 	topk := t.opt.Compression.DenseTopK > 0
 	if topk {
 		t.fuseResid = make([][]*tensor.Dense, t.workers)
@@ -1264,67 +1257,24 @@ func (t *Trainer) repartitionBarrier(tag string) {
 	wg.Wait()
 }
 
-// AgreeScalarMax folds a locally measured scalar (a sampled step time)
-// into the cluster-wide maximum, identical on every agent: each worker
-// all-gathers the value in rank order and the fold is a max, so all
-// agents see the same bits and derive the same tuning decisions — the
-// property that keeps adaptive repartitioning in lockstep across
-// processes. Single-process trainers return the value unchanged. Must
-// not run concurrently with Step.
-// A non-nil error means the fabric died mid-agreement (peer failure);
-// the trainer is torn down fail-stop, exactly like a failed Step.
-func (t *Trainer) AgreeScalarMax(v float64) (float64, error) {
-	return t.agreeMax("tune", v)
-}
-
-// AgreeStop folds a local stop request (a cancelled context) into a
-// cluster-wide decision: true as soon as ANY agent wants to stop, and
-// identical on every agent — the property that lets a graceful
-// cancellation end every agent's step loop at the same boundary instead
-// of leaving peers blocked mid-collective against ranks that will never
-// dispatch again. Single-process trainers return the local flag
-// unchanged. Every agent must call it at the same points (the session
-// driver calls it once per step when its context is cancellable); it
-// must not run concurrently with Step.
-// A non-nil error means the fabric died mid-agreement (peer failure);
-// the trainer is torn down fail-stop, exactly like a failed Step.
-func (t *Trainer) AgreeStop(stop bool) (bool, error) {
-	if !t.dist {
-		return stop, nil
-	}
-	v := 0.0
-	if stop {
-		v = 1
-	}
-	m, err := t.agreeMax("stop", v)
-	return m >= 1, err
-}
-
-// AgreeMembership folds a locally proposed membership-change code into
-// the cluster-wide maximum — the admission/departure vote of the
-// elastic membership protocol (DESIGN.md §14). The session layer's code
-// encoding makes the max fold pick a unique winner from any combination
-// of concurrent proposals (0 = no proposal), so every agent derives the
-// identical transition. It rides the same all-gather as the other
-// agreements: every agent must call it at the same step boundaries, and
-// it must not run concurrently with Step. Single-process trainers
-// return the proposal unchanged.
-// A non-nil error means the fabric died mid-agreement (peer failure);
-// the trainer is torn down fail-stop, exactly like a failed Step.
-func (t *Trainer) AgreeMembership(v float64) (float64, error) {
-	return t.agreeMax("member", v)
-}
-
 // Fabric returns the trainer's transport fabric, so the session layer
 // can reach fabric-specific surfaces (the elastic join listener). The
 // trainer still owns it; callers must not Close it.
 func (t *Trainer) Fabric() transport.Fabric { return t.fab }
 
-// agreeMax all-gathers one scalar per worker in rank order under tag
-// and folds the cluster-wide maximum, bitwise identical on every agent.
-// A fabric death mid-gather fails the step (attributed error) instead
-// of crashing.
-func (t *Trainer) agreeMax(tag string, v float64) (float64, error) {
+// AgreeMax is the cluster-wide scalar agreement every session-level
+// decision rides on: each worker all-gathers v in rank order under tag
+// and folds the maximum, so all agents see the same bits and derive the
+// same decision — the step-boundary control word (stop request and
+// membership proposal, DESIGN.md §10/§14), the restore-step check after
+// a rendezvous, the sampled step times that keep adaptive
+// repartitioning in lockstep, and (with v = 0) a plain barrier. Every
+// agent must call it at the same points with the same tag; it must not
+// run concurrently with Step. Single-process trainers return v
+// unchanged.
+// A non-nil error means the fabric died mid-agreement (peer failure);
+// the trainer is torn down fail-stop, exactly like a failed Step.
+func (t *Trainer) AgreeMax(tag string, v float64) (float64, error) {
 	if !t.dist {
 		return v, nil
 	}
@@ -1337,7 +1287,7 @@ func (t *Trainer) agreeMax(tag string, v float64) (float64, error) {
 			defer wg.Done()
 			err := func() (err error) {
 				defer t.recoverClosed(&err)
-				t.replicas[w].GatherScalars(tag, v, t.lossGather[w])
+				collective.AllGatherScalarsInto(t.comms[w], tag, v, t.lossGather[w])
 				return nil
 			}()
 			if err != nil {
@@ -1407,20 +1357,25 @@ func (t *Trainer) commTask(w int, task commTask) (err error) {
 	defer t.recoverClosed(&err)
 	switch task.kind {
 	case commBucket:
-		if t.compressDense {
-			var res []float32
-			var scratch *collective.TopKScratch
-			if t.fuseResid != nil {
-				res = t.fuseResid[w][task.idx].Data()
-				scratch = &t.topkScratch[w]
-			}
-			t.replicas[w].SyncDenseCompressed(t.buckets[task.idx].tags,
-				t.fuseBufs[w][task.idx], t.opt.Compression, res, scratch)
-		} else {
-			t.replicas[w].SyncDenseTagged(t.buckets[task.idx].tags, t.fuseBufs[w][task.idx])
+		// One collective per fusion bucket: sum across all workers (exact,
+		// under the dense codec, or top-k sparsified with error feedback),
+		// then the configured finalization — every worker ends up holding
+		// the identical aggregated gradient, the AR-architecture invariant.
+		c, tags, buf := t.comms[w], t.buckets[task.idx].tags, t.fuseBufs[w][task.idx]
+		switch policy := t.opt.Compression; {
+		case policy.DenseTopK > 0:
+			collective.AllReduceTopKTagged(c, tags, buf, policy.DenseTopK, policy.Dense,
+				t.fuseResid[w][task.idx].Data(), &t.topkScratch[w])
+		case policy.Dense != transport.CodecF32:
+			collective.AllReduceCodecTagged(c, tags, buf, policy.Dense)
+		default:
+			collective.AllReduceTagged(c, tags, buf)
 		}
+		optim.FinalizeDense(buf, t.workers, t.opt.DenseAgg)
 	case commSparse:
-		t.arSparse[w][task.idx] = t.replicas[w].SyncSparseTagged(t.agvTags[task.idx], task.sparse)
+		out := collective.AllGathervTagged(t.comms[w], t.agvTags[task.idx], task.sparse)
+		optim.FinalizeSparse(out, t.workers, t.opt.SparseAgg)
+		t.arSparse[w][task.idx] = out
 	case commPS:
 		return t.pushPS(w, task.idx, task.dense, task.sparse)
 	}
@@ -1757,7 +1712,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// identical across deployment modes.
 	if t.dist {
 		gathered := t.lossGather[w]
-		t.replicas[w].GatherScalars("loss", loss, gathered)
+		collective.AllGatherScalarsInto(t.comms[w], "loss", loss, gathered)
 		var sum float64
 		for _, l := range gathered {
 			sum += l

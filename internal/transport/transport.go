@@ -12,7 +12,7 @@
 // W..W+M-1, one server per machine (Topology). Every endpoint obtains a
 // Conduit from the process's Fabric; a message is addressed by
 // (destination endpoint, rendezvous tag). Tags are the build-time strings
-// internal/collective and internal/arrt precompute ("fuse/0/rs",
+// internal/collective and internal/transform precompute ("fuse/0/rs",
 // "agv/embedding", ...); the fabric guarantees FIFO delivery per
 // (source, destination, tag).
 //

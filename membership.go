@@ -1,10 +1,11 @@
 package parallax
 
 // Membership proposal codes (DESIGN.md §14). Every elastic agent
-// contributes one scalar per step boundary to the "member" agreement
-// round: 0 when it has nothing to propose, otherwise an encoding of
-// (proposing machine, change kind). The cluster-wide maximum elects a
-// single winner deterministically on every agent:
+// contributes one code per step boundary as the payload of the
+// boundary's control word (session.go): 0 when it has nothing to
+// propose, otherwise an encoding of (proposing machine, change kind).
+// The cluster-wide maximum elects a single winner deterministically on
+// every agent:
 //
 //   - a higher machine index always beats a lower one (ties are
 //     impossible — one machine makes at most one proposal per round);

@@ -186,3 +186,23 @@ func TestMembershipLeaveBeatsJoinSameMachine(t *testing.T) {
 		t.Fatalf("fold elected (%d,%d,%v), want machine 1 leave", m, k, err)
 	}
 }
+
+// TestControlWordStopOutranksEveryProposal pins the one-exchange
+// boundary's fold (session.go): the stop flag sits above every proposal
+// code, so the max-fold of the control words is the OR of the stop
+// requests, and — only when nobody stops — the proposal election.
+func TestControlWordStopOutranksEveryProposal(t *testing.T) {
+	top := proposalCode(1<<20, proposeLeave) // far beyond any real cluster
+	if top >= ctlStop {
+		t.Fatalf("proposal code %v reaches the stop flag %v", top, float64(ctlStop))
+	}
+	if word := ctlStop + top; word-ctlStop != top {
+		t.Fatal("stop flag plus a proposal code is not an exact float64 integer")
+	}
+	if got := foldProposals([]float64{top, ctlStop, 0}); got < ctlStop {
+		t.Fatalf("fold of a stop and a proposal = %v, want the stop to win", got)
+	}
+	if got := foldProposals([]float64{proposalCode(0, proposeJoin), 0, proposalCode(2, proposeLeave)}); got >= ctlStop {
+		t.Fatalf("fold of proposals alone = %v reads as a stop", got)
+	}
+}

@@ -6,18 +6,49 @@ package parallax
 // with learning rate 0.1, mean aggregation, local aggregation on, and
 // the automatic partition search over the simulated cluster.
 //
-// The options compose left to right, so later options win; WithConfig
-// replaces the whole configuration at once, which is the migration path
-// for code that already builds a Config literal for GetRunner.
+// The options compose left to right, so later options win.
+
+import "time"
 
 // Option configures a Session being opened.
 type Option func(*Config)
 
-// WithConfig replaces the entire configuration with c — the bridge from
-// the legacy Config-literal style: Open(ctx, g, res, WithConfig(cfg))
-// behaves exactly like GetRunner(g, res, cfg). Options after it refine
-// c further.
-func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
+// resolveConfig folds the options into a Config and resolves every
+// documented default, so no use site carries a fallback of its own.
+func resolveConfig(opts []Option) Config {
+	var cfg Config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.NewOptimizer == nil {
+		cfg.NewOptimizer = func() Optimizer { return NewSGD(0.1) }
+	}
+	if cfg.AutoCheckpoint.EveryN <= 0 {
+		cfg.AutoCheckpoint.EveryN = 10
+	}
+	if cfg.AutoCheckpoint.Keep <= 0 {
+		cfg.AutoCheckpoint.Keep = 3
+	}
+	if cfg.Recovery.MaxRecoveries <= 0 {
+		cfg.Recovery.MaxRecoveries = 3
+	}
+	if cfg.Recovery.RedialTimeout <= 0 {
+		cfg.Recovery.RedialTimeout = 2 * time.Minute
+	}
+	if cfg.Dist != nil {
+		dc := *cfg.Dist // the option's struct may be shared across Opens
+		if dc.DialTimeout <= 0 {
+			dc.DialTimeout = 10 * time.Second
+			if dc.JoinTarget != "" {
+				// A joiner waits, parked, for a step boundary to admit it —
+				// the same kind of wait as a re-rendezvous.
+				dc.DialTimeout = cfg.Recovery.RedialTimeout
+			}
+		}
+		cfg.Dist = &dc
+	}
+	return cfg
+}
 
 // WithArch selects the training architecture (default Hybrid).
 func WithArch(a Arch) Option { return func(c *Config) { c.Arch = a } }
@@ -141,7 +172,9 @@ func WithElastic() Option { return func(c *Config) { c.Elastic = true } }
 // with policy.Enabled, a distributed session survives a peer agent's
 // death by re-rendezvousing at the next fabric epoch and restoring the
 // latest complete auto-checkpoint — the Steps iterator continues
-// bit-identically instead of yielding ErrPeerFailed. Requires
+// bit-identically instead of yielding ErrPeerFailed. Steps recovers in
+// place (it keeps the feed log the replay draws from); StepsFeeds owns
+// its feed source and surfaces ErrPeerFailed. Requires
 // WithAutoCheckpoint. WithRecovery(RecoveryPolicy{Enabled: true})
 // selects the defaults (3 recoveries, 2-minute redial window).
 func WithRecovery(policy RecoveryPolicy) Option {

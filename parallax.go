@@ -38,15 +38,12 @@
 // loop at the next step boundary (cluster-agreed in distributed mode,
 // so every agent stops at the same step), and Open's context bounds the
 // peer rendezvous. Configuration is functional options (WithArch,
-// WithOptimizer, WithAutoPartition, ...; WithConfig installs a legacy
-// Config wholesale). Session.Save and OpenFromCheckpoint capture and
+// WithOptimizer, WithAutoPartition, ...). Session.Save and
+// OpenFromCheckpoint capture and
 // restore the full training state — variable values, optimizer slots,
 // step counter, dataset cursor — with bit-identical resume on either
 // fabric. Failures carry typed sentinels (ErrClosed,
 // ErrTopologyMismatch, ErrCheckpointVersion) matched with errors.Is.
-//
-// GetRunner, Runner.Run, and Runner.RunLoop/RunLoopFeeds remain as thin
-// compatibility wrappers over the same machinery for pre-Session code.
 //
 // # Persistent runtime
 //
@@ -79,7 +76,7 @@ import (
 )
 
 // Re-exported graph-construction types: the single-GPU graph the user
-// writes is exactly what GetRunner transforms (§4.1 "transparency").
+// writes is exactly what Open transforms (§4.1 "transparency").
 type (
 	// Graph is a single-GPU computation graph under construction.
 	Graph = graph.Graph
@@ -179,9 +176,11 @@ func (a Arch) coreArch() core.Arch {
 	}
 }
 
-// Config is the ParallaxConfig of §4.1: optional knobs; the zero value is
-// a sensible default (hybrid architecture, local aggregation, mean
-// aggregation, automatic partition search).
+// Config is the ParallaxConfig of §4.1: the optional knobs the Options
+// set, one field each; the zero value is a sensible default (hybrid
+// architecture, local aggregation, mean aggregation, automatic
+// partition search). Open folds its options into one Config and
+// resolves every "defaults to" below in that one place.
 type Config struct {
 	// Arch selects the architecture; default Hybrid.
 	Arch Arch
@@ -200,9 +199,9 @@ type Config struct {
 	// steps when AutoPartition is set.
 	SparsePartitions int
 	// AutoPartition switches the §3.2 partition search from the
-	// simulator to the live runtime: the runner starts at one partition
-	// per machine and, during the first RunLoop/RunLoopFeeds call,
-	// samples real per-step times at candidate counts (doubling/halving
+	// simulator to the live runtime: the session starts at one partition
+	// per machine and, during the first Steps/StepsFeeds loop, samples
+	// real per-step times at candidate counts (doubling/halving
 	// from the machine count, at most 5 measurement runs), fits the cost
 	// model, and reshards the running job to the optimum — training
 	// continues through the whole search (tune-while-training). The
@@ -337,7 +336,7 @@ type RecoveryPolicy struct {
 // Config (deterministic initializers, same seeds): the plan is
 // recomputed per agent and must agree. AR-managed variables are
 // broadcast from worker 0 at startup, so replicas begin bit-identical;
-// each agent's RunLoop must also draw from identically seeded datasets,
+// each agent's Steps loop must also draw from identically seeded datasets,
 // which keeps shard alignment without any data traffic.
 type DistConfig struct {
 	// Machine is the index of the cluster machine this process hosts

@@ -1,11 +1,42 @@
 package parallax
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"parallax/internal/data"
 )
+
+// openSession opens a single-process session or fails the test.
+func openSession(t testing.TB, g *Graph, res ResourceInfo, opts ...Option) *Session {
+	t.Helper()
+	s, err := Open(context.Background(), g, res, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runSteps drives n steps of s.Steps over ds, handing each step's stats
+// to each (when set), and returns the loop's aggregate.
+func runSteps(t testing.TB, s *Session, ds Dataset, n int, each func(StepStats)) LoopStats {
+	t.Helper()
+	var stats LoopStats
+	for st, err := range s.Steps(context.Background(), ds) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Observe(st)
+		if each != nil {
+			each(st)
+		}
+		if stats.Steps == n {
+			break
+		}
+	}
+	return stats
+}
 
 // buildAPIModel constructs a small sparse model purely through the public
 // API, following the Fig. 3 pattern.
@@ -23,22 +54,17 @@ func buildAPIModel(batch, vocab int) *Graph {
 	return g
 }
 
-func TestGetRunnerDefaultsAndTraining(t *testing.T) {
+func TestOpenDefaultsAndTraining(t *testing.T) {
 	g := buildAPIModel(8, 120)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 2), WithSparsePartitions(3))
 	defer runner.Close()
 	if runner.Workers() != 4 {
 		t.Fatalf("workers = %d", runner.Workers())
 	}
-	ds := data.NewZipfText(120, 8, 1, 1.0, 5)
 	shards := make([]Dataset, runner.Workers())
 	for w := range shards {
 		shards[w] = Shard(data.NewZipfText(120, 8, 1, 1.0, 5), w, runner.Workers())
 	}
-	_ = ds
 	var first, last float64
 	for step := 0; step < 20; step++ {
 		feeds := make([]Feed, runner.Workers())
@@ -46,7 +72,7 @@ func TestGetRunnerDefaultsAndTraining(t *testing.T) {
 			b := shards[w].(*data.Shard).Next()
 			feeds[w] = Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
 		}
-		loss, err := runner.Run(feeds)
+		loss, err := runner.RunStep(feeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +88,7 @@ func TestGetRunnerDefaultsAndTraining(t *testing.T) {
 
 func TestDescribeShowsHybridSplit(t *testing.T) {
 	g := buildAPIModel(4, 50)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{SparsePartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 1), WithSparsePartitions(2))
 	defer runner.Close()
 	d := runner.Describe()
 	if !strings.Contains(d, "embedding") || !strings.Contains(d, "ps") {
@@ -79,28 +102,17 @@ func TestDescribeShowsHybridSplit(t *testing.T) {
 	}
 }
 
-func TestRunnerCloseIdempotent(t *testing.T) {
+func TestSessionCloseIdempotentAfterSteps(t *testing.T) {
 	g := buildAPIModel(8, 120)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := data.NewZipfText(120, 8, 1, 1.0, 5)
-	if _, err := runner.RunLoop(ds, 2); err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 2), WithSparsePartitions(3))
+	runSteps(t, runner, data.NewZipfText(120, 8, 1, 1.0, 5), 2, nil)
 	runner.Close()
 	runner.Close() // second Close must be a no-op, not a panic
 }
 
 func TestAutomaticPartitionSearch(t *testing.T) {
 	g := buildAPIModel(8, 2000)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{
-		AlphaHint: map[string]float64{"embedding": 0.02},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 2), WithAlphaHints(map[string]float64{"embedding": 0.02}))
 	defer runner.Close()
 	p := runner.SparsePartitions()
 	if p < 1 || p > 2000 {
@@ -114,7 +126,7 @@ func TestAutomaticPartitionSearch(t *testing.T) {
 			"labels": {0, 1, 2, 3, 4, 5, 6, 7},
 		}}
 	}
-	if _, err := runner.Run(feeds); err != nil {
+	if _, err := runner.RunStep(feeds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,10 +138,7 @@ func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
 	labels := g.Input("labels", Int, 4)
 	w := g.Variable("w", rng.RandN(0.2, 8, 5))
 	g.SoftmaxCE(g.MatMul(x, w), labels)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 1))
 	defer runner.Close()
 	if runner.SparsePartitions() != 1 {
 		t.Fatalf("dense model searched partitions: %d", runner.SparsePartitions())
@@ -141,48 +150,42 @@ func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
 			Ints:   map[string][]int{"labels": {0, 1, 2, 3}},
 		}
 	}
-	if _, err := runner.Run(feeds); err != nil {
+	if _, err := runner.RunStep(feeds); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestGetRunnerValidations(t *testing.T) {
+func TestOpenValidations(t *testing.T) {
 	g := NewGraph()
 	g.Input("x", Float, 1, 1) // no loss
-	if _, err := GetRunner(g, Uniform(1, 1), Config{}); err == nil {
+	if _, err := Open(context.Background(), g, Uniform(1, 1)); err == nil {
 		t.Fatal("graph without loss must fail")
 	}
 	g2 := buildAPIModel(2, 10)
-	if _, err := GetRunner(g2, ResourceInfo{}, Config{}); err == nil {
+	if _, err := Open(context.Background(), g2, ResourceInfo{}); err == nil {
 		t.Fatal("empty resources must fail")
 	}
 }
 
-func TestRunLoopPublicAPI(t *testing.T) {
+func TestStepsPublicAPI(t *testing.T) {
 	g := buildAPIModel(8, 150)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 2), WithSparsePartitions(3))
 	defer runner.Close()
 
-	var hookSteps int
+	var seen int
 	var lastStats StepStats
-	stats, err := runner.RunLoop(data.NewZipfText(150, 8, 1, 1.0, 21), 25, func(s StepStats) {
-		if s.Step != hookSteps {
-			t.Errorf("hook saw step %d, want %d", s.Step, hookSteps)
+	stats := runSteps(t, runner, data.NewZipfText(150, 8, 1, 1.0, 21), 25, func(s StepStats) {
+		if s.Step != seen {
+			t.Errorf("iterator yielded step %d, want %d", s.Step, seen)
 		}
-		hookSteps++
+		seen++
 		lastStats = s
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hookSteps != 25 || stats.Steps != 25 {
-		t.Fatalf("ran %d hook steps, stats counted %d, want 25", hookSteps, stats.Steps)
+	if seen != 25 || stats.Steps != 25 {
+		t.Fatalf("saw %d steps, stats counted %d, want 25", seen, stats.Steps)
 	}
 	if !(stats.LastLoss < stats.FirstLoss) {
-		t.Fatalf("RunLoop loss did not decrease: %v -> %v", stats.FirstLoss, stats.LastLoss)
+		t.Fatalf("loss did not decrease: %v -> %v", stats.FirstLoss, stats.LastLoss)
 	}
 	if lastStats.BytesPushed <= 0 || stats.TotalBytesPushed <= 0 {
 		t.Fatalf("push-byte metrics missing: step %d total %d", lastStats.BytesPushed, stats.TotalBytesPushed)
@@ -192,46 +195,59 @@ func TestRunLoopPublicAPI(t *testing.T) {
 	}
 }
 
-func TestRunLoopFeedsCustomInputs(t *testing.T) {
-	// A dense-only graph without tokens/labels inputs: RunLoop must refuse
-	// it with a helpful error, RunLoopFeeds must drive it.
+func TestStepsFeedsCustomInputs(t *testing.T) {
+	// A dense-only graph without tokens/labels inputs: Steps must refuse
+	// it with a helpful error, StepsFeeds must drive it.
 	rng := NewRNG(8)
 	g := NewGraph()
 	x := g.Input("x", Float, 4, 6)
 	labels := g.Input("y", Int, 4)
 	w := g.Variable("w", rng.RandN(0.2, 6, 3))
 	g.SoftmaxCE(g.MatMul(x, w), labels)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 1))
 	defer runner.Close()
+	ctx := context.Background()
 
-	if _, err := runner.RunLoop(data.NewZipfText(10, 4, 1, 1.0, 3), 1); err == nil {
-		t.Fatal("RunLoop on a graph without tokens/labels inputs must fail")
+	refused := false
+	for _, err := range runner.Steps(ctx, data.NewZipfText(10, 4, 1, 1.0, 3)) {
+		refused = err != nil
+	}
+	if !refused {
+		t.Fatal("Steps on a graph without tokens/labels inputs must fail")
 	}
 
-	stats, err := runner.RunLoopFeeds(func(step, worker int) (Feed, error) {
+	steps := 0
+	for st, err := range runner.StepsFeeds(ctx, func(step, worker int) (Feed, error) {
 		return Feed{
 			Floats: map[string]*Dense{"x": rng.RandN(1, 4, 6)},
 			Ints:   map[string][]int{"y": {0, 1, 2, 0}},
 		}, nil
-	}, 5)
-	if err != nil {
-		t.Fatal(err)
+	}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Step != steps {
+			t.Fatalf("StepsFeeds yielded step %d, want %d", st.Step, steps)
+		}
+		if steps++; steps == 5 {
+			break
+		}
 	}
-	if stats.Steps != 5 {
-		t.Fatalf("ran %d steps, want 5", stats.Steps)
+	if steps != 5 || runner.StepCount() != 5 {
+		t.Fatalf("ran %d steps (StepCount %d), want 5", steps, runner.StepCount())
 	}
 
 	// A transposed float feed has the right element count but the wrong
 	// shape; it must be rejected before dispatch, not crash a worker.
-	_, err = runner.RunLoopFeeds(func(step, worker int) (Feed, error) {
+	var err error
+	for _, err = range runner.StepsFeeds(ctx, func(step, worker int) (Feed, error) {
 		return Feed{
 			Floats: map[string]*Dense{"x": rng.RandN(1, 6, 4)},
 			Ints:   map[string][]int{"y": {0, 1, 2, 0}},
 		}, nil
-	}, 1)
+	}) {
+		break
+	}
 	if err == nil {
 		t.Fatal("transposed float feed must fail")
 	}
@@ -248,18 +264,13 @@ func TestMeasureAlphaPublicAPI(t *testing.T) {
 // §3.2 search: on the hybrid LM example the tuning phase must settle
 // within the paper's budget of 5 measurement runs, choose a P inside
 // the sampled bracket, reshard the live runtime to it, and keep the
-// training loop accounting intact (every step, tuning included, flows
-// through hooks and stats).
+// training loop accounting intact (every step, tuning included, is
+// yielded exactly once, in order).
 func TestAutoPartitionOnlineSearch(t *testing.T) {
 	const vocab, batch, steps = 600, 8, 30
 	g := buildAPIModel(batch, vocab)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{
-		AutoPartition: true,
-		AlphaHint:     map[string]float64{"embedding": 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 2),
+		WithAutoPartition(), WithAlphaHints(map[string]float64{"embedding": 0.05}))
 	defer runner.Close()
 
 	d := runner.PartitionDecision()
@@ -270,18 +281,15 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 		t.Fatalf("initial P = %d, want the machine count", runner.SparsePartitions())
 	}
 
-	hookSteps := 0
-	stats, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 11), steps, func(s StepStats) {
-		if s.Step != hookSteps {
-			t.Errorf("hook saw step %d, want %d", s.Step, hookSteps)
+	seen := 0
+	stats := runSteps(t, runner, data.NewZipfText(vocab, batch, 1, 1.0, 11), steps, func(s StepStats) {
+		if s.Step != seen {
+			t.Errorf("iterator yielded step %d, want %d", s.Step, seen)
 		}
-		hookSteps++
+		seen++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hookSteps != steps || stats.Steps != steps {
-		t.Fatalf("ran %d hook steps, stats counted %d, want %d", hookSteps, stats.Steps, steps)
+	if seen != steps || stats.Steps != steps {
+		t.Fatalf("saw %d steps, stats counted %d, want %d", seen, stats.Steps, steps)
 	}
 
 	d = runner.PartitionDecision()
@@ -306,65 +314,32 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 	if runner.SparsePartitions() != d.P {
 		t.Fatalf("runtime at P=%d, decision says %d", runner.SparsePartitions(), d.P)
 	}
-
-	// A second loop must not re-run the tuning phase.
-	if _, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 12), 2); err != nil {
-		t.Fatal(err)
-	}
-	if runner.PartitionDecision().P != d.P {
-		t.Fatal("second RunLoop re-tuned the partitioning")
-	}
-}
-
-// TestAutoPartitionTruncatedBudget: a RunLoop too short to finish the
-// tuning phase must still run exactly `steps` steps, settle on a
-// sampled point, and render a decision without NaN thetas (probes the
-// budget cannot afford are skipped before resharding and excluded from
-// the fit).
-func TestAutoPartitionTruncatedBudget(t *testing.T) {
-	const vocab, batch, steps = 400, 8, 8 // room for ~2 probes of 3 steps
-	g := buildAPIModel(batch, vocab)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{AutoPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	stats, err := runner.RunLoop(data.NewZipfText(vocab, batch, 1, 1.0, 19), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Steps != steps {
-		t.Fatalf("ran %d steps, want %d", stats.Steps, steps)
-	}
-	d := runner.PartitionDecision()
-	if d.Pending || d.Search == nil || d.P < 1 {
-		t.Fatalf("truncated tuning left decision %+v", d)
-	}
 	if out := d.String(); strings.Contains(out, "NaN") {
 		t.Fatalf("decision renders NaN thetas:\n%s", out)
 	}
+
+	// A second loop must not re-run the tuning phase.
+	runSteps(t, runner, data.NewZipfText(vocab, batch, 1, 1.0, 12), 2, nil)
+	if runner.PartitionDecision().P != d.P {
+		t.Fatal("second Steps loop re-tuned the partitioning")
+	}
 }
 
-// TestPublicRepartitionLossless drives Runner.Repartition directly: a
+// TestPublicRepartitionLossless drives Session.Repartition directly: a
 // run that reshards mid-training must keep a loss trajectory
-// bit-identical to a runner configured with the target P from the
+// bit-identical to a session configured with the target P from the
 // start (the transform-level tests pin the same property per-variable
 // and over TCP; this covers the public wiring).
 func TestPublicRepartitionLossless(t *testing.T) {
 	const vocab, batch, steps, switchAt = 300, 8, 6, 3
 	run := func(startP int, reshardTo int) []float64 {
 		g := buildAPIModel(batch, vocab)
-		runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: startP})
-		if err != nil {
-			t.Fatal(err)
-		}
+		runner := openSession(t, g, Uniform(2, 2), WithSparsePartitions(startP))
 		defer runner.Close()
 		ds := data.NewZipfText(vocab, batch, 1, 1.0, 13)
 		var losses []float64
 		hook := func(s StepStats) { losses = append(losses, s.Loss) }
-		if _, err := runner.RunLoop(ds, switchAt, hook); err != nil {
-			t.Fatal(err)
-		}
+		runSteps(t, runner, ds, switchAt, hook)
 		if reshardTo > 0 {
 			if err := runner.Repartition(reshardTo); err != nil {
 				t.Fatal(err)
@@ -373,9 +348,7 @@ func TestPublicRepartitionLossless(t *testing.T) {
 				t.Fatalf("SparsePartitions() = %d after Repartition(%d)", runner.SparsePartitions(), reshardTo)
 			}
 		}
-		if _, err := runner.RunLoop(ds, steps-switchAt, hook); err != nil {
-			t.Fatal(err)
-		}
+		runSteps(t, runner, ds, steps-switchAt, hook)
 		return losses
 	}
 	want := run(4, 0)
@@ -392,10 +365,7 @@ func TestPublicRepartitionLossless(t *testing.T) {
 // assignment, and Describe carries the partition decision.
 func TestShardMapAndDecisionReporting(t *testing.T) {
 	g := buildAPIModel(4, 50)
-	runner, err := GetRunner(g, Uniform(2, 1), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := openSession(t, g, Uniform(2, 1), WithSparsePartitions(3))
 	defer runner.Close()
 	sm := runner.ShardMap()
 	for _, want := range []string{"embedding", "ps x3", "->m", "rows/server:", "proj", "replicated"} {
@@ -415,20 +385,20 @@ func TestShardMapAndDecisionReporting(t *testing.T) {
 	}
 }
 
-func TestConfigVariants(t *testing.T) {
+func TestOptionVariants(t *testing.T) {
 	g := buildAPIModel(4, 40)
-	for _, cfg := range []Config{
-		{Arch: AllReduceOnly, SparsePartitions: 1},
-		{Arch: PSOnly, SparsePartitions: 2},
-		{Arch: OptimizedPS, SparsePartitions: 2},
-		{Arch: Hybrid, SparsePartitions: 2, ClipNorm: 1.0},
-		{Arch: PSOnly, SparsePartitions: 2, Async: true},
-		{Arch: Hybrid, SparsePartitions: 2, DenseAgg: AggSum, SparseAgg: AggSum,
-			NewOptimizer: func() Optimizer { return NewMomentum(0.01, 0.9) }},
+	for i, opts := range [][]Option{
+		{WithArch(AllReduceOnly), WithSparsePartitions(1)},
+		{WithArch(PSOnly), WithSparsePartitions(2)},
+		{WithArch(OptimizedPS), WithSparsePartitions(2)},
+		{WithArch(Hybrid), WithSparsePartitions(2), WithClipNorm(1.0)},
+		{WithArch(PSOnly), WithSparsePartitions(2), WithAsync()},
+		{WithArch(Hybrid), WithSparsePartitions(2), WithAggregation(AggSum, AggSum),
+			WithOptimizer(func() Optimizer { return NewMomentum(0.01, 0.9) })},
 	} {
-		runner, err := GetRunner(g, Uniform(2, 1), cfg)
+		runner, err := Open(context.Background(), g, Uniform(2, 1), opts...)
 		if err != nil {
-			t.Fatalf("config %+v: %v", cfg, err)
+			t.Fatalf("variant %d: %v", i, err)
 		}
 		feeds := make([]Feed, runner.Workers())
 		for w := range feeds {
@@ -436,8 +406,8 @@ func TestConfigVariants(t *testing.T) {
 				"tokens": {1, 2, 3, 4}, "labels": {5, 6, 7, 8},
 			}}
 		}
-		if _, err := runner.Run(feeds); err != nil {
-			t.Fatalf("config %+v: step: %v", cfg, err)
+		if _, err := runner.RunStep(feeds); err != nil {
+			t.Fatalf("variant %d: step: %v", i, err)
 		}
 		runner.Close()
 	}

@@ -7,12 +7,11 @@ package parallax
 //     dead peer into a rank-attributed ErrPeerFailed on every survivor
 //     within the heartbeat window; the trainer converts the torn fabric
 //     into a step error carrying that attribution.
-//  2. Recovery — each survivor tears down its dead runtime, bumps the
-//     fabric epoch recorded in the auto-checkpoint root, re-dials its
-//     peers at the new epoch (waiting out the failed agent's restart),
-//     restores the latest complete auto-checkpoint, and verifies
-//     cluster-wide agreement on the restore step through the scalar
-//     agreement collective. The Steps iterator then continues: steps
+//  2. Recovery — each survivor bumps the fabric epoch recorded in the
+//     auto-checkpoint root and rebuilds (Session.rebuild) at the new
+//     epoch from the latest complete auto-checkpoint: teardown of the
+//     dead runtime, re-dial (waiting out the failed agent's restart),
+//     restore, and a cluster-wide agreement on the restore step. The Steps iterator then continues: steps
 //     between the restore point and the failure replay from the feed
 //     log with their emissions suppressed, so the caller sees every
 //     step exactly once and the loss trajectory is bit-identical to an
@@ -25,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"parallax/internal/chaos"
@@ -98,32 +96,28 @@ type checkpointHooks interface {
 	AfterSave(step int)
 }
 
-// dialFabric establishes this agent's TCP fabric at the current fabric
-// epoch. The epoch is read from the auto-checkpoint root (absent file =
-// epoch 0); on ErrEpochMismatch — this agent raced a survivor's epoch
-// bump — it re-reads and retries until the rendezvous deadline. The
+// fabricSeam, when an in-package test sets it, wraps every fabric
+// dialFabric establishes so the test can observe the frames a session
+// sends (nil outside tests).
+var fabricSeam func(transport.Fabric) transport.Fabric
+
+// dialFabric establishes this agent's TCP fabric for tgt and returns it
+// with the fabric epoch it rendezvoused at. The first attempt dials at
+// tgt.epoch; on ErrEpochMismatch — a restarting agent raced a
+// survivor's epoch bump — it re-reads the epoch recorded in the
+// auto-checkpoint root and retries until the rendezvous deadline. The
 // injector, when armed, wraps the fabric with the chaos harness.
-func dialFabric(ctx context.Context, resource ResourceInfo, cfg Config, inj *chaos.Injector) (transport.Fabric, error) {
-	d := cfg.Dist
-	timeout := d.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector) (transport.Fabric, int, error) {
+	d := tgt.dist
+	deadline := time.Now().Add(d.DialTimeout)
 	listener := d.Listener
+	epoch := tgt.epoch
 	for {
-		epoch := 0
-		if cfg.AutoCheckpoint.Dir != "" {
-			var err error
-			if epoch, err = checkpoint.ReadEpoch(cfg.AutoCheckpoint.Dir); err != nil {
-				return nil, err
-			}
-		}
-		fab, err := transport.DialTCP(ctx, transport.TCPConfig{
+		tcp, err := transport.DialTCP(ctx, transport.TCPConfig{
 			Topo: transport.Topology{
-				Workers:         resource.TotalGPUs(),
-				Machines:        resource.NumMachines(),
-				MachineOfWorker: resource.WorkerMachines(),
+				Workers:         tgt.resource.TotalGPUs(),
+				Machines:        tgt.resource.NumMachines(),
+				MachineOfWorker: tgt.resource.WorkerMachines(),
 			},
 			Process:     d.Machine,
 			Addrs:       d.Addrs,
@@ -134,13 +128,21 @@ func dialFabric(ctx context.Context, resource ResourceInfo, cfg Config, inj *cha
 			Elastic:     cfg.Elastic,
 		})
 		if err == nil {
-			if inj != nil {
-				return inj.Wrap(fab), nil
+			var fab transport.Fabric = tcp
+			if fabricSeam != nil {
+				fab = fabricSeam(fab)
 			}
-			return fab, nil
+			if inj != nil {
+				fab = inj.Wrap(fab)
+			}
+			return fab, epoch, nil
 		}
-		if !errors.Is(err, ErrEpochMismatch) || time.Now().After(deadline) || ctx.Err() != nil {
-			return nil, err
+		if !errors.Is(err, ErrEpochMismatch) || cfg.AutoCheckpoint.Dir == "" ||
+			time.Now().After(deadline) || ctx.Err() != nil {
+			return nil, 0, err
+		}
+		if epoch, err = checkpoint.ReadEpoch(cfg.AutoCheckpoint.Dir); err != nil {
+			return nil, 0, err
 		}
 		// The fabric consumed (and closed) the listener; retries rebind
 		// from the address list.
@@ -162,7 +164,7 @@ func (s *Session) verifyJoin() error {
 		return nil
 	}
 	step := s.trainer.StepCount()
-	agreed, err := s.trainer.AgreeScalarMax(float64(step))
+	agreed, err := s.trainer.AgreeMax("join", float64(step))
 	if err != nil {
 		return err
 	}
@@ -173,29 +175,17 @@ func (s *Session) verifyJoin() error {
 	return nil
 }
 
-// autoEvery returns the auto-checkpoint cadence, 0 when disabled.
-func (s *Session) autoEvery() int {
-	if s.cfg.AutoCheckpoint.Dir == "" {
-		return 0
-	}
-	if s.cfg.AutoCheckpoint.EveryN <= 0 {
-		return 10
-	}
-	return s.cfg.AutoCheckpoint.EveryN
-}
-
 // maybeAutoSave writes the periodic checkpoint when the step count
 // crosses the cadence. The schedule is a pure function of the step
 // count, so every agent saves between the same steps without
 // coordination — and a replayed step after a recovery re-saves the
 // identical bytes over the identical directory.
 func (s *Session) maybeAutoSave() error {
-	every := s.autoEvery()
+	root, every := s.cfg.AutoCheckpoint.Dir, s.cfg.AutoCheckpoint.EveryN
 	step := s.trainer.StepCount()
-	if every == 0 || step == 0 || step%every != 0 {
+	if root == "" || step == 0 || step%every != 0 {
 		return nil
 	}
-	root := s.cfg.AutoCheckpoint.Dir
 	dir := checkpoint.StepDir(root, step)
 	if s.saveHook != nil {
 		s.saveHook.BeforeSave(step)
@@ -211,11 +201,7 @@ func (s *Session) maybeAutoSave() error {
 	// deletes on a shared filesystem.
 	for _, m := range s.trainer.LocalMachines() {
 		if m == 0 {
-			keep := s.cfg.AutoCheckpoint.Keep
-			if keep <= 0 {
-				keep = 3
-			}
-			if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), keep); err != nil {
+			if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), s.cfg.AutoCheckpoint.Keep); err != nil {
 				return err
 			}
 			break
@@ -231,15 +217,13 @@ func (s *Session) maybeAutoSave() error {
 // recovery for err rather than surfacing it.
 func (d *stepDriver) recoverable(err error) bool {
 	s := d.s
-	if !errors.Is(err, ErrPeerFailed) {
+	if !errors.Is(err, ErrPeerFailed) || s.closed {
 		return false
 	}
-	if s.dist == nil || !s.cfg.Recovery.Enabled || s.cfg.AutoCheckpoint.Dir == "" {
-		return false
-	}
-	// Recovery rewinds the step counter, which only the unbounded
-	// iterators tolerate; it also needs the feed log to replay from.
-	if d.limit != math.MaxInt || s.replay == nil {
+	// Recovery replays the steps since the restore point from the feed
+	// log, which only Steps keeps (StepsFeeds owns its feed source and
+	// surfaces the failure).
+	if s.dist == nil || !s.cfg.Recovery.Enabled || s.cfg.AutoCheckpoint.Dir == "" || s.replay == nil {
 		return false
 	}
 	// Under an elastic shrink policy a self-attributed failure is
@@ -252,106 +236,67 @@ func (d *stepDriver) recoverable(err error) bool {
 			return false
 		}
 	}
-	max := s.cfg.Recovery.MaxRecoveries
-	if max <= 0 {
-		max = 3
-	}
-	return s.recoveries < max
+	return s.recoveries < s.cfg.Recovery.MaxRecoveries
 }
 
-// recover performs one in-place recovery; on success the driver
-// continues its loop (replaying suppressed steps up to the failure
-// point), on failure the combined error is surfaced.
+// recover performs one recovery: every survivor rebuilds at the next
+// fabric epoch from the latest complete auto-checkpoint — onto the same
+// roster, or, under an elastic shrink policy, onto the roster without
+// the failed machine. On success the driver continues its loop,
+// replaying the steps since the restore point from the feed log with
+// their emissions suppressed (the live dataset keeps its position); on
+// failure the combined error is surfaced and the session is closed.
 func (d *stepDriver) recover(cause error) error {
 	s := d.s
 	start := time.Now()
-	if failed, ok := s.shrinkTarget(cause); ok {
-		// Elastic shrink (elastic.go): shed the dead machine instead of
-		// waiting out its restart. The world size changes, so the
-		// driver's agreement flag must track the rebuilt trainer.
-		if err := s.shrinkRecover(d.ctx, failed); err != nil {
-			return fmt.Errorf("parallax: elastic shrink after peer failure gave up: %v (original failure: %w)", err, cause)
-		}
-		d.agree = s.trainer.Distributed()
-		s.lastRecovery = time.Since(start)
-		return nil
-	}
-	if err := s.recoverInPlace(d.ctx); err != nil {
+	if err := s.recoverFrom(d.ctx, cause); err != nil {
+		s.Close() // the failed trainer is dead either way
 		return fmt.Errorf("parallax: recovery from peer failure gave up: %v (original failure: %w)", err, cause)
 	}
+	s.recoveries++
 	s.lastRecovery = time.Since(start)
 	return nil
 }
 
-// recoverInPlace rebuilds this agent's runtime at the next fabric epoch
-// and restores the latest complete auto-checkpoint; see the file
-// comment for the protocol.
-func (s *Session) recoverInPlace(ctx context.Context) error {
+func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	root := s.cfg.AutoCheckpoint.Dir
-	machines := s.resource.NumMachines()
-	step, sdir, err := checkpoint.LatestComplete(root, machines)
+	step, sdir, err := checkpoint.LatestComplete(root, s.resource.NumMachines())
 	if err != nil {
 		return err
 	}
 	if step < 0 {
 		return fmt.Errorf("parallax: no complete auto-checkpoint under %s to recover from", root)
 	}
-	// Tear the dead runtime down first: the fabric is already closed
-	// (the failure did that), but the worker/server goroutines and the
-	// listener port must be gone before the re-rendezvous.
-	s.trainer.Close()
-
-	epoch := s.epoch + 1
-	if err := checkpoint.WriteEpoch(root, epoch); err != nil {
+	// Every survivor writes the same bytes; the atomic renames commute.
+	if err := checkpoint.WriteEpoch(root, s.epoch+1); err != nil {
 		return err
 	}
-	machine := s.dist.Machine
-	meta, recs, err := checkpoint.ReadShard(sdir, machine)
+	failed, shrink := s.shrinkTarget(cause)
+	if !shrink {
+		// The rendezvous window must outlast the failed agent's supervisor
+		// restarting it.
+		return s.rebuild(ctx, target{resource: s.resource, dist: s.redial(), epoch: s.epoch + 1}, sdir)
+	}
+	// Elastic shrink (DESIGN.md §14): shed the dead machine instead of
+	// waiting out its restart. Every survivor independently derives the
+	// identical post-shrink membership (same failure attribution, same
+	// member list). Unlike the in-place path, the post-shrink loss
+	// trajectory necessarily diverges from the uninterrupted run — a
+	// machine's workers vanished — but every step is still yielded
+	// exactly once.
+	meta0, _, err := checkpoint.ReadShard(sdir, 0)
 	if err != nil {
 		return err
 	}
-	// Rebuild through the normal restore path, with a rendezvous window
-	// wide enough for the failed agent's supervisor to restart it. The
-	// listener (if any) died with the old fabric; rebind from Addrs.
-	cfg := s.cfg
-	dc := *s.cfg.Dist
-	dc.Listener = nil
-	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
-	if dc.DialTimeout <= 0 {
-		dc.DialTimeout = 2 * time.Minute
+	rec := &transport.Membership{
+		Epoch: s.epoch + 1, Step: meta0.Step, Cursor: meta0.Cursor,
+		Parts: meta0.Parts, Joiner: -1,
+		Members: removeMember(s.currentMembers().Members, failed),
 	}
-	cfg.Dist = &dc
-	ns, err := open(ctx, s.g, s.resource, cfg, &restoreSpec{meta: meta}, s.chaos)
-	if err != nil {
+	if err := checkpoint.WriteMembers(root, rec); err != nil {
 		return err
 	}
-	if err := ns.install(sdir, machine, meta, recs); err != nil {
-		ns.Close()
-		return err
-	}
-	if err := ns.verifyJoin(); err != nil {
-		ns.Close()
-		return err
-	}
-	// Adopt the rebuilt runtime and rewind the feed log to the restore
-	// point; the driver replays the steps in between with their
-	// emissions suppressed. The live dataset keeps its position — the
-	// replayed feeds come from the log, not from FastForward.
-	if err := s.replay.rewindTo(meta.Cursor); err != nil {
-		ns.Close()
-		return err
-	}
-	s.trainer = ns.trainer
-	s.plan = ns.plan
-	s.parts = ns.parts
-	s.decision = ns.decision
-	s.tunePending = ns.tunePending
-	s.saveHook = ns.saveHook
-	s.cursor = meta.Cursor
-	s.pendingSkip = 0
-	s.epoch = epoch
-	s.recoveries++
-	return nil
+	return s.rebuildAs(ctx, rec, sdir)
 }
 
 // Epoch returns the fabric generation the session is currently running

@@ -242,8 +242,7 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	if e, err := checkpoint.ReadEpoch(root); err != nil || e != 1 {
 		t.Fatalf("recorded epoch %d (err %v), want 1", e, err)
 	}
-	sessions[0].Close()
-	sessions[1].Close()
+	closeTogether(t, sessions[:]...)
 	waitSessionGoroutines(t, base)
 }
 

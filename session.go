@@ -43,35 +43,25 @@ import (
 // Cancelling the Steps context ends the loop at the next step boundary:
 // the in-flight step drains cleanly and the iterator yields the context
 // error, so a cancel returns within one step with no goroutine leaks.
-// In distributed mode every step carries one scalar agreement across
-// the agents, so whichever way one agent's loop ends — cancellation or
-// a break out of the range — every agent stops at the same step
-// boundary; the agents that did not stop locally see their iterator
-// yield context.Canceled.
+// In distributed mode every step boundary carries one scalar control
+// word across the agents, so whichever way one agent's loop ends —
+// cancellation or a break out of the range — every agent stops at the
+// same step boundary; the agents that did not stop locally see their
+// iterator yield context.Canceled.
 //
 // In distributed mode the step drivers are collective operations:
-// every agent must run the same sequence of loops with the same bounds
-// over the same steps (identical binaries do this naturally). Within
-// that contract the agents may end a loop by any mechanism — the
-// per-step agreement keeps them at the same boundary.
+// every agent must run the same sequence of loops over the same steps
+// (identical binaries do this naturally). Within that contract the
+// agents may end a loop by any mechanism — the per-boundary agreement
+// keeps them at the same boundary.
 //
 // A Session must not run Steps, Save, or Repartition concurrently with
-// each other. GetRunner remains as a thin compatibility wrapper over
-// Open for existing code.
+// each other.
 type Session struct {
-	g        *Graph
-	trainer  *transform.Trainer
-	plan     *core.Plan
-	resource ResourceInfo
-	cfg      Config
-	workers  int
-	parts    int
-	dist     *DistConfig
+	g   *Graph
+	cfg Config // options with defaults resolved; placement lives in liveRuntime.dist
+	liveRuntime
 
-	decision    PartitionDecision
-	tunePending bool
-
-	feeds []Feed
 	// cursor counts dataset batches the step drivers have drawn;
 	// pendingSkip is the restored cursor the next Steps call fast-forwards
 	// its dataset by.
@@ -79,187 +69,95 @@ type Session struct {
 	pendingSkip int64
 	closed      bool
 
-	// Failure-recovery state (recovery.go): the fabric generation and
-	// recovery counter reported in StepStats, the feed log replays draw
-	// from, the chaos injector that survives fabric rebuilds, and the
-	// fault-injection hooks around auto-checkpoint writes.
-	epoch        int
+	// Failure-recovery state (recovery.go): the recovery counter reported
+	// in StepStats, the feed log replays draw from, and the chaos injector
+	// that survives fabric rebuilds.
 	recoveries   int
 	lastRecovery time.Duration
 	replay       *feedLog
 	chaos        *chaos.Injector
-	saveHook     checkpointHooks
 
 	// Elastic-membership state (elastic.go): the voluntary-leave intent,
 	// set by Leave (or a chaos leave fault, possibly from another
-	// goroutine) and consumed at the next step boundary's membership
-	// round.
+	// goroutine) and consumed at the next step boundary's control word.
 	leaving atomic.Bool
 }
 
-// Open builds a Session for the single-GPU graph on the given cluster.
-// ctx governs establishment: for distributed sessions (WithDist) the
-// peer-rendezvous deadline is the earlier of ctx's deadline and the
-// configured DialTimeout, and cancelling ctx aborts the rendezvous.
+// liveRuntime is everything a rebuild replaces: the trainer and every
+// decision bound to the (roster, epoch, plan) it was built for. rebuild
+// swaps it into the Session with a single assignment.
+type liveRuntime struct {
+	trainer  *transform.Trainer
+	plan     *core.Plan
+	resource ResourceInfo
+	dist     *DistConfig // this agent's placement; nil in single-process mode
+	epoch    int         // fabric generation, reported in StepStats
+	workers  int
+	parts    int
+	feeds    []Feed
+
+	decision    PartitionDecision
+	tunePending bool
+	// saveHook is the fabric's fault-injection points around
+	// auto-checkpoint writes (nil unless the chaos harness is armed).
+	saveHook checkpointHooks
+}
+
+// target names where a rebuild lands: the roster, this agent's place in
+// it, and the fabric generation to rendezvous at.
+type target struct {
+	resource ResourceInfo
+	dist     *DistConfig
+	epoch    int
+}
+
+// machine is the index of the checkpoint shard this agent owns.
+func (t target) machine() int {
+	if t.dist == nil {
+		return 0
+	}
+	return t.dist.Machine
+}
+
+// Open is the paper's get_runner (§4.1): it builds a Session for the
+// single-GPU graph on the given cluster. ctx governs establishment: for
+// distributed sessions (WithDist) the peer-rendezvous deadline is the
+// earlier of ctx's deadline and the configured DialTimeout, and
+// cancelling ctx aborts the rendezvous.
 //
 // With WithAutoCheckpoint, Open first looks for a complete
 // auto-checkpoint under the configured directory and resumes from the
 // latest one — which is how a restarted agent rejoins a recovering
 // cluster with no flag changes (DESIGN.md §12).
 func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolveConfig(opts)
 	if cfg.Dist != nil && cfg.Dist.JoinTarget != "" {
-		return joinCluster(ctx, g, resource, cfg)
-	}
-	if cfg.Elastic && cfg.Dist != nil && cfg.AutoCheckpoint.Dir != "" {
-		// An elastic cluster's authoritative membership lives in the
-		// checkpoint root, not in the launch flags: a restarted agent may
-		// come back after the cluster grew or shrank around it.
-		if err := adoptMembers(&cfg, &resource); err != nil {
+		tgt, dir, err := requestAdmission(ctx, resource, cfg)
+		if err != nil {
 			return nil, err
 		}
+		return openAt(ctx, g, cfg, tgt, dir, true)
 	}
-	if cfg.AutoCheckpoint.Dir != "" {
-		step, sdir, err := checkpoint.LatestComplete(cfg.AutoCheckpoint.Dir, resource.NumMachines())
+	tgt := target{resource: resource, dist: cfg.Dist}
+	dir := ""
+	if root := cfg.AutoCheckpoint.Dir; root != "" {
+		if cfg.Elastic && cfg.Dist != nil {
+			// An elastic cluster's authoritative membership lives in the
+			// checkpoint root, not in the launch flags: a restarted agent may
+			// come back after the cluster grew or shrank around it.
+			if err := adoptMembers(root, &tgt); err != nil {
+				return nil, err
+			}
+		}
+		step, sdir, err := checkpoint.LatestComplete(root, tgt.resource.NumMachines())
 		if err != nil {
 			return nil, err
 		}
 		if step >= 0 {
-			return openFromCheckpointCfg(ctx, sdir, g, resource, cfg)
+			dir = sdir
 		}
 	}
-	s, err := open(ctx, g, resource, cfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.verifyJoin(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.armChaosElastic()
-	return s, nil
-}
-
-// restoreSpec carries a checkpoint's job-level decisions into open.
-type restoreSpec struct {
-	meta checkpoint.Meta
-}
-
-// open is the shared constructor behind Open, GetRunner,
-// OpenFromCheckpoint, and the in-place recovery rebuild. inj carries a
-// chaos injector across fabric rebuilds (nil creates one from
-// DistConfig.Chaos when armed).
-func open(ctx context.Context, g *Graph, resource ResourceInfo, cfg Config, restore *restoreSpec, inj *chaos.Injector) (*Session, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := resource.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.NewOptimizer == nil {
-		cfg.NewOptimizer = func() Optimizer { return NewSGD(0.1) }
-	}
-	if cfg.ResidentPS != nil {
-		if cfg.Dist != nil {
-			return nil, fmt.Errorf("parallax: resident PS fleet requires single-process mode")
-		}
-		if cfg.PSNamespace == "" {
-			return nil, fmt.Errorf("parallax: resident PS fleet requires a namespace (WithResidentPS)")
-		}
-		if cfg.ResidentPS.Machines() < resource.NumMachines() {
-			return nil, fmt.Errorf("parallax: session spans %d machines, resident fleet has %d",
-				resource.NumMachines(), cfg.ResidentPS.Machines())
-		}
-	} else if cfg.PSNamespace != "" {
-		return nil, fmt.Errorf("parallax: PS namespace %q without a resident fleet", cfg.PSNamespace)
-	}
-
-	parts := cfg.SparsePartitions
-	decision := PartitionDecision{Source: "fixed"}
-	tunePending := false
-	if restore != nil {
-		// A restored session rebuilds the plan with exactly the
-		// checkpointed partition count — even if the original run searched
-		// for it — so the plan fingerprints can be compared. A search that
-		// had not run yet at save time runs on the first Steps call, as it
-		// would have in the original run.
-		parts = restore.meta.Parts
-		tunePending = restore.meta.DecisionPending && cfg.AutoPartition && hasPartitionTarget(g)
-		decision = PartitionDecision{Source: restore.meta.DecisionSource, Pending: tunePending}
-	} else if parts <= 0 {
-		if cfg.AutoPartition && hasPartitionTarget(g) {
-			// Online tuning starts from the paper's initial sample point
-			// (the machine count); the search itself runs against real
-			// steps during the first loop and reshards live.
-			parts = resource.NumMachines()
-			tunePending = true
-			decision = PartitionDecision{Source: "online", Pending: true}
-		} else {
-			var sr *partition.SearchResult
-			parts, sr = searchPartitions(g, resource, cfg)
-			if sr != nil {
-				decision = PartitionDecision{Source: "simulated", Search: sr}
-			}
-		}
-	}
-	decision.P = parts
-	arch := cfg.Arch.coreArch()
-	plan, err := buildPlan(g, resource, cfg, parts)
-	if err != nil {
-		return nil, err
-	}
-	localAgg := !cfg.DisableLocalAggregation &&
-		(arch == core.ArchHybrid || arch == core.ArchOptPS)
-	var fab transport.Fabric
-	if cfg.Dist != nil {
-		if inj == nil && cfg.Dist.Chaos != "" {
-			if inj, err = chaos.Parse(cfg.Dist.Chaos, cfg.Dist.ChaosSeed); err != nil {
-				return nil, err
-			}
-		}
-		fab, err = dialFabric(ctx, resource, cfg, inj)
-		if err != nil {
-			return nil, err
-		}
-	}
-	tr, err := transform.New(g, transform.Options{
-		Plan:             plan,
-		Resource:         resource,
-		NewOptimizer:     cfg.NewOptimizer,
-		DenseAgg:         cfg.DenseAgg,
-		SparseAgg:        cfg.SparseAgg,
-		LocalAggregation: localAgg,
-		ClipNorm:         cfg.ClipNorm,
-		Async:            cfg.Async,
-		FusionBytes:      cfg.FusionBytes,
-		Compression:      cfg.Compression,
-		Fabric:           fab,
-		Resident:         cfg.ResidentPS.fleet(),
-		PSNamespace:      cfg.PSNamespace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &Session{
-		g: g, trainer: tr, plan: plan, resource: resource, cfg: cfg,
-		workers: resource.TotalGPUs(), parts: parts, dist: cfg.Dist,
-		decision: decision, tunePending: tunePending,
-		feeds: make([]Feed, resource.TotalGPUs()),
-		chaos: inj,
-	}
-	if cfg.AutoCheckpoint.Dir != "" {
-		if s.epoch, err = checkpoint.ReadEpoch(cfg.AutoCheckpoint.Dir); err != nil {
-			tr.Close()
-			return nil, err
-		}
-	}
-	if h, ok := fab.(checkpointHooks); ok {
-		s.saveHook = h
-	}
-	return s, nil
+	return openAt(ctx, g, cfg, tgt, dir, false)
 }
 
 // OpenFromCheckpoint rebuilds a Session from a Save checkpoint and
@@ -275,52 +173,253 @@ func open(ctx context.Context, g *Graph, resource ResourceInfo, cfg Config, rest
 // replicated filesystem): each reads its own machine's shard plus shard
 // 0's replica variables.
 func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return openFromCheckpointCfg(ctx, dir, g, resource, cfg)
+	cfg := resolveConfig(opts)
+	return openAt(ctx, g, cfg, target{resource: resource, dist: cfg.Dist}, dir, false)
 }
 
-// openFromCheckpointCfg is OpenFromCheckpoint after option folding —
-// shared with Open's auto-checkpoint resume path.
-func openFromCheckpointCfg(ctx context.Context, dir string, g *Graph, resource ResourceInfo, cfg Config) (*Session, error) {
-	machine := 0
-	if cfg.Dist != nil {
-		machine = cfg.Dist.Machine
+// openAt is a new session's first rebuild. A founding or restarting
+// agent rendezvouses at the epoch recorded in the auto-checkpoint root;
+// a joiner arrives with the epoch of its admission offer and owes the
+// re-formed cluster the same post-transition re-save the survivors run.
+func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, joined bool) (*Session, error) {
+	s := &Session{g: g, cfg: cfg}
+	s.cfg.Dist = nil // the launch placement; the live one is liveRuntime.dist
+	if root := cfg.AutoCheckpoint.Dir; root != "" && !joined {
+		var err error
+		if tgt.epoch, err = checkpoint.ReadEpoch(root); err != nil {
+			return nil, err
+		}
 	}
-	meta, recs, err := checkpoint.ReadShard(dir, machine)
+	if err := s.rebuild(ctx, tgt, dir); err != nil {
+		return nil, err
+	}
+	if joined {
+		if err := s.resave(dir); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	if s.chaos != nil && s.cfg.Elastic {
+		// Armed once on the long-lived session so the closure survives
+		// fabric rebuilds (the injector itself already does).
+		s.chaos.OnLeave = func(step, machine int) {
+			if s.dist != nil && s.dist.Machine == machine {
+				s.leaving.Store(true)
+			}
+		}
+	}
+	return s, nil
+}
+
+// rebuild is the one way a session gets a runtime: it tears down the
+// live trainer (if any), brings one up for tgt, installs the checkpoint
+// in dir ("" starts from the graph's initial values), and adopts the
+// result. Open's first build and auto-resume, OpenFromCheckpoint,
+// in-place recovery, membership transitions, the joiner, and Resize are
+// all callers that only choose tgt and dir.
+//
+// The general case is the cross-topology reshard-install: a checkpoint
+// written at another topology (WithElastic opts in) is read whole, its
+// server partitions are re-placed onto the new servers, and worker-
+// indexed residuals are dropped. The same-topology restore is its
+// identity instance — plan fingerprint checked, residuals kept.
+//
+// Everything that can be refused without touching the live runtime is
+// checked first, so a bad argument leaves the session running. After
+// the teardown there is one rule: a failed rebuild leaves the session
+// closed (ErrClosed).
+func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err error) {
+	cfg := s.cfg
+	if err := validateTarget(s.g, tgt, cfg); err != nil {
+		return err
+	}
+	var head *shardHead
+	if dir != "" {
+		if head, err = readShardHead(dir, tgt, cfg); err != nil {
+			return err
+		}
+	}
+	rt := liveRuntime{
+		resource: tgt.resource, dist: tgt.dist, epoch: tgt.epoch,
+		workers: tgt.resource.TotalGPUs(), feeds: make([]Feed, tgt.resource.TotalGPUs()),
+	}
+	rt.decide(s.g, cfg, head)
+	if rt.plan, err = buildPlan(s.g, rt.resource, cfg, rt.parts); err != nil {
+		return err
+	}
+	if s.chaos == nil && tgt.dist != nil && tgt.dist.Chaos != "" {
+		if s.chaos, err = chaos.Parse(tgt.dist.Chaos, tgt.dist.ChaosSeed); err != nil {
+			return err
+		}
+	}
+
+	if s.trainer != nil {
+		// The worker/server goroutines and the listener port must be gone
+		// before the re-rendezvous.
+		s.trainer.Close()
+	}
+	defer func() {
+		if err != nil {
+			if rt.trainer != nil {
+				rt.trainer.Close()
+			}
+			s.closed = true
+		}
+	}()
+	var fab transport.Fabric
+	if tgt.dist != nil {
+		if fab, rt.epoch, err = dialFabric(ctx, tgt, cfg, s.chaos); err != nil {
+			return err
+		}
+	}
+	arch := cfg.Arch.coreArch()
+	rt.trainer, err = transform.New(s.g, transform.Options{
+		Plan:             rt.plan,
+		Resource:         rt.resource,
+		NewOptimizer:     cfg.NewOptimizer,
+		DenseAgg:         cfg.DenseAgg,
+		SparseAgg:        cfg.SparseAgg,
+		LocalAggregation: !cfg.DisableLocalAggregation && (arch == core.ArchHybrid || arch == core.ArchOptPS),
+		ClipNorm:         cfg.ClipNorm,
+		Async:            cfg.Async,
+		FusionBytes:      cfg.FusionBytes,
+		Compression:      cfg.Compression,
+		Fabric:           fab,
+		Resident:         cfg.ResidentPS.fleet(),
+		PSNamespace:      cfg.PSNamespace,
+	})
 	if err != nil {
-		if !cfg.Elastic || machine == 0 {
+		return err
+	}
+	rt.saveHook, _ = fab.(checkpointHooks)
+	// A fresh session fast-forwards the dataset its first Steps call is
+	// handed; a live one keeps its dataset position and replays from the
+	// feed log instead.
+	fresh := s.trainer == nil
+	s.liveRuntime = rt
+	if head != nil {
+		if err = s.install(dir, head); err != nil {
+			return err
+		}
+		s.cursor = head.meta.Cursor
+		if fresh {
+			s.pendingSkip = head.meta.Cursor
+		}
+		if s.replay != nil {
+			if err = s.replay.rewindTo(head.meta.Cursor); err != nil {
+				return err
+			}
+		}
+	}
+	return s.verifyJoin()
+}
+
+// validateTarget refuses graphs, clusters, and option combinations no
+// runtime can be built for.
+func validateTarget(g *Graph, tgt target, cfg Config) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if err := tgt.resource.Validate(); err != nil {
+		return err
+	}
+	if cfg.ResidentPS != nil {
+		if tgt.dist != nil {
+			return fmt.Errorf("parallax: resident PS fleet requires single-process mode")
+		}
+		if cfg.PSNamespace == "" {
+			return fmt.Errorf("parallax: resident PS fleet requires a namespace (WithResidentPS)")
+		}
+		if cfg.ResidentPS.Machines() < tgt.resource.NumMachines() {
+			return fmt.Errorf("parallax: session spans %d machines, resident fleet has %d",
+				tgt.resource.NumMachines(), cfg.ResidentPS.Machines())
+		}
+	} else if cfg.PSNamespace != "" {
+		return fmt.Errorf("parallax: PS namespace %q without a resident fleet", cfg.PSNamespace)
+	}
+	return nil
+}
+
+// decide settles the partition count and how it was chosen: restored
+// from the checkpoint, fixed by configuration, searched over the
+// simulated cluster, or left pending for the online search.
+func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) {
+	rt.parts = cfg.SparsePartitions
+	rt.decision = PartitionDecision{Source: "fixed"}
+	switch {
+	case head != nil:
+		// A restored session rebuilds the plan with exactly the
+		// checkpointed partition count — even if the original run searched
+		// for it — so the plan fingerprints can be compared. A search that
+		// had not run yet at save time runs on the first Steps call, as it
+		// would have in the original run.
+		rt.parts = head.meta.Parts
+		rt.tunePending = head.meta.DecisionPending && cfg.AutoPartition && hasPartitionTarget(g)
+		rt.decision = PartitionDecision{Source: head.meta.DecisionSource, Pending: rt.tunePending}
+	case rt.parts > 0:
+	case cfg.AutoPartition && hasPartitionTarget(g):
+		// Online tuning starts from the paper's initial sample point (the
+		// machine count); the search itself runs against real steps during
+		// the first loop and reshards live.
+		rt.parts = rt.resource.NumMachines()
+		rt.tunePending = true
+		rt.decision = PartitionDecision{Source: "online", Pending: true}
+	default:
+		var sr *partition.SearchResult
+		rt.parts, sr = searchPartitions(g, rt.resource, cfg)
+		if sr != nil {
+			rt.decision = PartitionDecision{Source: "simulated", Search: sr}
+		}
+	}
+	rt.decision.P = rt.parts
+}
+
+// shardHead is what rebuild learns from a checkpoint before committing
+// to it: one shard's meta (every shard carries the same job-level
+// fields) and that shard's records.
+type shardHead struct {
+	machine int
+	meta    checkpoint.Meta
+	recs    []checkpoint.Record
+	// reshard marks a checkpoint written at another topology.
+	reshard bool
+}
+
+// readShardHead reads this agent's shard of the checkpoint in dir and
+// checks the checkpoint can be restored onto tgt under cfg.
+func readShardHead(dir string, tgt target, cfg Config) (*shardHead, error) {
+	h := &shardHead{machine: tgt.machine()}
+	var err error
+	h.meta, h.recs, err = checkpoint.ReadShard(dir, h.machine)
+	if err != nil {
+		if !cfg.Elastic || h.machine == 0 {
 			return nil, err
 		}
 		// An elastic regrow may give this machine an index with no shard
 		// in a checkpoint written at a smaller topology; shard 0 always
 		// exists and carries the same meta, and the resharding install
-		// below reads every shard anyway.
+		// reads every shard anyway.
 		meta0, recs0, err0 := checkpoint.ReadShard(dir, 0)
-		if err0 != nil || machine < meta0.Machines {
+		if err0 != nil || h.machine < meta0.Machines {
 			return nil, err
 		}
-		meta, recs = meta0, recs0
+		h.machine, h.meta, h.recs = 0, meta0, recs0
 	}
-	if meta.Machines != resource.NumMachines() {
-		// Restoring onto a different machine count is only sound through
-		// the explicit resharding path — the caller must opt in.
+	if fp := checkpoint.TopoFingerprint(tgt.resource); fp != h.meta.TopoFP {
+		// Restoring onto a different topology is only sound through the
+		// resharding install — the caller must opt in.
 		if !cfg.Elastic {
-			return nil, fmt.Errorf("parallax: %w: checkpoint spans %d machines, cluster has %d (WithElastic enables cross-topology restore)",
-				ErrTopologyMismatch, meta.Machines, resource.NumMachines())
+			return nil, fmt.Errorf("parallax: %w: checkpoint topology %q, cluster is %q (WithElastic enables cross-topology restore)",
+				ErrTopologyMismatch, h.meta.TopoFP, fp)
 		}
-	} else if fp := checkpoint.TopoFingerprint(resource); fp != meta.TopoFP {
-		return nil, fmt.Errorf("parallax: %w: checkpoint topology %q, cluster is %q",
-			ErrTopologyMismatch, meta.TopoFP, fp)
+		h.reshard = true
 	}
 	// The compression policy is part of the job's identity: restoring
 	// under a different policy would resume a different optimization
 	// trajectory (and orphan or fabricate error-feedback residuals).
 	// Version-1 checkpoints predate the field and are always
 	// uncompressed.
-	ckFP := meta.Compression
+	ckFP := h.meta.Compression
 	if ckFP == "" {
 		ckFP = "none"
 	}
@@ -328,80 +427,58 @@ func openFromCheckpointCfg(ctx context.Context, dir string, g *Graph, resource R
 		return nil, fmt.Errorf("parallax: %w: checkpoint written with policy %q, session configured with %q",
 			ErrCompressionMismatch, ckFP, fp)
 	}
-	s, err := open(ctx, g, resource, cfg, &restoreSpec{meta: meta}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.install(dir, machine, meta, recs); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := s.verifyJoin(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.armChaosElastic()
-	return s, nil
+	return h, nil
 }
 
-// install loads the remaining shards and seeds the trainer with the
-// checkpointed state.
-func (s *Session) install(dir string, machine int, meta checkpoint.Meta, recs []checkpoint.Record) error {
-	// A cross-topology (elastic) restore reshards: server placement is a
-	// function of the machine count, so the rebuilt plan's fingerprint
-	// legitimately differs from the checkpoint's. Partition ranges are
-	// not — they depend only on row counts and the partition count, which
-	// the restore preserves — so re-placing the checkpointed parts onto
-	// the new servers is exact.
-	reshard := meta.Machines != s.resource.NumMachines()
-	if !reshard {
+// install loads the remaining shards and seeds the freshly built
+// trainer with the checkpointed state.
+func (s *Session) install(dir string, head *shardHead) error {
+	meta := head.meta
+	// A resharding install re-places state: server placement is a function
+	// of the machine count, so the rebuilt plan's fingerprint legitimately
+	// differs from the checkpoint's. Partition ranges are not — they
+	// depend only on row counts and the partition count, which the restore
+	// preserves — so re-placing the checkpointed parts onto the new
+	// servers is exact.
+	if !head.reshard {
 		if fp := checkpoint.PlanFingerprint(s.plan); fp != meta.PlanFP {
 			return fmt.Errorf("parallax: %w: checkpoint plan fingerprint %q, rebuilt plan is %q",
 				ErrTopologyMismatch, meta.PlanFP, fp)
 		}
 	}
-	// Which shards this process needs: its own (read already), shard 0
-	// for the replica variables, and — in single-process mode, where
-	// this process hosts every machine, or when resharding across
-	// topologies, where old server parts live anywhere — all the rest.
-	shards := map[int][]checkpoint.Record{}
-	var need []int
-	if reshard {
+	// Which shards this process needs, in machine-index order: its own
+	// (read already) and shard 0 for the replica variables — or all of
+	// them in single-process mode, where this process hosts every machine,
+	// and when resharding, where old server parts live anywhere.
+	need := []int{0}
+	if head.machine != 0 {
+		need = append(need, head.machine)
+	}
+	if head.reshard || s.dist == nil {
 		need = make([]int, meta.Machines)
 		for m := range need {
 			need[m] = m
 		}
-	} else {
-		shards[machine] = recs
-		need = []int{0}
-		if s.dist == nil {
-			need = make([]int, meta.Machines)
-			for m := range need {
-				need[m] = m
-			}
-		}
-	}
-	for _, m := range need {
-		if _, ok := shards[m]; ok {
-			continue
-		}
-		mm, mrecs, err := checkpoint.ReadShard(dir, m)
-		if err != nil {
-			return err
-		}
-		if mm.Step != meta.Step || mm.Cursor != meta.Cursor || mm.Parts != meta.Parts ||
-			mm.PlanFP != meta.PlanFP || mm.TopoFP != meta.TopoFP {
-			return fmt.Errorf("parallax: checkpoint shard %d disagrees with shard %d (torn save?)", m, machine)
-		}
-		shards[m] = mrecs
 	}
 	local := make(map[int]bool)
 	for _, m := range s.trainer.LocalMachines() {
 		local[m] = true
 	}
 	var serverStates, residStates []transform.VarState
-	for m, mrecs := range shards {
-		for _, r := range mrecs {
+	for _, m := range need {
+		recs := head.recs
+		if m != head.machine {
+			mm, mrecs, err := checkpoint.ReadShard(dir, m)
+			if err != nil {
+				return err
+			}
+			if mm.Step != meta.Step || mm.Cursor != meta.Cursor || mm.Parts != meta.Parts ||
+				mm.PlanFP != meta.PlanFP || mm.TopoFP != meta.TopoFP {
+				return fmt.Errorf("parallax: checkpoint shard %d disagrees with shard %d (torn save?)", m, head.machine)
+			}
+			recs = mrecs
+		}
+		for _, r := range recs {
 			st := transform.VarState{
 				Name: r.Name, Part: r.Part, Value: r.Value,
 				SlotNames: r.SlotNames, Slots: r.Slots,
@@ -418,12 +495,12 @@ func (s *Session) install(dir string, machine int, meta checkpoint.Meta, recs []
 				// Each shard carries its own machine's workers' residuals;
 				// this process restores only those of the machines it hosts
 				// (shard 0, read for the replica variables, may belong to a
-				// peer agent). A resharding restore drops residuals
+				// peer agent). A resharding install drops residuals
 				// entirely: they are indexed by the old worker numbering,
 				// which has no mapping onto the new one. Only top-k
 				// policies carry residuals; their error feedback restarts
-				// from zero after an elastic transition.
-				if !reshard && local[m] {
+				// from zero after a topology change.
+				if !head.reshard && local[m] {
 					residStates = append(residStates, st)
 				}
 			}
@@ -436,8 +513,6 @@ func (s *Session) install(dir string, machine int, meta checkpoint.Meta, recs []
 		return err
 	}
 	s.trainer.SetStepCount(int(meta.Step))
-	s.cursor = meta.Cursor
-	s.pendingSkip = meta.Cursor
 	return nil
 }
 
@@ -540,7 +615,7 @@ func (s *Session) Steps(ctx context.Context, ds Dataset) iter.Seq2[StepStats, er
 		if s.cfg.AutoCheckpoint.Dir != "" && s.replay == nil {
 			s.replay = &feedLog{base: s.cursor, saves: []int64{s.cursor}}
 		}
-		s.drive(ctx, s.datasetFeeds(ds), math.MaxInt, yield)
+		s.drive(ctx, s.datasetFeeds(ds), yield)
 	}
 }
 
@@ -551,7 +626,7 @@ func (s *Session) Steps(ctx context.Context, ds Dataset) iter.Seq2[StepStats, er
 // checkpoint.
 func (s *Session) StepsFeeds(ctx context.Context, next func(step, worker int) (Feed, error)) iter.Seq2[StepStats, error] {
 	return func(yield func(StepStats, error) bool) {
-		s.drive(ctx, next, math.MaxInt, yield)
+		s.drive(ctx, next, yield)
 	}
 }
 
@@ -580,20 +655,13 @@ const (
 	tuneMaxRuns       = 5
 )
 
-// stepDriver is one drive call's state: the loop that Steps,
-// StepsFeeds, and the Runner compatibility wrappers all share.
+// stepDriver is one drive call's state: the loop Steps and StepsFeeds
+// share.
 type stepDriver struct {
-	s     *Session
-	ctx   context.Context
-	next  func(step, worker int) (Feed, error)
-	base  int // trainer step count at entry
-	limit int // maximum steps this drive may run
-	yield func(StepStats, error) bool
-	// agree: fold stop decisions cluster-wide (every distributed drive,
-	// whatever its context or wrapper), so all agents run the same
-	// agreement schedule and end at the same boundary — a cluster may
-	// freely mix Steps and legacy RunLoop drivers.
-	agree   bool
+	s       *Session
+	ctx     context.Context
+	next    func(step, worker int) (Feed, error)
+	yield   func(StepStats, error) bool
 	stopped bool // consumer broke out; never call yield again
 	// maxEmitted is the highest step number yielded by this drive; after
 	// an in-place recovery, replayed steps at or below it are re-run for
@@ -601,19 +669,15 @@ type stepDriver struct {
 	maxEmitted int
 }
 
-// drive runs up to limit steps, yielding each step's stats: the single
-// code path behind the public iterators and the RunLoop wrappers,
-// including the tune-while-training phase of WithAutoPartition.
-func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), limit int, yield func(StepStats, error) bool) {
+// drive yields each step's stats until the loop is stopped: the single
+// code path behind the public iterators, including the
+// tune-while-training phase of WithAutoPartition.
+func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), yield func(StepStats, error) bool) {
 	if s.closed {
 		yield(StepStats{}, fmt.Errorf("parallax: steps on %w session", ErrClosed))
 		return
 	}
-	d := &stepDriver{
-		s: s, ctx: ctx, next: next, base: s.trainer.StepCount(), limit: limit,
-		yield: yield, agree: s.trainer.Distributed(),
-		maxEmitted: s.trainer.StepCount() - 1,
-	}
+	d := &stepDriver{s: s, ctx: ctx, next: next, yield: yield, maxEmitted: s.trainer.StepCount() - 1}
 	d.run()
 }
 
@@ -629,32 +693,62 @@ func (d *stepDriver) emit(st StepStats, err error) bool {
 	return !d.stopped
 }
 
-// shouldStop decides whether the loop ends before the next step: the
-// local reasons are a cancelled context or a consumer break. In
-// distributed mode the local flag is folded cluster-wide first, so all
-// agents stop at the same boundary — one agent's cancellation (or
-// break) ends every agent's loop with context.Canceled within at most
-// one agreement round.
-func (d *stepDriver) shouldStop() (bool, error) {
-	stop := d.stopped || d.ctx.Err() != nil
-	if d.agree {
-		agreed, aerr := d.s.trainer.AgreeStop(stop)
-		if aerr != nil {
-			// The agreement itself failed — a dead peer, not a stop
-			// decision. The error carries the attribution (ErrPeerFailed)
-			// and is recovery-eligible.
-			return true, aerr
+// ctlStop is the stop flag of the step-boundary control word. The word
+// is one exact integer in the float64 every worker all-gathers at a
+// boundary: the agent's membership proposal code (membership.go, 0 for
+// none) plus ctlStop when it wants the loop to end. The flag sits above
+// every proposal code, so the cluster-wide maximum is at once the OR of
+// the stop requests and — when nobody stops — the max-fold that elects
+// one proposal: stop wins.
+const ctlStop = 1 << 40
+
+// boundary is the one cross-agent exchange of a step boundary
+// (DESIGN.md §10, §14): it folds this agent's stop request — a
+// cancelled context or a consumer break — and, when propose is set on
+// an elastic session, its membership proposal into the control word,
+// and returns the cluster's agreed decision, identical on every agent.
+// Schedule alignment is argued here and nowhere else: every agent that
+// crosses a boundary runs exactly this one agreement, so a founding
+// member, a survivor re-entering the boundary after a rebuild, and a
+// joiner's fresh driver all stay in lockstep. An error means the
+// agreement itself failed — a dead peer, not a decision; it carries the
+// attribution (ErrPeerFailed) and is recovery-eligible.
+func (d *stepDriver) boundary(propose bool) (stop bool, proposal float64, err error) {
+	s := d.s
+	stop = d.stopped || d.ctx.Err() != nil
+	// Deliberately not conditioned on the trainer being distributed: a
+	// cluster shrunk to one machine still proposes (the fold degenerates
+	// to its own word), which is how it can re-grow.
+	propose = propose && s.memberRounds()
+	if !propose && !s.trainer.Distributed() {
+		return stop, 0, nil
+	}
+	var word float64
+	if stop {
+		word = ctlStop
+	} else if propose {
+		if word, err = s.localProposal(); err != nil {
+			return false, 0, err
 		}
-		stop = agreed
 	}
-	if !stop {
-		return false, nil
+	agreed, err := s.trainer.AgreeMax("ctl", word)
+	if err != nil {
+		return false, 0, err
 	}
-	err := d.ctx.Err()
-	if err == nil {
-		err = context.Canceled // a peer agent (or the consumer) stopped the loop
+	if agreed >= ctlStop {
+		return true, 0, nil
 	}
-	return true, err
+	return false, agreed, nil
+}
+
+// stopErr is what the iterator yields when the loop was stopped: the
+// context's error, or context.Canceled when a peer agent (or the
+// consumer) stopped it.
+func (d *stepDriver) stopErr() error {
+	if err := d.ctx.Err(); err != nil {
+		return err
+	}
+	return context.Canceled
 }
 
 func (d *stepDriver) run() {
@@ -663,7 +757,7 @@ func (d *stepDriver) run() {
 		s.tunePending = false
 		if err := d.tune(); err != nil {
 			// Cancellation mid-search re-arms the tuning so a later Steps
-			// call restarts it with a full budget; hard errors do not.
+			// call restarts it; hard errors do not.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.tunePending = true
 				s.decision.Pending = true
@@ -672,75 +766,57 @@ func (d *stepDriver) run() {
 			return
 		}
 	}
-	for s.trainer.StepCount()-d.base < d.limit {
-		if stop, err := d.shouldStop(); stop {
-			if err != nil && d.recoverable(err) {
-				if rerr := d.recover(err); rerr != nil {
-					d.emit(StepStats{}, rerr)
-					return
-				}
-				continue
-			}
-			d.emit(StepStats{}, err)
-			return
-		}
-		// Elastic membership round (elastic.go): propose/observe joins and
-		// leaves at this boundary. A transition rebuilds the trainer at
-		// the new world size; re-enter the boundary from the top so the
-		// agreement schedule matches a joiner's fresh driver exactly.
-		if s.memberRounds() {
-			transitioned, merr := d.membership()
-			if merr != nil {
-				if d.recoverable(merr) {
-					if rerr := d.recover(merr); rerr != nil {
-						d.emit(StepStats{}, rerr)
-						return
-					}
-					continue
-				}
-				d.emit(StepStats{}, merr)
-				return
-			}
-			if transitioned {
-				d.agree = s.trainer.Distributed()
-				continue
-			}
-		}
-		st, err := s.oneStep(d.next)
+	for {
+		st, err := d.advance()
 		if err != nil {
 			if d.recoverable(err) {
-				if rerr := d.recover(err); rerr != nil {
-					d.emit(StepStats{}, rerr)
-					return
+				if err = d.recover(err); err == nil {
+					continue
 				}
-				continue
 			}
 			d.emit(StepStats{}, err)
 			return
 		}
-		// Auto-save before yielding: the save schedule is then a pure
-		// function of the step count, identical on every agent whatever
-		// its consumer does with the emission.
-		if aerr := s.maybeAutoSave(); aerr != nil {
-			d.emit(StepStats{}, aerr)
-			return
-		}
+		// After a consumer break a distributed loop goes on to the next
+		// boundary, where the stop is agreed cluster-wide.
 		if st.Step > d.maxEmitted {
 			d.maxEmitted = st.Step
-			if !d.emit(st, nil) && !d.agree {
+			if !d.emit(st, nil) && !s.trainer.Distributed() {
 				return
 			}
 		}
 	}
-	// A bounded drive's limit exit runs one final agreement, so every
-	// exit path — limit, break, cancellation — performs exactly
-	// steps+1 agreement rounds. Agents that end the loop at the same
-	// step therefore stay aligned even when they end it by different
-	// mechanisms (one breaks out of Steps while another exhausts a
-	// RunLoop budget).
-	if d.agree {
-		_, _ = s.trainer.AgreeStop(true)
+}
+
+// advance crosses one step boundary and runs the step behind it. An
+// agreed membership change rebuilds the trainer at the new world size
+// and re-enters the boundary, which is exactly where a joiner's fresh
+// driver starts.
+func (d *stepDriver) advance() (StepStats, error) {
+	s := d.s
+	for {
+		stop, proposal, err := d.boundary(true)
+		if err != nil {
+			return StepStats{}, err
+		}
+		if stop {
+			return StepStats{}, d.stopErr()
+		}
+		if proposal == 0 {
+			break
+		}
+		if err := s.transition(d.ctx, proposal); err != nil {
+			return StepStats{}, err
+		}
 	}
+	st, err := s.oneStep(d.next)
+	if err != nil {
+		return StepStats{}, err
+	}
+	// Auto-save before yielding: the save schedule is then a pure
+	// function of the step count, identical on every agent whatever its
+	// consumer does with the emission.
+	return st, s.maybeAutoSave()
 }
 
 // tune is the tune-while-training phase: it drives the §3.2 sampling
@@ -748,22 +824,14 @@ func (d *stepDriver) run() {
 // candidate P, and settles on the optimum. Measured times are folded to
 // a cluster-wide maximum through the collective layer, so in
 // distributed mode every agent derives the same probe sequence from the
-// same numbers and the repartition protocol stays in lockstep. Probes
-// that would overrun the drive's step budget are skipped identically on
-// every agent, and a cancellation is observed (cluster-agreed) before
-// every probe step.
+// same numbers and the repartition protocol stays in lockstep. A
+// cancellation is observed (cluster-agreed) before every probe step;
+// membership proposals wait until the search has settled.
 func (d *stepDriver) tune() error {
 	s := d.s
 	var runErr error
 	measure := func(p int) float64 {
 		if runErr != nil {
-			return math.Inf(1)
-		}
-		// Budget first, reshard second: an exhausted budget must not pay
-		// for a state migration it will never measure. The check depends
-		// only on counters identical on every agent, so the skip stays in
-		// lockstep.
-		if s.trainer.StepCount()-d.base+tuneStepsPerProbe > d.limit {
 			return math.Inf(1)
 		}
 		if err := s.Repartition(p); err != nil {
@@ -772,7 +840,11 @@ func (d *stepDriver) tune() error {
 		}
 		var total time.Duration
 		for k := 0; k < tuneStepsPerProbe; k++ {
-			if stop, err := d.shouldStop(); stop {
+			stop, _, err := d.boundary(false)
+			if err == nil && stop {
+				err = d.stopErr()
+			}
+			if err != nil {
 				runErr = err
 				return math.Inf(1)
 			}
@@ -784,7 +856,7 @@ func (d *stepDriver) tune() error {
 			total += st.StepTime
 			d.emit(st, nil)
 		}
-		m, aerr := s.trainer.AgreeScalarMax(total.Seconds() / tuneStepsPerProbe)
+		m, aerr := s.trainer.AgreeMax("tune", total.Seconds()/tuneStepsPerProbe)
 		if aerr != nil {
 			runErr = aerr
 			return math.Inf(1)

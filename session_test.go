@@ -3,9 +3,7 @@ package parallax
 // Tests for the context-first Session API: the streaming step iterator,
 // cluster-synchronized cancellation, and checkpoint/restore with
 // bit-identical resume — over the in-process fabric here and over TCP
-// in TestSessionTCP*. The Runner compatibility surface is pinned by the
-// pre-existing tests in parallax_test.go, which must keep passing
-// unmodified.
+// in TestSessionTCP*.
 
 import (
 	"context"
@@ -20,6 +18,24 @@ import (
 
 	"parallax/internal/data"
 )
+
+// closeTogether closes the agents of one in-process test cluster
+// concurrently, the way separate agent processes shut down: a
+// distributed Close runs a cross-agent drain barrier, so closing the
+// agents one after the other makes the first wait out the barrier's
+// timeout for a peer that has not started closing yet.
+func closeTogether(t testing.TB, sessions ...*Session) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Close()
+		}()
+	}
+	wg.Wait()
+}
 
 // waitSessionGoroutines polls until the goroutine count settles near
 // base (the persistent runtime fully unwound).
@@ -73,32 +89,6 @@ func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, [
 		t.Fatal(err)
 	}
 	return losses, emb.Data()
-}
-
-// TestSessionStepsMatchesRunLoop: the streaming iterator and the legacy
-// RunLoop drive the identical schedule — per-step losses agree bit for
-// bit, and the iterator reports absolute step numbers.
-func TestSessionStepsMatchesRunLoop(t *testing.T) {
-	const steps = 8
-	g := buildAPIModel(8, 150)
-	runner, err := GetRunner(g, Uniform(2, 2), Config{SparsePartitions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runner.Close()
-	var loopLosses []float64
-	if _, err := runner.RunLoop(data.NewZipfText(150, 8, 1, 1.0, 5), steps,
-		func(st StepStats) { loopLosses = append(loopLosses, st.Loss) }); err != nil {
-		t.Fatal(err)
-	}
-
-	iterLosses, _ := runSessionSteps(t, steps, WithSparsePartitions(3))
-	for i := range loopLosses {
-		if math.Float64bits(loopLosses[i]) != math.Float64bits(iterLosses[i]) {
-			t.Fatalf("step %d: RunLoop loss %x, Steps loss %x",
-				i, math.Float64bits(loopLosses[i]), math.Float64bits(iterLosses[i]))
-		}
-	}
 }
 
 // TestSessionCheckpointResumeBitIdentical is the tentpole acceptance
@@ -419,8 +409,7 @@ func TestSessionTCPCancelAgreed(t *testing.T) {
 	if lastStep[0] != lastStep[1] {
 		t.Fatalf("agents stopped at different steps: %d vs %d", lastStep[0], lastStep[1])
 	}
-	sessions[0].Close()
-	sessions[1].Close()
+	closeTogether(t, sessions[:]...)
 	waitSessionGoroutines(t, base)
 }
 
