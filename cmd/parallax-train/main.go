@@ -9,7 +9,7 @@
 // Usage:
 //
 //	parallax-train [-machines 2] [-gpus 2] [-vocab 2000] [-steps 100]
-//	               [-arch hybrid|ar|ps|optps] [-async] [-clip 5.0]
+//	               [-arch hybrid|ar|ps|optps] [-clip 5.0]
 //	               [-compression none|f16|bf16|topk[=FRAC]]
 //	               [-checkpoint dir [-resume]]
 package main
@@ -38,7 +38,6 @@ func main() {
 	machines := flag.Int("machines", 2, "machines")
 	gpus := flag.Int("gpus", 2, "GPUs per machine")
 	spec.BindCommonFlags(flag.CommandLine)
-	flag.BoolVar(&spec.Async, "async", false, "asynchronous PS updates")
 	ckpt := flag.String("checkpoint", "", "checkpoint directory: written on exit (normal completion or Ctrl-C drain)")
 	resume := flag.Bool("resume", false, "resume from -checkpoint instead of initializing")
 	version := flag.Bool("version", false, "print version and exit")

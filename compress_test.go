@@ -49,9 +49,9 @@ func TestParseCompression(t *testing.T) {
 // policy instead of training with it.
 func TestCompressionInvalidPolicyRejected(t *testing.T) {
 	_, err := Open(context.Background(), buildAPIModel(8, 150), Uniform(2, 2),
-		WithSparsePartitions(3), WithCompression(CompressionPolicy{DenseTopK: 2}))
+		WithSparsePartitions(3), WithCompression(CompressionPolicy{TopK: 2}))
 	if err == nil {
-		t.Fatal("DenseTopK=2 accepted")
+		t.Fatal("TopK=2 accepted")
 	}
 }
 

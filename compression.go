@@ -8,30 +8,29 @@ import (
 	"parallax/internal/transport"
 )
 
-// Wire compression (DESIGN.md §11): WithCompression selects per-route
-// lossy encodings for the gradient traffic — half-precision payloads
-// for dense AllReduce buckets and parameter-server pushes, top-k
-// sparsification with error feedback for the dense buckets, and
-// delta-encoded varint row indices for sparse pushes. The lossy
-// rounding happens deterministically in the data plane at
-// fabric-symmetric points, so a compressed job trains bit-identically
-// over the in-process fabric and over TCP; the wire layer then encodes
-// the already-on-grid values compactly and losslessly. Parameter-server
-// pull replies always travel exact f32.
+// Wire compression (DESIGN.md §11): WithCompression selects the lossy
+// encoding of the gradient traffic — one half-precision payload codec
+// for dense AllReduce buckets and parameter-server pushes, and
+// optionally top-k sparsification with error feedback for the dense
+// buckets. The lossy rounding happens deterministically in the data
+// plane at fabric-symmetric points, so a compressed job trains
+// bit-identically over the in-process fabric and over TCP; the wire
+// layer then encodes the already-on-grid values compactly and
+// losslessly. Parameter-server pull replies always travel exact f32.
 //
-// The zero policy (CompressionNone, the default) leaves every frame in
-// the classic exact-f32 encoding, bit-identical to builds without this
-// subsystem.
+// The zero policy (CompressionNone, the default) is the exact-f32
+// instance of the same path.
 
-// CompressionPolicy selects the wire encodings per route class; the
-// zero value disables compression. See the presets below and
+// CompressionPolicy is the wire compression policy: the payload Codec
+// of every gradient route and the TopK fraction of the dense buckets;
+// the zero value disables compression. See the presets below and
 // transport.Policy for the field-level contract.
 type CompressionPolicy = transport.Policy
 
 // CompressionCodec is a payload value encoding (f32, f16, bf16).
 type CompressionCodec = transport.Codec
 
-// Payload codecs for CompressionPolicy fields.
+// Payload codecs for CompressionPolicy.Codec.
 const (
 	// CodecF32 is the exact float32 encoding (the default).
 	CodecF32 = transport.CodecF32
@@ -42,39 +41,26 @@ const (
 	CodecBF16 = transport.CodecBF16
 )
 
-// CompressionNone is the zero policy: every route stays exact f32 with
-// classic frames.
+// CompressionNone is the zero policy: every route stays exact f32.
 var CompressionNone = CompressionPolicy{}
 
 // CompressionF16 compresses every gradient route to IEEE binary16
-// payloads and delta-encodes sparse push indices: halves the gradient
-// payload bytes with ~3 decimal digits of mantissa.
-func CompressionF16() CompressionPolicy {
-	return CompressionPolicy{
-		Dense: CodecF16, PSDense: CodecF16, PSSparse: CodecF16, DeltaIndex: true,
-	}
-}
+// payloads: halves the gradient payload bytes with ~3 decimal digits of
+// mantissa.
+func CompressionF16() CompressionPolicy { return CompressionPolicy{Codec: CodecF16} }
 
 // CompressionBF16 is CompressionF16 with bfloat16 payloads: the full
 // float32 exponent range at 8 bits of mantissa — preferable when
 // gradients span many orders of magnitude.
-func CompressionBF16() CompressionPolicy {
-	return CompressionPolicy{
-		Dense: CodecBF16, PSDense: CodecBF16, PSSparse: CodecBF16, DeltaIndex: true,
-	}
-}
+func CompressionBF16() CompressionPolicy { return CompressionPolicy{Codec: CodecBF16} }
 
 // CompressionTopK sparsifies each dense fusion bucket to the frac
 // largest-magnitude entries per step (error feedback carries the
 // remainder into later steps, so nothing is lost — only delayed), with
-// f16 values; parameter-server routes travel f16 with delta-encoded
-// sparse indices. frac must be in (0, 1]; 0.1 reduces dense-route
-// traffic roughly tenfold.
+// f16 values; parameter-server routes travel f16. frac must be in
+// (0, 1]; 0.1 reduces dense-route traffic roughly tenfold.
 func CompressionTopK(frac float64) CompressionPolicy {
-	return CompressionPolicy{
-		Dense: CodecF16, DenseTopK: frac,
-		PSDense: CodecF16, PSSparse: CodecF16, DeltaIndex: true,
-	}
+	return CompressionPolicy{Codec: CodecF16, TopK: frac}
 }
 
 // ParseCompression parses a policy name as accepted by the command-line

@@ -307,8 +307,8 @@ func (s *Session) currentMembers() *transport.Membership {
 }
 
 // tcpFabric unwraps the trainer's fabric (through the chaos wrapper if
-// armed) down to the TCP fabric with the elastic join endpoints; nil
-// for in-process fabrics.
+// armed) down to the fabric with the elastic join endpoints. An
+// in-process fabric has no listener, so nothing ever parks on it.
 func (s *Session) tcpFabric() *transport.TCP {
 	fab := s.trainer.Fabric()
 	for {

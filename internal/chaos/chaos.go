@@ -47,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"parallax/internal/errs"
 	"parallax/internal/transport"
 )
 
@@ -80,7 +79,6 @@ type Injector struct {
 	mu     sync.Mutex
 	faults []Fault
 	rng    *rand.Rand
-	killed error // injected failure, reported via the wrapper's Err
 
 	// Exit is called for crash faults; overridable in tests. Defaults to
 	// os.Exit.
@@ -167,13 +165,6 @@ func Parse(spec string, seed int64) (*Injector, error) {
 // BeforeSave/AfterSave checkpoint hooks the session calls around
 // auto-checkpoint writes.
 func (inj *Injector) Wrap(fab transport.Fabric) *Fabric {
-	// A wrap starts a fresh fabric generation: the fired-state of every
-	// fault carries over (so replayed steps do not re-trigger), but the
-	// previous generation's recorded kill does not — the new fabric is
-	// healthy until a fault says otherwise.
-	inj.mu.Lock()
-	inj.killed = nil
-	inj.mu.Unlock()
 	return &Fabric{Fabric: fab, inj: inj}
 }
 
@@ -186,21 +177,6 @@ type Fabric struct {
 // Unwrap returns the wrapped inner fabric — the session reaches the TCP
 // fabric's elastic join endpoints through the chaos wrapper with it.
 func (f *Fabric) Unwrap() transport.Fabric { return f.Fabric }
-
-// Err reports the injected failure when one was recorded directly (the
-// kill path for fabrics without their own attribution, i.e. in-process),
-// otherwise the inner fabric's attributed failure. The injected error
-// must win: after a kill the inner fabric only knows it was closed, not
-// why.
-func (f *Fabric) Err() error {
-	f.inj.mu.Lock()
-	killed := f.inj.killed
-	f.inj.mu.Unlock()
-	if killed != nil {
-		return killed
-	}
-	return f.Fabric.Err()
-}
 
 // selfProcess locates the process index this fabric belongs to.
 func (f *Fabric) selfProcess() int {
@@ -278,18 +254,7 @@ func (f *Fabric) SetStep(step int) {
 // attribution is this process's own rank — matching what every remote
 // survivor concludes from the broken connections.
 func (f *Fabric) kill(step int) {
-	self := f.selfProcess()
-	cause := fmt.Errorf("chaos: injected kill at step %d", step)
-	if t, ok := f.Fabric.(interface{ Fail(int, error) }); ok {
-		t.Fail(self, cause)
-		return
-	}
-	f.inj.mu.Lock()
-	if f.inj.killed == nil {
-		f.inj.killed = &errs.PeerFailure{Rank: self, Cause: cause}
-	}
-	f.inj.mu.Unlock()
-	f.Fabric.Close()
+	f.Fail(f.selfProcess(), fmt.Errorf("chaos: injected kill at step %d", step))
 }
 
 func (f *Fabric) sever(peer int) {

@@ -56,9 +56,8 @@ func TestParseSpecs(t *testing.T) {
 	}
 }
 
-// A kill on a fabric with no attribution of its own (the in-process
-// fabric) must record a rank-attributed ErrPeerFailed on the wrapper
-// and tear the inner fabric down.
+// A kill must record a rank-attributed ErrPeerFailed on the fabric —
+// the in-process one included — and tear it down.
 func TestKillAttributesAndCloses(t *testing.T) {
 	inj, err := Parse("kill@2", 1)
 	if err != nil {

@@ -6,9 +6,9 @@
 // These are functional implementations moving real tensor data, used by the
 // real-mode training engine and the correctness test suite. The algorithms
 // are transport-agnostic: the same schedule runs over the in-process
-// channel fabric (transport.Inproc, the single-process fast path with
-// pooled chunk buffers and zero serialization) or over persistent TCP
-// connections between agent processes (transport.TCP). The virtual-time
+// fabric (transport.NewInproc, the single-process fast path with pooled
+// chunk buffers and zero serialization) or over persistent TCP
+// connections between agent processes (transport.DialTCP). The virtual-time
 // *cost* of the same communication patterns is modelled separately in
 // internal/engine on top of internal/simnet; keeping data plane and cost
 // plane separate lets us run paper-scale byte volumes without allocating
@@ -85,9 +85,9 @@ func (c *Comm) CloseBarrier(tag string) {
 
 // World is the in-process convenience fabric for a fixed group of worker
 // ranks — the harness tests and the single-process trainer path build
-// on. It wraps a transport.Inproc channel fabric.
+// on. It wraps an in-process fabric (transport.NewInproc).
 type World struct {
-	fab  *transport.Inproc
+	fab  *transport.TCP
 	size int
 }
 

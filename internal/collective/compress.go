@@ -7,88 +7,6 @@ import (
 	"parallax/internal/transport"
 )
 
-// Compressed dense aggregation. Both entry points follow the wire
-// compression contract (see internal/transport/compress.go): every lossy
-// transform happens here in the data plane, deterministically and
-// identically on every fabric, so the wire layer's compact re-encoding is
-// lossless and compressed runs stay bit-identical inproc vs TCP.
-
-// AllReduceCodecTagged is AllReduceTagged with half-precision payloads:
-// the tensor is rounded onto the codec's grid, reduce-scattered with the
-// owner folding contributions in exact f32 rank order, and the folded
-// chunks are re-rounded before the all-gather so the second phase also
-// travels at 2 bytes/value. Every rank ends with the identical tensor:
-// per chunk, quantize(sum over ranks of quantize(contribution)).
-// CodecF32 degenerates to the exact AllReduceTagged.
-func AllReduceCodecTagged(c *Comm, tags Tags, t *tensor.Dense, codec transport.Codec) {
-	if codec == transport.CodecF32 {
-		AllReduceTagged(c, tags, t)
-		return
-	}
-	data := t.Data()
-	codec.Quantize(data)
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-
-	// Reduce-scatter: direct exchange of on-grid chunks, exact f32 folds.
-	for dst := 0; dst < n; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		ss, se := chunkBounds(len(data), n, dst)
-		if se == ss {
-			continue
-		}
-		c.t.SendF32C(dst, tags.RS, data[ss:se], codec)
-	}
-	os, oe := chunkBounds(len(data), n, c.rank)
-	if oe > os {
-		own := data[os:oe]
-		tmp := c.t.GetBuf(oe - os)
-		copy(tmp, own)
-		for r := 0; r < n; r++ {
-			src := tmp
-			if r != c.rank {
-				in := c.t.RecvF32(r, tags.RS)
-				if len(in) != oe-os {
-					panic(fmt.Sprintf("collective: allreduce chunk size mismatch %d vs %d", len(in), oe-os))
-				}
-				src = in
-			}
-			if r == 0 {
-				copy(own, src)
-			} else {
-				tensor.AddTo(src, own)
-			}
-			if r != c.rank {
-				c.t.PutBuf(src)
-			}
-		}
-		c.t.PutBuf(tmp)
-		// Back onto the grid before the all-gather re-ships it.
-		codec.Quantize(own)
-	}
-
-	// All-gather: identical ring to AllReduceTagged, compressed payloads.
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for s := 0; s < n-1; s++ {
-		sendChunk := (c.rank - s + n) % n
-		recvChunk := (c.rank - s - 1 + n) % n
-		ss, se := chunkBounds(len(data), n, sendChunk)
-		c.t.SendF32C(right, tags.AG, data[ss:se], codec)
-		in := c.t.RecvF32(left, tags.AG)
-		rs, re := chunkBounds(len(data), n, recvChunk)
-		if len(in) != re-rs {
-			panic(fmt.Sprintf("collective: allgather chunk size mismatch %d vs %d", len(in), re-rs))
-		}
-		copy(data[rs:re], in)
-		c.t.PutBuf(in)
-	}
-}
-
 // TopKScratch holds the selection workspace AllReduceTopKTagged reuses
 // across steps, so the hot loop allocates nothing.
 type TopKScratch struct {

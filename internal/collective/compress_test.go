@@ -7,36 +7,6 @@ import (
 	"parallax/internal/transport"
 )
 
-func TestAllReduceCodecF32MatchesExact(t *testing.T) {
-	// CodecF32 must be the exact path, bit for bit.
-	for _, n := range []int{1, 2, 4} {
-		const elems = 37
-		exact := make([]*tensor.Dense, n)
-		coded := make([]*tensor.Dense, n)
-		input := func(rank int) *tensor.Dense {
-			return tensor.NewRNG(int64(rank+1)).RandN(1, elems)
-		}
-		RunWorld(n, func(c *Comm) {
-			d := input(c.Rank())
-			AllReduceTagged(c, TagsFor("e"), d)
-			exact[c.Rank()] = d
-		})
-		RunWorld(n, func(c *Comm) {
-			d := input(c.Rank())
-			AllReduceCodecTagged(c, TagsFor("q"), d, transport.CodecF32)
-			coded[c.Rank()] = d
-		})
-		for r := 0; r < n; r++ {
-			for i := 0; i < elems; i++ {
-				if exact[r].Data()[i] != coded[r].Data()[i] {
-					t.Fatalf("n=%d rank %d elem %d: exact %v != coded %v",
-						n, r, i, exact[r].Data()[i], coded[r].Data()[i])
-				}
-			}
-		}
-	}
-}
-
 func TestAllReduceCodecHalfPrecision(t *testing.T) {
 	for _, codec := range []transport.Codec{transport.CodecF16, transport.CodecBF16} {
 		for _, n := range []int{1, 2, 3, 4} {

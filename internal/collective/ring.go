@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parallax/internal/tensor"
+	"parallax/internal/transport"
 )
 
 // chunkBounds splits n elements into size near-equal contiguous chunks and
@@ -47,8 +48,13 @@ func RingAllReduce(c *Comm, tag string, t *tensor.Dense) {
 	AllReduceTagged(c, TagsFor(tag), t)
 }
 
-// AllReduceTagged is the dense aggregation path for the AR and hybrid
-// architectures: a rank-ordered reduce-scatter followed by the
+// AllReduceTagged is AllReduceCodecTagged under the exact codec.
+func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
+	AllReduceCodecTagged(c, tags, t, transport.CodecF32)
+}
+
+// AllReduceCodecTagged is the dense aggregation path for the AR and
+// hybrid architectures: a rank-ordered reduce-scatter followed by the
 // bandwidth-optimal ring all-gather (Patarasuk & Yuan [31]); each phase
 // moves (N−1)/N of the tensor per rank, the same volume as the classic
 // ring. t is modified in place.
@@ -64,16 +70,25 @@ func RingAllReduce(c *Comm, tag string, t *tensor.Dense) {
 // bit-identical results to per-variable collectives (and is the property
 // the fusion equivalence tests pin down).
 //
-// Chunks are sent straight from the tensor's storage (SendF32 borrows the
-// slice: the inproc fabric copies it into a pooled buffer, the TCP fabric
-// serializes it to the wire before returning); received chunks arrive in
-// pooled buffers the receiver recycles once folded.
-func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
+// Payloads travel under codec, following the wire compression contract
+// (internal/transport/compress.go): the tensor is rounded onto the
+// codec's grid here in the data plane, the owner folds in exact f32, and
+// the folded chunks are re-rounded before the all-gather so the second
+// phase travels at the same width. Every rank ends with the identical
+// tensor: per chunk, quantize(sum over ranks of quantize(contribution)).
+// Under CodecF32 both roundings are no-ops and this is the exact sum.
+//
+// Chunks are sent straight from the tensor's storage (SendF32C borrows
+// the slice: a pipe copies it into a pooled buffer, a socket serializes
+// it before returning); received chunks arrive in pooled buffers the
+// receiver recycles once folded.
+func AllReduceCodecTagged(c *Comm, tags Tags, t *tensor.Dense, codec transport.Codec) {
+	data := t.Data()
+	codec.Quantize(data)
 	n := c.Size()
 	if n == 1 {
 		return
 	}
-	data := t.Data()
 
 	// Reduce-scatter: direct exchange, one message per directed pair.
 	for dst := 0; dst < n; dst++ {
@@ -84,7 +99,7 @@ func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
 		if se == ss {
 			continue // empty chunk: owner skips the fold symmetrically
 		}
-		c.t.SendF32(dst, tags.RS, data[ss:se])
+		c.t.SendF32C(dst, tags.RS, data[ss:se], codec)
 	}
 	os, oe := chunkBounds(len(data), n, c.rank)
 	if oe > os {
@@ -110,6 +125,8 @@ func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
 			}
 		}
 		c.t.PutBuf(tmp)
+		// Back onto the grid before the all-gather re-ships it.
+		codec.Quantize(own)
 	}
 
 	// All-gather: circulate the fully reduced chunks around the ring.
@@ -119,7 +136,7 @@ func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
 		sendChunk := (c.rank - s + n) % n
 		recvChunk := (c.rank - s - 1 + n) % n
 		ss, se := chunkBounds(len(data), n, sendChunk)
-		c.t.SendF32(right, tags.AG, data[ss:se])
+		c.t.SendF32C(right, tags.AG, data[ss:se], codec)
 		in := c.t.RecvF32(left, tags.AG)
 		rs, re := chunkBounds(len(data), n, recvChunk)
 		if len(in) != re-rs {
@@ -141,7 +158,7 @@ func AllGatherv(c *Comm, tag string, s *tensor.Sparse) *tensor.Sparse {
 // pure-AR architecture (§2.1: AllGatherv "aggregates gradients by
 // concatenating"), under a caller-prepared tag. It uses a ring: each of
 // the N−1 steps forwards the block received in the previous step. Blocks
-// travel read-only (the inproc fabric shares pointers; the TCP fabric
+// travel read-only (a pipe shares pointers; a socket
 // delivers fresh decoded tensors), and ConcatSparse copies them out, so
 // no received block is retained past the call.
 func AllGathervTagged(c *Comm, tag string, s *tensor.Sparse) *tensor.Sparse {

@@ -9,6 +9,7 @@ import (
 
 	"parallax/internal/optim"
 	"parallax/internal/tensor"
+	"parallax/internal/transport"
 )
 
 func TestRingAllReduceSums(t *testing.T) {
@@ -40,26 +41,38 @@ func TestRingAllReduceSums(t *testing.T) {
 
 // TestAllReduceMeanMatchesSequential: the dense-bucket synchronization
 // the trainer runs (tagged all-reduce, then mean finalization) leaves
-// every rank holding the sequentially computed mean.
+// every rank holding the sequentially computed mean — and the exact
+// CodecF32 instance of the ring leaves, before finalization, the very
+// bits of a serial fold over the ranks in order 0..N−1.
 func TestAllReduceMeanMatchesSequential(t *testing.T) {
 	const n = 3
 	grads := make([]*tensor.Dense, n)
-	want := tensor.NewDense(10)
 	for i := range grads {
 		grads[i] = tensor.NewRNG(int64(i)).RandN(1, 10)
-		want.AddInto(grads[i])
 	}
+	sum := grads[0].Clone()
+	for _, g := range grads[1:] {
+		sum.AddInto(g)
+	}
+	want := sum.Clone()
 	want.Scale(1.0 / n)
+	sums := make([]*tensor.Dense, n)
 	outs := make([]*tensor.Dense, n)
 	RunWorld(n, func(c *Comm) {
 		g := grads[c.Rank()].Clone()
-		AllReduceTagged(c, TagsFor("g"), g)
+		AllReduceCodecTagged(c, TagsFor("g"), g, transport.CodecF32)
+		sums[c.Rank()] = g.Clone()
 		optim.FinalizeDense(g, c.Size(), optim.AggMean)
 		outs[c.Rank()] = g
 	})
-	for i, o := range outs {
-		if o.MaxAbsDiff(want) > 1e-5 {
-			t.Fatalf("rank %d mean-aggregated grad wrong by %v", i, o.MaxAbsDiff(want))
+	for r := range outs {
+		for i, v := range sums[r].Data() {
+			if math.Float32bits(v) != math.Float32bits(sum.Data()[i]) {
+				t.Fatalf("rank %d elem %d: ring sum %v, serial fold %v", r, i, v, sum.Data()[i])
+			}
+		}
+		if outs[r].MaxAbsDiff(want) > 1e-5 {
+			t.Fatalf("rank %d mean-aggregated grad wrong by %v", r, outs[r].MaxAbsDiff(want))
 		}
 	}
 }

@@ -50,7 +50,6 @@ type Spec struct {
 	// Compression is the wire-compression policy name:
 	// none|f16|bf16|topk[=FRAC].
 	Compression string `json:"compression,omitempty"`
-	Async       bool   `json:"async,omitempty"`
 	// MeasureAlpha samples the dataset before opening to supply a
 	// measured α hint for the embedding (parallax-train's behavior;
 	// agents skip it so every agent plans from identical inputs).
@@ -68,7 +67,7 @@ func Default() Spec {
 // BindCommonFlags registers the model/training flags shared by every
 // binary (vocab, batch, steps, arch, clip, lr, compression) on fs,
 // writing into s. Cluster-shape and deployment flags (machines, gpus,
-// partitions, async, checkpointing) stay with each binary — their
+// partitions, checkpointing) stay with each binary — their
 // defaults and help text are part of that binary's contract.
 func (s *Spec) BindCommonFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Vocab, "vocab", s.Vocab, "vocabulary size")
@@ -182,9 +181,6 @@ func (s Spec) Options() ([]parallax.Option, error) {
 		opts = append(opts, parallax.WithAutoPartition())
 	case s.Partitions > 0:
 		opts = append(opts, parallax.WithSparsePartitions(s.Partitions))
-	}
-	if s.Async {
-		opts = append(opts, parallax.WithAsync())
 	}
 	return opts, nil
 }

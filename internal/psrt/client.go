@@ -50,11 +50,9 @@ type Client struct {
 	t      transport.Conduit
 	server int // server endpoint rank
 
-	// Wire-encoding hints stamped onto push requests (see
-	// transport.PSMsg); zero values keep the classic frames.
-	denseCodec  transport.Codec
-	sparseCodec transport.Codec
-	deltaIndex  bool
+	// codec is the wire-encoding hint stamped onto push requests (see
+	// transport.PSMsg); the zero value is exact f32.
+	codec transport.Codec
 }
 
 // NewClient returns a stub for the server at endpoint rank server,
@@ -63,14 +61,11 @@ func NewClient(t transport.Conduit, server int) *Client {
 	return &Client{t: t, server: server}
 }
 
-// SetCompression selects the wire encodings for this client's push
-// requests: dense and sparse payload codecs plus delta-varint sparse row
-// indices. The pushed values must already lie on the codec grids (the
-// trainer quantizes in the data plane before pushing), so the compact
-// encoding is lossless. Pull replies always travel exact f32.
-func (c *Client) SetCompression(dense, sparse transport.Codec, delta bool) {
-	c.denseCodec, c.sparseCodec, c.deltaIndex = dense, sparse, delta
-}
+// SetCodec selects the payload codec of this client's push requests. The
+// pushed values must already lie on the codec's grid (the trainer
+// quantizes in the data plane before pushing), so the compact encoding is
+// lossless. Pull replies always travel exact f32.
+func (c *Client) SetCodec(codec transport.Codec) { c.codec = codec }
 
 // errClosed is returned when the fabric shut down mid-call; it wraps
 // the shared sentinel so callers can match it with errors.Is.
@@ -118,7 +113,7 @@ func (c *Client) PullManyInto(minVersion int64, reqs []PullReq) error {
 // views are borrowed only until the call returns (the request is
 // serialized before the reply unblocks us).
 func (c *Client) PushDenseMany(reqs []DensePush) error {
-	m := &transport.PSMsg{Op: transport.PSPushDenseMany, DenseCodec: c.denseCodec}
+	m := &transport.PSMsg{Op: transport.PSPushDenseMany, Codec: c.codec}
 	for i := range reqs {
 		m.Names = append(m.Names, reqs[i].Name)
 		m.Parts = append(m.Parts, reqs[i].Part)
@@ -132,11 +127,7 @@ func (c *Client) PushDenseMany(reqs []DensePush) error {
 // of the tensors transfers (to the wire here, to the remote server
 // there), matching PushSparse's contract.
 func (c *Client) PushSparseMany(reqs []SparsePush) error {
-	m := &transport.PSMsg{
-		Op:          transport.PSPushSparseMany,
-		SparseCodec: c.sparseCodec,
-		DeltaIndex:  c.deltaIndex,
-	}
+	m := &transport.PSMsg{Op: transport.PSPushSparseMany, Codec: c.codec}
 	for i := range reqs {
 		m.Names = append(m.Names, reqs[i].Name)
 		m.Parts = append(m.Parts, reqs[i].Part)

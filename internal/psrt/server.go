@@ -5,8 +5,8 @@
 //
 // One Server instance corresponds to one server process (the paper
 // launches one per machine, colocated with that machine's workers, §4.3).
-// Workers interact through Push/Pull; in synchronous mode an update
-// applies when gradients from all expected sources have arrived — the
+// Workers interact through Push/Pull; training is synchronous (§2.1): an
+// update applies when gradients from all expected sources have arrived — the
 // accumulator mechanism of §5 ("we first place accumulators on servers
 // ... each accumulator handles gradients of a single sparse variable") —
 // and pulls for the next iteration block until the update lands.
@@ -44,32 +44,20 @@ import (
 	"parallax/internal/tensor"
 )
 
-// Mode selects update semantics.
-type Mode int
-
-const (
-	// Sync applies an update once all sources' gradients arrive; pulls for
-	// iteration i+1 wait for update i (synchronous training, §2.1).
-	Sync Mode = iota
-	// Async applies each source's gradient immediately on push; pulls
-	// never wait (asynchronous training; staleness is the caller's
-	// concern).
-	Async
-)
-
 // Config configures a Server.
 type Config struct {
 	// Sources is the number of gradient pushes expected per partition per
-	// step in Sync mode (workers, or machines under local aggregation).
+	// step (workers, or machines under local aggregation): an update
+	// applies once all of them arrived, and pulls for iteration i+1 wait
+	// for update i.
 	Sources int
 	// Optimizer applies aggregated gradients to served variables. Each
 	// server owns the update ops for its variables (smart placement).
 	Optimizer optim.Optimizer
 	DenseAgg  optim.AggMethod
 	SparseAgg optim.AggMethod
-	Mode      Mode
 	// DeferUpdates holds aggregated gradients until ApplyUpdate is called
-	// (the chief-worker clipping path). Only meaningful in Sync mode.
+	// (the chief-worker clipping path).
 	DeferUpdates bool
 	// MeanDivisor is the denominator used for AggMean finalization. Under
 	// local aggregation each push already sums a whole machine's workers,
@@ -131,8 +119,8 @@ type part struct {
 	value *tensor.Dense // [range.Len(), width]
 
 	// accDense is the partition's persistent dense gradient buffer: the
-	// sync-mode accumulator, the async-mode scratch copy, and (between
-	// aggregation and apply) the aggregated gradient. It is allocated once
+	// accumulator and (between aggregation and apply) the aggregated
+	// gradient. It is allocated once
 	// in AddVar for dense variables and reused every step — the blocking
 	// pull protocol guarantees step i+1's first push cannot arrive before
 	// step i's update applied.
@@ -140,7 +128,7 @@ type part struct {
 	accSparse []*tensor.Sparse // retained pushed gradients (ownership transferred)
 	pushes    int
 
-	aggregated bool // Sync+DeferUpdates: gradients aggregated, not applied
+	aggregated bool // DeferUpdates: gradients aggregated, not applied
 	aggDense   *tensor.Dense
 	aggSparse  *tensor.Sparse
 	aggSeq     int64   // completed aggregations
@@ -152,14 +140,11 @@ type part struct {
 // validateConfig checks the invariants shared by server defaults and
 // namespace configs.
 func validateConfig(cfg Config) error {
-	if cfg.Mode == Sync && cfg.Sources <= 0 {
-		return fmt.Errorf("psrt: sync server needs Sources > 0")
+	if cfg.Sources <= 0 {
+		return fmt.Errorf("psrt: server needs Sources > 0")
 	}
 	if cfg.Optimizer == nil {
 		return fmt.Errorf("psrt: nil optimizer")
-	}
-	if cfg.Mode == Async && cfg.DeferUpdates {
-		return fmt.Errorf("psrt: DeferUpdates requires Sync mode")
 	}
 	return nil
 }
@@ -345,14 +330,6 @@ func (s *Server) pushDensePart(v *servedVar, pi int, grad *tensor.Dense) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if v.cfg.Mode == Async {
-		copy(p.accDense.Data(), grad.Data())
-		optim.FinalizeDense(p.accDense, v.cfg.meanDiv(), v.cfg.DenseAgg)
-		v.cfg.Optimizer.ApplyDense(v.keys[pi], p.value, p.accDense)
-		p.version++
-		p.cond.Broadcast()
-		return nil
-	}
 	if p.pushes == 0 {
 		copy(p.accDense.Data(), grad.Data())
 	} else {
@@ -390,13 +367,6 @@ func (s *Server) pushSparsePart(v *servedVar, pi int, grad *tensor.Sparse) error
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if v.cfg.Mode == Async {
-		optim.FinalizeSparse(grad, v.cfg.meanDiv(), v.cfg.SparseAgg)
-		v.cfg.Optimizer.ApplySparse(v.keys[pi], p.value, grad)
-		p.version++
-		p.cond.Broadcast()
-		return nil
-	}
 	p.accSparse = append(p.accSparse, grad)
 	p.pushes++
 	if p.pushes == v.cfg.Sources {

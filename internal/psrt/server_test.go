@@ -93,21 +93,6 @@ func TestPartitionedVariableAcrossServers(t *testing.T) {
 	}
 }
 
-func TestAsyncAppliesImmediately(t *testing.T) {
-	s, _ := NewServer(Config{Sources: 3, Optimizer: optim.NewSGD(1), Mode: Async, DenseAgg: optim.AggSum})
-	init := tensor.FromSlice([]float32{10}, 1, 1)
-	if err := s.AddVar("w", init, fullRange(1), []int{0}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PushDense("w", 0, tensor.FromSlice([]float32{1}, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Pull("w", 0, 0)
-	if got.At(0, 0) != 9 {
-		t.Fatalf("async push not applied: %v", got.At(0, 0))
-	}
-}
-
 func TestSyncPullBlocksUntilUpdate(t *testing.T) {
 	s, _ := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.5), DenseAgg: optim.AggSum})
 	init := tensor.FromSlice([]float32{4}, 1, 1)
@@ -180,13 +165,10 @@ func TestApplyUpdateBeforeAggregationErrors(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewServer(Config{Sources: 0, Optimizer: optim.NewSGD(1)}); err == nil {
-		t.Fatal("sync without sources must fail")
+		t.Fatal("server without sources must fail")
 	}
 	if _, err := NewServer(Config{Sources: 1}); err == nil {
 		t.Fatal("nil optimizer must fail")
-	}
-	if _, err := NewServer(Config{Mode: Async, DeferUpdates: true, Optimizer: optim.NewSGD(1)}); err == nil {
-		t.Fatal("async + defer must fail")
 	}
 }
 

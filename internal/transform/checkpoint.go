@@ -119,9 +119,6 @@ func (t *Trainer) SnapshotServerParts(m int) ([]VarState, error) {
 		return nil, nil // no PS routes, or machine hosted by another agent
 	}
 	minV := int64(t.step)
-	if t.opt.Async {
-		minV = 0
-	}
 	slotNames := t.psAdmin(m).SlotNames()
 	var out []VarState
 	for _, r := range t.routes {

@@ -4,9 +4,9 @@ package transform
 // dies — backprop-overlapped collectives, PS pulls, the loss exchange —
 // the surviving trainer's Step must return a rank-attributed error
 // wrapping errs.ErrPeerFailed (never hang, never crash the process),
-// and Close must unwind every goroutine. Both fabrics are covered: the
-// TCP fabric attributes failures itself; the in-process fabric relies
-// on the chaos wrapper's attribution plus failStep's upgrade path.
+// and Close must unwind every goroutine. The TCP fabric and its
+// in-process instance are both covered; either attributes the failure
+// itself.
 
 import (
 	"errors"
@@ -27,8 +27,8 @@ import (
 // distKillTrainers builds the two TCP-connected trainers of a
 // 2-machine × 2-GPU hybrid cluster (PS embedding + fused AllReduce, the
 // configuration where a step exercises collectives, PS pulls, and the
-// loss exchange).
-func distKillTrainers(t *testing.T) ([2]*transport.TCP, [2]*Trainer) {
+// loss exchange). wrap, when non-nil, interposes on process p's fabric.
+func distKillTrainers(t *testing.T, wrap func(p int, fab *transport.TCP) transport.Fabric) ([2]*transport.TCP, [2]*Trainer) {
 	t.Helper()
 	cfg := models.DefaultTinyLM()
 	ri := cluster.Uniform(2, 2)
@@ -37,6 +37,10 @@ func distKillTrainers(t *testing.T) ([2]*transport.TCP, [2]*Trainer) {
 	g := models.BuildTinyLM(cfg)
 	var trs [2]*Trainer
 	for p := 0; p < 2; p++ {
+		var fab transport.Fabric = fabs[p]
+		if wrap != nil {
+			fab = wrap(p, fabs[p])
+		}
 		tr, err := New(g, Options{
 			Plan:             planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
 			Resource:         ri,
@@ -44,7 +48,7 @@ func distKillTrainers(t *testing.T) ([2]*transport.TCP, [2]*Trainer) {
 			DenseAgg:         optim.AggMean,
 			SparseAgg:        optim.AggMean,
 			LocalAggregation: true,
-			Fabric:           fabs[p],
+			Fabric:           fab,
 		})
 		if err != nil {
 			t.Fatalf("trainer %d: %v", p, err)
@@ -60,7 +64,7 @@ func distKillTrainers(t *testing.T) ([2]*transport.TCP, [2]*Trainer) {
 // the dead rank attributed, and closing both must leak nothing.
 func TestTCPKillPeerMidStep(t *testing.T) {
 	base := runtime.NumGoroutine()
-	fabs, trs := distKillTrainers(t)
+	fabs, trs := distKillTrainers(t, nil)
 	cfg := models.DefaultTinyLM()
 
 	const killStep = 3
@@ -108,10 +112,73 @@ func TestTCPKillPeerMidStep(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// killOnTag kills its fabric (Fabric.Fail, the chaos harness's kill) the
+// moment a local endpoint is about to send a scalar under tag — a
+// process crash pinned to one point of a control protocol.
+type killOnTag struct {
+	transport.Fabric
+	tag string
+}
+
+func (f *killOnTag) Conduit(rank int) transport.Conduit {
+	return &killConduit{Conduit: f.Fabric.Conduit(rank), f: f}
+}
+
+type killConduit struct {
+	transport.Conduit
+	f *killOnTag
+}
+
+func (c *killConduit) SendScalar(dst int, tag string, v float64) {
+	if tag == c.f.tag {
+		c.f.Fail(1, fmt.Errorf("injected crash before %q", tag))
+	}
+	c.Conduit.SendScalar(dst, tag, v)
+}
+
+// TestRepartitionPeerDeathBetweenBarriers: agent 1 passes the gather
+// barrier of a live reshard and dies before the install barrier. Agent
+// 0, parked in that barrier, must get the rank-attributed ErrPeerFailed
+// — not install the new partitioning and report success on a dead
+// cluster.
+func TestRepartitionPeerDeathBetweenBarriers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	_, trs := distKillTrainers(t, func(p int, fab *transport.TCP) transport.Fabric {
+		if p == 1 {
+			return &killOnTag{Fabric: fab, tag: "repart/install"}
+		}
+		return fab
+	})
+	g := models.BuildTinyLM(models.DefaultTinyLM())
+	var repErr [2]error
+	done := make(chan struct{}, 2)
+	for p := 0; p < 2; p++ {
+		go func(p int) {
+			repErr[p] = trs[p].Repartition(planFor(t, g, core.ArchHybrid, 2, 5))
+			done <- struct{}{}
+		}(p)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Repartition hung after the peer was killed")
+		}
+	}
+	for p := 0; p < 2; p++ {
+		var pf *errs.PeerFailure
+		if !errors.Is(repErr[p], errs.ErrPeerFailed) || !errors.As(repErr[p], &pf) || pf.Rank != 1 {
+			t.Fatalf("trainer %d Repartition returned %v, want ErrPeerFailed attributed to rank 1", p, repErr[p])
+		}
+	}
+	trs[0].Close()
+	trs[1].Close()
+	waitGoroutines(t, base)
+}
+
 // TestInprocKillMidStep is the in-process-fabric variant: the chaos
-// wrapper kills the channel fabric at a fixed step, and the trainer
-// must surface ErrPeerFailed through the same failStep attribution
-// path (here via the wrapper's injected failure).
+// wrapper kills the fabric at a fixed step, and the trainer must
+// surface ErrPeerFailed through the same failStep attribution path.
 func TestInprocKillMidStep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := models.DefaultTinyLM()

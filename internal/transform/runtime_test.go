@@ -41,21 +41,6 @@ func newTrainer(t *testing.T, cfg models.TinyLMConfig, arch core.Arch, ri cluste
 	return tr
 }
 
-// Async PS training across multiple machines: every push applies
-// immediately under the partition lock while other workers pull, the most
-// lock-contended configuration of the runtime.
-func TestRaceAsyncSteps(t *testing.T) {
-	cfg := models.DefaultTinyLM()
-	tr := newTrainer(t, cfg, core.ArchNaivePS, cluster.Uniform(2, 2), 3,
-		func(o *Options) { o.Async = true })
-	for s := 0; s < 20; s++ {
-		feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, int64(s))
-		if _, err := tr.Step(feeds); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // Local aggregation with multiple GPUs per machine: the per-(route,
 // machine) slots are hit by every worker of a machine each step, and the
 // last arrival pushes merged zero-copy views to the servers.

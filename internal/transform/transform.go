@@ -101,9 +101,6 @@ type Options struct {
 	// ClipNorm > 0 enables global-norm clipping across all variables; it
 	// forces the deferred-update chief path on the servers.
 	ClipNorm float64
-	// Async switches PS variables to asynchronous updates (§2.1). AR
-	// variables are inherently synchronous.
-	Async bool
 	// FusionBytes caps the size of one dense-AllReduce fusion bucket.
 	// 0 selects the default (4 MiB); a negative value disables fusion
 	// entirely — one bucket per variable — which is the reference
@@ -113,11 +110,10 @@ type Options struct {
 	// layout.
 	FusionBytes int64
 	// Compression is the wire compression policy (DESIGN.md §11): dense
-	// fusion buckets travel under Dense/DenseTopK (half-precision
-	// payloads and/or top-k sparsification with error feedback), PS
-	// pushes under PSDense/PSSparse/DeltaIndex. The zero value is
-	// CompressionNone — exact f32 everywhere, bit-identical to builds
-	// without this field. All lossy rounding happens in the data plane at
+	// fusion buckets and PS pushes travel under its Codec, and TopK > 0
+	// sparsifies the buckets with error feedback. The zero value is
+	// CompressionNone — exact f32 everywhere, the CodecF32 instance of
+	// the same path. All lossy rounding happens in the data plane at
 	// fabric-symmetric points, so a compressed run is itself
 	// bit-identical between the in-process and TCP fabrics. In
 	// distributed mode every agent must configure the identical policy
@@ -303,7 +299,7 @@ type Trainer struct {
 	fuseViews [][]*tensor.Dense
 	agvTags   []string // [ri]: precomputed AllGatherv tag, "" for others
 	// Top-k error-feedback state, allocated only when
-	// Compression.DenseTopK > 0: fuseResid[w][b] is worker w's residual
+	// Compression.TopK > 0: fuseResid[w][b] is worker w's residual
 	// for bucket b (what its selections have not shipped yet), and
 	// topkScratch[w] is the selection workspace of w's comm goroutine.
 	fuseResid   [][]*tensor.Dense
@@ -445,9 +441,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		return failEarly(fmt.Errorf("transform: plan has %d assignments for %d variables",
 			len(opts.Plan.Assignments), len(vars)))
 	}
-	if opts.Plan.Arch == core.ArchAR && opts.Async {
-		return failEarly(fmt.Errorf("transform: async training requires PS-managed variables"))
-	}
 	if err := opts.Compression.Validate(); err != nil {
 		return failEarly(err)
 	}
@@ -570,18 +563,13 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		if opts.LocalAggregation {
 			sources = machines
 		}
-		mode := psrt.Sync
-		if opts.Async {
-			mode = psrt.Async
-		}
 		psCfg := func() psrt.Config {
 			return psrt.Config{
 				Sources:      sources,
 				Optimizer:    opts.NewOptimizer(),
 				DenseAgg:     opts.DenseAgg,
 				SparseAgg:    opts.SparseAgg,
-				Mode:         mode,
-				DeferUpdates: opts.ClipNorm > 0 && !opts.Async,
+				DeferUpdates: opts.ClipNorm > 0,
 				MeanDivisor:  workers,
 			}
 		}
@@ -649,8 +637,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 					row[m] = t.servers[m]
 				} else {
 					cl := psrt.NewClient(fab.Conduit(w), topo.ServerEndpoint(m))
-					cl.SetCompression(opts.Compression.PSDense, opts.Compression.PSSparse,
-						opts.Compression.DeltaIndex)
+					cl.SetCodec(opts.Compression.Codec)
 					row[m] = cl
 				}
 			}
@@ -853,7 +840,7 @@ func (t *Trainer) buildFusion() {
 	t.fuseBufs = make([][]*tensor.Dense, t.workers)
 	t.fuseViews = make([][]*tensor.Dense, t.workers)
 	t.bucketPending = make([][]int, t.workers)
-	topk := t.opt.Compression.DenseTopK > 0
+	topk := t.opt.Compression.TopK > 0
 	if topk {
 		t.fuseResid = make([][]*tensor.Dense, t.workers)
 		t.topkScratch = make([]collective.TopKScratch, t.workers)
@@ -1150,9 +1137,6 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 	}
 
 	minV := int64(t.step)
-	if t.opt.Async {
-		minV = 0
-	}
 	w0 := t.localWorkers[0]
 	type migrated struct {
 		value *tensor.Dense
@@ -1200,7 +1184,9 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 		}
 		full[ri] = g
 	}
-	t.repartitionBarrier("repart/gather")
+	if _, err := t.AgreeMax("repart/gather", 0); err != nil {
+		return err
+	}
 
 	for ri := range t.routes {
 		if !changed[ri] {
@@ -1232,29 +1218,8 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 	t.buildPSRouting()
 	t.buildSlots()
 	t.buildPullReqs()
-	t.repartitionBarrier("repart/install")
-	return nil
-}
-
-// repartitionBarrier rendezvouses all workers of all agents between the
-// resharding phases. Single-process trainers need no barrier (the phases
-// run sequentially on one goroutine); distributed ones run the
-// dissemination barrier on every local worker's collective endpoint,
-// absorbing a fabric-closed panic the way the close barrier does — a
-// dead peer then surfaces as a step error instead of a crash.
-func (t *Trainer) repartitionBarrier(tag string) {
-	if !t.dist {
-		return
-	}
-	var wg sync.WaitGroup
-	for _, w := range t.localWorkers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t.comms[w].CloseBarrier(tag)
-		}(w)
-	}
-	wg.Wait()
+	_, err := t.AgreeMax("repart/install", 0)
+	return err
 }
 
 // Fabric returns the trainer's transport fabric, so the session layer
@@ -1357,19 +1322,17 @@ func (t *Trainer) commTask(w int, task commTask) (err error) {
 	defer t.recoverClosed(&err)
 	switch task.kind {
 	case commBucket:
-		// One collective per fusion bucket: sum across all workers (exact,
-		// under the dense codec, or top-k sparsified with error feedback),
-		// then the configured finalization — every worker ends up holding
-		// the identical aggregated gradient, the AR-architecture invariant.
+		// One collective per fusion bucket: sum across all workers (the
+		// ring under the policy's codec, or top-k sparsified with error
+		// feedback), then the configured finalization — every worker ends
+		// up holding the identical aggregated gradient, the
+		// AR-architecture invariant.
 		c, tags, buf := t.comms[w], t.buckets[task.idx].tags, t.fuseBufs[w][task.idx]
-		switch policy := t.opt.Compression; {
-		case policy.DenseTopK > 0:
-			collective.AllReduceTopKTagged(c, tags, buf, policy.DenseTopK, policy.Dense,
+		if policy := t.opt.Compression; policy.TopK > 0 {
+			collective.AllReduceTopKTagged(c, tags, buf, policy.TopK, policy.Codec,
 				t.fuseResid[w][task.idx].Data(), &t.topkScratch[w])
-		case policy.Dense != transport.CodecF32:
-			collective.AllReduceCodecTagged(c, tags, buf, policy.Dense)
-		default:
-			collective.AllReduceTagged(c, tags, buf)
+		} else {
+			collective.AllReduceCodecTagged(c, tags, buf, policy.Codec)
 		}
 		optim.FinalizeDense(buf, t.workers, t.opt.DenseAgg)
 	case commSparse:
@@ -1569,9 +1532,6 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// precomputed views. Version step means "after step updates have
 	// applied".
 	minVersion := int64(step)
-	if t.opt.Async {
-		minVersion = 0
-	}
 	pulls := 0
 	for m := 0; m < t.machines && t.ps != nil; m++ {
 		if len(t.pullReqs[w][m]) > 0 {
@@ -1644,7 +1604,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// views), PS parts are read back from the servers (§5) — then scale
 	// AR updates locally and have the chief apply scaled PS updates.
 	scale := float32(1)
-	if t.opt.ClipNorm > 0 && !t.opt.Async {
+	if t.opt.ClipNorm > 0 {
 		var norm2 float64
 		for ri, r := range t.routes {
 			switch r.assign.Method {
@@ -1737,10 +1697,8 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 		// codec grid before any push, colocated or remote, so the servers
 		// aggregate identical bits on every fabric. (SplitSparse allocates
 		// fresh value storage, so this never touches the exec's gradient.)
-		if c := t.opt.Compression.PSSparse; c != transport.CodecF32 {
-			for _, p := range parts {
-				c.Quantize(p.Values.Data())
-			}
+		for _, p := range parts {
+			t.opt.Compression.Codec.Quantize(p.Values.Data())
 		}
 		for k, srv := range t.psServers[ri] {
 			reqs := t.psSparseReqs[w][:0]
@@ -1788,7 +1746,7 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 		// Quantize the gradient before it splits into partition views.
 		// The buffer is the exec's gradient storage, dead until the next
 		// backward pass overwrites it; PS routes never read it locally.
-		t.opt.Compression.PSDense.Quantize(dense.Data())
+		t.opt.Compression.Codec.Quantize(dense.Data())
 		return pushDenseParts(dense, nil)
 	}
 
@@ -1827,7 +1785,7 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 	}
 	// Quantize the machine-merged gradient (the chief's exact f32 fold)
 	// before the partition views ship it.
-	t.opt.Compression.PSDense.Quantize(slot.dense.Data())
+	t.opt.Compression.Codec.Quantize(slot.dense.Data())
 	return pushDenseParts(slot.dense, t.slotViews[ri][machine])
 }
 
@@ -1845,9 +1803,6 @@ func (t *Trainer) VarValue(name string) (*tensor.Dense, error) {
 		}
 		out := tensor.NewDense(r.v.Shape...)
 		minVersion := int64(t.step)
-		if t.opt.Async {
-			minVersion = 0
-		}
 		for pi, rr := range r.ranges {
 			if rr.Len() == 0 {
 				continue

@@ -307,39 +307,6 @@ func TestClippingMatchesSequentialClipped(t *testing.T) {
 	}
 }
 
-func TestAsyncTrainingConverges(t *testing.T) {
-	// Async PS (§2.1) has no step-equivalence guarantee, but the loss must
-	// still go down on a learnable problem.
-	cfg := models.DefaultTinyLM()
-	g := models.BuildTinyLM(cfg)
-	ri := cluster.Uniform(2, 1)
-	plan := planFor(t, g, core.ArchNaivePS, 2, 2)
-	tr, err := New(g, Options{
-		Plan: plan, Resource: ri,
-		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.3) },
-		DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
-		Async: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first, last float64
-	for s := 0; s < 25; s++ {
-		feeds, _ := lmFeeds(2, cfg.Batch, cfg.Vocab, int64(s%3))
-		loss, err := tr.Step(feeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if !(last < first) {
-		t.Fatalf("async loss did not decrease: %v -> %v", first, last)
-	}
-}
-
 func TestNMTModelWithTwoPartitionedEmbeddings(t *testing.T) {
 	cfg := models.DefaultTinyNMT()
 	cfg.Batch = 6
@@ -394,12 +361,5 @@ func TestNewValidations(t *testing.T) {
 	}
 	if _, err := New(g, Options{Plan: plan, Resource: ri}); err == nil {
 		t.Error("nil optimizer factory must fail")
-	}
-	arPlan := planFor(t, g, core.ArchAR, 2, 1)
-	if _, err := New(g, Options{
-		Plan: arPlan, Resource: ri, Async: true,
-		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(1) },
-	}); err == nil {
-		t.Error("async + pure AR must fail")
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkCodecRoundTrip measures the wire codec on the three payload
-// shapes the trainer ships every step: a fusion-bucket-sized dense
-// chunk, an AllGatherv sparse block, and a batched PS push. Encode
+// shapes the trainer ships every step — a fusion-bucket-sized dense
+// chunk, an AllGatherv sparse block, and a batched PS push — exact and
+// under a compressed encoding. Encode
 // appends into a reused scratch buffer and decode draws float buffers
 // from the pool, so steady state should allocate only the
 // receiver-owned sparse/PS structures.
@@ -75,15 +76,11 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkCodecCompressedRoundTrip measures the compressed wire
-// encodings against the same payload shapes: an f16 fusion bucket, a
-// top-k sparsified bucket at 10%, and a delta-indexed f16 sparse PS
-// push. SetBytes reports the UNCOMPRESSED payload size, so the ns/op
-// and MB/s columns compare directly against BenchmarkCodecRoundTrip —
-// throughput here is "effective f32 bytes moved per second".
-func BenchmarkCodecCompressedRoundTrip(b *testing.B) {
+	// The compressed encodings of the same payload shapes: an f16 fusion
+	// bucket, a top-k sparsified bucket at 10%, and an f16 sparse PS push.
+	// SetBytes reports the UNCOMPRESSED payload size, so the ns/op and
+	// MB/s columns compare directly against the exact ones above —
+	// throughput here is "effective f32 bytes moved per second".
 	b.Run("denseF16_64k", func(b *testing.B) {
 		b.ReportAllocs()
 		data := make([]float32, 64<<10)
@@ -115,7 +112,7 @@ func BenchmarkCodecCompressedRoundTrip(b *testing.B) {
 			ch.Vals[i] = float32(i)
 		}
 		tensor.QuantizeF16(ch.Vals)
-		m := message{tag: "fuse/0/rs", kind: kindF32Sparse, topk: &ch}
+		m := message{tag: "fuse/0/rs", kind: kindF32Sparse, codec: ch.Codec, topk: &ch}
 		pool := newBufPool()
 		var buf []byte
 		b.SetBytes(int64(n * 4))
@@ -127,7 +124,7 @@ func BenchmarkCodecCompressedRoundTrip(b *testing.B) {
 			}
 		}
 	})
-	b.Run("psSparseF16Delta", func(b *testing.B) {
+	b.Run("psSparseF16", func(b *testing.B) {
 		b.ReportAllocs()
 		rows := make([]int, 1024)
 		for i := range rows {
@@ -138,9 +135,9 @@ func BenchmarkCodecCompressedRoundTrip(b *testing.B) {
 		sp := tensor.NewSparse(rows, vals, 4096)
 		ps := &PSMsg{
 			Op: PSPushSparseMany, Names: []string{"embedding"}, Parts: []int{0},
-			Sparse: []*tensor.Sparse{sp}, SparseCodec: CodecF16, DeltaIndex: true,
+			Sparse: []*tensor.Sparse{sp}, Codec: CodecF16,
 		}
-		m := message{tag: "ps", kind: kindPS, ps: ps}
+		m := psMessage(ps)
 		pool := newBufPool()
 		var buf []byte
 		b.SetBytes(sp.Bytes() + int64(8*len(rows)))

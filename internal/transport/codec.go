@@ -9,44 +9,45 @@ import (
 	"parallax/internal/tensor"
 )
 
-// Binary codec for the TCP fabric's frames. A frame on the wire is
+// Binary codec for the fabric's wire frames. A frame on the wire is
 //
 //	u32 length | payload
 //
 // where length counts the payload bytes and the payload is
 //
-//	u16 src | u16 dst | u8 kind | u8 tagLen | tag | body
+//	u16 src | u16 dst | u8 kind+codec | u8 tagLen | tag | body
 //
-// All integers are little-endian; floats travel as IEEE-754 bit
-// patterns. Bodies:
+// All integers are little-endian. The low six bits of the kind byte are
+// the frame kind, the top two the Codec of every float value in the body:
+// CodecF32 (zero, the exact encoding) travels as 4-byte IEEE-754 bit
+// patterns, CodecF16/CodecBF16 as 2-byte halves. There is one grammar;
+// an exact frame is its CodecF32 instance. Bodies:
 //
-//	kindF32:    u32 n | n × f32
-//	kindScalar: u64 float64 bits
-//	kindSparse: u32 dim0 | u32 width | u32 nrows | nrows × u32 | nrows*width × f32
-//	kindPS:     u8 op | u64 version | u32 scale bits | u64 scalar bits
-//	            | u16 errLen | err
-//	            | u16 nItems | nItems × (u8 nameLen | name | u32 part)
-//	            | u16 nDense | nDense × (u32 n | n × f32)
-//	            | u16 nSparse | nSparse × sparse body
+//	kindF32:       u32 n | n values
+//	kindScalar:    u64 float64 bits (codec bits must be zero)
+//	kindSparse:    sparse body
+//	kindPS:        u8 op | u64 version | u32 scale bits | u64 scalar bits
+//	               | u16 errLen | err
+//	               | u16 nItems | nItems × (u8 nameLen | name | u32 part)
+//	               | u16 nDense | nDense × (u32 n | n values)
+//	               | u16 nSparse | nSparse × sparse body
+//	kindF32Sparse: u32 len | u32 nnz | nnz ascending indices | nnz values
 //
-// The wire-compression layer (compress.go) adds:
+//	sparse body:   u32 dim0 | u32 width | u8 idxMode | u32 nrows | rows
+//	               | nrows*width values
 //
-//	kindF16:       u32 n | n × u16 binary16 bits
-//	kindBF16:      u32 n | n × u16 bfloat16 bits
-//	kindF32Sparse: u8 codec | u32 len | u32 nnz | delta-varint indices
-//	               | nnz values under codec
-//	kindPSC:       u8 denseCodec | u8 sparseCodec | u8 flags(bit0 delta)
-//	               | the kindPS body with dense payloads under denseCodec
-//	               and sparse bodies in the compressed form
-//	               (u32 dim0 | u32 width | u8 idxMode | u32 nrows
-//	               | rows | values under sparseCodec)
+// Ascending index sequences are delta-varints (the first index, then
+// gaps >= 1, minimal-length LEB128). A sparse body's rows use that form
+// (deltaIndexMode) exactly when they are strictly ascending — coalesced
+// PS pushes are — and raw u32 (rawIndexMode) otherwise; the decoder
+// enforces the choice, so every message has one encoding.
 //
-// Encoders append to a caller-owned scratch buffer (the TCP fabric
-// reuses one per connection, so steady-state framing allocates nothing)
-// and copy tensor data straight from the caller's views — fusion-bucket
-// storage and SliceRows views serialize without intermediate tensors.
-// Decoders validate every declared length against the remaining bytes
-// and return errors (never panic) on truncated or oversized input.
+// Encoders append to a caller-owned scratch buffer (the fabric reuses one
+// per connection, so steady-state framing allocates nothing) and copy
+// tensor data straight from the caller's views — fusion-bucket storage
+// and SliceRows views serialize without intermediate tensors. Decoders
+// validate every declared length against the remaining bytes and return
+// errors (never panic) on truncated or oversized input.
 
 // maxFrameDefault caps one frame at 1 GiB; DialTCP can lower it.
 const maxFrameDefault = 1 << 30
@@ -75,6 +76,9 @@ func AppendF32s(b []byte, data []float32) []byte {
 	return b
 }
 
+// codecShift places the codec in the kind byte's top two bits.
+const codecShift = 6
+
 // appendMessage encodes one datagram payload (without the frame-length
 // prefix). It panics on values that exceed the codec's field widths —
 // tags and variable names longer than 255 bytes — which are build-time
@@ -85,7 +89,7 @@ func appendMessage(b []byte, src, dst int, m message) []byte {
 	}
 	b = appendU16(b, uint16(src))
 	b = appendU16(b, uint16(dst))
-	b = append(b, byte(wireKind(m)), byte(len(m.tag)))
+	b = append(b, byte(m.kind)|byte(m.codec)<<codecShift, byte(len(m.tag)))
 	b = append(b, m.tag...)
 	switch m.kind {
 	case kindF32:
@@ -94,70 +98,39 @@ func appendMessage(b []byte, src, dst int, m message) []byte {
 	case kindScalar:
 		b = appendU64(b, math.Float64bits(m.scalar))
 	case kindSparse:
-		b = appendSparse(b, m.sparse)
+		b = appendSparse(b, m.sparse, m.codec)
 	case kindPS:
-		b = appendPSAuto(b, m.ps)
+		b = appendPS(b, m.ps, m.codec)
 	case kindF32Sparse:
-		b = appendF32Sparse(b, m.topk)
+		b = appendU32(b, uint32(m.topk.Len))
+		b = appendU32(b, uint32(len(m.topk.Idx)))
+		b = appendDeltas(b, m.topk.Idx)
+		b = appendCodec(b, m.topk.Vals, m.codec)
 	default:
 		panic(fmt.Sprintf("transport: encode unknown kind %d", m.kind))
 	}
 	return b
 }
 
-// wireKind maps a message to its frame kind byte: kindF32 frames with a
-// half-precision codec travel as kindF16/kindBF16, PS messages with
-// compression hints as kindPSC.
-func wireKind(m message) kind {
-	switch m.kind {
-	case kindF32:
-		switch m.codec {
-		case CodecF16:
-			return kindF16
-		case CodecBF16:
-			return kindBF16
-		}
-	case kindPS:
-		if m.ps.DenseCodec != CodecF32 || m.ps.SparseCodec != CodecF32 || m.ps.DeltaIndex {
-			return kindPSC
-		}
-	}
-	return m.kind
-}
-
-// appendPSAuto picks the classic or compressed PS body from the
-// message's encoding hints.
-func appendPSAuto(b []byte, m *PSMsg) []byte {
-	if m.DenseCodec == CodecF32 && m.SparseCodec == CodecF32 && !m.DeltaIndex {
-		return appendPS(b, m)
-	}
-	flags := byte(0)
-	if m.DeltaIndex {
-		flags = 1
-	}
-	b = append(b, byte(m.DenseCodec), byte(m.SparseCodec), flags)
-	return appendPSBody(b, m, m.DenseCodec, m.SparseCodec, m.DeltaIndex)
-}
-
-func appendSparse(b []byte, s *tensor.Sparse) []byte {
-	w := s.RowWidth()
+// appendSparse encodes the sparse body.
+func appendSparse(b []byte, s *tensor.Sparse, codec Codec) []byte {
 	b = appendU32(b, uint32(s.Dim0))
-	b = appendU32(b, uint32(w))
-	b = appendU32(b, uint32(len(s.Rows)))
-	for _, r := range s.Rows {
-		b = appendU32(b, uint32(r))
+	b = appendU32(b, uint32(s.RowWidth()))
+	if rowsAscending(s.Rows) {
+		b = append(b, deltaIndexMode)
+		b = appendU32(b, uint32(len(s.Rows)))
+		b = appendDeltas(b, s.Rows)
+	} else {
+		b = append(b, rawIndexMode)
+		b = appendU32(b, uint32(len(s.Rows)))
+		for _, r := range s.Rows {
+			b = appendU32(b, uint32(r))
+		}
 	}
-	return AppendF32s(b, s.Values.Data())
+	return appendCodec(b, s.Values.Data(), codec)
 }
 
-func appendPS(b []byte, m *PSMsg) []byte {
-	return appendPSBody(b, m, CodecF32, CodecF32, false)
-}
-
-// appendPSBody encodes the shared PS body; the classic kindPS frame is
-// the (CodecF32, CodecF32, no-delta) instantiation, byte-identical to
-// the uncompressed build.
-func appendPSBody(b []byte, m *PSMsg, denseCodec, sparseCodec Codec, delta bool) []byte {
+func appendPS(b []byte, m *PSMsg, codec Codec) []byte {
 	if len(m.Names) > maxItems || len(m.Dense) > maxItems || len(m.Sparse) > maxItems {
 		panic(fmt.Sprintf("transport: PS batch of %d/%d/%d items exceeds %d",
 			len(m.Names), len(m.Dense), len(m.Sparse), maxItems))
@@ -183,19 +156,11 @@ func appendPSBody(b []byte, m *PSMsg, denseCodec, sparseCodec Codec, delta bool)
 	b = appendU16(b, uint16(len(m.Dense)))
 	for _, d := range m.Dense {
 		b = appendU32(b, uint32(d.NumElements()))
-		b = appendCodec(b, d.Data(), denseCodec)
+		b = appendCodec(b, d.Data(), codec)
 	}
-	// The frame kind decides the sparse body form: classic kindPS frames
-	// (all hints zero) keep the original encoding, kindPSC frames use
-	// the compressed one throughout.
-	classic := denseCodec == CodecF32 && sparseCodec == CodecF32 && !delta
 	b = appendU16(b, uint16(len(m.Sparse)))
 	for _, s := range m.Sparse {
-		if classic {
-			b = appendSparse(b, s)
-		} else {
-			b = appendSparseC(b, s, sparseCodec, delta)
-		}
+		b = appendSparse(b, s, codec)
 	}
 	return b
 }
@@ -291,8 +256,10 @@ func (d *Decoder) F32s(n int, dst []float32) error {
 
 // decodeMessage decodes one payload. Float chunk buffers come from pool
 // (the receiver recycles them); sparse tensors and PS messages are
-// freshly allocated and owned by the receiver. Trailing bytes after the
-// body are an error: frames are canonical.
+// freshly allocated and owned by the receiver. The frame's codec is
+// recorded on the message (and on its PSMsg or SparseChunk), so
+// re-encoding reproduces the bytes. Trailing bytes after the body are an
+// error: frames are canonical.
 func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error) {
 	d := NewDecoder(b)
 	s16, err := d.U16()
@@ -316,19 +283,13 @@ func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error)
 		return 0, 0, m, err
 	}
 	m.tag = string(tag)
-	m.kind = kind(k)
+	m.kind = kind(k & (1<<codecShift - 1))
+	m.codec = Codec(k >> codecShift)
+	if !m.codec.valid() {
+		return 0, 0, m, fmt.Errorf("transport: unknown payload codec %d", m.codec)
+	}
 	switch m.kind {
-	case kindF32, kindF16, kindBF16:
-		// Half-precision frames expand back into f32 messages; the codec
-		// is recorded so re-encoding stays canonical. A receiver sees
-		// the same floats either way — the payload is on the grid.
-		switch m.kind {
-		case kindF16:
-			m.codec = CodecF16
-		case kindBF16:
-			m.codec = CodecBF16
-		}
-		m.kind = kindF32
+	case kindF32:
 		n, err := d.Count(payloadElemSize(m.codec))
 		if err != nil {
 			return 0, 0, m, err
@@ -340,34 +301,25 @@ func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error)
 		}
 		m.f32 = buf
 	case kindScalar:
+		if m.codec != CodecF32 {
+			return 0, 0, m, fmt.Errorf("transport: scalar frame under codec %s", m.codec)
+		}
 		bits, err := d.U64()
 		if err != nil {
 			return 0, 0, m, err
 		}
 		m.scalar = math.Float64frombits(bits)
 	case kindSparse:
-		m.sparse, err = decodeSparse(d)
-		if err != nil {
-			return 0, 0, m, err
-		}
+		m.sparse, err = decodeSparse(d, m.codec)
 	case kindPS:
-		m.ps, err = decodePS(d)
-		if err != nil {
-			return 0, 0, m, err
-		}
+		m.ps, err = decodePS(d, m.codec)
 	case kindF32Sparse:
-		m.topk, err = decodeF32Sparse(d)
-		if err != nil {
-			return 0, 0, m, err
-		}
-	case kindPSC:
-		m.kind = kindPS
-		m.ps, err = decodePSC(d)
-		if err != nil {
-			return 0, 0, m, err
-		}
+		m.topk, err = decodeF32Sparse(d, m.codec)
 	default:
-		return 0, 0, m, fmt.Errorf("transport: unknown frame kind %d", k)
+		return 0, 0, m, fmt.Errorf("transport: unknown frame kind %d", m.kind)
+	}
+	if err != nil {
+		return 0, 0, m, err
 	}
 	if d.Remaining() != 0 {
 		return 0, 0, m, fmt.Errorf("transport: %d trailing bytes after frame body", d.Remaining())
@@ -375,7 +327,10 @@ func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error)
 	return int(s16), int(d16), m, nil
 }
 
-func decodeSparse(d *Decoder) (*tensor.Sparse, error) {
+// decodeSparse decodes the sparse body. Delta-mode rows are strictly
+// ascending by construction (each gap >= 1); raw-mode rows must NOT be —
+// the canonical-choice rule that makes decode(encode(x)) byte-stable.
+func decodeSparse(d *Decoder, codec Codec) (*tensor.Sparse, error) {
 	dim0, err := d.U32()
 	if err != nil {
 		return nil, err
@@ -384,71 +339,50 @@ func decodeSparse(d *Decoder) (*tensor.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	nrows, err := d.Count(4)
+	mode, err := d.U8()
+	if err != nil {
+		return nil, err
+	}
+	if mode > deltaIndexMode {
+		return nil, fmt.Errorf("transport: unknown sparse index mode %d", mode)
+	}
+	nrows, err := d.Count(1) // >= 1 byte per row in either mode
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]int, nrows)
-	for i := range rows {
-		r, err := d.U32()
-		if err != nil {
+	if mode == deltaIndexMode {
+		if err := decodeDeltas(d, rows, dim0); err != nil {
 			return nil, err
 		}
-		if r >= dim0 {
-			return nil, fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0)
+	} else {
+		for i := range rows {
+			r, err := d.U32()
+			if err != nil {
+				return nil, err
+			}
+			if r >= dim0 {
+				return nil, fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0)
+			}
+			rows[i] = int(r)
 		}
-		rows[i] = int(r)
+		if rowsAscending(rows) {
+			return nil, fmt.Errorf("transport: ascending rows must use delta index mode")
+		}
 	}
-	if uint64(nrows)*uint64(width)*4 > uint64(d.Remaining()) {
+	if uint64(nrows)*uint64(width)*uint64(payloadElemSize(codec)) > uint64(d.Remaining()) {
 		return nil, fmt.Errorf("transport: sparse values %dx%d exceed remaining %d bytes",
 			nrows, width, d.Remaining())
 	}
-	nvals := nrows * int(width)
 	vals := tensor.NewDense(nrows, int(width))
-	if err := d.F32s(nvals, vals.Data()); err != nil {
+	if err := d.floats(nrows*int(width), vals.Data(), codec); err != nil {
 		return nil, err
 	}
 	return &tensor.Sparse{Rows: rows, Values: vals, Dim0: int(dim0)}, nil
 }
 
-func decodePS(d *Decoder) (*PSMsg, error) {
-	return decodePSBody(d, CodecF32, CodecF32, false)
-}
-
-// decodePSC decodes the compressed PS frame: codec/flag bytes, then the
-// shared body. All-zero hints are rejected — such a message encodes as
-// classic kindPS, and accepting both forms would break canonicality.
-func decodePSC(d *Decoder) (*PSMsg, error) {
-	dc, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	flags, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	denseCodec, sparseCodec := Codec(dc), Codec(sc)
-	if !denseCodec.valid() || !sparseCodec.valid() || flags > 1 {
-		return nil, fmt.Errorf("transport: bad PS compression header %d/%d/%d", dc, sc, flags)
-	}
-	delta := flags == 1
-	if denseCodec == CodecF32 && sparseCodec == CodecF32 && !delta {
-		return nil, fmt.Errorf("transport: compressed PS frame without compression")
-	}
-	m, err := decodePSBody(d, denseCodec, sparseCodec, delta)
-	if err != nil {
-		return nil, err
-	}
-	m.DenseCodec, m.SparseCodec, m.DeltaIndex = denseCodec, sparseCodec, delta
-	return m, nil
-}
-
-func decodePSBody(d *Decoder, denseCodec, sparseCodec Codec, delta bool) (*PSMsg, error) {
-	m := &PSMsg{}
+func decodePS(d *Decoder, codec Codec) (*PSMsg, error) {
+	m := &PSMsg{Codec: codec}
 	op, err := d.U8()
 	if err != nil {
 		return nil, err
@@ -506,29 +440,22 @@ func decodePSBody(d *Decoder, denseCodec, sparseCodec Codec, delta bool) (*PSMsg
 		return nil, err
 	}
 	for i := 0; i < int(nDense); i++ {
-		n, err := d.Count(payloadElemSize(denseCodec))
+		n, err := d.Count(payloadElemSize(codec))
 		if err != nil {
 			return nil, err
 		}
 		t := tensor.NewDense(n)
-		if err := d.floats(n, t.Data(), denseCodec); err != nil {
+		if err := d.floats(n, t.Data(), codec); err != nil {
 			return nil, err
 		}
 		m.Dense = append(m.Dense, t)
 	}
-	classic := denseCodec == CodecF32 && sparseCodec == CodecF32 && !delta
 	nSparse, err := d.U16()
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < int(nSparse); i++ {
-		var s *tensor.Sparse
-		var err error
-		if classic {
-			s, err = decodeSparse(d)
-		} else {
-			s, err = decodeSparseC(d, sparseCodec, delta)
-		}
+		s, err := decodeSparse(d, codec)
 		if err != nil {
 			return nil, err
 		}

@@ -8,47 +8,97 @@ import (
 	"parallax/internal/tensor"
 )
 
-// seedFrames returns one well-formed encoded payload per frame kind,
-// covering dense chunks, sparse IndexedSlices, scalars, and the batched
-// parameter-server request/reply shapes.
-func seedFrames() [][]byte {
-	sparse := tensor.NewSparse([]int{0, 2, 2}, tensor.FromSlice([]float32{1, -2, 3, 4, 0, 6}, 3, 2), 5)
-	frames := []message{
+// onGrid returns f16-grid values (also on the bf16 grid for the chosen
+// constants), as the data plane would produce before a compressed send.
+func onGrid() []float32 {
+	return []float32{0, 1.5, -2.25, 0.5, float32(math.Inf(1)), -96}
+}
+
+func topkChunk() SparseChunk {
+	return SparseChunk{
+		Len:   100,
+		Idx:   []int32{3, 7, 42, 99},
+		Vals:  []float32{1.5, -0.25, 8, -96},
+		Codec: CodecF16,
+	}
+}
+
+// psMessage wraps a PS message the way SendPS does.
+func psMessage(ps *PSMsg) message {
+	return message{tag: "ps", kind: kindPS, codec: ps.Codec, ps: ps}
+}
+
+// seedMessages returns one well-formed message per frame kind and codec:
+// dense chunks, sparse IndexedSlices in both index modes, scalars, the
+// batched parameter-server request/reply shapes and a top-k sparsified
+// chunk.
+func seedMessages() []message {
+	dup := tensor.NewSparse([]int{0, 2, 2}, tensor.FromSlice([]float32{1, -2, 3, 4, 0, 6}, 3, 2), 5)
+	ascending := tensor.NewSparse([]int{1, 4, 9}, tensor.FromSlice([]float32{1, -2, 3, 4, 0.5, 6}, 3, 2), 16)
+	unsorted := tensor.NewSparse([]int{9, 1, 4}, tensor.FromSlice([]float32{1, -2, 3, 4, 0.5, 6}, 3, 2), 16)
+	ch := topkChunk()
+	msgs := []message{
 		{tag: "fuse/0/rs", kind: kindF32, f32: []float32{0, 1.5, float32(math.Inf(1)), -3}},
 		{tag: "loss", kind: kindScalar, scalar: -123.456},
-		{tag: "agv/embedding", kind: kindSparse, sparse: sparse},
-		{tag: "ps", kind: kindPS, ps: &PSMsg{
+		{tag: "agv/embedding", kind: kindSparse, sparse: dup},
+		{tag: "agv/embedding", kind: kindSparse, sparse: ascending},
+		psMessage(&PSMsg{
 			Op: PSPullMany, Version: 7,
 			Names: []string{"embedding", "embedding"}, Parts: []int{0, 3},
-		}},
-		{tag: "ps", kind: kindPS, ps: &PSMsg{
+		}),
+		psMessage(&PSMsg{
 			Op: PSPushDenseMany, Names: []string{"w"}, Parts: []int{1},
 			Dense: []*tensor.Dense{tensor.FromSlice([]float32{9, 8, 7}, 3)},
-		}},
-		{tag: "ps", kind: kindPS, ps: &PSMsg{
+		}),
+		psMessage(&PSMsg{
 			Op: PSPushSparseMany, Names: []string{"emb"}, Parts: []int{2},
-			Sparse: []*tensor.Sparse{sparse},
-		}},
-		{tag: "ps", kind: kindPS, ps: &PSMsg{Op: PSReply, Err: "psrt: unknown variable", Scalar: 2.5}},
+			Sparse: []*tensor.Sparse{dup},
+		}),
+		psMessage(&PSMsg{Op: PSReply, Err: "psrt: unknown variable", Scalar: 2.5}),
+		{tag: "fuse/1/rs", kind: kindF32Sparse, codec: ch.Codec, topk: &ch},
+		{tag: "fuse/1/rs", kind: kindF32Sparse, topk: &SparseChunk{
+			Len: 10, Idx: []int32{2, 5}, Vals: []float32{1, 2}}},
 	}
+	for _, codec := range []Codec{CodecF16, CodecBF16} {
+		msgs = append(msgs,
+			message{tag: "fuse/0/rs", kind: kindF32, codec: codec, f32: onGrid()},
+			psMessage(&PSMsg{
+				Op: PSPushDenseMany, Names: []string{"w"}, Parts: []int{1},
+				Dense: []*tensor.Dense{tensor.FromSlice(onGrid(), 6)}, Codec: codec}),
+			psMessage(&PSMsg{
+				Op: PSPushSparseMany, Names: []string{"emb", "emb"}, Parts: []int{0, 1},
+				Sparse: []*tensor.Sparse{ascending, unsorted}, Codec: codec}),
+		)
+	}
+	return msgs
+}
+
+func seedFrames() [][]byte {
 	var out [][]byte
-	for _, m := range frames {
+	for _, m := range seedMessages() {
 		out = append(out, appendMessage(nil, 3, 5, m))
 	}
 	return out
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to the frame decoder: invalid
-// input must be rejected with an error (never a panic or a huge
-// allocation), and anything that decodes must re-encode and re-decode to
-// the same frame — the canonical round-trip property the TCP fabric
-// relies on.
+// input — truncations, oversized declarations, non-monotone delta
+// indices — must be rejected with an error (never a panic or a huge
+// allocation), and anything that decodes must re-encode to the very
+// bytes it came from, whatever its kind and codec: the one-encoding
+// property the fabric relies on.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, b := range seedFrames() {
 		f.Add(b)
+		f.Add(b[:len(b)/2])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0})
+	// A kindF32Sparse body with a zero delta (non-monotone).
+	bad := appendMessage(nil, 0, 1, message{tag: "t", kind: kindF32Sparse, topk: &SparseChunk{
+		Len: 10, Idx: []int32{2, 5}, Vals: []float32{1, 2}}})
+	bad[len(bad)-9] = 0 // second delta varint -> 0
+	f.Add(bad)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pool := newBufPool()
 		src, dst, m, err := decodeMessage(b, pool)
@@ -56,6 +106,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return // malformed input rejected; that is the contract
 		}
 		re := appendMessage(nil, src, dst, m)
+		if !bytes.Equal(re, b) {
+			t.Fatalf("encoding not canonical:\n%x\nvs\n%x", b, re)
+		}
 		src2, dst2, m2, err := decodeMessage(re, pool)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -66,22 +119,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !sameMessage(m, m2) {
 			t.Fatalf("round trip changed frame:\n%+v\nvs\n%+v", m, m2)
 		}
-		// Re-encoding the re-decoded frame must be byte-stable.
-		if !bytes.Equal(re, appendMessage(nil, src2, dst2, m2)) {
-			t.Fatal("encoding not canonical")
-		}
 	})
 }
 
 // sameMessage compares frames by bit pattern (NaNs compare equal to
 // themselves, as the wire preserves them).
 func sameMessage(a, b message) bool {
-	if a.tag != b.tag || a.kind != b.kind {
+	if a.tag != b.tag || a.kind != b.kind || a.codec != b.codec {
 		return false
 	}
 	switch a.kind {
 	case kindF32:
-		return a.codec == b.codec && sameF32s(a.f32, b.f32)
+		return sameF32s(a.f32, b.f32)
 	case kindScalar:
 		return math.Float64bits(a.scalar) == math.Float64bits(b.scalar)
 	case kindSparse:
@@ -99,10 +148,7 @@ func sameMessage(a, b message) bool {
 		return sameF32s(x.Vals, y.Vals)
 	case kindPS:
 		x, y := a.ps, b.ps
-		if x.DenseCodec != y.DenseCodec || x.SparseCodec != y.SparseCodec || x.DeltaIndex != y.DeltaIndex {
-			return false
-		}
-		if x.Op != y.Op || x.Version != y.Version || x.Err != y.Err ||
+		if x.Op != y.Op || x.Version != y.Version || x.Err != y.Err || x.Codec != y.Codec ||
 			math.Float32bits(x.Scale) != math.Float32bits(y.Scale) ||
 			math.Float64bits(x.Scalar) != math.Float64bits(y.Scalar) ||
 			len(x.Names) != len(y.Names) || len(x.Dense) != len(y.Dense) || len(x.Sparse) != len(y.Sparse) {
@@ -152,14 +198,26 @@ func sameSparse(a, b *tensor.Sparse) bool {
 	return sameF32s(a.Values.Data(), b.Values.Data())
 }
 
+// TestCodecRoundTripsSeeds pins the decode half of the round trip on
+// every seed: each decodes to the message it encodes.
+func TestCodecRoundTripsSeeds(t *testing.T) {
+	pool := newBufPool()
+	for i, m := range seedMessages() {
+		src, dst, got, err := decodeMessage(appendMessage(nil, 3, 5, m), pool)
+		if err != nil {
+			t.Fatalf("seed %d did not decode: %v", i, err)
+		}
+		if src != 3 || dst != 5 || !sameMessage(m, got) {
+			t.Fatalf("seed %d decoded to (%d,%d) %+v, want %+v", i, src, dst, got, m)
+		}
+	}
+}
+
 // TestCodecRejectsTruncation slices every seed frame at every boundary:
 // all prefixes must decode with an error, not a panic.
 func TestCodecRejectsTruncation(t *testing.T) {
 	pool := newBufPool()
 	for _, b := range seedFrames() {
-		if _, _, _, err := decodeMessage(b, pool); err != nil {
-			t.Fatalf("seed frame did not decode: %v", err)
-		}
 		for cut := 0; cut < len(b); cut++ {
 			if _, _, _, err := decodeMessage(b[:cut], pool); err == nil {
 				t.Fatalf("truncated frame (%d of %d bytes) decoded", cut, len(b))
@@ -172,19 +230,38 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsOversizedDeclarations forges a frame whose length
-// fields promise far more data than present.
-func TestCodecRejectsOversizedDeclarations(t *testing.T) {
+// TestCodecRejectsCorruption forges the specific malformed frames the
+// grammar admits: length fields promising far more data than present,
+// the corruptions of the delta encoding (zero deltas, out-of-range
+// indices, more survivors than the chunk is long, non-minimal varints),
+// and the second encodings the canonical rules forbid.
+func TestCodecRejectsCorruption(t *testing.T) {
 	pool := newBufPool()
-	// kindF32 header declaring 2^31 floats with an empty body.
-	b := []byte{0, 0, 1, 0, byte(kindF32), 1, 't', 0, 0, 0, 0x80}
-	if _, _, _, err := decodeMessage(b, pool); err == nil {
-		t.Fatal("oversized f32 declaration decoded")
+	header := func(k kind, codec Codec) []byte {
+		return []byte{0, 0, 1, 0, byte(k) | byte(codec)<<codecShift, 1, 't'}
 	}
-	// Sparse frame declaring 2^30 rows.
-	sp := []byte{0, 0, 1, 0, byte(kindSparse), 1, 't',
-		5, 0, 0, 0 /*dim0*/, 2, 0, 0, 0 /*width*/, 0, 0, 0, 0x40 /*nrows*/}
-	if _, _, _, err := decodeMessage(sp, pool); err == nil {
-		t.Fatal("oversized sparse declaration decoded")
+	for name, b := range map[string][]byte{
+		"oversized f32 declaration": append(header(kindF32, CodecF32), 0, 0, 0, 0x80),
+		"oversized f16 declaration": append(header(kindF32, CodecF16), 0, 0, 0, 0x40),
+		"oversized sparse declaration": append(header(kindSparse, CodecF32),
+			5, 0, 0, 0 /*dim0*/, 2, 0, 0, 0 /*width*/, rawIndexMode, 0, 0, 0, 0x40 /*nrows*/),
+		"oversized survivor count": append(header(kindF32Sparse, CodecF32),
+			2, 0, 0, 0 /*len*/, 3, 0, 0, 0 /*nnz*/, 0, 1, 1, 0, 0, 0, 0),
+		"zero delta": append(header(kindF32Sparse, CodecF32),
+			9, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"out-of-range index": append(header(kindF32Sparse, CodecF32),
+			4, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0),
+		"non-minimal varint": append(header(kindF32Sparse, CodecF32),
+			9, 0, 0, 0, 1, 0, 0, 0, 0x80, 0x00, 0, 0, 0, 0),
+		"unknown codec":        append(header(kindF32, 3), 0, 0, 0, 0),
+		"scalar under a codec": append(header(kindScalar, CodecF16), 0, 0, 0, 0, 0, 0, 0, 0),
+		"unknown index mode": append(header(kindSparse, CodecF32),
+			5, 0, 0, 0, 1, 0, 0, 0, 2 /*mode*/, 0, 0, 0, 0),
+		"ascending rows in raw mode": append(header(kindSparse, CodecF32),
+			5, 0, 0, 0, 0, 0, 0, 0 /*width 0*/, rawIndexMode, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0),
+	} {
+		if _, _, _, err := decodeMessage(b, pool); err == nil {
+			t.Errorf("%s decoded", name)
+		}
 	}
 }

@@ -8,22 +8,21 @@ import (
 	"parallax/internal/tensor"
 )
 
-// Wire-compression layer: per-route payload codecs below the frame
-// codec. The discipline that keeps compressed runs bit-identical across
-// fabrics is split in two:
+// Wire compression: the payload codec of the frame grammar (codec.go)
+// and the policy that picks it. The discipline that keeps compressed runs
+// bit-identical across fabrics is split in two:
 //
 //   - The DATA PLANE (internal/collective, internal/transform) applies
 //     every lossy transform — f16/bf16 rounding, top-k sparsification
 //     with error feedback — deterministically at points that are
 //     symmetric across fabrics, including paths that never touch a
 //     socket. After that, all values in flight lie on the codec's grid.
-//   - The WIRE layer here re-encodes those on-grid values compactly
-//     (2-byte halves, delta-varint indices), which is lossless, so the
-//     inproc fabric (no serialization) and the TCP fabric (compressed
-//     frames) deliver bit-identical floats.
+//   - The WIRE layer here encodes those on-grid values compactly (2-byte
+//     halves), which is lossless, so a pipe (no serialization) and a
+//     socket (half-precision frames) deliver bit-identical floats.
 //
-// CompressionNone (the zero Policy) routes everything through the
-// original f32 frames untouched.
+// CompressionNone (the zero Policy) is the CodecF32 instance of the same
+// path: Quantize is a no-op and values travel as 4-byte bit patterns.
 
 // Codec selects the wire encoding of a float payload. The values of a
 // compressed payload must already lie on the codec's grid — the encoder
@@ -68,40 +67,30 @@ func (c Codec) Quantize(x []float32) {
 	}
 }
 
-// Policy selects the compression codec per route class. The zero value
-// is CompressionNone: every payload travels as exact f32 and the wire
-// format is byte-identical to the uncompressed build.
+// Policy is the wire compression policy: one codec for every gradient
+// route and, optionally, top-k sparsification of the dense buckets. The
+// zero value is CompressionNone: every payload travels as exact f32.
 type Policy struct {
-	// Dense is the payload codec for dense-AllReduce fusion buckets.
-	Dense Codec
-	// DenseTopK, in (0, 1], turns dense buckets into top-k sparsified
+	// Codec is the payload codec of the gradient routes: dense-AllReduce
+	// fusion buckets, parameter-server dense pushes and the values of
+	// parameter-server sparse pushes. Pull replies always travel exact.
+	Codec Codec
+	// TopK, in (0, 1], turns dense buckets into top-k sparsified
 	// exchanges with per-worker error-feedback residuals; the surviving
-	// values travel under Dense's codec. 0 disables sparsification.
-	DenseTopK float64
-	// PSDense is the payload codec for parameter-server dense pushes.
-	PSDense Codec
-	// PSSparse is the value codec for parameter-server sparse
-	// (embedding) pushes.
-	PSSparse Codec
-	// DeltaIndex delta-varint encodes sparse push row indices when they
-	// are strictly ascending (coalesced pushes are); unsorted index sets
-	// fall back to raw u32 automatically.
-	DeltaIndex bool
+	// values travel under Codec. 0 disables sparsification.
+	TopK float64
 }
 
 // Enabled reports whether any route compresses.
-func (p Policy) Enabled() bool {
-	return p.Dense != CodecF32 || p.DenseTopK > 0 ||
-		p.PSDense != CodecF32 || p.PSSparse != CodecF32 || p.DeltaIndex
-}
+func (p Policy) Enabled() bool { return p.Codec != CodecF32 || p.TopK > 0 }
 
 // Validate rejects malformed policies.
 func (p Policy) Validate() error {
-	if !p.Dense.valid() || !p.PSDense.valid() || !p.PSSparse.valid() {
+	if !p.Codec.valid() {
 		return fmt.Errorf("transport: unknown codec in policy %+v", p)
 	}
-	if p.DenseTopK < 0 || p.DenseTopK > 1 {
-		return fmt.Errorf("transport: DenseTopK %g outside [0,1]", p.DenseTopK)
+	if p.TopK < 0 || p.TopK > 1 {
+		return fmt.Errorf("transport: TopK %g outside [0,1]", p.TopK)
 	}
 	return nil
 }
@@ -109,13 +98,15 @@ func (p Policy) Validate() error {
 // Fingerprint renders the policy canonically. Peers exchange it during
 // the TCP rendezvous and refuse to connect on mismatch, and checkpoints
 // record it so a compressed run cannot silently resume under a
-// different policy.
+// different policy. The rendering names the routes one by one because
+// handshakes and checkpoints written when each had its own codec must
+// keep matching.
 func (p Policy) Fingerprint() string {
 	if !p.Enabled() {
 		return "none"
 	}
-	return fmt.Sprintf("dense=%s,topk=%g,psdense=%s,pssparse=%s,delta=%t",
-		p.Dense, p.DenseTopK, p.PSDense, p.PSSparse, p.DeltaIndex)
+	return fmt.Sprintf("dense=%s,topk=%g,psdense=%s,pssparse=%s,delta=true",
+		p.Codec, p.TopK, p.Codec, p.Codec)
 }
 
 // Describe renders the policy per route class for operators, one route
@@ -124,16 +115,12 @@ func (p Policy) Describe() string {
 	if !p.Enabled() {
 		return "compression: none (exact f32 on every route)\n"
 	}
-	dense := p.Dense.String()
-	if p.DenseTopK > 0 {
-		dense = fmt.Sprintf("top-%g%% + %s values + error feedback", p.DenseTopK*100, p.Dense)
+	dense := p.Codec.String()
+	if p.TopK > 0 {
+		dense = fmt.Sprintf("top-%g%% + %s values + error feedback", p.TopK*100, p.Codec)
 	}
-	sparse := p.PSSparse.String()
-	if p.DeltaIndex {
-		sparse += " values + delta-varint indices"
-	}
-	return fmt.Sprintf("compression: %s\n  dense collective  %s\n  ps dense push     %s\n  ps sparse push    %s\n  ps pull replies   f32 (always exact)\n",
-		p.Fingerprint(), dense, p.PSDense, sparse)
+	return fmt.Sprintf("compression: %s\n  dense collective  %s\n  ps dense push     %s\n  ps sparse push    %s values\n  ps pull replies   f32 (always exact)\n",
+		p.Fingerprint(), dense, p.Codec, p.Codec)
 }
 
 // SparseChunk is a top-k sparsified dense chunk: the nnz surviving
@@ -228,12 +215,10 @@ func (d *Decoder) floats(n int, dst []float32, c Codec) error {
 	return d.F32s(n, dst)
 }
 
-// appendUvarint writes a minimal-length LEB128 varint.
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// uvarint consumes one varint and rejects non-minimal encodings (a
-// shorter encoding exists) and values past 5 bytes — both would break
-// the canonical re-encode property the frame fuzzer pins.
+// uvarint consumes one minimal-length LEB128 varint and rejects
+// non-minimal encodings (a shorter encoding exists) and values past 5
+// bytes — both would break the canonical re-encode property the frame
+// fuzzer pins.
 func (d *Decoder) uvarint() (uint64, error) {
 	var v uint64
 	var shift uint
@@ -259,9 +244,43 @@ func (d *Decoder) uvarint() (uint64, error) {
 	}
 }
 
-// Sparse index modes for the compressed sparse body. The encoder picks
-// deltaIndexMode exactly when the rows are strictly ascending, and the
-// decoder enforces that choice, so the encoding is canonical.
+// appendDeltas encodes a strictly ascending index sequence as varints:
+// the first index, then the gap to each next one.
+func appendDeltas[T int | int32](b []byte, xs []T) []byte {
+	prev := T(0)
+	for _, x := range xs {
+		b = binary.AppendUvarint(b, uint64(x-prev))
+		prev = x
+	}
+	return b
+}
+
+// decodeDeltas fills dst from appendDeltas' encoding, rejecting a zero
+// gap (the sequence must be strictly ascending) and indices at or past
+// limit.
+func decodeDeltas[T int | int32](d *Decoder, dst []T, limit uint32) error {
+	prev := uint64(0)
+	for i := range dst {
+		v, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			if v == 0 {
+				return fmt.Errorf("transport: non-monotone delta index (zero delta)")
+			}
+			v += prev
+		}
+		if v >= uint64(limit) {
+			return fmt.Errorf("transport: index %d out of range [0,%d)", v, limit)
+		}
+		dst[i] = T(v)
+		prev = v
+	}
+	return nil
+}
+
+// Index modes of the sparse body; see codec.go for the canonical rule.
 const (
 	rawIndexMode   = 0
 	deltaIndexMode = 1
@@ -278,143 +297,9 @@ func rowsAscending(rows []int) bool {
 	return true
 }
 
-// appendSparseC encodes a sparse tensor with a value codec and
-// (optionally) delta-varint row indices:
-//
-//	u32 dim0 | u32 width | u8 idxMode | u32 nrows
-//	| rows (raw u32, or varint first + varint deltas >= 1)
-//	| nrows*width values under codec
-func appendSparseC(b []byte, s *tensor.Sparse, codec Codec, delta bool) []byte {
-	w := s.RowWidth()
-	b = appendU32(b, uint32(s.Dim0))
-	b = appendU32(b, uint32(w))
-	mode := byte(rawIndexMode)
-	if delta && rowsAscending(s.Rows) {
-		mode = deltaIndexMode
-	}
-	b = append(b, mode)
-	b = appendU32(b, uint32(len(s.Rows)))
-	if mode == deltaIndexMode {
-		prev := 0
-		for i, r := range s.Rows {
-			if i == 0 {
-				b = appendUvarint(b, uint64(r))
-			} else {
-				b = appendUvarint(b, uint64(r-prev))
-			}
-			prev = r
-		}
-	} else {
-		for _, r := range s.Rows {
-			b = appendU32(b, uint32(r))
-		}
-	}
-	return appendCodec(b, s.Values.Data(), codec)
-}
-
-// decodeSparseC decodes appendSparseC's body. Delta-mode indices must be
-// strictly ascending (each delta >= 1) and raw mode must NOT be strictly
-// ascending when delta encoding is on — the canonical-choice rule that
-// makes decode(encode(x)) byte-stable.
-func decodeSparseC(d *Decoder, codec Codec, delta bool) (*tensor.Sparse, error) {
-	dim0, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	width, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	mode, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	if mode > deltaIndexMode || (mode == deltaIndexMode && !delta) {
-		return nil, fmt.Errorf("transport: sparse index mode %d invalid here", mode)
-	}
-	nrows, err := d.Count(1) // >= 1 byte per row in either mode
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]int, nrows)
-	if mode == deltaIndexMode {
-		prev := -1
-		for i := range rows {
-			dv, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if i > 0 && dv == 0 {
-				return nil, fmt.Errorf("transport: non-monotone delta index (zero delta)")
-			}
-			r := prev + int(dv)
-			if i == 0 {
-				r = int(dv)
-			}
-			if r >= int(dim0) {
-				return nil, fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0)
-			}
-			rows[i] = r
-			prev = r
-		}
-	} else {
-		for i := range rows {
-			r, err := d.U32()
-			if err != nil {
-				return nil, err
-			}
-			if r >= dim0 {
-				return nil, fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0)
-			}
-			rows[i] = int(r)
-		}
-		if delta && rowsAscending(rows) {
-			return nil, fmt.Errorf("transport: ascending rows must use delta index mode")
-		}
-	}
-	es := payloadElemSize(codec)
-	if uint64(nrows)*uint64(width)*uint64(es) > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("transport: sparse values %dx%d exceed remaining %d bytes",
-			nrows, width, d.Remaining())
-	}
-	vals := tensor.NewDense(nrows, int(width))
-	if err := d.floats(nrows*int(width), vals.Data(), codec); err != nil {
-		return nil, err
-	}
-	return &tensor.Sparse{Rows: rows, Values: vals, Dim0: int(dim0)}, nil
-}
-
-// appendF32Sparse encodes a kindF32Sparse body:
-//
-//	u8 codec | u32 len | u32 nnz | varint idx[0] + varint deltas >= 1
-//	| nnz values under codec
-func appendF32Sparse(b []byte, ch *SparseChunk) []byte {
-	b = append(b, byte(ch.Codec))
-	b = appendU32(b, uint32(ch.Len))
-	b = appendU32(b, uint32(len(ch.Idx)))
-	prev := int32(0)
-	for i, x := range ch.Idx {
-		if i == 0 {
-			b = appendUvarint(b, uint64(x))
-		} else {
-			b = appendUvarint(b, uint64(x-prev))
-		}
-		prev = x
-	}
-	return appendCodec(b, ch.Vals, ch.Codec)
-}
-
 // decodeF32Sparse decodes a kindF32Sparse body. Indices must be
 // strictly ascending and inside [0, len); values expand onto f32.
-func decodeF32Sparse(d *Decoder) (*SparseChunk, error) {
-	c, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	codec := Codec(c)
-	if !codec.valid() {
-		return nil, fmt.Errorf("transport: unknown payload codec %d", c)
-	}
+func decodeF32Sparse(d *Decoder, codec Codec) (*SparseChunk, error) {
 	length, err := d.U32()
 	if err != nil {
 		return nil, err
@@ -427,27 +312,10 @@ func decodeF32Sparse(d *Decoder) (*SparseChunk, error) {
 		return nil, fmt.Errorf("transport: sparsified chunk with %d of %d survivors", nnz, length)
 	}
 	idx := make([]int32, nnz)
-	prev := int64(-1)
-	for i := range idx {
-		dv, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && dv == 0 {
-			return nil, fmt.Errorf("transport: non-monotone delta index (zero delta)")
-		}
-		v := prev + int64(dv)
-		if i == 0 {
-			v = int64(dv)
-		}
-		if v >= int64(length) {
-			return nil, fmt.Errorf("transport: sparsified index %d out of range [0,%d)", v, length)
-		}
-		idx[i] = int32(v)
-		prev = v
+	if err := decodeDeltas(d, idx, length); err != nil {
+		return nil, err
 	}
-	es := payloadElemSize(codec)
-	if uint64(nnz)*uint64(es) > uint64(d.Remaining()) {
+	if uint64(nnz)*uint64(payloadElemSize(codec)) > uint64(d.Remaining()) {
 		return nil, fmt.Errorf("transport: sparsified values exceed remaining %d bytes", d.Remaining())
 	}
 	vals := make([]float32, nnz)
@@ -457,45 +325,32 @@ func decodeF32Sparse(d *Decoder) (*SparseChunk, error) {
 	return &SparseChunk{Len: int(length), Idx: idx, Vals: vals, Codec: codec}, nil
 }
 
-// compressedFrame reports whether a message uses any compressed
-// encoding (for the raw-vs-compressed wire accounting).
+// compressedFrame reports whether a message travels under a
+// half-precision codec or as a top-k selection (for the raw-vs-compressed
+// wire accounting).
 func compressedFrame(m message) bool {
-	switch m.kind {
-	case kindF32:
-		return m.codec != CodecF32
-	case kindF32Sparse:
-		return true
-	case kindPS:
-		return m.ps.DenseCodec != CodecF32 || m.ps.SparseCodec != CodecF32 || m.ps.DeltaIndex
-	}
-	return false
+	return m.codec != CodecF32 || m.kind == kindF32Sparse
 }
 
-// rawFrameBytes is the payload size the same message would occupy under
-// CompressionNone — for a kindF32Sparse frame, the dense chunk it
-// replaces. The TCP fabric accumulates this next to the actual
-// compressed size, which is what StepStats' compression ratio reports.
-func rawFrameBytes(m message) int {
-	n := 2 + 2 + 1 + 1 + len(m.tag) // src, dst, kind, tagLen, tag
+// rawFrameBytes is the payload size a compressed message of wire bytes
+// would occupy under CompressionNone: a kindF32Sparse frame counts as the
+// dense chunk it replaces, every other frame as itself with 4-byte
+// values. The fabric accumulates this next to the actual size, which is
+// what StepStats' compression ratio reports.
+func rawFrameBytes(m message, wire int) int {
+	floats := 0
 	switch m.kind {
-	case kindF32:
-		n += 4 + 4*len(m.f32)
 	case kindF32Sparse:
-		n += 4 + 4*m.topk.Len
+		return 2 + 2 + 1 + 1 + len(m.tag) + 4 + 4*m.topk.Len // src, dst, kind, tagLen, tag, n, values
+	case kindF32:
+		floats = len(m.f32)
 	case kindPS:
-		ps := m.ps
-		n += 1 + 8 + 4 + 8 + 2 + len(ps.Err) + 2
-		for _, name := range ps.Names {
-			n += 1 + len(name) + 4
+		for _, t := range m.ps.Dense {
+			floats += t.NumElements()
 		}
-		n += 2
-		for _, t := range ps.Dense {
-			n += 4 + 4*t.NumElements()
-		}
-		n += 2
-		for _, s := range ps.Sparse {
-			n += 4 + 4 + 4 + 4*len(s.Rows) + 4*s.Values.NumElements()
+		for _, s := range m.ps.Sparse {
+			floats += s.Values.NumElements()
 		}
 	}
-	return n
+	return wire + (4-payloadElemSize(m.codec))*floats
 }

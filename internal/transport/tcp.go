@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,10 +85,12 @@ const (
 	ackEpoch  = 2 // fabric epoch mismatch
 )
 
-// TCP is the wire fabric: persistent length-prefixed framed connections,
-// one dialer/listener pair per peer process, reused across steps.
-// Endpoint pairs colocated in this process exchange over the same
-// channel fabric Inproc uses; only cross-process pairs touch a socket.
+// TCP is the fabric: one buffered FIFO channel (pipe) per directed pair
+// of endpoints this process hosts, and one persistent length-prefixed
+// framed connection per peer process, reused across steps, for the rest.
+// The local table says which is which. DialTCP builds the fabric of one
+// agent process; NewInproc builds the zero-peer instance, where every
+// endpoint is local and nothing below applies.
 //
 // Rendezvous is static: process p dials every peer q < p and accepts
 // from every peer q > p, so each unordered process pair shares exactly
@@ -111,6 +114,7 @@ type TCP struct {
 	epoch    int
 	maxFrame int
 	pool     *bufPool
+	local    []bool // per endpoint: hosted by this process
 
 	// Elastic-membership state: the listener kept open for joiners, this
 	// process's policy fingerprint and the cluster address list (to vet
@@ -130,7 +134,7 @@ type TCP struct {
 	failMu  sync.Mutex
 	failure error // first *errs.PeerFailure observed, nil while healthy
 
-	pipes [][]chan message // local-pair short circuit, nil elsewhere
+	pipes [][]chan message // pipes[src][dst] for local pairs, nil elsewhere
 	conns []*wireConn      // per peer process, nil for self
 
 	inboxMu sync.Mutex
@@ -158,6 +162,53 @@ type wireConn struct {
 	conn net.Conn
 	mu   sync.Mutex
 	buf  []byte
+}
+
+// pipeDepth sizes the per-pair channel buffers so the ring algorithms'
+// send-then-receive step pattern cannot deadlock.
+const pipeDepth = 8
+
+// newFabric builds the part every fabric has: the local table, one pipe
+// per directed local pair, the chunk pool and the inbox of the wire
+// queues. DialTCP adds connections for the endpoints that are not local.
+func newFabric(topo Topology, proc int, local func(rank int) bool) *TCP {
+	n := topo.Endpoints()
+	f := &TCP{
+		topo:   topo,
+		proc:   proc,
+		pool:   newBufPool(),
+		local:  make([]bool, n),
+		pipes:  make([][]chan message, n),
+		inbox:  make(map[inboxKey]chan message),
+		closed: make(chan struct{}),
+	}
+	for r := range f.local {
+		f.local[r] = local(r)
+	}
+	for s := range f.pipes {
+		if !f.local[s] {
+			continue
+		}
+		f.pipes[s] = make([]chan message, n)
+		for d := range f.pipes[s] {
+			if f.local[d] {
+				f.pipes[s][d] = make(chan message, pipeDepth)
+			}
+		}
+	}
+	return f
+}
+
+// NewInproc creates the in-process fabric: every endpoint of the topology
+// is local, so every pair exchanges over a pipe — no serialization, no
+// copies beyond the one pooled-buffer copy of a float chunk — and there
+// is no listener, connection, reader or heartbeat. It is the
+// single-process fast path and what every test harness defaults to.
+func NewInproc(topo Topology) *TCP {
+	if err := topo.Validate(); err != nil {
+		panic(err.Error())
+	}
+	return newFabric(topo, 0, func(int) bool { return true })
 }
 
 // DialTCP establishes the fabric: it listens for higher-indexed peers,
@@ -207,31 +258,12 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		deadline = d
 	}
 
-	f := &TCP{
-		topo:       topo,
-		proc:       cfg.Process,
-		epoch:      cfg.Epoch,
-		maxFrame:   maxFrame,
-		pool:       newBufPool(),
-		hbInterval: hbInterval,
-		hbTimeout:  hbTimeout,
-		conns:      make([]*wireConn, procs),
-		inbox:      make(map[inboxKey]chan message),
-		closed:     make(chan struct{}),
-	}
-	n := topo.Endpoints()
-	f.pipes = make([][]chan message, n)
-	for s := 0; s < n; s++ {
-		if !f.Local(s) {
-			continue
-		}
-		f.pipes[s] = make([]chan message, n)
-		for d := 0; d < n; d++ {
-			if f.Local(d) {
-				f.pipes[s][d] = make(chan message, pipeDepth)
-			}
-		}
-	}
+	f := newFabric(topo, cfg.Process, func(rank int) bool { return topo.ProcessOf(rank) == cfg.Process })
+	f.epoch = cfg.Epoch
+	f.maxFrame = maxFrame
+	f.hbInterval = hbInterval
+	f.hbTimeout = hbTimeout
+	f.conns = make([]*wireConn, procs)
 
 	// An elastic fabric listens even when no peer rendezvous is expected
 	// (the highest-indexed process, or a single-machine cluster): the
@@ -646,14 +678,13 @@ func dialRetry(ctx context.Context, addr string, deadline time.Time, bo Backoff)
 func (f *TCP) Topology() Topology { return f.topo }
 
 // Local reports whether an endpoint is hosted by this process.
-func (f *TCP) Local(rank int) bool {
-	return rank >= 0 && rank < f.topo.Endpoints() && f.topo.ProcessOf(rank) == f.proc
-}
+func (f *TCP) Local(rank int) bool { return rank >= 0 && rank < len(f.local) && f.local[rank] }
 
-// Distributed reports whether the fabric spans processes.
-func (f *TCP) Distributed() bool { return f.topo.Processes() > 1 }
+// Distributed reports whether any endpoint lives in another process.
+func (f *TCP) Distributed() bool { return slices.Contains(f.local, false) }
 
-// Stats returns the framed socket bytes moved so far.
+// Stats returns the framed socket bytes moved so far (zeros on an
+// in-process fabric: pipes are not wires).
 func (f *TCP) Stats() Stats {
 	return Stats{
 		SentBytes:           f.sent.Load(),
@@ -668,7 +699,7 @@ func (f *TCP) Conduit(rank int) Conduit {
 	if !f.Local(rank) {
 		panic(fmt.Sprintf("transport: endpoint %d is not hosted by process %d", rank, f.proc))
 	}
-	return tcpConduit{f: f, rank: rank}
+	return conduit{f: f, rank: rank}
 }
 
 // Close tears the fabric down and waits for its reader goroutines.
@@ -823,35 +854,50 @@ func (f *TCP) sendWire(src, dst int, m message) {
 	}
 	f.sent.Add(int64(n))
 	if compressedFrame(m) {
-		f.sentRaw.Add(int64(4 + rawFrameBytes(m)))
+		f.sentRaw.Add(int64(4 + rawFrameBytes(m, n-4)))
 		f.sentComp.Add(int64(n))
 	}
 }
 
-// tcpConduit is one endpoint's handle on a TCP fabric.
-type tcpConduit struct {
+// conduit is one endpoint's handle on the fabric; it is a value (two
+// words) so handing conduits around allocates nothing.
+type conduit struct {
 	f    *TCP
 	rank int
 }
 
-func (c tcpConduit) Rank() int { return c.rank }
+func (c conduit) Rank() int { return c.rank }
 
-func (c tcpConduit) sendLocal(dst int, m message) {
+// send delivers m to dst: through the pair's pipe when dst is local,
+// framed onto its process's connection otherwise. A send on a closed
+// fabric drops the message — the peer is gone.
+func (c conduit) send(dst int, m message) {
+	if !c.f.local[dst] {
+		c.f.sendWire(c.rank, dst, m)
+		return
+	}
 	select {
 	case c.f.pipes[c.rank][dst] <- m:
 	case <-c.f.closed:
 	}
 }
 
-// recvLocal mirrors the inproc fabric's tag-asserting receive.
-func (c tcpConduit) recvLocal(src int, tag string) (message, bool) {
-	pipe := c.f.pipes[src][c.rank]
-	var m message
+// recv blocks for the next message from src under tag and asserts its
+// tag and kind: a mismatch means two endpoints' protocols diverged, which
+// is a bug, so it panics rather than silently reordering. ok is false
+// once the fabric is closed.
+func (c conduit) recv(src int, tag string, k kind) (m message, ok bool) {
+	var q chan message
+	if c.f.local[src] {
+		q = c.f.pipes[src][c.rank]
+	} else {
+		q = c.f.queue(src, c.rank, tag)
+	}
 	select {
-	case m = <-pipe:
+	case m = <-q: // fast path: message already queued
 	default:
 		select {
-		case m = <-pipe:
+		case m = <-q:
 		case <-c.f.closed:
 			return message{}, false
 		}
@@ -860,131 +906,87 @@ func (c tcpConduit) recvLocal(src int, tag string) (message, bool) {
 		panic(fmt.Sprintf("transport: endpoint %d expected tag %q from %d, got %q",
 			c.rank, tag, src, m.tag))
 	}
-	return m, true
-}
-
-func (c tcpConduit) recvWire(src int, tag string) (message, bool) {
-	q := c.f.queue(src, c.rank, tag)
-	var m message
-	select {
-	case m = <-q:
-	default:
-		select {
-		case m = <-q:
-		case <-c.f.closed:
-			return message{}, false
-		}
-	}
-	return m, true
-}
-
-func (c tcpConduit) recvKind(src int, tag string, k kind) message {
-	var m message
-	var ok bool
-	if c.f.Local(src) {
-		m, ok = c.recvLocal(src, tag)
-	} else {
-		m, ok = c.recvWire(src, tag)
-	}
-	if !ok {
-		panic(ClosedPanic{Err: c.f.closedErr(c.rank, tag, src)})
-	}
 	if m.kind != k {
 		panic(fmt.Sprintf("transport: endpoint %d tag %q from %d: kind %d, want %d",
 			c.rank, tag, src, m.kind, k))
 	}
+	return m, true
+}
+
+// mustRecv is recv for the protocol paths that cannot proceed without
+// the fabric (collective phases); a closed fabric mid-collective raises
+// the typed ClosedPanic the trainer's wrappers recover into an error.
+func (c conduit) mustRecv(src int, tag string, k kind) message {
+	m, ok := c.recv(src, tag, k)
+	if !ok {
+		panic(ClosedPanic{Err: c.f.closedErr(c.rank, tag, src)})
+	}
 	return m
 }
 
-func (c tcpConduit) SendF32(dst int, tag string, data []float32) {
-	if c.f.Local(dst) {
+func (c conduit) SendF32(dst int, tag string, data []float32) {
+	c.SendF32C(dst, tag, data, CodecF32)
+}
+
+// SendF32C copies the chunk into a pooled buffer for a local destination
+// and serializes it under codec straight from the caller's view for a
+// remote one; the values are already on the codec's grid, so both
+// deliver the same bits.
+func (c conduit) SendF32C(dst int, tag string, data []float32, codec Codec) {
+	if c.f.local[dst] {
 		buf := c.f.pool.get(len(data))
 		copy(buf, data)
-		c.sendLocal(dst, message{tag: tag, kind: kindF32, f32: buf})
-		return
+		data = buf
 	}
-	// Cross-process: serialize straight from the caller's view.
-	c.f.sendWire(c.rank, dst, message{tag: tag, kind: kindF32, f32: data})
+	c.send(dst, message{tag: tag, kind: kindF32, codec: codec, f32: data})
 }
 
-// SendF32C re-encodes the (already on-grid) chunk under codec on
-// cross-process links; colocated destinations get the plain copy, which
-// delivers the same bits.
-func (c tcpConduit) SendF32C(dst int, tag string, data []float32, codec Codec) {
-	if c.f.Local(dst) {
-		c.SendF32(dst, tag, data)
-		return
+func (c conduit) RecvF32(src int, tag string) []float32 {
+	return c.mustRecv(src, tag, kindF32).f32
+}
+
+func (c conduit) GetBuf(n int) []float32 { return c.f.pool.get(n) }
+func (c conduit) PutBuf(b []float32)     { c.f.pool.put(b) }
+
+// SendF32Sparse detaches the chunk from the sender's reusable selection
+// scratch for a local destination (the send borrows, the receiver owns);
+// the wire path serializes it before returning.
+func (c conduit) SendF32Sparse(dst int, tag string, ch SparseChunk) {
+	if c.f.local[dst] {
+		ch.Idx = append([]int32(nil), ch.Idx...)
+		ch.Vals = append([]float32(nil), ch.Vals...)
 	}
-	c.f.sendWire(c.rank, dst, message{tag: tag, kind: kindF32, codec: codec, f32: data})
+	c.send(dst, message{tag: tag, kind: kindF32Sparse, codec: ch.Codec, topk: &ch})
 }
 
-func (c tcpConduit) SendF32Sparse(dst int, tag string, ch SparseChunk) {
-	if c.f.Local(dst) {
-		c.sendLocal(dst, message{tag: tag, kind: kindF32Sparse, topk: copyChunk(ch)})
-		return
-	}
-	c.f.sendWire(c.rank, dst, message{tag: tag, kind: kindF32Sparse, topk: &ch})
+func (c conduit) RecvF32Sparse(src int, tag string) SparseChunk {
+	return *c.mustRecv(src, tag, kindF32Sparse).topk
 }
 
-func (c tcpConduit) RecvF32Sparse(src int, tag string) SparseChunk {
-	return *c.recvKind(src, tag, kindF32Sparse).topk
+func (c conduit) SendSparse(dst int, tag string, s *tensor.Sparse) {
+	c.send(dst, message{tag: tag, kind: kindSparse, sparse: s})
 }
 
-func (c tcpConduit) RecvF32(src int, tag string) []float32 {
-	return c.recvKind(src, tag, kindF32).f32
+func (c conduit) RecvSparse(src int, tag string) *tensor.Sparse {
+	return c.mustRecv(src, tag, kindSparse).sparse
 }
 
-func (c tcpConduit) GetBuf(n int) []float32 { return c.f.pool.get(n) }
-func (c tcpConduit) PutBuf(b []float32)     { c.f.pool.put(b) }
-
-func (c tcpConduit) SendSparse(dst int, tag string, s *tensor.Sparse) {
-	if c.f.Local(dst) {
-		c.sendLocal(dst, message{tag: tag, kind: kindSparse, sparse: s})
-		return
-	}
-	c.f.sendWire(c.rank, dst, message{tag: tag, kind: kindSparse, sparse: s})
+func (c conduit) SendScalar(dst int, tag string, v float64) {
+	c.send(dst, message{tag: tag, kind: kindScalar, scalar: v})
 }
 
-func (c tcpConduit) RecvSparse(src int, tag string) *tensor.Sparse {
-	return c.recvKind(src, tag, kindSparse).sparse
+func (c conduit) RecvScalar(src int, tag string) float64 {
+	return c.mustRecv(src, tag, kindScalar).scalar
 }
 
-func (c tcpConduit) SendScalar(dst int, tag string, v float64) {
-	m := message{tag: tag, kind: kindScalar, scalar: v}
-	if c.f.Local(dst) {
-		c.sendLocal(dst, m)
-		return
-	}
-	c.f.sendWire(c.rank, dst, m)
+func (c conduit) SendPS(dst int, tag string, m *PSMsg) {
+	c.send(dst, message{tag: tag, kind: kindPS, codec: m.Codec, ps: m})
 }
 
-func (c tcpConduit) RecvScalar(src int, tag string) float64 {
-	return c.recvKind(src, tag, kindScalar).scalar
-}
-
-func (c tcpConduit) SendPS(dst int, tag string, m *PSMsg) {
-	msg := message{tag: tag, kind: kindPS, ps: m}
-	if c.f.Local(dst) {
-		c.sendLocal(dst, msg)
-		return
-	}
-	c.f.sendWire(c.rank, dst, msg)
-}
-
-func (c tcpConduit) RecvPS(src int, tag string) *PSMsg {
-	var m message
-	var ok bool
-	if c.f.Local(src) {
-		m, ok = c.recvLocal(src, tag)
-	} else {
-		m, ok = c.recvWire(src, tag)
-	}
+func (c conduit) RecvPS(src int, tag string) *PSMsg {
+	m, ok := c.recv(src, tag, kindPS)
 	if !ok {
 		return nil
-	}
-	if m.kind != kindPS {
-		panic(fmt.Sprintf("transport: endpoint %d tag %q from %d: kind %d, want PS",
-			c.rank, tag, src, m.kind))
 	}
 	return m.ps
 }

@@ -65,19 +65,6 @@ func TestTCPExchangeAcrossProcesses(t *testing.T) {
 	}
 }
 
-func TestTCPLocalPairsShortCircuit(t *testing.T) {
-	topo := Topology{Workers: 4, Machines: 2, MachineOfWorker: []int{0, 0, 1, 1}}
-	f0, _ := dialPair(t, topo)
-	// Workers 0 and 1 are both on process 0: their exchange must not
-	// touch the wire.
-	before := f0.Stats()
-	exchangeAll(t, f0.Conduit(0), f0.Conduit(1))
-	after := f0.Stats()
-	if after != before {
-		t.Errorf("intra-process exchange hit the wire: %+v -> %+v", before, after)
-	}
-}
-
 func TestTCPConcurrentTagsOnePair(t *testing.T) {
 	// Two concurrent request/reply streams between the same endpoints
 	// under different tags: the per-tag inbox queues must demultiplex.

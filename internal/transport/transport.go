@@ -18,37 +18,40 @@
 //
 // # Fabrics
 //
-// Two fabrics implement the same Conduit interface:
+// There is one fabric implementation (TCP) and one Conduit behind it. A
+// per-endpoint local table decides how a pair exchanges:
 //
-//   - Inproc: the channel fabric. One buffered Go channel per directed
-//     endpoint pair, float chunks travel as pooled buffers, sparse
-//     tensors and PS batches travel as pointers. Zero serialization, the
-//     single-process fast path.
-//   - TCP: persistent length-prefixed framed connections, one
-//     dialer/listener pair per peer process, reused across steps.
-//     Endpoint pairs colocated in one process short-circuit through the
-//     same channel fabric; only cross-process pairs touch a socket.
+//   - both endpoints hosted by this process: a pipe — one buffered Go
+//     channel per directed pair; float chunks travel as pooled buffers,
+//     sparse tensors and PS batches as pointers. Zero serialization.
+//   - otherwise: the persistent length-prefixed framed connection to the
+//     peer's process, one dialer/listener pair per peer, reused across
+//     steps.
+//
+// DialTCP builds one agent process's fabric; NewInproc builds the
+// instance with every endpoint local, which therefore has no listener,
+// connection, reader goroutine or heartbeat.
 //
 // # Buffer ownership
 //
-//   - SendF32 borrows data for the duration of the call: the inproc path
-//     copies it into a pooled buffer, the TCP path writes it to the wire
-//     before returning. Either way the caller may reuse (or keep
+//   - SendF32 borrows data for the duration of the call: the pipe path
+//     copies it into a pooled buffer, the wire path writes it to the
+//     socket before returning. Either way the caller may reuse (or keep
 //     mutating) the slice as soon as the call returns, which is what lets
 //     the trainer serialize straight from fusion-bucket storage and
 //     SliceRows views.
 //   - RecvF32 returns a pooled buffer; the consumer returns it with
 //     PutBuf once folded in.
-//   - SendSparse hands the tensor to the fabric read-only: the inproc
-//     path shares the pointer (the receiver must not mutate it), the TCP
+//   - SendSparse hands the tensor to the fabric read-only: the pipe
+//     path shares the pointer (the receiver must not mutate it), the wire
 //     path serializes it. Receivers of RecvSparse own fresh tensors on
-//     the TCP path and shared read-only tensors on the inproc path —
+//     the wire path and shared read-only tensors on the pipe path —
 //     matching the existing collective AllGatherv contract.
 //   - SendPS transfers the message to the fabric; the caller must not
 //     touch it afterwards. PS exchanges are strict request/reply (the
 //     client blocks on RecvPS before reusing any borrowed dense views
 //     inside the request), which is what makes borrowed views safe on
-//     the inproc path.
+//     the pipe path.
 package transport
 
 import (
@@ -124,19 +127,18 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// Stats counts the bytes a fabric moved over real wires. The inproc
-// fabric never touches a wire and always reports zeros; the TCP fabric
-// counts framed socket bytes in both directions (intra-process
-// short-circuited pairs excluded).
+// Stats counts the bytes a fabric moved over real wires: framed socket
+// bytes in both directions. Local pairs exchange over pipes and are
+// excluded, so an in-process fabric always reports zeros.
 type Stats struct {
 	SentBytes int64
 	RecvBytes int64
 	// SentBytesRaw and SentBytesCompressed cover only the frames that
-	// travelled under a compressed encoding: Raw is the bytes the same
-	// frames would occupy in the exact f32 encoding (a kindF32Sparse
-	// frame counts as the dense chunk it replaces), Compressed their
-	// actual on-wire size. Both stay zero under CompressionNone; their
-	// ratio is the wire compression factor.
+	// travelled under a half-precision codec or as a top-k selection: Raw
+	// is the bytes the same frames would occupy under CodecF32 (a
+	// kindF32Sparse frame counts as the dense chunk it replaces),
+	// Compressed their actual on-wire size. Both stay zero under
+	// CompressionNone; their ratio is the wire compression factor.
 	SentBytesRaw        int64
 	SentBytesCompressed int64
 }
@@ -162,12 +164,12 @@ type Conduit interface {
 	GetBuf(n int) []float32
 	PutBuf(b []float32)
 
-	// SendF32C is SendF32 with a wire payload codec: cross-process links
-	// re-encode the chunk at 2 bytes/value for CodecF16/CodecBF16. The
-	// values must already lie on the codec's grid (the data plane
-	// quantizes before sending), which keeps the re-encoding lossless
-	// and the schedule bit-identical across fabrics. CodecF32
-	// degenerates to SendF32; RecvF32 receives both.
+	// SendF32C is SendF32 under a wire payload codec (SendF32 is its
+	// CodecF32 call): cross-process links encode the chunk at 2
+	// bytes/value for CodecF16/CodecBF16. The values must already lie on
+	// the codec's grid (the data plane quantizes before sending), which
+	// keeps the encoding lossless and the schedule bit-identical across
+	// fabrics. RecvF32 receives every codec.
 	SendF32C(dst int, tag string, data []float32, codec Codec)
 
 	// SendF32Sparse ships a top-k sparsified dense chunk (a
@@ -210,8 +212,12 @@ type Fabric interface {
 	Stats() Stats
 	// Err returns the rank-attributed failure that tore the fabric down
 	// (wrapping errs.ErrPeerFailed), or nil while the fabric is healthy
-	// or after an orderly Close. The in-process fabric never fails.
+	// or after an orderly Close.
 	Err() error
+	// Fail records a failure attributed to process rank and tears the
+	// fabric down abruptly, as if this process had crashed — the fault
+	// injection hook (internal/chaos).
+	Fail(rank int, cause error)
 	// Done is closed when the fabric shuts down — by Close or by a
 	// failure — so watchers (server-abort, chaos) can react without
 	// polling.
@@ -259,14 +265,10 @@ type PSMsg struct {
 	Dense   []*tensor.Dense
 	Sparse  []*tensor.Sparse
 
-	// Wire-encoding hints, not semantic payload: DenseCodec/SparseCodec
-	// re-encode the Dense and Sparse values (which must already lie on
-	// the codec grid) at 2 bytes/value on cross-process links, and
-	// DeltaIndex delta-varint encodes ascending sparse row indices. All
-	// zero (the default) keeps the classic kindPS frame byte-identical.
-	DenseCodec  Codec
-	SparseCodec Codec
-	DeltaIndex  bool
+	// Codec is a wire-encoding hint, not semantic payload: cross-process
+	// links encode the Dense and Sparse values (which must already lie on
+	// the codec's grid) at 2 bytes/value for CodecF16/CodecBF16.
+	Codec Codec
 }
 
 // kind discriminates fabric datagrams.
@@ -277,24 +279,19 @@ const (
 	kindSparse
 	kindScalar
 	kindPS
-	// kindF16/kindBF16 are kindF32 with a half-precision payload; they
-	// decode back into f32 messages (codec recorded for canonical
-	// re-encoding).
-	kindF16
-	kindBF16
 	// kindF32Sparse is a top-k sparsified dense chunk: delta-varint
 	// indices plus surviving values.
 	kindF32Sparse
-	// kindPSC is kindPS with compressed payload encodings (leading
-	// codec/flag bytes select them).
-	kindPSC
 )
 
 // message is one fabric datagram.
 type message struct {
-	tag    string
-	kind   kind
-	codec  Codec // payload codec for kindF32 frames on the wire
+	tag  string
+	kind kind
+	// codec is the wire encoding of the float values the message carries
+	// (f32 chunk, sparse values, PS payloads, top-k survivors); the zero
+	// value is exact f32. Pipes ignore it.
+	codec  Codec
 	f32    []float32
 	sparse *tensor.Sparse
 	scalar float64

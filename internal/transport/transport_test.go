@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -34,17 +35,27 @@ func TestTopology(t *testing.T) {
 	}
 }
 
-// exchangeAll drives every message kind across a pair of conduits and
-// verifies payloads; shared by the inproc and TCP fabric tests so both
-// implementations pin the same contract.
+// exchangeAll drives all six message kinds across a pair of conduits and
+// verifies payloads, mutating every borrowed buffer as soon as its send
+// returns; shared by the local-pair and cross-socket tests so pipes and
+// wires pin the same contract.
 func exchangeAll(t *testing.T, a, b Conduit) {
 	t.Helper()
+	ch := topkChunk()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		data := []float32{1.5, -2.25, float32(math.Pi)}
 		a.SendF32(b.Rank(), "f32", data)
+		data[0] = 99 // the caller may reuse the slice immediately
+		half := onGrid()
+		a.SendF32C(b.Rank(), "half", half, CodecF16)
+		half[1] = 99
+		sel := SparseChunk{Len: ch.Len, Codec: ch.Codec,
+			Idx: append([]int32(nil), ch.Idx...), Vals: append([]float32(nil), ch.Vals...)}
+		a.SendF32Sparse(b.Rank(), "topk", sel)
+		sel.Idx[0], sel.Vals[0] = 0, 99 // selection scratch is reused too
 		a.SendScalar(b.Rank(), "sc", 42.125)
 		sp := tensor.NewSparse([]int{3, 1, 3}, tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2), 7)
 		a.SendSparse(b.Rank(), "sp", sp)
@@ -64,6 +75,13 @@ func exchangeAll(t *testing.T, a, b Conduit) {
 		t.Fatalf("f32 payload %v", f)
 	}
 	b.PutBuf(f)
+	if h := b.RecvF32(a.Rank(), "half"); !sameF32s(h, onGrid()) {
+		t.Fatalf("half-precision chunk changed: %v vs %v", h, onGrid())
+	}
+	got := b.RecvF32Sparse(a.Rank(), "topk")
+	if got.Len != ch.Len || got.Codec != ch.Codec || !slices.Equal(got.Idx, ch.Idx) || !sameF32s(got.Vals, ch.Vals) {
+		t.Fatalf("top-k chunk changed: %+v vs %+v", got, ch)
+	}
 	if v := b.RecvScalar(a.Rank(), "sc"); v != 42.125 {
 		t.Fatalf("scalar %v", v)
 	}
@@ -82,58 +100,61 @@ func exchangeAll(t *testing.T, a, b Conduit) {
 	wg.Wait()
 }
 
-func TestInprocExchange(t *testing.T) {
-	f := NewInproc(WorkersOnly(2))
-	defer f.Close()
-	if f.Distributed() || !f.Local(1) {
-		t.Fatal("inproc locality")
-	}
-	exchangeAll(t, f.Conduit(0), f.Conduit(1))
-	if s := f.Stats(); s.SentBytes != 0 || s.RecvBytes != 0 {
-		t.Errorf("inproc wire stats %+v, want zeros", s)
-	}
-}
+// TestLocalPairContract runs one script on the two places a pipe carries
+// a pair: the in-process fabric, and the colocated workers 0 and 1 of a
+// two-process TCP fabric. Either way the exchange never touches a wire,
+// a diverged tag panics, and Close releases a blocked RecvPS.
+func TestLocalPairContract(t *testing.T) {
+	topo := Topology{Workers: 4, Machines: 2, MachineOfWorker: []int{0, 0, 1, 1}}
+	for name, open := range map[string]func(t *testing.T) *TCP{
+		"inproc": func(t *testing.T) *TCP {
+			f := NewInproc(topo)
+			t.Cleanup(func() { f.Close() })
+			if f.Distributed() || !f.Local(3) || !f.Local(5) || f.Local(6) {
+				t.Fatal("inproc locality")
+			}
+			return f
+		},
+		"tcp colocated": func(t *testing.T) *TCP {
+			f0, _ := dialPair(t, topo)
+			if !f0.Distributed() || !f0.Local(1) || f0.Local(2) {
+				t.Fatal("tcp locality")
+			}
+			return f0
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := open(t)
+			before := f.Stats()
+			exchangeAll(t, f.Conduit(0), f.Conduit(1))
+			if after := f.Stats(); after != before {
+				t.Errorf("local exchange hit the wire: %+v -> %+v", before, after)
+			}
 
-func TestInprocSendBorrowsData(t *testing.T) {
-	f := NewInproc(WorkersOnly(2))
-	defer f.Close()
-	a, b := f.Conduit(0), f.Conduit(1)
-	data := []float32{1, 2, 3}
-	a.SendF32(1, "t", data)
-	data[0] = 99 // caller may reuse immediately; the fabric copied
-	got := b.RecvF32(0, "t")
-	if got[0] != 1 {
-		t.Fatalf("send aliased caller buffer: %v", got)
-	}
-	b.PutBuf(got)
-}
+			f.Conduit(0).SendScalar(1, "a", 0)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("expected panic on tag mismatch")
+					}
+				}()
+				f.Conduit(1).RecvScalar(0, "b")
+			}()
 
-func TestInprocTagMismatchPanics(t *testing.T) {
-	f := NewInproc(WorkersOnly(2))
-	defer f.Close()
-	f.Conduit(0).SendScalar(1, "a", 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on tag mismatch")
-		}
-	}()
-	f.Conduit(1).RecvScalar(0, "b")
-}
-
-func TestInprocCloseReleasesRecvPS(t *testing.T) {
-	f := NewInproc(WorkersOnly(2))
-	done := make(chan *PSMsg, 1)
-	go func() { done <- f.Conduit(0).RecvPS(1, "ps") }()
-	time.Sleep(10 * time.Millisecond)
-	f.Close()
-	f.Close() // idempotent
-	select {
-	case m := <-done:
-		if m != nil {
-			t.Fatalf("closed RecvPS returned %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("RecvPS did not unblock on Close")
+			done := make(chan *PSMsg, 1)
+			go func() { done <- f.Conduit(0).RecvPS(1, "ps") }()
+			time.Sleep(10 * time.Millisecond)
+			f.Close()
+			f.Close() // idempotent
+			select {
+			case m := <-done:
+				if m != nil {
+					t.Fatalf("closed RecvPS returned %+v", m)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("RecvPS did not unblock on Close")
+			}
+		})
 	}
 }
 

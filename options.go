@@ -115,9 +115,6 @@ func WithCompression(p CompressionPolicy) Option {
 	return func(c *Config) { c.Compression = p }
 }
 
-// WithAsync switches PS variables to asynchronous updates (§2.1).
-func WithAsync() Option { return func(c *Config) { c.Async = true } }
-
 // WithDist places this process as machine `machine` of a multi-process
 // cluster: addrs lists one agent address per machine. The rendezvous
 // deadline comes from Open's context (tightened by DistConfig's

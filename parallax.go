@@ -239,9 +239,6 @@ type Config struct {
 	// distributed agents and between a checkpoint and the session
 	// restoring it.
 	Compression CompressionPolicy
-	// Async switches PS variables to asynchronous updates (§2.1 —
-	// supported, though the paper's evaluation uses synchronous training).
-	Async bool
 	// Dist runs this process as one agent of a multi-process cluster over
 	// transport.TCP: it hosts one machine's workers and parameter server
 	// and exchanges gradients with peer agents over persistent framed

@@ -392,7 +392,6 @@ func TestOptionVariants(t *testing.T) {
 		{WithArch(PSOnly), WithSparsePartitions(2)},
 		{WithArch(OptimizedPS), WithSparsePartitions(2)},
 		{WithArch(Hybrid), WithSparsePartitions(2), WithClipNorm(1.0)},
-		{WithArch(PSOnly), WithSparsePartitions(2), WithAsync()},
 		{WithArch(Hybrid), WithSparsePartitions(2), WithAggregation(AggSum, AggSum),
 			WithOptimizer(func() Optimizer { return NewMomentum(0.01, 0.9) })},
 	} {

@@ -281,7 +281,6 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		SparseAgg:        cfg.SparseAgg,
 		LocalAggregation: !cfg.DisableLocalAggregation && (arch == core.ArchHybrid || arch == core.ArchOptPS),
 		ClipNorm:         cfg.ClipNorm,
-		Async:            cfg.Async,
 		FusionBytes:      cfg.FusionBytes,
 		Compression:      cfg.Compression,
 		Fabric:           fab,
