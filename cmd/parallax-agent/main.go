@@ -1,9 +1,11 @@
-// Command parallax-agent hosts one machine's share of a distributed
-// training run — its GPUs' worker replicas and its parameter server —
-// wired to peer agents over transport.TCP. Launching one agent per
-// machine on a shared address list runs the same hybrid LM workload
-// parallax-train runs in-process, now spanning OS processes: every agent
-// builds the identical graph from the same seed, the plan is recomputed
+// Command parallax-agent trains the standard hybrid LM workload through
+// the public Session API. Without -machine it runs the whole cluster in
+// one process, printing the plan and the loss curve. With -machine it
+// hosts one machine's share of a distributed run — its GPUs' worker
+// replicas and its parameter server — wired to peer agents over
+// transport.TCP: launching one agent per machine on a shared address
+// list runs the same workload spanning OS processes. Every agent builds
+// the identical graph from the same seed, the plan is recomputed
 // identically everywhere, and the per-step losses (exchanged over the
 // wire in rank order) are bit-identical to the single-process run.
 //
@@ -58,17 +60,14 @@ import (
 
 func main() {
 	spec := jobspec.Default()
-	// Fixed partitions by default so every agent plans identically; the
-	// agent never measures α for the same reason.
 	spec.Partitions = 8
 	machine := flag.Int("machine", -1, "machine index this agent hosts (-1 = run the whole cluster in-process)")
 	addrs := flag.String("addrs", "", "comma-separated agent addresses, one per machine (required with -machine >= 0)")
 	machines := flag.Int("machines", 2, "machine count for the in-process reference mode (ignored when -addrs is set)")
 	gpus := flag.Int("gpus", 2, "GPUs per machine")
 	spec.BindCommonFlags(flag.CommandLine)
-	flag.IntVar(&spec.Partitions, "partitions", spec.Partitions, "sparse partitions (fixed so every agent plans identically)")
-	flag.BoolVar(&spec.AutoPartition, "auto-partition", false,
-		"tune the partition count online during the first steps (overrides -partitions; agents agree on every measurement, so they reshard in lockstep)")
+	flag.IntVar(&spec.Partitions, "partitions", spec.Partitions,
+		"sparse partitions; 0 searches for the count during the first steps (agents agree on every measurement, so they reshard in lockstep)")
 	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "peer rendezvous timeout")
 	ckpt := flag.String("checkpoint", "", "checkpoint directory: written on exit (normal completion or SIGINT/SIGTERM drain)")
 	resume := flag.Bool("resume", false, "resume from -checkpoint instead of initializing (run it on every agent)")
@@ -258,15 +257,15 @@ func main() {
 			sess.Recoveries(), sess.Epoch(), sess.LastRecoveryDuration().Round(time.Millisecond))
 	}
 	fmt.Printf("\n%s\n", stats)
-	if spec.AutoPartition {
-		// The settled decision: which P the online search chose, from
-		// which sampled bracket, and where the rows now live.
+	if spec.Partitions == 0 {
+		// The settled decision: which P the search chose, from which
+		// sampled bracket, and where the rows now live.
 		fmt.Print(sess.PartitionDecision())
 		fmt.Print(sess.ShardMap())
 	}
 	// The bit pattern is the cross-process equivalence check: a TCP run's
 	// final loss must equal the in-process reference exactly — with
-	// -auto-partition too (resharding is lossless), and across a
+	// -partitions 0 too (resharding is lossless), and across a
 	// checkpoint/resume split (restore is bit-identical).
 	fmt.Printf("final loss bits=%016x loss=%.17g\n", math.Float64bits(stats.LastLoss), stats.LastLoss)
 }

@@ -1,16 +1,18 @@
 // Command parallax-info inspects the paper models and the sparsity-aware
 // plan: per-variable sizes, α values, Table 3's network-transfer formulas
-// evaluated for the configured cluster, the §3.2 partition decision
-// (searched or fixed, with the sampled points and the fitted cost-model
-// θ), and the per-route shard map of the hybrid plan each model gets.
+// evaluated for the configured cluster, the partition count the paper's
+// cost model would pick (with the sampled points and the fitted θ), and
+// the per-route shard map of the hybrid plan each model gets.
 //
 // Usage:
 //
 //	parallax-info [-model all|resnet50|inception|lm|nmt] [-machines 8] [-gpus 6] [-partitions 128]
 //
 // With -partitions 0 (the default) the §3.2 sampling search runs over
-// the simulated cluster and the full decision is printed; a positive
-// -partitions fixes the count instead.
+// the paper model — the discrete-event engine on the paper's hardware
+// constants — and the full decision is printed; a positive -partitions
+// fixes the count instead. This is a what-if about the paper's cluster,
+// not what parallax.Open does: a session measures its own real steps.
 package main
 
 import (
@@ -33,7 +35,7 @@ func main() {
 	model := flag.String("model", "all", "model: all|resnet50|inception|lm|nmt")
 	machines := flag.Int("machines", 8, "machines")
 	gpus := flag.Int("gpus", 6, "GPUs per machine")
-	partitions := flag.Int("partitions", 0, "sparse partitions (0 = run the §3.2 search on the simulated cluster)")
+	partitions := flag.Int("partitions", 0, "sparse partitions (0 = run the §3.2 search over the paper model)")
 	compression := flag.String("compression", "none", "wire compression policy to describe: none|f16|bf16|topk[=FRAC]")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -72,9 +74,9 @@ func main() {
 			spec.BatchPerGPU, (spec.FwdTime+spec.BwdTime)*1000)
 
 		// Partition decision: fixed by flag, or the §3.2 sampling search
-		// with the discrete-event engine standing in for the real cluster
-		// (the live runtime's Config.AutoPartition runs the same search
-		// against measured steps).
+		// with the discrete-event engine standing in for the paper's
+		// cluster (a session runs the same search against its own measured
+		// steps).
 		planVars := engine.PlanVars(spec)
 		p := *partitions
 		var searched *partition.SearchResult
@@ -104,7 +106,7 @@ func main() {
 			}
 		}
 		if searched != nil {
-			fmt.Print(metrics.FormatPartitionDecision("simulated", p, searched))
+			fmt.Print(metrics.FormatPartitionDecision("paper-model what-if", p, searched))
 		} else {
 			fmt.Print(metrics.FormatPartitionDecision("fixed", p, nil))
 		}

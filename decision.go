@@ -18,20 +18,20 @@ type PartitionSample = partition.Sample
 type PartitionCostModel = partition.CostModel
 
 // PartitionDecision reports how the sparse-variable partition count was
-// chosen (§3.2): fixed by configuration, searched over the simulated
-// cluster, or tuned online against real measured steps.
+// chosen (§3.2): fixed by configuration, or searched against real
+// measured steps on the live runtime.
 type PartitionDecision struct {
 	// P is the partition count in effect.
 	P int
-	// Source is "fixed", "simulated" (search over the discrete-event
-	// engine), or "online" (WithAutoPartition's tune-while-training
-	// search on the live runtime).
+	// Source is "fixed" or "online" (the search the first step loop
+	// runs). A restored session reports the source its checkpoint
+	// recorded (older checkpoints may say "simulated").
 	Source string
-	// Pending marks an online search that has not run yet; it runs
-	// during the first Steps iteration.
+	// Pending marks a search that has not run yet; it runs during the
+	// first Steps iteration.
 	Pending bool
-	// Search is the search outcome; nil for fixed decisions (and for
-	// online decisions still pending).
+	// Search is the search outcome; nil for fixed and restored decisions
+	// (and for searches still pending).
 	Search *PartitionSearch
 }
 

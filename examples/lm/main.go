@@ -45,17 +45,15 @@ func main() {
 	h := g.Tanh(g.AddBias(g.MatMul(g.Gather(emb, tokens), w1), b1))
 	g.SoftmaxCE(g.MatMul(h, w2), labels)
 
-	alpha := parallax.MeasureAlpha(data.NewZipfText(vocab, batch, 1, 1.0, 31), vocab, 10)
 	ctx := context.Background()
 	sess, err := parallax.Open(ctx, g, parallax.Uniform(2, 2),
-		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.5) }),
-		parallax.WithAlphaHints(map[string]float64{"embedding": alpha}))
+		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.5) }))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sess.Close()
 	fmt.Print(sess.Describe())
-	fmt.Printf("measured alpha %.4f, searched partitions %d\n\n", alpha, sess.SparsePartitions())
+	fmt.Println()
 
 	// One endless stream, consumed as disjoint per-worker shards.
 	for st, err := range sess.Steps(ctx, data.NewZipfText(vocab, batch, 1, 1.0, 31)) {
@@ -69,6 +67,9 @@ func main() {
 			break
 		}
 	}
+	// Nothing fixed the sparse partition count, so the first steps of
+	// the loop searched for it on the live runtime.
+	fmt.Print(sess.PartitionDecision())
 
 	// What-if: the paper-scale LM on the paper's cluster, per architecture.
 	fmt.Println("\npaper-scale LM on the simulated 8x6 cluster:")

@@ -45,22 +45,19 @@ func main() {
 	h = g.Relu(g.AddBias(g.MatMul(h, w1), b1))
 	g.SoftmaxCE(g.MatMul(h, w2), labels)
 
-	// Measure the α each embedding sees under this workload (§2.2) and let
-	// Parallax search the partition count with the cost model of §3.2.
-	srcAlpha := parallax.MeasureAlpha(data.NewZipfText(srcVocab, batch, 1, 1.0, 11), srcVocab, 8)
-	dstAlpha := parallax.MeasureAlpha(data.NewZipfText(dstVocab, batch, 1, 1.0, 12), dstVocab, 8)
-
+	// Nothing fixes the partition count, so the first steps of the loop
+	// search for it on the live runtime (§3.2); both embeddings share the
+	// scope and get the same count.
 	ctx := context.Background()
 	sess, err := parallax.Open(ctx, g, parallax.Uniform(2, 2),
 		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(0.3) }),
-		parallax.WithAlphaHints(map[string]float64{"emb_enc": srcAlpha, "emb_dec": dstAlpha}),
 		parallax.WithClipNorm(5.0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sess.Close()
 	fmt.Print(sess.Describe())
-	fmt.Printf("alpha enc %.4f dec %.4f, partitions %d\n\n", srcAlpha, dstAlpha, sess.SparsePartitions())
+	fmt.Println()
 
 	// The graph's inputs are not the token-model pair Steps feeds, so the
 	// loop supplies each worker's feed itself from per-worker shards (the
@@ -88,4 +85,5 @@ func main() {
 			break
 		}
 	}
+	fmt.Print(sess.PartitionDecision())
 }

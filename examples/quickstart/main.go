@@ -66,4 +66,7 @@ func main() {
 		}
 	}
 	fmt.Println(stats)
+	// Nothing fixed the sparse partition count, so the first steps of
+	// the loop searched for it on the live runtime.
+	fmt.Print(sess.PartitionDecision())
 }

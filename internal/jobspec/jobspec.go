@@ -1,10 +1,10 @@
 // Package jobspec is the shared definition of the repository's standard
 // training job — the hybrid LM workload every entry point runs. It
-// owns the pieces parallax-train and parallax-agent used to duplicate
-// inline (flag binding, deterministic graph construction, dataset and
-// resource wiring, option assembly), and doubles as the wire format of
-// the multi-tenant service: a Spec round-trips through JSON, so
-// POST /jobs bodies and CLI flag sets build byte-identical jobs.
+// owns flag binding, deterministic graph construction, dataset and
+// resource wiring and option assembly for parallax-agent and
+// parallax-serve, and doubles as the wire format of the multi-tenant
+// service: a Spec round-trips through JSON, so POST /jobs bodies and
+// CLI flag sets build byte-identical jobs.
 //
 // Determinism is the package's contract. Graph always seeds its
 // initializers with the same RNG seed and Dataset its Zipf stream with
@@ -43,17 +43,12 @@ type Spec struct {
 	Arch string  `json:"arch"`
 	LR   float64 `json:"lr"`
 	Clip float64 `json:"clip,omitempty"`
-	// Partitions fixes the sparse partition count; 0 selects the
-	// simulated search (or the online one under AutoPartition).
-	Partitions    int  `json:"partitions,omitempty"`
-	AutoPartition bool `json:"auto_partition,omitempty"`
+	// Partitions fixes the sparse partition count; 0 lets the session
+	// search for it during its first steps.
+	Partitions int `json:"partitions,omitempty"`
 	// Compression is the wire-compression policy name:
 	// none|f16|bf16|topk[=FRAC].
 	Compression string `json:"compression,omitempty"`
-	// MeasureAlpha samples the dataset before opening to supply a
-	// measured α hint for the embedding (parallax-train's behavior;
-	// agents skip it so every agent plans from identical inputs).
-	MeasureAlpha bool `json:"measure_alpha,omitempty"`
 }
 
 // Default returns the standard workload: the 2×2 hybrid LM.
@@ -147,8 +142,7 @@ func (s Spec) Resources() parallax.ResourceInfo {
 }
 
 // Dataset returns a fresh, identically seeded token stream. Each
-// consumer (the training loop, an α measurement pass) must take its
-// own: the stream is a stateful cursor.
+// consumer must take its own: the stream is a stateful cursor.
 func (s Spec) Dataset() *data.ZipfText {
 	return data.NewZipfText(s.Vocab, s.Batch, 1, 1.0, dataSeed)
 }
@@ -166,27 +160,11 @@ func (s Spec) Options() ([]parallax.Option, error) {
 		return nil, err
 	}
 	lr := float32(s.LR)
-	opts := []parallax.Option{
+	return []parallax.Option{
 		parallax.WithArch(arch),
 		parallax.WithOptimizer(func() parallax.Optimizer { return parallax.NewSGD(lr) }),
 		parallax.WithClipNorm(s.Clip),
 		parallax.WithCompression(policy),
-	}
-	if s.MeasureAlpha {
-		alpha := parallax.MeasureAlpha(s.Dataset(), s.Vocab, 5)
-		opts = append(opts, parallax.WithAlphaHints(map[string]float64{"embedding": alpha}))
-	}
-	switch {
-	case s.AutoPartition:
-		opts = append(opts, parallax.WithAutoPartition())
-	case s.Partitions > 0:
-		opts = append(opts, parallax.WithSparsePartitions(s.Partitions))
-	}
-	return opts, nil
-}
-
-// Alpha returns the measured embedding α the MeasureAlpha path would
-// use (for display), sampling a fresh dataset.
-func (s Spec) Alpha() float64 {
-	return parallax.MeasureAlpha(s.Dataset(), s.Vocab, 5)
+		parallax.WithSparsePartitions(s.Partitions),
+	}, nil
 }

@@ -13,10 +13,11 @@
 // model's critical point. Because Eq. 1 is convex in P and the critical
 // point is bracketed by the sampled range, no extrapolation happens.
 //
-// The Measure callback decides what "run an iteration" means: the
-// offline search plugs in the discrete-event engine, and the live
-// runtime search (parallax.Config.AutoPartition) plugs in real training
-// steps with live resharding between probes, budget-capped by SearchN.
+// The Measure callback decides what "run an iteration" means: a session
+// opened without a fixed count (parallax.Config.SparsePartitions) plugs
+// in real training steps with live resharding between probes,
+// budget-capped by SearchN; the paper tables and parallax-info plug in
+// the discrete-event engine.
 //
 // The package also provides the paper's §6.5 baselines: Min (smallest
 // feasible P) and the brute-force search (increase P by 2 until throughput
@@ -31,8 +32,8 @@ import (
 
 // MaxSearchP caps the search's upper bracket regardless of how many
 // rows the largest partition-target variable has, so degenerate graphs
-// cannot explode the candidate space. Both the simulator-backed search
-// and the live runtime search clamp with Bound.
+// cannot explode the candidate space. Both the simulator-backed what-if
+// and the session's search clamp with Bound.
 const MaxSearchP = 2048
 
 // Bound returns the search's upper bracket for a variable of the given

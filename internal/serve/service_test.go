@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parallax"
+	"parallax/internal/checkpoint"
 	"parallax/internal/jobspec"
 )
 
@@ -273,6 +274,21 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// wantCompleteHistory checks a finished job's step history holds every
+// step of its spec exactly once, in order.
+func wantCompleteHistory(t *testing.T, j *Job) {
+	t.Helper()
+	events, terminal := j.waitSteps(context.Background(), 0)
+	if !terminal || len(events) != j.Spec.Steps {
+		t.Fatalf("history: %d events terminal=%v, want %d", len(events), terminal, j.Spec.Steps)
+	}
+	for i, ev := range events {
+		if ev.Step != i {
+			t.Fatalf("history out of order at %d: %+v", i, ev)
+		}
+	}
+}
+
 func TestCheckpointAndStepHistory(t *testing.T) {
 	s, err := New(1, 1)
 	if err != nil {
@@ -307,19 +323,57 @@ func TestCheckpointAndStepHistory(t *testing.T) {
 	}
 	sess.Close()
 
-	// Step history is complete and ordered.
-	events, terminal := j.waitSteps(context.Background(), 0)
-	if !terminal || len(events) != spec.Steps {
-		t.Fatalf("history: %d events terminal=%v, want %d", len(events), terminal, spec.Steps)
-	}
-	for i, ev := range events {
-		if ev.Step != i {
-			t.Fatalf("history out of order at %d: %+v", i, ev)
-		}
-	}
+	wantCompleteHistory(t, j)
 	// Checkpointing a finished job fails cleanly.
 	if _, err := s.Checkpoint(context.Background(), j.ID, dir); err == nil {
 		t.Error("checkpoint on terminal job should error")
+	}
+}
+
+// TestJobWithoutPartitionsSearchesOnTheFleet: a job posted with
+// partitions unset runs the partition search on its first steps, and on
+// the resident fleet every probe's reshard goes through the job's
+// namespace. The job must settle, yield every step once, and — the
+// reshards being lossless — finish on the bits of a direct run fixed at
+// one partition per machine.
+func TestJobWithoutPartitionsSearchesOnTheFleet(t *testing.T) {
+	s, err := New(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec(400)
+	spec.Machines, spec.Partitions = 2, 0
+	j, err := s.Submit("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The search takes at most 5 probes × 3 steps; a checkpoint asked for
+	// after that is answered at a later step boundary, search settled.
+	for deadline := time.Now().Add(30 * time.Second); j.View().StepsDone < 15; {
+		if j.State().Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job in state %s after %d steps (%s)", j.State(), j.View().StepsDone, j.View().Error)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	dir := t.TempDir()
+	if _, err := s.Checkpoint(context.Background(), j.ID, dir); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	meta, _, err := checkpoint.ReadShard(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.DecisionSource != "online" || meta.DecisionPending || meta.Parts < 1 {
+		t.Fatalf("decision at step %d: source %q pending %v P=%d, want a settled online search",
+			meta.Step, meta.DecisionSource, meta.DecisionPending, meta.Parts)
+	}
+	if st := waitTerminal(t, j); st != Succeeded {
+		t.Fatalf("job: %s (%s)", st, j.View().Error)
+	}
+	wantCompleteHistory(t, j)
+	spec.Partitions = spec.Machines
+	if got, want := j.View().FinalLossBits, directBits(t, spec); got != want {
+		t.Errorf("final loss bits %s, direct run at P=%d has %s", got, spec.Partitions, want)
 	}
 }
 

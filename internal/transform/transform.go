@@ -50,7 +50,7 @@
 // steps (DESIGN.md §9) — a gather/barrier/install protocol that
 // migrates server state losslessly over either fabric — which is what
 // lets the §3.2 partition search run against the live runtime
-// (parallax.Config.AutoPartition) instead of the simulator.
+// (parallax.Config.SparsePartitions).
 package transform
 
 import (

@@ -4,7 +4,7 @@ package parallax
 // one facet of the job configuration; the zero configuration (no
 // options) is the paper's sensible default — hybrid architecture, SGD
 // with learning rate 0.1, mean aggregation, local aggregation on, and
-// the automatic partition search over the simulated cluster.
+// the partition search on the live runtime.
 //
 // The options compose left to right, so later options win.
 
@@ -71,19 +71,15 @@ func WithoutLocalAggregation() Option {
 	return func(c *Config) { c.DisableLocalAggregation = true }
 }
 
-// WithSparsePartitions fixes the sparse-variable partition count,
-// disabling the automatic search.
+// WithSparsePartitions fixes the sparse-variable partition count; 0
+// (the default) lets the first step loop search for it on the live
+// runtime (see Config.SparsePartitions).
 func WithSparsePartitions(p int) Option {
 	return func(c *Config) { c.SparsePartitions = p }
 }
 
-// WithAutoPartition switches the §3.2 partition search to the live
-// runtime: the first Steps iteration samples real step times and
-// reshards the running job to the optimum (tune-while-training).
-func WithAutoPartition() Option { return func(c *Config) { c.AutoPartition = true } }
-
-// WithAlphaHints supplies per-variable sparsity estimates for the
-// partition search and the α-threshold rule (see MeasureAlpha).
+// WithAlphaHints supplies per-variable sparsity estimates, used only by
+// the α-threshold rule (WithAlphaDenseThreshold; see MeasureAlpha).
 func WithAlphaHints(hints map[string]float64) Option {
 	return func(c *Config) { c.AlphaHint = hints }
 }

@@ -27,10 +27,9 @@
 //
 // Open analyzes the graph, classifies every variable by its gradient
 // type, builds the hybrid plan (AllReduce for dense variables, partitioned
-// parameter servers for sparse ones), optionally searches for the optimal
-// number of sparse-variable partitions, and starts the persistent
-// runtime that executes synchronous data-parallel steps — in one
-// process, or spanning agent processes over TCP (WithDist).
+// parameter servers for sparse ones), and starts the persistent runtime
+// that executes synchronous data-parallel steps — in one process, or
+// spanning agent processes over TCP (WithDist).
 //
 // # Sessions
 //
@@ -38,11 +37,10 @@
 // loop at the next step boundary (cluster-agreed in distributed mode,
 // so every agent stops at the same step), and Open's context bounds the
 // peer rendezvous. Configuration is functional options (WithArch,
-// WithOptimizer, WithAutoPartition, ...). Session.Save and
-// OpenFromCheckpoint capture and
-// restore the full training state — variable values, optimizer slots,
-// step counter, dataset cursor — with bit-identical resume on either
-// fabric. Failures carry typed sentinels (ErrClosed,
+// WithOptimizer, WithSparsePartitions, ...). Session.Save and
+// OpenFromCheckpoint capture and restore the full training state —
+// variable values, optimizer slots, step counter, dataset cursor — with
+// bit-identical resume on either fabric. Failures carry typed sentinels (ErrClosed,
 // ErrTopologyMismatch, ErrCheckpointVersion) matched with errors.Is.
 //
 // # Persistent runtime
@@ -54,13 +52,17 @@
 // zero-copy views, so the hot loop allocates no per-step bookkeeping (see
 // DESIGN.md §3). Call Close to stop the workers when training is done.
 //
-// The sparse-variable partition count can be tuned against the live
-// runtime: WithAutoPartition runs the §3.2 sampling search on real
-// measured steps during the first Steps loop, resharding the running job
-// between candidates (Session.Repartition) without a restart — the
-// migration is lossless, so the loss trajectory is unchanged. The
-// decision and the resulting layout are observable through
-// Session.PartitionDecision and Session.ShardMap.
+// # Partition search
+//
+// Unless WithSparsePartitions fixes it, the sparse-variable partition
+// count is found the way the paper finds it (§3.2): the session starts
+// at one partition per machine and its first Steps loop samples real
+// measured steps at a few candidate counts, resharding the running job
+// between them (Session.Repartition) without a restart, fits the cost
+// model, and settles on the optimum. The migration is lossless, so the
+// loss trajectory is unchanged. The decision and the resulting layout
+// are observable through Session.PartitionDecision and
+// Session.ShardMap.
 package parallax
 
 import (
@@ -178,8 +180,8 @@ func (a Arch) coreArch() core.Arch {
 
 // Config is the ParallaxConfig of §4.1: the optional knobs the Options
 // set, one field each; the zero value is a sensible default (hybrid
-// architecture, local aggregation, mean aggregation, automatic
-// partition search). Open folds its options into one Config and
+// architecture, local aggregation, mean aggregation, partition search
+// on the live runtime). Open folds its options into one Config and
 // resolves every "defaults to" below in that one place.
 type Config struct {
 	// Arch selects the architecture; default Hybrid.
@@ -194,35 +196,34 @@ type Config struct {
 	// (enabled by default for PS-managed variables, §4.3).
 	DisableLocalAggregation bool
 	// SparsePartitions fixes the partition count for variables declared
-	// inside partitioner scopes. 0 means search automatically: over the
-	// simulated cluster by default, or online against real measured
-	// steps when AutoPartition is set.
+	// inside partitioner scopes. 0 (the default) searches for it on the
+	// live runtime (§3.2; DESIGN.md §9): when the plan partitions a
+	// sparse variable across servers, the session starts at one
+	// partition per machine and, during the first Steps/StepsFeeds loop,
+	// samples real per-step times at candidate counts (doubling/halving
+	// from the machine count, at most 5 measurement runs of 3 steps),
+	// fits the cost model, and reshards the running job to the optimum —
+	// training continues through the whole search. The resharding is
+	// lossless, so the loss trajectory is the same as a run configured
+	// with any count from the start (see ClipNorm for the one
+	// exception). In distributed mode the agents agree on every
+	// measurement through the collective layer, so all of them reshard
+	// in lockstep. Auto-checkpoints and membership changes wait until
+	// the search has settled.
 	SparsePartitions int
-	// AutoPartition switches the §3.2 partition search from the
-	// simulator to the live runtime: the session starts at one partition
-	// per machine and, during the first Steps/StepsFeeds loop, samples
-	// real per-step times at candidate counts (doubling/halving
-	// from the machine count, at most 5 measurement runs), fits the cost
-	// model, and reshards the running job to the optimum — training
-	// continues through the whole search (tune-while-training). The
-	// resharding is lossless, so the loss trajectory is the same as a
-	// run configured with the chosen count from the start (exception:
-	// ClipNorm > 0, whose global-norm summation groups by partition).
-	// In distributed mode the agents agree on every measurement through
-	// the collective layer, so all of them reshard in lockstep. Ignored
-	// when SparsePartitions > 0 or no partitioner scope exists.
-	AutoPartition bool
 	// AlphaHint estimates, per sparse variable, the fraction of rows one
-	// worker's batch touches; used only by the automatic partition search
-	// and the α-threshold rule. Unset entries default to 0.05. Measure
-	// real values with MeasureAlpha.
+	// worker's batch touches; used only by the α-threshold rule. Unset
+	// entries default to 0.05. Measure real values with MeasureAlpha.
 	AlphaHint map[string]float64
 	// AlphaDenseThreshold promotes sparse variables with α at or above
 	// the threshold to dense AllReduce treatment (§3.1). 0 disables the
 	// rule (the default, matching the paper's deployed configuration).
 	AlphaDenseThreshold float64
 	// ClipNorm > 0 enables global-norm gradient clipping via the
-	// chief-worker aggregated-gradient read-back (§5).
+	// chief-worker aggregated-gradient read-back (§5). The global-norm
+	// sum groups by partition, so with clipping on, reproducible bits
+	// need a pinned SparsePartitions: the search's probe sequence depends
+	// on measured wall-clock times.
 	ClipNorm float64
 	// FusionBytes caps one dense-AllReduce fusion bucket (the trainer
 	// packs all dense AR variables into contiguous fusion buffers and

@@ -2,6 +2,7 @@ package parallax
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -108,27 +109,6 @@ func TestSessionCloseIdempotentAfterSteps(t *testing.T) {
 	runSteps(t, runner, data.NewZipfText(120, 8, 1, 1.0, 5), 2, nil)
 	runner.Close()
 	runner.Close() // second Close must be a no-op, not a panic
-}
-
-func TestAutomaticPartitionSearch(t *testing.T) {
-	g := buildAPIModel(8, 2000)
-	runner := openSession(t, g, Uniform(2, 2), WithAlphaHints(map[string]float64{"embedding": 0.02}))
-	defer runner.Close()
-	p := runner.SparsePartitions()
-	if p < 1 || p > 2000 {
-		t.Fatalf("searched partitions = %d out of range", p)
-	}
-	// A quick step must work with the searched partitioning.
-	feeds := make([]Feed, runner.Workers())
-	for w := range feeds {
-		feeds[w] = Feed{Ints: map[string][]int{
-			"tokens": {1, 2, 3, 4, 5, 6, 7, 8},
-			"labels": {0, 1, 2, 3, 4, 5, 6, 7},
-		}}
-	}
-	if _, err := runner.RunStep(feeds); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
@@ -260,17 +240,19 @@ func TestMeasureAlphaPublicAPI(t *testing.T) {
 	}
 }
 
-// TestAutoPartitionOnlineSearch is the acceptance check of the online
-// §3.2 search: on the hybrid LM example the tuning phase must settle
-// within the paper's budget of 5 measurement runs, choose a P inside
-// the sampled bracket, reshard the live runtime to it, and keep the
-// training loop accounting intact (every step, tuning included, is
-// yielded exactly once, in order).
-func TestAutoPartitionOnlineSearch(t *testing.T) {
+// TestPartitionSearchOnLiveSteps is the acceptance check of the §3.2
+// search, which a session opened without a fixed partition count runs
+// in its first loop: on the hybrid LM example it must start at one
+// partition per machine, settle within the paper's budget of 5
+// measurement runs, choose a P inside the sampled bracket, reshard the
+// live runtime to it, keep the training loop accounting intact (every
+// step, probes included, is yielded exactly once, in order) — and,
+// because resharding is lossless, train the same loss trajectory bit
+// for bit as a run fixed at the machine count from the start.
+func TestPartitionSearchOnLiveSteps(t *testing.T) {
 	const vocab, batch, steps = 600, 8, 30
 	g := buildAPIModel(batch, vocab)
-	runner := openSession(t, g, Uniform(2, 2),
-		WithAutoPartition(), WithAlphaHints(map[string]float64{"embedding": 0.05}))
+	runner := openSession(t, g, Uniform(2, 2))
 	defer runner.Close()
 
 	d := runner.PartitionDecision()
@@ -281,15 +263,15 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 		t.Fatalf("initial P = %d, want the machine count", runner.SparsePartitions())
 	}
 
-	seen := 0
+	var losses []float64
 	stats := runSteps(t, runner, data.NewZipfText(vocab, batch, 1, 1.0, 11), steps, func(s StepStats) {
-		if s.Step != seen {
-			t.Errorf("iterator yielded step %d, want %d", s.Step, seen)
+		if s.Step != len(losses) {
+			t.Errorf("iterator yielded step %d, want %d", s.Step, len(losses))
 		}
-		seen++
+		losses = append(losses, s.Loss)
 	})
-	if seen != steps || stats.Steps != steps {
-		t.Fatalf("saw %d steps, stats counted %d, want %d", seen, stats.Steps, steps)
+	if len(losses) != steps || stats.Steps != steps {
+		t.Fatalf("saw %d steps, stats counted %d, want %d", len(losses), stats.Steps, steps)
 	}
 
 	d = runner.PartitionDecision()
@@ -297,16 +279,11 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 		t.Fatalf("post-loop decision = %+v, want settled online search", d)
 	}
 	if d.Search.Runs > 5 {
-		t.Fatalf("online search used %d measurement runs, budget is 5", d.Search.Runs)
+		t.Fatalf("search used %d measurement runs, budget is 5", d.Search.Runs)
 	}
 	lo, hi := d.Search.Samples[0].P, d.Search.Samples[0].P
 	for _, s := range d.Search.Samples {
-		if s.P < lo {
-			lo = s.P
-		}
-		if s.P > hi {
-			hi = s.P
-		}
+		lo, hi = min(lo, s.P), max(hi, s.P)
 	}
 	if d.P < lo || d.P > hi {
 		t.Fatalf("chosen P=%d outside the sampled bracket [%d,%d]", d.P, lo, hi)
@@ -318,10 +295,45 @@ func TestAutoPartitionOnlineSearch(t *testing.T) {
 		t.Fatalf("decision renders NaN thetas:\n%s", out)
 	}
 
-	// A second loop must not re-run the tuning phase.
+	// A second loop must not re-run the search.
 	runSteps(t, runner, data.NewZipfText(vocab, batch, 1, 1.0, 12), 2, nil)
-	if runner.PartitionDecision().P != d.P {
-		t.Fatal("second Steps loop re-tuned the partitioning")
+	if d2 := runner.PartitionDecision(); d2.P != d.P || d2.Search != d.Search {
+		t.Fatal("second Steps loop searched again")
+	}
+
+	fixed := openSession(t, buildAPIModel(batch, vocab), Uniform(2, 2), WithSparsePartitions(2))
+	defer fixed.Close()
+	runSteps(t, fixed, data.NewZipfText(vocab, batch, 1, 1.0, 11), steps, func(s StepStats) {
+		if math.Float64bits(s.Loss) != math.Float64bits(losses[s.Step]) {
+			t.Fatalf("step %d: searched run's loss %x, fixed-P run's %x",
+				s.Step, math.Float64bits(losses[s.Step]), math.Float64bits(s.Loss))
+		}
+	})
+}
+
+// TestNoSearchWithoutServerPartitions: the search is gated on the plan,
+// not the graph. When the architecture (or the α-threshold rule) routes
+// the graph's only partition target through collectives there is
+// nothing to reshard, so the decision is fixed at Open and the first
+// loop spends no step on probes.
+func TestNoSearchWithoutServerPartitions(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"AllReduceOnly": {WithArch(AllReduceOnly)},
+		"alpha threshold": {WithAlphaHints(map[string]float64{"embedding": 0.9}),
+			WithAlphaDenseThreshold(0.5)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			runner := openSession(t, buildAPIModel(8, 600), Uniform(2, 2), opts...)
+			defer runner.Close()
+			want := PartitionDecision{P: 1, Source: "fixed"}
+			if d := runner.PartitionDecision(); d != want {
+				t.Fatalf("decision at Open = %+v, want %+v", d, want)
+			}
+			runSteps(t, runner, data.NewZipfText(600, 8, 1, 1.0, 11), 3, nil)
+			if d := runner.PartitionDecision(); d != want {
+				t.Fatalf("decision after a loop = %+v, want %+v", d, want)
+			}
+		})
 	}
 }
 

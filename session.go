@@ -2,7 +2,6 @@ package parallax
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -11,13 +10,10 @@ import (
 
 	"parallax/internal/chaos"
 	"parallax/internal/checkpoint"
-	"parallax/internal/cluster"
 	"parallax/internal/core"
 	"parallax/internal/data"
-	"parallax/internal/engine"
 	"parallax/internal/graph"
 	"parallax/internal/metrics"
-	"parallax/internal/models"
 	"parallax/internal/partition"
 	"parallax/internal/transform"
 	"parallax/internal/transport"
@@ -96,8 +92,9 @@ type liveRuntime struct {
 	parts    int
 	feeds    []Feed
 
-	decision    PartitionDecision
-	tunePending bool
+	// decision.Pending is the partition search's one piece of state: set
+	// by decide, cleared when the search settles, saved in checkpoints.
+	decision PartitionDecision
 	// saveHook is the fabric's fault-injection points around
 	// auto-checkpoint writes (nil unless the chaos harness is armed).
 	saveHook checkpointHooks
@@ -243,8 +240,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		resource: tgt.resource, dist: tgt.dist, epoch: tgt.epoch,
 		workers: tgt.resource.TotalGPUs(), feeds: make([]Feed, tgt.resource.TotalGPUs()),
 	}
-	rt.decide(s.g, cfg, head)
-	if rt.plan, err = buildPlan(s.g, rt.resource, cfg, rt.parts); err != nil {
+	if err = rt.decide(s.g, cfg, head); err != nil {
 		return err
 	}
 	if s.chaos == nil && tgt.dist != nil && tgt.dist.Chaos != "" {
@@ -339,38 +335,40 @@ func validateTarget(g *Graph, tgt target, cfg Config) error {
 	return nil
 }
 
-// decide settles the partition count and how it was chosen: restored
-// from the checkpoint, fixed by configuration, searched over the
-// simulated cluster, or left pending for the online search.
-func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) {
+// decide settles the partition count, the plan built for it, and how
+// the count was chosen: fixed by configuration, restored from the
+// checkpoint, or left pending for the search the first step loop runs.
+func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error) {
 	rt.parts = cfg.SparsePartitions
 	rt.decision = PartitionDecision{Source: "fixed"}
-	switch {
-	case head != nil:
+	search := rt.parts == 0
+	if head != nil {
 		// A restored session rebuilds the plan with exactly the
 		// checkpointed partition count — even if the original run searched
 		// for it — so the plan fingerprints can be compared. A search that
 		// had not run yet at save time runs on the first Steps call, as it
 		// would have in the original run.
-		rt.parts = head.meta.Parts
-		rt.tunePending = head.meta.DecisionPending && cfg.AutoPartition && hasPartitionTarget(g)
-		rt.decision = PartitionDecision{Source: head.meta.DecisionSource, Pending: rt.tunePending}
-	case rt.parts > 0:
-	case cfg.AutoPartition && hasPartitionTarget(g):
-		// Online tuning starts from the paper's initial sample point (the
-		// machine count); the search itself runs against real steps during
-		// the first loop and reshards live.
+		rt.parts, search = head.meta.Parts, search && head.meta.DecisionPending
+		rt.decision.Source = head.meta.DecisionSource
+	} else if search {
+		// The search starts from the paper's initial sample point, one
+		// partition per machine.
 		rt.parts = rt.resource.NumMachines()
-		rt.tunePending = true
+	}
+	if rt.plan, err = buildPlan(g, rt.resource, cfg, rt.parts); err != nil {
+		return err
+	}
+	// Which variables are partitioned on servers does not depend on the
+	// count, so the plan just built says whether there is anything to
+	// search over: an architecture or α-threshold that routes every
+	// partition target through collectives leaves nothing to reshard.
+	if search && searchBound(rt.plan) > 0 {
 		rt.decision = PartitionDecision{Source: "online", Pending: true}
-	default:
-		var sr *partition.SearchResult
-		rt.parts, sr = searchPartitions(g, rt.resource, cfg)
-		if sr != nil {
-			rt.decision = PartitionDecision{Source: "simulated", Search: sr}
-		}
+	} else if head == nil && cfg.SparsePartitions == 0 {
+		rt.parts = 1 // nothing is partitioned; the plan is the same at any count
 	}
 	rt.decision.P = rt.parts
+	return nil
 }
 
 // shardHead is what rebuild learns from a checkpoint before committing
@@ -533,7 +531,7 @@ func (s *Session) Save(dir string) error {
 		Cursor:          s.cursor,
 		Parts:           s.parts,
 		DecisionSource:  s.decision.Source,
-		DecisionPending: s.tunePending,
+		DecisionPending: s.decision.Pending,
 		TopoFP:          checkpoint.TopoFingerprint(s.resource),
 		PlanFP:          checkpoint.PlanFingerprint(s.plan),
 		Compression:     s.cfg.Compression.Fingerprint(),
@@ -646,7 +644,7 @@ func (s *Session) datasetFeeds(ds Dataset) func(step, worker int) (Feed, error) 
 	}
 }
 
-// Online tuning constants: each candidate partition count is measured
+// Partition-search constants: each candidate partition count is measured
 // over tuneStepsPerProbe real training steps, and the whole search
 // stays within the paper's §6.5 budget of tuneMaxRuns measurement runs.
 const (
@@ -669,8 +667,8 @@ type stepDriver struct {
 }
 
 // drive yields each step's stats until the loop is stopped: the single
-// code path behind the public iterators, including the
-// tune-while-training phase of WithAutoPartition.
+// code path behind the public iterators, including the partition
+// search a session opened without a fixed count runs first.
 func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), yield func(StepStats, error) bool) {
 	if s.closed {
 		yield(StepStats{}, fmt.Errorf("parallax: steps on %w session", ErrClosed))
@@ -752,15 +750,10 @@ func (d *stepDriver) stopErr() error {
 
 func (d *stepDriver) run() {
 	s := d.s
-	if s.tunePending {
-		s.tunePending = false
+	if s.decision.Pending {
+		// A search cut short (cancellation, a failed probe) stays pending,
+		// so a later Steps call starts it over.
 		if err := d.tune(); err != nil {
-			// Cancellation mid-search re-arms the tuning so a later Steps
-			// call restarts it; hard errors do not.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.tunePending = true
-				s.decision.Pending = true
-			}
 			d.emit(StepStats{}, err)
 			return
 		}
@@ -818,14 +811,14 @@ func (d *stepDriver) advance() (StepStats, error) {
 	return st, s.maybeAutoSave()
 }
 
-// tune is the tune-while-training phase: it drives the §3.2 sampling
-// search with real measured steps, resharding the live runtime to each
-// candidate P, and settles on the optimum. Measured times are folded to
-// a cluster-wide maximum through the collective layer, so in
+// tune is the partition search (§3.2; DESIGN.md §9): it drives the
+// sampling search with real measured steps, resharding the live runtime
+// to each candidate P, and settles on the optimum. Measured times are
+// folded to a cluster-wide maximum through the collective layer, so in
 // distributed mode every agent derives the same probe sequence from the
 // same numbers and the repartition protocol stays in lockstep. A
 // cancellation is observed (cluster-agreed) before every probe step;
-// membership proposals wait until the search has settled.
+// auto-saves and membership proposals wait until the search has settled.
 func (d *stepDriver) tune() error {
 	s := d.s
 	var runErr error
@@ -862,7 +855,7 @@ func (d *stepDriver) tune() error {
 		}
 		return m
 	}
-	res, err := partition.SearchN(measure, s.resource.NumMachines(), maxPartitionBound(s.g), tuneMaxRuns)
+	res, err := partition.SearchN(measure, s.resource.NumMachines(), searchBound(s.plan), tuneMaxRuns)
 	if runErr != nil {
 		return runErr
 	}
@@ -932,7 +925,7 @@ func (s *Session) StepCount() int { return s.trainer.StepCount() }
 // The migration is lossless — training continues bit-identically to a
 // run that used p from the start. It must not run concurrently with the
 // step drivers; in distributed mode every agent must call it with the
-// same p between the same steps (WithAutoPartition does this
+// same p between the same steps (the partition search does this
 // automatically).
 func (s *Session) Repartition(p int) error {
 	if s.closed {
@@ -1043,26 +1036,19 @@ func buildPlan(g *Graph, resource ResourceInfo, cfg Config, parts int) (*core.Pl
 	})
 }
 
-// hasPartitionTarget reports whether the graph declares any sparse
-// variable inside a partitioner scope — the variables the §3.2 search
-// (and live resharding) applies to.
-func hasPartitionTarget(g *Graph) bool {
-	for _, v := range g.Variables() {
-		if v.PartitionScope >= 0 && g.GradKind(v) == graph.GradSparse {
-			return true
+// searchBound is the partition search's upper bracket: the row count of
+// the largest sparse variable the plan partitions across servers (the
+// variables live resharding applies to), clamped by partition.Bound. 0
+// means the plan has no such variable and there is nothing to search.
+func searchBound(plan *core.Plan) int {
+	maxRows := 0
+	for _, a := range plan.Assignments {
+		if a.Method == core.MethodPS && a.PartitionTarget && a.Sparse && int(a.Rows) > maxRows {
+			maxRows = int(a.Rows)
 		}
 	}
-	return false
-}
-
-// maxPartitionBound is the search's upper bracket: the largest
-// partition-target variable's row count, clamped by partition.Bound.
-func maxPartitionBound(g *Graph) int {
-	maxRows := 1
-	for _, v := range g.Variables() {
-		if v.PartitionScope >= 0 && v.Shape[0] > maxRows {
-			maxRows = v.Shape[0]
-		}
+	if maxRows == 0 {
+		return 0
 	}
 	return partition.Bound(maxRows)
 }
@@ -1089,54 +1075,6 @@ func planVars(g *Graph, alphaHint map[string]float64) []core.VarInfo {
 		})
 	}
 	return vars
-}
-
-// searchPartitions runs the §3.2 sampling search over the simulated
-// cluster: a spec is derived from the user's graph, each candidate P is
-// "trained for a few iterations" on the discrete-event engine, and the
-// cost model picks the best count. (The real system samples on the
-// physical cluster; WithAutoPartition does exactly that on the live
-// runtime, see DESIGN.md §9.) The returned search result is nil when
-// the graph has no partition-target variable.
-func searchPartitions(g *Graph, resource ResourceInfo, cfg Config) (int, *partition.SearchResult) {
-	if !hasPartitionTarget(g) {
-		return 1, nil
-	}
-	batch := firstBatchDim(g)
-	spec := models.SpecFromGraph(g, cfg.AlphaHint, batch)
-	hw := cluster.DefaultHardware()
-	measure := func(p int) float64 {
-		res, err := engine.RunArch(spec, core.ArchHybrid, resource.NumMachines(),
-			maxGPUs(resource), p, hw)
-		if err != nil {
-			return 1e9
-		}
-		return res.StepTime
-	}
-	res, err := partition.Search(measure, resource.NumMachines(), maxPartitionBound(g))
-	if err != nil || res.BestP < 1 {
-		return resource.NumMachines(), nil
-	}
-	return res.BestP, &res
-}
-
-func firstBatchDim(g *Graph) int {
-	for _, n := range g.Nodes() {
-		if n.Kind == graph.OpInput && len(n.Shape) > 0 {
-			return n.Shape[0]
-		}
-	}
-	return 1
-}
-
-func maxGPUs(r ResourceInfo) int {
-	m := 1
-	for i := 0; i < r.NumMachines(); i++ {
-		if g := r.GPUsPerMachine(i); g > m {
-			m = g
-		}
-	}
-	return m
 }
 
 func hasIntInput(g *Graph, name string) bool {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"parallax/internal/checkpoint"
 	"parallax/internal/data"
 )
 
@@ -275,20 +276,19 @@ func TestSessionClosedErrors(t *testing.T) {
 	}
 }
 
-// TestSessionAutoPartitionCheckpoint: a checkpoint taken after the
-// online partition search settles records the decision; the restored
-// session runs at the tuned P without re-tuning, and — because live
-// resharding is lossless — its losses match an uninterrupted
-// auto-partitioned run bit for bit even though the two runs' probe
-// sequences measured different wall-clock times.
-func TestSessionAutoPartitionCheckpoint(t *testing.T) {
-	const saveAt, total = 18, 22 // tuning consumes at most 5 probes × 3 steps
-	auto := []Option{WithAutoPartition(), WithAlphaHints(map[string]float64{"embedding": 0.05})}
-	refLosses, _ := runSessionSteps(t, total, auto...)
+// TestSessionSearchedPartitionCheckpoint: a checkpoint taken after the
+// partition search settles records the decision; the restored session
+// runs at the searched P without searching again, and — because live
+// resharding is lossless — its losses match an uninterrupted searching
+// run bit for bit even though the two runs' probe sequences measured
+// different wall-clock times.
+func TestSessionSearchedPartitionCheckpoint(t *testing.T) {
+	const saveAt, total = 18, 22 // the search consumes at most 5 probes × 3 steps
+	refLosses, _ := runSessionSteps(t, total)
 
 	dir := t.TempDir()
 	g := buildAPIModel(8, 150)
-	s, err := Open(context.Background(), g, Uniform(2, 2), auto...)
+	s, err := Open(context.Background(), g, Uniform(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSessionAutoPartitionCheckpoint(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := OpenFromCheckpoint(context.Background(), dir, buildAPIModel(8, 150), Uniform(2, 2), auto...)
+	s2, err := OpenFromCheckpoint(context.Background(), dir, buildAPIModel(8, 150), Uniform(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +329,64 @@ func TestSessionAutoPartitionCheckpoint(t *testing.T) {
 		if st.Step == total-1 {
 			break
 		}
+	}
+	if d3 := s2.PartitionDecision(); d3 != d2 {
+		t.Fatalf("restored session searched again: %+v, restored as %+v", d3, d2)
+	}
+}
+
+// TestSessionRestoresRecordedDecision: what a restore does about the
+// partition count is read from the checkpoint alone. A settled decision
+// — including the "simulated" source older checkpoints carry — reopens
+// at its recorded count with no search; a decision saved while the
+// search was still pending resumes the search in the first loop.
+func TestSessionRestoresRecordedDecision(t *testing.T) {
+	const parts = 5
+	dir := t.TempDir()
+	s := openSession(t, buildAPIModel(8, 150), Uniform(2, 2), WithSparsePartitions(parts))
+	runSteps(t, s, data.NewZipfText(150, 8, 1, 1.0, 5), 2, nil)
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	reopenAs := func(source string, pending bool) *Session {
+		for m := range 2 {
+			meta, recs, err := checkpoint.ReadShard(dir, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta.DecisionSource, meta.DecisionPending = source, pending
+			if err := checkpoint.WriteShard(dir, meta, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenFromCheckpoint(context.Background(), dir, buildAPIModel(8, 150), Uniform(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	settled := reopenAs("simulated", false)
+	defer settled.Close()
+	want := PartitionDecision{P: parts, Source: "simulated"}
+	if d := settled.PartitionDecision(); d != want {
+		t.Fatalf("restored decision = %+v, want %+v", d, want)
+	}
+	runSteps(t, settled, data.NewZipfText(150, 8, 1, 1.0, 5), 3, nil)
+	if d := settled.PartitionDecision(); d != want || settled.SparsePartitions() != parts {
+		t.Fatalf("settled checkpoint searched: decision %+v at P=%d", d, settled.SparsePartitions())
+	}
+
+	pending := reopenAs("online", true)
+	defer pending.Close()
+	if d := pending.PartitionDecision(); !d.Pending || d.P != parts {
+		t.Fatalf("restored decision = %+v, want pending at P=%d", d, parts)
+	}
+	runSteps(t, pending, data.NewZipfText(150, 8, 1, 1.0, 5), 16, nil)
+	if d := pending.PartitionDecision(); d.Pending || d.Source != "online" || d.Search == nil {
+		t.Fatalf("decision after the first loop = %+v, want a settled search", d)
 	}
 }
 
