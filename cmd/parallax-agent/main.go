@@ -252,7 +252,7 @@ func main() {
 		return
 	}
 	if sess.Recoveries() > 0 {
-		// Recovery timings ride the CI artifact next to BENCH.json.
+		// Recovery timings ride the CI artifact (recovery.txt).
 		fmt.Printf("recoveries %d  epoch %d  last recovery %v\n",
 			sess.Recoveries(), sess.Epoch(), sess.LastRecoveryDuration().Round(time.Millisecond))
 	}

@@ -151,7 +151,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // rootIdent unwraps selectors, indexes, calls, derefs, and parens to
 // the leftmost identifier of an expression: s.mu -> s,
-// t.psAdmin(m).ReshardVar -> t, (*p).field -> p. Returns nil when the
+// t.ns[m].ReshardVar -> t, (*p).field -> p. Returns nil when the
 // expression is not rooted at an identifier (composite literals,
 // results of standalone calls, ...).
 func rootIdent(e ast.Expr) *ast.Ident {

@@ -77,9 +77,17 @@ func (c *Comm) Barrier(tag string) {
 // and tears its fabric down (which fail-stops connected fabrics), the
 // only messages lost are barrier scalars and the drain guarantee the
 // barrier exists for already holds. Sends on a closed fabric drop
-// silently; a recv on one panics, which this absorbs.
+// silently; a recv on one raises transport.ClosedPanic, which this
+// absorbs — and nothing else: a tag mismatch or a nil conduit is a bug
+// at shutdown as much as mid-step, and propagates.
 func (c *Comm) CloseBarrier(tag string) {
-	defer func() { _ = recover() }()
+	defer func() {
+		if p := recover(); p != nil {
+			if _, closed := p.(transport.ClosedPanic); !closed {
+				panic(p)
+			}
+		}
+	}()
 	c.Barrier(tag)
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"parallax/internal/optim"
 	"parallax/internal/tensor"
@@ -240,6 +241,31 @@ func TestRecvTagMismatchPanics(t *testing.T) {
 	}()
 	if !<-done {
 		t.Fatal("expected panic on tag mismatch")
+	}
+}
+
+// CloseBarrier absorbs exactly what a closing fabric raises: a fabric
+// closed while a rank waits in the barrier returns it cleanly, and a
+// protocol bug — here the peer's scalar carrying another tag — escapes.
+func TestCloseBarrierRecoversOnlyClosedPanic(t *testing.T) {
+	barrier := func(w *World, before func()) any {
+		done := make(chan any)
+		go func() {
+			defer func() { done <- recover() }()
+			before()
+			w.Comm(0).CloseBarrier("close")
+		}()
+		time.Sleep(10 * time.Millisecond) // let rank 0 park on the peer that never enters
+		w.fab.Close()
+		return <-done
+	}
+	if p := barrier(NewWorld(2), func() {}); p != nil {
+		t.Fatalf("fabric closed mid-barrier: CloseBarrier panicked with %v", p)
+	}
+	w := NewWorld(2)
+	p := barrier(w, func() { w.Comm(1).SendScalar(0, "loss", 0) })
+	if _, closed := p.(transport.ClosedPanic); p == nil || closed {
+		t.Fatalf("tag mismatch inside CloseBarrier: recovered %v, want the transport's assertion to escape", p)
 	}
 }
 

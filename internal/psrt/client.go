@@ -21,7 +21,6 @@ type Endpoint interface {
 	PushSparseMany(reqs []SparsePush) error
 	WaitAggregatedNormSquared(name string, pi int, seq int64) (float64, error)
 	ApplyUpdate(name string, pi int, scale float32) error
-	PullInto(name string, pi int, minVersion int64, dst *tensor.Dense) error
 	SnapshotPart(name string, pi int, minVersion int64) (*tensor.Dense, []*tensor.Dense, error)
 }
 
@@ -125,7 +124,7 @@ func (c *Client) PushDenseMany(reqs []DensePush) error {
 
 // PushSparseMany ships a batch of sparse partition gradients; ownership
 // of the tensors transfers (to the wire here, to the remote server
-// there), matching PushSparse's contract.
+// there), matching the direct call's contract.
 func (c *Client) PushSparseMany(reqs []SparsePush) error {
 	m := &transport.PSMsg{Op: transport.PSPushSparseMany, Codec: c.codec}
 	for i := range reqs {
@@ -158,11 +157,6 @@ func (c *Client) ApplyUpdate(name string, pi int, scale float32) error {
 		Names: []string{name}, Parts: []int{pi},
 	})
 	return err
-}
-
-// PullInto reads one partition into dst (cold path: VarValue assembly).
-func (c *Client) PullInto(name string, pi int, minVersion int64, dst *tensor.Dense) error {
-	return c.PullManyInto(minVersion, []PullReq{{Name: name, Part: pi, Dst: dst}})
 }
 
 // SnapshotPart reads one partition's value and optimizer slot state over

@@ -105,7 +105,7 @@ func TestClientSparsePushAndNormApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := tensor.NewDense(4, 2)
-	if err := client.PullInto("emb", 0, 1, got); err != nil {
+	if err := client.PullManyInto(1, []PullReq{{Name: "emb", Part: 0, Dst: got}}); err != nil {
 		t.Fatal(err)
 	}
 	// row 1 was [2,3]; grad [3,4]*0.5 applied with lr 1 -> [0.5, 1].

@@ -8,67 +8,6 @@ import (
 	"parallax/internal/tensor"
 )
 
-// The batched APIs must be behaviorally identical to their per-partition
-// counterparts: same accumulator semantics, same versioned-pull blocking.
-func TestPushPullManyMatchSinglePartitionCalls(t *testing.T) {
-	build := func() *Server {
-		srv, err := NewServer(Config{
-			Sources:   2,
-			Optimizer: optim.NewSGD(0.5),
-			DenseAgg:  optim.AggMean,
-			SparseAgg: optim.AggMean,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		init := tensor.NewRNG(4).RandN(1, 8, 3)
-		ranges := tensor.PartitionRows(8, 4)
-		if err := srv.AddVar("v", init, ranges, []int{0, 1, 2, 3}, false); err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	grad := func(w int) *tensor.Dense { return tensor.NewRNG(int64(10+w)).RandN(1, 8, 3) }
-	ranges := tensor.PartitionRows(8, 4)
-
-	single := build()
-	for w := 0; w < 2; w++ {
-		g := grad(w)
-		for pi, rr := range ranges {
-			if err := single.PushDense("v", pi, g.SliceRows(rr.Start, rr.End)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	many := build()
-	for w := 0; w < 2; w++ {
-		g := grad(w)
-		reqs := make([]DensePush, len(ranges))
-		for pi, rr := range ranges {
-			reqs[pi] = DensePush{Name: "v", Part: pi, Grad: g.SliceRows(rr.Start, rr.End)}
-		}
-		if err := many.PushDenseMany(reqs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	wantFull := tensor.NewDense(8, 3)
-	gotFull := tensor.NewDense(8, 3)
-	pulls := make([]PullReq, len(ranges))
-	for pi, rr := range ranges {
-		if err := single.PullInto("v", pi, 1, wantFull.SliceRows(rr.Start, rr.End)); err != nil {
-			t.Fatal(err)
-		}
-		pulls[pi] = PullReq{Name: "v", Part: pi, Dst: gotFull.SliceRows(rr.Start, rr.End)}
-	}
-	if err := many.PullManyInto(1, pulls); err != nil {
-		t.Fatal(err)
-	}
-	if gotFull.MaxAbsDiff(wantFull) != 0 {
-		t.Fatalf("batched push/pull state differs from per-partition calls by %v", gotFull.MaxAbsDiff(wantFull))
-	}
-}
-
 func TestPushSparseManyAggregates(t *testing.T) {
 	srv, err := NewServer(Config{
 		Sources:   2,
@@ -105,9 +44,9 @@ func TestPushSparseManyAggregates(t *testing.T) {
 	}
 }
 
-// PullManyInto must honor the versioned blocking of PullInto: a reader
-// waiting for version 1 is released by the update that completes when the
-// last source pushes.
+// PullManyInto honors the versioned blocking: a reader waiting for
+// version 1 is released by the update that completes when the last
+// source pushes.
 func TestPullManyIntoBlocksUntilVersion(t *testing.T) {
 	srv, err := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.1), DenseAgg: optim.AggSum})
 	if err != nil {

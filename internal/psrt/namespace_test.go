@@ -39,7 +39,7 @@ func TestNamespaceIsolation(t *testing.T) {
 	}
 
 	// Tenant A pushes a gradient; tenant B's value must not move.
-	if err := srv.PushDense(nsA.Qualify("w"), 0, denseOf(2, 1, 1, 1)); err != nil {
+	if err := pushDense(srv, nsA.Qualify("w"), 0, denseOf(2, 1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	a, err := srv.Pull(nsA.Qualify("w"), 0, 1)
@@ -64,7 +64,7 @@ func TestNamespaceIsolation(t *testing.T) {
 	if got := nsB.SlotNames(); len(got) != 1 || got[0] != "velocity" {
 		t.Fatalf("tenant B slot names = %v, want [velocity]", got)
 	}
-	if err := srv.PushDense(nsB.Qualify("w"), 0, denseOf(2, 1, 2, 2)); err != nil {
+	if err := pushDense(srv, nsB.Qualify("w"), 0, denseOf(2, 1, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	_, slotsB, err := srv.SnapshotPart(nsB.Qualify("w"), 0, 1)
@@ -87,10 +87,12 @@ func TestNamespaceIsolation(t *testing.T) {
 		t.Fatal("bare name resolved on a resident server")
 	}
 
-	// Dropping tenant A removes exactly its variables.
-	srv.DropNamespace("tenantA/job1")
+	// Dropping tenant A removes exactly its variables; a second Drop is
+	// a no-op.
+	nsA.Drop()
+	nsA.Drop()
 	if _, err := srv.Pull(nsA.Qualify("w"), 0, 0); err == nil {
-		t.Fatal("tenant A variable survived DropNamespace")
+		t.Fatal("tenant A variable survived Drop")
 	}
 	if _, err := srv.Pull(nsB.Qualify("w"), 0, 1); err != nil {
 		t.Fatalf("tenant B variable lost by tenant A's drop: %v", err)
@@ -133,7 +135,7 @@ func TestNamespaceScopedAbort(t *testing.T) {
 	}
 
 	// Tenant B is unaffected: its push still satisfies its pull.
-	if err := srv.PushDense(nsB.Qualify("w"), 0, denseOf(1, 1, 1)); err != nil {
+	if err := pushDense(srv, nsB.Qualify("w"), 0, denseOf(1, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Pull(nsB.Qualify("w"), 0, 1); err != nil {
@@ -141,36 +143,123 @@ func TestNamespaceScopedAbort(t *testing.T) {
 	}
 }
 
-// TestResidentServerRejectsBareRegistration: resident servers are
-// namespace-only; bare AddVar/ReshardVar and malformed namespaces fail.
-func TestResidentServerRejectsBareRegistration(t *testing.T) {
-	srv := NewResident()
-	ranges := []tensor.RowRange{{Start: 0, End: 1}}
-	if err := srv.AddVar("w", denseOf(1, 1, 1), ranges, []int{0}, false); err == nil {
-		t.Fatal("bare AddVar accepted on a resident server")
-	}
-	if err := srv.ReshardVar("w", denseOf(1, 1, 1), ranges, []int{0}, false, nil, 0); err == nil {
-		t.Fatal("bare ReshardVar accepted on a resident server")
-	}
-	if _, err := srv.Namespace("", Config{Sources: 1, Optimizer: optim.NewSGD(1)}); err == nil {
-		t.Fatal("empty namespace accepted")
-	}
-	if _, err := srv.Namespace("a::b", Config{Sources: 1, Optimizer: optim.NewSGD(1)}); err == nil {
-		t.Fatal("namespace containing the separator accepted")
-	}
-	if _, err := srv.Namespace("a", Config{Sources: 1, Optimizer: nil}); err == nil {
-		t.Fatal("namespace with nil optimizer accepted")
-	}
-	if _, err := srv.Namespace("a", Config{Sources: 1, Optimizer: optim.NewSGD(1)}); err != nil {
+// TestAnonymousNamespaceIsThePrivateServer: NewServer(cfg)+AddVar is
+// shorthand for registering the anonymous namespace — the variable is
+// served under its bare name, updated by cfg's optimizer once cfg's
+// Sources pushes arrived.
+func TestAnonymousNamespaceIsThePrivateServer(t *testing.T) {
+	srv, err := NewServer(Config{Sources: 2, Optimizer: optim.NewMomentum(1, 0.5), DenseAgg: optim.AggSum})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Namespace("a", Config{Sources: 1, Optimizer: optim.NewSGD(1)}); err == nil {
-		t.Fatal("duplicate namespace accepted")
+	if got := srv.Namespaces(); len(got) != 1 || got[0] != "" {
+		t.Fatalf("NewServer namespaces = %q, want just the anonymous one", got)
+	}
+	if err := srv.AddVar("w", denseOf(1, 1, 10), fullRange(1), []int{0}, false); err != nil {
+		t.Fatal(err)
+	}
+	if q := anon(srv).Qualify("w"); q != "w" {
+		t.Fatalf("anonymous namespace qualifies w as %q", q)
+	}
+	if err := pushDense(srv, "w", 0, denseOf(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := srv.Version("w", 0); v != 0 {
+		t.Fatal("update applied before cfg.Sources pushes arrived")
+	}
+	if err := pushDense(srv, "w", 0, denseOf(1, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.Pull("w", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Data()[0] != 7 { // 10 - lr 1 * (1+2)
+		t.Fatalf("value = %v, want 7", got.Data()[0])
+	}
+	if names := anon(srv).SlotNames(); len(names) != 1 || names[0] != "velocity" {
+		t.Fatalf("slot names = %v, want cfg's momentum optimizer's", names)
+	}
+	// A server without the anonymous namespace has nothing for the
+	// shorthand to register under.
+	if err := NewResident().AddVar("w", denseOf(1, 1, 1), fullRange(1), []int{0}, false); err == nil {
+		t.Fatal("AddVar accepted on a server with no anonymous namespace")
+	}
+}
+
+// TestAnonymousNamespaceCoexistsWithTenants: "" is a namespace like any
+// other on a fleet server — it keeps bare names next to tenants'
+// qualified ones, is refused when registered twice, aborts alone, and
+// drops alone.
+func TestAnonymousNamespaceCoexistsWithTenants(t *testing.T) {
+	fleet, err := NewFleet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := fleet.Server(0)
+	cfg := func() Config { return Config{Sources: 1, Optimizer: optim.NewSGD(1)} }
+	anonNS, err := srv.Namespace("", cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := srv.Namespace("acme/j1", cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", "acme/j1"} {
+		if _, err := srv.Namespace(name, cfg()); err == nil {
+			t.Fatalf("duplicate namespace %q accepted", name)
+		}
+	}
+	if _, err := srv.Namespace("a::b", cfg()); err == nil {
+		t.Fatal("namespace containing the separator accepted")
+	}
+	if _, err := srv.Namespace("b", Config{Sources: 1}); err == nil {
+		t.Fatal("namespace with nil optimizer accepted")
+	}
+	if got := srv.Namespaces(); len(got) != 2 || got[0] != "" || got[1] != "acme/j1" {
+		t.Fatalf("namespaces = %q", got)
+	}
+	if err := srv.AddVar("w", denseOf(1, 1, 1), fullRange(1), []int{0}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tenant.AddVar("w", denseOf(1, 1, 100), fullRange(1), []int{0}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pushDense(srv, "w", 0, denseOf(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := srv.Pull(tenant.Qualify("w"), 0, 0); v.Data()[0] != 100 {
+		t.Fatalf("tenant value moved to %v after an anonymous push", v.Data())
+	}
+	if v, _ := srv.Pull("w", 0, 1); v.Data()[0] != 0 {
+		t.Fatalf("anonymous value = %v after its push, want 0", v.Data())
+	}
+	// A bare name that spells a tenant's qualified one does not let the
+	// anonymous namespace reshard the tenant's variable.
+	if err := anonNS.ReshardVar(tenant.Qualify("w"), denseOf(1, 1, 5), fullRange(1), []int{0}, false, nil, 1); err == nil {
+		t.Fatal("anonymous namespace resharded a tenant's variable")
+	}
+
+	boom := errors.New("tenant died")
+	tenant.Abort(boom)
+	if _, err := srv.Pull(tenant.Qualify("w"), 0, 99); !errors.Is(err, boom) {
+		t.Fatalf("aborted tenant wait returned %v", err)
+	}
+	if _, err := srv.Pull("w", 0, 1); err != nil {
+		t.Fatalf("anonymous wait failed after the tenant's abort: %v", err)
+	}
+	anonNS.Drop()
+	if _, err := srv.Pull("w", 0, 0); err == nil {
+		t.Fatal("bare variable survived the anonymous namespace's drop")
+	}
+	if _, err := srv.Pull(tenant.Qualify("w"), 0, 0); err != nil {
+		t.Fatalf("tenant variable lost by the anonymous drop: %v", err)
 	}
 }
 
 // TestNamespaceReshard: a namespaced variable reshards in place with its
-// tenant's optimizer slot state, exactly like the legacy path.
+// tenant's optimizer slot state.
 func TestNamespaceReshard(t *testing.T) {
 	srv := NewResident()
 	ns, err := srv.Namespace("t", Config{Sources: 1, Optimizer: optim.NewMomentum(0.5, 0.9)})
@@ -183,7 +272,7 @@ func TestNamespaceReshard(t *testing.T) {
 	}
 	// One sparse update to materialize velocity.
 	g := tensor.NewSparse([]int{1}, denseOf(1, 1, 10), 4)
-	if err := srv.PushSparse(ns.Qualify("emb"), 0, g); err != nil {
+	if err := pushSparse(srv, ns.Qualify("emb"), 0, g); err != nil {
 		t.Fatal(err)
 	}
 	val, slots, err := srv.SnapshotPart(ns.Qualify("emb"), 0, 1)

@@ -46,7 +46,7 @@ func pushAll(t *testing.T, srv *Server, ranges []tensor.RowRange, rows, width in
 		grad.Rows[i] = i
 	}
 	for pi, part := range tensor.SplitSparse(grad, ranges) {
-		if err := srv.PushSparse("emb", pi, part); err != nil {
+		if err := pushSparse(srv, "emb", pi, part); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,13 +56,14 @@ func pushAll(t *testing.T, srv *Server, ranges []tensor.RowRange, rows, width in
 func fullValue(t *testing.T, srv *Server, ranges []tensor.RowRange, rows, width int, minVersion int64) *tensor.Dense {
 	t.Helper()
 	out := tensor.NewDense(rows, width)
+	var reqs []PullReq
 	for pi, rr := range ranges {
-		if rr.Len() == 0 {
-			continue
+		if rr.Len() > 0 {
+			reqs = append(reqs, PullReq{Name: "emb", Part: pi, Dst: out.SliceRows(rr.Start, rr.End)})
 		}
-		if err := srv.PullInto("emb", pi, minVersion, out.SliceRows(rr.Start, rr.End)); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := srv.PullManyInto(minVersion, reqs); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -102,7 +103,7 @@ func TestSnapshotAndReshardRoundTrip(t *testing.T) {
 	}
 	newRanges := tensor.PartitionRows(rows, 5)
 	owned := []int{0, 1, 2, 3, 4}
-	if err := srv.ReshardVar("emb", value, newRanges, owned, true, []*tensor.Dense{velocity}, 2); err != nil {
+	if err := anon(srv).ReshardVar("emb", value, newRanges, owned, true, []*tensor.Dense{velocity}, 2); err != nil {
 		t.Fatal(err)
 	}
 	for pi := range newRanges {
@@ -134,22 +135,22 @@ func TestReshardValidation(t *testing.T) {
 	pushAll(t, srv, ranges, rows, width, 1)
 
 	newRanges := tensor.PartitionRows(rows, 2)
-	if err := srv.ReshardVar("emb", init, newRanges, []int{0, 1}, true, nil, 1); err == nil {
+	if err := anon(srv).ReshardVar("emb", init, newRanges, []int{0, 1}, true, nil, 1); err == nil {
 		t.Fatal("reshard without slot tensors accepted for a stateful optimizer")
 	}
 	short := tensor.NewDense(rows-1, width)
-	if err := srv.ReshardVar("emb", init, newRanges, []int{0, 1}, true, []*tensor.Dense{short}, 1); err == nil {
+	if err := anon(srv).ReshardVar("emb", init, newRanges, []int{0, 1}, true, []*tensor.Dense{short}, 1); err == nil {
 		t.Fatal("reshard with undersized slot tensor accepted")
 	}
 
 	// Drop the variable: the old partitions (and their velocity) go away.
-	if err := srv.ReshardVar("emb", init, newRanges, nil, true, nil, 1); err != nil {
+	if err := anon(srv).ReshardVar("emb", init, newRanges, nil, true, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Version("emb", 0); err == nil {
 		t.Fatal("dropped variable still served")
 	}
-	mom := srv.def.Optimizer.(*optim.Momentum)
+	mom := anon(srv).cfg.Optimizer.(*optim.Momentum)
 	for _, key := range []string{"emb/part0", "emb/part1", "emb/part2"} {
 		if mom.SlotValue("velocity", key) != nil {
 			t.Fatalf("velocity for %s survived the drop", key)
@@ -176,7 +177,7 @@ func TestSnapshotStatelessOptimizer(t *testing.T) {
 	if len(slots) != 0 {
 		t.Fatalf("SGD snapshot has %d slots", len(slots))
 	}
-	if err := srv.ReshardVar("v", init, tensor.PartitionRows(6, 3), []int{0, 1, 2}, false, nil, 0); err != nil {
+	if err := anon(srv).ReshardVar("v", init, tensor.PartitionRows(6, 3), []int{0, 1, 2}, false, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 }

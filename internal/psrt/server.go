@@ -11,29 +11,39 @@
 // ... each accumulator handles gradients of a single sparse variable") —
 // and pulls for the next iteration block until the update lands.
 //
+// A Server is a name table and nothing else: every variable belongs to a
+// Namespace (namespace.go), which carries the config, the optimizer
+// instance and the abort state its variables are governed by. A private
+// trainer registers the anonymous namespace "" (qualified name = bare
+// name); tenants of a resident fleet register named ones on the same
+// kind of server. The data plane is batched — PullManyInto,
+// PushDenseMany, PushSparseMany are the only pull/push shapes; a single
+// partition is a one-element batch.
+//
 // The partitioning is not fixed for the server's lifetime: SnapshotPart
-// exports a partition's value and optimizer slot state, and ReshardVar
-// replaces a variable's partitioning in place (live resharding,
-// DESIGN.md §9), seeding versions so the synchronous protocol continues
-// without a discontinuity.
+// exports a partition's value and optimizer slot state, and
+// Namespace.ReshardVar replaces a variable's partitioning in place (live
+// resharding, DESIGN.md §9), seeding versions so the synchronous
+// protocol continues without a discontinuity.
 //
 // # Buffer ownership
 //
 // The runtime is allocation-disciplined so a persistent training loop does
 // not churn the heap:
 //
-//   - PushDense borrows grad only for the duration of the call and never
-//     mutates it. Callers may pass zero-copy views (tensor.SliceRows) of
-//     live gradient buffers and reuse them immediately after the call
-//     returns. Each partition keeps a preallocated accumulator that the
-//     borrowed gradient is summed into.
-//   - PushSparse takes ownership of grad: the server may retain and mutate
-//     it until the partition's update has been applied. Callers must hand
-//     over freshly built tensors (SplitSparse output qualifies) and not
-//     touch them afterwards.
-//   - Pull allocates a copy; PullInto copies into a caller-owned buffer
-//     (typically a SliceRows view of replica storage) and is the
-//     allocation-free path the persistent runtime uses.
+//   - PushDenseMany borrows each Grad only for the duration of the call
+//     and never mutates it. Callers may pass zero-copy views
+//     (tensor.SliceRows) of live gradient buffers and reuse them
+//     immediately after the call returns. Each partition keeps a
+//     preallocated accumulator that the borrowed gradient is summed into.
+//   - PushSparseMany takes ownership of each Grad: the server may retain
+//     and mutate it until the partition's update has been applied. Callers
+//     must hand over freshly built tensors (SplitSparse output qualifies)
+//     and not touch them afterwards.
+//   - PullManyInto copies into caller-owned buffers (typically SliceRows
+//     views of replica storage) and allocates nothing; Pull allocates a
+//     copy, for the serving loop that must not hold a partition lock
+//     while it serializes.
 package psrt
 
 import (
@@ -44,7 +54,7 @@ import (
 	"parallax/internal/tensor"
 )
 
-// Config configures a Server.
+// Config is the update semantics of one namespace's variables.
 type Config struct {
 	// Sources is the number of gradient pushes expected per partition per
 	// step (workers, or machines under local aggregation): an update
@@ -74,24 +84,12 @@ func (c Config) meanDiv() int {
 	return c.Sources
 }
 
-// Server hosts variable partitions.
+// Server hosts variable partitions: the qualified-name table the data
+// plane resolves, and the namespaces that own its entries.
 type Server struct {
-	// def is the server-wide default config that un-namespaced variables
-	// are governed by; nil for resident (namespace-only) servers, which
-	// require every variable to be registered through a Namespace.
-	def  *Config
-	mu   sync.Mutex
-	vars map[string]*servedVar
-
-	// namespaces tracks the registered tenant namespaces (namespace.go).
+	mu         sync.Mutex
+	vars       map[string]*servedVar
 	namespaces map[string]*Namespace
-
-	// abortErr, once set, wakes and fails every blocked version/
-	// aggregation wait: the synchronous protocol's waits are satisfied by
-	// peer pushes, so when the transport underneath dies mid-step the
-	// missing pushes never arrive and only Abort can unpark the waiters.
-	abortMu  sync.Mutex
-	abortErr error
 }
 
 type servedVar struct {
@@ -104,11 +102,9 @@ type servedVar struct {
 	// keys[pi] is the optimizer state key for partition pi, precomputed so
 	// the per-push apply path never formats strings.
 	keys []string
-	// cfg governs this variable's update semantics — the server default
-	// for legacy variables, the tenant's own config (with its own
-	// optimizer instance) for namespaced ones.
-	cfg *Config
-	// ns is the owning namespace, nil for un-namespaced variables.
+	// ns is the owning namespace: its config (with its own optimizer
+	// instance) governs this variable's updates, its Abort fails this
+	// variable's waits.
 	ns *Namespace
 }
 
@@ -137,8 +133,7 @@ type part struct {
 	version int64 // applied updates
 }
 
-// validateConfig checks the invariants shared by server defaults and
-// namespace configs.
+// validateConfig checks a namespace config's invariants.
 func validateConfig(cfg Config) error {
 	if cfg.Sources <= 0 {
 		return fmt.Errorf("psrt: server needs Sources > 0")
@@ -149,43 +144,39 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// NewServer creates an empty server with a server-wide default config.
+// NewResident creates an empty server: every variable is registered
+// through a Namespace handle and carries that namespace's config. One
+// per machine is the paper's layout (§4.2), whether the machine serves
+// one private trainer or a fleet of tenants (see Fleet).
+func NewResident() *Server {
+	return &Server{vars: map[string]*servedVar{}, namespaces: map[string]*Namespace{}}
+}
+
+// NewServer is shorthand for a server whose anonymous namespace is
+// already registered under cfg — the private server of one trainer;
+// AddVar registers bare-named variables on it.
 func NewServer(cfg Config) (*Server, error) {
-	if err := validateConfig(cfg); err != nil {
+	s := NewResident()
+	if _, err := s.Namespace("", cfg); err != nil {
 		return nil, err
 	}
-	return &Server{def: &cfg, vars: map[string]*servedVar{}}, nil
+	return s, nil
 }
 
-// NewResident creates a namespace-only server: it has no default config,
-// so every variable must be registered through a Namespace handle and
-// carries that tenant's config. This is the building block of a
-// multi-tenant resident fleet (see Fleet).
-func NewResident() *Server {
-	return &Server{vars: map[string]*servedVar{}}
-}
-
-// AddVar registers a variable (or a subset of its partitions) on this
-// server under the server default config. init is the full initial
-// value; ranges lists the row ranges of ALL partitions (so indices agree
-// across servers); owned lists which partition indices this server
-// hosts. Resident servers reject AddVar — register through a Namespace.
+// AddVar is Namespace.AddVar on the anonymous namespace.
 func (s *Server) AddVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.def == nil {
-		return fmt.Errorf("psrt: resident server requires a namespace to register %q", name)
+	n := s.namespaces[""]
+	s.mu.Unlock()
+	if n == nil {
+		return fmt.Errorf("psrt: server has no anonymous namespace to register %q under", name)
 	}
-	if _, dup := s.vars[name]; dup {
-		return fmt.Errorf("psrt: variable %q already registered", name)
-	}
-	_, err := s.addVarLocked(s.def, nil, name, init, ranges, owned, sparse)
-	return err
+	return n.AddVar(name, init, ranges, owned, sparse)
 }
 
-// addVarLocked builds and registers a servedVar governed by cfg (owned
-// by namespace ns, nil for legacy variables); the caller holds s.mu.
-func (s *Server) addVarLocked(cfg *Config, ns *Namespace, name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) (*servedVar, error) {
+// addVarLocked builds and registers a servedVar owned by namespace ns
+// under the qualified name; the caller holds s.mu.
+func (s *Server) addVarLocked(ns *Namespace, name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) (*servedVar, error) {
 	if init.Rank() < 1 {
 		return nil, fmt.Errorf("psrt: variable %q has rank 0", name)
 	}
@@ -198,7 +189,6 @@ func (s *Server) addVarLocked(cfg *Config, ns *Namespace, name string, init *ten
 		dim0:   init.Dim(0),
 		parts:  make([]*part, len(ranges)),
 		keys:   make([]string, len(ranges)),
-		cfg:    cfg,
 		ns:     ns,
 	}
 	for _, pi := range owned {
@@ -220,60 +210,6 @@ func (s *Server) addVarLocked(cfg *Config, ns *Namespace, name string, init *ten
 	return v, nil
 }
 
-// Abort fails every present and future blocking wait (Pull, PullInto,
-// SnapshotPart, WaitAggregatedNormSquared) with err. The trainer calls
-// it when the transport fabric dies so workers parked on a version wait
-// — whose outstanding pushes will never arrive from the dead peer —
-// fail fast with the fabric's attributed error instead of hanging on a
-// condition variable forever. Idempotent; the first error wins.
-// Non-blocking operations (pushes, resharding) are unaffected: the
-// aborted server's state remains readable for post-mortem snapshots.
-func (s *Server) Abort(err error) {
-	if err == nil {
-		return
-	}
-	s.abortMu.Lock()
-	if s.abortErr == nil {
-		s.abortErr = err
-	}
-	s.abortMu.Unlock()
-	s.mu.Lock()
-	vars := make([]*servedVar, 0, len(s.vars))
-	for _, v := range s.vars {
-		vars = append(vars, v) //parallax:orderinvariant -- wakeup set: the order of cond Broadcasts is unobservable
-	}
-	s.mu.Unlock()
-	for _, v := range vars {
-		for _, p := range v.parts {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}
-	}
-}
-
-// aborted returns the Abort error, if any.
-func (s *Server) aborted() error {
-	s.abortMu.Lock()
-	defer s.abortMu.Unlock()
-	return s.abortErr
-}
-
-// abortedVar returns the error that should fail v's blocked waits: a
-// server-wide Abort, or an Abort scoped to v's namespace.
-func (s *Server) abortedVar(v *servedVar) error {
-	if err := s.aborted(); err != nil {
-		return err
-	}
-	if v.ns != nil {
-		return v.ns.aborted()
-	}
-	return nil
-}
-
 func (s *Server) lookupVar(name string) (*servedVar, error) {
 	s.mu.Lock()
 	v, ok := s.vars[name]
@@ -289,10 +225,8 @@ func (s *Server) lookup(name string, pi int) (*servedVar, *part, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if pi < 0 || pi >= len(v.parts) || v.parts[pi] == nil {
-		return nil, nil, fmt.Errorf("psrt: variable %q partition %d not hosted here", name, pi)
-	}
-	return v, v.parts[pi], nil
+	p, err := v.partAt(pi)
+	return v, p, err
 }
 
 func (v *servedVar) partAt(pi int) (*part, error) {
@@ -302,21 +236,23 @@ func (v *servedVar) partAt(pi int) (*part, error) {
 	return v.parts[pi], nil
 }
 
-// PushDense delivers one source's dense gradient for a partition. The
-// gradient must already be in partition-local coordinates (the full
-// tensor for unpartitioned variables). grad is borrowed for the duration
-// of the call only and is never mutated: zero-copy views of live buffers
-// are fine, and the caller may reuse the buffer as soon as PushDense
-// returns.
-func (s *Server) PushDense(name string, pi int, grad *tensor.Dense) error {
-	v, err := s.lookupVar(name)
-	if err != nil {
-		return err
+// waitVersion parks until p's version reaches minVersion (pass the
+// iteration number for synchronous training; 0 never waits) or v's
+// namespace is aborted. The caller holds p.mu.
+func (v *servedVar) waitVersion(p *part, minVersion int64) error {
+	for p.version < minVersion {
+		if err := v.ns.aborted(); err != nil {
+			return err
+		}
+		p.cond.Wait()
 	}
-	return s.pushDensePart(v, pi, grad)
+	return nil
 }
 
-func (s *Server) pushDensePart(v *servedVar, pi int, grad *tensor.Dense) error {
+// pushDense delivers one source's dense gradient for a partition, in
+// partition-local coordinates (the full tensor for unpartitioned
+// variables). grad is borrowed for the call and never mutated.
+func (v *servedVar) pushDense(pi int, grad *tensor.Dense) error {
 	p, err := v.partAt(pi)
 	if err != nil {
 		return err
@@ -339,25 +275,16 @@ func (s *Server) pushDensePart(v *servedVar, pi int, grad *tensor.Dense) error {
 		tensor.AddTo(grad.Data(), p.accDense.Data())
 	}
 	p.pushes++
-	if p.pushes == v.cfg.Sources {
-		s.completeLocked(pi, v, p)
+	if p.pushes == v.ns.cfg.Sources {
+		v.completeLocked(pi, p)
 	}
 	return nil
 }
 
-// PushSparse delivers one source's sparse gradient for a partition, rows in
-// partition-local coordinates. Ownership of grad transfers to the server:
-// it may be retained and mutated until the partition's update applies, so
-// the caller must not touch it after the call.
-func (s *Server) PushSparse(name string, pi int, grad *tensor.Sparse) error {
-	v, err := s.lookupVar(name)
-	if err != nil {
-		return err
-	}
-	return s.pushSparsePart(v, pi, grad)
-}
-
-func (s *Server) pushSparsePart(v *servedVar, pi int, grad *tensor.Sparse) error {
+// pushSparse delivers one source's sparse gradient for a partition, rows
+// in partition-local coordinates. Ownership of grad transfers to the
+// server until the partition's update applies.
+func (v *servedVar) pushSparse(pi int, grad *tensor.Sparse) error {
 	p, err := v.partAt(pi)
 	if err != nil {
 		return err
@@ -369,58 +296,57 @@ func (s *Server) pushSparsePart(v *servedVar, pi int, grad *tensor.Sparse) error
 	defer p.mu.Unlock()
 	p.accSparse = append(p.accSparse, grad)
 	p.pushes++
-	if p.pushes == v.cfg.Sources {
-		s.completeLocked(pi, v, p)
+	if p.pushes == v.ns.cfg.Sources {
+		v.completeLocked(pi, p)
 	}
 	return nil
 }
 
 // completeLocked aggregates the accumulator; with DeferUpdates it parks the
 // aggregated gradient for the chief, otherwise applies immediately.
-func (s *Server) completeLocked(pi int, v *servedVar, p *part) {
+func (v *servedVar) completeLocked(pi int, p *part) {
+	cfg := &v.ns.cfg
 	if v.sparse {
 		agg := tensor.SumSparse(p.accSparse)
-		optim.FinalizeSparse(agg, v.cfg.meanDiv(), v.cfg.SparseAgg)
+		optim.FinalizeSparse(agg, cfg.meanDiv(), cfg.SparseAgg)
 		p.aggSparse = agg
 		clear(p.accSparse)
 		p.accSparse = p.accSparse[:0]
 	} else {
-		optim.FinalizeDense(p.accDense, v.cfg.meanDiv(), v.cfg.DenseAgg)
+		optim.FinalizeDense(p.accDense, cfg.meanDiv(), cfg.DenseAgg)
 		p.aggDense = p.accDense
 	}
 	p.pushes = 0
 	p.aggregated = true
 	p.aggSeq++
-	if v.cfg.DeferUpdates {
-		// The aggregated norm is only read through
-		// WaitAggregatedNormSquared, which the chief-clipping path uses;
-		// skip the O(elements) computation on the plain sync path.
-		if v.sparse {
-			p.aggNorm2 = p.aggSparse.L2NormSquared()
-		} else {
-			p.aggNorm2 = p.aggDense.L2NormSquared()
-		}
-	}
-	if !v.cfg.DeferUpdates {
-		s.applyLocked(pi, v, p, 1)
+	if !cfg.DeferUpdates {
+		v.applyLocked(pi, p, 1)
 		return
+	}
+	// The aggregated norm is only read through WaitAggregatedNormSquared,
+	// which the chief-clipping path uses; the plain sync path skips the
+	// O(elements) computation.
+	if v.sparse {
+		p.aggNorm2 = p.aggSparse.L2NormSquared()
+	} else {
+		p.aggNorm2 = p.aggDense.L2NormSquared()
 	}
 	p.cond.Broadcast() // wake WaitAggregated
 }
 
-func (s *Server) applyLocked(pi int, v *servedVar, p *part, scale float32) {
+func (v *servedVar) applyLocked(pi int, p *part, scale float32) {
 	if v.sparse {
 		g := p.aggSparse
 		if scale != 1 {
 			g.Scale(scale)
 		}
-		v.cfg.Optimizer.ApplySparse(v.keys[pi], p.value, g)
+		v.ns.cfg.Optimizer.ApplySparse(v.keys[pi], p.value, g)
 	} else {
 		g := p.aggDense
 		if scale != 1 {
 			g.Scale(scale)
 		}
-		v.cfg.Optimizer.ApplyDense(v.keys[pi], p.value, g)
+		v.ns.cfg.Optimizer.ApplyDense(v.keys[pi], p.value, g)
 	}
 	p.aggSparse = nil
 	p.aggDense = nil // the persistent accDense buffer itself is kept
@@ -443,7 +369,7 @@ func (s *Server) WaitAggregatedNormSquared(name string, pi int, seq int64) (floa
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.aggSeq < seq {
-		if aerr := s.abortedVar(v); aerr != nil {
+		if aerr := v.ns.aborted(); aerr != nil {
 			return 0, aerr
 		}
 		p.cond.Wait()
@@ -463,13 +389,14 @@ func (s *Server) ApplyUpdate(name string, pi int, scale float32) error {
 	if !p.aggregated {
 		return fmt.Errorf("psrt: ApplyUpdate before aggregation of %s/%d", name, pi)
 	}
-	s.applyLocked(pi, v, p, scale)
+	v.applyLocked(pi, p, scale)
 	return nil
 }
 
-// Pull returns a copy of the partition's value once its version is at least
-// minVersion (pass the iteration number for synchronous training; 0 never
-// waits).
+// Pull returns a copy of the partition's value once its version is at
+// least minVersion — the read the serving loop answers a remote
+// PullManyInto with, copying under the partition lock so nothing is held
+// during serialization.
 func (s *Server) Pull(name string, pi int, minVersion int64) (*tensor.Dense, error) {
 	v, p, err := s.lookup(name, pi)
 	if err != nil {
@@ -477,42 +404,26 @@ func (s *Server) Pull(name string, pi int, minVersion int64) (*tensor.Dense, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.version < minVersion {
-		if aerr := s.abortedVar(v); aerr != nil {
-			return nil, aerr
-		}
-		p.cond.Wait()
+	if err := v.waitVersion(p, minVersion); err != nil {
+		return nil, err
 	}
 	return p.value.Clone(), nil
 }
 
-// PullInto copies the partition's value into dst — typically a SliceRows
-// view of the caller's replica storage — once its version is at least
-// minVersion. It is the allocation-free pull used by the persistent
-// runtime. dst must have the partition's element count.
-func (s *Server) PullInto(name string, pi int, minVersion int64, dst *tensor.Dense) error {
-	v, err := s.lookupVar(name)
-	if err != nil {
-		return err
-	}
-	return s.pullIntoPart(v, pi, minVersion, dst)
-}
-
-func (s *Server) pullIntoPart(v *servedVar, pi int, minVersion int64, dst *tensor.Dense) error {
+// pullInto copies the partition's value into dst once its version is at
+// least minVersion. dst must have the partition's element count.
+func (v *servedVar) pullInto(pi int, minVersion int64, dst *tensor.Dense) error {
 	p, err := v.partAt(pi)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.version < minVersion {
-		if aerr := s.abortedVar(v); aerr != nil {
-			return aerr
-		}
-		p.cond.Wait()
+	if err := v.waitVersion(p, minVersion); err != nil {
+		return err
 	}
 	if dst.NumElements() != p.value.NumElements() {
-		return fmt.Errorf("psrt: PullInto %s/%d: dst has %d elements, partition has %d",
+		return fmt.Errorf("psrt: pull of %s/%d: dst has %d elements, partition has %d",
 			v.name, pi, dst.NumElements(), p.value.NumElements())
 	}
 	copy(dst.Data(), p.value.Data())
@@ -527,38 +438,43 @@ type PullReq struct {
 	Dst  *tensor.Dense
 }
 
-// DensePush is one partition write of a batched PushDenseMany. Grad
-// follows the PushDense borrowing contract.
+// DensePush is one partition write of a batched PushDenseMany; Grad is
+// borrowed for the call.
 type DensePush struct {
 	Name string
 	Part int
 	Grad *tensor.Dense
 }
 
-// SparsePush is one partition write of a batched PushSparseMany. Grad
-// follows the PushSparse ownership-transfer contract.
+// SparsePush is one partition write of a batched PushSparseMany; Grad's
+// ownership transfers to the server.
 type SparsePush struct {
 	Name string
 	Part int
 	Grad *tensor.Sparse
 }
 
+// varFor resolves a batch item's variable, reusing the previous item's
+// when the name repeats: requests for the same variable should be
+// adjacent, so the lookup is amortized across them.
+func (s *Server) varFor(prev *servedVar, name string) (*servedVar, error) {
+	if prev != nil && prev.name == name {
+		return prev, nil
+	}
+	return s.lookupVar(name)
+}
+
 // PullManyInto performs a batch of versioned partition reads with one
-// call — the per-server pull a worker issues at the top of a step instead
-// of one call per partition. Requests for the same variable should be
-// adjacent: the variable lookup is amortized across consecutive requests.
-// Each read blocks until that partition's version reaches minVersion.
-func (s *Server) PullManyInto(minVersion int64, reqs []PullReq) error {
+// call — the per-server pull a worker issues at the top of a step. Each
+// read blocks until that partition's version reaches minVersion.
+func (s *Server) PullManyInto(minVersion int64, reqs []PullReq) (err error) {
 	var v *servedVar
 	for i := range reqs {
 		r := &reqs[i]
-		if v == nil || v.name != r.Name {
-			var err error
-			if v, err = s.lookupVar(r.Name); err != nil {
-				return err
-			}
+		if v, err = s.varFor(v, r.Name); err != nil {
+			return err
 		}
-		if err := s.pullIntoPart(v, r.Part, minVersion, r.Dst); err != nil {
+		if err = v.pullInto(r.Part, minVersion, r.Dst); err != nil {
 			return err
 		}
 	}
@@ -566,38 +482,30 @@ func (s *Server) PullManyInto(minVersion int64, reqs []PullReq) error {
 }
 
 // PushDenseMany delivers a batch of dense partition gradients with one
-// call (one call per server per route instead of one per partition).
-// Requests for the same variable should be adjacent.
-func (s *Server) PushDenseMany(reqs []DensePush) error {
+// call (one call per server per route).
+func (s *Server) PushDenseMany(reqs []DensePush) (err error) {
 	var v *servedVar
 	for i := range reqs {
 		r := &reqs[i]
-		if v == nil || v.name != r.Name {
-			var err error
-			if v, err = s.lookupVar(r.Name); err != nil {
-				return err
-			}
+		if v, err = s.varFor(v, r.Name); err != nil {
+			return err
 		}
-		if err := s.pushDensePart(v, r.Part, r.Grad); err != nil {
+		if err = v.pushDense(r.Part, r.Grad); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// PushSparseMany is PushDenseMany for sparse partitions; each gradient's
-// ownership transfers to the server.
-func (s *Server) PushSparseMany(reqs []SparsePush) error {
+// PushSparseMany is PushDenseMany for sparse partitions.
+func (s *Server) PushSparseMany(reqs []SparsePush) (err error) {
 	var v *servedVar
 	for i := range reqs {
 		r := &reqs[i]
-		if v == nil || v.name != r.Name {
-			var err error
-			if v, err = s.lookupVar(r.Name); err != nil {
-				return err
-			}
+		if v, err = s.varFor(v, r.Name); err != nil {
+			return err
 		}
-		if err := s.pushSparsePart(v, r.Part, r.Grad); err != nil {
+		if err = v.pushSparse(r.Part, r.Grad); err != nil {
 			return err
 		}
 	}
@@ -615,25 +523,6 @@ func (s *Server) Version(name string, pi int) (int64, error) {
 	return p.version, nil
 }
 
-// SlotNames returns the server default optimizer's slot names in
-// SlotState order (empty for stateless optimizers and resident servers)
-// — the labels SnapshotPart's slot tensors carry in a checkpoint.
-// Namespaced tenants read their own optimizer's via Namespace.SlotNames.
-func (s *Server) SlotNames() []string {
-	if s.def == nil {
-		return nil
-	}
-	return slotNamesOf(s.def.Optimizer)
-}
-
-// slotNamesOf returns opt's slot names if it keeps slot state.
-func slotNamesOf(opt optim.Optimizer) []string {
-	if ss, ok := opt.(optim.SlotState); ok {
-		return ss.Slots()
-	}
-	return nil
-}
-
 // SnapshotPart returns copies of one partition's value and of its
 // optimizer slot state, once the partition's version reaches minVersion —
 // the gather phase of live resharding (DESIGN.md §9). The slot tensors
@@ -647,25 +536,18 @@ func slotNamesOf(opt optim.Optimizer) []string {
 // every source's final pushes have been applied, so no separate drain
 // protocol is needed before resharding.
 func (s *Server) SnapshotPart(name string, pi int, minVersion int64) (*tensor.Dense, []*tensor.Dense, error) {
-	v, err := s.lookupVar(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := v.partAt(pi)
+	v, p, err := s.lookup(name, pi)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.version < minVersion {
-		if aerr := s.abortedVar(v); aerr != nil {
-			return nil, nil, aerr
-		}
-		p.cond.Wait()
+	if err := v.waitVersion(p, minVersion); err != nil {
+		return nil, nil, err
 	}
 	val := p.value.Clone()
 	var slots []*tensor.Dense
-	if ss, ok := v.cfg.Optimizer.(optim.SlotState); ok {
+	if ss, ok := v.ns.cfg.Optimizer.(optim.SlotState); ok {
 		for _, slot := range ss.Slots() {
 			if sv := ss.SlotValue(slot, v.keys[pi]); sv != nil {
 				slots = append(slots, sv.Clone())
@@ -675,74 +557,4 @@ func (s *Server) SnapshotPart(name string, pi int, minVersion int64) (*tensor.De
 		}
 	}
 	return val, slots, nil
-}
-
-// ReshardVar replaces a variable's partitioning in place — the install
-// phase of live resharding. The old servedVar (if any) is dropped and its
-// partitions' optimizer slot state deleted; if owned is non-empty a new
-// servedVar is installed with values sliced from the assembled full value
-// init, optimizer slots sliced from the assembled full slot tensors
-// (SlotState.Slots order; pass nil for stateless optimizers), and every
-// owned partition's version and aggregation sequence seeded to version,
-// so the synchronous pull/clip protocol continues counting steps without
-// a discontinuity.
-//
-// ReshardVar must only run while the variable is quiescent: no pushes,
-// pulls, or snapshots in flight (the trainer guarantees this with its
-// cross-agent resharding barriers).
-func (s *Server) ReshardVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool, slots []*tensor.Dense, version int64) error {
-	if s.def == nil {
-		return fmt.Errorf("psrt: resident server requires a namespace to reshard %q", name)
-	}
-	return s.reshardVar(s.def, nil, name, init, ranges, owned, sparse, slots, version)
-}
-
-// reshardVar is ReshardVar with the governing config and owning
-// namespace made explicit (Namespace.ReshardVar passes its own).
-func (s *Server) reshardVar(cfg *Config, ns *Namespace, name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool, slots []*tensor.Dense, version int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.vars[name]; ok {
-		// Slot state lives in the OLD variable's optimizer (== cfg's for
-		// same-tenant reshards, the only kind the trainer performs).
-		if oss, ok := old.cfg.Optimizer.(optim.SlotState); ok {
-			for pi, p := range old.parts {
-				if p != nil {
-					oss.DeleteKey(old.keys[pi])
-				}
-			}
-		}
-		delete(s.vars, name)
-	}
-	if len(owned) == 0 {
-		return nil
-	}
-	ss, stateful := cfg.Optimizer.(optim.SlotState)
-	if stateful && len(slots) != len(ss.Slots()) {
-		return fmt.Errorf("psrt: reshard of %q has %d slot tensors, optimizer keeps %d slots",
-			name, len(slots), len(ss.Slots()))
-	}
-	v, err := s.addVarLocked(cfg, ns, name, init, ranges, owned, sparse)
-	if err != nil {
-		return err
-	}
-	for _, pi := range owned {
-		p := v.parts[pi]
-		p.version = version
-		p.aggSeq = version
-		if !stateful || ranges[pi].Len() == 0 {
-			continue
-		}
-		rr := ranges[pi]
-		for k, slot := range ss.Slots() {
-			if slots[k].NumElements() != v.dim0*v.width {
-				return fmt.Errorf("psrt: reshard slot %q of %q has %d elements, variable has %d",
-					slot, name, slots[k].NumElements(), v.dim0*v.width)
-			}
-			sv := tensor.NewDense(rr.Len(), v.width)
-			copy(sv.Data(), slots[k].Data()[rr.Start*v.width:rr.End*v.width])
-			ss.SetSlot(slot, v.keys[pi], sv)
-		}
-	}
-	return nil
 }

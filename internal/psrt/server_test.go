@@ -11,6 +11,18 @@ import (
 
 func fullRange(dim0 int) []tensor.RowRange { return tensor.PartitionRows(dim0, 1) }
 
+// The batch is the only op shape; these push one-element batches.
+func pushDense(s *Server, name string, pi int, g *tensor.Dense) error {
+	return s.PushDenseMany([]DensePush{{Name: name, Part: pi, Grad: g}})
+}
+
+func pushSparse(s *Server, name string, pi int, g *tensor.Sparse) error {
+	return s.PushSparseMany([]SparsePush{{Name: name, Part: pi, Grad: g}})
+}
+
+// anon returns the anonymous namespace NewServer registered.
+func anon(s *Server) *Namespace { return s.namespaces[""] }
+
 func TestSyncDenseAggregatesMean(t *testing.T) {
 	s, err := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggMean, SparseAgg: optim.AggMean})
 	if err != nil {
@@ -22,13 +34,13 @@ func TestSyncDenseAggregatesMean(t *testing.T) {
 	}
 	g1 := tensor.FromSlice([]float32{2, 2}, 2, 1)
 	g2 := tensor.FromSlice([]float32{4, 4}, 2, 1)
-	if err := s.PushDense("w", 0, g1); err != nil {
+	if err := pushDense(s, "w", 0, g1); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.Version("w", 0); v != 0 {
 		t.Fatal("update applied before all pushes")
 	}
-	if err := s.PushDense("w", 0, g2); err != nil {
+	if err := pushDense(s, "w", 0, g2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Pull("w", 0, 1)
@@ -50,10 +62,10 @@ func TestSyncSparseAggregatesSum(t *testing.T) {
 	}
 	sp1 := tensor.NewSparse([]int{1}, tensor.FromSlice([]float32{2}, 1, 1), 4)
 	sp2 := tensor.NewSparse([]int{1, 3}, tensor.FromSlice([]float32{3, 5}, 2, 1), 4)
-	if err := s.PushSparse("emb", 0, sp1); err != nil {
+	if err := pushSparse(s, "emb", 0, sp1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PushSparse("emb", 0, sp2); err != nil {
+	if err := pushSparse(s, "emb", 0, sp2); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Pull("emb", 0, 1)
@@ -88,7 +100,7 @@ func TestPartitionedVariableAcrossServers(t *testing.T) {
 	}
 	// A push to the wrong server errors.
 	sp := tensor.NewSparse([]int{0}, tensor.NewDense(1, 2), 2)
-	if err := s0.PushSparse("emb", 1, sp); err == nil {
+	if err := pushSparse(s0, "emb", 1, sp); err == nil {
 		t.Fatal("expected error pushing to unowned partition")
 	}
 }
@@ -107,7 +119,7 @@ func TestSyncPullBlocksUntilUpdate(t *testing.T) {
 		}
 		done <- v.At(0, 0)
 	}()
-	if err := s.PushDense("w", 0, tensor.FromSlice([]float32{2}, 1, 1)); err != nil {
+	if err := pushDense(s, "w", 0, tensor.FromSlice([]float32{2}, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-done; got != 3 {
@@ -140,7 +152,7 @@ func TestDeferUpdatesChiefClippingPath(t *testing.T) {
 		}
 	}()
 	sp := tensor.NewSparse([]int{0}, tensor.FromSlice([]float32{4}, 1, 1), 2)
-	if err := s.PushSparse("emb", 0, sp); err != nil {
+	if err := pushSparse(s, "emb", 0, sp); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -178,10 +190,10 @@ func TestTypeMismatchErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := tensor.NewSparse([]int{0}, tensor.NewDense(1, 1), 2)
-	if err := s.PushSparse("w", 0, sp); err == nil {
+	if err := pushSparse(s, "w", 0, sp); err == nil {
 		t.Fatal("sparse push to dense var must fail")
 	}
-	if err := s.PushDense("missing", 0, tensor.NewDense(1, 1)); err == nil {
+	if err := pushDense(s, "missing", 0, tensor.NewDense(1, 1)); err == nil {
 		t.Fatal("unknown var must fail")
 	}
 	if err := s.AddVar("w", tensor.NewDense(2, 1), fullRange(2), []int{0}, false); err == nil {
@@ -205,7 +217,7 @@ func TestConcurrentPushersRace(t *testing.T) {
 			for it := 0; it < steps; it++ {
 				sp := tensor.NewSparse([]int{w % 16, (w + it) % 16},
 					tensor.FromSlice([]float32{1, 1, 1, 1}, 2, 2), 16)
-				if err := s.PushSparse("emb", 0, sp); err != nil {
+				if err := pushSparse(s, "emb", 0, sp); err != nil {
 					t.Error(err)
 					return
 				}

@@ -24,8 +24,11 @@
 //
 //   - New launches one long-lived compute goroutine per local GPU, one
 //     comm goroutine per GPU, one puller goroutine per (GPU, server)
-//     pair, one parameter server per local machine, and one serving
-//     goroutine per (local server, remote worker).
+//     pair, and one serving goroutine per (local server, remote worker).
+//     Each local machine's parameter server — a fresh one, or a resident
+//     fleet's — is joined under the trainer's psrt.Namespace (the
+//     anonymous one unless a fleet is named), the one handle variables
+//     are registered, resharded, aborted and dropped through.
 //   - All dense AllReduce variables are packed at build time into a few
 //     size-capped fusion buckets; each step runs ONE collective per bucket
 //     over a contiguous buffer instead of one per variable, and the
@@ -132,13 +135,14 @@ type Options struct {
 	// replicas start bit-identical.
 	Fabric transport.Fabric
 	// Resident, when set, hosts this trainer's PS variables on the given
-	// long-lived fleet of resident servers instead of launching private
-	// ones — the multi-tenant service mode. PSNamespace must name the
-	// tenant (e.g. "tenant/jobID"); every variable is registered under it
-	// so same-named variables of concurrent jobs never collide, and the
-	// namespace is dropped wholesale when the trainer closes. Resident
-	// mode is single-process only (the fleet lives in the daemon), so it
-	// cannot be combined with a distributed Fabric.
+	// long-lived fleet's servers instead of fresh ones — the multi-tenant
+	// service mode. PSNamespace must then name the tenant (e.g.
+	// "tenant/jobID"); every variable is registered under it so
+	// same-named variables of concurrent jobs never collide. Without a
+	// fleet the namespace is the anonymous one, "". Either way the
+	// namespace is dropped wholesale when the trainer closes. A fleet
+	// lives in the daemon's process, so it cannot be combined with a
+	// distributed Fabric.
 	Resident    *psrt.Fleet
 	PSNamespace string
 }
@@ -148,9 +152,9 @@ type varRoute struct {
 	assign core.Assignment
 	ranges []tensor.RowRange
 	// psName is the name this variable is served under on its PS servers:
-	// v.Name qualified with the tenant namespace in resident mode,
-	// v.Name itself otherwise. Precomputed so the pull/push/clip hot
-	// paths and snapshot/restore never re-derive it.
+	// v.Name qualified with the trainer's namespace (v.Name itself under
+	// the anonymous one). Precomputed so the pull/push/clip hot paths and
+	// snapshot/restore never re-derive it.
 	psName string
 }
 
@@ -273,12 +277,15 @@ type Trainer struct {
 	comms  []*collective.Comm
 	arOpts []optim.Optimizer
 
-	servers []*psrt.Server // one per LOCAL machine; nil elsewhere or when no PS variables
-	// nsHandles[m] is this trainer's namespace registration handle on
-	// machine m's resident server (resident mode only, nil otherwise);
-	// variable registration, resharding, and checkpoint slot metadata go
-	// through it so they carry the tenant's config.
-	nsHandles []*psrt.Namespace
+	// ns[m] is this trainer's namespace on LOCAL machine m's server (the
+	// fleet's, or a fresh one); nil for machines hosted elsewhere, the
+	// whole slice nil when the plan has no PS variables. Variable
+	// registration, resharding, checkpoint slot metadata, abort and drop
+	// go through the handle with UNqualified names — qualification is
+	// the handle's concern, which keeps checkpoint records namespace-free
+	// and portable between deployments; the data plane reaches the
+	// server behind it under the qualified names.
+	ns []*psrt.Namespace
 	// ps[w][m] is worker w's endpoint for machine m's server: the server
 	// itself when colocated, a psrt.Client stub over the conduit when
 	// remote. Non-nil only for local workers (and only when PS routes
@@ -362,38 +369,6 @@ type Trainer struct {
 	stepHook func(int)
 }
 
-// psAdmin is the variable-administration surface of a PS host: the
-// server itself for private servers, the tenant's namespace handle (which
-// qualifies names and attaches the tenant config) in resident mode.
-type psAdmin interface {
-	AddVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) error
-	ReshardVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool, slots []*tensor.Dense, version int64) error
-	SlotNames() []string
-}
-
-// psAdmin returns machine m's administration handle. Callers pass
-// UNqualified variable names through it — qualification is the handle's
-// concern — which keeps checkpoint records namespace-free and therefore
-// portable between resident and private deployments.
-func (t *Trainer) psAdmin(m int) psAdmin {
-	if t.nsHandles != nil && t.nsHandles[m] != nil {
-		return t.nsHandles[m]
-	}
-	return t.servers[m]
-}
-
-// dropResidentNamespaces releases this trainer's namespaces from the
-// resident fleet (no-op otherwise). Idempotent, and deliberately
-// non-mutating: the fabric-death watcher reads t.nsHandles concurrently,
-// and aborting an already-dropped namespace is harmless.
-func (t *Trainer) dropResidentNamespaces() {
-	for _, ns := range t.nsHandles {
-		if ns != nil {
-			ns.Drop()
-		}
-	}
-}
-
 // recoverClosed converts a recovered transport.ClosedPanic — the typed
 // panic every collective/PS path raises when the fabric dies under it —
 // into an error at *errp, preserving the first one. Any other panic
@@ -412,6 +387,28 @@ func (t *Trainer) recoverClosed(errp *error) {
 	if *errp == nil {
 		*errp = cp.Err
 	}
+}
+
+// dropNamespaces releases this trainer's namespaces from their servers.
+// Idempotent, and deliberately non-mutating: the fabric-death watcher
+// reads t.ns concurrently, and aborting a dropped namespace is harmless.
+func (t *Trainer) dropNamespaces() {
+	for _, ns := range t.ns {
+		if ns != nil {
+			ns.Drop()
+		}
+	}
+}
+
+// ownedBy lists the partitions a placement assigns to machine m.
+func ownedBy(servers []int, m int) []int {
+	var owned []int
+	for pi, srv := range servers {
+		if srv == m {
+			owned = append(owned, pi)
+		}
+	}
+	return owned
 }
 
 // New builds a trainer for graph g under the given plan and resources and
@@ -473,9 +470,15 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	if fab == nil {
 		fab = transport.NewInproc(topo)
 	}
+	t := &Trainer{
+		g: g, opt: opts, workers: workers, machines: machines,
+		fab: fab, topo: topo, dist: fab.Distributed(),
+	}
 	// From here on the trainer owns the fabric: tear it down on any
-	// build error so a failed New leaks neither sockets nor goroutines.
+	// build error so a failed New leaks neither sockets nor goroutines,
+	// nor leaves its namespace claimed on servers that outlive it.
 	fail := func(err error) (*Trainer, error) {
+		t.dropNamespaces()
 		fab.Close()
 		return nil, err
 	}
@@ -494,10 +497,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		}
 	}
 
-	t := &Trainer{
-		g: g, opt: opts, workers: workers, machines: machines,
-		fab: fab, topo: topo, dist: fab.Distributed(),
-	}
 	t.isLocalW = make([]bool, workers)
 	for w := 0; w < workers; w++ {
 		if fab.Local(w) {
@@ -554,78 +553,53 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		t.routes = append(t.routes, r)
 	}
 
-	// Launch one server per local machine if needed (§4.2: "if sparse
-	// variables are included in the graph, Parallax launches a server
-	// process for each machine"), and one endpoint row per local worker:
-	// direct calls to colocated servers, wire stubs for remote ones.
+	// One server per local machine if needed (§4.2: "if sparse variables
+	// are included in the graph, Parallax launches a server process for
+	// each machine") — the fleet's resident one or a fresh one — joined
+	// under this trainer's namespace, which carries its own optimizer
+	// instance; and one endpoint row per local worker: direct calls to
+	// colocated servers, wire stubs for remote ones.
 	if anyPS {
 		sources := workers
 		if opts.LocalAggregation {
 			sources = machines
 		}
-		psCfg := func() psrt.Config {
-			return psrt.Config{
+		t.ns = make([]*psrt.Namespace, machines)
+		for m := 0; m < machines; m++ {
+			if !t.localMachine[m] {
+				continue
+			}
+			srv := psrt.NewResident()
+			if opts.Resident != nil {
+				srv = opts.Resident.Server(m)
+			}
+			var err error
+			t.ns[m], err = srv.Namespace(opts.PSNamespace, psrt.Config{
 				Sources:      sources,
 				Optimizer:    opts.NewOptimizer(),
 				DenseAgg:     opts.DenseAgg,
 				SparseAgg:    opts.SparseAgg,
 				DeferUpdates: opts.ClipNorm > 0,
 				MeanDivisor:  workers,
-			}
-		}
-		// failPS releases any namespaces already registered on the
-		// resident fleet before tearing down; a failed New must not leave
-		// the tenant's name claimed on the daemon's servers.
-		failPS := func(err error) (*Trainer, error) {
-			t.dropResidentNamespaces()
-			return fail(err)
-		}
-		t.servers = make([]*psrt.Server, machines)
-		if opts.Resident != nil {
-			// Join the resident fleet under the tenant namespace instead of
-			// launching private servers; each machine's namespace carries
-			// its own optimizer instance, exactly like a private server
-			// would.
-			t.nsHandles = make([]*psrt.Namespace, machines)
-			for m := 0; m < machines; m++ {
-				srv := opts.Resident.Server(m)
-				ns, err := srv.Namespace(opts.PSNamespace, psCfg())
-				if err != nil {
-					return failPS(err)
-				}
-				t.servers[m] = srv
-				t.nsHandles[m] = ns
-			}
-		} else {
-			for m := 0; m < machines; m++ {
-				if !t.localMachine[m] {
-					continue
-				}
-				srv, err := psrt.NewServer(psCfg())
-				if err != nil {
-					return fail(err)
-				}
-				t.servers[m] = srv
+			})
+			if err != nil {
+				return fail(err)
 			}
 		}
 		for _, r := range t.routes {
 			if r.assign.Method != core.MethodPS {
 				continue
 			}
-			owned := make(map[int][]int) // machine -> partition indices
-			for pi, srv := range r.assign.Servers {
-				owned[srv] = append(owned[srv], pi)
-			}
-			// Machine-ordered registration, not map-ordered: each server's
-			// own state is independent, but the registration sequence is
-			// part of the §8 deterministic startup discipline.
-			for m := 0; m < machines; m++ {
-				parts, ok := owned[m]
-				if !ok || t.servers[m] == nil {
-					continue // not a PS machine, or hosted by another agent
+			// Machine-ordered registration: each server's own state is
+			// independent, but the registration sequence is part of the §8
+			// deterministic startup discipline.
+			for m, ns := range t.ns {
+				parts := ownedBy(r.assign.Servers, m)
+				if ns == nil || len(parts) == 0 {
+					continue // hosted by another agent, or not one of r's servers
 				}
-				if err := t.psAdmin(m).AddVar(r.v.Name, r.v.Init, r.ranges, parts, r.assign.Sparse); err != nil {
-					return failPS(err)
+				if err := ns.AddVar(r.v.Name, r.v.Init, r.ranges, parts, r.assign.Sparse); err != nil {
+					return fail(err)
 				}
 			}
 		}
@@ -633,8 +607,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		for _, w := range t.localWorkers {
 			row := make([]psrt.Endpoint, machines)
 			for m := 0; m < machines; m++ {
-				if t.servers[m] != nil {
-					row[m] = t.servers[m]
+				if t.ns[m] != nil {
+					row[m] = t.ns[m].Server()
 				} else {
 					cl := psrt.NewClient(fab.Conduit(w), topo.ServerEndpoint(m))
 					cl.SetCodec(opts.Compression.Codec)
@@ -741,8 +715,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		go t.workerLoop(w)
 	}
 	if anyPS && t.dist {
-		for m := 0; m < machines; m++ {
-			if t.servers[m] == nil {
+		for m, ns := range t.ns {
+			if ns == nil {
 				continue
 			}
 			srvConduit := fab.Conduit(topo.ServerEndpoint(m))
@@ -758,7 +732,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 					var err error
 					defer t.recoverClosed(&err)
 					psrt.ServeConduit(srv, srvConduit, w)
-				}(t.servers[m], w)
+				}(ns.Server(), w)
 			}
 		}
 	}
@@ -767,27 +741,18 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		// pushes, so a dead peer would park local workers (and serving
 		// loops answering other survivors) inside a server cond.Wait
 		// forever — a condition variable the fabric cannot cancel. Watch
-		// for fabric death and abort every local server's waits with the
-		// attributed failure.
+		// for fabric death and abort this trainer's namespace on every local
+		// server with the attributed failure; a fleet server's other tenants
+		// keep running.
 		go func() {
 			<-fab.Done()
 			err := fab.Err()
 			if err == nil {
 				err = fmt.Errorf("psrt: transport %w", errs.ErrClosed)
 			}
-			if t.nsHandles != nil {
-				// Resident mode: the servers are shared with other tenants,
-				// so scope the abort to this trainer's namespace.
-				for _, ns := range t.nsHandles {
-					if ns != nil {
-						ns.Abort(err)
-					}
-				}
-				return
-			}
-			for _, srv := range t.servers {
-				if srv != nil {
-					srv.Abort(err)
+			for _, ns := range t.ns {
+				if ns != nil {
+					ns.Abort(err)
 				}
 			}
 		}()
@@ -1010,7 +975,18 @@ func (t *Trainer) Buckets() int { return len(t.buckets) }
 func (t *Trainer) Close() {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
-		if t.dist {
+		// A fabric that is already down (a failed step or agreement tore
+		// it down) has nothing left to drain, and the pipes between
+		// colocated endpoints may still hold the aborted protocol's
+		// undelivered messages, which the barrier must not mistake for
+		// its own.
+		barrier := t.dist
+		select {
+		case <-t.fab.Done():
+			barrier = false
+		default:
+		}
+		if barrier {
 			done := make(chan struct{})
 			go func() {
 				var wg sync.WaitGroup
@@ -1062,9 +1038,9 @@ func (t *Trainer) Close() {
 		case <-done:
 		case <-time.After(5 * time.Second): //parallax:allow(detsource) -- teardown liveness bound after the last step; never in step control flow
 		}
-		// Resident mode: the fleet servers outlive this trainer, so hand
-		// the tenant's variables (and namespace name) back to the fleet.
-		t.dropResidentNamespaces()
+		// A fleet's servers outlive this trainer: hand the namespace's
+		// variables (and its name) back.
+		t.dropNamespaces()
 	})
 }
 
@@ -1084,7 +1060,7 @@ func (t *Trainer) Close() {
 //  2. Barrier: no agent may install while a peer still reads the old
 //     partitions.
 //  3. Install: each agent reshards its LOCAL servers
-//     (psrt.Server.ReshardVar) — values and slot rows re-sliced to the
+//     (psrt.Namespace.ReshardVar) — values and slot rows re-sliced to the
 //     new ranges, versions seeded to the step counter — and rebuilds its
 //     routing tables (partition ranges, per-server push groups,
 //     local-aggregation slots and views, batched pull requests).
@@ -1138,51 +1114,24 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 
 	minV := int64(t.step)
 	w0 := t.localWorkers[0]
-	type migrated struct {
-		value *tensor.Dense
-		slots []*tensor.Dense
-	}
-	full := make([]migrated, len(t.routes))
+	full := make([]psState, len(t.routes))
 	for ri := range t.routes {
 		if !changed[ri] {
 			continue
 		}
 		r := &t.routes[ri]
-		g := migrated{value: tensor.NewDense(r.v.Shape...)}
-		width := g.value.RowWidth()
-		first := true
 		for pi, rr := range r.ranges {
 			if rr.Len() == 0 {
 				continue
 			}
 			val, slots, err := t.ps[w0][r.assign.Servers[pi]].SnapshotPart(r.psName, pi, minV)
+			if err == nil {
+				err = full[ri].place(r, pi, val, slots)
+			}
 			if err != nil {
 				return t.failStep(err)
 			}
-			if val.NumElements() != rr.Len()*width {
-				return t.failStep(fmt.Errorf("transform: snapshot of %s/%d has %d elements, partition has %d",
-					r.v.Name, pi, val.NumElements(), rr.Len()*width))
-			}
-			copy(g.value.Data()[rr.Start*width:rr.End*width], val.Data())
-			if first {
-				for range slots {
-					g.slots = append(g.slots, tensor.NewDense(r.v.Shape...))
-				}
-				first = false
-			}
-			if len(slots) != len(g.slots) {
-				return t.failStep(fmt.Errorf("transform: snapshot of %s/%d has %d slots, partition 0 had %d",
-					r.v.Name, pi, len(slots), len(g.slots)))
-			}
-			for k, sv := range slots {
-				if sv.NumElements() != rr.Len()*width {
-					return t.failStep(fmt.Errorf("transform: snapshot slot %d of %s/%d has %d elements, partition has %d",
-						k, r.v.Name, pi, sv.NumElements(), rr.Len()*width))
-				}
-				copy(g.slots[k].Data()[rr.Start*width:rr.End*width], sv.Data())
-			}
 		}
-		full[ri] = g
 	}
 	if _, err := t.AgreeMax("repart/gather", 0); err != nil {
 		return err
@@ -1193,26 +1142,12 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 			continue
 		}
 		r := &t.routes[ri]
-		na := newPlan.Assignments[ri]
-		newRanges := tensor.PartitionRows(r.v.Shape[0], na.Partitions)
-		for m := 0; m < t.machines; m++ {
-			if t.servers[m] == nil {
-				continue
-			}
-			var owned []int
-			for pi, srv := range na.Servers {
-				if srv == m {
-					owned = append(owned, pi)
-				}
-			}
-			if err := t.psAdmin(m).ReshardVar(r.v.Name, full[ri].value, newRanges,
-				owned, r.assign.Sparse, full[ri].slots, minV); err != nil {
-				return t.failStep(err)
-			}
+		r.assign = newPlan.Assignments[ri]
+		r.ranges = tensor.PartitionRows(r.v.Shape[0], r.assign.Partitions)
+		if err := t.installPS(r, full[ri], minV); err != nil {
+			return t.failStep(err)
 		}
-		r.assign = na
-		r.ranges = newRanges
-		full[ri] = migrated{}
+		full[ri] = psState{}
 	}
 	t.opt.Plan = newPlan
 	t.buildPSRouting()
@@ -1220,6 +1155,68 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 	t.buildPullReqs()
 	_, err := t.AgreeMax("repart/install", 0)
 	return err
+}
+
+// psState is one server-managed variable's full value and optimizer slot
+// tensors (SlotState.Slots order), assembled partition by partition —
+// from snapshots of the live servers (Repartition's gather) or from
+// checkpoint records (Restore) — and installed by installPS.
+type psState struct {
+	value *tensor.Dense
+	slots []*tensor.Dense
+}
+
+// place copies partition pi's value and slots into the full tensors at
+// the partition's rows of r's current ranges; the first placement fixes
+// the slot count.
+func (st *psState) place(r *varRoute, pi int, val *tensor.Dense, slots []*tensor.Dense) error {
+	if pi < 0 || pi >= len(r.ranges) {
+		return fmt.Errorf("transform: %w: partition %s/%d outside the plan's %d partitions",
+			errs.ErrTopologyMismatch, r.v.Name, pi, len(r.ranges))
+	}
+	if st.value == nil {
+		st.value = tensor.NewDense(r.v.Shape...)
+		for range slots {
+			st.slots = append(st.slots, tensor.NewDense(r.v.Shape...))
+		}
+	}
+	if len(slots) != len(st.slots) {
+		return fmt.Errorf("transform: %w: partition %s/%d has %d slots, the variable's first had %d",
+			errs.ErrTopologyMismatch, r.v.Name, pi, len(slots), len(st.slots))
+	}
+	width := st.value.RowWidth()
+	lo, hi := r.ranges[pi].Start*width, r.ranges[pi].End*width
+	put := func(dst, src *tensor.Dense) error {
+		if src.NumElements() != hi-lo {
+			return fmt.Errorf("transform: %w: partition %s/%d carries a tensor of %d elements, the plan's range has %d",
+				errs.ErrTopologyMismatch, r.v.Name, pi, src.NumElements(), hi-lo)
+		}
+		copy(dst.Data()[lo:hi], src.Data())
+		return nil
+	}
+	err := put(st.value, val)
+	for k := 0; k < len(slots) && err == nil; k++ {
+		err = put(st.slots[k], slots[k])
+	}
+	return err
+}
+
+// installPS re-registers r on every local server from the assembled
+// state: each server's owned row ranges under r's (possibly just
+// replaced) partitioning, values and slot rows re-sliced, versions and
+// aggregation sequences seeded to version (psrt.Namespace.ReshardVar).
+// A server that owns nothing of r afterwards just drops what it had.
+func (t *Trainer) installPS(r *varRoute, st psState, version int64) error {
+	for m, ns := range t.ns {
+		if ns == nil {
+			continue
+		}
+		if err := ns.ReshardVar(r.v.Name, st.value, r.ranges, ownedBy(r.assign.Servers, m),
+			r.assign.Sparse, st.slots, version); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fabric returns the trainer's transport fabric, so the session layer
@@ -1802,13 +1799,12 @@ func (t *Trainer) VarValue(name string) (*tensor.Dense, error) {
 			return t.execs[w0].VarValue(name).Clone(), nil
 		}
 		out := tensor.NewDense(r.v.Shape...)
-		minVersion := int64(t.step)
 		for pi, rr := range r.ranges {
 			if rr.Len() == 0 {
 				continue
 			}
-			dst := out.SliceRows(rr.Start, rr.End)
-			if err := t.ps[w0][r.assign.Servers[pi]].PullInto(r.psName, pi, minVersion, dst); err != nil {
+			req := []psrt.PullReq{{Name: r.psName, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
+			if err := t.ps[w0][r.assign.Servers[pi]].PullManyInto(int64(t.step), req); err != nil {
 				return nil, err
 			}
 		}

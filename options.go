@@ -65,12 +65,6 @@ func WithAggregation(dense, sparse AggMethod) Option {
 	return func(c *Config) { c.DenseAgg, c.SparseAgg = dense, sparse }
 }
 
-// WithoutLocalAggregation disables intra-machine gradient merging for
-// PS-managed variables (enabled by default, §4.3).
-func WithoutLocalAggregation() Option {
-	return func(c *Config) { c.DisableLocalAggregation = true }
-}
-
 // WithSparsePartitions fixes the sparse-variable partition count; 0
 // (the default) lets the first step loop search for it on the live
 // runtime (see Config.SparsePartitions).

@@ -192,9 +192,6 @@ type Config struct {
 	// DenseAgg / SparseAgg choose mean or sum aggregation per gradient
 	// type (§4.1). Default AggMean for both.
 	DenseAgg, SparseAgg AggMethod
-	// DisableLocalAggregation turns off intra-machine gradient merging
-	// (enabled by default for PS-managed variables, §4.3).
-	DisableLocalAggregation bool
 	// SparsePartitions fixes the partition count for variables declared
 	// inside partitioner scopes. 0 (the default) searches for it on the
 	// live runtime (§3.2; DESIGN.md §9): when the plan partitions a

@@ -275,7 +275,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		NewOptimizer:     cfg.NewOptimizer,
 		DenseAgg:         cfg.DenseAgg,
 		SparseAgg:        cfg.SparseAgg,
-		LocalAggregation: !cfg.DisableLocalAggregation && (arch == core.ArchHybrid || arch == core.ArchOptPS),
+		LocalAggregation: arch == core.ArchHybrid || arch == core.ArchOptPS,
 		ClipNorm:         cfg.ClipNorm,
 		FusionBytes:      cfg.FusionBytes,
 		Compression:      cfg.Compression,
@@ -457,60 +457,28 @@ func (s *Session) install(dir string, head *shardHead) error {
 			need[m] = m
 		}
 	}
-	local := make(map[int]bool)
-	for _, m := range s.trainer.LocalMachines() {
-		local[m] = true
-	}
-	var serverStates, residStates []transform.VarState
+	recs := head.recs
 	for _, m := range need {
-		recs := head.recs
-		if m != head.machine {
-			mm, mrecs, err := checkpoint.ReadShard(dir, m)
-			if err != nil {
-				return err
-			}
-			if mm.Step != meta.Step || mm.Cursor != meta.Cursor || mm.Parts != meta.Parts ||
-				mm.PlanFP != meta.PlanFP || mm.TopoFP != meta.TopoFP {
-				return fmt.Errorf("parallax: checkpoint shard %d disagrees with shard %d (torn save?)", m, head.machine)
-			}
-			recs = mrecs
+		if m == head.machine {
+			continue
 		}
-		for _, r := range recs {
-			st := transform.VarState{
-				Name: r.Name, Part: r.Part, Value: r.Value,
-				SlotNames: r.SlotNames, Slots: r.Slots,
-			}
-			switch r.Kind {
-			case checkpoint.KindReplica:
-				st.Part = -1
-				if err := s.trainer.RestoreReplicaVar(st); err != nil {
-					return err
-				}
-			case checkpoint.KindServerPart:
-				serverStates = append(serverStates, st)
-			case checkpoint.KindResidual:
-				// Each shard carries its own machine's workers' residuals;
-				// this process restores only those of the machines it hosts
-				// (shard 0, read for the replica variables, may belong to a
-				// peer agent). A resharding install drops residuals
-				// entirely: they are indexed by the old worker numbering,
-				// which has no mapping onto the new one. Only top-k
-				// policies carry residuals; their error feedback restarts
-				// from zero after a topology change.
-				if !head.reshard && local[m] {
-					residStates = append(residStates, st)
-				}
-			}
+		mm, mrecs, err := checkpoint.ReadShard(dir, m)
+		if err != nil {
+			return err
 		}
+		if mm.Step != meta.Step || mm.Cursor != meta.Cursor || mm.Parts != meta.Parts ||
+			mm.PlanFP != meta.PlanFP || mm.TopoFP != meta.TopoFP {
+			return fmt.Errorf("parallax: checkpoint shard %d disagrees with shard %d (torn save?)", m, head.machine)
+		}
+		recs = append(recs, mrecs...)
 	}
-	if err := s.trainer.RestoreServerVars(serverStates, meta.Step); err != nil {
-		return err
-	}
-	if err := s.trainer.RestoreResiduals(residStates); err != nil {
-		return err
-	}
-	s.trainer.SetStepCount(int(meta.Step))
-	return nil
+	// Each shard carries its own machine's workers' top-k residuals, so
+	// the trainer keeps those of the workers it hosts (shard 0, read for
+	// the replica variables, may belong to a peer agent). A resharding
+	// install drops residuals entirely: they are indexed by the old
+	// worker numbering, which has no mapping onto the new one; error
+	// feedback restarts from zero after a topology change.
+	return s.trainer.Restore(recs, meta.Step, head.reshard)
 }
 
 // Save captures the session's full training state into a checkpoint
@@ -537,42 +505,15 @@ func (s *Session) Save(dir string) error {
 		Compression:     s.cfg.Compression.Fingerprint(),
 	}
 	for _, m := range s.trainer.LocalMachines() {
-		states, err := s.trainer.SnapshotServerParts(m)
+		// Shard m: machine m's server partitions, plus the replica
+		// variables in shard 0 and m's workers' top-k residuals (whose
+		// presence moves the shard to the version-2 format).
+		recs, err := s.trainer.Snapshot(m)
 		if err != nil {
 			return err
 		}
-		if m == 0 {
-			reps, err := s.trainer.SnapshotReplicaVars()
-			if err != nil {
-				return err
-			}
-			states = append(reps, states...)
-		}
-		recs := make([]checkpoint.Record, len(states))
-		for i, st := range states {
-			recs[i] = checkpoint.Record{
-				Kind: checkpoint.KindServerPart, Name: st.Name, Part: st.Part,
-				Value: st.Value, SlotNames: st.SlotNames, Slots: st.Slots,
-			}
-			if st.Part < 0 {
-				recs[i].Kind, recs[i].Part = checkpoint.KindReplica, 0
-			}
-		}
-		// Top-k error-feedback residuals ride in the shard of the machine
-		// whose workers hold them (present only under a top-k policy;
-		// their presence moves the shard to the version-2 format).
-		resids, err := s.trainer.SnapshotResiduals(m)
-		if err != nil {
-			return err
-		}
-		for _, st := range resids {
-			recs = append(recs, checkpoint.Record{
-				Kind: checkpoint.KindResidual, Name: st.Name, Part: st.Part, Value: st.Value,
-			})
-		}
-		shardMeta := meta
-		shardMeta.Machine = m
-		if err := checkpoint.WriteShard(dir, shardMeta, recs); err != nil {
+		meta.Machine = m
+		if err := checkpoint.WriteShard(dir, meta, recs); err != nil {
 			return err
 		}
 	}
