@@ -41,8 +41,9 @@ type StepStats struct {
 	// Per-phase breakdown (slowest worker per phase): ComputeTime is the
 	// forward+backward wall clock, CommTime is synchronization busy time,
 	// and SyncWait is the part of CommTime that was NOT hidden under
-	// compute — the drain the worker paid after its backward pass
-	// finished. CommTime−SyncWait is the overlap the fused schedule won.
+	// compute — the parameter-server pull at the head of the step plus
+	// the drain the worker paid after its backward pass finished.
+	// CommTime−SyncWait is the overlap the fused schedule won.
 	ComputeTime time.Duration
 	CommTime    time.Duration
 	SyncWait    time.Duration

@@ -63,8 +63,14 @@ func NewClient(t transport.Conduit, server int) *Client {
 // SetCodec selects the payload codec of this client's push requests. The
 // pushed values must already lie on the codec's grid (the trainer
 // quantizes in the data plane before pushing), so the compact encoding is
-// lossless. Pull replies always travel exact f32.
+// lossless. Pull replies always travel exact f32, whole partitions and
+// row-addressed ones alike.
 func (c *Client) SetCodec(codec transport.Codec) { c.codec = codec }
+
+// maxReplyElems bounds the values of one pull reply at 1 GiB of exact
+// f32, the transport's default frame cap: the peer's reader would refuse
+// a larger frame and fail the fabric, so the request is refused instead.
+const maxReplyElems = 1 << 28
 
 // errClosed is returned when the fabric shut down mid-call; it wraps
 // the shared sentinel so callers can match it with errors.Is.
@@ -83,12 +89,27 @@ func (c *Client) call(req *transport.PSMsg) (*transport.PSMsg, error) {
 }
 
 // PullManyInto performs the batched versioned read over the wire and
-// copies the returned partition values into the request destinations.
+// copies the returned partition values into the request destinations. A
+// request's row list travels with it; the reply then carries just those
+// rows, packed, and they are scattered to their own rows of Dst.
 func (c *Client) PullManyInto(minVersion int64, reqs []PullReq) error {
 	m := &transport.PSMsg{Op: transport.PSPullMany, Version: minVersion}
 	for i := range reqs {
-		m.Names = append(m.Names, reqs[i].Name)
-		m.Parts = append(m.Parts, reqs[i].Part)
+		r := &reqs[i]
+		m.Names = append(m.Names, r.Name)
+		m.Parts = append(m.Parts, r.Part)
+		if r.Rows == nil {
+			continue
+		}
+		// The frame encoder cannot express (and the scatter below cannot
+		// survive) a malformed list, so it is refused before it travels.
+		if err := checkRows(r.Rows, r.Dst.Dim(0)); err != nil {
+			return fmt.Errorf("psrt: pull of %s/%d: %w", r.Name, r.Part, err)
+		}
+		if m.Rows == nil {
+			m.Rows = make([][]int, len(reqs))
+		}
+		m.Rows[i] = r.Rows
 	}
 	rep, err := c.call(m)
 	if err != nil {
@@ -98,12 +119,22 @@ func (c *Client) PullManyInto(minVersion int64, reqs []PullReq) error {
 		return fmt.Errorf("psrt: pull reply has %d tensors for %d requests", len(rep.Dense), len(reqs))
 	}
 	for i := range reqs {
-		src, dst := rep.Dense[i], reqs[i].Dst
-		if src.NumElements() != dst.NumElements() {
-			return fmt.Errorf("psrt: pull reply %s/%d has %d elements, want %d",
-				reqs[i].Name, reqs[i].Part, src.NumElements(), dst.NumElements())
+		src, dst, rows := rep.Dense[i].Data(), reqs[i].Dst, reqs[i].Rows
+		w, want := dst.RowWidth(), dst.NumElements()
+		if rows != nil {
+			want = len(rows) * w
 		}
-		copy(dst.Data(), src.Data())
+		if len(src) != want {
+			return fmt.Errorf("psrt: pull reply %s/%d has %d elements, want %d",
+				reqs[i].Name, reqs[i].Part, len(src), want)
+		}
+		if rows == nil {
+			copy(dst.Data(), src)
+			continue
+		}
+		for k, r := range rows {
+			copy(dst.Data()[r*w:(r+1)*w], src[k*w:(k+1)*w])
+		}
 	}
 	return nil
 }
@@ -210,11 +241,30 @@ func handle(s *Server, req *transport.PSMsg) *transport.PSMsg {
 	}
 	switch req.Op {
 	case transport.PSPullMany:
-		// Pull copies each partition into a fresh tensor under the
-		// partition lock, so the serving loop never holds locks during
+		// The batch must fit one reply frame; size it before copying
+		// anything, from dimensions a served variable never changes.
+		var v *servedVar
+		elems := 0
+		for i, name := range req.Names {
+			var err error
+			if v, err = s.varFor(v, name); err != nil {
+				return fail(err)
+			}
+			if rows, pi := req.RowsAt(i), req.Parts[i]; rows != nil {
+				elems += len(rows) * v.width
+			} else if pi >= 0 && pi < len(v.ranges) {
+				elems += v.ranges[pi].Len() * v.width
+			}
+			if elems > maxReplyElems {
+				return fail(fmt.Errorf("psrt: pull of %d items asks for more than the %d values one reply carries",
+					len(req.Names), maxReplyElems))
+			}
+		}
+		// Each item is copied into a fresh tensor under the partition
+		// lock, so the serving loop never holds locks during
 		// serialization.
 		for i, name := range req.Names {
-			val, err := s.Pull(name, req.Parts[i], req.Version)
+			val, err := s.pullPacked(name, req.Parts[i], req.Version, req.RowsAt(i))
 			if err != nil {
 				return fail(err)
 			}

@@ -1,6 +1,7 @@
 package psrt
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -114,8 +115,45 @@ func TestClientSparsePushAndNormApply(t *testing.T) {
 	}
 }
 
+// A row-addressed pull copies exactly the listed rows, each to its own
+// row of the destination view, and nothing else — the same through a
+// direct call and through the wire, where the reply carries the rows
+// packed. An empty list is a request for no rows, not for the partition.
+func TestRowAddressedPull(t *testing.T) {
+	client, srv, stop := newWired(t, Config{Sources: 1, Optimizer: optim.NewSGD(1)})
+	defer stop()
+	ranges := tensor.PartitionRows(7, 2) // rows [0,4) and [4,7)
+	init := denseInit(7, 2, 0)
+	if err := srv.AddVar("emb", init, ranges, []int{0, 1}, true); err != nil {
+		t.Fatal(err)
+	}
+	for name, ep := range map[string]Endpoint{"direct": srv, "wired": client} {
+		dst := tensor.NewDense(7, 2)
+		dst.Fill(-1)
+		if err := ep.PullManyInto(0, []PullReq{
+			{Name: "emb", Part: 0, Dst: dst.SliceRows(0, 4), Rows: []int{0, 3}},
+			{Name: "emb", Part: 1, Dst: dst.SliceRows(4, 7), Rows: []int{1}},
+			{Name: "emb", Part: 1, Dst: dst.SliceRows(4, 7), Rows: []int{}},
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pulled := map[int]bool{0: true, 3: true, 5: true}
+		for r := 0; r < 7; r++ {
+			for c := 0; c < 2; c++ {
+				want := float32(-1)
+				if pulled[r] {
+					want = init.At(r, c)
+				}
+				if got := dst.At(r, c); got != want {
+					t.Errorf("%s: dst[%d,%d] = %v, want %v", name, r, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestClientErrorsTravelAsReplies(t *testing.T) {
-	client, _, stop := newWired(t, Config{Sources: 1, Optimizer: optim.NewSGD(1)})
+	client, srv, stop := newWired(t, Config{Sources: 1, Optimizer: optim.NewSGD(1)})
 	defer stop()
 	err := client.PullManyInto(0, []PullReq{{Name: "ghost", Part: 0, Dst: tensor.NewDense(1)}})
 	if err == nil || !strings.Contains(err.Error(), "unknown variable") {
@@ -125,6 +163,75 @@ func TestClientErrorsTravelAsReplies(t *testing.T) {
 	err = client.ApplyUpdate("ghost", 0, 1)
 	if err == nil || !strings.Contains(err.Error(), "unknown variable") {
 		t.Fatalf("err after first error = %v", err)
+	}
+
+	// Malformed row lists are errors wherever they surface — the direct
+	// call, the client before it encodes, the serving loop handed a
+	// request no client of ours would send — never a panic or a copy from
+	// the wrong rows.
+	ranges := tensor.PartitionRows(1<<16, 2)
+	if err := srv.AddVar("emb", tensor.NewDense(1<<16, 1<<4), ranges, []int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	dst := tensor.NewDense(1<<15, 1<<4)
+	for name, c := range map[string]struct {
+		part int
+		rows []int
+		want string
+	}{
+		"descending":          {0, []int{5, 2}, "not strictly ascending"},
+		"duplicate":           {0, []int{2, 2}, "not strictly ascending"},
+		"past the partition":  {0, []int{7, 1 << 15}, "out of range"},
+		"negative":            {0, []int{-1}, "out of range"},
+		"partition elsewhere": {1, []int{0}, "not hosted here"},
+	} {
+		served := handle(srv, &transport.PSMsg{Op: transport.PSPullMany,
+			Names: []string{"emb"}, Parts: []int{c.part}, Rows: [][]int{c.rows}}).Err
+		for how, err := range map[string]error{
+			"direct": srv.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: dst, Rows: c.rows}}),
+			"wired":  client.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: dst, Rows: c.rows}}),
+			"served": errors.New(served),
+		} {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s row list, %s: err = %v, want %q", name, how, err, c.want)
+			}
+		}
+	}
+	// A batch whose rows would not fit one reply frame is refused before
+	// anything is copied: 2^15 rows x 2^4 values, 600 times over.
+	big := &transport.PSMsg{Op: transport.PSPullMany}
+	all := make([]int, 1<<15)
+	for i := range all {
+		all[i] = i
+	}
+	for i := 0; i < 600; i++ {
+		big.Names, big.Parts, big.Rows = append(big.Names, "emb"), append(big.Parts, 0), append(big.Rows, all)
+	}
+	if rep := handle(srv, big); !strings.Contains(rep.Err, "one reply carries") || len(rep.Dense) != 0 {
+		t.Errorf("oversized batch: err = %q with %d tensors", rep.Err, len(rep.Dense))
+	}
+	// The connection outlives all of it.
+	if err := client.PullManyInto(0, []PullReq{{Name: "emb", Part: 0, Dst: dst, Rows: []int{3}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A reply that does not carry len(rows) x width values for a
+// row-addressed item is an error at the client, not a scatter out of
+// bounds.
+func TestClientRejectsMisSizedRowReply(t *testing.T) {
+	fab := transport.NewInproc(transport.Topology{Workers: 1, Machines: 1, MachineOfWorker: []int{0}})
+	defer fab.Close()
+	go func() {
+		srv := fab.Conduit(1)
+		if srv.RecvPS(0, Tag) != nil {
+			srv.SendPS(0, Tag, &transport.PSMsg{Op: transport.PSReply, Dense: []*tensor.Dense{tensor.NewDense(5)}})
+		}
+	}()
+	err := NewClient(fab.Conduit(0), 1).PullManyInto(0, []PullReq{
+		{Name: "emb", Part: 0, Dst: tensor.NewDense(4, 2), Rows: []int{0, 3}}})
+	if err == nil || !strings.Contains(err.Error(), "has 5 elements, want 4") {
+		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -18,7 +18,10 @@
 // name); tenants of a resident fleet register named ones on the same
 // kind of server. The data plane is batched — PullManyInto,
 // PushDenseMany, PushSparseMany are the only pull/push shapes; a single
-// partition is a one-element batch.
+// partition is a one-element batch. A pull reads its partition whole or,
+// given PullReq.Rows, only the rows listed: a worker whose graph merely
+// gathers from an embedding fetches the rows its batch names, which is
+// what keeping sparse variables on servers is for (§3.1: αw, not w).
 //
 // The partitioning is not fixed for the server's lifetime: SnapshotPart
 // exports a partition's value and optimizer slot state, and
@@ -41,9 +44,11 @@
 //     must hand over freshly built tensors (SplitSparse output qualifies)
 //     and not touch them afterwards.
 //   - PullManyInto copies into caller-owned buffers (typically SliceRows
-//     views of replica storage) and allocates nothing; Pull allocates a
-//     copy, for the serving loop that must not hold a partition lock
-//     while it serializes.
+//     views of replica storage) and allocates nothing, whether a request
+//     reads its whole partition or only the rows it lists (PullReq.Rows,
+//     borrowed for the call); the serving loop instead takes a fresh
+//     packed copy, because it must not hold a partition lock while it
+//     serializes.
 package psrt
 
 import (
@@ -117,9 +122,9 @@ type part struct {
 	// accDense is the partition's persistent dense gradient buffer: the
 	// accumulator and (between aggregation and apply) the aggregated
 	// gradient. It is allocated once
-	// in AddVar for dense variables and reused every step — the blocking
-	// pull protocol guarantees step i+1's first push cannot arrive before
-	// step i's update applied.
+	// in AddVar for dense variables and reused every step — the trainer's
+	// step boundary guarantees step i+1's first push cannot arrive before
+	// step i's update applied (DESIGN.md §3).
 	accDense  *tensor.Dense
 	accSparse []*tensor.Sparse // retained pushed gradients (ownership transferred)
 	pushes    int
@@ -393,11 +398,18 @@ func (s *Server) ApplyUpdate(name string, pi int, scale float32) error {
 	return nil
 }
 
-// Pull returns a copy of the partition's value once its version is at
-// least minVersion — the read the serving loop answers a remote
-// PullManyInto with, copying under the partition lock so nothing is held
-// during serialization.
+// Pull returns a copy of the whole partition's value once its version is
+// at least minVersion.
 func (s *Server) Pull(name string, pi int, minVersion int64) (*tensor.Dense, error) {
+	return s.pullPacked(name, pi, minVersion, nil)
+}
+
+// pullPacked is the read the serving loop answers a remote PullManyInto
+// item with: a fresh copy of the partition's value — or, with a row
+// list, of just those rows packed in list order — taken under the
+// partition lock once its version is at least minVersion, so nothing is
+// held during serialization.
+func (s *Server) pullPacked(name string, pi int, minVersion int64, rows []int) (*tensor.Dense, error) {
 	v, p, err := s.lookup(name, pi)
 	if err != nil {
 		return nil, err
@@ -407,12 +419,35 @@ func (s *Server) Pull(name string, pi int, minVersion int64) (*tensor.Dense, err
 	if err := v.waitVersion(p, minVersion); err != nil {
 		return nil, err
 	}
-	return p.value.Clone(), nil
+	if rows == nil {
+		return p.value.Clone(), nil
+	}
+	if err := checkRows(rows, p.value.Dim(0)); err != nil {
+		return nil, fmt.Errorf("psrt: pull of %s/%d: %w", name, pi, err)
+	}
+	return tensor.Gather(p.value, rows), nil
+}
+
+// checkRows reports whether rows is a well-formed row list for a
+// partition (or partition view) of n rows: strictly ascending — hence
+// duplicate-free — and inside [0, n).
+func checkRows(rows []int, n int) error {
+	for k, r := range rows {
+		if r < 0 || r >= n {
+			return fmt.Errorf("row %d out of range [0,%d)", r, n)
+		}
+		if k > 0 && r <= rows[k-1] {
+			return fmt.Errorf("row list not strictly ascending (%d after %d)", r, rows[k-1])
+		}
+	}
+	return nil
 }
 
 // pullInto copies the partition's value into dst once its version is at
-// least minVersion. dst must have the partition's element count.
-func (v *servedVar) pullInto(pi int, minVersion int64, dst *tensor.Dense) error {
+// least minVersion: all of it, or with a row list just those rows, each
+// to its own row of dst. dst must have the partition's element count
+// either way.
+func (v *servedVar) pullInto(pi int, minVersion int64, rows []int, dst *tensor.Dense) error {
 	p, err := v.partAt(pi)
 	if err != nil {
 		return err
@@ -426,16 +461,33 @@ func (v *servedVar) pullInto(pi int, minVersion int64, dst *tensor.Dense) error 
 		return fmt.Errorf("psrt: pull of %s/%d: dst has %d elements, partition has %d",
 			v.name, pi, dst.NumElements(), p.value.NumElements())
 	}
-	copy(dst.Data(), p.value.Data())
+	if rows == nil {
+		copy(dst.Data(), p.value.Data())
+		return nil
+	}
+	if err := checkRows(rows, p.value.Dim(0)); err != nil {
+		return fmt.Errorf("psrt: pull of %s/%d: %w", v.name, pi, err)
+	}
+	w, src, out := v.width, p.value.Data(), dst.Data()
+	for _, r := range rows {
+		copy(out[r*w:(r+1)*w], src[r*w:(r+1)*w])
+	}
 	return nil
 }
 
 // PullReq is one partition read of a batched PullManyInto: copy partition
-// Part of variable Name into the caller-owned view Dst.
+// Part of variable Name into the caller-owned view Dst, which is shaped
+// like the partition. A non-nil Rows makes the read row-addressed: only
+// the listed partition-local rows (strictly ascending) are copied, each
+// to its own row of Dst, and the rest of Dst is left as it was — what a
+// worker asks for when its batch gathers a few rows of an embedding
+// (§3.1: a sparse variable on PS moves αw, not w). Rows is borrowed for
+// the call.
 type PullReq struct {
 	Name string
 	Part int
 	Dst  *tensor.Dense
+	Rows []int
 }
 
 // DensePush is one partition write of a batched PushDenseMany; Grad is
@@ -474,7 +526,7 @@ func (s *Server) PullManyInto(minVersion int64, reqs []PullReq) (err error) {
 		if v, err = s.varFor(v, r.Name); err != nil {
 			return err
 		}
-		if err = v.pullInto(r.Part, minVersion, r.Dst); err != nil {
+		if err = v.pullInto(r.Part, minVersion, r.Rows, r.Dst); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,9 @@ package transform
 // race detector sees the full channel/mutex choreography.
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"parallax/internal/cluster"
@@ -15,6 +18,7 @@ import (
 	"parallax/internal/graph"
 	"parallax/internal/models"
 	"parallax/internal/optim"
+	"parallax/internal/tensor"
 )
 
 func newTrainer(t *testing.T, cfg models.TinyLMConfig, arch core.Arch, ri cluster.ResourceInfo,
@@ -98,43 +102,49 @@ func TestPersistentWorkersAndClose(t *testing.T) {
 	tr.Close() // second Close must be a no-op
 }
 
-// The zero-copy pull path must route server state into the right replica
-// rows. During the first step every worker pulls version 0 — the initial
-// server values — so after that step each replica's PS-variable storage
-// must be bitwise identical to the variable's Init tensor; a partition
-// view with a wrong offset would corrupt exactly this.
+// The pull path must route server state into the right replica rows. A
+// worker pulls only the rows its feed gathers, so after a few steps (the
+// servers have moved away from Init) every row the last step's feed
+// named must hold, in that worker's replica, exactly what the servers
+// held when the step began — a partition view or a partition-local row
+// id with a wrong offset would corrupt exactly this — and VarValue must
+// still assemble the whole table from the servers, which alone hold it.
 func TestPullViewsMatchServerState(t *testing.T) {
 	cfg := models.DefaultTinyLM()
-	tr := newTrainer(t, cfg, core.ArchHybrid, cluster.Uniform(2, 2), 3,
-		func(o *Options) { o.LocalAggregation = true })
-	feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, 99)
-	if _, err := tr.Step(feeds); err != nil {
-		t.Fatal(err)
-	}
-	checkedPS := false
-	for _, r := range tr.routes {
-		if r.assign.Method != core.MethodPS {
-			continue
-		}
-		checkedPS = true
-		for w := 0; w < tr.Workers(); w++ {
-			if diff := tr.execs[w].VarValue(r.v.Name).MaxAbsDiff(r.v.Init); diff != 0 {
-				t.Errorf("worker %d replica of %s differs from pulled v0 state by %v", w, r.v.Name, diff)
-			}
-		}
-		// The server, meanwhile, has applied the step's update: VarValue
-		// must reconstruct a value that differs from Init.
-		want, err := tr.VarValue(r.v.Name)
-		if err != nil {
+	mutate := func(o *Options) { o.LocalAggregation = true }
+	tr := newTrainer(t, cfg, core.ArchHybrid, cluster.Uniform(2, 2), 3, mutate)
+	whole := newTrainer(t, cfg, core.ArchHybrid, cluster.Uniform(2, 2), 3, mutate)
+	wholePartitionPulls(whole)
+	const steps = 4
+	var before *tensor.Dense
+	var feeds []graph.Feed
+	for s := 0; s < steps; s++ {
+		var err error
+		if before, err = tr.VarValue("embedding"); err != nil {
 			t.Fatal(err)
 		}
-		if want.MaxAbsDiff(r.v.Init) == 0 {
-			t.Errorf("server value of %s unchanged after a training step", r.v.Name)
+		feeds, _ = lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, int64(s))
+		for _, x := range []*Trainer{tr, whole} {
+			if _, err := x.Step(feeds); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if !checkedPS {
-		t.Fatal("plan routed no variable to PS; test is vacuous")
+	if before.MaxAbsDiff(tr.routes[tr.routeIdx["embedding"]].v.Init) == 0 {
+		t.Fatal("servers still at Init before the last step; test is vacuous")
 	}
+	width := cfg.Dim
+	for w := 0; w < tr.Workers(); w++ {
+		replica := tr.execs[w].VarValue("embedding").Data()
+		for _, id := range feeds[w].Ints["tokens"] {
+			for c := 0; c < width; c++ {
+				if got, want := replica[id*width+c], before.At(id, c); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("worker %d replica row %d col %d = %v, servers held %v when the step began", w, id, c, got, want)
+				}
+			}
+		}
+	}
+	requireSameVars(t, "row-addressed vs whole-partition pulls", tr, whole)
 }
 
 // Bad feeds must be rejected before dispatch: a worker failing mid-step
@@ -154,6 +164,16 @@ func TestBadFeedRejectedUpFront(t *testing.T) {
 	bad[1] = graph.Feed{Ints: map[string][]int{"tokens": {1}, "labels": {2}}} // wrong batch size
 	if _, err := tr.Step(bad); err == nil {
 		t.Fatal("feed with wrong batch size must fail")
+	}
+	// An id outside the embedding would panic inside the worker's Gather
+	// (and take the process down): it is a feed error like the others.
+	for _, id := range []int{-1, cfg.Vocab} {
+		tokens := slices.Clone(feeds[1].Ints["tokens"])
+		tokens[len(tokens)/2] = id
+		bad[1] = graph.Feed{Ints: map[string][]int{"tokens": tokens, "labels": feeds[1].Ints["labels"]}}
+		if _, err := tr.Step(bad); err == nil || !strings.Contains(err.Error(), "outside embedding's rows") {
+			t.Fatalf("token id %d: err = %v, want an out-of-vocabulary feed error", id, err)
+		}
 	}
 
 	// The runtime must still work after rejected steps.

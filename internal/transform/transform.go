@@ -43,10 +43,16 @@
 //     PushSparseMany) and the pull phase runs concurrently across servers.
 //     Remote servers are reached through psrt.Client stubs speaking the
 //     same batched shapes over the conduit.
+//   - Where the graph only gathers a PS variable (gatherInputs), the pull
+//     is row-addressed: each step a worker asks for the rows its own feed
+//     names and for nothing of a partition it does not touch. Its replica
+//     of such a table is a cache of gathered rows; the servers alone hold
+//     the whole of it, and everything that needs the whole — VarValue,
+//     snapshots, reshards — reads it from them.
 //
 // Step spawns no goroutines, builds no maps, and formats no strings; all
-// collective tags, fusion views, and pull-request lists are resolved at
-// build time.
+// collective tags, fusion views, and pull destinations are resolved at
+// build time, and the per-step pull lists are refilled in place.
 //
 // The PS routing is not frozen at build time: Repartition reshards the
 // partition-target sparse variables to a new partition count between
@@ -156,6 +162,37 @@ type varRoute struct {
 	// the anonymous one). Precomputed so the pull/push/clip hot paths and
 	// snapshot/restore never re-derive it.
 	psName string
+	// rowInputs makes a PS route's pull row-addressed: the graph's int
+	// inputs whose ids are the only rows of v a step reads (gatherInputs).
+	// Each step a worker then pulls just the rows its feed names; nil
+	// pulls every partition whole.
+	rowInputs []*graph.Node
+}
+
+// gatherInputs returns the int inputs indexing v when the graph only
+// gathers v — its gradient is sparse — and every such Gather takes its
+// indices straight from a graph input, so a feed names every row of v a
+// step can read; nil otherwise. It is a property of the graph alone:
+// whatever the optimizer does to rows a step does not read, the replica
+// does not look at them.
+func gatherInputs(g *graph.Graph, v *graph.Variable) []*graph.Node {
+	if g.GradKind(v) != graph.GradSparse {
+		return nil
+	}
+	var ins []*graph.Node
+	for _, n := range g.Nodes() {
+		if n.Kind != graph.OpGather || n.Inputs[0].Var != v {
+			continue
+		}
+		idx := n.Inputs[1]
+		if idx.Kind != graph.OpInput {
+			return nil
+		}
+		if !slices.Contains(ins, idx) {
+			ins = append(ins, idx)
+		}
+	}
+	return ins
 }
 
 // stepTask is one worker's share of a dispatched iteration.
@@ -200,10 +237,11 @@ type commTask struct {
 	sparse *tensor.Sparse
 }
 
-// phaseTimes is one worker's per-step phase breakdown. compute and wait
-// are written by the worker goroutine, comm by its comm goroutine; the
-// flush ack orders comm's writes before the worker's read.
+// phaseTimes is one worker's per-step phase breakdown. pull, compute and
+// wait are written by the worker goroutine, comm by its comm goroutine;
+// the flush ack orders comm's writes before the worker's read.
 type phaseTimes struct {
+	pull    time.Duration // the synchronous PS pull at the head of the step
 	compute time.Duration // forward+backward wall clock
 	comm    time.Duration // comm goroutine busy time
 	wait    time.Duration // drain time after compute ended (exposed comm)
@@ -212,7 +250,8 @@ type phaseTimes struct {
 // PhaseStats is the per-step phase breakdown of the slowest worker:
 // Compute is graph execution, Comm is synchronization busy time, and
 // SyncWait is the part of Comm that was NOT hidden under compute — the
-// time the worker sat waiting for its comm goroutine to drain after the
+// PS pull at the head of the step, which nothing overlaps, plus the time
+// the worker sat waiting for its comm goroutine to drain after the
 // backward pass finished. Comm−SyncWait is therefore the overlap won by
 // dispatching synchronization mid-backprop.
 type PhaseStats struct {
@@ -319,9 +358,14 @@ type Trainer struct {
 	// slots[ri][m].dense, precomputed for dense variables.
 	slotViews [][][]*tensor.Dense
 	// pullReqs[w][m] is the batched pull request list worker w issues to
-	// server m at the top of each step; destinations are zero-copy views
-	// into the worker's replica storage.
+	// server m at the top of a step, refilled from the step's feed
+	// (stepPullReqs); pullDst[w][ri][pi] is a request's destination, a
+	// zero-copy view of partition pi's rows in the worker's replica
+	// storage, and pullRows[w][ri] the scratch a row-addressed route's
+	// sorted ids — and the requests' row lists, which alias it — live in.
 	pullReqs [][][]psrt.PullReq
+	pullDst  [][][]*tensor.Dense
+	pullRows [][][]int
 	// psServers[ri] lists the servers hosting route ri's partitions (in
 	// first-appearance order); psParts[ri][k] are the partition indices
 	// owned by psServers[ri][k].
@@ -331,7 +375,8 @@ type Trainer struct {
 	// route ri within a step (indexed, not keyed, to avoid per-step maps).
 	arSparse [][]*tensor.Sparse
 
-	inputs []*graph.Node // the graph's input nodes, for feed validation
+	inputs  []*graph.Node // the graph's input nodes, for feed validation
+	gathers []*graph.Node // the graph's Gather nodes, for id range checks
 
 	bytesPushed atomic.Int64
 	wireBase    transport.Stats // fabric counters at the top of the step
@@ -548,6 +593,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			anyPS = true
 			r.ranges = tensor.PartitionRows(v.Shape[0], a.Partitions)
 			r.psName = psrt.QualifiedName(opts.PSNamespace, v.Name)
+			r.rowInputs = gatherInputs(g, v)
 		}
 		t.routeIdx[v.Name] = len(t.routes)
 		t.routes = append(t.routes, r)
@@ -624,8 +670,11 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	t.buildSlots()
 	t.buildPullReqs()
 	for _, n := range g.Nodes() {
-		if n.Kind == graph.OpInput {
+		switch n.Kind {
+		case graph.OpInput:
 			t.inputs = append(t.inputs, n)
+		case graph.OpGather:
+			t.gathers = append(t.gathers, n)
 		}
 	}
 
@@ -899,28 +948,87 @@ func (t *Trainer) buildSlots() {
 	}
 }
 
-// buildPullReqs precomputes, per local worker and server, the batched
-// pull request list whose destinations are zero-copy views into the
-// worker's replica storage. Requests for one variable stay adjacent so
-// the server amortizes its lookup.
+// buildPullReqs precomputes, per local worker, what the per-step request
+// lists are filled from: each PS partition's destination view into the
+// worker's replica storage and, for a row-addressed route, id scratch
+// sized for a whole feed, so stepPullReqs allocates nothing.
 func (t *Trainer) buildPullReqs() {
 	t.pullReqs = make([][][]psrt.PullReq, t.workers)
+	t.pullDst = make([][][]*tensor.Dense, t.workers)
+	t.pullRows = make([][][]int, t.workers)
 	for _, w := range t.localWorkers {
 		t.pullReqs[w] = make([][]psrt.PullReq, t.machines)
-		for _, r := range t.routes {
+		t.pullDst[w] = make([][]*tensor.Dense, len(t.routes))
+		t.pullRows[w] = make([][]int, len(t.routes))
+		perServer := make([]int, t.machines) // most requests a step can address to each
+		for ri, r := range t.routes {
 			if r.assign.Method != core.MethodPS {
 				continue
 			}
 			val := t.execs[w].VarValue(r.v.Name)
+			t.pullDst[w][ri] = make([]*tensor.Dense, len(r.ranges))
 			for pi, rr := range r.ranges {
-				if rr.Len() == 0 {
+				t.pullDst[w][ri][pi] = val.SliceRows(rr.Start, rr.End)
+				perServer[r.assign.Servers[pi]]++
+			}
+			if r.rowInputs != nil {
+				ids := 0
+				for _, in := range r.rowInputs {
+					ids += in.Shape[0]
+				}
+				t.pullRows[w][ri] = make([]int, 0, ids)
+			}
+		}
+		for m, n := range perServer {
+			t.pullReqs[w][m] = make([]psrt.PullReq, 0, n)
+		}
+	}
+}
+
+// stepPullReqs refills worker w's per-server pull lists for one step.
+// Requests for one variable stay adjacent so the server amortizes its
+// lookup. A row-addressed route asks each partition for the rows the
+// feed gathers from it — the union over the route's index inputs,
+// sorted, deduplicated and made partition-local — and leaves a partition
+// the batch does not touch out altogether; checkFeed has already held
+// every id inside the table.
+func (t *Trainer) stepPullReqs(w int, feed graph.Feed) {
+	reqs := t.pullReqs[w]
+	for m := range reqs {
+		reqs[m] = reqs[m][:0]
+	}
+	for ri := range t.routes {
+		r := &t.routes[ri]
+		if r.assign.Method != core.MethodPS {
+			continue
+		}
+		var ids []int
+		if r.rowInputs != nil {
+			ids = t.pullRows[w][ri][:0]
+			for _, in := range r.rowInputs {
+				ids = append(ids, feed.Ints[in.Name]...)
+			}
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
+		}
+		for pi, rr := range r.ranges {
+			if rr.Len() == 0 {
+				continue
+			}
+			req := psrt.PullReq{Name: r.psName, Part: pi, Dst: t.pullDst[w][ri][pi]}
+			if r.rowInputs != nil {
+				n := 0
+				for n < len(ids) && ids[n] < rr.End {
+					ids[n] -= rr.Start
+					n++
+				}
+				if n == 0 {
 					continue
 				}
-				m := r.assign.Servers[pi]
-				t.pullReqs[w][m] = append(t.pullReqs[w][m], psrt.PullReq{
-					Name: r.psName, Part: pi, Dst: val.SliceRows(rr.Start, rr.End),
-				})
+				req.Rows, ids = ids[:n:n], ids[n:]
 			}
+			m := r.assign.Servers[pi]
+			reqs[m] = append(reqs[m], req)
 		}
 	}
 }
@@ -1428,9 +1536,11 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	// reads.
 	var ph PhaseStats
 	for w := range t.phases {
+		// The pull is synchronization nothing hides: it counts as
+		// communication and as exposed wait alike.
 		ph.Compute = max(ph.Compute, t.phases[w].compute)
-		ph.Comm = max(ph.Comm, t.phases[w].comm)
-		ph.SyncWait = max(ph.SyncWait, t.phases[w].wait)
+		ph.Comm = max(ph.Comm, t.phases[w].pull+t.phases[w].comm)
+		ph.SyncWait = max(ph.SyncWait, t.phases[w].pull+t.phases[w].wait)
 	}
 	t.lastPhase = ph
 	if t.dist {
@@ -1474,7 +1584,9 @@ func (t *Trainer) failStep(err error) error {
 }
 
 // checkFeed verifies worker w's feed covers every graph input with the
-// right size before the step is dispatched.
+// right size, and that every id a Gather will look up lies inside its
+// table, before the step is dispatched: an out-of-vocabulary id would
+// otherwise panic inside the worker's forward pass.
 func (t *Trainer) checkFeed(w int, feed graph.Feed) error {
 	for _, n := range t.inputs {
 		if n.DType == graph.Int {
@@ -1498,6 +1610,15 @@ func (t *Trainer) checkFeed(w int, feed graph.Feed) error {
 		}
 		if badShape {
 			return fmt.Errorf("transform: worker %d feed %q has shape %v, want %v", w, n.Name, shape, n.Shape)
+		}
+	}
+	for _, n := range t.gathers {
+		table, idx := n.Inputs[0], n.Inputs[1]
+		for _, id := range feed.Ints[idx.Name] {
+			if id < 0 || id >= table.Shape[0] {
+				return fmt.Errorf("transform: worker %d feed %q holds id %d, outside %s's rows [0,%d)",
+					w, idx.Name, id, table.Name, table.Shape[0])
+			}
 		}
 	}
 	return nil
@@ -1524,16 +1645,21 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	*ph = phaseTimes{}
 
 	// Pull phase: fetch fresh PS values for this iteration (Fig 2(a)(b)'s
-	// pull arrows), one batched call per server, all servers in parallel,
-	// copying straight into the replica's variable storage through the
-	// precomputed views. Version step means "after step updates have
-	// applied".
+	// pull arrows) — the rows this worker's feed gathers where the graph
+	// only gathers, whole partitions otherwise — one batched call per
+	// server, all servers in parallel, copying straight into the replica's
+	// variable storage through the precomputed views. Version step means
+	// "after step updates have applied".
+	pullStart := time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
 	minVersion := int64(step)
 	pulls := 0
-	for m := 0; m < t.machines && t.ps != nil; m++ {
-		if len(t.pullReqs[w][m]) > 0 {
-			t.pullCh[w][m] <- minVersion
-			pulls++
+	if t.ps != nil {
+		t.stepPullReqs(w, feed)
+		for m := 0; m < t.machines; m++ {
+			if len(t.pullReqs[w][m]) > 0 {
+				t.pullCh[w][m] <- minVersion
+				pulls++
+			}
 		}
 	}
 	var pullErr error
@@ -1542,6 +1668,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 			pullErr = err
 		}
 	}
+	ph.pull = time.Since(pullStart) //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
 	if pullErr != nil {
 		return 0, pullErr
 	}

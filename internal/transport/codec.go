@@ -28,13 +28,19 @@ import (
 //	kindSparse:    sparse body
 //	kindPS:        u8 op | u64 version | u32 scale bits | u64 scalar bits
 //	               | u16 errLen | err
-//	               | u16 nItems | nItems × (u8 nameLen | name | u32 part)
+//	               | u16 nItems | nItems × (u8 nameLen | name | u32 part [| row list])
 //	               | u16 nDense | nDense × (u32 n | n values)
 //	               | u16 nSparse | nSparse × sparse body
 //	kindF32Sparse: u32 len | u32 nnz | nnz ascending indices | nnz values
 //
 //	sparse body:   u32 dim0 | u32 width | u8 idxMode | u32 nrows | rows
 //	               | nrows*width values
+//
+// A PS item's part field holds the partition index in its low 31 bits;
+// the top bit (psRowsFlag) says a row list follows — u32 nrows | nrows
+// strictly ascending partition-local rows — which makes a pull
+// row-addressed. An item without one costs no byte for the possibility,
+// so pushes, replies and whole-partition pulls keep their size.
 //
 // Ascending index sequences are delta-varints (the first index, then
 // gaps >= 1, minimal-length LEB128). A sparse body's rows use that form
@@ -58,6 +64,9 @@ const (
 	maxNameLen = 255
 	maxItems   = math.MaxUint16
 )
+
+// psRowsFlag marks a PS item whose row list follows its part field.
+const psRowsFlag = 1 << 31
 
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -151,7 +160,17 @@ func appendPS(b []byte, m *PSMsg, codec Codec) []byte {
 		}
 		b = append(b, byte(len(name)))
 		b = append(b, name...)
-		b = appendU32(b, uint32(m.Parts[i]))
+		rows := m.RowsAt(i)
+		if rows == nil {
+			b = appendU32(b, uint32(m.Parts[i]))
+			continue
+		}
+		if !rowsAscending(rows) {
+			panic(fmt.Sprintf("transport: row list of %s/%d is not strictly ascending", name, m.Parts[i]))
+		}
+		b = appendU32(b, uint32(m.Parts[i])|psRowsFlag)
+		b = appendU32(b, uint32(len(rows)))
+		b = appendDeltas(b, rows)
 	}
 	b = appendU16(b, uint16(len(m.Dense)))
 	for _, d := range m.Dense {
@@ -433,7 +452,23 @@ func decodePS(d *Decoder, codec Codec) (*PSMsg, error) {
 			return nil, err
 		}
 		m.Names = append(m.Names, string(name))
-		m.Parts = append(m.Parts, int(part))
+		m.Parts = append(m.Parts, int(part&^psRowsFlag))
+		if part&psRowsFlag == 0 {
+			continue
+		}
+		nrows, err := d.Count(1) // >= 1 byte per row
+		if err != nil {
+			return nil, err
+		}
+		if m.Rows == nil {
+			m.Rows = make([][]int, nItems)
+		}
+		m.Rows[i] = make([]int, nrows)
+		// The partition's length is the server's to check; the wire only
+		// keeps a row, like a partition index, below 2^31.
+		if err := decodeDeltas(d, m.Rows[i], 1<<31); err != nil {
+			return nil, err
+		}
 	}
 	nDense, err := d.U16()
 	if err != nil {

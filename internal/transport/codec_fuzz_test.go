@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"parallax/internal/tensor"
@@ -30,8 +31,8 @@ func psMessage(ps *PSMsg) message {
 
 // seedMessages returns one well-formed message per frame kind and codec:
 // dense chunks, sparse IndexedSlices in both index modes, scalars, the
-// batched parameter-server request/reply shapes and a top-k sparsified
-// chunk.
+// batched parameter-server request/reply shapes (pulls whole and
+// row-addressed) and a top-k sparsified chunk.
 func seedMessages() []message {
 	dup := tensor.NewSparse([]int{0, 2, 2}, tensor.FromSlice([]float32{1, -2, 3, 4, 0, 6}, 3, 2), 5)
 	ascending := tensor.NewSparse([]int{1, 4, 9}, tensor.FromSlice([]float32{1, -2, 3, 4, 0.5, 6}, 3, 2), 16)
@@ -45,6 +46,13 @@ func seedMessages() []message {
 		psMessage(&PSMsg{
 			Op: PSPullMany, Version: 7,
 			Names: []string{"embedding", "embedding"}, Parts: []int{0, 3},
+		}),
+		// Row-addressed pulls: no row, one row, the largest delta a row
+		// list can hold, beside an item that asks for its whole partition.
+		psMessage(&PSMsg{
+			Op: PSPullMany, Version: 7,
+			Names: []string{"embedding", "embedding", "embedding", "embedding"}, Parts: []int{0, 1, 2, 3},
+			Rows: [][]int{{}, {5}, nil, {0, math.MaxInt32}},
 		}),
 		psMessage(&PSMsg{
 			Op: PSPushDenseMany, Names: []string{"w"}, Parts: []int{1},
@@ -151,11 +159,18 @@ func sameMessage(a, b message) bool {
 		if x.Op != y.Op || x.Version != y.Version || x.Err != y.Err || x.Codec != y.Codec ||
 			math.Float32bits(x.Scale) != math.Float32bits(y.Scale) ||
 			math.Float64bits(x.Scalar) != math.Float64bits(y.Scalar) ||
-			len(x.Names) != len(y.Names) || len(x.Dense) != len(y.Dense) || len(x.Sparse) != len(y.Sparse) {
+			len(x.Names) != len(y.Names) || len(x.Dense) != len(y.Dense) || len(x.Sparse) != len(y.Sparse) ||
+			len(x.Rows) != len(y.Rows) {
 			return false
 		}
 		for i := range x.Names {
 			if x.Names[i] != y.Names[i] || x.Parts[i] != y.Parts[i] {
+				return false
+			}
+		}
+		for i := range x.Rows {
+			// nil asks for the whole partition, an empty list for no row.
+			if (x.Rows[i] == nil) != (y.Rows[i] == nil) || !slices.Equal(x.Rows[i], y.Rows[i]) {
 				return false
 			}
 		}
@@ -233,16 +248,30 @@ func TestCodecRejectsTruncation(t *testing.T) {
 // TestCodecRejectsCorruption forges the specific malformed frames the
 // grammar admits: length fields promising far more data than present,
 // the corruptions of the delta encoding (zero deltas, out-of-range
-// indices, more survivors than the chunk is long, non-minimal varints),
-// and the second encodings the canonical rules forbid.
+// indices, more survivors than the chunk is long, non-minimal varints)
+// in a top-k chunk and in a pull's row list, and the second encodings
+// the canonical rules forbid.
 func TestCodecRejectsCorruption(t *testing.T) {
 	pool := newBufPool()
 	header := func(k kind, codec Codec) []byte {
 		return []byte{0, 0, 1, 0, byte(k) | byte(codec)<<codecShift, 1, 't'}
 	}
+	// A one-item row-addressed pull ends: u32 nrows | deltas | u16 nDense
+	// | u16 nSparse.
+	rowPull := func(rows ...int) []byte {
+		return appendMessage(nil, 0, 1, psMessage(&PSMsg{Op: PSPullMany,
+			Names: []string{"e"}, Parts: []int{0}, Rows: [][]int{rows}}))
+	}
+	zeroDelta := rowPull(2, 5)
+	zeroDelta[len(zeroDelta)-5] = 0 // second delta
+	manyRows := rowPull(2)
+	manyRows[len(manyRows)-6] = 0x40 // top byte of nrows
 	for name, b := range map[string][]byte{
-		"oversized f32 declaration": append(header(kindF32, CodecF32), 0, 0, 0, 0x80),
-		"oversized f16 declaration": append(header(kindF32, CodecF16), 0, 0, 0, 0x40),
+		"duplicate row in a pull's row list": zeroDelta,
+		"oversized row-list declaration":     manyRows,
+		"row past 31 bits":                   rowPull(math.MaxInt32 + 1),
+		"oversized f32 declaration":          append(header(kindF32, CodecF32), 0, 0, 0, 0x80),
+		"oversized f16 declaration":          append(header(kindF32, CodecF16), 0, 0, 0, 0x40),
 		"oversized sparse declaration": append(header(kindSparse, CodecF32),
 			5, 0, 0, 0 /*dim0*/, 2, 0, 0, 0 /*width*/, rawIndexMode, 0, 0, 0, 0x40 /*nrows*/),
 		"oversized survivor count": append(header(kindF32Sparse, CodecF32),

@@ -52,6 +52,13 @@ func TestCompressedFrameSizes(t *testing.T) {
 			Names: []string{"embedding", "embedding"}, Parts: []int{0, 3}}), 65},
 		"ps pull reply": {psMessage(&PSMsg{Op: PSReply,
 			Dense: []*tensor.Dense{tensor.NewDense(6), tensor.NewDense(3)}}), 81},
+		// The same request asking for 3 + 1 rows, and its reply at width 2:
+		// a count and one or two bytes a row out, the rows' values back.
+		"ps row pull request": {psMessage(&PSMsg{Op: PSPullMany, Version: 7,
+			Names: []string{"embedding", "embedding"}, Parts: []int{0, 3},
+			Rows: [][]int{{1, 5, 200}, {7}}}), 78},
+		"ps row pull reply": {psMessage(&PSMsg{Op: PSReply,
+			Dense: []*tensor.Dense{tensor.NewDense(3, 2), tensor.NewDense(1, 2)}}), 77},
 	} {
 		if got := len(appendMessage(nil, 0, 1, c.m)); got != c.want {
 			t.Errorf("exact %s frame is %d bytes, want %d", name, got, c.want)

@@ -210,6 +210,55 @@ func TestTCPEpochMismatchStaleAcceptorFails(t *testing.T) {
 	}
 }
 
+// An agent built before the frame grammar changed (PS pulls became
+// row-addressed) announces itself with the previous magic. It must be
+// turned away at rendezvous — no ack, connection closed — and the
+// acceptor's rendezvous fails attributed to the rank that never validly
+// arrived, rather than the pair handshaking and mis-parsing a frame
+// mid-step.
+func TestTCPOldGrammarPeerRefusedAtRendezvous(t *testing.T) {
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln0.Close()
+	refused := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln0.Addr().String())
+		if err != nil {
+			refused <- err
+			return
+		}
+		defer conn.Close()
+		// The PXA2 handshake of process 1, epoch 0, policy "none".
+		hs := []byte{'P', 'X', 'A', '2', 1, 0, 4, 0, 0, 0, 0, 0, 'n', 'o', 'n', 'e'}
+		if _, err := conn.Write(hs); err != nil {
+			refused <- err
+			return
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var ack [1]byte
+		if n, err := conn.Read(ack[:]); n != 0 || err == nil {
+			refused <- fmt.Errorf("old-grammar handshake answered with ack %d (err %v)", ack[0], err)
+			return
+		}
+		refused <- nil
+	}()
+	_, err = DialTCP(context.Background(), TCPConfig{
+		Topo: twoMachineTopo(), Process: 0,
+		Addrs:       []string{ln0.Addr().String(), "127.0.0.1:1"},
+		Listener:    ln0,
+		DialTimeout: time.Second,
+	})
+	var pf *errs.PeerFailure
+	if !errors.As(err, &pf) || pf.Rank != 1 {
+		t.Fatalf("rendezvous with an old-grammar peer: %v, want a failure attributed to rank 1", err)
+	}
+	if err := <-refused; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A rendezvous where a peer never shows up is attributed to the first
 // missing rank, so operators know which agent to look at.
 func TestTCPRendezvousTimeoutAttributed(t *testing.T) {

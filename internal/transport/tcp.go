@@ -76,8 +76,11 @@ type TCPConfig struct {
 // as u16, its fabric epoch as u32, and the fingerprint bytes; the
 // acceptor answers with one ack byte (ackOK = accepted, ackPolicy =
 // compression fingerprints differ, ackEpoch = fabric generations
-// differ).
-var handshakeMagic = [4]byte{'P', 'X', 'A', '2'}
+// differ). The digit is the frame grammar's generation: it was bumped
+// when PS pulls became row-addressed, so an agent built from an older
+// tree is turned away at rendezvous (junk magic, no ack) instead of
+// mis-parsing a frame mid-step.
+var handshakeMagic = [4]byte{'P', 'X', 'A', '3'}
 
 const (
 	ackPolicy = 0 // compression policy fingerprint mismatch

@@ -254,6 +254,12 @@ const (
 // payloads (Dense entries are flattened to rank-1 on the wire — both
 // sides know the real partition shapes). A reply carries Err (empty on
 // success), Scalar for norm reads, and Dense for pull results.
+//
+// Rows makes a pull row-addressed: it is nil, or holds one entry per
+// item (a shorter one leaves the rest whole), and a non-nil Rows[i] lists the partition-local rows item i
+// asks for — strictly ascending, so they travel as delta-varints — in
+// place of the whole partition. The reply's Dense[i] is then those rows
+// packed in list order.
 type PSMsg struct {
 	Op      PSOp
 	Version int64   // minVersion (pull) or aggregation seq (norm)
@@ -262,6 +268,7 @@ type PSMsg struct {
 	Err     string  // reply error, "" on success
 	Names   []string
 	Parts   []int
+	Rows    [][]int
 	Dense   []*tensor.Dense
 	Sparse  []*tensor.Sparse
 
@@ -269,6 +276,15 @@ type PSMsg struct {
 	// links encode the Dense and Sparse values (which must already lie on
 	// the codec's grid) at 2 bytes/value for CodecF16/CodecBF16.
 	Codec Codec
+}
+
+// RowsAt returns item i's row list, nil when it asks for its whole
+// partition.
+func (m *PSMsg) RowsAt(i int) []int {
+	if i >= len(m.Rows) {
+		return nil
+	}
+	return m.Rows[i]
 }
 
 // kind discriminates fabric datagrams.
