@@ -260,7 +260,7 @@ func TestSessionElasticGrowTCP(t *testing.T) {
 	if m.Members[2].Addr != joinAddr {
 		t.Fatalf("MEMBERS[2] = %q, want the joiner %q", m.Members[2].Addr, joinAddr)
 	}
-	closeTogether(t, sessions[0], sessions[1], joiner)
+	closeInTurn(sessions[0], sessions[1], joiner)
 	waitSessionGoroutines(t, base)
 }
 
@@ -339,7 +339,7 @@ func TestSessionElasticLeaveTCP(t *testing.T) {
 	if err := sessions[0].Resize(context.Background(), Uniform(2, 2)); err == nil {
 		t.Fatal("Resize on a distributed session must refuse")
 	}
-	closeTogether(t, sessions...)
+	closeInTurn(sessions...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -416,7 +416,7 @@ func TestSessionElasticShrinkOnKillTCP(t *testing.T) {
 	if err != nil || m == nil || len(m.Members) != 2 {
 		t.Fatalf("MEMBERS record %+v (err %v), want 2 members", m, err)
 	}
-	closeTogether(t, sessions...)
+	closeInTurn(sessions...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -473,7 +473,7 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 			t.Fatalf("agent %d sees %d members, want 2 (no membership change)", p, got)
 		}
 	}
-	closeTogether(t, sessions[:]...)
+	closeInTurn(sessions[:]...)
 	waitSessionGoroutines(t, base)
 }
 
@@ -744,7 +744,7 @@ func TestSessionBoundaryIsOneExchange(t *testing.T) {
 	}
 	waitElastic(t, &wg, "counted run")
 	after := counter.snapshot()
-	closeTogether(t, sessions...)
+	closeInTurn(sessions...)
 
 	// One gather is one scalar from every worker to every other worker.
 	workers := sessions[0].Workers()
@@ -823,7 +823,7 @@ func TestSessionStopBeatsProposalSameBoundary(t *testing.T) {
 			t.Fatalf("agent %d at epoch %d, want 0", p, e)
 		}
 	}
-	closeTogether(t, sessions...)
+	closeInTurn(sessions...)
 	waitSessionGoroutines(t, base)
 }
 

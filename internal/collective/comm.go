@@ -13,11 +13,17 @@
 // internal/engine on top of internal/simnet; keeping data plane and cost
 // plane separate lets us run paper-scale byte volumes without allocating
 // paper-scale tensors.
+//
+// One property of every algorithm here is load-bearing for shutdown
+// (DESIGN.md §8): a rank sends everything it owes its peers before its
+// last receive, so a rank that has completed a collective has nothing
+// outstanding and may close its fabric without waiting for the others.
+// That is why there is no barrier primitive: an all-to-all agreement
+// (AllGatherScalarsInto) is the only rendezvous the runtime needs.
 package collective
 
 import (
 	"fmt"
-	"sync"
 
 	"parallax/internal/transport"
 )
@@ -49,7 +55,7 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.n }
 
 // SendScalar ships one float64 to dst under tag (loss exchange,
-// barriers).
+// agreements).
 func (c *Comm) SendScalar(dst int, tag string, v float64) { c.t.SendScalar(dst, tag, v) }
 
 // RecvScalar blocks for a float64 from src under tag. A tag mismatch
@@ -57,43 +63,9 @@ func (c *Comm) SendScalar(dst int, tag string, v float64) { c.t.SendScalar(dst, 
 // transport panics rather than silently reordering.
 func (c *Comm) RecvScalar(src int, tag string) float64 { return c.t.RecvScalar(src, tag) }
 
-// Barrier blocks until all ranks have entered it. Implemented as a
-// dissemination barrier (log₂ rounds).
-func (c *Comm) Barrier(tag string) {
-	n := c.n
-	for dist := 1; dist < n; dist *= 2 {
-		dst := (c.rank + dist) % n
-		src := (c.rank - dist + n) % n
-		c.t.SendScalar(dst, tag, 0)
-		c.t.RecvScalar(src, tag)
-	}
-}
-
-// CloseBarrier is Barrier for shutdown paths: it rendezvouses all ranks
-// but treats the fabric closing mid-barrier as completion. The
-// dissemination barrier has the property that any rank completing it
-// proves every rank has ENTERED it — and ranks enter only after their
-// last step's traffic is fully acknowledged — so once a peer finishes
-// and tears its fabric down (which fail-stops connected fabrics), the
-// only messages lost are barrier scalars and the drain guarantee the
-// barrier exists for already holds. Sends on a closed fabric drop
-// silently; a recv on one raises transport.ClosedPanic, which this
-// absorbs — and nothing else: a tag mismatch or a nil conduit is a bug
-// at shutdown as much as mid-step, and propagates.
-func (c *Comm) CloseBarrier(tag string) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, closed := p.(transport.ClosedPanic); !closed {
-				panic(p)
-			}
-		}
-	}()
-	c.Barrier(tag)
-}
-
 // World is the in-process convenience fabric for a fixed group of worker
-// ranks — the harness tests and the single-process trainer path build
-// on. It wraps an in-process fabric (transport.NewInproc).
+// ranks, the harness tests and benchmarks build on. It wraps an
+// in-process fabric (transport.NewInproc).
 type World struct {
 	fab  *transport.TCP
 	size int
@@ -113,19 +85,4 @@ func (w *World) Size() int { return w.size }
 // Comm returns the endpoint for the given rank.
 func (w *World) Comm(rank int) *Comm {
 	return NewComm(w.fab.Conduit(rank), w.size)
-}
-
-// RunWorld spawns fn for every rank on its own goroutine and waits for all
-// to finish. It is the harness the tests and real-mode engine use.
-func RunWorld(size int, fn func(c *Comm)) {
-	w := NewWorld(size)
-	var wg sync.WaitGroup
-	wg.Add(size)
-	for r := 0; r < size; r++ {
-		go func(r int) {
-			defer wg.Done()
-			fn(w.Comm(r))
-		}(r)
-	}
-	wg.Wait()
 }

@@ -41,14 +41,9 @@ type Tags struct {
 // TagsFor derives the phase tags from a route's base tag.
 func TagsFor(base string) Tags { return Tags{RS: base + "/rs", AG: base + "/ag"} }
 
-// RingAllReduce sums t element-wise across all ranks, leaving every rank
-// with the identical total. It builds the phase tags on the fly; hot loops
-// precompute them with TagsFor and call AllReduceTagged directly.
-func RingAllReduce(c *Comm, tag string, t *tensor.Dense) {
-	AllReduceTagged(c, TagsFor(tag), t)
-}
-
-// AllReduceTagged is AllReduceCodecTagged under the exact codec.
+// AllReduceTagged is AllReduceCodecTagged under the exact codec: it sums
+// t element-wise across all ranks, leaving every rank with the identical
+// total.
 func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
 	AllReduceCodecTagged(c, tags, t, transport.CodecF32)
 }
@@ -147,16 +142,10 @@ func AllReduceCodecTagged(c *Comm, tags Tags, t *tensor.Dense, codec transport.C
 	}
 }
 
-// AllGatherv concatenates every rank's sparse gradient in rank order and
-// returns the result on all ranks. It builds the phase tag on the fly; hot
-// loops precompute it and call AllGathervTagged.
-func AllGatherv(c *Comm, tag string, s *tensor.Sparse) *tensor.Sparse {
-	return AllGathervTagged(c, tag+"/agv", s)
-}
-
 // AllGathervTagged is the aggregation path for *sparse* gradients in the
 // pure-AR architecture (§2.1: AllGatherv "aggregates gradients by
-// concatenating"), under a caller-prepared tag. It uses a ring: each of
+// concatenating"): every rank's gradient concatenated in rank order, on
+// all ranks, under a caller-prepared tag. It uses a ring: each of
 // the N−1 steps forwards the block received in the previous step. Blocks
 // travel read-only (a pipe shares pointers; a socket
 // delivers fresh decoded tensors), and ConcatSparse copies them out, so

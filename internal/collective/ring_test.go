@@ -6,12 +6,26 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"parallax/internal/optim"
 	"parallax/internal/tensor"
 	"parallax/internal/transport"
 )
+
+// RunWorld spawns fn for every rank of a fresh world on its own goroutine
+// and waits for all to finish.
+func RunWorld(size int, fn func(c *Comm)) {
+	w := NewWorld(size)
+	var wg sync.WaitGroup
+	wg.Add(size)
+	for r := 0; r < size; r++ {
+		go func(r int) {
+			defer wg.Done()
+			fn(w.Comm(r))
+		}(r)
+	}
+	wg.Wait()
+}
 
 func TestRingAllReduceSums(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
@@ -23,7 +37,7 @@ func TestRingAllReduceSums(t *testing.T) {
 			for i := 0; i < elems; i++ {
 				d.Data()[i] = float32(c.Rank()*100 + i)
 			}
-			RingAllReduce(c, "t", d)
+			AllReduceTagged(c, TagsFor("t"), d)
 			results[c.Rank()] = d
 		})
 		for i := 0; i < elems; i++ {
@@ -112,7 +126,7 @@ func TestRingAllReduceTinyTensor(t *testing.T) {
 	results := make([]*tensor.Dense, n)
 	RunWorld(n, func(c *Comm) {
 		d := tensor.FromSlice([]float32{float32(c.Rank()), 1}, 2)
-		RingAllReduce(c, "t", d)
+		AllReduceTagged(c, TagsFor("t"), d)
 		results[c.Rank()] = d
 	})
 	want0 := float32(0 + 1 + 2 + 3 + 4 + 5)
@@ -131,7 +145,7 @@ func TestAllGathervConcatsInRankOrder(t *testing.T) {
 			vals := tensor.NewDense(2, 3)
 			vals.Fill(float32(c.Rank() + 1))
 			s := tensor.NewSparse(rows, vals, n+1)
-			results[c.Rank()] = AllGatherv(c, "g", s)
+			results[c.Rank()] = AllGathervTagged(c, "g", s)
 		})
 		for r := 0; r < n; r++ {
 			got := results[r]
@@ -160,7 +174,7 @@ func TestAllGathervAllRanksAgree(t *testing.T) {
 		for i := range rows {
 			rows[i] = g.Intn(10)
 		}
-		results[c.Rank()] = AllGatherv(c, "g", tensor.NewSparse(rows, g.RandN(1, k, 2), 10))
+		results[c.Rank()] = AllGathervTagged(c, "g", tensor.NewSparse(rows, g.RandN(1, k, 2), 10))
 	})
 	ref := results[0].ToDense()
 	for r := 1; r < n; r++ {
@@ -214,23 +228,6 @@ func TestAllGatherScalarsRankOrder(t *testing.T) {
 	}
 }
 
-func TestBarrierCompletes(t *testing.T) {
-	const n = 7
-	var mu sync.Mutex
-	count := 0
-	RunWorld(n, func(c *Comm) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-		c.Barrier("b1")
-		mu.Lock()
-		if count != n {
-			t.Errorf("rank %d passed barrier before all arrived (count=%d)", c.Rank(), count)
-		}
-		mu.Unlock()
-	})
-}
-
 func TestRecvTagMismatchPanics(t *testing.T) {
 	w := NewWorld(2)
 	done := make(chan bool)
@@ -241,31 +238,6 @@ func TestRecvTagMismatchPanics(t *testing.T) {
 	}()
 	if !<-done {
 		t.Fatal("expected panic on tag mismatch")
-	}
-}
-
-// CloseBarrier absorbs exactly what a closing fabric raises: a fabric
-// closed while a rank waits in the barrier returns it cleanly, and a
-// protocol bug — here the peer's scalar carrying another tag — escapes.
-func TestCloseBarrierRecoversOnlyClosedPanic(t *testing.T) {
-	barrier := func(w *World, before func()) any {
-		done := make(chan any)
-		go func() {
-			defer func() { done <- recover() }()
-			before()
-			w.Comm(0).CloseBarrier("close")
-		}()
-		time.Sleep(10 * time.Millisecond) // let rank 0 park on the peer that never enters
-		w.fab.Close()
-		return <-done
-	}
-	if p := barrier(NewWorld(2), func() {}); p != nil {
-		t.Fatalf("fabric closed mid-barrier: CloseBarrier panicked with %v", p)
-	}
-	w := NewWorld(2)
-	p := barrier(w, func() { w.Comm(1).SendScalar(0, "loss", 0) })
-	if _, closed := p.(transport.ClosedPanic); p == nil || closed {
-		t.Fatalf("tag mismatch inside CloseBarrier: recovered %v, want the transport's assertion to escape", p)
 	}
 }
 
@@ -335,7 +307,7 @@ func TestRingAllReduceProperty(t *testing.T) {
 		results := make([]*tensor.Dense, n)
 		RunWorld(n, func(c *Comm) {
 			d := inputs[c.Rank()].Clone()
-			RingAllReduce(c, "p", d)
+			AllReduceTagged(c, TagsFor("p"), d)
 			results[c.Rank()] = d
 		})
 		for r := 0; r < n; r++ {

@@ -40,11 +40,14 @@ const Tag = "ps"
 // request, the serving loop on the remote agent replays it against the
 // real Server and answers. Because the client blocks for the reply
 // before returning, borrowed dense views inside push requests follow the
-// same borrowing contract as direct PushDenseMany calls.
+// same borrowing contract as direct PushDenseMany calls. The pull also
+// comes as its two halves, SendPull and RecvPull, so a worker can have
+// one request in flight to every server at once.
 //
-// A Client must not be used concurrently with itself; the trainer's
-// phase structure (one puller, one comm goroutine, the worker's clip
-// path, strictly ordered within a step) guarantees that.
+// A Client must not be used concurrently with itself, nor between a
+// SendPull and its RecvPull; the trainer's phase structure (the worker's
+// pull, its comm goroutine's pushes, the worker's clip path, strictly
+// ordered within a step) guarantees that.
 type Client struct {
 	t      transport.Conduit
 	server int // server endpoint rank
@@ -78,6 +81,11 @@ var errClosed = fmt.Errorf("psrt: transport %w", errs.ErrClosed)
 
 func (c *Client) call(req *transport.PSMsg) (*transport.PSMsg, error) {
 	c.t.SendPS(c.server, Tag, req)
+	return c.reply()
+}
+
+// reply blocks for the server's answer to the request in flight.
+func (c *Client) reply() (*transport.PSMsg, error) {
 	rep := c.t.RecvPS(c.server, Tag)
 	if rep == nil {
 		return nil, errClosed
@@ -88,11 +96,18 @@ func (c *Client) call(req *transport.PSMsg) (*transport.PSMsg, error) {
 	return rep, nil
 }
 
-// PullManyInto performs the batched versioned read over the wire and
-// copies the returned partition values into the request destinations. A
-// request's row list travels with it; the reply then carries just those
-// rows, packed, and they are scattered to their own rows of Dst.
+// PullManyInto performs the batched versioned read over the wire:
+// SendPull, then RecvPull.
 func (c *Client) PullManyInto(minVersion int64, reqs []PullReq) error {
+	if err := c.SendPull(minVersion, reqs); err != nil {
+		return err
+	}
+	return c.RecvPull(reqs)
+}
+
+// SendPull ships the batched request, row lists included, and returns
+// without waiting. On an error nothing was sent and no reply is owed.
+func (c *Client) SendPull(minVersion int64, reqs []PullReq) error {
 	m := &transport.PSMsg{Op: transport.PSPullMany, Version: minVersion}
 	for i := range reqs {
 		r := &reqs[i]
@@ -111,7 +126,15 @@ func (c *Client) PullManyInto(minVersion int64, reqs []PullReq) error {
 		}
 		m.Rows[i] = r.Rows
 	}
-	rep, err := c.call(m)
+	c.t.SendPS(c.server, Tag, m)
+	return nil
+}
+
+// RecvPull blocks for the reply to the SendPull of the same reqs and
+// copies the values into their destinations; a row-addressed request's
+// reply carries just its rows, packed, scattered to their rows of Dst.
+func (c *Client) RecvPull(reqs []PullReq) error {
+	rep, err := c.reply()
 	if err != nil {
 		return err
 	}
@@ -210,18 +233,18 @@ func (c *Client) SnapshotPart(name string, pi int, minVersion int64) (*tensor.De
 }
 
 // ServeConduit answers one remote client's parameter-server requests
-// against s until the fabric closes: the serving half of the wire
-// protocol. The trainer runs one ServeConduit goroutine per (local
-// server, remote worker) pair; requests from one client are strictly
-// sequential (the client blocks for each reply), while different
-// clients' loops run concurrently against the server's per-partition
-// locks — the same concurrency profile as direct calls from in-process
-// workers.
+// against s until the fabric closes or the client's process says
+// goodbye: the serving half of the wire protocol. The trainer runs one
+// ServeConduit goroutine per (local server, remote worker) pair;
+// requests from one client are strictly sequential (the client blocks
+// for each reply), while different clients' loops run concurrently
+// against the server's per-partition locks — the same concurrency
+// profile as direct calls from in-process workers.
 func ServeConduit(s *Server, t transport.Conduit, client int) {
 	for {
 		req := t.RecvPS(client, Tag)
 		if req == nil {
-			return // fabric closed
+			return // fabric closed, or the client departed
 		}
 		t.SendPS(client, Tag, handle(s, req))
 	}

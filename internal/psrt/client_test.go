@@ -242,3 +242,68 @@ func TestClientClosedFabricReturnsError(t *testing.T) {
 		t.Fatal("call on closed fabric succeeded")
 	}
 }
+
+// The pull's two halves let one worker keep a request in flight to every
+// server at once: the request parked on server 1's version wait does not
+// stop the worker from finishing its pull of server 0, and its reply is
+// still there when the worker comes back for it. A refused request sends
+// nothing, so the stream stays in step.
+func TestClientPullHalvesPipelineAcrossServers(t *testing.T) {
+	fab := transport.NewInproc(transport.Topology{Workers: 1, Machines: 2, MachineOfWorker: []int{0}})
+	var srvs [2]*Server
+	var clients [2]*Client
+	done := make(chan struct{}, 2)
+	for m := range srvs {
+		srv, err := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddVar("w", denseInit(2, 3, float32(10*m)), tensor.PartitionRows(2, 1), []int{0}, false); err != nil {
+			t.Fatal(err)
+		}
+		srvs[m], clients[m] = srv, NewClient(fab.Conduit(0), 1+m)
+		go func() {
+			ServeConduit(srv, fab.Conduit(1+m), 0)
+			done <- struct{}{}
+		}()
+	}
+	defer func() { fab.Close(); <-done; <-done }()
+
+	var dst [2]*tensor.Dense
+	var reqs [2][]PullReq
+	for m := range reqs {
+		dst[m] = tensor.NewDense(2, 3)
+		reqs[m] = []PullReq{{Name: "w", Part: 0, Dst: dst[m]}}
+	}
+	if err := clients[1].SendPull(1, reqs[1]); err != nil { // parks: server 1 is at version 0
+		t.Fatal(err)
+	}
+	if err := clients[0].SendPull(0, reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := clients[0].RecvPull(reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0].At(1, 2) != 5 {
+		t.Fatalf("server 0 pulled %v, want 5", dst[0].At(1, 2))
+	}
+	g := tensor.NewDense(2, 3)
+	g.Fill(1)
+	if err := srvs[1].PushDenseMany([]DensePush{{Name: "w", Part: 0, Grad: g}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := clients[1].RecvPull(reqs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if dst[1].At(1, 2) != 14 {
+		t.Fatalf("server 1 pulled %v after the push, want 14", dst[1].At(1, 2))
+	}
+
+	bad := []PullReq{{Name: "w", Part: 0, Dst: dst[0], Rows: []int{1, 0}}}
+	if err := clients[0].SendPull(0, bad); err == nil {
+		t.Fatal("descending row list was sent")
+	}
+	if err := clients[0].PullManyInto(0, reqs[0]); err != nil {
+		t.Fatalf("pull after a refused request: %v", err)
+	}
+}

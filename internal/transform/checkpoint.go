@@ -67,8 +67,8 @@ func slotNamesOf(o optim.Optimizer) ([]string, optim.SlotState) {
 // policy keeps residuals, so uncompressed jobs stay on the version-1
 // format).
 func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("transform: snapshot on %w trainer", errs.ErrClosed)
+	if err := t.live("snapshot"); err != nil {
+		return nil, err
 	}
 	if m < 0 || m >= t.machines || !t.localMachine[m] {
 		return nil, fmt.Errorf("transform: machine %d is not hosted here", m)
@@ -138,8 +138,8 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 // a configuration mismatch (errs.ErrTopologyMismatch), never a silent
 // drop.
 func (t *Trainer) Restore(recs []checkpoint.Record, step int64, reshard bool) error {
-	if t.closed.Load() {
-		return fmt.Errorf("transform: restore on %w trainer", errs.ErrClosed)
+	if err := t.live("restore"); err != nil {
+		return err
 	}
 	full := make([]psState, len(t.routes))
 	var psSlots []string // every local namespace was built by the same NewOptimizer

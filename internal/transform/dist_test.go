@@ -5,7 +5,7 @@ package transform
 // transport.TCP. Both "agents" run inside this test process (each with
 // its own fabric, graph, and trainer), which exercises the full wire
 // path — framing, codec, PS serving loops, the distributed loss
-// exchange, the close barrier — without spawning processes. The
+// exchange, the goodbye at Close — without spawning processes. The
 // multi-process version of the same check runs in CI via
 // cmd/parallax-agent.
 
@@ -29,26 +29,35 @@ import (
 )
 
 // dialTestFabrics builds the two TCP fabrics of a 2-machine cluster on
-// loopback, using a pre-bound ":0" listener so no fixed port is needed.
+// loopback.
 func dialTestFabrics(t *testing.T, topo transport.Topology) [2]*transport.TCP {
 	t.Helper()
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	return [2]*transport.TCP(dialTestFabricsN(t, topo))
+}
+
+// dialTestFabricsN builds one TCP fabric per machine of topo on loopback,
+// using pre-bound ":0" listeners so no fixed port is needed.
+func dialTestFabricsN(t *testing.T, topo transport.Topology) []*transport.TCP {
+	t.Helper()
+	n := topo.Machines
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for p := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[p], addrs[p] = ln, ln.Addr().String()
 	}
-	addrs := []string{ln0.Addr().String(), "127.0.0.1:0"}
-	var fabs [2]*transport.TCP
-	errs := [2]error{}
+	fabs := make([]*transport.TCP, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for p := 0; p < 2; p++ {
+	for p := 0; p < n; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			cfg := transport.TCPConfig{Topo: topo, Process: p, Addrs: addrs, DialTimeout: 10 * time.Second}
-			if p == 0 {
-				cfg.Listener = ln0
-			}
-			fabs[p], errs[p] = transport.DialTCP(context.Background(), cfg)
+			fabs[p], errs[p] = transport.DialTCP(context.Background(), transport.TCPConfig{
+				Topo: topo, Process: p, Addrs: addrs, Listener: lns[p], DialTimeout: 10 * time.Second})
 		}(p)
 	}
 	wg.Wait()
@@ -252,8 +261,8 @@ func TestDistributedClipAndAGVOverTCP(t *testing.T) {
 }
 
 // TestCloseIdempotentNoLeaks pins the Close contract: double Close is
-// safe and the persistent runtime (workers, comm goroutines, pullers,
-// fabric) fully unwinds — the -race build makes this meaningful.
+// safe and the persistent runtime (workers, comm goroutines, the fabric
+// watcher, the fabric) fully unwinds — the -race build makes this meaningful.
 func TestCloseIdempotentNoLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := models.DefaultTinyLM()

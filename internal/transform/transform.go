@@ -22,13 +22,17 @@
 // The trainer is a persistent runtime with a fused, overlapped
 // synchronization schedule (DESIGN.md §3):
 //
-//   - New launches one long-lived compute goroutine per local GPU, one
-//     comm goroutine per GPU, one puller goroutine per (GPU, server)
-//     pair, and one serving goroutine per (local server, remote worker).
-//     Each local machine's parameter server — a fresh one, or a resident
-//     fleet's — is joined under the trainer's psrt.Namespace (the
-//     anonymous one unless a fleet is named), the one handle variables
-//     are registered, resharded, aborted and dropped through.
+//   - New launches every goroutine the trainer will ever run, four kinds:
+//     one long-lived compute goroutine per local GPU, one comm goroutine
+//     per GPU, one serving goroutine per (local server, remote worker),
+//     and one watcher that aborts the local servers' waits when the
+//     fabric dies. Everything else the trainer does across its workers
+//     — a step, a boundary agreement, the startup broadcast — is one
+//     fan-out (onWorkers) onto the compute goroutines. Each local
+//     machine's parameter server — a fresh one, or a resident fleet's —
+//     is joined under the trainer's psrt.Namespace (the anonymous one
+//     unless a fleet is named), the one handle variables are
+//     registered, resharded, aborted and dropped through.
 //   - All dense AllReduce variables are packed at build time into a few
 //     size-capped fusion buckets; each step runs ONE collective per bucket
 //     over a contiguous buffer instead of one per variable, and the
@@ -40,9 +44,11 @@
 //     immediately, overlapping synchronization with the remaining backward
 //     compute.
 //   - PS traffic is batched per server (psrt.PullManyInto / PushDenseMany /
-//     PushSparseMany) and the pull phase runs concurrently across servers.
-//     Remote servers are reached through psrt.Client stubs speaking the
-//     same batched shapes over the conduit.
+//     PushSparseMany). Remote servers are reached through psrt.Client
+//     stubs speaking the same batched shapes over the conduit, and the
+//     pull phase is pipelined across them: the worker sends every remote
+//     server its request, serves the colocated pulls while those are in
+//     flight, then collects the replies.
 //   - Where the graph only gathers a PS variable (gatherInputs), the pull
 //     is row-addressed: each step a worker asks for the rows its own feed
 //     names and for nothing of a partition it does not touch. Its replica
@@ -50,9 +56,11 @@
 //     the whole of it, and everything that needs the whole — VarValue,
 //     snapshots, reshards — reads it from them.
 //
-// Step spawns no goroutines, builds no maps, and formats no strings; all
-// collective tags, fusion views, and pull destinations are resolved at
-// build time, and the per-step pull lists are refilled in place.
+// Nothing after New spawns a goroutine or arms a timer — not Step, not
+// an agreement, not Close — and Step builds no maps and formats no
+// strings; all collective tags, fusion views, and pull destinations are
+// resolved at build time, and the per-step pull lists are refilled in
+// place.
 //
 // The PS routing is not frozen at build time: Repartition reshards the
 // partition-target sparse variables to a new partition count between
@@ -88,11 +96,6 @@ import (
 // while keeping paper-scale buckets small enough that the first bucket's
 // all-reduce can still overlap the tail of the backward pass.
 const defaultFusionBytes = 4 << 20
-
-// closeBarrierTimeout bounds the cross-agent drain barrier Close runs in
-// distributed mode; if peers are gone (crashed mid-run) we proceed to
-// tear the fabric down anyway.
-const closeBarrierTimeout = 30 * time.Second
 
 // Options configures a distributed trainer.
 type Options struct {
@@ -195,16 +198,15 @@ func gatherInputs(g *graph.Graph, v *graph.Variable) []*graph.Node {
 	return ins
 }
 
-// stepTask is one worker's share of a dispatched iteration.
-type stepTask struct {
-	step int
-	feed graph.Feed
-}
+// workerFn is one worker's share of a fan-out (onWorkers): it runs on
+// worker w's persistent goroutine and reports a value — a step's loss, 0
+// where there is none — or an error.
+type workerFn func(w int) (float64, error)
 
-// stepResult is one worker's completion report.
-type stepResult struct {
+// taskResult is one worker's completion report.
+type taskResult struct {
 	worker int
-	loss   float64
+	v      float64
 	err    error
 }
 
@@ -382,24 +384,24 @@ type Trainer struct {
 	wireBase    transport.Stats // fabric counters at the top of the step
 	lastWire    transport.Stats // wire bytes moved during the last step
 
-	tasks   []chan stepTask // one per persistent worker
-	done    chan stepResult
-	lossBuf []float64 // per-worker losses, summed in worker order
+	tasks   []chan workerFn // one per persistent worker
+	done    chan taskResult
+	lossBuf []float64 // [w]: the last fan-out's per-worker values
 	// lossGather[w] is worker w's scratch for the distributed loss
 	// exchange (one slot per global worker, filled in rank order).
 	lossGather [][]float64
 
 	// Overlap runtime: one comm goroutine per worker (ordered collectives
-	// and PS pushes) plus one puller per (worker, server).
+	// and PS pushes).
 	comm          []chan commTask
 	commAck       []chan error
-	pullCh        [][]chan int64      // [w][m]: minVersion for this step's pull
-	pullDone      []chan error        // [w], buffered to machines
 	bucketPending [][]int             // [w][b]: routes not yet copied this step
 	psDenseReqs   [][]psrt.DensePush  // [w] scratch, reused across pushes
 	psSparseReqs  [][]psrt.SparsePush // [w] scratch
 
-	serveWG sync.WaitGroup // psrt.ServeConduit loops for remote workers
+	// bg counts every goroutine New started — workers, comm, serving
+	// loops, the fabric watcher — so Close returns once all have exited.
+	bg sync.WaitGroup
 
 	phases    []phaseTimes // [w], reset by the worker each step
 	lastPhase PhaseStats
@@ -460,48 +462,54 @@ func ownedBy(servers []int, m int) []int {
 // starts its persistent runtime. Call Close to stop the goroutines when
 // the trainer is no longer needed.
 func New(g *graph.Graph, opts Options) (*Trainer, error) {
-	// The trainer owns opts.Fabric from the moment New is called —
-	// including these pre-build validations: a caller that dialed a TCP
-	// fabric must not be left holding live sockets after a failed New.
-	failEarly := func(err error) (*Trainer, error) {
-		if opts.Fabric != nil {
-			opts.Fabric.Close()
+	// The trainer owns opts.Fabric from the moment New is called: any
+	// error, the pre-build validations' included, tears it down, so a
+	// failed New leaks neither sockets nor goroutines, nor leaves its
+	// namespace claimed on servers that outlive it.
+	fab := opts.Fabric
+	var t *Trainer
+	fail := func(err error) (*Trainer, error) {
+		if t != nil {
+			t.dropNamespaces()
+		}
+		if fab != nil {
+			fab.Close()
 		}
 		return nil, err
 	}
 	if opts.Plan == nil {
-		return failEarly(fmt.Errorf("transform: nil plan"))
+		return fail(fmt.Errorf("transform: nil plan"))
 	}
 	if err := opts.Resource.Validate(); err != nil {
-		return failEarly(err)
+		return fail(err)
 	}
 	if opts.NewOptimizer == nil {
-		return failEarly(fmt.Errorf("transform: NewOptimizer is required"))
+		return fail(fmt.Errorf("transform: NewOptimizer is required"))
 	}
 	vars := g.Variables()
 	if len(opts.Plan.Assignments) != len(vars) {
-		return failEarly(fmt.Errorf("transform: plan has %d assignments for %d variables",
+		return fail(fmt.Errorf("transform: plan has %d assignments for %d variables",
 			len(opts.Plan.Assignments), len(vars)))
 	}
 	if err := opts.Compression.Validate(); err != nil {
-		return failEarly(err)
+		return fail(err)
 	}
 	if opts.Resident != nil {
 		// Resident fleets are an in-daemon construct: remote agents have no
 		// conduit to a fleet server, and a per-tenant namespace abort must
 		// never be escalated to a whole-fleet one by the fabric watcher.
 		if opts.Fabric != nil {
-			return failEarly(fmt.Errorf("transform: resident PS fleet requires single-process mode"))
+			return fail(fmt.Errorf("transform: resident PS fleet requires single-process mode"))
 		}
 		if opts.PSNamespace == "" {
-			return failEarly(fmt.Errorf("transform: resident PS fleet requires a namespace"))
+			return fail(fmt.Errorf("transform: resident PS fleet requires a namespace"))
 		}
 		if opts.Resident.Machines() < opts.Resource.NumMachines() {
-			return failEarly(fmt.Errorf("transform: cluster spans %d machines, resident fleet has %d",
+			return fail(fmt.Errorf("transform: cluster spans %d machines, resident fleet has %d",
 				opts.Resource.NumMachines(), opts.Resident.Machines()))
 		}
 	} else if opts.PSNamespace != "" {
-		return failEarly(fmt.Errorf("transform: PS namespace %q without a resident fleet", opts.PSNamespace))
+		return fail(fmt.Errorf("transform: PS namespace %q without a resident fleet", opts.PSNamespace))
 	}
 
 	workers := opts.Resource.TotalGPUs()
@@ -511,21 +519,12 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		Machines:        machines,
 		MachineOfWorker: opts.Resource.WorkerMachines(),
 	}
-	fab := opts.Fabric
 	if fab == nil {
 		fab = transport.NewInproc(topo)
 	}
-	t := &Trainer{
+	t = &Trainer{
 		g: g, opt: opts, workers: workers, machines: machines,
 		fab: fab, topo: topo, dist: fab.Distributed(),
-	}
-	// From here on the trainer owns the fabric: tear it down on any
-	// build error so a failed New leaks neither sockets nor goroutines,
-	// nor leaves its namespace claimed on servers that outlive it.
-	fail := func(err error) (*Trainer, error) {
-		t.dropNamespaces()
-		fab.Close()
-		return nil, err
 	}
 	if ft := fab.Topology(); ft.Workers != workers || ft.Machines != machines {
 		return fail(fmt.Errorf("transform: %w: fabric topology %d workers / %d machines, cluster has %d / %d",
@@ -690,76 +689,26 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		}
 	}
 
-	// Distributed startup: broadcast worker 0's AR-managed variable
-	// values so replicas across agents start bit-identical even if an
-	// agent's initializer drifted, and to rendezvous all agents before
-	// the first step. A peer dying during this exchange fails New with
-	// its attributed error instead of crashing.
-	if t.dist {
-		var wg sync.WaitGroup
-		var initMu sync.Mutex
-		var initErr error
-		for _, w := range t.localWorkers {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				err := func() (err error) {
-					defer t.recoverClosed(&err)
-					for _, r := range t.routes {
-						if r.assign.Method == core.MethodPS {
-							continue
-						}
-						collective.Broadcast(t.comms[w], "init/"+r.v.Name, t.execs[w].VarValue(r.v.Name), 0)
-					}
-					return nil
-				}()
-				if err != nil {
-					initMu.Lock()
-					if initErr == nil {
-						initErr = err
-					}
-					initMu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-		if initErr != nil {
-			if fe := fab.Err(); fe != nil {
-				initErr = fmt.Errorf("transform: startup broadcast: %w", fe)
-			}
-			return fail(initErr)
-		}
-	}
-
-	// Start the persistent runtime: compute workers, comm goroutines,
-	// per-(worker, server) pullers, and serving loops answering remote
-	// workers' PS traffic against the local servers.
-	t.tasks = make([]chan stepTask, workers)
-	t.done = make(chan stepResult, workers)
+	// Start the persistent runtime — every goroutine the trainer will
+	// ever run: compute workers, comm goroutines, and serving loops
+	// answering remote workers' PS traffic against the local servers.
+	t.tasks = make([]chan workerFn, workers)
+	t.done = make(chan taskResult, workers)
+	t.lossBuf = make([]float64, workers)
 	t.comm = make([]chan commTask, workers)
 	t.commAck = make([]chan error, workers)
-	t.pullCh = make([][]chan int64, workers)
-	t.pullDone = make([]chan error, workers)
 	t.psDenseReqs = make([][]psrt.DensePush, workers)
 	t.psSparseReqs = make([][]psrt.SparsePush, workers)
 	t.phases = make([]phaseTimes, workers)
 	t.lossGather = make([][]float64, workers)
 	for _, w := range t.localWorkers {
-		t.tasks[w] = make(chan stepTask)
+		t.tasks[w] = make(chan workerFn)
 		t.comm[w] = make(chan commTask, 4+len(t.buckets)+len(t.routes))
 		t.commAck[w] = make(chan error)
-		t.pullCh[w] = make([]chan int64, machines)
-		t.pullDone[w] = make(chan error, machines)
 		if t.dist {
 			t.lossGather[w] = make([]float64, workers)
 		}
-		for m := 0; m < machines; m++ {
-			if t.ps == nil {
-				continue
-			}
-			t.pullCh[w][m] = make(chan int64)
-			go t.pullLoop(w, m)
-		}
+		t.bg.Add(2)
 		go t.commLoop(w)
 		go t.workerLoop(w)
 	}
@@ -773,13 +722,12 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 				if t.isLocalW[w] {
 					continue
 				}
-				t.serveWG.Add(1)
+				t.bg.Add(1)
 				go func(srv *psrt.Server, w int) {
-					defer t.serveWG.Done()
+					defer t.bg.Done()
 					// A reply hitting a dead fabric raises ClosedPanic;
 					// the serving loop just ends (the requester is gone).
-					var err error
-					defer t.recoverClosed(&err)
+					defer t.recoverClosed(new(error))
 					psrt.ServeConduit(srv, srvConduit, w)
 				}(ns.Server(), w)
 			}
@@ -793,7 +741,9 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		// for fabric death and abort this trainer's namespace on every local
 		// server with the attributed failure; a fleet server's other tenants
 		// keep running.
+		t.bg.Add(1)
 		go func() {
+			defer t.bg.Done()
 			<-fab.Done()
 			err := fab.Err()
 			if err == nil {
@@ -810,6 +760,25 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	// faults fire at deterministic points; a plain fabric has no hook.
 	if h, ok := fab.(interface{ SetStep(int) }); ok {
 		t.stepHook = h.SetStep
+	}
+
+	// Distributed startup: broadcast worker 0's AR-managed variable
+	// values so replicas across agents start bit-identical even if an
+	// agent's initializer drifted. A peer dying during the exchange fails
+	// New with its attributed error instead of crashing.
+	if t.dist {
+		err := t.onWorkers("startup broadcast", func(w int) (float64, error) {
+			for _, r := range t.routes {
+				if r.assign.Method != core.MethodPS {
+					collective.Broadcast(t.comms[w], "init/"+r.v.Name, t.execs[w].VarValue(r.v.Name), 0)
+				}
+			}
+			return 0, nil
+		})
+		if err != nil {
+			t.Close()
+			return nil, fmt.Errorf("transform: startup broadcast: %w", err)
+		}
 	}
 	return t, nil
 }
@@ -1075,81 +1044,67 @@ func (t *Trainer) PhaseStatsLastStep() PhaseStats { return t.lastPhase }
 // schedule runs per step (0 when the plan has no AllReduce variables).
 func (t *Trainer) Buckets() int { return len(t.buckets) }
 
-// Close stops the persistent goroutines (workers, comm, pullers, serving
-// loops) and tears the fabric down. In distributed mode it first runs a
-// cross-agent barrier so no agent unplugs while a peer's final-step
-// traffic is still in flight. The trainer must not be stepped afterwards;
-// Close is idempotent.
+// Close stops the persistent goroutines (workers, comm, serving loops,
+// the fabric watcher), closes the fabric and returns once all of them
+// have exited; it waits for no peer. In distributed mode the fabric's
+// goodbye is the whole shutdown protocol (DESIGN.md §8): what this agent
+// owes its peers for the last boundary they agreed on — a step, an
+// agreement, a VarValue — was written before that boundary completed
+// here. The closing fabric wakes the watcher, whose namespace abort
+// releases a serving loop parked on a version wait. Idempotent; the
+// trainer must not be used afterwards.
 func (t *Trainer) Close() {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
-		// A fabric that is already down (a failed step or agreement tore
-		// it down) has nothing left to drain, and the pipes between
-		// colocated endpoints may still hold the aborted protocol's
-		// undelivered messages, which the barrier must not mistake for
-		// its own.
-		barrier := t.dist
-		select {
-		case <-t.fab.Done():
-			barrier = false
-		default:
-		}
-		if barrier {
-			done := make(chan struct{})
-			go func() {
-				var wg sync.WaitGroup
-				for _, w := range t.localWorkers {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						t.comms[w].CloseBarrier("close")
-					}(w)
-				}
-				wg.Wait()
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(closeBarrierTimeout): //parallax:allow(detsource) -- teardown liveness bound after the last step; never in step control flow
-				// A peer died; proceed with teardown.
-			}
-		}
-		for _, ch := range t.tasks {
-			if ch != nil {
-				close(ch)
-			}
-		}
-		for _, ch := range t.comm {
-			if ch != nil {
-				close(ch)
-			}
-		}
-		for _, per := range t.pullCh {
-			for _, ch := range per {
-				if ch != nil {
-					close(ch)
-				}
-			}
+		for _, w := range t.localWorkers {
+			close(t.tasks[w])
+			close(t.comm[w])
 		}
 		t.fab.Close()
-		// Closing the fabric turns the serving loops' RecvPS into nil, so
-		// after an orderly barrier they exit immediately. If a peer died
-		// mid-protocol a loop can be parked inside a server cond.Wait
-		// (a pull waiting on an update that will never land), which the
-		// fabric cannot cancel — bound the wait so Close still returns.
-		done := make(chan struct{})
-		go func() {
-			t.serveWG.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second): //parallax:allow(detsource) -- teardown liveness bound after the last step; never in step control flow
-		}
+		t.bg.Wait()
 		// A fleet's servers outlive this trainer: hand the namespace's
 		// variables (and its name) back.
 		t.dropNamespaces()
 	})
+}
+
+// live refuses an operation on a closed trainer before it can touch the
+// closed fabric or task channels.
+func (t *Trainer) live(what string) error {
+	if t.closed.Load() {
+		return fmt.Errorf("transform: %s on %w trainer", what, errs.ErrClosed)
+	}
+	return nil
+}
+
+// onWorkers is the trainer's one fan-out — Step, AgreeMax and New's
+// startup broadcast are its instances: fn runs once on every local
+// worker's persistent goroutine and onWorkers returns when all have
+// finished, each worker's value in lossBuf[w]. Of several errors the
+// lowest rank's is kept, and the trainer then fail-stops (failStep). It
+// must not run concurrently with itself.
+func (t *Trainer) onWorkers(what string, fn workerFn) error {
+	if err := t.live(what); err != nil {
+		return err
+	}
+	for _, w := range t.localWorkers {
+		t.tasks[w] <- fn
+	}
+	// Results land by rank, so nothing downstream — a float64 sum, the
+	// reported error — depends on the order workers finish in.
+	var firstErr error
+	firstW := t.workers
+	for range t.localWorkers {
+		res := <-t.done
+		t.lossBuf[res.worker] = res.v
+		if res.err != nil && res.worker < firstW {
+			firstErr, firstW = res.err, res.worker
+		}
+	}
+	if firstErr != nil {
+		return t.failStep(firstErr)
+	}
+	return nil
 }
 
 // Repartition reshards the PS-managed partition-target variables to
@@ -1184,10 +1139,11 @@ func (t *Trainer) Close() {
 // decisions from collectively agreed measurements to guarantee exactly
 // that. Repartition must not run concurrently with Step; on error the
 // cluster fail-stops like a failed step.
-func (t *Trainer) Repartition(newPlan *core.Plan) error {
-	if t.closed.Load() {
-		return fmt.Errorf("transform: repartition on %w trainer", errs.ErrClosed)
+func (t *Trainer) Repartition(newPlan *core.Plan) (err error) {
+	if err := t.live("repartition"); err != nil {
+		return err
 	}
+	defer t.recoverClosed(&err) // the gather speaks to remote servers on this goroutine
 	if newPlan == nil {
 		return fmt.Errorf("transform: repartition with nil plan")
 	}
@@ -1261,7 +1217,7 @@ func (t *Trainer) Repartition(newPlan *core.Plan) error {
 	t.buildPSRouting()
 	t.buildSlots()
 	t.buildPullReqs()
-	_, err := t.AgreeMax("repart/install", 0)
+	_, err = t.AgreeMax("repart/install", 0)
 	return err
 }
 
@@ -1348,55 +1304,35 @@ func (t *Trainer) AgreeMax(tag string, v float64) (float64, error) {
 	if !t.dist {
 		return v, nil
 	}
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, w := range t.localWorkers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := func() (err error) {
-				defer t.recoverClosed(&err)
-				collective.AllGatherScalarsInto(t.comms[w], tag, v, t.lossGather[w])
-				return nil
-			}()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(w)
+	err := t.onWorkers("agreement", func(w int) (float64, error) {
+		collective.AllGatherScalarsInto(t.comms[w], tag, v, t.lossGather[w])
+		return 0, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, t.failStep(firstErr)
-	}
-	out := t.lossGather[t.localWorkers[0]]
-	m := out[0]
-	for _, x := range out[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
+	return slices.Max(t.lossGather[t.localWorkers[0]]), nil
 }
 
-// workerLoop is one persistent worker: it serves step tasks until Close.
+// workerLoop is one persistent worker: it runs the fan-outs' tasks until
+// Close, converting a fabric death mid-collective (ClosedPanic) into the
+// task's error instead of crashing the process — the survivors' path to
+// a typed ErrPeerFailed.
 func (t *Trainer) workerLoop(w int) {
-	for task := range t.tasks[w] {
-		loss, err := t.safeWorkerStep(w, task.step, task.feed)
-		t.done <- stepResult{worker: w, loss: loss, err: err}
+	defer t.bg.Done()
+	run := func(fn workerFn) (v float64, err error) {
+		defer t.recoverClosed(&err)
+		return fn(w)
+	}
+	for fn := range t.tasks[w] {
+		v, err := run(fn)
+		t.done <- taskResult{worker: w, v: v, err: err}
 	}
 }
 
-// safeWorkerStep runs one worker step, converting a fabric death
-// mid-collective (ClosedPanic) into a step error instead of crashing
-// the process — the survivors' path to a typed ErrPeerFailed.
-func (t *Trainer) safeWorkerStep(w, step int, feed graph.Feed) (loss float64, err error) {
-	defer t.recoverClosed(&err)
-	return t.workerStep(w, step, feed)
+// now reads the wall clock for the per-step phase breakdown.
+func now() time.Time {
+	return time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
 }
 
 // commLoop drains worker w's synchronization tasks. Collectives must be
@@ -1406,6 +1342,7 @@ func (t *Trainer) safeWorkerStep(w, step int, feed graph.Feed) (loss float64, er
 // never block a peer's collective: direct pushes are lock-brief, and a
 // wire push's round trip only waits on the remote serving loop.
 func (t *Trainer) commLoop(w int) {
+	defer t.bg.Done()
 	var firstErr error
 	for task := range t.comm[w] {
 		if task.kind == commFlush {
@@ -1413,11 +1350,11 @@ func (t *Trainer) commLoop(w int) {
 			firstErr = nil
 			continue
 		}
-		start := time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
+		start := now()
 		if err := t.commTask(w, task); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		t.phases[w].comm += time.Since(start) //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
+		t.phases[w].comm += now().Sub(start)
 	}
 }
 
@@ -1450,19 +1387,33 @@ func (t *Trainer) commTask(w int, task commTask) (err error) {
 	return nil
 }
 
-// pullLoop serves worker w's batched pulls from server m, so the pull
-// phase runs concurrently across servers.
-func (t *Trainer) pullLoop(w, m int) {
-	for minVersion := range t.pullCh[w][m] {
-		t.pullDone[w] <- t.pullOnce(w, m, minVersion)
+// pull is worker w's pull phase, one batched request per server its
+// step's lists address, in three passes over the servers: send every
+// remote one its request, read the colocated ones directly while those
+// are in flight, collect the replies. An error returns at once, replies
+// still owed: where there are remote servers a step error is fail-stop.
+func (t *Trainer) pull(w int, minVersion int64) error {
+	const send, local, recv = 0, 1, 2
+	for pass := send; pass <= recv; pass++ {
+		for m, reqs := range t.pullReqs[w] {
+			if len(reqs) == 0 {
+				continue
+			}
+			var err error
+			switch cl, remote := t.ps[w][m].(*psrt.Client); {
+			case pass == send && remote:
+				err = cl.SendPull(minVersion, reqs)
+			case pass == local && !remote:
+				err = t.ps[w][m].PullManyInto(minVersion, reqs)
+			case pass == recv && remote:
+				err = cl.RecvPull(reqs)
+			}
+			if err != nil {
+				return err
+			}
+		}
 	}
-}
-
-// pullOnce is one batched pull; a wire client whose fabric died
-// mid-call surfaces as an error (recovered ClosedPanic).
-func (t *Trainer) pullOnce(w, m int, minVersion int64) (err error) {
-	defer t.recoverClosed(&err)
-	return t.ps[w][m].PullManyInto(minVersion, t.pullReqs[w][m])
+	return nil
 }
 
 // Step runs one synchronous data-parallel iteration: feeds[w] is worker w's
@@ -1471,11 +1422,11 @@ func (t *Trainer) pullOnce(w, m int, minVersion int64) (err error) {
 // loss across ALL workers: in distributed mode the workers exchange
 // per-worker losses over the conduit and every agent reports the same
 // bitwise-identical mean. Step dispatches to the persistent workers
-// started by New; it must not be called concurrently with itself or
-// after Close.
+// started by New (onWorkers); it must not be called concurrently with
+// itself or after Close.
 func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
-	if t.closed.Load() {
-		return 0, fmt.Errorf("transform: step on %w trainer", errs.ErrClosed)
+	if err := t.live("step"); err != nil {
+		return 0, err
 	}
 	if len(feeds) != t.workers {
 		return 0, fmt.Errorf("transform: %d feeds for %d workers", len(feeds), t.workers)
@@ -1502,24 +1453,9 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	t.bytesPushed.Store(0)
 	t.wireBase = t.fab.Stats()
 
-	for _, w := range t.localWorkers {
-		t.tasks[w] <- stepTask{step: step, feed: feeds[w]}
-	}
-	// Collect results indexed by worker and sum in worker order: workers
-	// finish in nondeterministic order, and a float64 sum in arrival
-	// order would make the reported mean loss wobble in the last ulp
-	// between otherwise identical runs.
-	if t.lossBuf == nil {
-		t.lossBuf = make([]float64, t.workers)
-	}
-	var firstErr error
-	for range t.localWorkers {
-		res := <-t.done
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err
-		}
-		t.lossBuf[res.worker] = res.loss
-	}
+	err := t.onWorkers("step", func(w int) (float64, error) {
+		return t.workerStep(w, step, feeds[w])
+	})
 	wire := t.fab.Stats()
 	t.lastWire = transport.Stats{
 		SentBytes:           wire.SentBytes - t.wireBase.SentBytes,
@@ -1527,11 +1463,11 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 		SentBytesRaw:        wire.SentBytesRaw - t.wireBase.SentBytesRaw,
 		SentBytesCompressed: wire.SentBytesCompressed - t.wireBase.SentBytesCompressed,
 	}
-	if firstErr != nil {
-		return 0, t.failStep(firstErr)
+	if err != nil {
+		return 0, err
 	}
 	// Aggregate the per-worker phase breakdown: the slowest local worker
-	// per phase is the step's critical path. The done handshake above
+	// per phase is the step's critical path. The fan-out's done handshake
 	// orders every worker's (and comm goroutine's) writes before these
 	// reads.
 	var ph PhaseStats
@@ -1548,6 +1484,8 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 		// its in-step loss exchange; all local results are identical.
 		return t.lossBuf[t.localWorkers[0]], nil
 	}
+	// Summed in worker order, not arrival order: the reported mean must
+	// not wobble in the last ulp between otherwise identical runs.
 	var mean float64
 	for _, l := range t.lossBuf {
 		mean += l
@@ -1565,19 +1503,14 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 // the failed rank, which is what recovery policies key on. The session
 // layer may then rebuild a whole new trainer at the next epoch
 // (DESIGN.md §12). Single-process errors pass through untouched —
-// everything stays local and recoverable.
+// everything stays local and recoverable — except that the chaos
+// wrapper's injected kill records a rank-attributed failure the caller
+// must see (the in-process analogue of a peer crash).
 func (t *Trainer) failStep(err error) error {
 	if t.dist {
 		t.fab.Close()
-		if fe := t.fab.Err(); fe != nil && !errors.Is(err, errs.ErrPeerFailed) {
-			err = fmt.Errorf("%w (first local symptom: %v)", fe, err)
-		}
-		return err
 	}
-	// In-process fabrics report nothing here — except the chaos wrapper,
-	// whose injected kill records a rank-attributed failure the caller
-	// must see (the in-process analogue of a peer crash).
-	if fe := t.fab.Err(); errors.Is(fe, errs.ErrPeerFailed) && !errors.Is(err, errs.ErrPeerFailed) {
+	if fe := t.fab.Err(); fe != nil && !errors.Is(err, errs.ErrPeerFailed) {
 		err = fmt.Errorf("%w (first local symptom: %v)", fe, err)
 	}
 	return err
@@ -1646,32 +1579,18 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 
 	// Pull phase: fetch fresh PS values for this iteration (Fig 2(a)(b)'s
 	// pull arrows) — the rows this worker's feed gathers where the graph
-	// only gathers, whole partitions otherwise — one batched call per
-	// server, all servers in parallel, copying straight into the replica's
-	// variable storage through the precomputed views. Version step means
-	// "after step updates have applied".
-	pullStart := time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
-	minVersion := int64(step)
-	pulls := 0
+	// only gathers, whole partitions otherwise — one batched request per
+	// server, the remote ones in flight together, copying straight into
+	// the replica's variable storage through the precomputed views.
+	// Version step means "after step updates have applied".
+	pullStart := now()
 	if t.ps != nil {
 		t.stepPullReqs(w, feed)
-		for m := 0; m < t.machines; m++ {
-			if len(t.pullReqs[w][m]) > 0 {
-				t.pullCh[w][m] <- minVersion
-				pulls++
-			}
+		if err := t.pull(w, int64(step)); err != nil {
+			return 0, err
 		}
 	}
-	var pullErr error
-	for i := 0; i < pulls; i++ {
-		if err := <-t.pullDone[w]; err != nil && pullErr == nil {
-			pullErr = err
-		}
-	}
-	ph.pull = time.Since(pullStart) //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
-	if pullErr != nil {
-		return 0, pullErr
-	}
+	ph.pull = now().Sub(pullStart)
 
 	// Compute, streaming synchronization out of the backward pass: each
 	// dense gradient is copied into its fusion view the moment it is
@@ -1682,7 +1601,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	for b := range pending {
 		pending[b] = len(t.buckets[b].routes)
 	}
-	computeStart := time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
+	computeStart := now()
 	loss, _, err := exec.StepStream(feed, func(name string, d *tensor.Dense, sp *tensor.Sparse) {
 		ri := t.routeIdx[name]
 		switch t.routes[ri].assign.Method {
@@ -1708,14 +1627,14 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 			t.comm[w] <- commTask{kind: commPS, idx: ri, dense: d, sparse: sp}
 		}
 	})
-	computeEnd := time.Now() //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
+	computeEnd := now()
 	ph.compute = computeEnd.Sub(computeStart)
 
 	// Drain: wait for this worker's synchronization to finish. Whatever
 	// comm time is left here was not hidden under compute.
 	t.comm[w] <- commTask{kind: commFlush}
 	commErr := <-t.commAck[w]
-	ph.wait = time.Since(computeEnd) //parallax:allow(detsource) -- StepStats phase timing: observability only, never feeds control flow
+	ph.wait = now().Sub(computeEnd)
 	if err != nil {
 		return 0, err
 	}
@@ -1915,8 +1834,12 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 
 // VarValue reconstructs the current full value of a variable: from the
 // servers for PS variables (local or over the wire), from the first
-// local replica for AR variables.
-func (t *Trainer) VarValue(name string) (*tensor.Dense, error) {
+// local replica for AR variables. In distributed mode a PS variable's
+// read is an agreed boundary — every agent calls VarValue for it between
+// the same steps — because peers serve the read and Close keeps no
+// server up for a late reader: nobody leaves before everybody has read.
+func (t *Trainer) VarValue(name string) (_ *tensor.Dense, err error) {
+	defer t.recoverClosed(&err) // a remote partition is read on this goroutine
 	w0 := t.localWorkers[0]
 	for _, r := range t.routes {
 		if r.v.Name != name {
@@ -1935,7 +1858,8 @@ func (t *Trainer) VarValue(name string) (*tensor.Dense, error) {
 				return nil, err
 			}
 		}
-		return out, nil
+		_, err := t.AgreeMax("read/"+name, 0)
+		return out, err
 	}
 	return nil, fmt.Errorf("transform: unknown variable %q", name)
 }

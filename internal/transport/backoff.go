@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
@@ -56,4 +57,16 @@ func (b Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
 		d *= 1 + b.Jitter*(2*rng.Float64()-1)
 	}
 	return time.Duration(d)
+}
+
+// Wait sleeps out attempt k's delay, or returns ctx's error once done.
+func (b Backoff) Wait(ctx context.Context, attempt int, rng *rand.Rand) error {
+	t := time.NewTimer(b.delay(attempt, rng))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -63,5 +65,20 @@ func TestBackoffNonGrowingFactorClamped(t *testing.T) {
 		if got := b.delay(k, nil); got < 30*time.Millisecond {
 			t.Fatalf("attempt %d: delay %v shrank below base", k, got)
 		}
+	}
+}
+
+// Wait is the schedule's one sleeper: it returns nil once the attempt's
+// delay has passed, and ctx's error at once when ctx is done first.
+func TestBackoffWaitObservesContext(t *testing.T) {
+	if err := (Backoff{Base: time.Millisecond}).Wait(context.Background(), 0, nil); err != nil {
+		t.Fatalf("an undisturbed wait returned %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	err := Backoff{Base: time.Hour, Max: time.Hour}.Wait(ctx, 0, nil)
+	if !errors.Is(err, context.Canceled) || time.Since(start) > time.Second {
+		t.Fatalf("wait under a cancelled context returned %v after %v", err, time.Since(start))
 	}
 }

@@ -102,6 +102,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0})
+	// Control frames are length words, never payloads: one that reaches
+	// the message decoder must not parse as a datagram.
+	for _, word := range []uint32{frameHeartbeat, framePeerDown, frameBye} {
+		f.Add(ctrlFrame(word))
+		f.Add(ctrlFrame(word, 1)[:6])
+	}
 	// A kindF32Sparse body with a zero delta (non-monotone).
 	bad := appendMessage(nil, 0, 1, message{tag: "t", kind: kindF32Sparse, topk: &SparseChunk{
 		Len: 10, Idx: []int32{2, 5}, Vals: []float32{1, 2}}})

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -33,11 +34,35 @@ type ClosedPanic struct {
 //     best-effort by the first process that observes a peer failure, so
 //     every survivor attributes the SAME rank instead of blaming
 //     whichever neighbor tears down first.
+//   - frameBye: empty; the last frame an orderly Close writes on each
+//     connection (Fail and SeverPeer never do). The reader marks the
+//     sending process departed — not failed; what it sent before is
+//     already queued — and ends, closing its side (the end of stream the
+//     leaver reads to, sayBye). From then on the departed process's
+//     endpoints read as closed: sends to it drop, a serving loop's RecvPS
+//     returns nil, an endpoint still owed a message fails it (leftOwing).
 const (
 	frameHeartbeat = 0xFFFFFFFF
 	framePeerDown  = 0xFFFFFFFE
-	frameCtrlMin   = framePeerDown // lowest reserved length value
+	frameBye       = 0xFFFFFFFD
+	frameCtrlMin   = frameBye // lowest reserved length value
 )
+
+// writeCtrl writes one control frame — its reserved length word, then any
+// u32 arguments — under a write deadline, so a wedged peer bounds the
+// hold of the connection's write mutex.
+func (wc *wireConn) writeCtrl(within time.Duration, words ...uint32) error {
+	var frame []byte
+	for _, w := range words {
+		frame = binary.LittleEndian.AppendUint32(frame, w)
+	}
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	wc.conn.SetWriteDeadline(time.Now().Add(within)) //parallax:allow(detsource,lockheld) -- wc.mu serializes socket writes by design; the write deadline bounds the hold
+	_, err := wc.conn.Write(frame)                   //parallax:allow(lockheld) -- deadline-bounded write under the per-connection write mutex
+	wc.conn.SetWriteDeadline(time.Time{})            //parallax:allow(lockheld) -- deadline reset under the same bounded hold
+	return err
+}
 
 // Epoch returns the fabric generation this process rendezvoused at.
 func (f *TCP) Epoch() int { return f.epoch }
@@ -51,9 +76,6 @@ func (f *TCP) Done() <-chan struct{} { return f.closed }
 func (f *TCP) Err() error {
 	f.failMu.Lock()
 	defer f.failMu.Unlock()
-	if f.failure == nil {
-		return nil
-	}
 	return f.failure
 }
 
@@ -67,13 +89,38 @@ func (f *TCP) recordFailure(rank int, cause error) {
 	f.failMu.Unlock()
 }
 
+// sayBye writes the goodbye and ends this side's stream, best-effort: a
+// peer it cannot reach sees the close instead. The connection's reader
+// then reads on until the peer, having read the goodbye, closes its end,
+// and only then closes the socket: closing one with bytes unread resets
+// the connection, and a reset may discard what the peer has yet to read.
+// One deadline, which the reader does not slide, bounds all of it: a peer
+// that reacts to nothing costs a second, and the reader's close then ends
+// every write parked on that peer, this one included.
+func (wc *wireConn) sayBye() {
+	wc.dl.Lock()
+	wc.leaving = true
+	wc.conn.SetDeadline(time.Now().Add(time.Second)) //parallax:allow(detsource,lockheld) -- teardown bound, connection management; setting it does not block
+	wc.dl.Unlock()
+	wc.writeCtrl(time.Second, frameBye)
+	if tc, ok := wc.conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+}
+
 // failPeer is the failure path: record the attribution, tell the other
 // survivors who died (best-effort), then tear the fabric down so every
-// blocked receive fails fast.
+// blocked receive fails fast. On a fabric already closing it does
+// nothing: orderly teardown reads as connection errors too.
 func (f *TCP) failPeer(rank int, cause error) {
+	select {
+	case <-f.closed:
+		return
+	default:
+	}
 	f.recordFailure(rank, cause)
 	f.announcePeerDown(rank)
-	f.shutdown()
+	f.shutdown(false)
 }
 
 // announcePeerDown broadcasts a framePeerDown control frame to every
@@ -81,30 +128,15 @@ func (f *TCP) failPeer(rank int, cause error) {
 // deadline: a peer that cannot be told will detect the cascade through
 // its own read deadline.
 func (f *TCP) announcePeerDown(rank int) {
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[:4], framePeerDown)
-	binary.LittleEndian.PutUint32(frame[4:], uint32(rank))
 	for p, wc := range f.conns {
-		if wc == nil || p == rank {
-			continue
+		if wc != nil && p != rank {
+			wc.writeCtrl(time.Second, framePeerDown, uint32(rank))
 		}
-		wc.mu.Lock()
-		wc.conn.SetWriteDeadline(time.Now().Add(time.Second)) //parallax:allow(detsource,lockheld) -- wc.mu serializes socket writes by design; the write deadline bounds the hold
-		wc.conn.Write(frame[:])                               //parallax:allow(lockheld) -- deadline-bounded write under the per-connection write mutex
-		wc.conn.SetWriteDeadline(time.Time{})                 //parallax:allow(lockheld) -- deadline reset under the same bounded hold
-		wc.mu.Unlock()
 	}
 }
 
-// readerFailed converts a reader's symptom into an attributed failure,
-// unless the fabric is already closing (orderly teardown reads as
-// connection errors too).
+// readerFailed converts a reader's symptom into an attributed failure.
 func (f *TCP) readerFailed(peer int, cause error) {
-	select {
-	case <-f.closed:
-		return
-	default:
-	}
 	if ne, ok := cause.(net.Error); ok && ne.Timeout() {
 		cause = fmt.Errorf("no frames or heartbeats for %v: %w", f.hbTimeout, cause)
 	}
@@ -118,7 +150,7 @@ func (f *TCP) readerFailed(peer int, cause error) {
 // the failure to this process themselves.
 func (f *TCP) Fail(rank int, cause error) {
 	f.recordFailure(rank, cause)
-	f.shutdown()
+	f.shutdown(false)
 }
 
 // SeverPeer abruptly closes the connection to one peer without any
@@ -130,6 +162,14 @@ func (f *TCP) SeverPeer(peer int) error {
 		return fmt.Errorf("transport: process %d has no connection to sever for peer %d", f.proc, peer)
 	}
 	return f.conns[peer].conn.Close()
+}
+
+// leftOwing is called by an endpoint that was owed a message by src — a
+// collective receive, a client awaiting its reply — and found src closed.
+// If this fabric is still up, src's process said goodbye mid-protocol: a
+// failure of that process like any other, attributed, announced, fail-stop.
+func (f *TCP) leftOwing(src int) {
+	f.failPeer(f.topo.ProcessOf(src), errors.New("closed its fabric mid-protocol"))
 }
 
 // closedErr is the error a receive path reports when the fabric is
@@ -150,21 +190,15 @@ func (f *TCP) heartbeatLoop(wc *wireConn) {
 	defer f.readers.Done()
 	t := time.NewTicker(f.hbInterval) //parallax:allow(detsource) -- heartbeat pacing is wall-clock liveness, outside the data path
 	defer t.Stop()
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], frameHeartbeat)
 	for {
 		select {
 		case <-f.closed:
 			return
 		case <-t.C:
-			wc.mu.Lock()
-			wc.conn.SetWriteDeadline(time.Now().Add(f.hbTimeout)) //parallax:allow(detsource,lockheld) -- wc.mu serializes socket writes by design; the write deadline bounds the hold
-			_, err := wc.conn.Write(frame[:])                     //parallax:allow(lockheld) -- deadline-bounded write under the per-connection write mutex
-			wc.conn.SetWriteDeadline(time.Time{})                 //parallax:allow(lockheld) -- deadline reset under the same bounded hold
-			wc.mu.Unlock()
-			if err != nil {
+			if wc.writeCtrl(f.hbTimeout, frameHeartbeat) != nil {
 				// The reader on this connection observes the same broken
-				// socket and attributes it; the sender just stops.
+				// socket and attributes it — or the peer said goodbye; the
+				// sender just stops.
 				return
 			}
 		}

@@ -7,8 +7,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -210,52 +212,129 @@ func TestTCPEpochMismatchStaleAcceptorFails(t *testing.T) {
 	}
 }
 
-// An agent built before the frame grammar changed (PS pulls became
-// row-addressed) announces itself with the previous magic. It must be
-// turned away at rendezvous — no ack, connection closed — and the
-// acceptor's rendezvous fails attributed to the rank that never validly
-// arrived, rather than the pair handshaking and mis-parsing a frame
-// mid-step.
+// ctrlFrame renders a control frame as writeCtrl puts it on the wire.
+func ctrlFrame(words ...uint32) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// rawHandshake is the rendezvous header process 1 of twoMachineTopo
+// sends at epoch 0 under policy "none", opened by magic.
+func rawHandshake(magic string) []byte {
+	return append([]byte(magic), 1, 0, 4, 0, 0, 0, 0, 0, 'n', 'o', 'n', 'e')
+}
+
+// An agent built before the frame grammar changed announces itself with
+// an earlier magic — PXA2 from before PS pulls became row-addressed,
+// PXA3 from before Close said goodbye (such a peer would read frameBye
+// as an oversized frame and turn every orderly shutdown into a
+// failure). It must be turned away at rendezvous — no ack, connection
+// closed — and the acceptor's rendezvous fails attributed to the rank
+// that never validly arrived, rather than the pair handshaking and
+// mis-parsing a frame mid-step.
 func TestTCPOldGrammarPeerRefusedAtRendezvous(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for _, magic := range []string{"PXA2", "PXA3"} {
+		t.Run(magic, func(t *testing.T) {
+			ln0 := mustListen(t)
+			defer ln0.Close()
+			refused := make(chan error, 1)
+			go func() {
+				conn, err := net.Dial("tcp", ln0.Addr().String())
+				if err != nil {
+					refused <- err
+					return
+				}
+				defer conn.Close()
+				if _, err := conn.Write(rawHandshake(magic)); err != nil {
+					refused <- err
+					return
+				}
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				var ack [1]byte
+				if n, err := conn.Read(ack[:]); n != 0 || err == nil {
+					refused <- fmt.Errorf("old-grammar handshake answered with ack %d (err %v)", ack[0], err)
+					return
+				}
+				refused <- nil
+			}()
+			_, err := DialTCP(context.Background(), TCPConfig{
+				Topo: twoMachineTopo(), Process: 0,
+				Addrs:       []string{ln0.Addr().String(), "127.0.0.1:1"},
+				Listener:    ln0,
+				DialTimeout: time.Second,
+			})
+			var pf *errs.PeerFailure
+			if !errors.As(err, &pf) || pf.Rank != 1 {
+				t.Fatalf("rendezvous with a %s peer: %v, want a failure attributed to rank 1", magic, err)
+			}
+			if err := <-refused; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	defer ln0.Close()
-	refused := make(chan error, 1)
-	go func() {
-		conn, err := net.Dial("tcp", ln0.Addr().String())
-		if err != nil {
-			refused <- err
-			return
-		}
-		defer conn.Close()
-		// The PXA2 handshake of process 1, epoch 0, policy "none".
-		hs := []byte{'P', 'X', 'A', '2', 1, 0, 4, 0, 0, 0, 0, 0, 'n', 'o', 'n', 'e'}
-		if _, err := conn.Write(hs); err != nil {
-			refused <- err
-			return
-		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var ack [1]byte
-		if n, err := conn.Read(ack[:]); n != 0 || err == nil {
-			refused <- fmt.Errorf("old-grammar handshake answered with ack %d (err %v)", ack[0], err)
-			return
-		}
-		refused <- nil
-	}()
-	_, err = DialTCP(context.Background(), TCPConfig{
-		Topo: twoMachineTopo(), Process: 0,
-		Addrs:       []string{ln0.Addr().String(), "127.0.0.1:1"},
-		Listener:    ln0,
-		DialTimeout: time.Second,
-	})
-	var pf *errs.PeerFailure
-	if !errors.As(err, &pf) || pf.Rank != 1 {
-		t.Fatalf("rendezvous with an old-grammar peer: %v, want a failure attributed to rank 1", err)
-	}
-	if err := <-refused; err != nil {
-		t.Fatal(err)
+}
+
+// The control-frame grammar at the reader, driven by a raw peer that
+// handshakes as process 1 and then writes stream bytes and hangs up: a
+// whole goodbye is a departure, and any control frame cut short — the
+// goodbye's own length word, a peer-down notice without its rank — is a
+// broken connection attributed to the peer, as is a goodbye that never
+// came.
+func TestTCPControlFramesWholeAndTruncated(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		stream   []byte
+		departed bool
+	}{
+		{"bye", ctrlFrame(frameBye), true},
+		{"heartbeats then bye", append(ctrlFrame(frameHeartbeat, frameHeartbeat), ctrlFrame(frameBye)...), true},
+		{"bye cut short", ctrlFrame(frameBye)[:2], false},
+		{"peer-down without its rank", ctrlFrame(framePeerDown), false},
+		{"peer-down rank cut short", ctrlFrame(framePeerDown, 1)[:6], false},
+		{"no goodbye", nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ln0 := mustListen(t)
+			go func() {
+				conn, err := net.Dial("tcp", ln0.Addr().String())
+				if err != nil {
+					return // DialTCP below times out and reports it
+				}
+				defer conn.Close()
+				conn.Write(rawHandshake(string(handshakeMagic[:])))
+				var ack [1]byte
+				if _, err := io.ReadFull(conn, ack[:]); err == nil && ack[0] == ackOK {
+					conn.Write(c.stream)
+				}
+			}()
+			f, err := DialTCP(context.Background(), TCPConfig{
+				Topo: twoMachineTopo(), Process: 0,
+				Addrs:       []string{ln0.Addr().String(), "127.0.0.1:1"},
+				Listener:    ln0,
+				DialTimeout: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if !c.departed {
+				waitDone(t, f, "reader of a cut-short stream")
+				var pf *errs.PeerFailure
+				if err := f.Err(); !errors.As(err, &pf) || pf.Rank != 1 {
+					t.Fatalf("attributed %v, want rank 1", err)
+				}
+				return
+			}
+			if m := f.Conduit(2).RecvPS(1, "ps"); m != nil { // serving-loop shape
+				t.Fatalf("RecvPS from a departed process returned %+v", m)
+			}
+			if err := f.Err(); err != nil {
+				t.Fatalf("a goodbye recorded the failure %v", err)
+			}
+		})
 	}
 }
 

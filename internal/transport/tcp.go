@@ -77,10 +77,10 @@ type TCPConfig struct {
 // acceptor answers with one ack byte (ackOK = accepted, ackPolicy =
 // compression fingerprints differ, ackEpoch = fabric generations
 // differ). The digit is the frame grammar's generation: it was bumped
-// when PS pulls became row-addressed, so an agent built from an older
-// tree is turned away at rendezvous (junk magic, no ack) instead of
-// mis-parsing a frame mid-step.
-var handshakeMagic = [4]byte{'P', 'X', 'A', '3'}
+// when PS pulls became row-addressed and again for frameBye, so an agent
+// built from an older tree is turned away at rendezvous (junk magic, no
+// ack) instead of mis-parsing a frame mid-step.
+var handshakeMagic = [4]byte{'P', 'X', 'A', '4'}
 
 const (
 	ackPolicy = 0 // compression policy fingerprint mismatch
@@ -111,6 +111,10 @@ const (
 // then reports the rank-attributed *errs.PeerFailure, and the layers
 // above may re-form a fresh fabric at epoch+1 (DESIGN.md §12) instead
 // of dying.
+//
+// An orderly Close is not a failure: it says goodbye (frameBye), and a
+// peer that reads it marks just that process departed — nobody waits for
+// anybody in order to close.
 type TCP struct {
 	topo     Topology
 	proc     int
@@ -165,6 +169,20 @@ type wireConn struct {
 	conn net.Conn
 	mu   sync.Mutex
 	buf  []byte
+	gone chan struct{} // closed by the reader at the peer's goodbye; all it sent is queued by then
+	// dl orders the reader's sliding deadline against sayBye's last one.
+	dl      sync.Mutex
+	leaving bool
+}
+
+// slide moves the read deadline to within from now, unless the connection
+// is saying goodbye: then the deadline sayBye set stands.
+func (wc *wireConn) slide(within time.Duration) {
+	wc.dl.Lock()
+	if !wc.leaving {
+		wc.conn.SetReadDeadline(time.Now().Add(within)) //parallax:allow(detsource,lockheld) -- heartbeat read deadline: liveness detection, outside the data path; setting it does not block
+	}
+	wc.dl.Unlock()
 }
 
 // pipeDepth sizes the per-pair channel buffers so the ring algorithms'
@@ -447,13 +465,11 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 				time.Now().After(deadline) || ctx.Err() != nil { //parallax:allow(detsource) -- rendezvous retry budget; wall-clock by design
 				return fail(herr)
 			}
-			select {
-			case <-ctx.Done():
-				return fail(ctx.Err())
-			case <-time.After(cfg.DialBackoff.delay(attempt, rng)): //parallax:allow(detsource) -- dial backoff pacing; never in step control flow
+			if err := cfg.DialBackoff.Wait(ctx, attempt, rng); err != nil {
+				return fail(err)
 			}
 		}
-		f.conns[q] = &wireConn{conn: conn}
+		f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{})}
 	}
 	// A rendezvous timeout is a peer failure too — some expected agent
 	// never showed up — so it carries the first missing rank and matches
@@ -485,7 +501,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 				r.conn.Close() // duplicate from a retrying peer
 				continue
 			}
-			f.conns[r.peer] = &wireConn{conn: r.conn}
+			f.conns[r.peer] = &wireConn{conn: r.conn, gone: make(chan struct{})}
 			got++
 		case <-ctx.Done():
 			return fail(fmt.Errorf("transport: process %d rendezvous aborted: %w",
@@ -506,7 +522,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 			continue
 		}
 		f.readers.Add(1)
-		go f.reader(peer, wc.conn)
+		go f.reader(peer, wc)
 		if f.hbInterval > 0 {
 			f.readers.Add(1)
 			go f.heartbeatLoop(wc)
@@ -669,10 +685,8 @@ func dialRetry(ctx context.Context, addr string, deadline time.Time, bo Backoff)
 		if time.Now().After(deadline) { //parallax:allow(detsource) -- dial retry budget; wall-clock by design
 			return nil, err
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(bo.delay(attempt, rng)): //parallax:allow(detsource) -- dial backoff pacing; never in step control flow
+		if err := bo.Wait(ctx, attempt, rng); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -705,17 +719,20 @@ func (f *TCP) Conduit(rank int) Conduit {
 	return conduit{f: f, rank: rank}
 }
 
-// Close tears the fabric down and waits for its reader goroutines.
-// Idempotent; safe to call concurrently.
+// Close says goodbye to every peer (unless a failure already tore the
+// fabric down), tears it down and waits for its reader goroutines, which
+// read to their peers' ends of stream (sayBye) — but for no peer to
+// close. Idempotent; safe to call concurrently.
 func (f *TCP) Close() error {
-	f.shutdown()
+	f.shutdown(true)
 	f.readers.Wait()
 	return nil
 }
 
 // shutdown is Close minus the reader wait, so a reader detecting a
-// broken connection can trigger teardown without deadlocking on itself.
-func (f *TCP) shutdown() {
+// broken connection can trigger teardown without deadlocking on itself;
+// only Close passes bye.
+func (f *TCP) shutdown(bye bool) {
 	f.closeOnce.Do(func() {
 		close(f.closed)
 		if f.ln != nil {
@@ -723,7 +740,11 @@ func (f *TCP) shutdown() {
 		}
 		f.closeJoin()
 		for _, wc := range f.conns {
-			if wc != nil {
+			switch {
+			case wc == nil:
+			case bye:
+				wc.sayBye() // the connection's reader closes it
+			default:
 				wc.conn.Close()
 			}
 		}
@@ -735,15 +756,17 @@ func (f *TCP) shutdown() {
 // (refreshed per chunk for large payloads, so a slow-but-alive bulk
 // transfer never trips it); a timeout, read error, or decode error
 // marks the peer failed and shuts the whole fabric down so blocked
-// receivers fail fast — with attribution — instead of hanging.
-func (f *TCP) reader(peer int, conn net.Conn) {
+// receivers fail fast — with attribution — instead of hanging. The
+// reader closes the connection when it ends: a leaver's end of stream.
+func (f *TCP) reader(peer int, wc *wireConn) {
 	defer f.readers.Done()
-	br := bufio.NewReaderSize(conn, 1<<16)
+	defer wc.conn.Close()
+	br := bufio.NewReaderSize(wc.conn, 1<<16)
 	var lenBuf [4]byte
 	var payload []byte
 	for {
 		if f.hbInterval > 0 {
-			conn.SetReadDeadline(time.Now().Add(f.hbTimeout)) //parallax:allow(detsource) -- heartbeat read deadline: liveness detection, outside the data path
+			wc.slide(f.hbTimeout)
 		}
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			f.readerFailed(peer, err)
@@ -764,7 +787,10 @@ func (f *TCP) reader(peer int, conn net.Conn) {
 			}
 			failed := int(binary.LittleEndian.Uint32(rank[:]))
 			f.recordFailure(failed, fmt.Errorf("reported down by process %d", peer))
-			f.shutdown()
+			f.shutdown(false)
+			return
+		case frameBye:
+			close(wc.gone)
 			return
 		}
 		n := int(word)
@@ -775,7 +801,7 @@ func (f *TCP) reader(peer int, conn net.Conn) {
 		if cap(payload) < n {
 			payload = make([]byte, n)
 		}
-		if err := f.readPayload(br, conn, payload[:n]); err != nil {
+		if err := f.readPayload(br, wc, payload[:n]); err != nil {
 			f.readerFailed(peer, err)
 			return
 		}
@@ -791,14 +817,15 @@ func (f *TCP) reader(peer int, conn net.Conn) {
 		select {
 		case f.queue(src, dst, m.tag) <- m:
 		case <-f.closed:
-			return
+			// Nobody will take it; an orderly Close reads on to the peer's
+			// end of stream, a failure has closed the connection.
 		}
 	}
 }
 
 // readPayload fills p, sliding the read deadline forward per chunk so a
 // large frame is judged on progress, not total duration.
-func (f *TCP) readPayload(br *bufio.Reader, conn net.Conn, p []byte) error {
+func (f *TCP) readPayload(br *bufio.Reader, wc *wireConn, p []byte) error {
 	const chunk = 1 << 20
 	for off := 0; off < len(p); {
 		end := off + chunk
@@ -806,7 +833,7 @@ func (f *TCP) readPayload(br *bufio.Reader, conn net.Conn, p []byte) error {
 			end = len(p)
 		}
 		if f.hbInterval > 0 {
-			conn.SetReadDeadline(time.Now().Add(f.hbTimeout)) //parallax:allow(detsource) -- heartbeat read deadline: liveness detection, outside the data path
+			wc.slide(f.hbTimeout)
 		}
 		m, err := io.ReadFull(br, p[off:end])
 		off += m
@@ -849,6 +876,8 @@ func (f *TCP) sendWire(src, dst int, m message) {
 		select {
 		case <-f.closed:
 			return // orderly shutdown: drop
+		case <-wc.gone:
+			return // the peer said goodbye: drop
 		default:
 			f.failPeer(f.topo.ProcessOf(dst), err)
 			panic(ClosedPanic{Err: fmt.Errorf("transport: endpoint %d send tag %q to %d: %w",
@@ -888,13 +917,16 @@ func (c conduit) send(dst int, m message) {
 // recv blocks for the next message from src under tag and asserts its
 // tag and kind: a mismatch means two endpoints' protocols diverged, which
 // is a bug, so it panics rather than silently reordering. ok is false
-// once the fabric is closed.
+// once the fabric is closed, or src's process has said goodbye and the
+// queue holds nothing more from it.
 func (c conduit) recv(src int, tag string, k kind) (m message, ok bool) {
 	var q chan message
+	var gone chan struct{} // stays nil for a local source: a pipe's sender cannot depart
 	if c.f.local[src] {
 		q = c.f.pipes[src][c.rank]
 	} else {
 		q = c.f.queue(src, c.rank, tag)
+		gone = c.f.conns[c.f.topo.ProcessOf(src)].gone
 	}
 	select {
 	case m = <-q: // fast path: message already queued
@@ -903,6 +935,12 @@ func (c conduit) recv(src int, tag string, k kind) (m message, ok bool) {
 		case m = <-q:
 		case <-c.f.closed:
 			return message{}, false
+		case <-gone:
+			select {
+			case m = <-q: // sent before the goodbye
+			default:
+				return message{}, false
+			}
 		}
 	}
 	if m.tag != tag {
@@ -917,11 +955,13 @@ func (c conduit) recv(src int, tag string, k kind) (m message, ok bool) {
 }
 
 // mustRecv is recv for the protocol paths that cannot proceed without
-// the fabric (collective phases); a closed fabric mid-collective raises
-// the typed ClosedPanic the trainer's wrappers recover into an error.
+// the message (collective phases); a closed fabric or a departed source
+// mid-collective raises the typed ClosedPanic the trainer's wrappers
+// recover into an error.
 func (c conduit) mustRecv(src int, tag string, k kind) message {
 	m, ok := c.recv(src, tag, k)
 	if !ok {
+		c.f.leftOwing(src)
 		panic(ClosedPanic{Err: c.f.closedErr(c.rank, tag, src)})
 	}
 	return m
@@ -986,9 +1026,14 @@ func (c conduit) SendPS(dst int, tag string, m *PSMsg) {
 	c.send(dst, message{tag: tag, kind: kindPS, codec: m.Codec, ps: m})
 }
 
+// RecvPS may come back empty: a serving loop waiting on a worker's next
+// request is owed nothing and just ends; a client is owed its reply.
 func (c conduit) RecvPS(src int, tag string) *PSMsg {
 	m, ok := c.recv(src, tag, kindPS)
 	if !ok {
+		if src >= c.f.topo.Workers {
+			c.f.leftOwing(src)
+		}
 		return nil
 	}
 	return m.ps

@@ -3,12 +3,15 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"parallax/internal/errs"
 )
 
 // dialPair builds the 2-process fabric of topo inside one test process:
@@ -223,25 +226,207 @@ func TestTCPCloseIdempotentAndReleasesServing(t *testing.T) {
 	if m := <-done; m != nil {
 		t.Fatalf("closed RecvPS returned %+v", m)
 	}
-	// Peer's reader notices the dead connection and shuts its fabric
-	// down too (fail-stop).
+	// The peer read the goodbye; its fabric stays up until it closes too.
 	f1.Close()
 	waitGoroutines(t, base)
 }
 
-func TestTCPPeerDeathFailsStop(t *testing.T) {
-	f0, f1 := dialPair(t, twoMachineTopo())
-	f1.Close() // peer vanishes
-	// f0's reader observes the broken connection and closes the fabric,
-	// turning a blocked RecvPS into nil rather than a hang.
-	done := make(chan *PSMsg, 1)
-	go func() { done <- f0.Conduit(0).RecvPS(1, "ps") }()
+// recovered runs fn and returns what it panicked with, nil if it did
+// not.
+func recovered(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// An orderly Close is a departure, not a failure: the peers that read the
+// goodbye keep their fabric and from then on read that one process as
+// closed — a serving loop parked on it ends, sends to it drop, the rest
+// of the fabric works. Only an endpoint still owed a message by it —
+// after draining what it sent before the goodbye — makes the departure
+// a failure, naming the process that left on every survivor.
+func TestTCPByeIsDepartureUntilOwed(t *testing.T) {
+	base := runtime.NumGoroutine()
+	topo := Topology{Workers: 3, Machines: 3, MachineOfWorker: []int{0, 1, 2}}
+	fabs := mustDialN(t, 3, topo, nil)
+	c0 := fabs[0].Conduit(0)
+
+	// Process 0's server parks on worker 2's next request; process 2 owes
+	// worker 0 two scalars, writes them, and leaves.
+	parked := make(chan *PSMsg, 1)
+	go func() { parked <- fabs[0].Conduit(topo.ServerEndpoint(0)).RecvPS(2, "ps") }()
+	fabs[2].Conduit(2).SendScalar(0, "loss", 1.5)
+	fabs[2].Conduit(2).SendScalar(0, "loss", 2.5)
+	fabs[2].Close()
 	select {
-	case m := <-done:
+	case m := <-parked:
 		if m != nil {
-			t.Fatalf("RecvPS after peer death returned %+v", m)
+			t.Fatalf("RecvPS from a departed process returned %+v", m)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("fabric did not fail stop after peer death")
+		t.Fatal("the goodbye did not release a parked serving loop")
+	}
+	if p := recovered(func() {
+		for i := 0; i < 100; i++ { // enough writes to meet the closed socket
+			c0.SendScalar(2, "loss", 0)
+		}
+	}); p != nil {
+		t.Fatalf("send to a departed process panicked: %v", p)
+	}
+	fabs[1].Conduit(1).SendScalar(0, "loss", 7)
+	if v := c0.RecvScalar(1, "loss"); v != 7 {
+		t.Fatalf("exchange with a remaining peer = %v, want 7", v)
+	}
+	select {
+	case <-fabs[0].Done():
+		t.Fatal("a peer's orderly Close shut this fabric down")
+	default:
+	}
+	if err := fabs[0].Err(); err != nil {
+		t.Fatalf("a peer's orderly Close recorded the failure %v", err)
+	}
+
+	for _, want := range []float64{1.5, 2.5} {
+		if v := c0.RecvScalar(2, "loss"); v != want {
+			t.Fatalf("scalar sent before the goodbye = %v, want %v", v, want)
+		}
+	}
+	cp, ok := recovered(func() { c0.RecvScalar(2, "loss") }).(ClosedPanic)
+	var pf *errs.PeerFailure
+	if !ok || !errors.As(cp.Err, &pf) || pf.Rank != 2 {
+		t.Fatalf("receive past the goodbye raised %v, want ClosedPanic with a failure naming process 2", cp.Err)
+	}
+	for p := 0; p < 2; p++ {
+		waitDone(t, fabs[p], "survivor of the departure")
+		if err := fabs[p].Err(); !errors.As(err, &pf) || pf.Rank != 2 {
+			t.Fatalf("process %d attributed %v, want rank 2", p, err)
+		}
+	}
+	for _, f := range fabs {
+		f.Close()
+	}
+	waitGoroutines(t, base)
+}
+
+// A client is owed its server's reply: when the server's process has
+// said goodbye instead, the wait comes back empty and the process is
+// failed, so the trainer can attribute the torn step.
+func TestTCPClientOwedReplyFailsDepartedServer(t *testing.T) {
+	f0, f1 := dialPair(t, twoMachineTopo())
+	f1.Close()
+	if m := f0.Conduit(0).RecvPS(3, "ps"); m != nil { // worker 0 awaiting server 1
+		t.Fatalf("RecvPS from a departed server returned %+v", m)
+	}
+	waitDone(t, f0, "client of the departed server")
+	var pf *errs.PeerFailure
+	if err := f0.Err(); !errors.As(err, &pf) || pf.Rank != 1 {
+		t.Fatalf("attributed %v, want rank 1", err)
+	}
+}
+
+// Close never closes a socket with bytes unread — that would reset the
+// connection, and a reset may overtake the goodbye. It half-closes after
+// the goodbye and reads to the peer's end of stream instead, which the
+// peer's reader produces by closing its end when it reads the goodbye.
+// So Close has read every byte the peer wrote, frames nobody received
+// included, and the peer sees a departure.
+func TestTCPCloseReadsToThePeersEndOfStream(t *testing.T) {
+	base := runtime.NumGoroutine()
+	f0, f1 := dialPair(t, twoMachineTopo())
+	// More frames than process 0's inbox queue holds: its reader parks on
+	// the queue and the rest stay in the socket.
+	for i := 0; i < 500; i++ {
+		f1.Conduit(1).SendF32(0, "unreceived", make([]float32, 256))
+	}
+	f0.Close()
+	if got, want := f0.Stats().RecvBytes, f1.Stats().SentBytes; got != want {
+		t.Fatalf("Close read %d of the %d bytes its peer had written", got, want)
+	}
+	select {
+	case <-f1.conns[0].gone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the peer never read the goodbye")
+	}
+	if err := f1.Err(); err != nil {
+		t.Fatalf("the peer of an orderly Close recorded the failure %v", err)
+	}
+	f1.Close()
+	waitGoroutines(t, base)
+}
+
+// Close must not wait on a wedged peer: data writes parked on a peer that
+// has stopped reading hold, or queue for, the connection's write mutex,
+// and the goodbye needs that mutex. The deadline Close puts on the
+// connection first ends the parked write and, whatever a heartbeat
+// queued among them then does to the write deadline, the connection's
+// reader — the peer's own heartbeats do not keep it reading — which
+// closes the socket under all of them. So Close returns and the
+// senders' messages are dropped like any send on a closed fabric.
+func TestTCPCloseDoesNotWaitOnWedgedPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		writers int
+		hb      time.Duration
+	}{
+		{"one parked write", 1, -1},
+		{"two writes and the heartbeat queued", 2, 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln0 := mustListen(t)
+			wedged := make(chan net.Conn, 1)
+			go func() {
+				conn, err := net.Dial("tcp", ln0.Addr().String())
+				if err != nil {
+					return // DialTCP below times out and reports it
+				}
+				conn.Write(rawHandshake(string(handshakeMagic[:])))
+				var ack [1]byte
+				io.ReadFull(conn, ack[:])
+				wedged <- conn  // held open, never read again
+				for tc.hb > 0 { // it only talks: nothing on this side times out
+					if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+						return
+					}
+					time.Sleep(tc.hb)
+				}
+			}()
+			f, err := DialTCP(context.Background(), TCPConfig{
+				Topo: twoMachineTopo(), Process: 0,
+				Addrs:             []string{ln0.Addr().String(), "127.0.0.1:1"},
+				Listener:          ln0,
+				DialTimeout:       5 * time.Second,
+				HeartbeatInterval: tc.hb,
+				HeartbeatTimeout:  time.Minute,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := <-wedged
+			defer conn.Close()
+			sent := make(chan any, tc.writers)
+			for range tc.writers {
+				go func() {
+					sent <- recovered(func() { f.Conduit(0).SendF32(1, "big", make([]float32, 16<<20)) })
+				}()
+				// The first 64 MB write fills the socket buffers and parks; a
+				// heartbeat, then the next write, queue behind it in that order.
+				time.Sleep(100 * time.Millisecond)
+			}
+			start := time.Now()
+			f.Close()
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Close took %v behind writes parked on a wedged peer", d)
+			}
+			for range tc.writers {
+				select {
+				case p := <-sent:
+					if p != nil {
+						t.Fatalf("a parked send panicked: %v", p)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a parked send never returned")
+				}
+			}
+		})
 	}
 }

@@ -146,7 +146,7 @@ type Stats struct {
 // Conduit is one endpoint's handle on the fabric: point-to-point tagged
 // message exchange with the other endpoints of the topology. All methods
 // are safe for use by the multiple goroutines a trainer endpoint runs
-// (comm goroutine, pullers, worker), provided no two goroutines exchange
+// (worker, comm goroutine), provided no two goroutines exchange
 // on the same (peer, tag) pair concurrently — the per-pair FIFO is the
 // ordering guarantee the collective schedule relies on.
 type Conduit interface {
@@ -192,8 +192,8 @@ type Conduit interface {
 
 	// SendPS ships a parameter-server request or reply; the message
 	// belongs to the fabric after the call. RecvPS returns nil once the
-	// fabric is closed, which is how long-running serving loops learn to
-	// exit.
+	// fabric is closed or src's process has said goodbye, which is how
+	// long-running serving loops learn to exit.
 	SendPS(dst int, tag string, m *PSMsg)
 	RecvPS(src int, tag string) *PSMsg
 }
@@ -222,8 +222,8 @@ type Fabric interface {
 	// failure — so watchers (server-abort, chaos) can react without
 	// polling.
 	Done() <-chan struct{}
-	// Close tears the fabric down; blocked RecvPS calls return nil.
-	// Close is idempotent.
+	// Close tears the fabric down, waiting for no peer; blocked RecvPS
+	// calls return nil. Close is idempotent.
 	Close() error
 }
 

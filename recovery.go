@@ -105,14 +105,15 @@ var fabricSeam func(transport.Fabric) transport.Fabric
 // with the fabric epoch it rendezvoused at. The first attempt dials at
 // tgt.epoch; on ErrEpochMismatch — a restarting agent raced a
 // survivor's epoch bump — it re-reads the epoch recorded in the
-// auto-checkpoint root and retries until the rendezvous deadline. The
-// injector, when armed, wraps the fabric with the chaos harness.
+// auto-checkpoint root and retries, paced by the dialer's backoff
+// schedule, until the rendezvous deadline or ctx is done. The injector,
+// when armed, wraps the fabric with the chaos harness.
 func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector) (transport.Fabric, int, error) {
 	d := tgt.dist
 	deadline := time.Now().Add(d.DialTimeout)
 	listener := d.Listener
 	epoch := tgt.epoch
-	for {
+	for attempt := 0; ; attempt++ {
 		tcp, err := transport.DialTCP(ctx, transport.TCPConfig{
 			Topo: transport.Topology{
 				Workers:         tgt.resource.TotalGPUs(),
@@ -147,7 +148,9 @@ func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector
 		// The fabric consumed (and closed) the listener; retries rebind
 		// from the address list.
 		listener = nil
-		time.Sleep(250 * time.Millisecond)
+		if err := (transport.Backoff{}).Wait(ctx, attempt, nil); err != nil {
+			return nil, 0, err
+		}
 	}
 }
 

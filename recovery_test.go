@@ -242,7 +242,7 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	if e, err := checkpoint.ReadEpoch(root); err != nil || e != 1 {
 		t.Fatalf("recorded epoch %d (err %v), want 1", e, err)
 	}
-	closeTogether(t, sessions[:]...)
+	closeInTurn(sessions[:]...)
 	waitSessionGoroutines(t, base)
 }
 

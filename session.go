@@ -926,7 +926,10 @@ func (s *Session) LocalWorkers() []int { return s.trainer.LocalWorkers() }
 func (s *Session) SparsePartitions() int { return s.parts }
 
 // VarValue returns the current full value of a variable (assembled from
-// the servers for PS variables).
+// the servers for PS variables). Under WithDist the peers' servers hold
+// part of a PS variable, so reading one is collective: every agent
+// calls VarValue for it between the same steps, and none returns — nor
+// can go on to Close — before all have read.
 func (s *Session) VarValue(name string) (*Dense, error) {
 	if s.closed {
 		return nil, fmt.Errorf("parallax: read on %w session", ErrClosed)

@@ -20,22 +20,13 @@ import (
 	"parallax/internal/data"
 )
 
-// closeTogether closes the agents of one in-process test cluster
-// concurrently, the way separate agent processes shut down: a
-// distributed Close runs a cross-agent drain barrier, so closing the
-// agents one after the other makes the first wait out the barrier's
-// timeout for a peer that has not started closing yet.
-func closeTogether(t testing.TB, sessions ...*Session) {
-	t.Helper()
-	var wg sync.WaitGroup
+// closeInTurn closes the agents of one in-process test cluster one
+// after the other: Close waits for no peer, so the first to close
+// returns while the rest are still open.
+func closeInTurn(sessions ...*Session) {
 	for _, s := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Close()
-		}()
+		s.Close()
 	}
-	wg.Wait()
 }
 
 // waitSessionGoroutines polls until the goroutine count settles near
@@ -467,7 +458,70 @@ func TestSessionTCPCancelAgreed(t *testing.T) {
 	if lastStep[0] != lastStep[1] {
 		t.Fatalf("agents stopped at different steps: %d vs %d", lastStep[0], lastStep[1])
 	}
-	closeTogether(t, sessions[:]...)
+	closeInTurn(sessions[:]...)
+	waitSessionGoroutines(t, base)
+}
+
+// TestSessionCloseWaitsForNoPeer pins the shutdown protocol (DESIGN.md
+// §8): the agents of a TCP pair close one after the other, each Close
+// returns promptly with the peer still open, and what the still-open
+// peer gets from its next collective is an ErrPeerFailed naming the
+// departed machine — from the goodbye, well inside the 10 s heartbeat
+// window — never a hang.
+func TestSessionCloseWaitsForNoPeer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sessions := sessionTCPPair(t, WithSparsePartitions(3))
+	ds := data.NewZipfText(150, 8, 1, 1.0, 5)
+	feedsFor := func() []Feed {
+		feeds := make([]Feed, sessions[0].Workers())
+		for w := range feeds {
+			b := ds.Next()
+			feeds[w] = Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
+		}
+		return feeds
+	}
+	const steps = 3
+	for s := 0; s < steps; s++ {
+		feeds := feedsFor()
+		var wg sync.WaitGroup
+		for p := range sessions {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				if _, err := sessions[p].RunStep(feeds); err != nil {
+					t.Errorf("agent %d step %d: %v", p, s, err)
+				}
+			}(p)
+		}
+		wg.Wait()
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	const prompt = 2 * time.Second
+	start := time.Now()
+	sessions[0].Close()
+	if d := time.Since(start); d > prompt {
+		t.Fatalf("the first Close took %v with its peer still open", d)
+	}
+	if n := sessions[1].StepCount(); n != steps {
+		t.Fatalf("the still-open agent is at step %d, want %d", n, steps)
+	}
+	start = time.Now()
+	_, err := sessions[1].RunStep(feedsFor())
+	var pf *PeerFailure
+	if !errors.Is(err, ErrPeerFailed) || !errors.As(err, &pf) || pf.Rank != 0 {
+		t.Fatalf("step against a departed peer returned %v, want ErrPeerFailed naming machine 0", err)
+	}
+	if d := time.Since(start); d > prompt {
+		t.Fatalf("the departure took %v to surface", d)
+	}
+	start = time.Now()
+	sessions[1].Close()
+	if d := time.Since(start); d > prompt {
+		t.Fatalf("the second Close took %v", d)
+	}
 	waitSessionGoroutines(t, base)
 }
 
