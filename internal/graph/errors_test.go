@@ -111,6 +111,21 @@ func TestStepFeedErrors(t *testing.T) {
 	if _, _, err := e.Step(Feed{Ints: good.Ints}); err == nil || !strings.Contains(err.Error(), "x") {
 		t.Errorf("missing float feed: err = %v", err)
 	}
+	// Mis-shaped float feeds — right element count in the wrong shape,
+	// and a wrong row count — are refused by name before any op runs
+	// (they used to panic inside the first kernel they reached).
+	for _, shape := range [][]int{{4, 2}, {8}, {3, 4}} {
+		_, _, err := e.Step(Feed{
+			Ints:   good.Ints,
+			Floats: map[string]*tensor.Dense{"x": tensor.NewDense(shape...)},
+		})
+		if err == nil || !strings.Contains(err.Error(), `"x"`) {
+			t.Errorf("float feed of shape %v: err = %v", shape, err)
+		}
+	}
+	if _, _, err := e.Step(good); err != nil {
+		t.Errorf("good feed after refused ones: %v", err)
+	}
 }
 
 func TestVarValueAccessors(t *testing.T) {

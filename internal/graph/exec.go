@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"parallax/internal/tensor"
 )
@@ -29,8 +30,9 @@ func NewGradSet() *GradSet {
 // Exec evaluates a graph with real tensors: it owns the variable storage
 // and runs forward+backward steps. One Exec corresponds to one model
 // replica (one "GPU" in the paper's terms). An Exec is a persistent
-// runtime object: it keeps its per-step scratch tables between steps, so
-// it must only be driven by one goroutine at a time.
+// runtime object: it keeps its per-step scratch tables and its dense
+// scratch tensors between steps, so it must only be driven by one
+// goroutine at a time.
 type Exec struct {
 	g      *Graph
 	values map[string]*tensor.Dense // variable storage by name
@@ -42,6 +44,14 @@ type Exec struct {
 	varSparse map[string][]*tensor.Sparse
 	grads     *GradSet
 	varAt     []*Variable // node ID -> variable, nil for non-variable nodes
+
+	// arena holds every dense tensor a step computes — forward outputs,
+	// backward temporaries, dense gradients. The graph is static, so
+	// each step asks for the same shapes in the same order: drawn
+	// counts the step's requests so far and request i is served by
+	// arena[i], allocated the first time a step gets that far.
+	arena []*tensor.Dense
+	drawn int
 }
 
 // NewExec creates an executor with variables initialized from their Init
@@ -96,13 +106,37 @@ type GradReady func(name string, dense *tensor.Dense, sparse *tensor.Sparse)
 // Step runs one forward+backward pass with the given feed and returns the
 // loss and per-variable gradients.
 //
-// The returned GradSet is owned by the executor and reused: it is valid
-// only until the next Step call. The gradient tensors inside it are
-// freshly built each step, so callers may hand them off (e.g. transfer
-// sparse gradients to a parameter server) — only the container is
-// recycled.
+// The returned GradSet and the dense gradients in it are owned by the
+// executor and reused: they are valid only until the next Step call
+// begins, so a caller that needs one longer copies it. Sparse gradients
+// are freshly built each step and belong to the caller, who may hand
+// them off (e.g. to a parameter server or an aggregation slot) and keep
+// them across steps.
 func (e *Exec) Step(feed Feed) (float64, *GradSet, error) {
 	return e.StepStream(feed, nil)
+}
+
+// scratch returns the step's next dense scratch tensor, of the given
+// shape and with unspecified contents: every use overwrites it.
+func (e *Exec) scratch(shape ...int) *tensor.Dense {
+	i := e.drawn
+	e.drawn++
+	if i == len(e.arena) {
+		e.arena = append(e.arena, tensor.NewDense(shape...))
+	} else if !slices.Equal(e.arena[i].Shape(), shape) {
+		// Feeds are shape-checked against a static graph before anything
+		// is drawn, so only a bug in the sweep can get here.
+		// (Printing a copy keeps shape itself on the caller's stack.)
+		panic(fmt.Sprintf("graph: scratch request %d wants %v, last step drew %v", i, slices.Clone(shape), e.arena[i].Shape()))
+	}
+	return e.arena[i]
+}
+
+// scratchCopy returns a scratch tensor holding a copy of t.
+func (e *Exec) scratchCopy(t *tensor.Dense) *tensor.Dense {
+	out := e.scratch(t.Shape()...)
+	copy(out.Data(), t.Data())
+	return out
 }
 
 // StepStream is Step with a gradient-ready callback: onReady (when
@@ -136,6 +170,7 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 	floats, ints := e.floats, e.ints
 	clear(floats)
 	clear(ints)
+	e.drawn = 0
 
 	// Forward pass in construction (topological) order.
 	var loss float64
@@ -157,30 +192,37 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 				if !ok {
 					return 0, nil, fmt.Errorf("graph: missing float feed %q", n.Name)
 				}
+				if !slices.Equal(v.Shape(), n.Shape) {
+					return 0, nil, fmt.Errorf("graph: feed %q has shape %v, want %v", n.Name, v.Shape(), n.Shape)
+				}
 				floats[n.ID] = v
 			}
 		case OpVariable:
 			floats[n.ID] = e.values[n.Name]
 		case OpGather:
-			floats[n.ID] = tensor.Gather(floats[n.Inputs[0].ID], ints[n.Inputs[1].ID])
+			table, idx := floats[n.Inputs[0].ID], ints[n.Inputs[1].ID]
+			floats[n.ID] = tensor.GatherInto(e.scratch(len(idx), table.RowWidth()), table, idx)
 		case OpMatMul:
-			floats[n.ID] = tensor.MatMul(floats[n.Inputs[0].ID], floats[n.Inputs[1].ID])
+			a, b := floats[n.Inputs[0].ID], floats[n.Inputs[1].ID]
+			floats[n.ID] = tensor.MatMulInto(e.scratch(a.Dim(0), b.Dim(1)), a, b)
 		case OpAddBias:
-			out := floats[n.Inputs[0].ID].Clone()
+			out := e.scratchCopy(floats[n.Inputs[0].ID])
 			tensor.AddBiasRows(out, floats[n.Inputs[1].ID])
 			floats[n.ID] = out
 		case OpAdd:
-			out := floats[n.Inputs[0].ID].Clone()
+			out := e.scratchCopy(floats[n.Inputs[0].ID])
 			out.AddInto(floats[n.Inputs[1].ID])
 			floats[n.ID] = out
 		case OpRelu:
-			floats[n.ID] = tensor.ReluForward(floats[n.Inputs[0].ID])
+			x := floats[n.Inputs[0].ID]
+			floats[n.ID] = tensor.ReluForwardInto(e.scratch(x.Shape()...), x)
 		case OpTanh:
-			floats[n.ID] = tensor.TanhForward(floats[n.Inputs[0].ID])
+			x := floats[n.Inputs[0].ID]
+			floats[n.ID] = tensor.TanhForwardInto(e.scratch(x.Shape()...), x)
 		case OpConcatCols:
 			a, b := floats[n.Inputs[0].ID], floats[n.Inputs[1].ID]
 			m, wa, wb := a.Dim(0), a.Dim(1), b.Dim(1)
-			out := tensor.NewDense(m, wa+wb)
+			out := e.scratch(m, wa+wb)
 			for i := 0; i < m; i++ {
 				copy(out.Data()[i*(wa+wb):], a.Data()[i*wa:(i+1)*wa])
 				copy(out.Data()[i*(wa+wb)+wa:], b.Data()[i*wb:(i+1)*wb])
@@ -189,7 +231,8 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 		case OpSoftmaxCE:
 			logits := floats[n.Inputs[0].ID]
 			labels := ints[n.Inputs[1].ID]
-			loss, lossGrad = tensor.SoftmaxCrossEntropy(logits, labels)
+			lossGrad = e.scratch(logits.Shape()...)
+			loss = tensor.SoftmaxCrossEntropyInto(lossGrad, logits, labels)
 		default:
 			return 0, nil, fmt.Errorf("graph: cannot execute op %v", n.Kind)
 		}
@@ -203,12 +246,21 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 		clear(l)
 		varSparse[k] = l[:0]
 	}
-	addDense := func(n *Node, g *tensor.Dense) {
+	// addOwned accumulates g, a scratch tensor nothing else refers to,
+	// into n's output-gradient: the first contribution becomes the
+	// gradient itself. addDense is for a g someone else still reads.
+	addOwned := func(n *Node, g *tensor.Dense) {
 		if denseGrad[n.ID] == nil {
-			denseGrad[n.ID] = g.Clone()
+			denseGrad[n.ID] = g
 		} else {
 			denseGrad[n.ID].AddInto(g)
 		}
+	}
+	addDense := func(n *Node, g *tensor.Dense) {
+		if denseGrad[n.ID] == nil {
+			g = e.scratchCopy(g)
+		}
+		addOwned(n, g)
 	}
 
 	// Per-variable gradients are assembled inline, the moment the sweep
@@ -221,7 +273,7 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 	for i := len(e.g.nodes) - 1; i >= 0; i-- {
 		n := e.g.nodes[i]
 		if n.Kind == OpSoftmaxCE {
-			addDense(n.Inputs[0], lossGrad)
+			addOwned(n.Inputs[0], lossGrad)
 			continue
 		}
 		if v := e.varAt[n.ID]; v != nil {
@@ -242,33 +294,33 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 				varSparse[table.Name] = append(varSparse[table.Name], sp)
 			} else {
 				// Gather from an intermediate tensor: densify.
-				addDense(table, sp.ToDense())
+				addOwned(table, sp.ToDense())
 			}
 		case OpMatMul:
 			a, b := floats[n.Inputs[0].ID], floats[n.Inputs[1].ID]
-			addDense(n.Inputs[0], tensor.MatMulT2(dy, b))
-			addDense(n.Inputs[1], tensor.MatMulT1(a, dy))
+			addOwned(n.Inputs[0], tensor.MatMulT2Into(e.scratch(a.Shape()...), dy, b))
+			addOwned(n.Inputs[1], tensor.MatMulT1Into(e.scratch(b.Shape()...), a, dy))
 		case OpAddBias:
 			addDense(n.Inputs[0], dy)
-			addDense(n.Inputs[1], tensor.SumRows(dy))
+			addOwned(n.Inputs[1], tensor.SumRowsInto(e.scratch(dy.Dim(1)), dy))
 		case OpAdd:
 			addDense(n.Inputs[0], dy)
 			addDense(n.Inputs[1], dy)
 		case OpRelu:
-			addDense(n.Inputs[0], tensor.ReluBackward(floats[n.Inputs[0].ID], dy))
+			addOwned(n.Inputs[0], tensor.ReluBackwardInto(e.scratch(dy.Shape()...), floats[n.Inputs[0].ID], dy))
 		case OpTanh:
-			addDense(n.Inputs[0], tensor.TanhBackward(floats[n.ID], dy))
+			addOwned(n.Inputs[0], tensor.TanhBackwardInto(e.scratch(dy.Shape()...), floats[n.ID], dy))
 		case OpConcatCols:
 			a, b := n.Inputs[0], n.Inputs[1]
 			m, wa, wb := a.Shape[0], a.Shape[1], b.Shape[1]
-			da := tensor.NewDense(m, wa)
-			db := tensor.NewDense(m, wb)
+			da := e.scratch(m, wa)
+			db := e.scratch(m, wb)
 			for r := 0; r < m; r++ {
 				copy(da.Data()[r*wa:(r+1)*wa], dy.Data()[r*(wa+wb):r*(wa+wb)+wa])
 				copy(db.Data()[r*wb:(r+1)*wb], dy.Data()[r*(wa+wb)+wa:(r+1)*(wa+wb)])
 			}
-			addDense(a, da)
-			addDense(b, db)
+			addOwned(a, da)
+			addOwned(b, db)
 		default:
 			return 0, nil, fmt.Errorf("graph: no backward for op %v", n.Kind)
 		}
@@ -292,8 +344,12 @@ func (e *Exec) assembleVarGrad(v *Variable, onReady GradReady) {
 		if e.g.GradKind(v) == GradSparse {
 			gs.Sparse[v.Name] = tensor.NewSparse(nil, tensor.NewDense(0, v.Shape[1]), v.Shape[0])
 		} else {
-			gs.Dense[v.Name] = tensor.NewDense(v.Shape...)
+			zero := e.scratch(v.Shape...)
+			zero.Zero()
+			gs.Dense[v.Name] = zero
 		}
+	case d == nil && len(sps) == 1:
+		gs.Sparse[v.Name] = sps[0] // already a fresh tensor of its own
 	case d == nil:
 		gs.Sparse[v.Name] = tensor.ConcatSparse(sps)
 	default:

@@ -10,6 +10,14 @@
 // the variable is consumed: a variable read only through Gather (embedding
 // lookup) receives an IndexedSlices-style sparse gradient; any other use
 // produces a dense gradient.
+//
+// Because the graph is static, an Exec's steps all compute the same
+// shapes in the same order, and every dense tensor of a step — forward
+// outputs, backward temporaries, dense gradients — comes from a
+// per-Exec arena that hands the previous step's tensors out again. The
+// lifetime rule that follows: a dense gradient is valid until the next
+// Step on its Exec begins; a sparse gradient is freshly built and owned
+// by whoever receives it (DESIGN.md §3, "Kernel contract").
 package graph
 
 import (

@@ -294,7 +294,7 @@ func TestCheckpointAndStepHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec(40)
+	spec := tinySpec(2000) // long enough to still be running when the checkpoint request lands
 	j, err := s.Submit("acme", spec)
 	if err != nil {
 		t.Fatal(err)

@@ -192,8 +192,15 @@ func SumSparse(parts []*Sparse) *Sparse {
 // (the looked-up rows); Gather is provided here for building gradients and
 // tests; the graph op lives in internal/graph.
 func Gather(t *Dense, rows []int) *Dense {
+	return GatherInto(NewDense(len(rows), t.RowWidth()), t, rows)
+}
+
+// GatherInto is Gather into out, a [len(rows), w] tensor it overwrites.
+func GatherInto(out, t *Dense, rows []int) *Dense {
 	w := t.RowWidth()
-	out := NewDense(len(rows), w)
+	if out.Rank() != 2 || out.Dim(0) != len(rows) || out.Dim(1) != w {
+		panic(fmt.Sprintf("tensor: gather of %d rows of %v into %v", len(rows), t.shape, out.shape))
+	}
 	for i, r := range rows {
 		if r < 0 || r >= t.Dim(0) {
 			panic(fmt.Sprintf("tensor: gather row %d out of range [0,%d)", r, t.Dim(0)))

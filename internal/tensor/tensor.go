@@ -5,14 +5,19 @@
 // sparsity analysis is built on (§2.2).
 //
 // All values are float32, matching the single-precision training the paper
-// evaluates. Tensors are plain Go slices with explicit shapes; operations
-// are written for clarity first and allocate conservatively so that the
-// real-mode training loops in internal/engine stay predictable.
+// evaluates. Tensors are plain Go slices with explicit shapes. The hot
+// loops all bottom out in the three flat-slice kernels of kernels.go
+// (Axpy, AddTo, Dot): SSE2 assembly on amd64, Go loops elsewhere, and the
+// same bits either way — the kernel contract at the top of that file
+// fixes the order of every sum. Operations that a training step repeats
+// with fixed shapes come in an ...Into form that overwrites a caller's
+// buffer (graph.Exec's arena) instead of allocating.
 package tensor
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Dense is a dense n-dimensional tensor in row-major order.
@@ -25,14 +30,17 @@ type Dense struct {
 // It panics if any dimension is negative; a zero dimension yields an
 // empty tensor.
 func NewDense(shape ...int) *Dense {
+	// Only the copy is stored or printed, so a caller's NewDense(m, n)
+	// argument list stays on its stack.
+	own := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, own))
 		}
 		n *= d
 	}
-	return &Dense{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return &Dense{shape: own, data: make([]float32, n)}
 }
 
 // FromSlice wraps data in a dense tensor of the given shape. The slice is
@@ -142,6 +150,11 @@ func (t *Dense) SameShape(o *Dense) bool {
 		}
 	}
 	return true
+}
+
+// hasShape reports whether t's shape is exactly the given dimensions.
+func (t *Dense) hasShape(shape ...int) bool {
+	return slices.Equal(t.shape, shape)
 }
 
 // Fill sets every element to v.

@@ -126,14 +126,14 @@ func TestMatMulTransposesAgree(t *testing.T) {
 		}
 	}
 	want := MatMul(at, b)
-	got := MatMulT1(a, b)
+	got := MatMulT1Into(NewDense(3, 5), a, b)
 	if want.MaxAbsDiff(got) > 1e-5 {
 		t.Fatalf("MatMulT1 differs from explicit transpose by %v", want.MaxAbsDiff(got))
 	}
 
 	x := g.RandN(1, 2, 3)
 	y := g.RandN(1, 4, 3)
-	got2 := MatMulT2(x, y) // [2,4]
+	got2 := MatMulT2Into(NewDense(2, 4), x, y)
 	yt := NewDense(3, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
@@ -153,7 +153,7 @@ func TestBiasAndSumRows(t *testing.T) {
 	if x.At(0, 0) != 11 || x.At(1, 1) != 24 {
 		t.Fatalf("AddBiasRows wrong: %v", x.Data())
 	}
-	s := SumRows(x)
+	s := SumRowsInto(NewDense(2), x)
 	if s.At(0) != 11+13 || s.At(1) != 22+24 {
 		t.Fatalf("SumRows wrong: %v", s.Data())
 	}
@@ -161,12 +161,12 @@ func TestBiasAndSumRows(t *testing.T) {
 
 func TestReluForwardBackward(t *testing.T) {
 	x := FromSlice([]float32{-1, 0, 2}, 3)
-	y := ReluForward(x)
+	y := ReluForwardInto(NewDense(3), x)
 	if y.At(0) != 0 || y.At(1) != 0 || y.At(2) != 2 {
 		t.Fatalf("ReluForward wrong: %v", y.Data())
 	}
 	dy := FromSlice([]float32{5, 5, 5}, 3)
-	dx := ReluBackward(x, dy)
+	dx := ReluBackwardInto(NewDense(3), x, dy)
 	if dx.At(0) != 0 || dx.At(1) != 0 || dx.At(2) != 5 {
 		t.Fatalf("ReluBackward wrong: %v", dx.Data())
 	}
@@ -176,7 +176,8 @@ func TestSoftmaxCrossEntropyGradientSumsToZero(t *testing.T) {
 	g := NewRNG(2)
 	logits := g.RandN(1, 4, 7)
 	labels := []int{1, 3, 0, 6}
-	loss, grad := SoftmaxCrossEntropy(logits, labels)
+	grad := NewDense(4, 7)
+	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
 	if loss <= 0 {
 		t.Fatalf("loss = %v, want > 0", loss)
 	}
@@ -197,16 +198,17 @@ func TestSoftmaxCrossEntropyMatchesFiniteDifference(t *testing.T) {
 	g := NewRNG(3)
 	logits := g.RandN(0.5, 2, 3)
 	labels := []int{2, 0}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	grad, scratch := NewDense(2, 3), NewDense(2, 3)
+	SoftmaxCrossEntropyInto(grad, logits, labels)
 	const eps = 1e-3
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			p := logits.Clone()
 			p.Set(p.At(i, j)+eps, i, j)
-			lp, _ := SoftmaxCrossEntropy(p, labels)
+			lp := SoftmaxCrossEntropyInto(scratch, p, labels)
 			m := logits.Clone()
 			m.Set(m.At(i, j)-eps, i, j)
-			lm, _ := SoftmaxCrossEntropy(m, labels)
+			lm := SoftmaxCrossEntropyInto(scratch, m, labels)
 			fd := (lp - lm) / (2 * eps)
 			if math.Abs(fd-float64(grad.At(i, j))) > 1e-3 {
 				t.Fatalf("grad[%d,%d] = %v, finite diff %v", i, j, grad.At(i, j), fd)
@@ -239,9 +241,9 @@ func TestTanhBackwardProperty(t *testing.T) {
 			return true
 		}
 		xs := FromSlice([]float32{float32(x)}, 1)
-		y := TanhForward(xs)
+		y := TanhForwardInto(NewDense(1), xs)
 		dy := FromSlice([]float32{1}, 1)
-		dx := TanhBackward(y, dy)
+		dx := TanhBackwardInto(NewDense(1), y, dy)
 		want := 1 - math.Tanh(x)*math.Tanh(x)
 		return math.Abs(float64(dx.At(0))-want) < 1e-3
 	}
