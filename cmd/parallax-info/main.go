@@ -120,11 +120,14 @@ func main() {
 			os.Exit(1)
 		}
 		// Transport assignment: each route's traffic runs over the wire
-		// fabric exactly when it crosses a machine boundary — collective
-		// rings span all workers, PS pushes/pulls reach every machine's
-		// server — so on a multi-machine cluster every route is a tcp
-		// route (worker pairs and servers colocated in one agent still
-		// short-circuit over the in-process channel fabric).
+		// fabric exactly when it crosses a machine boundary — an
+		// AllReduce chains every machine's lane leaders, PS pushes/pulls
+		// reach every machine's server — so on a multi-machine cluster
+		// every route is a tcp route (a machine's own ranks and its server
+		// still short-circuit over the in-process channel fabric). The
+		// AllReduce rows' Table 3 figure is what the runtime moves: the
+		// chain puts 2(N−1)·w on the wire in all, which is 4w(N−1)/N per
+		// machine on average when each byte counts at both ends.
 		n := float64(*machines)
 		if *machines > 1 {
 			fmt.Printf("transport: tcp across %d agents (inproc within an agent)\n", *machines)

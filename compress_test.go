@@ -199,7 +199,11 @@ func wideTCPPair(t *testing.T, opts ...Option) [2]*Session {
 // exists for: f16 halves the compressed frames' payloads (ratio ~2x,
 // counted by the raw-vs-compressed accounting) and top-k at 10% cuts
 // the TOTAL bytes on the wire — pulls, headers, everything — by at
-// least 5x against the uncompressed run.
+// least 3x against the uncompressed run. The bar divides by the exact
+// run, which crosses the machine link once per AllReduce (2(M−1)·w, not
+// every GPU's share): that alone took the measured ratio from 5.8x to
+// 3.3x, and internal/collective's TestAllReduceCrossesTheMachineLinkOnce
+// pins the exact path's bytes.
 func TestCompressedWireReduction(t *testing.T) {
 	const steps = 4
 	run := func(policy CompressionPolicy) (sent, raw, comp int64) {
@@ -261,8 +265,8 @@ func TestCompressedWireReduction(t *testing.T) {
 	if topkComp == 0 {
 		t.Fatal("topk run compressed nothing")
 	}
-	if ratio := float64(noneSent) / float64(topkSent); ratio < 5 {
-		t.Errorf("topk total wire reduction %.2fx (sent %d vs %d), want >= 5x",
+	if ratio := float64(noneSent) / float64(topkSent); ratio < 3 {
+		t.Errorf("topk total wire reduction %.2fx (sent %d vs %d), want >= 3x",
 			ratio, topkSent, noneSent)
 	} else {
 		t.Logf("topk wire reduction: %.2fx (%d -> %d bytes), f16: %.2fx payload",

@@ -19,13 +19,6 @@ func chunkBounds(n, size, i int) (int, int) {
 	return start, start + length
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Tags holds the per-phase rendezvous tags of one AllReduce route,
 // precomputed at build time so the hot loop never concatenates strings.
 // One tag per phase is enough even across steps: each directed pair's
@@ -49,97 +42,134 @@ func AllReduceTagged(c *Comm, tags Tags, t *tensor.Dense) {
 }
 
 // AllReduceCodecTagged is the dense aggregation path for the AR and
-// hybrid architectures: a rank-ordered reduce-scatter followed by the
-// bandwidth-optimal ring all-gather (Patarasuk & Yuan [31]); each phase
-// moves (N−1)/N of the tensor per rank, the same volume as the classic
-// ring. t is modified in place.
+// hybrid architectures: a machine-level, rank-ordered schedule that
+// crosses the machine boundary once. t is modified in place.
 //
-// The reduce-scatter deviates from the pipelined ring deliberately: rank i
-// owns chunk i, every rank sends its slice of chunk c directly to c's
-// owner, and the owner folds the contributions in rank order 0..N−1. A
-// pipelined ring folds chunk c starting at rank c, so an element's
-// float32 accumulation order depends on which chunk it lands in — and
-// therefore on the tensor's position inside a fused buffer. The
-// rank-ordered fold makes every element's sum independent of chunk
-// layout, which is what lets transform's fusion buckets produce
-// bit-identical results to per-variable collectives (and is the property
-// the fusion equivalence tests pin down).
+// The tensor is split into L lanes, L the fewest ranks on any machine;
+// lane j is led on every machine by that machine's j-th rank.
+//
+//  1. Every rank sends each lane's slice to its own machine's lane
+//     leader (over a pipe when the machine is one process).
+//  2. Machine 0's leader folds its machine's contributions in rank order
+//     (copy the first, then AddTo) and sends the partial sum to machine
+//     1's leader as exact f32, whatever the codec. Each later leader
+//     folds its own ranks, in rank order, on top of the partial it
+//     received and passes the result on.
+//  3. The last machine's leader rounds the lane onto the codec's grid and
+//     sends it under the codec to every other machine's leader of that
+//     lane; each leader then hands the lane to its local peers.
+//
+// Ranks are machine-major, so every element is quantize(((q0+q1)+q2)+…)
+// over ranks 0..N−1 — the serial rank-order fold, whichever lane the
+// element lands in and whatever the machine layout. That makes the sum
+// independent of chunk layout, which is what lets transform's fusion
+// buckets produce bit-identical results to per-variable collectives (the
+// property the fusion equivalence tests pin down), and independent of the
+// fabric. A hierarchical ring would cross the link just as rarely but
+// reassociates the sum.
+//
+// Per lane, M machines move (M−1) partials and (M−1) finals across the
+// machine link: 2(M−1)·w in all for a tensor of w bytes, the paper's
+// Table 3 total. On one machine the schedule is a rank-ordered
+// reduce-scatter followed by a direct all-gather; with one rank per
+// machine it is a serial chain.
 //
 // Payloads travel under codec, following the wire compression contract
-// (internal/transport/compress.go): the tensor is rounded onto the
-// codec's grid here in the data plane, the owner folds in exact f32, and
-// the folded chunks are re-rounded before the all-gather so the second
-// phase travels at the same width. Every rank ends with the identical
-// tensor: per chunk, quantize(sum over ranks of quantize(contribution)).
-// Under CodecF32 both roundings are no-ops and this is the exact sum.
+// (internal/transport/compress.go): each contribution is rounded onto the
+// codec's grid here in the data plane, the leaders fold in exact f32, and
+// the folded lane is re-rounded before it fans out. Under CodecF32 both
+// roundings are no-ops and this is the exact sum. The partial is the one
+// frame a codec does not narrow: rounding it would round the sum twice.
 //
-// Chunks are sent straight from the tensor's storage (SendF32C borrows
-// the slice: a pipe copies it into a pooled buffer, a socket serializes
-// it before returning); received chunks arrive in pooled buffers the
-// receiver recycles once folded.
+// Lanes are sent straight from the tensor's storage (SendF32C borrows the
+// slice: a pipe copies it into a pooled buffer, a socket serializes it
+// before returning); received lanes arrive in pooled buffers the receiver
+// recycles once folded. Each directed pair exchanges at most one message
+// per tag per call.
 func AllReduceCodecTagged(c *Comm, tags Tags, t *tensor.Dense, codec transport.Codec) {
 	data := t.Data()
 	codec.Quantize(data)
-	n := c.Size()
-	if n == 1 {
+	if c.n == 1 {
 		return
 	}
+	lo := c.first[c.mach]
+	for j := 0; j < c.lanes; j++ {
+		s, e := chunkBounds(len(data), c.lanes, j)
+		if e > s && lo+j != c.rank {
+			c.t.SendF32C(lo+j, tags.RS, data[s:e], codec)
+		}
+	}
+	if j := c.rank - lo; j < c.lanes {
+		if s, e := chunkBounds(len(data), c.lanes, j); e > s {
+			c.leadLane(tags, j, data[s:e], codec)
+		}
+	}
+	for j := 0; j < c.lanes; j++ {
+		s, e := chunkBounds(len(data), c.lanes, j)
+		if e > s && lo+j != c.rank {
+			c.recvInto(lo+j, tags.AG, data[s:e])
+		}
+	}
+}
 
-	// Reduce-scatter: direct exchange, one message per directed pair.
-	for dst := 0; dst < n; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		ss, se := chunkBounds(len(data), n, dst)
-		if se == ss {
-			continue // empty chunk: owner skips the fold symmetrically
-		}
-		c.t.SendF32C(dst, tags.RS, data[ss:se], codec)
+// leadLane is lane j's leader on this rank's machine: it folds the lane
+// across machines and fans the result out. lane holds this rank's
+// contribution on entry and the reduced lane on return.
+func (c *Comm) leadLane(tags Tags, j int, lane []float32, codec transport.Codec) {
+	lo, hi, last := c.first[c.mach], c.first[c.mach+1], len(c.first)-2
+	var acc []float32 // the rank-order sum so far, in a pooled buffer
+	if c.mach > 0 {
+		acc = c.recvChunk(c.first[c.mach-1]+j, tags.RS, len(lane))
 	}
-	os, oe := chunkBounds(len(data), n, c.rank)
-	if oe > os {
-		own := data[os:oe]
-		tmp := c.t.GetBuf(oe - os)
-		copy(tmp, own)
-		for r := 0; r < n; r++ {
-			src := tmp
-			if r != c.rank {
-				in := c.t.RecvF32(r, tags.RS)
-				if len(in) != oe-os {
-					panic(fmt.Sprintf("collective: allreduce chunk size mismatch %d vs %d", len(in), oe-os))
-				}
-				src = in
-			}
-			if r == 0 {
-				copy(own, src)
-			} else {
-				tensor.AddTo(src, own)
-			}
-			if r != c.rank {
-				c.t.PutBuf(src)
-			}
+	for r := lo; r < hi; r++ {
+		src := lane
+		if r != c.rank {
+			src = c.recvChunk(r, tags.RS, len(lane))
 		}
-		c.t.PutBuf(tmp)
-		// Back onto the grid before the all-gather re-ships it.
-		codec.Quantize(own)
+		if acc == nil {
+			acc = c.t.GetBuf(len(lane))
+			copy(acc, src)
+		} else {
+			tensor.AddTo(src, acc)
+		}
+		if r != c.rank {
+			c.t.PutBuf(src)
+		}
 	}
+	if c.mach < last {
+		c.t.SendF32C(c.first[c.mach+1]+j, tags.RS, acc, transport.CodecF32)
+		c.t.PutBuf(acc)
+		c.recvInto(c.first[last]+j, tags.AG, lane)
+	} else {
+		copy(lane, acc)
+		c.t.PutBuf(acc)
+		codec.Quantize(lane)
+		for m := 0; m < last; m++ {
+			c.t.SendF32C(c.first[m]+j, tags.AG, lane, codec)
+		}
+	}
+	for r := lo; r < hi; r++ {
+		if r != c.rank {
+			c.t.SendF32C(r, tags.AG, lane, codec)
+		}
+	}
+}
 
-	// All-gather: circulate the fully reduced chunks around the ring.
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	for s := 0; s < n-1; s++ {
-		sendChunk := (c.rank - s + n) % n
-		recvChunk := (c.rank - s - 1 + n) % n
-		ss, se := chunkBounds(len(data), n, sendChunk)
-		c.t.SendF32C(right, tags.AG, data[ss:se], codec)
-		in := c.t.RecvF32(left, tags.AG)
-		rs, re := chunkBounds(len(data), n, recvChunk)
-		if len(in) != re-rs {
-			panic(fmt.Sprintf("collective: allgather chunk size mismatch %d vs %d", len(in), re-rs))
-		}
-		copy(data[rs:re], in)
-		c.t.PutBuf(in)
+// recvChunk receives a float chunk of n values from src under tag; the
+// caller returns it with PutBuf.
+func (c *Comm) recvChunk(src int, tag string, n int) []float32 {
+	in := c.t.RecvF32(src, tag)
+	if len(in) != n {
+		panic(fmt.Sprintf("collective: rank %d tag %q from %d: chunk of %d values, want %d", c.rank, tag, src, len(in), n))
 	}
+	return in
+}
+
+// recvInto receives a chunk of len(dst) values from src under tag into dst.
+func (c *Comm) recvInto(src int, tag string, dst []float32) {
+	in := c.recvChunk(src, tag, len(dst))
+	copy(dst, in)
+	c.t.PutBuf(in)
 }
 
 // AllGathervTagged is the aggregation path for *sparse* gradients in the

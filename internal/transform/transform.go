@@ -2,7 +2,7 @@
 // distributed training job, the reproduction of Parallax's automatic graph
 // transformation (§4.3): it replicates the forward/backward graph onto one
 // executor per GPU, routes every variable's gradient through the
-// synchronization method its plan assigns (ring AllReduce, AllGatherv, or
+// synchronization method its plan assigns (AllReduce, AllGatherv, or
 // parameter servers with partitioning and optional local aggregation), and
 // keeps the strict synchronous-training semantics — including the
 // chief-worker path that reads aggregated gradients back for global-norm
@@ -576,7 +576,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		}
 		t.execs[w] = e
 		t.arOpts[w] = opts.NewOptimizer()
-		t.comms[w] = collective.NewComm(fab.Conduit(w), workers)
+		t.comms[w] = collective.NewComm(fab.Conduit(w), topo.MachineOfWorker)
 	}
 
 	// Route variables.

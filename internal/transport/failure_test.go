@@ -227,16 +227,18 @@ func rawHandshake(magic string) []byte {
 	return append([]byte(magic), 1, 0, 4, 0, 0, 0, 0, 0, 'n', 'o', 'n', 'e')
 }
 
-// An agent built before the frame grammar changed announces itself with
+// An agent built before the wire protocol changed announces itself with
 // an earlier magic — PXA2 from before PS pulls became row-addressed,
 // PXA3 from before Close said goodbye (such a peer would read frameBye
 // as an oversized frame and turn every orderly shutdown into a
-// failure). It must be turned away at rendezvous — no ack, connection
-// closed — and the acceptor's rendezvous fails attributed to the rank
-// that never validly arrived, rather than the pair handshaking and
-// mis-parsing a frame mid-step.
+// failure), PXA4 from before the dense AllReduce became machine-level
+// (such a peer sends lanes where this build expects the flat exchange's
+// chunks, and the step dies on a chunk-size panic). It must be turned
+// away at rendezvous — no ack, connection closed — and the acceptor's
+// rendezvous fails attributed to the rank that never validly arrived,
+// rather than the pair handshaking and failing mid-step.
 func TestTCPOldGrammarPeerRefusedAtRendezvous(t *testing.T) {
-	for _, magic := range []string{"PXA2", "PXA3"} {
+	for _, magic := range []string{"PXA2", "PXA3", "PXA4"} {
 		t.Run(magic, func(t *testing.T) {
 			ln0 := mustListen(t)
 			defer ln0.Close()

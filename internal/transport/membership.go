@@ -34,7 +34,7 @@ import (
 )
 
 // joinMagic opens a join handshake on the rendezvous listener, where
-// handshakeMagic ("PXA4") opens a peer rendezvous.
+// handshakeMagic ("PXA5") opens a peer rendezvous.
 var joinMagic = [4]byte{'P', 'X', 'J', 'N'}
 
 const (

@@ -76,11 +76,13 @@ type TCPConfig struct {
 // as u16, its fabric epoch as u32, and the fingerprint bytes; the
 // acceptor answers with one ack byte (ackOK = accepted, ackPolicy =
 // compression fingerprints differ, ackEpoch = fabric generations
-// differ). The digit is the frame grammar's generation: it was bumped
-// when PS pulls became row-addressed and again for frameBye, so an agent
-// built from an older tree is turned away at rendezvous (junk magic, no
-// ack) instead of mis-parsing a frame mid-step.
-var handshakeMagic = [4]byte{'P', 'X', 'A', '4'}
+// differ). The digit is the wire protocol's generation: it was bumped
+// when PS pulls became row-addressed, for frameBye, and when the dense
+// AllReduce became machine-level (same frames, a different exchange
+// schedule), so an agent built from an older tree is turned away at
+// rendezvous (junk magic, no ack) instead of mis-parsing a frame or
+// receiving a chunk it does not expect mid-step.
+var handshakeMagic = [4]byte{'P', 'X', 'A', '5'}
 
 const (
 	ackPolicy = 0 // compression policy fingerprint mismatch
@@ -185,8 +187,10 @@ func (wc *wireConn) slide(within time.Duration) {
 	wc.dl.Unlock()
 }
 
-// pipeDepth sizes the per-pair channel buffers so the ring algorithms'
-// send-then-receive step pattern cannot deadlock.
+// pipeDepth sizes the per-pair channel buffers so the collectives'
+// send-then-receive pattern cannot deadlock: a collective puts at most
+// one message per tag on a directed pair, so a sender a few collectives
+// ahead of its receiver still does not block.
 const pipeDepth = 8
 
 // newFabric builds the part every fabric has: the local table, one pipe
