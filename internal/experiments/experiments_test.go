@@ -2,13 +2,27 @@ package experiments
 
 import (
 	"math"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// smallEnv shrinks the cluster so the full experiment suite stays fast in
-// unit tests; shape assertions that need the paper cluster use DefaultEnv
-// explicitly.
+// matchesGolden pins a rendered experiment bit for bit: testdata/<name>.golden
+// is `parallax-bench -experiment <name>`'s output at the default 8×6 cluster,
+// its trailing "(<name> in …s)" timing line dropped. Every test below checks
+// its shape assertions and then the whole table, so a change that moves any
+// printed number fails here even when the shapes still hold.
+func matchesGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s no longer matches testdata/%s.golden\n--- got:\n%s--- want:\n%s", name, name, got, want)
+	}
+}
+
 func TestTable1ShapesAndRender(t *testing.T) {
 	env := DefaultEnv()
 	res := Table1(env)
@@ -31,10 +45,7 @@ func TestTable1ShapesAndRender(t *testing.T) {
 			}
 		}
 	}
-	out := res.Render()
-	if !strings.Contains(out, "ResNet-50") || !strings.Contains(out, "alpha") {
-		t.Error("render incomplete")
-	}
+	matchesGolden(t, "table1", res.Render())
 }
 
 func TestTable2InteriorOptimumAndDip(t *testing.T) {
@@ -49,9 +60,7 @@ func TestTable2InteriorOptimumAndDip(t *testing.T) {
 	if !(lm[5] < lm[4]) {
 		t.Errorf("LM should dip from P=128 to P=256: %v", lm)
 	}
-	if strings.Count(res.Render(), "LM") < 2 {
-		t.Error("render missing paper rows")
-	}
+	matchesGolden(t, "table2", res.Render())
 }
 
 func TestTable3FormulasHold(t *testing.T) {
@@ -65,6 +74,7 @@ func TestTable3FormulasHold(t *testing.T) {
 			t.Errorf("%s: measured %v vs formula %v (%.1f%% off)", row.Case, row.Measured, row.Formula, err*100)
 		}
 	}
+	matchesGolden(t, "table3", res.Render())
 }
 
 func TestTable4Ordering(t *testing.T) {
@@ -75,6 +85,7 @@ func TestTable4Ordering(t *testing.T) {
 			t.Errorf("%s ordering broken: %v", m, tp)
 		}
 	}
+	matchesGolden(t, "table4", res.Render())
 }
 
 func TestTable6SpeedupGrowsAsAlphaShrinks(t *testing.T) {
@@ -93,6 +104,7 @@ func TestTable6SpeedupGrowsAsAlphaShrinks(t *testing.T) {
 			t.Errorf("length %d: Parallax slower than TF-PS (%.2fx)", row.Length, row.Speedup)
 		}
 	}
+	matchesGolden(t, "table6", res.Render())
 }
 
 func TestFigure8Shapes(t *testing.T) {
@@ -119,6 +131,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if rn[3] < rn[0]*6 {
 		t.Errorf("ResNet-50 Parallax scaling too weak: %v", rn)
 	}
+	matchesGolden(t, "fig8", res.Render())
 }
 
 func TestFigure9NormalizedBands(t *testing.T) {
@@ -148,6 +161,7 @@ func TestFigure9NormalizedBands(t *testing.T) {
 			t.Errorf("%s: normalized ordering broken: parallax %.1f tf %.1f horovod %.1f", model, p, tf, hv)
 		}
 	}
+	matchesGolden(t, "fig9", res.Render())
 }
 
 func TestFigure7ConvergenceSpeedups(t *testing.T) {
@@ -175,6 +189,7 @@ func TestFigure7ConvergenceSpeedups(t *testing.T) {
 	if r := r0.SpeedupVsHorovod(); r < 0.9 || r > 1.3 {
 		t.Errorf("dense model Parallax vs Horovod = %.2f, want ~1", r)
 	}
+	matchesGolden(t, "fig7", res.Render())
 }
 
 func TestTable5ParallaxNearOptimalWithFewRuns(t *testing.T) {
@@ -195,6 +210,7 @@ func TestTable5ParallaxNearOptimalWithFewRuns(t *testing.T) {
 			t.Errorf("%s: sampling used %d runs vs brute %d — not clearly cheaper", row.Model, row.ParallaxRuns, row.BruteRuns)
 		}
 	}
+	matchesGolden(t, "table5", res.Render())
 }
 
 func TestAblations(t *testing.T) {
@@ -225,16 +241,8 @@ func TestAblations(t *testing.T) {
 			t.Errorf("%s: smart placement more imbalanced (%.2f vs %.2f)", r.Model, r.SmartImbal, r.NaiveImbal)
 		}
 	}
-	// Rendering smoke tests.
-	for _, s := range []string{
-		RenderAblationAlpha(alpha, env),
-		RenderAblationLocalAgg(local),
-		RenderAblationPlacement(placement),
-	} {
-		if !strings.Contains(s, "Ablation") {
-			t.Error("bad render")
-		}
-	}
+	matchesGolden(t, "ablations",
+		RenderAblationAlpha(alpha, env)+RenderAblationLocalAgg(local)+RenderAblationPlacement(placement))
 }
 
 func TestExtensionPruning(t *testing.T) {
@@ -264,7 +272,5 @@ func TestExtensionPruning(t *testing.T) {
 	if last.HybridPSVars == 0 {
 		t.Error("alpha-threshold rule routed nothing to PS at alpha=0.01")
 	}
-	if !strings.Contains(RenderPruning(rows), "Extension") {
-		t.Error("bad render")
-	}
+	matchesGolden(t, "pruning", RenderPruning(rows))
 }
