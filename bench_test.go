@@ -1,178 +1,19 @@
 package parallax
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§6). Each iteration regenerates the experiment on
-// the simulated cluster; key measured values are attached as custom
-// benchmark metrics so `go test -bench` output doubles as the
-// paper-vs-measured record (EXPERIMENTS.md is generated from the same
-// code paths via cmd/parallax-bench).
+// Dev microbenchmarks of the functional data plane: one synchronous
+// training step through the public Session, fused and unfused. CI runs
+// each once as a does-it-still-run check; performance claims are made
+// with the repo benchmark (bench/README.md). The paper tables are
+// printed by cmd/parallax-bench and pinned by internal/experiments'
+// golden tests, and the engine's own benchmark lives in internal/engine.
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
-	"parallax/internal/core"
 	"parallax/internal/data"
-	"parallax/internal/engine"
-	"parallax/internal/experiments"
-	"parallax/internal/models"
 )
-
-func BenchmarkTable1_ArchitectureThroughput(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table1Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table1(env)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.PS, row.Model+"_PS_units/s")
-		b.ReportMetric(row.AR, row.Model+"_AR_units/s")
-	}
-}
-
-func BenchmarkTable2_PartitionSweep(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table2(env)
-	}
-	lm := res.Throughput["LM"]
-	b.ReportMetric(lm[0], "LM_P8_words/s")
-	b.ReportMetric(lm[4], "LM_P128_words/s")
-	b.ReportMetric(lm[5], "LM_P256_words/s")
-}
-
-func BenchmarkTable3_NetworkTransfer(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table3Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table3(env)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.Measured/row.Formula, row.Case+"_measured/formula")
-	}
-}
-
-func BenchmarkTable4_HybridAblation(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table4Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table4(env)
-	}
-	for _, m := range res.Models {
-		b.ReportMetric(res.Tp[m]["HYB"]/res.Tp[m]["AR"], m+"_HYB/AR")
-		b.ReportMetric(res.Tp[m]["HYB"]/res.Tp[m]["NaivePS"], m+"_HYB/NaivePS")
-	}
-}
-
-func BenchmarkTable5_PartitioningMethods(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table5Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table5(env)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.Parallax/row.Min, row.Model+"_Parallax/Min")
-		b.ReportMetric(float64(row.ParallaxRuns), row.Model+"_search_runs")
-		b.ReportMetric(float64(row.BruteRuns), row.Model+"_brute_runs")
-	}
-}
-
-func BenchmarkTable6_SparsityDegree(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Table6Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Table6(env)
-	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	b.ReportMetric(first.Speedup, "speedup_alpha1.0")
-	b.ReportMetric(last.Speedup, "speedup_alpha0.04")
-}
-
-func BenchmarkFigure7_Convergence(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Figure7Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Figure7(env)
-	}
-	for _, row := range res.Rows {
-		name := strings.NewReplacer(" ", "", "(", "", ")", "").Replace(row.Model)
-		b.ReportMetric(row.SpeedupVsTFPS(), name+"_vsTFPS")
-		b.ReportMetric(row.SpeedupVsHorovod(), name+"_vsHorovod")
-	}
-}
-
-func BenchmarkFigure8_Scaling(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Figure8Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Figure8(env)
-	}
-	for _, m := range []string{"ResNet-50", "LM"} {
-		s := res.Tp[m]["Parallax"]
-		b.ReportMetric(s[3]/s[0], m+"_8m/1m")
-	}
-}
-
-func BenchmarkFigure9_NormalizedThroughput(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var res experiments.Figure9Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Figure9(env)
-	}
-	for _, m := range []string{"ResNet-50", "Inception-v3", "LM", "NMT"} {
-		s := res.Normalized[m]
-		b.ReportMetric(s[len(s)-1], m+"_norm48")
-	}
-}
-
-func BenchmarkAblation_AlphaThreshold(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var rows []experiments.AblationAlphaRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationAlphaThreshold(env)
-	}
-	b.ReportMetric(rows[0].AsPS/rows[0].AsDense, "lowAlpha_PS/dense")
-	last := rows[len(rows)-1]
-	b.ReportMetric(last.AsDense/last.AsPS, "highAlpha_dense/PS")
-}
-
-func BenchmarkAblation_LocalAggregation(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var rows []experiments.AblationLocalAggRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationLocalAggregation(env)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.WithLocal/r.Without, r.Model+"_gain")
-	}
-}
-
-// Micro-benchmarks of the substrate hot paths.
-
-func BenchmarkEngineStep_LMHybrid(b *testing.B) {
-	b.ReportAllocs()
-	hw := experiments.DefaultEnv().HW
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.RunArch(models.LM(), core.ArchHybrid, 8, 6, 128, hw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkRealTrainingStep(b *testing.B) {
 	b.ReportAllocs()
@@ -296,15 +137,4 @@ func BenchmarkTrainerStepFusedManySmallDense(b *testing.B) {
 	b.Run("unfused", func(b *testing.B) {
 		benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly), WithFusionBytes(-1))
 	})
-}
-
-func BenchmarkExtension_PrunedDenseModel(b *testing.B) {
-	b.ReportAllocs()
-	env := experiments.DefaultEnv()
-	var rows []experiments.PruningRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.ExtensionPruning(env)
-	}
-	last := rows[len(rows)-1]
-	b.ReportMetric(last.PureAR/last.PurePS, "pruned99_AR/PS")
 }

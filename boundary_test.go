@@ -9,9 +9,9 @@ import (
 // TestRuntimeDoesNotLinkTheSimulator guards the import boundary between
 // the runtime and the paper model: the library, the service, and the
 // agent and daemon binaries train on real steps and must not depend —
-// directly or transitively — on the discrete-event simulator packages,
-// which serve the paper tables (parallax-bench, parallax-info,
-// examples/, bench/) only.
+// directly or transitively — on the virtual-time plane (the discrete-event
+// engine, the paper-scale model specs and the experiments), which serves
+// the paper tables (parallax-bench, parallax-info, examples/, bench/) only.
 func TestRuntimeDoesNotLinkTheSimulator(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps",
 		".", "./internal/serve", "./internal/jobspec", "./cmd/parallax-agent", "./cmd/parallax-serve").CombinedOutput()
@@ -19,8 +19,7 @@ func TestRuntimeDoesNotLinkTheSimulator(t *testing.T) {
 		t.Fatalf("go list -deps: %v\n%s", err, out)
 	}
 	simulator := map[string]bool{
-		"parallax/internal/engine": true, "parallax/internal/sim": true, "parallax/internal/simnet": true,
-		"parallax/internal/experiments": true, "parallax/internal/models": true,
+		"parallax/internal/engine": true, "parallax/internal/models": true, "parallax/internal/experiments": true,
 	}
 	for _, pkg := range strings.Fields(string(out)) {
 		if simulator[pkg] {

@@ -366,7 +366,7 @@ func TestCompressedCheckpointPolicyMismatch(t *testing.T) {
 		t.Fatalf("matching restore failed: %v", err)
 	}
 
-	// Uncompressed (version-1) checkpoint, compressed restore.
+	// Uncompressed checkpoint, compressed restore.
 	dirNone := t.TempDir()
 	runTo(dirNone, WithSparsePartitions(3))
 	if err := reopen(dirNone, WithSparsePartitions(3), WithCompression(CompressionF16())); !errors.Is(err, ErrCompressionMismatch) {

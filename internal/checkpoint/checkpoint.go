@@ -21,11 +21,11 @@
 // are the same IEEE-754 bit patterns the TCP fabric frames, which is
 // what makes the save path serialize straight from snapshot tensors):
 //
-//	magic "PLXCKPT" | u8 version (=1, or 2 when compression state exists)
+//	magic "PLXCKPT" | u8 version (=2; 1 is read, never written)
 //	u32 machine | u32 machines | u64 step | u64 cursor | u32 parts
 //	u8 decision flags (bit0: search still pending) | str source
 //	str topoFP | str planFP
-//	str compressionFP          (version 2 only)
+//	str compressionFP          (absent in version 1)
 //	u32 nrecords, each:
 //	  u8 kind (1 replica variable, 2 server partition, 3 residual [v2])
 //	  str name | u32 part (kind 2/3; 0 otherwise)
@@ -33,12 +33,12 @@
 //	  u32 n | n × f32            (value)
 //	  u32 nslots, each: str slot | u32 n | n × f32
 //
-// where str is u16 length + bytes. A job saved under CompressionNone
-// with no error-feedback residuals writes version 1, byte-identical to
-// builds that predate wire compression; a compressed job writes version
-// 2, which appends the policy fingerprint to the metadata and may carry
-// KindResidual records (one per worker × fusion bucket of top-k
-// error-feedback state). Decoding validates every declared length
+// where str is u16 length + bytes. Every shard is written at version 2:
+// the metadata ends with the compression policy fingerprint ("none" for an
+// uncompressed job), and a compressed job's shard may carry KindResidual
+// records (one per worker × fusion bucket of top-k error-feedback state).
+// Version 1 — the format before wire compression, without the fingerprint
+// or residuals — still decodes, as fingerprint "none". Decoding validates every declared length
 // against the remaining bytes before allocating, so truncated or corrupt
 // files yield errors, never panics (FuzzCheckpointDecode pins this). An
 // unrecognized magic or version fails with errs.ErrCheckpointVersion;
@@ -63,10 +63,9 @@ import (
 	"parallax/internal/transport"
 )
 
-// Version is the baseline checkpoint format version; VersionCompressed
-// adds the compression fingerprint and residual records. Encode picks
-// the lowest version that can represent the shard, so uncompressed jobs
-// keep writing files older builds read.
+// VersionCompressed is the format Encode writes: Version plus the
+// compression fingerprint and residual records. Version shards, written
+// before wire compression existed, are read only.
 const (
 	Version           = 1
 	VersionCompressed = 2
@@ -93,7 +92,7 @@ const (
 	KindServerPart RecordKind = 2
 	// KindResidual is one worker's top-k error-feedback residual for one
 	// fusion bucket (Name is the worker's global rank in decimal, Part
-	// the bucket index; no slots). Version 2 files only; each worker's
+	// the bucket index; no slots). Never in a version-1 file; each worker's
 	// residuals live in its machine's shard.
 	KindResidual RecordKind = 3
 )
@@ -122,8 +121,8 @@ type Meta struct {
 	// mismatch (errs.ErrTopologyMismatch).
 	TopoFP, PlanFP string
 	// Compression is the wire compression policy fingerprint
-	// (transport.Policy.Fingerprint) the job trained under; "" or "none"
-	// means uncompressed. Restore refuses a session configured with a
+	// (transport.Policy.Fingerprint) the job trained under; "none" means
+	// uncompressed, and Encode writes "" as "none". Restore refuses a session configured with a
 	// different policy (errs.ErrCompressionMismatch): the error-feedback
 	// residuals and quantization grids are policy state, so silently
 	// switching policies mid-run would corrupt the trajectory.
@@ -191,21 +190,11 @@ func appendTensor(b []byte, t *tensor.Dense) []byte {
 	return transport.AppendF32s(b, t.Data())
 }
 
-// Encode serializes one shard, at the lowest format version that can
-// represent it: version 1 unless the meta carries a compression
-// fingerprint or the records include residuals.
+// Encode serializes one shard at VersionCompressed; an empty
+// meta.Compression is written as "none".
 func Encode(meta Meta, recs []Record) ([]byte, error) {
-	version := byte(Version)
-	if meta.Compression != "" && meta.Compression != "none" {
-		version = VersionCompressed
-	}
-	for _, r := range recs {
-		if r.Kind == KindResidual {
-			version = VersionCompressed
-		}
-	}
 	b := append([]byte(nil), magic[:]...)
-	b = append(b, version)
+	b = append(b, VersionCompressed)
 	b = binary.LittleEndian.AppendUint32(b, uint32(meta.Machine))
 	b = binary.LittleEndian.AppendUint32(b, uint32(meta.Machines))
 	b = binary.LittleEndian.AppendUint64(b, uint64(meta.Step))
@@ -219,9 +208,10 @@ func Encode(meta Meta, recs []Record) ([]byte, error) {
 	b = appendStr(b, meta.DecisionSource)
 	b = appendStr(b, meta.TopoFP)
 	b = appendStr(b, meta.PlanFP)
-	if version >= VersionCompressed {
-		b = appendStr(b, meta.Compression)
+	if meta.Compression == "" {
+		meta.Compression = "none"
 	}
+	b = appendStr(b, meta.Compression)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(recs)))
 	for _, r := range recs {
 		if r.Kind != KindReplica && r.Kind != KindServerPart && r.Kind != KindResidual {
@@ -361,6 +351,7 @@ func Decode(b []byte) (Meta, []Record, error) {
 	if meta.PlanFP, err = decodeStr(d); err != nil {
 		return meta, nil, err
 	}
+	meta.Compression = "none" // all a version-1 shard can be
 	if version >= VersionCompressed {
 		if meta.Compression, err = decodeStr(d); err != nil {
 			return meta, nil, err

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -18,6 +19,7 @@ func sampleShard() (Meta, []Record) {
 		DecisionSource: "online",
 		TopoFP:         "machines=2 gpus=2,2",
 		PlanFP:         "fnv64a:0123456789abcdef",
+		Compression:    "none",
 	}
 	val := tensor.NewDense(4, 3)
 	slot := tensor.NewDense(4, 3)
@@ -170,33 +172,59 @@ func TestFingerprintsDiscriminate(t *testing.T) {
 	}
 }
 
-// TestVersionGating: uncompressed shards stay version 1, byte-identical
-// to builds that predate wire compression; a compression fingerprint or
-// residual records promote the file to version 2, which round-trips
-// both.
+// encodeV1 hand-builds the version-1 form of an uncompressed shard, the
+// format builds before wire compression wrote: Encode's bytes with the
+// version byte set to 1 and the compression fingerprint cut out of the
+// metadata, where it follows the fixed header and three strings.
+func encodeV1(t testing.TB, meta Meta, recs []Record) []byte {
+	t.Helper()
+	b, err := Encode(meta, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(magic) + 1 + 4 + 4 + 8 + 8 + 4 + 1
+	for _, s := range []string{meta.DecisionSource, meta.TopoFP, meta.PlanFP} {
+		at += 2 + len(s)
+	}
+	fp := 2 + int(binary.LittleEndian.Uint16(b[at:]))
+	v1 := append(append([]byte(nil), b[:at]...), b[at+fp:]...)
+	v1[len(magic)] = Version
+	return v1
+}
+
+// TestVersionGating: every shard is written at version 2 — an uncompressed
+// one with the fingerprint "none", a compressed one with its policy's
+// fingerprint and its residual records — and a version-1 shard from an
+// older build still decodes to the same state, as uncompressed ("none"),
+// which is what lets a session restore it under CompressionNone.
 func TestVersionGating(t *testing.T) {
 	meta, recs := sampleShard()
-	b1, err := Encode(meta, recs)
+	meta.Compression = ""
+	b, err := Encode(meta, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1[7] != Version {
-		t.Fatalf("uncompressed shard wrote version %d, want %d", b1[7], Version)
+	if b[7] != VersionCompressed {
+		t.Fatalf("uncompressed shard wrote version %d, want %d", b[7], VersionCompressed)
 	}
-	// "none" is the canonical uncompressed fingerprint — still version 1,
-	// byte-identical.
-	meta.Compression = "none"
-	bNone, err := Encode(meta, recs)
+	if got, _, err := Decode(b); err != nil || got.Compression != "none" {
+		t.Fatalf("uncompressed shard decoded with fingerprint %q (err %v), want \"none\"", got.Compression, err)
+	}
+
+	v1 := encodeV1(t, meta, recs)
+	meta1, recs1, err := Decode(v1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("version-1 shard: %v", err)
 	}
-	if len(bNone) != len(b1) {
-		t.Fatalf("Compression=\"none\" changed the encoding: %d vs %d bytes", len(bNone), len(b1))
+	want := meta
+	want.Compression = "none"
+	if meta1 != want {
+		t.Fatalf("version-1 meta = %+v, want %+v", meta1, want)
 	}
-	for i := range b1 {
-		if bNone[i] != b1[i] {
-			t.Fatalf("Compression=\"none\" changed byte %d", i)
-		}
+	// Re-encoding what a version-1 shard decoded to gives the version-2
+	// shard of the same state: nothing but the format moved.
+	if b1, err := Encode(meta1, recs1); err != nil || string(b1) != string(b) {
+		t.Fatalf("version-1 shard does not re-encode to the version-2 bytes (err %v)", err)
 	}
 
 	meta.Compression = "dense=f16,topk=0.1,psdense=f32,pssparse=f32,delta=false"
@@ -228,19 +256,8 @@ func TestVersionGating(t *testing.T) {
 			t.Fatalf("residual element %d mismatch", i)
 		}
 	}
-	// Residual records alone also force version 2...
-	metaPlain, _ := sampleShard()
-	bR, err := Encode(metaPlain, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bR[7] != VersionCompressed {
-		t.Fatalf("residual-bearing shard wrote version %d", bR[7])
-	}
-	// ...and a hand-built version-1 file may not carry them.
-	bad := append([]byte(nil), bR...)
-	bad[7] = Version
-	if _, _, err := Decode(bad); err == nil {
+	// A version-1 file may not carry residual records.
+	if _, _, err := Decode(encodeV1(t, meta, recs)); err == nil {
 		t.Fatal("version-1 file with residual records decoded successfully")
 	}
 }

@@ -5,8 +5,8 @@ import "testing"
 // FuzzCheckpointDecode feeds arbitrary bytes to the shard decoder: the
 // contract under fuzz is "error or success, never panic, never an
 // allocation larger than the input justifies". The seed corpus includes
-// a valid shard so mutations explore deep record paths, not just the
-// header checks.
+// a valid shard of each version so mutations explore deep record paths,
+// not just the header checks.
 func FuzzCheckpointDecode(f *testing.F) {
 	meta, recs := sampleShard()
 	if valid, err := Encode(meta, recs); err == nil {
@@ -20,6 +20,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add([]byte("PLXCKPT"))
 	f.Add([]byte{})
+	f.Add(encodeV1(f, meta, recs))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		meta, recs, err := Decode(b)
 		if err != nil {

@@ -14,8 +14,8 @@
 // machine-local merge among a machine's own ranks and cross the machine
 // boundary once, moving the paper's Table 3 volume. The virtual-time
 // *cost* of the same communication patterns is modelled separately in
-// internal/engine on top of internal/simnet; keeping data plane and cost
-// plane separate lets us run paper-scale byte volumes without allocating
+// internal/engine, on its own NIC model; keeping data plane and cost plane
+// separate lets us run paper-scale byte volumes without allocating
 // paper-scale tensors.
 //
 // One property of every algorithm here is load-bearing for shutdown

@@ -4,7 +4,6 @@ import (
 	"parallax/internal/cluster"
 	"parallax/internal/core"
 	"parallax/internal/models"
-	"parallax/internal/sim"
 )
 
 // This file schedules per-variable gradient synchronization. Three paths,
@@ -98,8 +97,8 @@ func (r *runner) gradProduced(w *worker, vi int) {
 	}
 }
 
-// deliverAll finishes variable vi for one worker; when every worker has its
-// fresh value the iteration state is garbage-collected.
+// varDelivered finishes variable vc for one worker; when every worker has
+// its fresh value the iteration state is garbage-collected.
 func (r *runner) varDelivered(vc *varComm, iter, wid int) {
 	st := vc.iters[iter]
 	st.delivered++
@@ -213,13 +212,13 @@ func (r *runner) ringRecv(vc *varComm, iter, d, k int) {
 func (r *runner) collectiveFinish(vc *varComm, iter, m int) {
 	hw := r.cfg.HW
 	g := r.cfg.GPUsPerMachine
-	var applyDur sim.Time
+	var applyDur vtime
 	if vc.a.Method == core.MethodAllGatherv {
 		gathered := vc.a.Alpha * float64(g*r.cfg.Machines)
-		applyDur = sim.Time(gathered*float64(vc.a.Elements())/hw.GPULocalReduceRate) +
-			sim.Time(gathered*float64(vc.a.Rows)*hw.GPURowCost)
+		applyDur = vtime(gathered*float64(vc.a.Elements())/hw.GPULocalReduceRate) +
+			vtime(gathered*float64(vc.a.Rows)*hw.GPURowCost)
 	} else {
-		applyDur = sim.Time(float64(vc.a.Elements()) / hw.GPULocalReduceRate)
+		applyDur = vtime(float64(vc.a.Elements()) / hw.GPULocalReduceRate)
 	}
 	finish := func() {
 		for gi := 0; gi < g; gi++ {
@@ -291,12 +290,12 @@ func (r *runner) psPushArrived(vc *varComm, iter, part int, srcAlpha float64) {
 	}
 	incomingElems := float64(nSources) * srcAlpha * float64(vc.a.Elements()) / p
 	uniq := models.UnionAlpha(vc.a.Alpha, r.workers)
-	work := sim.Time(incomingElems/hw.CPUAggRate) +
-		sim.Time(uniq*float64(vc.a.Elements())/p/hw.UpdateRate) +
-		sim.Time(float64(nSources+r.workers)*hw.RPCOverhead) +
-		sim.Time(hw.PartitionOverhead)
+	work := vtime(incomingElems/hw.CPUAggRate) +
+		vtime(uniq*float64(vc.a.Elements())/p/hw.UpdateRate) +
+		vtime(float64(nSources+r.workers)*hw.RPCOverhead) +
+		vtime(hw.PartitionOverhead)
 	if vc.a.Sparse {
-		work += sim.Time(uniq * float64(vc.a.Rows) / p * hw.RowUpdateCost)
+		work += vtime(uniq * float64(vc.a.Rows) / p * hw.RowUpdateCost)
 	}
 	server := vc.a.Servers[part]
 	r.pickCPU(server).Use(work, func() { r.psUpdated(vc, iter, part) })
@@ -327,7 +326,7 @@ func (r *runner) psPullArrived(vc *varComm, iter, wid int) {
 		return
 	}
 	if p := vc.a.Partitions; p > 1 {
-		stitch := sim.Time(float64(p) * r.cfg.HW.StitchCost)
+		stitch := vtime(float64(p) * r.cfg.HW.StitchCost)
 		r.gpus[wid].Use(stitch, func() { r.varDelivered(vc, iter, wid) })
 	} else {
 		r.varDelivered(vc, iter, wid)

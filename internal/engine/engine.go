@@ -1,14 +1,28 @@
 // Package engine simulates synchronous data-parallel training of a
-// paper-scale model on the simulated cluster, producing step times,
-// throughput and per-machine network-transfer measurements.
+// paper-scale model on a simulated cluster, producing step times,
+// throughput and per-machine network-transfer measurements. It owns the
+// whole virtual-time plane below the experiments: the discrete-event
+// kernel and FIFO resources (kernel.go), the NIC model (fabric.go), and
+// the training state machines that run on them.
 //
-// The engine is fully event-driven on the sim kernel. Each worker is a
-// small state machine: forward compute proceeds layer by layer, gated on
-// the availability of each layer's variables for the current iteration;
-// backward compute emits gradients in reverse layer order; each gradient
-// triggers its variable's synchronization path (ring AllReduce, ring
-// AllGatherv, or parameter-server push/aggregate/update/pull with optional
-// local aggregation and partitioning); and the synchronized value's arrival
+// The kernel fires events in (time, scheduling order), so a configuration
+// always replays the same timeline and every paper table is reproducible
+// to the bit. The NIC model gives each machine a full-duplex NIC — an
+// egress and an ingress FIFO resource — plus a local bus, and counts the
+// network bytes each machine sends and receives (Table 3's measure). A
+// transfer is booked in two stages: the sender's egress from the moment
+// the data is ready, the receiver's ingress in a second event at egress
+// completion (plus latency). Both NICs' FIFO order is therefore data-
+// arrival order, so a transfer that becomes ready later can never block
+// one that is ready now.
+//
+// The engine is fully event-driven. Each worker is a small state machine:
+// forward compute proceeds layer by layer, gated on the availability of
+// each layer's variables for the current iteration; backward compute emits
+// gradients in reverse layer order; each gradient triggers its variable's
+// synchronization path (ring AllReduce, ring AllGatherv, or
+// parameter-server push/aggregate/update/pull with optional local
+// aggregation and partitioning); and the synchronized value's arrival
 // unblocks the next iteration's forward pass. All queueing effects — NIC
 // serialization at PS hot spots, CPU aggregation parallelism limits,
 // compute/communication overlap across iterations — emerge from resource
@@ -23,8 +37,15 @@ import (
 	"parallax/internal/cluster"
 	"parallax/internal/core"
 	"parallax/internal/models"
-	"parallax/internal/sim"
-	"parallax/internal/simnet"
+)
+
+// Every run simulates iterations steps and measures the last
+// iterations−warmup: the paper discards the first 50 of 100 sampling
+// iterations (§3.2), scaled down here because the simulation reaches
+// steady state within a few steps.
+const (
+	iterations = 8
+	warmup     = 3
 )
 
 // Config describes one simulated training run.
@@ -37,11 +58,6 @@ type Config struct {
 	// LocalAggregation enables intra-machine gradient aggregation before
 	// pushing to servers (part of Parallax's optimized PS, §4.3/§5).
 	LocalAggregation bool
-	// Iterations and Warmup control measurement: Warmup iterations are
-	// discarded (the paper discards the first 50 of 100 sampling
-	// iterations, §3.2; scaled down here because the simulation reaches
-	// steady state within a few steps).
-	Iterations, Warmup int
 }
 
 // Result holds the measured steady-state behaviour.
@@ -108,9 +124,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("engine: plan has %d assignments, model has %d variables",
 			len(cfg.Plan.Assignments), len(cfg.Model.Vars))
 	}
-	if cfg.Iterations <= cfg.Warmup {
-		return fmt.Errorf("engine: iterations %d must exceed warmup %d", cfg.Iterations, cfg.Warmup)
-	}
 	return nil
 }
 
@@ -127,14 +140,14 @@ type worker struct {
 // runner holds the mutable simulation state.
 type runner struct {
 	cfg Config
-	k   *sim.Kernel
-	fab *simnet.Fabric
+	k   *kernel
+	fab *fabric
 
 	workers int
 	ws      []*worker
-	gpus    []*sim.Resource
+	gpus    []resource
 	// cpuStreams[m] are machine m's server-side aggregation streams.
-	cpuStreams [][]*sim.Resource
+	cpuStreams [][]resource
 
 	// availIter[w][vi] counts how many times variable vi's fresh value has
 	// been delivered to worker w; iteration i's forward needs
@@ -146,40 +159,40 @@ type runner struct {
 
 	// boundaries[i] is the max backward-finish time over workers for
 	// iteration i.
-	boundaries []sim.Time
+	boundaries []vtime
 	bwdLeft    []int // workers still in backward for iteration i
 
-	fwdPer, bwdPer sim.Time
+	fwdPer, bwdPer vtime
 
 	comm []*varComm
 }
 
 func newRunner(cfg Config) *runner {
-	k := sim.NewKernel()
+	k := &kernel{}
 	r := &runner{
 		cfg:     cfg,
 		k:       k,
-		fab:     simnet.New(k, cfg.Machines, cfg.HW),
+		fab:     newFabric(k, cfg.Machines, cfg.HW),
 		workers: cfg.Machines * cfg.GPUsPerMachine,
-		fwdPer:  sim.Time(cfg.Model.FwdTime / float64(cfg.Model.Layers)),
-		bwdPer:  sim.Time(cfg.Model.BwdTime / float64(cfg.Model.Layers)),
+		fwdPer:  vtime(cfg.Model.FwdTime / float64(cfg.Model.Layers)),
+		bwdPer:  vtime(cfg.Model.BwdTime / float64(cfg.Model.Layers)),
 	}
 	r.ws = make([]*worker, r.workers)
-	r.gpus = make([]*sim.Resource, r.workers)
+	r.gpus = make([]resource, r.workers)
 	r.availIter = make([][]int, r.workers)
 	for w := 0; w < r.workers; w++ {
 		r.ws[w] = &worker{id: w, machine: w / cfg.GPUsPerMachine}
-		r.gpus[w] = sim.NewResource(k, fmt.Sprintf("gpu%d", w))
+		r.gpus[w].k = k
 		r.availIter[w] = make([]int, len(cfg.Model.Vars))
 		for vi := range r.availIter[w] {
 			r.availIter[w][vi] = 1 // initial values are present everywhere
 		}
 	}
-	r.cpuStreams = make([][]*sim.Resource, cfg.Machines)
+	r.cpuStreams = make([][]resource, cfg.Machines)
 	for m := range r.cpuStreams {
-		streams := make([]*sim.Resource, cfg.HW.CPUAggParallelism)
+		streams := make([]resource, cfg.HW.CPUAggParallelism)
 		for i := range streams {
-			streams[i] = sim.NewResource(k, fmt.Sprintf("m%d/cpu%d", m, i))
+			streams[i].k = k
 		}
 		r.cpuStreams[m] = streams
 	}
@@ -187,8 +200,8 @@ func newRunner(cfg Config) *runner {
 	for vi, v := range cfg.Model.Vars {
 		r.varsByLayer[v.Layer] = append(r.varsByLayer[v.Layer], vi)
 	}
-	r.boundaries = make([]sim.Time, cfg.Iterations)
-	r.bwdLeft = make([]int, cfg.Iterations)
+	r.boundaries = make([]vtime, iterations)
+	r.bwdLeft = make([]int, iterations)
 	for i := range r.bwdLeft {
 		r.bwdLeft[i] = r.workers
 	}
@@ -196,11 +209,12 @@ func newRunner(cfg Config) *runner {
 }
 
 // pickCPU returns the machine-m CPU stream that is free soonest.
-func (r *runner) pickCPU(m int) *sim.Resource {
-	best := r.cpuStreams[m][0]
-	for _, s := range r.cpuStreams[m][1:] {
-		if s.FreeAt() < best.FreeAt() {
-			best = s
+func (r *runner) pickCPU(m int) *resource {
+	streams := r.cpuStreams[m]
+	best := &streams[0]
+	for i := 1; i < len(streams); i++ {
+		if streams[i].FreeAt() < best.FreeAt() {
+			best = &streams[i]
 		}
 	}
 	return best
@@ -214,15 +228,15 @@ func (r *runner) run() Result {
 	r.k.Run()
 
 	cfg := r.cfg
-	measured := float64(cfg.Iterations - cfg.Warmup)
-	warmBoundary := r.boundaries[cfg.Warmup-1]
-	lastBoundary := r.boundaries[cfg.Iterations-1]
+	measured := float64(iterations - warmup)
+	warmBoundary := r.boundaries[warmup-1]
+	lastBoundary := r.boundaries[iterations-1]
 	stepTime := float64(lastBoundary-warmBoundary) / measured
 
 	// Every iteration synchronizes every variable exactly once and the
 	// kernel drains fully, so per-iteration traffic is total/iterations —
 	// no window-edge effects.
-	iters := float64(cfg.Iterations)
+	iters := float64(iterations)
 	res := Result{
 		StepTime:        stepTime,
 		BytesPerMachine: make([]float64, cfg.Machines),
@@ -240,7 +254,7 @@ func (r *runner) run() Result {
 // advance drives worker w's state machine as far as data allows; it is
 // called initially and whenever a variable the worker waits for arrives.
 func (r *runner) advance(w *worker) {
-	if w.iter >= r.cfg.Iterations || w.inBwd {
+	if w.iter >= iterations || w.inBwd {
 		return
 	}
 	// Check variable availability for the current forward layer.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,13 +10,23 @@ import (
 	"parallax/internal/models"
 )
 
+// runs holds every runArch result by configuration: the engine is
+// deterministic (TestDeterministicResults), so a configuration several
+// tests assert on is simulated once.
+var runs = map[string]Result{}
+
 // runArch simulates spec on machines×gpus with the given architecture.
 func runArch(t *testing.T, spec *models.Spec, arch core.Arch, machines, gpus, parts int) Result {
 	t.Helper()
+	key := fmt.Sprintf("%s %v %dx%d P=%d", spec.Name, arch, machines, gpus, parts)
+	if res, ok := runs[key]; ok {
+		return res
+	}
 	res, err := RunArch(spec, arch, machines, gpus, parts, cluster.DefaultHardware())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs[key] = res
 	return res
 }
 
@@ -195,8 +206,14 @@ func TestNetworkBytesMatchTable3PS(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a := runArch(t, models.LM(), core.ArchHybrid, 4, 2, 16)
-	b := runArch(t, models.LM(), core.ArchHybrid, 4, 2, 16)
+	run := func() Result {
+		res, err := RunArch(models.LM(), core.ArchHybrid, 4, 2, 16, cluster.DefaultHardware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
 	if a.StepTime != b.StepTime || a.Throughput != b.Throughput {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
 	}
@@ -209,15 +226,28 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Model: nil, Plan: plan, Machines: 2, GPUsPerMachine: 1, Iterations: 5, Warmup: 2},
-		{Model: spec, Plan: plan, Machines: 0, GPUsPerMachine: 1, Iterations: 5, Warmup: 2},
-		{Model: spec, Plan: plan, Machines: 3, GPUsPerMachine: 1, Iterations: 5, Warmup: 2}, // plan/machines mismatch
-		{Model: spec, Plan: plan, Machines: 2, GPUsPerMachine: 1, Iterations: 2, Warmup: 2},
+		{Model: nil, Plan: plan, Machines: 2, GPUsPerMachine: 1},
+		{Model: spec, Plan: plan, Machines: 0, GPUsPerMachine: 1},
+		{Model: spec, Plan: plan, Machines: 3, GPUsPerMachine: 1}, // plan/machines mismatch
 	}
 	for i, cfg := range bad {
 		cfg.HW = cluster.DefaultHardware()
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d: expected error", i)
+		}
+	}
+}
+
+// BenchmarkEngineStep_LMHybrid times one paper-scale simulation — the LM
+// under the hybrid plan on 8×6 GPUs with 128 partitions — so ns/op and
+// allocs/op measure the event kernel, the NIC model and the state machines
+// on them.
+func BenchmarkEngineStep_LMHybrid(b *testing.B) {
+	b.ReportAllocs()
+	hw := cluster.DefaultHardware()
+	for b.Loop() {
+		if _, err := RunArch(models.LM(), core.ArchHybrid, 8, 6, 128, hw); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,11 +1,10 @@
-package simnet
+package engine
 
 import (
 	"math"
 	"testing"
 
 	"parallax/internal/cluster"
-	"parallax/internal/sim"
 )
 
 func testHW() cluster.Hardware {
@@ -21,27 +20,30 @@ func testHW() cluster.Hardware {
 	return hw
 }
 
+// testFabric returns an n-machine fabric on a fresh kernel.
+func testFabric(n int, hw cluster.Hardware) (*kernel, *fabric) {
+	k := &kernel{}
+	return k, newFabric(k, n, hw)
+}
+
 func TestTransferTiming(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 2, testHW())
-	var at sim.Time
+	k, f := testFabric(2, testHW())
+	var at vtime
 	f.Transfer(0, 1, 500, cluster.ProtoNCCL, func() { at = k.Now() })
 	k.Run()
 	// egress 0.5s + latency 0.001 + ingress 0.5s
-	want := sim.Time(0.5 + 0.001 + 0.5)
+	want := vtime(0.5 + 0.001 + 0.5)
 	if math.Abs(float64(at-want)) > 1e-9 {
 		t.Fatalf("delivery at %v, want %v", at, want)
 	}
 }
 
 func TestProtocolBandwidthApplied(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 2, testHW())
-	var nccl, rpc sim.Time
+	var nccl, rpc vtime
+	k, f := testFabric(2, testHW())
 	f.Transfer(0, 1, 500, cluster.ProtoNCCL, func() { nccl = k.Now() })
 	k.Run()
-	k2 := sim.NewKernel()
-	f2 := New(k2, 2, testHW())
+	k2, f2 := testFabric(2, testHW())
 	f2.Transfer(0, 1, 500, cluster.ProtoRPC, func() { rpc = k2.Now() })
 	k2.Run()
 	if !(rpc > nccl*1.5) {
@@ -52,9 +54,8 @@ func TestProtocolBandwidthApplied(t *testing.T) {
 func TestEgressSerialization(t *testing.T) {
 	// Two transfers from machine 0 to different destinations must
 	// serialize on 0's egress NIC.
-	k := sim.NewKernel()
-	f := New(k, 3, testHW())
-	var d1, d2 sim.Time
+	k, f := testFabric(3, testHW())
+	var d1, d2 vtime
 	f.Transfer(0, 1, 1000, cluster.ProtoNCCL, func() { d1 = k.Now() })
 	f.Transfer(0, 2, 1000, cluster.ProtoNCCL, func() { d2 = k.Now() })
 	k.Run()
@@ -67,9 +68,8 @@ func TestEgressSerialization(t *testing.T) {
 
 func TestIngressContention(t *testing.T) {
 	// Two senders to one receiver contend on the receiver's ingress NIC.
-	k := sim.NewKernel()
-	f := New(k, 3, testHW())
-	var done []sim.Time
+	k, f := testFabric(3, testHW())
+	var done []vtime
 	f.Transfer(0, 2, 1000, cluster.ProtoNCCL, func() { done = append(done, k.Now()) })
 	f.Transfer(1, 2, 1000, cluster.ProtoNCCL, func() { done = append(done, k.Now()) })
 	k.Run()
@@ -85,9 +85,8 @@ func TestIngressContention(t *testing.T) {
 func TestFullDuplex(t *testing.T) {
 	// A machine can send and receive simultaneously (ring AllReduce relies
 	// on this).
-	k := sim.NewKernel()
-	f := New(k, 2, testHW())
-	var d0, d1 sim.Time
+	k, f := testFabric(2, testHW())
+	var d0, d1 vtime
 	f.Transfer(0, 1, 1000, cluster.ProtoNCCL, func() { d0 = k.Now() })
 	f.Transfer(1, 0, 1000, cluster.ProtoNCCL, func() { d1 = k.Now() })
 	k.Run()
@@ -97,53 +96,44 @@ func TestFullDuplex(t *testing.T) {
 }
 
 func TestLocalTransferBypassesNetwork(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 2, testHW())
+	k, f := testFabric(2, testHW())
 	delivered := false
 	f.Transfer(0, 0, 1<<20, cluster.ProtoRPC, func() { delivered = true })
 	k.Run()
 	if !delivered {
 		t.Fatal("local transfer not delivered")
 	}
-	if f.SentBytes(0) != 0 || f.RecvBytes(0) != 0 {
+	if f.TotalBytes(0) != 0 || f.TotalBytes(1) != 0 {
 		t.Fatal("local transfer counted as network bytes")
 	}
 }
 
 func TestByteAccounting(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 3, testHW())
+	k, f := testFabric(3, testHW())
 	f.Transfer(0, 1, 100, cluster.ProtoNCCL, nil)
 	f.Transfer(0, 2, 50, cluster.ProtoRPC, nil)
 	f.Transfer(2, 0, 25, cluster.ProtoRPC, nil)
+	f.Transfer(1, 1, 1000, cluster.ProtoRPC, nil) // local bus: a message, no network bytes
 	k.Run()
-	if f.SentBytes(0) != 150 || f.RecvBytes(0) != 25 || f.TotalBytes(0) != 175 {
-		t.Fatalf("m0 sent=%d recv=%d", f.SentBytes(0), f.RecvBytes(0))
+	// Each byte counts at its sender and at its receiver.
+	for m, want := range []int64{175, 100, 75} {
+		if got := f.TotalBytes(m); got != want {
+			t.Errorf("machine %d moved %d bytes, want %d", m, got, want)
+		}
 	}
-	if f.RecvBytes(1) != 100 || f.RecvBytes(2) != 50 {
-		t.Fatal("receiver accounting wrong")
-	}
-	if f.BytesByProtocol(cluster.ProtoRPC) != 75 {
-		t.Fatalf("rpc bytes = %d", f.BytesByProtocol(cluster.ProtoRPC))
-	}
-	if f.Transfers() != 3 {
+	if f.Transfers() != 4 {
 		t.Fatalf("transfers = %d", f.Transfers())
-	}
-	f.ResetCounters()
-	if f.TotalBytes(0) != 0 || f.Transfers() != 0 {
-		t.Fatal("ResetCounters incomplete")
 	}
 }
 
 func TestTransferFromFutureEvent(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 2, testHW())
-	var at sim.Time
+	k, f := testFabric(2, testHW())
+	var at vtime
 	k.After(5, func() {
 		f.Transfer(0, 1, 1000, cluster.ProtoNCCL, func() { at = k.Now() })
 	})
 	k.Run()
-	want := sim.Time(5 + 1 + 0.001 + 1)
+	want := vtime(5 + 1 + 0.001 + 1)
 	if math.Abs(float64(at-want)) > 1e-9 {
 		t.Fatalf("delivery at %v, want %v", at, want)
 	}
@@ -153,9 +143,8 @@ func TestLateReadyTransferDoesNotBlockEarlyOne(t *testing.T) {
 	// A transfer that becomes ready at t=10 must not delay one ready at
 	// t=0, even if the late one is *scheduled* first — the regression the
 	// two-stage booking discipline prevents.
-	k := sim.NewKernel()
-	f := New(k, 3, testHW())
-	var early, late sim.Time
+	k, f := testFabric(3, testHW())
+	var early, late vtime
 	k.After(10, func() {
 		f.Transfer(1, 2, 1000, cluster.ProtoNCCL, func() { late = k.Now() })
 	})
@@ -172,9 +161,8 @@ func TestLateReadyTransferDoesNotBlockEarlyOne(t *testing.T) {
 }
 
 func TestLocalBusCost(t *testing.T) {
-	k := sim.NewKernel()
-	f := New(k, 1, testHW())
-	var at sim.Time
+	k, f := testFabric(1, testHW())
+	var at vtime
 	f.Local(0, 1_000_000, func() { at = k.Now() }) // 1e6 B at 1e6 B/s = 1s
 	k.Run()
 	if math.Abs(float64(at)-1) > 1e-9 {
@@ -190,28 +178,26 @@ func TestHotSpotAsymmetry(t *testing.T) {
 	const w = 12000
 	hw := testHW()
 	hw.NetLatency = 0
+	arrived := func() {} // an event at delivery, so the kernel's clock ends there
 
 	// Server pattern: machine 0 sends w to each of 1..3.
-	k1 := sim.NewKernel()
-	f1 := New(k1, 4, hw)
-	n1 := sim.NewCounter(3, func() {})
+	k1, f1 := testFabric(4, hw)
 	for d := 1; d < 4; d++ {
-		f1.Transfer(0, d, w, cluster.ProtoNCCL, n1.Done)
+		f1.Transfer(0, d, w, cluster.ProtoNCCL, arrived)
 	}
-	serverTime := k1.Run()
+	k1.Run()
 
 	// Ring pattern: every machine sends w/4 to its successor, 2*(N-1)
 	// rounds; all NICs busy in parallel.
-	k2 := sim.NewKernel()
-	f2 := New(k2, 4, hw)
+	k2, f2 := testFabric(4, hw)
 	for step := 0; step < 6; step++ {
 		for m := 0; m < 4; m++ {
-			f2.Transfer(m, (m+1)%4, w/4, cluster.ProtoNCCL, nil)
+			f2.Transfer(m, (m+1)%4, w/4, cluster.ProtoNCCL, arrived)
 		}
 	}
-	ringTime := k2.Run()
+	k2.Run()
 
-	if !(ringTime < serverTime) {
-		t.Fatalf("ring (%v) should beat hot-spot server (%v) for same per-variable volume", ringTime, serverTime)
+	if !(k2.Now() < k1.Now()) {
+		t.Fatalf("ring (%v) should beat hot-spot server (%v) for same per-variable volume", k2.Now(), k1.Now())
 	}
 }

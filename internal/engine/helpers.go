@@ -18,13 +18,6 @@ func PlanVars(spec *models.Spec) []core.VarInfo {
 	return out
 }
 
-// DefaultIterations is the simulated iteration count used by RunArch; the
-// first DefaultWarmup iterations are discarded.
-const (
-	DefaultIterations = 8
-	DefaultWarmup     = 3
-)
-
 // RunArch plans and simulates spec under the given architecture with the
 // conventions each baseline uses: smart placement and local aggregation for
 // Parallax's OptPS and Hybrid, naive placement and per-worker communication
@@ -46,7 +39,5 @@ func RunArch(spec *models.Spec, arch core.Arch, machines, gpus, parts int, hw cl
 		GPUsPerMachine:   gpus,
 		HW:               hw,
 		LocalAggregation: arch == core.ArchOptPS || arch == core.ArchHybrid,
-		Iterations:       DefaultIterations,
-		Warmup:           DefaultWarmup,
 	})
 }

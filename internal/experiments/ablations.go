@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parallax/internal/core"
-	"parallax/internal/engine"
 	"parallax/internal/metrics"
 	"parallax/internal/models"
 )
@@ -39,27 +38,13 @@ func AblationAlphaThreshold(env Env) []AblationAlphaRow {
 				spec.Vars[i].Alpha = alpha
 			}
 		}
-		asPS, err := engine.RunArch(spec, core.ArchHybrid, env.Machines, env.GPUs, 128, env.HW)
-		if err != nil {
-			panic(err)
-		}
-		// Force dense treatment by planning with a threshold below alpha.
-		plan, err := core.BuildPlan(engine.PlanVars(spec), core.Options{
+		asPS := env.run(spec, core.ArchHybrid, env.Machines, env.GPUs, 128)
+		// Force dense treatment by planning with a threshold at alpha.
+		asDense, _ := env.sim(spec, core.Options{
 			Arch: core.ArchHybrid, NumMachines: env.Machines,
 			SparsePartitions: 128, SmartPlacement: true,
 			AlphaDenseThreshold: alpha, // >= alpha, so the variable promotes
-		})
-		if err != nil {
-			panic(err)
-		}
-		asDense, err := engine.Run(engine.Config{
-			Model: spec, Plan: plan, Machines: env.Machines, GPUsPerMachine: env.GPUs,
-			HW: env.HW, LocalAggregation: true,
-			Iterations: engine.DefaultIterations, Warmup: engine.DefaultWarmup,
-		})
-		if err != nil {
-			panic(err)
-		}
+		}, env.GPUs, true)
 		out = append(out, AblationAlphaRow{
 			Alpha:            alpha,
 			AsPS:             asPS.Throughput,
@@ -95,22 +80,11 @@ func AblationLocalAggregation(env Env) []AblationLocalAggRow {
 	var out []AblationLocalAggRow
 	for _, spec := range []*models.Spec{models.LM(), models.NMT()} {
 		p := bestPartitions(spec)
-		plan, err := core.BuildPlan(engine.PlanVars(spec), core.Options{
-			Arch: core.ArchOptPS, NumMachines: env.Machines,
-			SparsePartitions: p, SmartPlacement: true,
-		})
-		if err != nil {
-			panic(err)
-		}
 		run := func(local bool) float64 {
-			res, err := engine.Run(engine.Config{
-				Model: spec, Plan: plan, Machines: env.Machines, GPUsPerMachine: env.GPUs,
-				HW: env.HW, LocalAggregation: local,
-				Iterations: engine.DefaultIterations, Warmup: engine.DefaultWarmup,
-			})
-			if err != nil {
-				panic(err)
-			}
+			res, _ := env.sim(spec, core.Options{
+				Arch: core.ArchOptPS, NumMachines: env.Machines,
+				SparsePartitions: p, SmartPlacement: true,
+			}, env.GPUs, local)
 			return res.Throughput
 		}
 		out = append(out, AblationLocalAggRow{
@@ -146,21 +120,10 @@ func AblationPlacement(env Env) []AblationPlacementRow {
 	for _, spec := range []*models.Spec{models.LM(), models.NMT()} {
 		p := bestPartitions(spec)
 		run := func(smart bool) (float64, float64) {
-			plan, err := core.BuildPlan(engine.PlanVars(spec), core.Options{
+			res, plan := env.sim(spec, core.Options{
 				Arch: core.ArchOptPS, NumMachines: env.Machines,
 				SparsePartitions: p, SmartPlacement: smart,
-			})
-			if err != nil {
-				panic(err)
-			}
-			res, err := engine.Run(engine.Config{
-				Model: spec, Plan: plan, Machines: env.Machines, GPUsPerMachine: env.GPUs,
-				HW: env.HW, LocalAggregation: true,
-				Iterations: engine.DefaultIterations, Warmup: engine.DefaultWarmup,
-			})
-			if err != nil {
-				panic(err)
-			}
+			}, env.GPUs, true)
 			return res.Throughput, plan.MaxServerImbalance()
 		}
 		st, si := run(true)

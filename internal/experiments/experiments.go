@@ -1,10 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) on the simulated cluster, printing measured values next
 // to the paper's reported ones. Each experiment returns structured results
-// (for tests and benches) and renders a plain-text table.
+// (for tests) and renders a plain-text table.
 //
-// The per-experiment index lives in DESIGN.md; EXPERIMENTS.md records a
-// full paper-vs-measured run.
+// The per-experiment index lives in DESIGN.md §6; testdata/*.golden holds
+// every table as parallax-bench prints it, and the tests pin each one.
 package experiments
 
 import (
@@ -43,29 +43,34 @@ func bestPartitions(spec *models.Spec) int {
 	}
 }
 
-// run simulates spec under arch on the env cluster.
+// sim plans spec with custom opts and runs the plan on opts.NumMachines
+// machines of gpus GPUs each, with the env's hardware and §4.3 local
+// aggregation when local is set. Only the ablations and the pruning
+// extension, which vary the baseline conventions, need it; everything else
+// goes through run.
+func (e Env) sim(spec *models.Spec, opts core.Options, gpus int, local bool) (engine.Result, *core.Plan) {
+	plan, err := core.BuildPlan(engine.PlanVars(spec), opts)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err)) // configs are internal constants
+	}
+	res, err := engine.Run(engine.Config{
+		Model: spec, Plan: plan, Machines: opts.NumMachines, GPUsPerMachine: gpus,
+		HW: e.HW, LocalAggregation: local,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return res, plan
+}
+
+// run simulates spec under arch with each baseline's conventions, which
+// engine.RunArch alone decides.
 func (e Env) run(spec *models.Spec, arch core.Arch, machines, gpus, parts int) engine.Result {
 	res, err := engine.RunArch(spec, arch, machines, gpus, parts, e.HW)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err)) // configs are internal constants
 	}
 	return res
-}
-
-// FrameworkName maps architectures to the systems the paper compares.
-func FrameworkName(a core.Arch) string {
-	switch a {
-	case core.ArchAR:
-		return "Horovod"
-	case core.ArchNaivePS:
-		return "TF-PS"
-	case core.ArchHybrid:
-		return "Parallax"
-	case core.ArchOptPS:
-		return "OptPS"
-	default:
-		return a.String()
-	}
 }
 
 // humanize shortens throughput numbers for table cells.

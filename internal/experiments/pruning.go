@@ -20,7 +20,7 @@ import (
 // hybrid architecture (with the α-threshold rule enabled, so hot variables
 // stay on AllReduce) is compared against pure AR and pure PS.
 //
-// Finding (recorded in EXPERIMENTS.md): the conjecture holds at moderate
+// Finding (pinned by testdata/pruning.golden): the conjecture holds at moderate
 // pruning and inverts at extreme pruning. At 50-80% pruning the hybrid
 // clearly beats pure AR (whose AllGatherv must circulate large
 // 48-worker concatenations) — the paper's intuition is right. At 95-99%
@@ -70,23 +70,11 @@ func ExtensionPruning(env Env) []PruningRow {
 			if thresholdOn {
 				th = threshold
 			}
-			plan, err := core.BuildPlan(engine.PlanVars(spec), core.Options{
+			return env.sim(spec, core.Options{
 				Arch: arch, NumMachines: env.Machines, SparsePartitions: 32,
 				SmartPlacement:      arch != core.ArchNaivePS,
 				AlphaDenseThreshold: th,
-			})
-			if err != nil {
-				panic(err)
-			}
-			res, err := engine.Run(engine.Config{
-				Model: spec, Plan: plan, Machines: env.Machines, GPUsPerMachine: env.GPUs,
-				HW: env.HW, LocalAggregation: arch == core.ArchHybrid || arch == core.ArchOptPS,
-				Iterations: engine.DefaultIterations, Warmup: engine.DefaultWarmup,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return res, plan
+			}, env.GPUs, arch == core.ArchHybrid || arch == core.ArchOptPS)
 		}
 
 		hyb, plan := run(core.ArchHybrid, true)

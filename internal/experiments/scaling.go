@@ -53,10 +53,7 @@ func Figure8(env Env) Figure8Result {
 		for _, fw := range frameworks {
 			var series []float64
 			for _, n := range out.Machines {
-				p := bestPartitions(spec)
-				if p > 1 && p > 16*n {
-					p = 16 * n // smaller clusters want fewer partitions
-				}
+				p := min(bestPartitions(spec), 16*n) // smaller clusters want fewer partitions
 				series = append(series, env.run(spec, fw.arch, n, env.GPUs, p).Throughput)
 			}
 			out.Tp[spec.Name][fw.name] = series
@@ -119,12 +116,7 @@ func Figure9(env Env) Figure9Result {
 		base := 0.0
 		var series []float64
 		for _, sh := range shapes {
-			p := bestPartitions(spec)
-			if p > 1 {
-				if cap := 16 * sh.machines; p > cap {
-					p = cap
-				}
-			}
+			p := min(bestPartitions(spec), 16*sh.machines)
 			tp := env.run(spec, core.ArchHybrid, sh.machines, sh.gpus, p).Throughput
 			if base == 0 {
 				base = tp
@@ -146,13 +138,6 @@ func Figure9(env Env) Figure9Result {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Render formats the result.

@@ -64,8 +64,7 @@ func slotNamesOf(o optim.Optimizer) ([]string, optim.SlotState) {
 // variable name so checkpoints move between namespaces — then the top-k
 // error-feedback residuals of m's workers (Name is the worker's global
 // rank in decimal, Part the fusion bucket; none unless the compression
-// policy keeps residuals, so uncompressed jobs stay on the version-1
-// format).
+// policy keeps residuals).
 func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 	if err := t.live("snapshot"); err != nil {
 		return nil, err

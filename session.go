@@ -414,15 +414,10 @@ func readShardHead(dir string, tgt target, cfg Config) (*shardHead, error) {
 	// The compression policy is part of the job's identity: restoring
 	// under a different policy would resume a different optimization
 	// trajectory (and orphan or fabricate error-feedback residuals).
-	// Version-1 checkpoints predate the field and are always
-	// uncompressed.
-	ckFP := h.meta.Compression
-	if ckFP == "" {
-		ckFP = "none"
-	}
-	if fp := cfg.Compression.Fingerprint(); fp != ckFP {
+	// Version-1 checkpoints predate the field and decode as "none".
+	if fp := cfg.Compression.Fingerprint(); fp != h.meta.Compression {
 		return nil, fmt.Errorf("parallax: %w: checkpoint written with policy %q, session configured with %q",
-			ErrCompressionMismatch, ckFP, fp)
+			ErrCompressionMismatch, h.meta.Compression, fp)
 	}
 	return h, nil
 }
@@ -506,8 +501,7 @@ func (s *Session) Save(dir string) error {
 	}
 	for _, m := range s.trainer.LocalMachines() {
 		// Shard m: machine m's server partitions, plus the replica
-		// variables in shard 0 and m's workers' top-k residuals (whose
-		// presence moves the shard to the version-2 format).
+		// variables in shard 0 and m's workers' top-k residuals.
 		recs, err := s.trainer.Snapshot(m)
 		if err != nil {
 			return err
