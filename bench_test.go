@@ -8,6 +8,7 @@ package parallax
 // golden tests, and the engine's own benchmark lives in internal/engine.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -26,12 +27,35 @@ func BenchmarkRealTrainingStep(b *testing.B) {
 		batch := ds.Next()
 		feeds[w] = Feed{Ints: map[string][]int{"tokens": batch.Tokens, "labels": batch.Labels}}
 	}
+	stepFeeds(b, runner, feeds)
+}
+
+// stepFeeds times b.N steps of s driven through StepsFeeds, every step
+// feeding each worker the same batch, and reports the phase breakdown
+// the steps yielded: compute_ns/op is graph execution, comm_ns/op the
+// synchronization busy time per step — the "collective invocations'
+// worth of latency" fusion removes — and syncwait_ns/op the part of it
+// not hidden under backward compute.
+func stepFeeds(b *testing.B, s *Session, feeds []Feed) {
+	b.Helper()
+	var compute, comm, wait time.Duration
+	steps := 0
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.RunStep(feeds); err != nil {
+	for st, err := range s.StepsFeeds(context.Background(), func(_, w int) (Feed, error) { return feeds[w], nil }) {
+		if err != nil {
 			b.Fatal(err)
 		}
+		compute += st.ComputeTime
+		comm += st.CommTime
+		wait += st.SyncWait
+		if steps++; steps == b.N {
+			break
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(compute.Nanoseconds())/float64(b.N), "compute_ns/op")
+	b.ReportMetric(float64(comm.Nanoseconds())/float64(b.N), "comm_ns/op")
+	b.ReportMetric(float64(wait.Nanoseconds())/float64(b.N), "syncwait_ns/op")
 }
 
 // BenchmarkTrainerStep measures one synchronous step of the functional
@@ -77,22 +101,7 @@ func benchTrainerSteps(b *testing.B, g *Graph, vocab, batch int, opts ...Option)
 		bt := ds.Next()
 		feeds[w] = Feed{Ints: map[string][]int{"tokens": bt.Tokens, "labels": bt.Labels}}
 	}
-	var comm, wait time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.RunStep(feeds); err != nil {
-			b.Fatal(err)
-		}
-		ph := runner.PhaseStatsLastStep()
-		comm += ph.Comm
-		wait += ph.SyncWait
-	}
-	b.StopTimer()
-	// comm_ns/op is the synchronization busy time per step — the
-	// "collective invocations' worth of latency" fusion removes;
-	// syncwait_ns/op is the part of it not hidden under backward compute.
-	b.ReportMetric(float64(comm.Nanoseconds())/float64(b.N), "comm_ns/op")
-	b.ReportMetric(float64(wait.Nanoseconds())/float64(b.N), "syncwait_ns/op")
+	stepFeeds(b, runner, feeds)
 }
 
 // BenchmarkTrainerStepUnfused is BenchmarkTrainerStep with fusion

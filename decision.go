@@ -3,7 +3,6 @@ package parallax
 import (
 	"parallax/internal/metrics"
 	"parallax/internal/partition"
-	"parallax/internal/transform"
 )
 
 // PartitionSearch is the sampling search's outcome: the sampled
@@ -51,8 +50,3 @@ type StepStats = metrics.StepStats
 
 // LoopStats aggregates StepStats over a step loop (LoopStats.Observe).
 type LoopStats = metrics.LoopStats
-
-// PhaseStats is the per-step phase breakdown of the slowest worker
-// (compute, synchronization busy time, and the exposed non-overlapped
-// part of it).
-type PhaseStats = transform.PhaseStats

@@ -35,16 +35,9 @@ func (t *Trainer) StepCount() int { return t.step }
 
 // LocalMachines returns the machine indices whose parameter servers
 // this process hosts — every machine in single-process mode, exactly
-// one under a distributed fabric.
-func (t *Trainer) LocalMachines() []int {
-	var ms []int
-	for m := 0; m < t.machines; m++ {
-		if t.localMachine[m] {
-			ms = append(ms, m)
-		}
-	}
-	return ms
-}
+// one under a distributed fabric. The returned slice must not be
+// mutated.
+func (t *Trainer) LocalMachines() []int { return t.localMachines }
 
 // slotNamesOf returns an optimizer's slot names and its slot-state view
 // (nil, nil for stateless ones).
@@ -69,19 +62,19 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 	if err := t.live("snapshot"); err != nil {
 		return nil, err
 	}
-	if m < 0 || m >= t.machines || !t.localMachine[m] {
+	if !slices.Contains(t.localMachines, m) {
 		return nil, fmt.Errorf("transform: machine %d is not hosted here", m)
 	}
-	w0 := t.localWorkers[0]
+	w0 := t.local[0]
 	var out []checkpoint.Record
-	slotNames, ss := slotNamesOf(t.arOpts[w0])
+	slotNames, ss := slotNamesOf(w0.opt)
 	for _, r := range t.routes {
 		if m != 0 || r.assign.Method == core.MethodPS {
 			continue
 		}
 		rec := checkpoint.Record{
 			Kind: checkpoint.KindReplica, Name: r.v.Name,
-			Value: t.execs[w0].VarValue(r.v.Name).Clone(), SlotNames: slices.Clone(slotNames),
+			Value: w0.exec.VarValue(r.v.Name).Clone(), SlotNames: slices.Clone(slotNames),
 		}
 		for _, slot := range slotNames {
 			if sv := ss.SlotValue(slot, r.v.Name); sv != nil {
@@ -101,7 +94,7 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 			if r.assign.Servers[pi] != m || rr.Len() == 0 {
 				continue
 			}
-			val, slots, err := t.ps[w0][m].SnapshotPart(r.psName, pi, int64(t.step))
+			val, slots, err := w0.ps[m].SnapshotPart(r.psName, pi, int64(t.step))
 			if err != nil {
 				return nil, err
 			}
@@ -111,13 +104,13 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 			})
 		}
 	}
-	for _, w := range t.localWorkers {
-		if t.fuseResid == nil || t.workerMachine[w] != m {
+	for _, w := range t.local {
+		if w.machine != m {
 			continue
 		}
-		for b, res := range t.fuseResid[w] {
+		for b, res := range w.fuseResid {
 			out = append(out, checkpoint.Record{
-				Kind: checkpoint.KindResidual, Name: strconv.Itoa(w), Part: b, Value: res.Clone(),
+				Kind: checkpoint.KindResidual, Name: strconv.Itoa(w.rank), Part: b, Value: res.Clone(),
 			})
 		}
 	}
@@ -195,12 +188,12 @@ func (t *Trainer) restoreReplica(r *varRoute, rec checkpoint.Record) error {
 	if int64(rec.Value.NumElements()) != r.v.Elements() {
 		return mismatchf("value for %q has %d elements, variable has %d", rec.Name, rec.Value.NumElements(), r.v.Elements())
 	}
-	for _, w := range t.localWorkers {
-		want, ss := slotNamesOf(t.arOpts[w])
+	for _, w := range t.local {
+		want, ss := slotNamesOf(w.opt)
 		if !slices.Equal(rec.SlotNames, want) {
 			return mismatchf("slots %v for %q, optimizer keeps %v", rec.SlotNames, rec.Name, want)
 		}
-		copy(t.execs[w].VarValue(rec.Name).Data(), rec.Value.Data())
+		copy(w.exec.VarValue(rec.Name).Data(), rec.Value.Data())
 		for k, slot := range rec.SlotNames {
 			sv := tensor.NewDense(r.v.Shape...)
 			copy(sv.Data(), rec.Slots[k].Data())
@@ -216,22 +209,24 @@ func (t *Trainer) restoreReplica(r *varRoute, rec checkpoint.Record) error {
 // configured policy, so a record that addresses no residual buffer is a
 // topology error.
 func (t *Trainer) restoreResidual(rec checkpoint.Record) error {
-	w, err := strconv.Atoi(rec.Name)
-	if err != nil || w < 0 || w >= t.workers {
+	rank, err := strconv.Atoi(rec.Name)
+	if err != nil || rank < 0 || rank >= t.workers {
 		return mismatchf("residual names worker %q", rec.Name)
 	}
-	if !t.isLocalW[w] {
+	i := slices.IndexFunc(t.local, func(w *worker) bool { return w.rank == rank })
+	if i < 0 {
 		return nil
 	}
-	if t.fuseResid == nil {
+	w := t.local[i]
+	if w.fuseResid == nil {
 		return mismatchf("carries top-k residuals, policy keeps none")
 	}
-	if rec.Part < 0 || rec.Part >= len(t.fuseResid[w]) {
-		return mismatchf("residual bucket %d outside the %d-bucket fusion schedule", rec.Part, len(t.fuseResid[w]))
+	if rec.Part < 0 || rec.Part >= len(w.fuseResid) {
+		return mismatchf("residual bucket %d outside the %d-bucket fusion schedule", rec.Part, len(w.fuseResid))
 	}
-	dst := t.fuseResid[w][rec.Part]
+	dst := w.fuseResid[rec.Part]
 	if rec.Value.NumElements() != dst.NumElements() {
-		return mismatchf("residual %d/%d has %d elements, bucket has %d", w, rec.Part, rec.Value.NumElements(), dst.NumElements())
+		return mismatchf("residual %d/%d has %d elements, bucket has %d", rank, rec.Part, rec.Value.NumElements(), dst.NumElements())
 	}
 	copy(dst.Data(), rec.Value.Data())
 	return nil

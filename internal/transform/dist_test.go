@@ -147,7 +147,7 @@ func TestDistributedTCPBitIdenticalToInprocess(t *testing.T) {
 				return
 			}
 			res.emb = emb.Data()
-			sent, recv := tr.WireStatsLastStep()
+			sent, recv := tr.LastStep().WireSentBytes, tr.LastStep().WireRecvBytes
 			if sent == 0 || recv == 0 {
 				t.Errorf("agent %d reported no wire traffic (%d/%d)", p, sent, recv)
 			}

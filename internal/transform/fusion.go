@@ -34,13 +34,10 @@ func (t *Trainer) buildFusion() {
 	if capBytes == 0 {
 		capBytes = defaultFusionBytes
 	}
-	t.bucketOf = make([]int, len(t.routes))
-	for i := range t.bucketOf {
-		t.bucketOf[i] = -1
-	}
 	bi := -1
 	var curBytes int64
-	for ri, r := range t.routes {
+	for ri := range t.routes {
+		r := &t.routes[ri]
 		if r.assign.Method != core.MethodAllReduce {
 			continue
 		}
@@ -53,45 +50,34 @@ func (t *Trainer) buildFusion() {
 		b := &t.buckets[bi]
 		b.routes = append(b.routes, ri)
 		b.elems += int(r.v.Elements())
-		t.bucketOf[ri] = bi
+		r.bucket = bi
 		curBytes += vb
 	}
 	for i := range t.buckets {
 		t.buckets[i].tags = collective.TagsFor("fuse/" + strconv.Itoa(i))
 	}
-	t.fuseBufs = make([][]*tensor.Dense, t.workers)
-	t.fuseViews = make([][]*tensor.Dense, t.workers)
-	t.bucketPending = make([][]int, t.workers)
 	topk := t.opt.Compression.TopK > 0
-	if topk {
-		t.fuseResid = make([][]*tensor.Dense, t.workers)
-		t.topkScratch = make([]collective.TopKScratch, t.workers)
-	}
-	for _, w := range t.localWorkers {
-		t.fuseBufs[w] = make([]*tensor.Dense, len(t.buckets))
-		t.fuseViews[w] = make([]*tensor.Dense, len(t.routes))
-		t.bucketPending[w] = make([]int, len(t.buckets))
+	for _, w := range t.local {
+		w.fuseBufs = make([]*tensor.Dense, len(t.buckets))
+		w.fuseViews = make([]*tensor.Dense, len(t.routes))
+		w.bucketPending = make([]int, len(t.buckets))
 		if topk {
-			t.fuseResid[w] = make([]*tensor.Dense, len(t.buckets))
+			w.fuseResid = make([]*tensor.Dense, len(t.buckets))
 		}
 		for i := range t.buckets {
 			b := &t.buckets[i]
 			buf := tensor.NewDense(b.elems)
-			t.fuseBufs[w][i] = buf
+			w.fuseBufs[i] = buf
 			if topk {
-				t.fuseResid[w][i] = tensor.NewDense(b.elems)
+				w.fuseResid[i] = tensor.NewDense(b.elems)
 			}
 			off := 0
 			for _, ri := range b.routes {
 				n := int(t.routes[ri].v.Elements())
-				t.fuseViews[w][ri] = tensor.FromSlice(
+				w.fuseViews[ri] = tensor.FromSlice(
 					buf.Data()[off:off+n:off+n], t.routes[ri].v.Shape...)
 				off += n
 			}
 		}
 	}
 }
-
-// Buckets returns the number of fused dense-AllReduce collectives the
-// schedule runs per step (0 when the plan has no AllReduce variables).
-func (t *Trainer) Buckets() int { return len(t.buckets) }

@@ -138,14 +138,14 @@ func TestBucketPacking(t *testing.T) {
 		t.Cleanup(tr.Close)
 		return tr
 	}
-	if got := build(0).Buckets(); got != 1 {
+	if got := len(build(0).buckets); got != 1 {
 		t.Errorf("default cap: %d buckets, want 1", got)
 	}
 	// All variables except the sparse embedding are dense AllReduce routes.
-	if got, want := build(-1).Buckets(), len(g.Variables())-1; got != want {
+	if got, want := len(build(-1).buckets), len(g.Variables())-1; got != want {
 		t.Errorf("fusion disabled: %d buckets, want one per dense variable (%d)", got, want)
 	}
-	if one, many := build(0).Buckets(), build(1<<10).Buckets(); many <= one {
+	if one, many := len(build(0).buckets), len(build(1<<10).buckets); many <= one {
 		t.Errorf("1KiB cap produced %d buckets, want more than %d", many, one)
 	}
 }
@@ -263,14 +263,14 @@ func TestPhaseStatsPopulated(t *testing.T) {
 	if _, err := tr.Step(feeds); err != nil {
 		t.Fatal(err)
 	}
-	ph := tr.PhaseStatsLastStep()
-	if ph.Compute <= 0 {
-		t.Errorf("Compute = %v, want > 0", ph.Compute)
+	st := tr.LastStep()
+	if st.ComputeTime <= 0 {
+		t.Errorf("ComputeTime = %v, want > 0", st.ComputeTime)
 	}
-	if ph.Comm <= 0 {
-		t.Errorf("Comm = %v, want > 0", ph.Comm)
+	if st.CommTime <= 0 {
+		t.Errorf("CommTime = %v, want > 0", st.CommTime)
 	}
-	if ph.SyncWait < 0 {
-		t.Errorf("SyncWait = %v, want >= 0", ph.SyncWait)
+	if st.SyncWait < 0 {
+		t.Errorf("SyncWait = %v, want >= 0", st.SyncWait)
 	}
 }

@@ -37,6 +37,19 @@ func gatherInputs(g *graph.Graph, v *graph.Variable) []*graph.Node {
 	return ins
 }
 
+// partition sets a PS route's assignment and derives from it the row
+// range of every partition and the partitions every machine's server
+// owns, so the push path issues one batched call per server and
+// registration and resharding hand each server its own share.
+func (r *varRoute) partition(a core.Assignment, machines int) {
+	r.assign = a
+	r.ranges = tensor.PartitionRows(r.v.Shape[0], a.Partitions)
+	r.parts = make([][]int, machines)
+	for pi, m := range a.Servers {
+		r.parts[m] = append(r.parts[m], pi)
+	}
+}
+
 // aggSlot collects one machine's worker gradients for one variable in one
 // step; the last worker to arrive acts as the machine's local chief and
 // pushes the merged gradient (§5: "a worker in the machine becomes a local
@@ -60,79 +73,45 @@ type aggSlot struct {
 	sparse    []*tensor.Sparse // [localGPU] this step's sparse gradients
 	denseSrcs []*tensor.Dense  // [localGPU] this step's dense gradients
 	dense     *tensor.Dense    // preallocated merge buffer (dense variables)
-}
-
-// ownedBy lists the partitions a placement assigns to machine m.
-func ownedBy(servers []int, m int) []int {
-	var owned []int
-	for pi, srv := range servers {
-		if srv == m {
-			owned = append(owned, pi)
-		}
-	}
-	return owned
-}
-
-// buildPSRouting groups each PS route's partitions by owning server, so
-// the push path issues one batched call per server instead of one per
-// partition.
-func (t *Trainer) buildPSRouting() {
-	t.psServers = make([][]int, len(t.routes))
-	t.psParts = make([][][]int, len(t.routes))
-	for ri, r := range t.routes {
-		if r.assign.Method != core.MethodPS {
-			continue
-		}
-		pos := make(map[int]int) // server -> index in psServers[ri]
-		for pi := range r.ranges {
-			srv := r.assign.Servers[pi]
-			k, ok := pos[srv]
-			if !ok {
-				k = len(t.psServers[ri])
-				pos[srv] = k
-				t.psServers[ri] = append(t.psServers[ri], srv)
-				t.psParts[ri] = append(t.psParts[ri], nil)
-			}
-			t.psParts[ri][k] = append(t.psParts[ri][k], pi)
-		}
-	}
+	views     []*tensor.Dense  // [pi] zero-copy partition views into dense
 }
 
 // buildSlots preallocates the per-(route, machine) local-aggregation slots
 // and, for dense variables, their merge buffers and partition views.
 // Merge buffers exist only for machines whose workers run here.
 func (t *Trainer) buildSlots() {
-	t.slots = make([][]aggSlot, len(t.routes))
-	t.slotViews = make([][][]*tensor.Dense, len(t.routes))
-	if !t.opt.LocalAggregation {
-		return
-	}
-	for ri, r := range t.routes {
-		if r.assign.Method != core.MethodPS {
+	for ri := range t.routes {
+		r := &t.routes[ri]
+		if !t.opt.LocalAggregation || r.assign.Method != core.MethodPS {
 			continue
 		}
-		t.slots[ri] = make([]aggSlot, t.machines)
-		if r.assign.Sparse {
-			for m := 0; m < t.machines; m++ {
-				if t.localMachine[m] {
-					t.slots[ri][m].sparse = make([]*tensor.Sparse, t.opt.Resource.GPUsPerMachine(m))
-				}
-			}
-			continue
-		}
-		t.slotViews[ri] = make([][]*tensor.Dense, t.machines)
-		for m := 0; m < t.machines; m++ {
-			if !t.localMachine[m] {
+		r.slots = make([]aggSlot, t.machines)
+		for _, m := range t.localMachines {
+			slot := &r.slots[m]
+			if r.assign.Sparse {
+				slot.sparse = make([]*tensor.Sparse, t.opt.Resource.GPUsPerMachine(m))
 				continue
 			}
-			t.slots[ri][m].denseSrcs = make([]*tensor.Dense, t.opt.Resource.GPUsPerMachine(m))
-			buf := tensor.NewDense(r.v.Shape...)
-			t.slots[ri][m].dense = buf
-			views := make([]*tensor.Dense, len(r.ranges))
+			slot.denseSrcs = make([]*tensor.Dense, t.opt.Resource.GPUsPerMachine(m))
+			slot.dense = tensor.NewDense(r.v.Shape...)
+			slot.views = make([]*tensor.Dense, len(r.ranges))
 			for pi, rr := range r.ranges {
-				views[pi] = buf.SliceRows(rr.Start, rr.End)
+				slot.views[pi] = slot.dense.SliceRows(rr.Start, rr.End)
 			}
-			t.slotViews[ri][m] = views
+		}
+	}
+}
+
+// resetSlots rewinds the local-aggregation slots for the next step. It
+// runs between steps, when every worker is parked on its task channel, so
+// the channel handshake orders these writes against the workers' accesses.
+func (t *Trainer) resetSlots() {
+	for ri := range t.routes {
+		for m := range t.routes[ri].slots {
+			s := &t.routes[ri].slots[m]
+			s.got = 0
+			clear(s.sparse)
+			clear(s.denseSrcs)
 		}
 	}
 }
@@ -142,22 +121,19 @@ func (t *Trainer) buildSlots() {
 // worker's replica storage and, for a row-addressed route, id scratch
 // sized for a whole feed, so stepPullReqs allocates nothing.
 func (t *Trainer) buildPullReqs() {
-	t.pullReqs = make([][][]psrt.PullReq, t.workers)
-	t.pullDst = make([][][]*tensor.Dense, t.workers)
-	t.pullRows = make([][][]int, t.workers)
-	for _, w := range t.localWorkers {
-		t.pullReqs[w] = make([][]psrt.PullReq, t.machines)
-		t.pullDst[w] = make([][]*tensor.Dense, len(t.routes))
-		t.pullRows[w] = make([][]int, len(t.routes))
+	for _, w := range t.local {
+		w.pullReqs = make([][]psrt.PullReq, t.machines)
+		w.pullDst = make([][]*tensor.Dense, len(t.routes))
+		w.pullRows = make([][]int, len(t.routes))
 		perServer := make([]int, t.machines) // most requests a step can address to each
 		for ri, r := range t.routes {
 			if r.assign.Method != core.MethodPS {
 				continue
 			}
-			val := t.execs[w].VarValue(r.v.Name)
-			t.pullDst[w][ri] = make([]*tensor.Dense, len(r.ranges))
+			val := w.exec.VarValue(r.v.Name)
+			w.pullDst[ri] = make([]*tensor.Dense, len(r.ranges))
 			for pi, rr := range r.ranges {
-				t.pullDst[w][ri][pi] = val.SliceRows(rr.Start, rr.End)
+				w.pullDst[ri][pi] = val.SliceRows(rr.Start, rr.End)
 				perServer[r.assign.Servers[pi]]++
 			}
 			if r.rowInputs != nil {
@@ -165,11 +141,11 @@ func (t *Trainer) buildPullReqs() {
 				for _, in := range r.rowInputs {
 					ids += in.Shape[0]
 				}
-				t.pullRows[w][ri] = make([]int, 0, ids)
+				w.pullRows[ri] = make([]int, 0, ids)
 			}
 		}
 		for m, n := range perServer {
-			t.pullReqs[w][m] = make([]psrt.PullReq, 0, n)
+			w.pullReqs[m] = make([]psrt.PullReq, 0, n)
 		}
 	}
 }
@@ -181,8 +157,8 @@ func (t *Trainer) buildPullReqs() {
 // sorted, deduplicated and made partition-local — and leaves a partition
 // the batch does not touch out altogether; checkFeed has already held
 // every id inside the table.
-func (t *Trainer) stepPullReqs(w int, feed graph.Feed) {
-	reqs := t.pullReqs[w]
+func (t *Trainer) stepPullReqs(w *worker, feed graph.Feed) {
+	reqs := w.pullReqs
 	for m := range reqs {
 		reqs[m] = reqs[m][:0]
 	}
@@ -193,7 +169,7 @@ func (t *Trainer) stepPullReqs(w int, feed graph.Feed) {
 		}
 		var ids []int
 		if r.rowInputs != nil {
-			ids = t.pullRows[w][ri][:0]
+			ids = w.pullRows[ri][:0]
 			for _, in := range r.rowInputs {
 				ids = append(ids, feed.Ints[in.Name]...)
 			}
@@ -204,7 +180,7 @@ func (t *Trainer) stepPullReqs(w int, feed graph.Feed) {
 			if rr.Len() == 0 {
 				continue
 			}
-			req := psrt.PullReq{Name: r.psName, Part: pi, Dst: t.pullDst[w][ri][pi]}
+			req := psrt.PullReq{Name: r.psName, Part: pi, Dst: w.pullDst[ri][pi]}
 			if r.rowInputs != nil {
 				n := 0
 				for n < len(ids) && ids[n] < rr.End {
@@ -227,19 +203,19 @@ func (t *Trainer) stepPullReqs(w int, feed graph.Feed) {
 // remote one its request, read the colocated ones directly while those
 // are in flight, collect the replies. An error returns at once, replies
 // still owed: where there are remote servers a step error is fail-stop.
-func (t *Trainer) pull(w int, minVersion int64) error {
+func (t *Trainer) pull(w *worker, minVersion int64) error {
 	const send, local, recv = 0, 1, 2
 	for pass := send; pass <= recv; pass++ {
-		for m, reqs := range t.pullReqs[w] {
+		for m, reqs := range w.pullReqs {
 			if len(reqs) == 0 {
 				continue
 			}
 			var err error
-			switch cl, remote := t.ps[w][m].(*psrt.Client); {
+			switch cl, remote := w.ps[m].(*psrt.Client); {
 			case pass == send && remote:
 				err = cl.SendPull(minVersion, reqs)
 			case pass == local && !remote:
-				err = t.ps[w][m].PullManyInto(minVersion, reqs)
+				err = w.ps[m].PullManyInto(minVersion, reqs)
 			case pass == recv && remote:
 				err = cl.RecvPull(reqs)
 			}
@@ -251,29 +227,14 @@ func (t *Trainer) pull(w int, minVersion int64) error {
 	return nil
 }
 
-// resetSlots rewinds the local-aggregation slots for the next step. It
-// runs between steps, when every worker is parked on its task channel, so
-// the channel handshake orders these writes against the workers' accesses.
-func (t *Trainer) resetSlots() {
-	for ri := range t.slots {
-		for m := range t.slots[ri] {
-			s := &t.slots[ri][m]
-			s.got = 0
-			clear(s.sparse)
-			clear(s.denseSrcs)
-		}
-	}
-}
-
 // pushPS routes worker w's gradient for PS route ri: split by partition,
 // optionally merge within the machine, push to the owning servers with
 // one batched call per server. Dense partitions travel as zero-copy views
 // (psrt borrows them only for the call — a wire push serializes them
 // before its reply unblocks us); sparse partitions are freshly split and
 // ownership transfers to the server. Runs on the worker's comm goroutine.
-func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) error {
+func (t *Trainer) pushPS(w *worker, ri int, dense *tensor.Dense, sp *tensor.Sparse) error {
 	r := &t.routes[ri]
-	name := r.psName
 
 	pushSparseParts := func(parts []*tensor.Sparse) error {
 		// Data-plane quantization: the split copies are rounded onto the
@@ -283,23 +244,29 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 		for _, p := range parts {
 			t.opt.Compression.Codec.Quantize(p.Values.Data())
 		}
-		for k, srv := range t.psServers[ri] {
-			reqs := t.psSparseReqs[w][:0]
-			for _, pi := range t.psParts[ri][k] {
-				t.bytesPushed.Add(parts[pi].Bytes())
-				reqs = append(reqs, psrt.SparsePush{Name: name, Part: pi, Grad: parts[pi]})
+		for m, owned := range r.parts {
+			if len(owned) == 0 {
+				continue
 			}
-			t.psSparseReqs[w] = reqs[:0]
-			if err := t.ps[w][srv].PushSparseMany(reqs); err != nil {
+			reqs := w.sparseReqs[:0]
+			for _, pi := range owned {
+				t.bytesPushed.Add(parts[pi].Bytes())
+				reqs = append(reqs, psrt.SparsePush{Name: r.psName, Part: pi, Grad: parts[pi]})
+			}
+			w.sparseReqs = reqs[:0]
+			if err := w.ps[m].PushSparseMany(reqs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	pushDenseParts := func(dense *tensor.Dense, views []*tensor.Dense) error {
-		for k, srv := range t.psServers[ri] {
-			reqs := t.psDenseReqs[w][:0]
-			for _, pi := range t.psParts[ri][k] {
+		for m, owned := range r.parts {
+			if len(owned) == 0 {
+				continue
+			}
+			reqs := w.denseReqs[:0]
+			for _, pi := range owned {
 				rr := r.ranges[pi]
 				part := dense
 				if views != nil {
@@ -312,10 +279,10 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 					part = dense.SliceRows(rr.Start, rr.End)
 				}
 				t.bytesPushed.Add(part.Bytes())
-				reqs = append(reqs, psrt.DensePush{Name: name, Part: pi, Grad: part})
+				reqs = append(reqs, psrt.DensePush{Name: r.psName, Part: pi, Grad: part})
 			}
-			t.psDenseReqs[w] = reqs[:0]
-			if err := t.ps[w][srv].PushDenseMany(reqs); err != nil {
+			w.denseReqs = reqs[:0]
+			if err := w.ps[m].PushDenseMany(reqs); err != nil {
 				return err
 			}
 		}
@@ -336,15 +303,13 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 	// Local aggregation: gradients park in GPU-rank-indexed slot entries
 	// and the machine's last-arriving worker merges them in rank order
 	// (see aggSlot) and pushes.
-	machine := t.workerMachine[w]
-	gpus := t.machineGPUs[machine]
-	local := t.localGPU[w]
-	slot := &t.slots[ri][machine]
+	gpus := t.opt.Resource.GPUsPerMachine(w.machine)
+	slot := &r.slots[w.machine]
 	slot.mu.Lock()
 	if r.assign.Sparse {
-		slot.sparse[local] = sp
+		slot.sparse[w.gpu] = sp
 	} else {
-		slot.denseSrcs[local] = dense
+		slot.denseSrcs[w.gpu] = dense
 	}
 	slot.got++
 	doPush := slot.got == gpus
@@ -369,7 +334,7 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 	// Quantize the machine-merged gradient (the chief's exact f32 fold)
 	// before the partition views ship it.
 	t.opt.Compression.Codec.Quantize(slot.dense.Data())
-	return pushDenseParts(slot.dense, t.slotViews[ri][machine])
+	return pushDenseParts(slot.dense, slot.views)
 }
 
 // VarValue reconstructs the current full value of a variable: from the
@@ -379,27 +344,29 @@ func (t *Trainer) pushPS(w, ri int, dense *tensor.Dense, sp *tensor.Sparse) erro
 // the same steps — because peers serve the read and Close keeps no
 // server up for a late reader: nobody leaves before everybody has read.
 func (t *Trainer) VarValue(name string) (_ *tensor.Dense, err error) {
+	if err := t.live("variable read"); err != nil {
+		return nil, err
+	}
 	defer t.recoverClosed(&err) // a remote partition is read on this goroutine
-	w0 := t.localWorkers[0]
-	for _, r := range t.routes {
-		if r.v.Name != name {
+	ri, ok := t.routeIdx[name]
+	if !ok {
+		return nil, fmt.Errorf("transform: unknown variable %q", name)
+	}
+	r := &t.routes[ri]
+	w0 := t.local[0]
+	if r.assign.Method != core.MethodPS {
+		return w0.exec.VarValue(name).Clone(), nil
+	}
+	out := tensor.NewDense(r.v.Shape...)
+	for pi, rr := range r.ranges {
+		if rr.Len() == 0 {
 			continue
 		}
-		if r.assign.Method != core.MethodPS {
-			return t.execs[w0].VarValue(name).Clone(), nil
+		req := []psrt.PullReq{{Name: r.psName, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
+		if err := w0.ps[r.assign.Servers[pi]].PullManyInto(int64(t.step), req); err != nil {
+			return nil, err
 		}
-		out := tensor.NewDense(r.v.Shape...)
-		for pi, rr := range r.ranges {
-			if rr.Len() == 0 {
-				continue
-			}
-			req := []psrt.PullReq{{Name: r.psName, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
-			if err := t.ps[w0][r.assign.Servers[pi]].PullManyInto(int64(t.step), req); err != nil {
-				return nil, err
-			}
-		}
-		_, err := t.AgreeMax("read/"+name, 0)
-		return out, err
 	}
-	return nil, fmt.Errorf("transform: unknown variable %q", name)
+	_, err = t.AgreeMax("read/"+name, 0)
+	return out, err
 }

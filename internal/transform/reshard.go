@@ -27,8 +27,8 @@ import (
 //  3. Install: each agent reshards its LOCAL servers
 //     (psrt.Namespace.ReshardVar) — values and slot rows re-sliced to the
 //     new ranges, versions seeded to the step counter — and rebuilds its
-//     routing tables (partition ranges, per-server push groups,
-//     local-aggregation slots and views, batched pull requests).
+//     routing (each route's partition ranges and per-server partition
+//     lists, local-aggregation slots and views, batched pull requests).
 //  4. Barrier: no agent may step before every peer serves the new
 //     partitioning.
 //
@@ -79,7 +79,7 @@ func (t *Trainer) Repartition(newPlan *core.Plan) (err error) {
 	}
 
 	minV := int64(t.step)
-	w0 := t.localWorkers[0]
+	w0 := t.local[0]
 	full := make([]psState, len(t.routes))
 	for ri := range t.routes {
 		if !changed[ri] {
@@ -90,7 +90,7 @@ func (t *Trainer) Repartition(newPlan *core.Plan) (err error) {
 			if rr.Len() == 0 {
 				continue
 			}
-			val, slots, err := t.ps[w0][r.assign.Servers[pi]].SnapshotPart(r.psName, pi, minV)
+			val, slots, err := w0.ps[r.assign.Servers[pi]].SnapshotPart(r.psName, pi, minV)
 			if err == nil {
 				err = full[ri].place(r, pi, val, slots)
 			}
@@ -108,15 +108,13 @@ func (t *Trainer) Repartition(newPlan *core.Plan) (err error) {
 			continue
 		}
 		r := &t.routes[ri]
-		r.assign = newPlan.Assignments[ri]
-		r.ranges = tensor.PartitionRows(r.v.Shape[0], r.assign.Partitions)
+		r.partition(newPlan.Assignments[ri], t.machines)
 		if err := t.installPS(r, full[ri], minV); err != nil {
 			return t.failStep(err)
 		}
 		full[ri] = psState{}
 	}
 	t.opt.Plan = newPlan
-	t.buildPSRouting()
 	t.buildSlots()
 	t.buildPullReqs()
 	_, err = t.AgreeMax("repart/install", 0)
@@ -177,7 +175,7 @@ func (t *Trainer) installPS(r *varRoute, st psState, version int64) error {
 		if ns == nil {
 			continue
 		}
-		if err := ns.ReshardVar(r.v.Name, st.value, r.ranges, ownedBy(r.assign.Servers, m),
+		if err := ns.ReshardVar(r.v.Name, st.value, r.ranges, r.parts[m],
 			r.assign.Sparse, st.slots, version); err != nil {
 			return err
 		}

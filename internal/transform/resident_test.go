@@ -181,10 +181,10 @@ func TestTenantAbortIsScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	emb := trA.routes[trA.routeIdx["embedding"]]
-	if err := anon.AddVar("embedding", emb.v.Init, emb.ranges, ownedBy(emb.assign.Servers, 0), true); err != nil {
+	if err := anon.AddVar("embedding", emb.v.Init, emb.ranges, emb.parts[0], true); err != nil {
 		t.Fatal(err)
 	}
-	pi := ownedBy(emb.assign.Servers, 0)[0]
+	pi := emb.parts[0][0]
 	waits := map[string]chan error{}
 	for _, ns := range []string{"a/1", "b/1", ""} {
 		ch := make(chan error, 1)

@@ -269,7 +269,8 @@ func TestRowPullRequestsFollowTheFeed(t *testing.T) {
 	m := twoIndexModel()
 	runRowModel(t, m, rowRun{parts: 4, afterStep: func(step int, tr *Trainer) {
 		feeds := m.feeds(step)
-		for _, w := range tr.localWorkers {
+		for _, wk := range tr.local {
+			w := wk.rank
 			want := map[int]bool{}
 			for _, in := range []string{"a", "b"} {
 				for _, id := range feeds[w].Ints[in] {
@@ -277,7 +278,7 @@ func TestRowPullRequestsFollowTheFeed(t *testing.T) {
 				}
 			}
 			got := 0
-			for _, reqs := range tr.pullReqs[w] {
+			for _, reqs := range wk.pullReqs {
 				for _, req := range reqs {
 					if req.Name != "emb" {
 						t.Fatalf("step %d worker %d pulls %q", step, w, req.Name)
@@ -339,7 +340,7 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pulled := 0
-	for _, reqs := range tr.pullReqs[0] {
+	for _, reqs := range tr.local[0].pullReqs {
 		for _, req := range reqs {
 			if req.Rows != nil {
 				t.Errorf("densely read graph: %s/%d pulled by rows %v", req.Name, req.Part, req.Rows)
@@ -370,9 +371,9 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ar.Close()
-	if ar.routes[ar.routeIdx["embedding"]].assign.Method != core.MethodAllReduce || ar.ps != nil {
+	if ar.routes[ar.routeIdx["embedding"]].assign.Method != core.MethodAllReduce || ar.local[0].ps != nil {
 		t.Fatalf("embedding at α=0.9 routed %v with ps=%v, want AllReduce and no servers",
-			ar.routes[ar.routeIdx["embedding"]].assign.Method, ar.ps != nil)
+			ar.routes[ar.routeIdx["embedding"]].assign.Method, ar.local[0].ps != nil)
 	}
 	lmf, _ := lmFeeds(4, cfg.Batch, cfg.Vocab, 1)
 	if _, err := ar.Step(lmf); err != nil {
@@ -387,7 +388,7 @@ func TestStepPullReqsAllocatesNothing(t *testing.T) {
 	cfg := models.DefaultTinyLM()
 	tr := newTrainer(t, cfg, core.ArchOptPS, cluster.Uniform(2, 2), 5, nil)
 	feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, 3)
-	if n := testing.AllocsPerRun(50, func() { tr.stepPullReqs(1, feeds[1]) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { tr.stepPullReqs(tr.local[1], feeds[1]) }); n != 0 {
 		t.Fatalf("stepPullReqs allocates %v objects a step, want 0", n)
 	}
 }
@@ -410,16 +411,16 @@ func TestPullPhaseCountsAsSyncWait(t *testing.T) {
 	const delay = 30 * time.Millisecond
 	cfg := models.DefaultTinyLM()
 	tr := newTrainer(t, cfg, core.ArchHybrid, cluster.Uniform(2, 2), 2, nil)
-	for _, w := range tr.localWorkers {
-		for m, ep := range tr.ps[w] {
-			tr.ps[w][m] = slowPulls{ep, delay}
+	for _, w := range tr.local {
+		for m, ep := range w.ps {
+			w.ps[m] = slowPulls{ep, delay}
 		}
 	}
 	feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, 5)
 	if _, err := tr.Step(feeds); err != nil {
 		t.Fatal(err)
 	}
-	if ph := tr.PhaseStatsLastStep(); ph.SyncWait < delay || ph.Comm < delay {
-		t.Fatalf("a %v pull left SyncWait %v and Comm %v", delay, ph.SyncWait, ph.Comm)
+	if st := tr.LastStep(); st.SyncWait < delay || st.CommTime < delay {
+		t.Fatalf("a %v pull left SyncWait %v and Comm %v", delay, st.SyncWait, st.CommTime)
 	}
 }

@@ -66,8 +66,8 @@ func TestRaceLocalAggregationMultiGPU(t *testing.T) {
 		}
 		prev = loss
 	}
-	if tr.BytesPushedLastStep() <= 0 {
-		t.Fatal("BytesPushedLastStep not recorded")
+	if tr.LastStep().BytesPushed <= 0 {
+		t.Fatal("LastStep().BytesPushed not recorded")
 	}
 }
 
@@ -135,7 +135,7 @@ func TestPullViewsMatchServerState(t *testing.T) {
 	}
 	width := cfg.Dim
 	for w := 0; w < tr.Workers(); w++ {
-		replica := tr.execs[w].VarValue("embedding").Data()
+		replica := tr.local[w].exec.VarValue("embedding").Data()
 		for _, id := range feeds[w].Ints["tokens"] {
 			for c := 0; c < width; c++ {
 				if got, want := replica[id*width+c], before.At(id, c); math.Float32bits(got) != math.Float32bits(want) {
@@ -189,9 +189,9 @@ func TestBytesPushedAccounting(t *testing.T) {
 	if _, err := tr.Step(feeds); err != nil {
 		t.Fatal(err)
 	}
-	first := tr.BytesPushedLastStep()
+	first := tr.LastStep().BytesPushed
 	if first <= 0 {
-		t.Fatalf("BytesPushedLastStep = %d, want > 0", first)
+		t.Fatalf("LastStep().BytesPushed = %d, want > 0", first)
 	}
 	// Dense AR traffic is shape-determined, so a second step pushes at
 	// least the dense payload again; the counter must reset, not grow
@@ -200,8 +200,40 @@ func TestBytesPushedAccounting(t *testing.T) {
 	if _, err := tr.Step(feeds); err != nil {
 		t.Fatal(err)
 	}
-	second := tr.BytesPushedLastStep()
+	second := tr.LastStep().BytesPushed
 	if second <= 0 || second > 2*first {
-		t.Fatalf("BytesPushedLastStep = %d after second step (first %d): counter did not reset", second, first)
+		t.Fatalf("LastStep().BytesPushed = %d after second step (first %d): counter did not reset", second, first)
+	}
+}
+
+// TestStepAllocationsBounded bounds a whole in-process step's heap
+// allocations on the 2×2 TinyLM, hybrid and AllReduce-only: the per-step
+// buffers are built once at New, so a step's count is fixed by the model
+// and the plan. A change that moves a per-step buffer back into Step
+// shows here.
+func TestStepAllocationsBounded(t *testing.T) {
+	cfg := models.DefaultTinyLM()
+	for _, c := range []struct {
+		name  string
+		arch  core.Arch
+		parts int
+		bound float64
+	}{
+		{"hybrid", core.ArchHybrid, 2, 75},
+		{"allreduce-only", core.ArchAR, 1, 45},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := newTrainer(t, cfg, c.arch, cluster.Uniform(2, 2), c.parts,
+				func(o *Options) { o.LocalAggregation = true })
+			feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, 1)
+			n := testing.AllocsPerRun(20, func() {
+				if _, err := tr.Step(feeds); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > c.bound {
+				t.Fatalf("a %s step allocates %v objects, want at most %v", c.name, n, c.bound)
+			}
+		})
 	}
 }

@@ -157,15 +157,24 @@ func TestGoroutineInventoryIsFixedAtNew(t *testing.T) {
 // TestClosedTrainerRefusesFanOut: an agreement on a closed distributed
 // trainer is refused by the trainer itself, with the ErrClosed sentinel
 // — it does not reach for the closed fabric, mistake what it finds there
-// for a failure, and fail-stop a second time.
+// for a failure, and fail-stop a second time. A variable read is refused
+// the same way, for a PS variable (whose namespace Close dropped) and for
+// a replica-managed one (whose stale replica it must not hand out).
 func TestClosedTrainerRefusesFanOut(t *testing.T) {
 	_, trs := distKillTrainers(t, nil)
 	trs[0].Close()
 	trs[1].Close()
+	refused := func(err error) bool {
+		return errors.Is(err, errs.ErrClosed) && !errors.Is(err, errs.ErrPeerFailed) && strings.Contains(err.Error(), "closed trainer")
+	}
 	for p, tr := range trs {
-		_, err := tr.AgreeMax("ctl", 1)
-		if !errors.Is(err, errs.ErrClosed) || errors.Is(err, errs.ErrPeerFailed) || !strings.Contains(err.Error(), "closed trainer") {
+		if _, err := tr.AgreeMax("ctl", 1); !refused(err) {
 			t.Fatalf("trainer %d: agreement after Close returned %v, want the trainer's own ErrClosed", p, err)
+		}
+		for _, name := range []string{"embedding", "softmax/kernel"} {
+			if _, err := tr.VarValue(name); !refused(err) {
+				t.Fatalf("trainer %d: VarValue(%q) after Close returned %v, want the trainer's own ErrClosed", p, name, err)
+			}
 		}
 	}
 }

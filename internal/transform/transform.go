@@ -68,6 +68,14 @@
 // migrates server state losslessly over either fabric — which is what
 // lets the §3.2 partition search run against the live runtime
 // (parallax.Config.SparsePartitions).
+//
+// The files follow that shape: transform.go builds the trainer (New),
+// owns its fan-out and tears it down; worker.go is one hosted GPU — the
+// worker value, its two goroutines and the Step they run; fusion.go packs
+// the AllReduce buckets; ps.go holds the parameter-server routes, the
+// local-aggregation slots, the pulls and pushes and VarValue; reshard.go
+// is Repartition and the state install it shares with checkpoint.go's
+// Snapshot and Restore.
 package transform
 
 import (
@@ -82,6 +90,7 @@ import (
 	"parallax/internal/core"
 	"parallax/internal/errs"
 	"parallax/internal/graph"
+	"parallax/internal/metrics"
 	"parallax/internal/optim"
 	"parallax/internal/psrt"
 	"parallax/internal/tensor"
@@ -147,10 +156,15 @@ type Options struct {
 	PSNamespace string
 }
 
+// varRoute is one variable's synchronization route: the method its plan
+// assigns and everything that method needs resolved at build time.
 type varRoute struct {
 	v      *graph.Variable
 	assign core.Assignment
 	ranges []tensor.RowRange
+	// parts[m] lists, ascending, the partitions machine m's server owns
+	// (nil where it owns none); set with assign and ranges by partition.
+	parts [][]int
 	// psName is the name this variable is served under on its PS servers:
 	// v.Name qualified with the trainer's namespace (v.Name itself under
 	// the anonymous one). Precomputed so the pull/push/clip hot paths and
@@ -161,50 +175,39 @@ type varRoute struct {
 	// Each step a worker then pulls just the rows its feed names; nil
 	// pulls every partition whole.
 	rowInputs []*graph.Node
+	// slots[m] is the local-aggregation slot on machine m (PS routes under
+	// LocalAggregation only); merge buffers exist only for machines
+	// hosted here.
+	slots []aggSlot
+	// bucket is a dense AllReduce route's fusion bucket, -1 for others.
+	bucket int
+	// agvTag is an AllGatherv route's precomputed collective tag, "" for
+	// others.
+	agvTag string
 }
 
 // workerFn is one worker's share of a fan-out (onWorkers): it runs on
 // worker w's persistent goroutine and reports a value — a step's loss, 0
 // where there is none — or an error.
-type workerFn func(w int) (float64, error)
-
-// taskResult is one worker's completion report.
-type taskResult struct {
-	worker int
-	v      float64
-	err    error
-}
+type workerFn func(w *worker) (float64, error)
 
 // Trainer executes synchronized data-parallel steps over persistent
 // workers — all of them in single-process mode, one machine's share in
 // distributed mode.
 type Trainer struct {
-	g        *graph.Graph
 	opt      Options
 	workers  int
 	machines int
 
-	// Transport layout: the fabric, which worker ranks and machines this
-	// process hosts, and whether any endpoint is remote.
-	fab          transport.Fabric
-	topo         transport.Topology
-	dist         bool
-	localWorkers []int  // ascending global ranks hosted here
-	isLocalW     []bool // [w]
-	localMachine []bool // [m]
-	// Worker geometry resolved at build time so the push hot path never
-	// scans the resource layout: worker w runs on machine
-	// workerMachine[w] as its localGPU[w]-th GPU; machineGPUs[m] is
-	// machine m's GPU count.
-	workerMachine []int
-	localGPU      []int
-	machineGPUs   []int
+	// Transport layout: the fabric, which machines this process hosts
+	// (ascending), and whether any endpoint is remote.
+	fab           transport.Fabric
+	dist          bool
+	localMachines []int
 
-	// Per-worker state; slices are indexed by global worker rank with nil
-	// entries for workers hosted by other agents.
-	execs  []*graph.Exec
-	comms  []*collective.Comm
-	arOpts []optim.Optimizer
+	// local holds the workers this process hosts, one per GPU, in
+	// ascending global rank (worker.go).
+	local []*worker
 
 	// ns[m] is this trainer's namespace on LOCAL machine m's server (the
 	// fleet's, or a fresh one); nil for machines hosted elsewhere, the
@@ -214,85 +217,24 @@ type Trainer struct {
 	// the handle's concern, which keeps checkpoint records namespace-free
 	// and portable between deployments; the data plane reaches the
 	// server behind it under the qualified names.
-	ns []*psrt.Namespace
-	// ps[w][m] is worker w's endpoint for machine m's server: the server
-	// itself when colocated, a psrt.Client stub over the conduit when
-	// remote. Non-nil only for local workers (and only when PS routes
-	// exist).
-	ps     [][]psrt.Endpoint
+	ns     []*psrt.Namespace
 	routes []varRoute
 	// routeIdx resolves a variable name to its route index; read-only
 	// after New, so the gradient-ready callback can use it concurrently.
 	routeIdx map[string]int
-
-	// Fusion schedule (dense AllReduce routes only).
-	buckets  []fuseBucket
-	bucketOf []int             // [ri] -> bucket index, -1 for non-fused routes
-	fuseBufs [][]*tensor.Dense // [w][b]: flat per-worker fusion buffers
-	// fuseViews[w][ri] is a zero-copy view shaped like route ri's variable
-	// into worker w's fusion buffer; the apply/clip paths read aggregated
-	// gradients through it.
-	fuseViews [][]*tensor.Dense
-	agvTags   []string // [ri]: precomputed AllGatherv tag, "" for others
-	// Top-k error-feedback state, allocated only when
-	// Compression.TopK > 0: fuseResid[w][b] is worker w's residual
-	// for bucket b (what its selections have not shipped yet), and
-	// topkScratch[w] is the selection workspace of w's comm goroutine.
-	fuseResid   [][]*tensor.Dense
-	topkScratch []collective.TopKScratch
-
-	// slots[ri][m] is the local-aggregation slot for route ri on machine
-	// m; merge buffers exist only for machines hosted here.
-	slots [][]aggSlot
-	// slotViews[ri][m][pi] is a zero-copy partition view into
-	// slots[ri][m].dense, precomputed for dense variables.
-	slotViews [][][]*tensor.Dense
-	// pullReqs[w][m] is the batched pull request list worker w issues to
-	// server m at the top of a step, refilled from the step's feed
-	// (stepPullReqs); pullDst[w][ri][pi] is a request's destination, a
-	// zero-copy view of partition pi's rows in the worker's replica
-	// storage, and pullRows[w][ri] the scratch a row-addressed route's
-	// sorted ids — and the requests' row lists, which alias it — live in.
-	pullReqs [][][]psrt.PullReq
-	pullDst  [][][]*tensor.Dense
-	pullRows [][][]int
-	// psServers[ri] lists the servers hosting route ri's partitions (in
-	// first-appearance order); psParts[ri][k] are the partition indices
-	// owned by psServers[ri][k].
-	psServers [][]int
-	psParts   [][][]int
-	// arSparse[w][ri] holds worker w's AllGatherv-aggregated gradient for
-	// route ri within a step (indexed, not keyed, to avoid per-step maps).
-	arSparse [][]*tensor.Sparse
+	// buckets is the fusion schedule (dense AllReduce routes only).
+	buckets []fuseBucket
 
 	inputs  []*graph.Node // the graph's input nodes, for feed validation
 	gathers []*graph.Node // the graph's Gather nodes, for id range checks
 
 	bytesPushed atomic.Int64
-	wireBase    transport.Stats // fabric counters at the top of the step
-	lastWire    transport.Stats // wire bytes moved during the last step
+	last        metrics.StepStats // the last Step's record (LastStep)
 
-	tasks   []chan workerFn // one per persistent worker
-	done    chan taskResult
-	lossBuf []float64 // [w]: the last fan-out's per-worker values
-	// lossGather[w] is worker w's scratch for the distributed loss
-	// exchange (one slot per global worker, filled in rank order).
-	lossGather [][]float64
-
-	// Overlap runtime: one comm goroutine per worker (ordered collectives
-	// and PS pushes).
-	comm          []chan commTask
-	commAck       []chan error
-	bucketPending [][]int             // [w][b]: routes not yet copied this step
-	psDenseReqs   [][]psrt.DensePush  // [w] scratch, reused across pushes
-	psSparseReqs  [][]psrt.SparsePush // [w] scratch
-
+	done chan struct{} // one completion per worker and fan-out
 	// bg counts every goroutine New started — workers, comm, serving
 	// loops, the fabric watcher — so Close returns once all have exited.
 	bg sync.WaitGroup
-
-	phases    []phaseTimes // [w], reset by the worker each step
-	lastPhase PhaseStats
 
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -400,8 +342,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		fab = transport.NewInproc(topo)
 	}
 	t = &Trainer{
-		g: g, opt: opts, workers: workers, machines: machines,
-		fab: fab, topo: topo, dist: fab.Distributed(),
+		opt: opts, workers: workers, machines: machines,
+		fab: fab, dist: fab.Distributed(),
 	}
 	if ft := fab.Topology(); ft.Workers != workers || ft.Machines != machines {
 		return fail(fmt.Errorf("transform: %w: fabric topology %d workers / %d machines, cluster has %d / %d",
@@ -418,42 +360,34 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		}
 	}
 
-	t.isLocalW = make([]bool, workers)
-	for w := 0; w < workers; w++ {
-		if fab.Local(w) {
-			t.isLocalW[w] = true
-			t.localWorkers = append(t.localWorkers, w)
+	for m := 0; m < machines; m++ {
+		if fab.Local(topo.ServerEndpoint(m)) {
+			t.localMachines = append(t.localMachines, m)
 		}
 	}
-	t.localMachine = make([]bool, machines)
-	for m := 0; m < machines; m++ {
-		t.localMachine[m] = fab.Local(topo.ServerEndpoint(m))
-	}
-	t.workerMachine = topo.MachineOfWorker
-	t.localGPU = make([]int, workers)
-	t.machineGPUs = make([]int, machines)
-	for w, m := range t.workerMachine {
-		t.localGPU[w] = t.machineGPUs[m]
-		t.machineGPUs[m]++
-	}
-	if len(t.localWorkers) == 0 {
-		return fail(fmt.Errorf("transform: fabric hosts no worker of this cluster"))
-	}
-
 	// Replicate the graph: one executor per local GPU (§4.3: "main
 	// computation operations ... are replicated as many as the number of
-	// GPUs"; remote GPUs are replicated by their own agents).
-	t.execs = make([]*graph.Exec, workers)
-	t.arOpts = make([]optim.Optimizer, workers)
-	t.comms = make([]*collective.Comm, workers)
-	for _, w := range t.localWorkers {
+	// GPUs"; remote GPUs are replicated by their own agents). A worker
+	// knows its machine and its GPU index there, so the push hot path
+	// never scans the resource layout.
+	gpus := make([]int, machines) // GPUs of each machine seen so far
+	for rank, m := range topo.MachineOfWorker {
+		gpu := gpus[m]
+		gpus[m]++
+		if !fab.Local(rank) {
+			continue
+		}
 		e, err := graph.NewExec(g)
 		if err != nil {
 			return fail(err)
 		}
-		t.execs[w] = e
-		t.arOpts[w] = opts.NewOptimizer()
-		t.comms[w] = collective.NewComm(fab.Conduit(w), topo.MachineOfWorker)
+		t.local = append(t.local, &worker{
+			rank: rank, machine: m, gpu: gpu, exec: e, opt: opts.NewOptimizer(),
+			comm: collective.NewComm(fab.Conduit(rank), topo.MachineOfWorker),
+		})
+	}
+	if len(t.local) == 0 {
+		return fail(fmt.Errorf("transform: fabric hosts no worker of this cluster"))
 	}
 
 	// Route variables.
@@ -464,12 +398,15 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		if a.Name != v.Name {
 			return fail(fmt.Errorf("transform: plan assignment %d is %q, variable is %q", i, a.Name, v.Name))
 		}
-		r := varRoute{v: v, assign: a}
-		if a.Method == core.MethodPS {
+		r := varRoute{v: v, assign: a, bucket: -1}
+		switch a.Method {
+		case core.MethodPS:
 			anyPS = true
-			r.ranges = tensor.PartitionRows(v.Shape[0], a.Partitions)
+			r.partition(a, machines)
 			r.psName = psrt.QualifiedName(opts.PSNamespace, v.Name)
 			r.rowInputs = gatherInputs(g, v)
+		case core.MethodAllGatherv:
+			r.agvTag = "agv/" + v.Name
 		}
 		t.routeIdx[v.Name] = len(t.routes)
 		t.routes = append(t.routes, r)
@@ -487,10 +424,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			sources = machines
 		}
 		t.ns = make([]*psrt.Namespace, machines)
-		for m := 0; m < machines; m++ {
-			if !t.localMachine[m] {
-				continue
-			}
+		for _, m := range t.localMachines {
 			srv := psrt.NewResident()
 			if opts.Resident != nil {
 				srv = opts.Resident.Server(m)
@@ -516,33 +450,29 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			// independent, but the registration sequence is part of the §8
 			// deterministic startup discipline.
 			for m, ns := range t.ns {
-				parts := ownedBy(r.assign.Servers, m)
-				if ns == nil || len(parts) == 0 {
+				if ns == nil || len(r.parts[m]) == 0 {
 					continue // hosted by another agent, or not one of r's servers
 				}
-				if err := ns.AddVar(r.v.Name, r.v.Init, r.ranges, parts, r.assign.Sparse); err != nil {
+				if err := ns.AddVar(r.v.Name, r.v.Init, r.ranges, r.parts[m], r.assign.Sparse); err != nil {
 					return fail(err)
 				}
 			}
 		}
-		t.ps = make([][]psrt.Endpoint, workers)
-		for _, w := range t.localWorkers {
-			row := make([]psrt.Endpoint, machines)
+		for _, w := range t.local {
+			w.ps = make([]psrt.Endpoint, machines)
 			for m := 0; m < machines; m++ {
 				if t.ns[m] != nil {
-					row[m] = t.ns[m].Server()
+					w.ps[m] = t.ns[m].Server()
 				} else {
-					cl := psrt.NewClient(fab.Conduit(w), topo.ServerEndpoint(m))
+					cl := psrt.NewClient(fab.Conduit(w.rank), topo.ServerEndpoint(m))
 					cl.SetCodec(opts.Compression.Codec)
-					row[m] = cl
+					w.ps[m] = cl
 				}
 			}
-			t.ps[w] = row
 		}
 	}
 
 	t.buildFusion()
-	t.buildPSRouting()
 	t.buildSlots()
 	t.buildPullReqs()
 	for _, n := range g.Nodes() {
@@ -554,36 +484,19 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		}
 	}
 
-	// Per-worker indexed scratch for AllGatherv aggregates and tags.
-	t.arSparse = make([][]*tensor.Sparse, workers)
-	for _, w := range t.localWorkers {
-		t.arSparse[w] = make([]*tensor.Sparse, len(t.routes))
-	}
-	t.agvTags = make([]string, len(t.routes))
-	for ri, r := range t.routes {
-		if r.assign.Method == core.MethodAllGatherv {
-			t.agvTags[ri] = "agv/" + r.v.Name
-		}
-	}
-
 	// Start the persistent runtime — every goroutine the trainer will
 	// ever run: compute workers, comm goroutines, and serving loops
 	// answering remote workers' PS traffic against the local servers.
-	t.tasks = make([]chan workerFn, workers)
-	t.done = make(chan taskResult, workers)
-	t.lossBuf = make([]float64, workers)
-	t.comm = make([]chan commTask, workers)
-	t.commAck = make([]chan error, workers)
-	t.psDenseReqs = make([][]psrt.DensePush, workers)
-	t.psSparseReqs = make([][]psrt.SparsePush, workers)
-	t.phases = make([]phaseTimes, workers)
-	t.lossGather = make([][]float64, workers)
-	for _, w := range t.localWorkers {
-		t.tasks[w] = make(chan workerFn)
-		t.comm[w] = make(chan commTask, 4+len(t.buckets)+len(t.routes))
-		t.commAck[w] = make(chan error)
+	t.done = make(chan struct{}, workers)
+	for _, w := range t.local {
+		w.arSparse = make([]*tensor.Sparse, len(t.routes))
+		w.tasks = make(chan workerFn)
+		// Room for every task of a step and its flush: handing one off
+		// never blocks the backward sweep.
+		w.commQ = make(chan commTask, 4+len(t.buckets)+len(t.routes))
+		w.commAck = make(chan error)
 		if t.dist {
-			t.lossGather[w] = make([]float64, workers)
+			w.lossGather = make([]float64, workers)
 		}
 		t.bg.Add(2)
 		go t.commLoop(w)
@@ -596,7 +509,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			}
 			srvConduit := fab.Conduit(topo.ServerEndpoint(m))
 			for w := 0; w < workers; w++ {
-				if t.isLocalW[w] {
+				if fab.Local(w) {
 					continue
 				}
 				t.bg.Add(1)
@@ -644,10 +557,10 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	// agent's initializer drifted. A peer dying during the exchange fails
 	// New with its attributed error instead of crashing.
 	if t.dist {
-		err := t.onWorkers("startup broadcast", func(w int) (float64, error) {
+		err := t.onWorkers("startup broadcast", func(w *worker) (float64, error) {
 			for _, r := range t.routes {
 				if r.assign.Method != core.MethodPS {
-					collective.Broadcast(t.comms[w], "init/"+r.v.Name, t.execs[w].VarValue(r.v.Name), 0)
+					collective.Broadcast(w.comm, "init/"+r.v.Name, w.exec.VarValue(r.v.Name), 0)
 				}
 			}
 			return 0, nil
@@ -665,9 +578,14 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 func (t *Trainer) Workers() int { return t.workers }
 
 // LocalWorkers returns the global ranks of the workers this trainer
-// hosts (all of them in single-process mode), in ascending order. The
-// returned slice must not be mutated.
-func (t *Trainer) LocalWorkers() []int { return t.localWorkers }
+// hosts (all of them in single-process mode), in ascending order.
+func (t *Trainer) LocalWorkers() []int {
+	ranks := make([]int, len(t.local))
+	for i, w := range t.local {
+		ranks[i] = w.rank
+	}
+	return ranks
+}
 
 // Distributed reports whether the trainer spans agent processes.
 func (t *Trainer) Distributed() bool { return t.dist }
@@ -684,9 +602,9 @@ func (t *Trainer) Distributed() bool { return t.dist }
 func (t *Trainer) Close() {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
-		for _, w := range t.localWorkers {
-			close(t.tasks[w])
-			close(t.comm[w])
+		for _, w := range t.local {
+			close(w.tasks)
+			close(w.commQ)
 		}
 		t.fab.Close()
 		t.bg.Wait()
@@ -708,29 +626,26 @@ func (t *Trainer) live(what string) error {
 // onWorkers is the trainer's one fan-out — Step, AgreeMax and New's
 // startup broadcast are its instances: fn runs once on every local
 // worker's persistent goroutine and onWorkers returns when all have
-// finished, each worker's value in lossBuf[w]. Of several errors the
-// lowest rank's is kept, and the trainer then fail-stops (failStep). It
-// must not run concurrently with itself.
+// finished, each worker's value and error in its out and err. Of
+// several errors the lowest rank's is kept, and the trainer then
+// fail-stops (failStep). It must not run concurrently with itself.
 func (t *Trainer) onWorkers(what string, fn workerFn) error {
 	if err := t.live(what); err != nil {
 		return err
 	}
-	for _, w := range t.localWorkers {
-		t.tasks[w] <- fn
+	for _, w := range t.local {
+		w.tasks <- fn
 	}
-	// Results land by rank, so nothing downstream — a float64 sum, the
-	// reported error — depends on the order workers finish in.
-	var firstErr error
-	firstW := t.workers
-	for range t.localWorkers {
-		res := <-t.done
-		t.lossBuf[res.worker] = res.v
-		if res.err != nil && res.worker < firstW {
-			firstErr, firstW = res.err, res.worker
+	for range t.local {
+		<-t.done
+	}
+	// Results stay with their workers and are read in rank order, so
+	// nothing downstream — a float64 sum, the reported error — depends
+	// on the order workers finish in.
+	for _, w := range t.local {
+		if w.err != nil {
+			return t.failStep(w.err)
 		}
-	}
-	if firstErr != nil {
-		return t.failStep(firstErr)
 	}
 	return nil
 }
@@ -756,14 +671,14 @@ func (t *Trainer) AgreeMax(tag string, v float64) (float64, error) {
 	if !t.dist {
 		return v, nil
 	}
-	err := t.onWorkers("agreement", func(w int) (float64, error) {
-		collective.AllGatherScalarsInto(t.comms[w], tag, v, t.lossGather[w])
+	err := t.onWorkers("agreement", func(w *worker) (float64, error) {
+		collective.AllGatherScalarsInto(w.comm, tag, v, w.lossGather)
 		return 0, nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	return slices.Max(t.lossGather[t.localWorkers[0]]), nil
+	return slices.Max(t.local[0].lossGather), nil
 }
 
 // failStep handles a step error: in distributed mode the cluster cannot

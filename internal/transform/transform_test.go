@@ -196,9 +196,9 @@ func TestAllReplicasAgreeOnARVariables(t *testing.T) {
 		}
 	}
 	for _, v := range g.DenseVariables() {
-		ref := tr.execs[0].VarValue(v.Name)
+		ref := tr.local[0].exec.VarValue(v.Name)
 		for w := 1; w < 3; w++ {
-			if tr.execs[w].VarValue(v.Name).MaxAbsDiff(ref) > 1e-6 {
+			if tr.local[w].exec.VarValue(v.Name).MaxAbsDiff(ref) > 1e-6 {
 				t.Errorf("replica %d variable %s out of sync", w, v.Name)
 			}
 		}

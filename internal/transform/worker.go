@@ -8,10 +8,84 @@ import (
 	"parallax/internal/collective"
 	"parallax/internal/core"
 	"parallax/internal/graph"
+	"parallax/internal/metrics"
 	"parallax/internal/optim"
+	"parallax/internal/psrt"
 	"parallax/internal/tensor"
-	"parallax/internal/transport"
 )
+
+// worker is one GPU this process hosts: its graph replica, its replica
+// optimizer and communicator, its server endpoints, and every buffer a
+// step touches on its behalf, all built by New.
+//
+// Two goroutines run a worker. The worker goroutine (workerLoop) writes
+// exec, opt, the pull lists, bucketPending, lossGather, out, err, the
+// pull, compute and wait phases, and the gradients it copies into
+// fuseViews. The comm goroutine (commLoop) writes the reduced fuseBufs,
+// fuseResid, topk, arSparse, denseReqs, sparseReqs and the comm phase.
+// Both speak through comm and ps, never at once: the worker goroutine
+// pulls before it hands the comm goroutine any task, and its commFlush,
+// answered on commAck, orders the step's synchronization before it reads
+// the results (the buckets through fuseViews, arSparse) or uses comm and
+// ps again — the loss exchange, the clip read-back, an agreement.
+// Between fan-outs both goroutines are parked and the caller's
+// goroutine may read and rebuild anything here (Step's record,
+// Repartition's pull lists, Snapshot and Restore).
+type worker struct {
+	rank    int // global worker rank
+	machine int // the machine it runs on
+	gpu     int // its index among that machine's GPUs
+
+	exec *graph.Exec
+	opt  optim.Optimizer // applies the AllReduce and AllGatherv updates
+	comm *collective.Comm
+	// ps[m] is the endpoint for machine m's server: the server itself
+	// when colocated, a psrt.Client stub over the conduit when remote.
+	// nil when the plan has no PS routes.
+	ps []psrt.Endpoint
+
+	// fuseBufs[b] is bucket b's flat fusion buffer, and fuseViews[ri] a
+	// zero-copy view shaped like route ri's variable into it; the apply
+	// and clip paths read aggregated gradients through the views.
+	// bucketPending[b] counts the routes of bucket b not yet copied this
+	// step.
+	fuseBufs      []*tensor.Dense
+	fuseViews     []*tensor.Dense
+	bucketPending []int
+	// Top-k error-feedback state, allocated only when
+	// Compression.TopK > 0: fuseResid[b] is the residual for bucket b
+	// (what the selections have not shipped yet), and topk the selection
+	// workspace.
+	fuseResid []*tensor.Dense
+	topk      collective.TopKScratch
+
+	// pullReqs[m] is the batched pull request list issued to server m at
+	// the top of a step, refilled from the step's feed (stepPullReqs);
+	// pullDst[ri][pi] is a request's destination, a zero-copy view of
+	// partition pi's rows in the replica's storage, and pullRows[ri] the
+	// scratch a row-addressed route's sorted ids — and the requests' row
+	// lists, which alias it — live in.
+	pullReqs [][]psrt.PullReq
+	pullDst  [][]*tensor.Dense
+	pullRows [][]int
+	// arSparse[ri] holds the AllGatherv-aggregated gradient for route ri
+	// within a step (indexed, not keyed, to avoid per-step maps).
+	arSparse []*tensor.Sparse
+	// denseReqs and sparseReqs are the push batches' scratch, reused
+	// across pushes.
+	denseReqs  []psrt.DensePush
+	sparseReqs []psrt.SparsePush
+
+	tasks   chan workerFn // the fan-outs' work for the worker goroutine
+	commQ   chan commTask // synchronization work for the comm goroutine
+	commAck chan error    // the comm goroutine's answer to commFlush
+	out     float64       // the last fan-out's value
+	err     error         // and its error
+	// lossGather is the scratch for the distributed loss exchange and
+	// agreements (one slot per global worker, filled in rank order).
+	lossGather []float64
+	phase      phaseTimes // reset at the top of every step
+}
 
 // commKind discriminates comm-goroutine tasks.
 type commKind int
@@ -44,58 +118,25 @@ type phaseTimes struct {
 	wait    time.Duration // drain time after compute ended (exposed comm)
 }
 
-// PhaseStats is the per-step phase breakdown of the slowest worker:
-// Compute is graph execution, Comm is synchronization busy time, and
-// SyncWait is the part of Comm that was NOT hidden under compute — the
-// PS pull at the head of the step, which nothing overlaps, plus the time
-// the worker sat waiting for its comm goroutine to drain after the
-// backward pass finished. Comm−SyncWait is therefore the overlap won by
-// dispatching synchronization mid-backprop.
-type PhaseStats struct {
-	Compute  time.Duration
-	Comm     time.Duration
-	SyncWait time.Duration
-}
-
-// BytesPushedLastStep returns how many gradient payload bytes the workers
-// handed to the synchronization layer (ring collectives and parameter
-// servers) during the most recent Step. Valid after Step returns.
-func (t *Trainer) BytesPushedLastStep() int64 { return t.bytesPushed.Load() }
-
-// WireStatsLastStep returns the wire bytes this process sent and
-// received during the most recent Step (zero on the in-process fabric,
-// framed socket bytes on TCP). Valid after Step returns; serving-loop
-// traffic for remote workers lands in the step it occurs in.
-func (t *Trainer) WireStatsLastStep() (sent, recv int64) {
-	return t.lastWire.SentBytes, t.lastWire.RecvBytes
-}
-
-// WireCompressionLastStep returns the compression accounting of the most
-// recent Step: raw is the bytes the step's compressed frames would have
-// occupied as exact f32, comp their actual on-wire size. Both are zero
-// under CompressionNone or on the in-process fabric. Valid after Step
-// returns.
-func (t *Trainer) WireCompressionLastStep() (raw, comp int64) {
-	return t.lastWire.SentBytesRaw, t.lastWire.SentBytesCompressed
-}
-
-// PhaseStatsLastStep returns the previous step's phase breakdown, taken
-// from the slowest worker per phase. Valid after Step returns.
-func (t *Trainer) PhaseStatsLastStep() PhaseStats { return t.lastPhase }
+// LastStep returns the most recent successful Step's loss, gradient
+// bytes pushed, wire bytes (zero on the in-process fabric) and slowest
+// local worker per phase; Step, StepTime, Epoch and RecoveryCount are
+// the caller's to stamp.
+func (t *Trainer) LastStep() metrics.StepStats { return t.last }
 
 // workerLoop is one persistent worker: it runs the fan-outs' tasks until
 // Close, converting a fabric death mid-collective (ClosedPanic) into the
 // task's error instead of crashing the process — the survivors' path to
 // a typed ErrPeerFailed.
-func (t *Trainer) workerLoop(w int) {
+func (t *Trainer) workerLoop(w *worker) {
 	defer t.bg.Done()
 	run := func(fn workerFn) (v float64, err error) {
 		defer t.recoverClosed(&err)
 		return fn(w)
 	}
-	for fn := range t.tasks[w] {
-		v, err := run(fn)
-		t.done <- taskResult{worker: w, v: v, err: err}
+	for fn := range w.tasks {
+		w.out, w.err = run(fn)
+		t.done <- struct{}{}
 	}
 }
 
@@ -110,12 +151,12 @@ func now() time.Time {
 // reverse-declaration order on every replica of the graph. PS pushes
 // never block a peer's collective: direct pushes are lock-brief, and a
 // wire push's round trip only waits on the remote serving loop.
-func (t *Trainer) commLoop(w int) {
+func (t *Trainer) commLoop(w *worker) {
 	defer t.bg.Done()
 	var firstErr error
-	for task := range t.comm[w] {
+	for task := range w.commQ {
 		if task.kind == commFlush {
-			t.commAck[w] <- firstErr
+			w.commAck <- firstErr
 			firstErr = nil
 			continue
 		}
@@ -123,13 +164,13 @@ func (t *Trainer) commLoop(w int) {
 		if err := t.commTask(w, task); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		t.phases[w].comm += now().Sub(start)
+		w.phase.comm += now().Sub(start)
 	}
 }
 
 // commTask executes one synchronization task; a fabric death inside a
 // collective surfaces as an error (recovered ClosedPanic), not a crash.
-func (t *Trainer) commTask(w int, task commTask) (err error) {
+func (t *Trainer) commTask(w *worker, task commTask) (err error) {
 	defer t.recoverClosed(&err)
 	switch task.kind {
 	case commBucket:
@@ -138,18 +179,18 @@ func (t *Trainer) commTask(w int, task commTask) (err error) {
 		// feedback), then the configured finalization — every worker ends
 		// up holding the identical aggregated gradient, the
 		// AR-architecture invariant.
-		c, tags, buf := t.comms[w], t.buckets[task.idx].tags, t.fuseBufs[w][task.idx]
+		tags, buf := t.buckets[task.idx].tags, w.fuseBufs[task.idx]
 		if policy := t.opt.Compression; policy.TopK > 0 {
-			collective.AllReduceTopKTagged(c, tags, buf, policy.TopK, policy.Codec,
-				t.fuseResid[w][task.idx].Data(), &t.topkScratch[w])
+			collective.AllReduceTopKTagged(w.comm, tags, buf, policy.TopK, policy.Codec,
+				w.fuseResid[task.idx].Data(), &w.topk)
 		} else {
-			collective.AllReduceCodecTagged(c, tags, buf, policy.Codec)
+			collective.AllReduceCodecTagged(w.comm, tags, buf, policy.Codec)
 		}
 		optim.FinalizeDense(buf, t.workers, t.opt.DenseAgg)
 	case commSparse:
-		out := collective.AllGathervTagged(t.comms[w], t.agvTags[task.idx], task.sparse)
+		out := collective.AllGathervTagged(w.comm, t.routes[task.idx].agvTag, task.sparse)
 		optim.FinalizeSparse(out, t.workers, t.opt.SparseAgg)
-		t.arSparse[w][task.idx] = out
+		w.arSparse[task.idx] = out
 	case commPS:
 		return t.pushPS(w, task.idx, task.dense, task.sparse)
 	}
@@ -163,7 +204,7 @@ func (t *Trainer) commTask(w int, task commTask) (err error) {
 // per-worker losses over the conduit and every agent reports the same
 // bitwise-identical mean. Step dispatches to the persistent workers
 // started by New (onWorkers); it must not be called concurrently with
-// itself or after Close.
+// itself or after Close. LastStep then holds the step's record.
 func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	if err := t.live("step"); err != nil {
 		return 0, err
@@ -179,8 +220,8 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	// error additionally fails the fabric: peer agents' workers would
 	// otherwise block forever rendezvousing with ranks that never
 	// dispatched, and fail-stop turns that hang into a prompt teardown.
-	for _, w := range t.localWorkers {
-		if err := t.checkFeed(w, feeds[w]); err != nil {
+	for _, w := range t.local {
+		if err := t.checkFeed(w.rank, feeds[w.rank]); err != nil {
 			return 0, t.failStep(err)
 		}
 	}
@@ -191,46 +232,47 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	}
 	t.resetSlots()
 	t.bytesPushed.Store(0)
-	t.wireBase = t.fab.Stats()
+	base := t.fab.Stats()
 
-	err := t.onWorkers("step", func(w int) (float64, error) {
-		return t.workerStep(w, step, feeds[w])
+	err := t.onWorkers("step", func(w *worker) (float64, error) {
+		return t.workerStep(w, step, feeds[w.rank])
 	})
-	wire := t.fab.Stats()
-	t.lastWire = transport.Stats{
-		SentBytes:           wire.SentBytes - t.wireBase.SentBytes,
-		RecvBytes:           wire.RecvBytes - t.wireBase.RecvBytes,
-		SentBytesRaw:        wire.SentBytesRaw - t.wireBase.SentBytesRaw,
-		SentBytesCompressed: wire.SentBytesCompressed - t.wireBase.SentBytesCompressed,
-	}
 	if err != nil {
 		return 0, err
+	}
+	wire := t.fab.Stats()
+	st := metrics.StepStats{
+		BytesPushed:         t.bytesPushed.Load(),
+		WireSentBytes:       wire.SentBytes - base.SentBytes,
+		WireRecvBytes:       wire.RecvBytes - base.RecvBytes,
+		WireSentBytesRaw:    wire.SentBytesRaw - base.SentBytesRaw,
+		WireCompressedBytes: wire.SentBytesCompressed - base.SentBytesCompressed,
 	}
 	// Aggregate the per-worker phase breakdown: the slowest local worker
 	// per phase is the step's critical path. The fan-out's done handshake
 	// orders every worker's (and comm goroutine's) writes before these
 	// reads.
-	var ph PhaseStats
-	for w := range t.phases {
+	for _, w := range t.local {
 		// The pull is synchronization nothing hides: it counts as
 		// communication and as exposed wait alike.
-		ph.Compute = max(ph.Compute, t.phases[w].compute)
-		ph.Comm = max(ph.Comm, t.phases[w].pull+t.phases[w].comm)
-		ph.SyncWait = max(ph.SyncWait, t.phases[w].pull+t.phases[w].wait)
+		st.ComputeTime = max(st.ComputeTime, w.phase.compute)
+		st.CommTime = max(st.CommTime, w.phase.pull+w.phase.comm)
+		st.SyncWait = max(st.SyncWait, w.phase.pull+w.phase.wait)
 	}
-	t.lastPhase = ph
 	if t.dist {
 		// Each worker already folded the rank-ordered global mean during
 		// its in-step loss exchange; all local results are identical.
-		return t.lossBuf[t.localWorkers[0]], nil
+		st.Loss = t.local[0].out
+	} else {
+		// Summed in worker order, not arrival order: the reported mean
+		// must not wobble in the last ulp between otherwise identical runs.
+		for _, w := range t.local {
+			st.Loss += w.out
+		}
+		st.Loss /= float64(t.workers)
 	}
-	// Summed in worker order, not arrival order: the reported mean must
-	// not wobble in the last ulp between otherwise identical runs.
-	var mean float64
-	for _, l := range t.lossBuf {
-		mean += l
-	}
-	return mean / float64(t.workers), nil
+	t.last = st
+	return st.Loss, nil
 }
 
 // checkFeed verifies worker w's feed covers every graph input with the
@@ -275,9 +317,9 @@ func (t *Trainer) checkFeed(w int, feed graph.Feed) error {
 }
 
 // workerStep is one worker's side of an iteration.
-func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
-	exec := t.execs[w]
-	ph := &t.phases[w]
+func (t *Trainer) workerStep(w *worker, step int, feed graph.Feed) (float64, error) {
+	exec := w.exec
+	ph := &w.phase
 	*ph = phaseTimes{}
 
 	// Pull phase: fetch fresh PS values for this iteration (Fig 2(a)(b)'s
@@ -287,7 +329,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// the replica's variable storage through the precomputed views.
 	// Version step means "after step updates have applied".
 	pullStart := now()
-	if t.ps != nil {
+	if w.ps != nil {
 		t.stepPullReqs(w, feed)
 		if err := t.pull(w, int64(step)); err != nil {
 			return 0, err
@@ -300,7 +342,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// final, the bucket's collective is dispatched when its last view
 	// fills, and sparse/PS gradients are handed off immediately — all
 	// while the sweep continues toward the input layers.
-	pending := t.bucketPending[w]
+	pending := w.bucketPending
 	for b := range pending {
 		pending[b] = len(t.buckets[b].routes)
 	}
@@ -309,7 +351,7 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 		ri := t.routeIdx[name]
 		switch t.routes[ri].assign.Method {
 		case core.MethodAllReduce:
-			view := t.fuseViews[w][ri]
+			view := w.fuseViews[ri]
 			if d != nil {
 				copy(view.Data(), d.Data())
 			} else {
@@ -319,15 +361,15 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 				sp.ToDenseInto(view)
 			}
 			t.bytesPushed.Add(view.Bytes())
-			b := t.bucketOf[ri]
+			b := t.routes[ri].bucket
 			if pending[b]--; pending[b] == 0 {
-				t.comm[w] <- commTask{kind: commBucket, idx: b}
+				w.commQ <- commTask{kind: commBucket, idx: b}
 			}
 		case core.MethodAllGatherv:
 			t.bytesPushed.Add(sp.Bytes())
-			t.comm[w] <- commTask{kind: commSparse, idx: ri, sparse: sp}
+			w.commQ <- commTask{kind: commSparse, idx: ri, sparse: sp}
 		case core.MethodPS:
-			t.comm[w] <- commTask{kind: commPS, idx: ri, dense: d, sparse: sp}
+			w.commQ <- commTask{kind: commPS, idx: ri, dense: d, sparse: sp}
 		}
 	})
 	computeEnd := now()
@@ -335,8 +377,8 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 
 	// Drain: wait for this worker's synchronization to finish. Whatever
 	// comm time is left here was not hidden under compute.
-	t.comm[w] <- commTask{kind: commFlush}
-	commErr := <-t.commAck[w]
+	w.commQ <- commTask{kind: commFlush}
+	commErr := <-w.commAck
 	ph.wait = now().Sub(computeEnd)
 	if err != nil {
 		return 0, err
@@ -355,17 +397,17 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 		for ri, r := range t.routes {
 			switch r.assign.Method {
 			case core.MethodAllReduce:
-				norm2 += t.fuseViews[w][ri].L2NormSquared()
+				norm2 += w.fuseViews[ri].L2NormSquared()
 			case core.MethodAllGatherv:
 				// Coalesce once and keep the result: the norm needs the
 				// deduplicated tensor, and the apply below would otherwise
 				// re-coalesce the concatenated gradient.
-				g := t.arSparse[w][ri].Coalesce()
-				t.arSparse[w][ri] = g
+				g := w.arSparse[ri].Coalesce()
+				w.arSparse[ri] = g
 				norm2 += g.Values.L2NormSquared()
 			case core.MethodPS:
 				for pi := range r.ranges {
-					n2, err := t.ps[w][r.assign.Servers[pi]].WaitAggregatedNormSquared(r.psName, pi, int64(step+1))
+					n2, err := w.ps[r.assign.Servers[pi]].WaitAggregatedNormSquared(r.psName, pi, int64(step+1))
 					if err != nil {
 						return 0, err
 					}
@@ -376,13 +418,13 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 		if norm := math.Sqrt(norm2); norm > t.opt.ClipNorm {
 			scale = float32(t.opt.ClipNorm / norm)
 		}
-		if w == 0 { // the global chief worker triggers the deferred PS updates
+		if w.rank == 0 { // the global chief worker triggers the deferred PS updates
 			for _, r := range t.routes {
 				if r.assign.Method != core.MethodPS {
 					continue
 				}
 				for pi := range r.ranges {
-					if err := t.ps[w][r.assign.Servers[pi]].ApplyUpdate(r.psName, pi, scale); err != nil {
+					if err := w.ps[r.assign.Servers[pi]].ApplyUpdate(r.psName, pi, scale); err != nil {
 						return 0, err
 					}
 				}
@@ -397,18 +439,18 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	for ri, r := range t.routes {
 		switch r.assign.Method {
 		case core.MethodAllReduce:
-			g := t.fuseViews[w][ri]
+			g := w.fuseViews[ri]
 			if scale != 1 {
 				g.Scale(scale)
 			}
-			t.arOpts[w].ApplyDense(r.v.Name, exec.VarValue(r.v.Name), g)
+			w.opt.ApplyDense(r.v.Name, exec.VarValue(r.v.Name), g)
 		case core.MethodAllGatherv:
-			g := t.arSparse[w][ri]
+			g := w.arSparse[ri]
 			if scale != 1 {
 				g.Scale(scale)
 			}
-			t.arOpts[w].ApplySparse(r.v.Name, exec.VarValue(r.v.Name), g)
-			t.arSparse[w][ri] = nil
+			w.opt.ApplySparse(r.v.Name, exec.VarValue(r.v.Name), g)
+			w.arSparse[ri] = nil
 		}
 	}
 
@@ -417,8 +459,8 @@ func (t *Trainer) workerStep(w, step int, feed graph.Feed) (float64, error) {
 	// single-process driver uses, so the reported trajectory is bitwise
 	// identical across deployment modes.
 	if t.dist {
-		gathered := t.lossGather[w]
-		collective.AllGatherScalarsInto(t.comms[w], "loss", loss, gathered)
+		gathered := w.lossGather
+		collective.AllGatherScalarsInto(w.comm, "loss", loss, gathered)
 		var sum float64
 		for _, l := range gathered {
 			sum += l

@@ -53,19 +53,6 @@ func decodeProposal(code float64) (machine, kind int, err error) {
 	return c/4 - 1, kind, nil
 }
 
-// foldProposals is the agreement's fold: the maximum over all
-// contributed codes, 0 when nobody proposed. The property tests drive
-// it over randomized observation orders to pin order-independence.
-func foldProposals(codes []float64) float64 {
-	best := 0.0
-	for _, c := range codes {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}
-
 // admitMember appends a joiner to a member list, copying — proposal
 // records must not alias the live list.
 func admitMember(members []transport.Member, m transport.Member) []transport.Member {

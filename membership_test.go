@@ -1,14 +1,16 @@
 package parallax
 
 // Property tests for the membership state machine (DESIGN.md §14): the
-// proposal encoding round-trips, the scalar fold is order-independent,
-// and simulated agents driven through seeded random admission/departure
-// orderings converge on the same epoch, world size, and member list —
-// no split-brain under any observation order.
+// proposal encoding round-trips, the scalar fold (slices.Max, the fold
+// transform.Trainer.AgreeMax runs) is order-independent, and simulated
+// agents driven through seeded random admission/departure orderings
+// converge on the same epoch, world size, and member list — no
+// split-brain under any observation order.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"parallax/internal/checkpoint"
@@ -122,7 +124,7 @@ func TestMembershipConvergesUnderRandomOrderings(t *testing.T) {
 					rng.Shuffle(len(shuffled), func(a, b int) {
 						shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
 					})
-					winners[i] = foldProposals(shuffled)
+					winners[i] = slices.Max(shuffled)
 				}
 				for i := 1; i < len(winners); i++ {
 					if winners[i] != winners[0] {
@@ -176,7 +178,7 @@ func TestMembershipConvergesUnderRandomOrderings(t *testing.T) {
 // a parked joiner and wants to leave, the departure wins — a leaving
 // machine must not admit a joiner it won't be around to serve.
 func TestMembershipLeaveBeatsJoinSameMachine(t *testing.T) {
-	got := foldProposals([]float64{
+	got := slices.Max([]float64{
 		proposalCode(1, proposeJoin),
 		proposalCode(1, proposeLeave),
 		0,
@@ -199,10 +201,10 @@ func TestControlWordStopOutranksEveryProposal(t *testing.T) {
 	if word := ctlStop + top; word-ctlStop != top {
 		t.Fatal("stop flag plus a proposal code is not an exact float64 integer")
 	}
-	if got := foldProposals([]float64{top, ctlStop, 0}); got < ctlStop {
+	if got := slices.Max([]float64{top, ctlStop, 0}); got < ctlStop {
 		t.Fatalf("fold of a stop and a proposal = %v, want the stop to win", got)
 	}
-	if got := foldProposals([]float64{proposalCode(0, proposeJoin), 0, proposalCode(2, proposeLeave)}); got >= ctlStop {
+	if got := slices.Max([]float64{proposalCode(0, proposeJoin), 0, proposalCode(2, proposeLeave)}); got >= ctlStop {
 		t.Fatalf("fold of proposals alone = %v reads as a stop", got)
 	}
 }

@@ -73,7 +73,7 @@ func TestOpenDefaultsAndTraining(t *testing.T) {
 			b := shards[w].(*data.Shard).Next()
 			feeds[w] = Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}
 		}
-		loss, err := runner.RunStep(feeds)
+		loss, err := runner.trainer.Step(feeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestDenseOnlyGraphSkipsSearchAndServers(t *testing.T) {
 			Ints:   map[string][]int{"labels": {0, 1, 2, 3}},
 		}
 	}
-	if _, err := runner.RunStep(feeds); err != nil {
+	if _, err := runner.trainer.Step(feeds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -417,7 +417,7 @@ func TestOptionVariants(t *testing.T) {
 				"tokens": {1, 2, 3, 4}, "labels": {5, 6, 7, 8},
 			}}
 		}
-		if _, err := runner.RunStep(feeds); err != nil {
+		if _, err := runner.trainer.Step(feeds); err != nil {
 			t.Fatalf("variant %d: step: %v", i, err)
 		}
 		runner.Close()

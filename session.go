@@ -816,39 +816,15 @@ func (s *Session) oneStep(next func(step, worker int) (Feed, error)) (StepStats,
 		s.feeds[w] = f
 	}
 	start := time.Now()
-	loss, err := s.trainer.Step(s.feeds)
-	if err != nil {
+	if _, err := s.trainer.Step(s.feeds); err != nil {
 		return StepStats{}, err
 	}
-	ph := s.trainer.PhaseStatsLastStep()
-	wireSent, wireRecv := s.trainer.WireStatsLastStep()
-	wireRaw, wireComp := s.trainer.WireCompressionLastStep()
-	return StepStats{
-		Step:                step,
-		Loss:                loss,
-		StepTime:            time.Since(start),
-		BytesPushed:         s.trainer.BytesPushedLastStep(),
-		WireSentBytes:       wireSent,
-		WireRecvBytes:       wireRecv,
-		WireSentBytesRaw:    wireRaw,
-		WireCompressedBytes: wireComp,
-		ComputeTime:         ph.Compute,
-		CommTime:            ph.Comm,
-		SyncWait:            ph.SyncWait,
-		Epoch:               s.epoch,
-		RecoveryCount:       s.recoveries,
-	}, nil
-}
-
-// RunStep executes one explicit synchronous step; feeds[w] is worker
-// w's batch (use Shard to produce disjoint batches). It returns the
-// mean loss. Most callers want Steps; RunStep is the escape hatch for
-// drivers that own their loop entirely.
-func (s *Session) RunStep(feeds []Feed) (float64, error) {
-	if s.closed {
-		return 0, fmt.Errorf("parallax: step on %w session", ErrClosed)
-	}
-	return s.trainer.Step(feeds)
+	st := s.trainer.LastStep()
+	st.Step = step
+	st.StepTime = time.Since(start)
+	st.Epoch = s.epoch
+	st.RecoveryCount = s.recoveries
+	return st, nil
 }
 
 // StepCount returns the number of completed training steps, including
@@ -903,16 +879,12 @@ func (s *Session) ShardMap() string {
 	return metrics.FormatShardMap(metrics.ShardRoutes(s.plan.Assignments))
 }
 
-// PhaseStatsLastStep returns the previous step's phase breakdown.
-func (s *Session) PhaseStatsLastStep() PhaseStats { return s.trainer.PhaseStatsLastStep() }
-
 // Workers returns the number of model replicas (total GPUs) across the
 // whole cluster.
 func (s *Session) Workers() int { return s.workers }
 
 // LocalWorkers returns the global ranks this process hosts — all
 // workers in single-process mode, one machine's share under WithDist.
-// The returned slice must not be mutated.
 func (s *Session) LocalWorkers() []int { return s.trainer.LocalWorkers() }
 
 // SparsePartitions returns the partition count in effect (searched,

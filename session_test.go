@@ -259,8 +259,10 @@ func TestSessionClosedErrors(t *testing.T) {
 	if err := s.Save(t.TempDir()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Save after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := s.RunStep(make([]Feed, s.Workers())); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunStep after Close: err = %v, want ErrClosed", err)
+	for _, err := range s.StepsFeeds(context.Background(), func(int, int) (Feed, error) { return Feed{}, nil }) {
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("StepsFeeds after Close: err = %v, want ErrClosed", err)
+		}
 	}
 	if err := s.Repartition(2); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Repartition after Close: err = %v, want ErrClosed", err)
@@ -488,7 +490,7 @@ func TestSessionCloseWaitsForNoPeer(t *testing.T) {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				if _, err := sessions[p].RunStep(feeds); err != nil {
+				if _, err := sessions[p].trainer.Step(feeds); err != nil {
 					t.Errorf("agent %d step %d: %v", p, s, err)
 				}
 			}(p)
@@ -509,7 +511,7 @@ func TestSessionCloseWaitsForNoPeer(t *testing.T) {
 		t.Fatalf("the still-open agent is at step %d, want %d", n, steps)
 	}
 	start = time.Now()
-	_, err := sessions[1].RunStep(feedsFor())
+	_, err := sessions[1].trainer.Step(feedsFor())
 	var pf *PeerFailure
 	if !errors.Is(err, ErrPeerFailed) || !errors.As(err, &pf) || pf.Rank != 0 {
 		t.Fatalf("step against a departed peer returned %v, want ErrPeerFailed naming machine 0", err)
