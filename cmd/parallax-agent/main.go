@@ -36,6 +36,11 @@
 //	parallax-agent ... -steps 20 -checkpoint /ckpt/run1
 //	parallax-agent ... -steps 50 -checkpoint /ckpt/run1 -resume
 //
+//	# grow a running -elastic cluster by a third agent serving on :7703;
+//	# it files its join request in the shared root, so it needs no
+//	# member's address:
+//	parallax-agent -join 127.0.0.1:7703 -elastic -auto-checkpoint /ckpt/auto -gpus 2 -steps 50
+//
 // Both print "final loss bits=..." lines that must match bit for bit —
 // including across a checkpoint/resume split.
 package main
@@ -79,9 +84,7 @@ func main() {
 	elastic := flag.Bool("elastic", false,
 		"enable elastic membership (DESIGN.md §14): the cluster admits joiners and sheds leavers at step boundaries without a restart (requires -auto-checkpoint on a shared root)")
 	join := flag.String("join", "",
-		"join a running elastic cluster through the given agent address instead of rendezvousing from -addrs (requires -elastic and -listen)")
-	listen := flag.String("listen", "",
-		"address this agent serves on when joining with -join (the survivors dial it at the post-admission rendezvous)")
+		"join a running elastic cluster, serving on the given address once admitted, instead of rendezvousing from -addrs: the join request goes through the -auto-checkpoint root, so no member address is needed (requires -elastic)")
 	allowShrink := flag.Bool("allow-shrink", false,
 		"with -elastic and -recover: shed a dead peer by resharding onto the survivors instead of waiting out its restart")
 	leaveAt := flag.Int("leave-at", -1, "request a voluntary departure from the elastic cluster after completing this step (testing/preemption drills)")
@@ -96,8 +99,8 @@ func main() {
 
 	spec.Machines, spec.GPUs = *machines, *gpus
 	if *join != "" {
-		// A joiner contributes exactly one machine; the admission offer
-		// assigns its index and the full address list.
+		// A joiner contributes exactly one machine; the MEMBERS record
+		// that admits it assigns its index and the full address list.
 		spec.Machines = 1
 	} else if *addrs != "" {
 		spec.Machines = len(strings.Split(*addrs, ","))
@@ -147,12 +150,8 @@ func main() {
 		log.Fatal("-leave-at requires -elastic")
 	}
 	if *join != "" {
-		if *listen == "" {
-			log.Fatal("-join requires -listen (the address this agent will serve on)")
-		}
 		opts = append(opts, parallax.WithDistConfig(parallax.DistConfig{
-			JoinTarget: *join, JoinAddr: *listen, Addrs: []string{*listen},
-			DialTimeout: *dialTimeout, Chaos: *chaosSpec, ChaosSeed: *chaosSeed,
+			JoinAddr: *join, DialTimeout: *dialTimeout, Chaos: *chaosSpec, ChaosSeed: *chaosSeed,
 		}))
 	} else if *addrs != "" {
 		list := strings.Split(*addrs, ",")

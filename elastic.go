@@ -4,13 +4,15 @@ package parallax
 // WithElastic can change its machine set at a step boundary without a
 // restart:
 //
-//   - Scale-out: a new agent starts with DistConfig.JoinTarget and sends
-//     a join request to a running agent's listener. That agent parks the
-//     request and, at its next step boundary, proposes admission in the
-//     control word every agent exchanges there. All survivors save at the boundary, adopt the agreed member list,
-//     bump the fabric epoch, and re-rendezvous at the new world size;
-//     the joiner pulls its share of the saved state off the shared
-//     checkpoint root and enters the collective at the same boundary.
+//   - Scale-out: a new agent starts with DistConfig.JoinAddr, its own
+//     serving address, and files a join request in the shared
+//     checkpoint root. At their next step boundary the members find it
+//     there and propose admission in the control word every agent
+//     exchanges. All survivors save at the boundary, adopt the agreed
+//     member list, bump the fabric epoch, and re-rendezvous at the new
+//     world size; the joiner reads the new MEMBERS record, pulls its
+//     share of the saved state off the root and enters the collective
+//     at the same boundary.
 //   - Scale-in: an agent with a pending Leave (voluntary, or armed by a
 //     chaos leave fault) proposes its own departure the same way; the
 //     survivors reshard its parameter-server partitions onto themselves
@@ -28,9 +30,13 @@ package parallax
 // state machine helpers and codes live in membership.go.
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"time"
 
 	"parallax/internal/checkpoint"
 	"parallax/internal/cluster"
@@ -40,7 +46,7 @@ import (
 // memberRounds reports whether this session contributes membership
 // proposals to the step-boundary control word.
 func (s *Session) memberRounds() bool {
-	return s.cfg.Elastic && s.dist != nil && s.cfg.AutoCheckpoint.Dir != "" && !s.closed
+	return s.cfg.Elastic && s.dist != nil && s.cfg.AutoCheckpoint.Dir != "" && !s.closed.Load()
 }
 
 // localProposal decides what this agent contributes to the boundary's
@@ -50,54 +56,67 @@ func (s *Session) memberRounds() bool {
 func (s *Session) localProposal() (float64, error) {
 	root := s.cfg.AutoCheckpoint.Dir
 	machine := s.dist.Machine
+	cur := s.currentMembers()
+	rec := &checkpoint.Membership{
+		Epoch: s.epoch + 1, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
+		Parts: s.parts, Joiner: -1,
+	}
+	kind := proposeLeave
 	if s.leaving.Load() {
-		cur := s.currentMembers()
 		if len(cur.Members) <= 1 {
 			s.leaving.Store(false)
 			return 0, fmt.Errorf("parallax: cannot leave a single-member cluster")
 		}
-		rec := &transport.Membership{
-			Epoch: s.epoch + 1, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
-			Parts: s.parts, Joiner: -1,
-			Members: removeMember(cur.Members, machine),
-		}
-		if err := checkpoint.WriteMembershipRecord(root, machine, rec); err != nil {
+		rec.Members = removeMember(cur.Members, machine)
+	} else {
+		req, err := s.pendingJoin(cur)
+		if req == nil {
 			return 0, err
 		}
-		return proposalCode(machine, proposeLeave), nil
-	}
-	fab := s.tcpFabric()
-	if fab == nil {
-		return 0, nil
-	}
-	req := fab.PendingJoin()
-	if req == nil {
-		return 0, nil
-	}
-	cur := s.currentMembers()
-	if cur.IndexOf(req.Addr) >= 0 {
-		// Already a member — a stale rejoin attempt; the park will be
-		// released when the fabric shuts down.
-		return 0, nil
-	}
-	rec := &transport.Membership{
-		Epoch: s.epoch + 1, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
-		Parts: s.parts, Joiner: len(cur.Members),
-		Members: admitMember(cur.Members, transport.Member{Addr: req.Addr, GPUs: req.GPUs}),
+		kind, rec.Joiner = proposeJoin, len(cur.Members)
+		rec.Members = admitMember(cur.Members, checkpoint.Member{Addr: req.Addr, GPUs: req.GPUs})
 	}
 	if err := checkpoint.WriteMembershipRecord(root, machine, rec); err != nil {
 		return 0, err
 	}
-	return proposalCode(machine, proposeJoin), nil
+	return proposalCode(machine, kind), nil
+}
+
+// pendingJoin returns the first join request in the root, in file-name
+// order, that the cluster can admit. A request under another compression
+// policy, or from an address that is already a member, is skipped by
+// every member and answered by machine 0 with a refusal record the
+// joiner reads; it never reaches a proposal, so it costs no transition.
+func (s *Session) pendingJoin(cur *checkpoint.Membership) (*checkpoint.JoinRequest, error) {
+	root := s.cfg.AutoCheckpoint.Dir
+	reqs, err := checkpoint.JoinRequests(root)
+	if err != nil {
+		return nil, err
+	}
+	fp := s.cfg.Compression.Fingerprint()
+	for _, r := range reqs {
+		if r.Fingerprint == fp && cur.IndexOf(r.Addr) < 0 {
+			return r, nil
+		}
+		if s.dist.Machine == 0 {
+			answer := &checkpoint.JoinRequest{Addr: r.Addr, GPUs: r.GPUs, Fingerprint: fp}
+			if err := checkpoint.RefuseJoinRequest(root, answer); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return nil, nil
 }
 
 // transition executes the membership change the boundary agreed on:
 //
 //  1. every agent saves the full state at the boundary (old topology);
-//  2. a barrier round confirms every shard is durably on disk;
-//  3. everyone reads the winner's published member list, records the
-//     new epoch and membership in the root;
-//  4. the winner (for a join) releases the parked joiner with the offer;
+//  2. the winner of an admission claims the joiner's request;
+//  3. a barrier round confirms every shard is durably on disk — and
+//     calls the change off on every agent when the claim found the
+//     request withdrawn;
+//  4. everyone records the winner's published member list and the new
+//     epoch in the root: MEMBERS naming the joiner is its admission;
 //  5. departing machines close and surface ErrLeft; survivors rebuild
 //     at the new world size from the boundary save.
 func (s *Session) transition(ctx context.Context, proposal float64) error {
@@ -111,11 +130,22 @@ func (s *Session) transition(ctx context.Context, proposal float64) error {
 	if err := s.Save(sdir); err != nil {
 		return err
 	}
-	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
-		return err
-	}
 	rec, err := checkpoint.ReadMembershipRecord(root, s.epoch+1, winner)
 	if err != nil {
+		return err
+	}
+	// Removing the request is the one decision point between a claim and
+	// a joiner giving up: whichever removal comes second finds it gone.
+	withdrawn := 0.0
+	if kind == proposeJoin && winner == s.dist.Machine {
+		err := checkpoint.RemoveJoinRequest(root, rec.Members[rec.Joiner].Addr)
+		if errors.Is(err, fs.ErrNotExist) {
+			withdrawn = 1
+		} else if err != nil {
+			return err
+		}
+	}
+	if off, err := s.trainer.AgreeMax("member", withdrawn); err != nil || off != 0 {
 		return err
 	}
 	if rec.Step != int64(step) {
@@ -127,15 +157,6 @@ func (s *Session) transition(ctx context.Context, proposal float64) error {
 	}
 	if err := checkpoint.WriteMembers(root, rec); err != nil {
 		return err
-	}
-	if kind == proposeJoin && winner == s.dist.Machine {
-		// The epoch and membership are durable before the joiner is
-		// released: whatever it reads from the root now is the new world.
-		if fab := s.tcpFabric(); fab != nil {
-			if err := fab.OfferJoin(rec); err != nil {
-				return err
-			}
-		}
 	}
 	if rec.IndexOf(s.dist.Addrs[s.dist.Machine]) < 0 {
 		// This machine left: its state is saved and the survivors own the
@@ -149,7 +170,7 @@ func (s *Session) transition(ctx context.Context, proposal float64) error {
 // rebuildAs rebuilds this agent as a member of the agreed membership
 // from the checkpoint in sdir (written at the previous topology), then
 // settles the re-formed cluster with resave.
-func (s *Session) rebuildAs(ctx context.Context, mem *transport.Membership, sdir string) error {
+func (s *Session) rebuildAs(ctx context.Context, mem *checkpoint.Membership, sdir string) error {
 	tgt := target{dist: s.redial(), epoch: mem.Epoch}
 	if err := tgt.place(mem, s.dist.Addrs[s.dist.Machine]); err != nil {
 		return err
@@ -197,65 +218,94 @@ func (s *Session) redial() *DistConfig {
 
 // place points the target's placement at the member serving on addr:
 // the membership, not the launch flags, assigns machine indices.
-func (t *target) place(m *transport.Membership, addr string) error {
+func (t *target) place(m *checkpoint.Membership, addr string) error {
 	idx := m.IndexOf(addr)
 	if idx < 0 {
-		return fmt.Errorf("parallax: %s is not a member of the elastic cluster at membership epoch %d; rejoin with DistConfig.JoinTarget",
+		return fmt.Errorf("parallax: %s is not a member of the elastic cluster at membership epoch %d; rejoin with DistConfig.JoinAddr",
 			addr, m.Epoch)
 	}
 	dc := *t.dist
 	dc.Machine = idx
 	dc.Addrs = m.Addrs()
-	dc.JoinTarget, dc.JoinAddr = "", ""
+	dc.JoinAddr = ""
 	t.dist = &dc
 	t.resource = resourceFromMembers(m)
 	return nil
 }
 
-// requestAdmission is Open's path for an agent started with
-// DistConfig.JoinTarget: request admission from the running cluster and
-// wait (parked) for the offer, which names the rebuild's target — this
-// agent as the newest member, at the offer's epoch — and the boundary
-// checkpoint to restore. The session's first Steps boundary then runs
-// the same agreement the survivors re-enter after their rebuild, so the
-// schedules align by construction.
-func requestAdmission(ctx context.Context, resource ResourceInfo, cfg Config) (target, string, error) {
-	d := cfg.Dist
+// awaitAdmission is Open's path for an agent started with
+// DistConfig.JoinAddr: file a join request in the shared root, then wait
+// until MEMBERS names this agent as the joiner at an epoch newer than the
+// one recorded when it asked. That record is the admission: it names the
+// rebuild's target — this agent as the newest member, at its epoch — and
+// the boundary checkpoint to restore. The session's first Steps boundary
+// then runs the same agreement the survivors re-enter after their
+// rebuild, so the schedules align by construction. A joiner that gives
+// up (ctx done, DialTimeout passed) withdraws its request.
+func awaitAdmission(ctx context.Context, resource ResourceInfo, cfg Config) (target, string, error) {
+	d, root := cfg.Dist, cfg.AutoCheckpoint.Dir
 	if !cfg.Elastic {
-		return target{}, "", fmt.Errorf("parallax: DistConfig.JoinTarget requires WithElastic")
+		return target{}, "", fmt.Errorf("parallax: DistConfig.JoinAddr requires WithElastic")
 	}
-	if d.JoinAddr == "" {
-		return target{}, "", fmt.Errorf("parallax: joining requires DistConfig.JoinAddr (the address this agent will serve on)")
-	}
-	if cfg.AutoCheckpoint.Dir == "" {
+	if root == "" {
 		return target{}, "", fmt.Errorf("parallax: joining requires WithAutoCheckpoint on the cluster's shared root")
 	}
 	if err := resource.Validate(); err != nil {
 		return target{}, "", err
 	}
-	// The joiner contributes one machine: the first machine of the
-	// resource info it was launched with describes its GPUs.
-	offer, err := transport.RequestJoin(ctx, d.JoinTarget, transport.JoinRequest{
-		Addr:        d.JoinAddr,
-		GPUs:        resource.GPUsPerMachine(0),
-		Fingerprint: cfg.Compression.Fingerprint(),
-	}, d.DialTimeout)
+	asked, err := checkpoint.ReadEpoch(root)
 	if err != nil {
 		return target{}, "", err
 	}
-	if offer.Joiner < 0 || offer.Joiner >= len(offer.Members) ||
-		offer.Members[offer.Joiner].Addr != d.JoinAddr {
-		return target{}, "", fmt.Errorf("parallax: admission offer does not list this agent at its joiner slot")
-	}
-	tgt := target{dist: d, epoch: offer.Epoch}
-	if err := tgt.place(offer, d.JoinAddr); err != nil {
+	// The joiner contributes one machine: the first machine of the
+	// resource info it was launched with describes its GPUs.
+	req := &checkpoint.JoinRequest{Addr: d.JoinAddr, GPUs: resource.GPUsPerMachine(0), Fingerprint: cfg.Compression.Fingerprint()}
+	if err := checkpoint.WriteJoinRequest(root, req); err != nil {
 		return target{}, "", err
 	}
-	// The boundary save is the old topology's; the resharding install
-	// reads every old shard, and the joiner (like the survivors) only
-	// reads them before the post-rendezvous barriers allow anyone to
-	// start the new-topology re-save.
-	return tgt, checkpoint.StepDir(cfg.AutoCheckpoint.Dir, int(offer.Step)), nil
+	deadline := time.Now().Add(d.DialTimeout)
+	for attempt := 0; ; attempt++ {
+		m, err := checkpoint.ReadMembers(root)
+		if err != nil {
+			return target{}, "", err
+		}
+		if m != nil && m.Admits(d.JoinAddr, asked) {
+			tgt := target{dist: d, epoch: m.Epoch}
+			if err := tgt.place(m, d.JoinAddr); err != nil {
+				return target{}, "", err
+			}
+			// The boundary save is the old topology's; the resharding install
+			// reads every old shard, and the joiner (like the survivors) only
+			// reads them before the post-rendezvous barriers allow anyone to
+			// start the new-topology re-save.
+			return tgt, checkpoint.StepDir(root, int(m.Step)), nil
+		}
+		refusal, err := checkpoint.TakeJoinRefusal(root, d.JoinAddr)
+		switch {
+		case err != nil:
+			return target{}, "", err
+		case refusal != nil && refusal.Fingerprint != req.Fingerprint:
+			return target{}, "", fmt.Errorf("parallax: %w: the cluster runs policy %q, this joiner %q",
+				ErrCompressionMismatch, refusal.Fingerprint, req.Fingerprint)
+		case refusal != nil:
+			return target{}, "", fmt.Errorf("parallax: the cluster refused %s: the address is already a member", d.JoinAddr)
+		}
+		if ctx.Err() != nil || time.Now().After(deadline) {
+			// Withdraw. A request already gone was refused (read above next
+			// time round) or claimed by a boundary admitting this agent,
+			// whose barrier MEMBERS follows: wait for it while ctx allows.
+			switch err := checkpoint.RemoveJoinRequest(root, d.JoinAddr); {
+			case err == nil:
+				return target{}, "", fmt.Errorf("parallax: join request from %s withdrawn: %w", d.JoinAddr,
+					cmp.Or(ctx.Err(), fmt.Errorf("no step boundary admitted it within %v", d.DialTimeout)))
+			case !errors.Is(err, fs.ErrNotExist):
+				return target{}, "", err
+			case ctx.Err() != nil:
+				return target{}, "", ctx.Err()
+			}
+		}
+		_ = transport.Backoff{}.Wait(ctx, attempt, nil) // a done ctx is handled above
+	}
 }
 
 // adoptMembers rewrites a restarting agent's launch target from the
@@ -295,31 +345,15 @@ func (s *Session) shrinkTarget(cause error) (int, bool) {
 
 // currentMembers renders the session's live membership from its address
 // list and resources.
-func (s *Session) currentMembers() *transport.Membership {
-	members := make([]transport.Member, len(s.dist.Addrs))
+func (s *Session) currentMembers() *checkpoint.Membership {
+	members := make([]checkpoint.Member, len(s.dist.Addrs))
 	for i := range members {
-		members[i] = transport.Member{Addr: s.dist.Addrs[i], GPUs: s.resource.GPUsPerMachine(i)}
+		members[i] = checkpoint.Member{Addr: s.dist.Addrs[i], GPUs: s.resource.GPUsPerMachine(i)}
 	}
-	return &transport.Membership{
+	return &checkpoint.Membership{
 		Epoch: s.epoch, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
 		Parts: s.parts, Joiner: -1, Members: members,
 	}
-}
-
-// tcpFabric unwraps the trainer's fabric (through the chaos wrapper if
-// armed) down to the fabric with the elastic join endpoints. An
-// in-process fabric has no listener, so nothing ever parks on it.
-func (s *Session) tcpFabric() *transport.TCP {
-	fab := s.trainer.Fabric()
-	for {
-		u, ok := fab.(interface{ Unwrap() transport.Fabric })
-		if !ok {
-			break
-		}
-		fab = u.Unwrap()
-	}
-	t, _ := fab.(*transport.TCP)
-	return t
 }
 
 // resourceFromMembers derives the cluster resources a membership
@@ -327,7 +361,7 @@ func (s *Session) tcpFabric() *transport.TCP {
 // naming — because agreement and placement depend only on counts, and
 // positional names keep the topology fingerprint a pure function of the
 // member list on every agent.
-func resourceFromMembers(m *transport.Membership) ResourceInfo {
+func resourceFromMembers(m *checkpoint.Membership) ResourceInfo {
 	ms := make([]cluster.Machine, len(m.Members))
 	for i, mem := range m.Members {
 		gpus := make([]int, mem.GPUs)
@@ -343,16 +377,17 @@ func resourceFromMembers(m *transport.Membership) ResourceInfo {
 // cluster. The departure happens at the next step boundary: the
 // survivors agree on a membership without this machine and reshard its
 // parameter-server state, and this session's Steps iterator ends with
-// an error wrapping ErrLeft. Safe to call from another goroutine.
+// an error wrapping ErrLeft. Safe to call from another goroutine: it
+// reads only the atomic closed flag and the options Open fixed, and
+// stores the intent; whether the live cluster can spare this machine is
+// judged at the boundary, which refuses a leave from a single-member
+// cluster.
 func (s *Session) Leave() error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("parallax: leave on %w session", ErrClosed)
 	}
-	if !s.memberRounds() {
+	if !s.cfg.Elastic || s.cfg.Dist == nil || s.cfg.AutoCheckpoint.Dir == "" {
 		return fmt.Errorf("parallax: Leave requires WithElastic, WithDist, and WithAutoCheckpoint")
-	}
-	if len(s.dist.Addrs) < 2 {
-		return fmt.Errorf("parallax: cannot leave a single-member cluster")
 	}
 	s.leaving.Store(true)
 	return nil
@@ -363,13 +398,13 @@ func (s *Session) Leave() error {
 // runtime at the new resources, and restores through the same
 // resharding path distributed transitions use. Like Repartition, it
 // must not run concurrently with the step drivers. Distributed clusters
-// resize through JoinTarget and Leave instead.
+// resize through JoinAddr and Leave instead.
 func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("parallax: resize on %w session", ErrClosed)
 	}
 	if s.dist != nil {
-		return fmt.Errorf("parallax: Resize is single-process only; distributed clusters grow with JoinTarget and shrink with Leave")
+		return fmt.Errorf("parallax: Resize is single-process only; distributed clusters grow with JoinAddr and shrink with Leave")
 	}
 	if !s.cfg.Elastic {
 		return fmt.Errorf("parallax: Resize requires WithElastic")

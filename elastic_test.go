@@ -1,20 +1,22 @@
 package parallax
 
 // Chaos-driven elasticity suite (DESIGN.md §14): a TCP cluster grows
-// 2→3 mid-run when a joiner knocks, shrinks 3→2 on a voluntary (chaos
-// leave fault) departure and on an unrecovered kill with AllowShrink,
-// stays bit-identical to the uninterrupted reference across a same-size
-// kill+recover with elastic membership enabled, and resizes a
-// single-process session in place. Every test counts each step exactly
+// 2→3 mid-run when a joiner files its request, refuses joiners it cannot
+// admit, shrinks 3→2 on a voluntary (chaos leave fault) departure and on
+// an unrecovered kill with AllowShrink, stays bit-identical to the
+// uninterrupted reference across a same-size kill+recover with elastic
+// membership enabled, and resizes a single-process session in place. Every test counts each step exactly
 // once per agent and checks for leaked goroutines.
 
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"maps"
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,8 +27,8 @@ import (
 )
 
 // elasticTCPCluster opens the n agents of an n×2 TCP cluster with every
-// listener pre-bound (an elastic fabric keeps its listener for joiners,
-// so every address must be real and re-bindable), returning the
+// listener pre-bound (a transition re-rendezvouses from the address
+// list, so every address must be real and re-bindable), returning the
 // sessions and the address list.
 func elasticTCPCluster(t *testing.T, n int, perProc func(p int, dc *DistConfig) []Option) ([]*Session, []string) {
 	t.Helper()
@@ -131,9 +133,9 @@ func varBits(t *testing.T, s *Session, name string) []uint32 {
 }
 
 // TestSessionElasticGrowTCP is the scale-out tentpole: a 2-agent TCP
-// cluster is mid-run when a third agent knocks with DistConfig.
-// JoinTarget. The survivors admit it at a step boundary, bump the
-// fabric epoch, and re-rendezvous at world size 3; the joiner restores
+// cluster is mid-run when a third agent files a join request with
+// DistConfig.JoinAddr. The survivors admit it at a step boundary, bump
+// the fabric epoch, and re-rendezvous at world size 3; the joiner restores
 // its share of the boundary checkpoint and enters the collective. The
 // survivors emit every step exactly once, the joiner emits a contiguous
 // suffix, and all three agents' losses agree bit for bit on every
@@ -142,7 +144,7 @@ func TestSessionElasticGrowTCP(t *testing.T) {
 	const total = 16
 	base := runtime.NumGoroutine()
 	root := t.TempDir()
-	sessions, addrs := elasticTCPCluster(t, 2, func(p int, dc *DistConfig) []Option {
+	sessions, _ := elasticTCPCluster(t, 2, func(p int, dc *DistConfig) []Option {
 		return elasticOpts(root)
 	})
 
@@ -162,7 +164,7 @@ func TestSessionElasticGrowTCP(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				dc := DistConfig{
-					JoinTarget: addrs[0], JoinAddr: joinAddr, Addrs: []string{joinAddr},
+					JoinAddr: joinAddr, Addrs: []string{joinAddr},
 					Listener: lnJ, DialTimeout: 60 * time.Second,
 				}
 				js, jerr := Open(context.Background(), buildAPIModel(8, 150), Uniform(1, 2),
@@ -639,7 +641,7 @@ func TestSessionElasticCrossTopologyRestore(t *testing.T) {
 
 // TestSessionElasticValidation pins the API preconditions: Resize and
 // Leave demand the elastic opt-in (and a live session), and a joiner
-// cannot target a cluster without WithElastic.
+// cannot ask for admission without WithElastic.
 func TestSessionElasticValidation(t *testing.T) {
 	ctx := context.Background()
 	s, err := Open(ctx, buildAPIModel(8, 150), Uniform(2, 2), momentumOpts()...)
@@ -660,8 +662,286 @@ func TestSessionElasticValidation(t *testing.T) {
 		t.Fatalf("Leave after Close: %v, want ErrClosed", err)
 	}
 	if _, err := Open(ctx, buildAPIModel(8, 150), Uniform(1, 2),
-		WithDistConfig(DistConfig{JoinTarget: "127.0.0.1:1", JoinAddr: "127.0.0.1:2"})); err == nil {
-		t.Fatal("JoinTarget without WithElastic must fail")
+		WithDistConfig(DistConfig{JoinAddr: "127.0.0.1:2"})); err == nil {
+		t.Fatal("JoinAddr without WithElastic must fail")
+	}
+}
+
+// TestElasticJoinHandshakeThroughRoot drives the whole request-then-admit
+// exchange through the checkpoint root, without a training cluster: a
+// joiner files its request and waits, a member's boundary lists it, the
+// proposal winner claims it, and writing MEMBERS at a newer epoch is the
+// offer that places the joiner.
+func TestElasticJoinHandshakeThroughRoot(t *testing.T) {
+	root := t.TempDir()
+	const joinAddr = "127.0.0.1:7003"
+	cur := &checkpoint.Membership{Epoch: 0, Parts: 8, Joiner: -1, Members: []checkpoint.Member{
+		{Addr: "127.0.0.1:7001", GPUs: 1},
+		{Addr: "127.0.0.1:7002", GPUs: 1},
+	}}
+	member := &Session{cfg: Config{AutoCheckpoint: AutoCheckpointSpec{Dir: root}},
+		liveRuntime: liveRuntime{dist: &DistConfig{Machine: 0, Addrs: cur.Addrs()}}}
+	if req, err := member.pendingJoin(cur); err != nil || req != nil {
+		t.Fatalf("pending join %+v (%v) in a fresh root", req, err)
+	}
+
+	var got target
+	var dir string
+	var joinErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got, dir, joinErr = awaitAdmission(context.Background(), Uniform(1, 1), Config{
+			Elastic:        true,
+			AutoCheckpoint: AutoCheckpointSpec{Dir: root},
+			Dist:           &DistConfig{JoinAddr: joinAddr, DialTimeout: 10 * time.Second},
+		})
+	}()
+
+	// The request lands in the root asynchronously.
+	deadline := time.Now().Add(5 * time.Second)
+	var req *checkpoint.JoinRequest
+	for req == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("join request never reached the root")
+		}
+		var err error
+		if req, err = member.pendingJoin(cur); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if req.Addr != joinAddr || req.GPUs != 1 {
+		t.Fatalf("listed request %+v", req)
+	}
+	select {
+	case <-done:
+		t.Fatalf("joiner returned before any MEMBERS record: %v", joinErr)
+	default:
+	}
+
+	offer := &checkpoint.Membership{Epoch: 1, Step: 10, Cursor: 20, Parts: 8, Joiner: 2,
+		Members: admitMember(cur.Members, checkpoint.Member{Addr: req.Addr, GPUs: req.GPUs})}
+	if err := checkpoint.RemoveJoinRequest(root, req.Addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteMembers(root, offer); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("MEMBERS naming the joiner at a newer epoch never admitted it")
+	}
+	if joinErr != nil {
+		t.Fatal(joinErr)
+	}
+	if got.epoch != 1 || got.dist.Machine != 2 || len(got.dist.Addrs) != 3 || got.dist.Addrs[2] != joinAddr ||
+		got.dist.JoinAddr != "" || dir != checkpoint.StepDir(root, 10) {
+		t.Fatalf("joiner placed at epoch %d as machine %d of %v (JoinAddr %q), restoring %s",
+			got.epoch, got.dist.Machine, got.dist.Addrs, got.dist.JoinAddr, dir)
+	}
+	if req, err := member.pendingJoin(cur); err != nil || req != nil {
+		t.Fatalf("claimed request still pending: %+v (%v)", req, err)
+	}
+	if err := checkpoint.RemoveJoinRequest(root, joinAddr); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("second claim of one request: %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestSessionElasticJoinRefusals runs the joins a two-agent cluster must
+// not admit. A joiner that gives up before any boundary — its ctx
+// cancelled, or its DialTimeout passed — withdraws its request. A joiner
+// under another compression policy fails fast with
+// ErrCompressionMismatch, and one whose address is already a member is
+// refused. None of them costs a transition: the cluster steps on at
+// epoch 0 with its two members, and no MEMBERS record is ever written.
+func TestSessionElasticJoinRefusals(t *testing.T) {
+	base := runtime.NumGoroutine()
+	root := t.TempDir()
+	sessions, addrs := elasticTCPCluster(t, 2, func(p int, dc *DistConfig) []Option {
+		return elasticOpts(root)
+	})
+	join := func(ctx context.Context, addr string, timeout time.Duration, opts ...Option) error {
+		opts = append(append(elasticOpts(root), opts...),
+			WithDistConfig(DistConfig{JoinAddr: addr, DialTimeout: timeout}))
+		js, err := Open(ctx, buildAPIModel(8, 150), Uniform(1, 2), opts...)
+		if err == nil {
+			js.Close()
+		}
+		return err
+	}
+
+	// The cluster has not stepped yet, so no boundary can claim these.
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	if err := join(ctx, "127.0.0.1:1", time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("joiner with a cancelled ctx: %v, want context.Canceled", err)
+	}
+	if err := join(context.Background(), "127.0.0.1:2", 100*time.Millisecond); err == nil {
+		t.Fatal("a joiner past its DialTimeout was admitted")
+	}
+	if reqs, err := checkpoint.JoinRequests(root); err != nil || len(reqs) != 0 {
+		t.Fatalf("joiners that gave up left requests behind: %v (%v)", reqs, err)
+	}
+
+	// Now step, paced, until both refusals are in.
+	stepCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	res := make([]elasticResult, 2)
+	var wg sync.WaitGroup
+	for p := range sessions {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			res[p].losses = map[int]float64{}
+			for st, err := range sessions[p].Steps(stepCtx, data.NewZipfText(150, 8, 1, 1.0, 5)) {
+				if err != nil {
+					res[p].err = err
+					return
+				}
+				if _, dup := res[p].losses[st.Step]; dup {
+					res[p].err = errDupStep(st.Step)
+					return
+				}
+				res[p].losses[st.Step] = st.Loss
+				time.Sleep(10 * time.Millisecond)
+			}
+		}(p)
+	}
+	err := join(context.Background(), "127.0.0.1:3", 30*time.Second, WithCompression(CompressionF16()))
+	if !errors.Is(err, ErrCompressionMismatch) {
+		t.Errorf("joiner under another policy: %v, want ErrCompressionMismatch", err)
+	}
+	if err := join(context.Background(), addrs[1], 30*time.Second); err == nil || errors.Is(err, ErrCompressionMismatch) {
+		t.Errorf("joiner at a member's address: %v, want a refusal", err)
+	}
+	stop()
+	waitElastic(t, &wg, "stepping through refusals")
+
+	for p, s := range sessions {
+		if !errors.Is(res[p].err, context.Canceled) {
+			t.Fatalf("agent %d ended with %v, want context.Canceled", p, res[p].err)
+		}
+		if len(res[p].losses) == 0 || s.Epoch() != 0 || len(s.Members()) != 2 || s.Recoveries() != 0 {
+			t.Fatalf("agent %d: %d steps, epoch %d, %d members, %d recoveries; want steps at epoch 0, 2 members, no recovery",
+				p, len(res[p].losses), s.Epoch(), len(s.Members()), s.Recoveries())
+		}
+	}
+	if m, err := checkpoint.ReadMembers(root); err != nil || m != nil {
+		t.Fatalf("MEMBERS record %+v (err %v), want none", m, err)
+	}
+	closeInTurn(sessions...)
+	waitSessionGoroutines(t, base)
+}
+
+// goroutineStarts counts this module's live goroutines by the function
+// each was started with.
+func goroutineStarts() map[string]int {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	starts := map[string]int{}
+	lines := strings.Split(string(buf), "\n")
+	for i, l := range lines {
+		// A goroutine's dump ends with its start function's frame (a call
+		// line and a file line), then "created by".
+		if !strings.HasPrefix(l, "created by ") || i < 2 {
+			continue
+		}
+		fn := lines[i-2]
+		if j := strings.LastIndex(fn, "("); j > 0 {
+			fn = fn[:j]
+		}
+		if strings.HasPrefix(fn, "parallax") {
+			starts[fn]++
+		}
+	}
+	return starts
+}
+
+// settledStarts polls goroutineStarts until two reads agree — a
+// rendezvous's accept loop ends moments after its listener closes.
+func settledStarts() map[string]int {
+	prev := goroutineStarts()
+	for i := 0; i < 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		cur := goroutineStarts()
+		if maps.Equal(prev, cur) {
+			return cur
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// TestSessionElasticFabricKeepsNoListener: joiners ask through the
+// checkpoint root, not a socket, so once Open returns an elastic agent's
+// rendezvous listener is closed —
+// dialing either agent's address is refused — and the pair runs exactly
+// the goroutines a static pair does.
+func TestSessionElasticFabricKeepsNoListener(t *testing.T) {
+	base := runtime.NumGoroutine()
+	staticRoot, root := t.TempDir(), t.TempDir()
+	static, _ := elasticTCPCluster(t, 2, func(int, *DistConfig) []Option {
+		return append(momentumOpts(), WithAutoCheckpoint(staticRoot, 4),
+			WithRecovery(RecoveryPolicy{Enabled: true, RedialTimeout: 30 * time.Second}))
+	})
+	want := settledStarts()
+	closeInTurn(static...)
+	waitSessionGoroutines(t, base)
+
+	sessions, addrs := elasticTCPCluster(t, 2, func(int, *DistConfig) []Option {
+		return elasticOpts(root)
+	})
+	defer closeInTurn(sessions...)
+	if got := settledStarts(); !maps.Equal(got, want) {
+		t.Fatalf("elastic pair runs goroutines %v, a static pair %v", got, want)
+	}
+	for p, addr := range addrs {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Fatalf("agent %d still accepts connections at %s after the rendezvous", p, addr)
+		}
+	}
+}
+
+// TestSessionLeaveDuringRebuild: Leave is safe from another goroutine
+// while the session rebuilds — it reads only what Open fixed. Run under
+// -race; Resize is the simplest rebuild to drive.
+func TestSessionLeaveDuringRebuild(t *testing.T) {
+	ctx := context.Background()
+	s, err := Open(ctx, buildAPIModel(8, 150), Uniform(2, 2), append(momentumOpts(), WithElastic())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan struct{})
+	leaves := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				leaves <- n
+				return
+			default:
+			}
+			if err := s.Leave(); err == nil {
+				t.Error("Leave on a single-process session succeeded")
+			}
+			n++
+		}
+	}()
+	for _, r := range []ResourceInfo{Uniform(3, 2), Uniform(2, 2), Uniform(3, 2)} {
+		if err := s.Resize(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if n := <-leaves; n == 0 {
+		t.Fatal("no Leave call overlapped the rebuilds")
 	}
 }
 
@@ -686,8 +966,6 @@ type countingFabric struct {
 	transport.Fabric
 	c *scalarCounter
 }
-
-func (f *countingFabric) Unwrap() transport.Fabric { return f.Fabric }
 
 func (f *countingFabric) Conduit(rank int) transport.Conduit {
 	return &countingConduit{Conduit: f.Fabric.Conduit(rank), c: f.c}

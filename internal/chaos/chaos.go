@@ -174,10 +174,6 @@ type Fabric struct {
 	inj *Injector
 }
 
-// Unwrap returns the wrapped inner fabric — the session reaches the TCP
-// fabric's elastic join endpoints through the chaos wrapper with it.
-func (f *Fabric) Unwrap() transport.Fabric { return f.Fabric }
-
 // selfProcess locates the process index this fabric belongs to.
 func (f *Fabric) selfProcess() int {
 	topo := f.Topology()

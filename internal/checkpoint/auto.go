@@ -162,22 +162,5 @@ func ReadEpoch(root string) (int, error) {
 // (everyone computes lastEpoch+1 from the same record), so the atomic
 // rename makes any interleaving safe.
 func WriteEpoch(root string, epoch int) error {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(root, epochFile+".tmp*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.WriteString(strconv.Itoa(epoch) + "\n"); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, filepath.Join(root, epochFile))
+	return writeAtomic(root, epochFile, []byte(strconv.Itoa(epoch)+"\n"))
 }

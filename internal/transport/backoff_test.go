@@ -8,41 +8,49 @@ import (
 	"time"
 )
 
-// The raw schedule (no jitter) must grow geometrically from Base and
-// saturate at Max.
+// The schedule is constant: Backoff has no fields. Each case that set one
+// checked a behaviour that is gone with it — a custom Base and Max
+// shaping the doubling (now pinned at 25 ms to 1 s below), zero fields
+// falling back to defaults (there is nothing left to default), a custom
+// Jitter fraction (now ±20 %), and a Factor ≤ 1 clamped to a constant
+// cadence (the factor is always 2).
+
+// The raw schedule (no jitter) grows geometrically from 25 ms and
+// saturates at 1 s.
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 160 * time.Millisecond, Factor: 2}
 	want := []time.Duration{
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-		160 * time.Millisecond,
-		160 * time.Millisecond, // capped
-		160 * time.Millisecond,
+		25 * time.Millisecond,
+		50 * time.Millisecond,
+		100 * time.Millisecond,
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		time.Second, // capped
+		time.Second,
 	}
 	for k, w := range want {
-		if got := b.delay(k, nil); got != w {
+		if got := (Backoff{}).delay(k, nil); got != w {
 			t.Fatalf("attempt %d: delay %v, want %v", k, got, w)
 		}
 	}
 }
 
+// The first delay and the cap, far past where the doubling stops.
 func TestBackoffDefaults(t *testing.T) {
 	var b Backoff
 	if got := b.delay(0, nil); got != 25*time.Millisecond {
-		t.Fatalf("default base: %v, want 25ms", got)
+		t.Fatalf("base: %v, want 25ms", got)
 	}
 	if got := b.delay(100, nil); got != time.Second {
-		t.Fatalf("default cap: %v, want 1s", got)
+		t.Fatalf("cap: %v, want 1s", got)
 	}
 }
 
-// Jitter must stay inside ±Jitter of the raw delay and actually vary.
+// Jitter must stay inside ±20% of the raw delay and actually vary.
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.2}
+	var b Backoff
 	rng := rand.New(rand.NewSource(1))
-	raw := b.delay(2, nil) // 400ms
+	raw := b.delay(2, nil) // 100ms
 	lo := time.Duration(float64(raw) * 0.8)
 	hi := time.Duration(float64(raw) * 1.2)
 	seen := map[time.Duration]bool{}
@@ -58,27 +66,17 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// Factor <= 1 degrades to a constant cadence rather than shrinking.
-func TestBackoffNonGrowingFactorClamped(t *testing.T) {
-	b := Backoff{Base: 30 * time.Millisecond, Max: time.Second, Factor: 0.5}
-	for k := 0; k < 5; k++ {
-		if got := b.delay(k, nil); got < 30*time.Millisecond {
-			t.Fatalf("attempt %d: delay %v shrank below base", k, got)
-		}
-	}
-}
-
 // Wait is the schedule's one sleeper: it returns nil once the attempt's
 // delay has passed, and ctx's error at once when ctx is done first.
 func TestBackoffWaitObservesContext(t *testing.T) {
-	if err := (Backoff{Base: time.Millisecond}).Wait(context.Background(), 0, nil); err != nil {
+	if err := (Backoff{}).Wait(context.Background(), 0, nil); err != nil {
 		t.Fatalf("an undisturbed wait returned %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	err := Backoff{Base: time.Hour, Max: time.Hour}.Wait(ctx, 0, nil)
-	if !errors.Is(err, context.Canceled) || time.Since(start) > time.Second {
+	err := Backoff{}.Wait(ctx, 100, nil)
+	if !errors.Is(err, context.Canceled) || time.Since(start) > 500*time.Millisecond {
 		t.Fatalf("wait under a cancelled context returned %v after %v", err, time.Since(start))
 	}
 }

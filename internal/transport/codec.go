@@ -55,8 +55,9 @@ import (
 // validate every declared length against the remaining bytes and return
 // errors (never panic) on truncated or oversized input.
 
-// maxFrameDefault caps one frame at 1 GiB; DialTCP can lower it.
-const maxFrameDefault = 1 << 30
+// maxFrame caps one frame's payload at 1 GiB, far below the length-word
+// values reserved for control frames (frameCtrlMin).
+const maxFrame = 1 << 30
 
 // encoding limits imposed by the field widths above.
 const (

@@ -25,7 +25,7 @@ type ClosedPanic struct {
 
 // Control frames ride the same length-prefixed stream as data frames,
 // flagged by reserved values of the length word (real payloads are
-// capped far below by MaxFrame):
+// capped far below by maxFrame):
 //
 //   - frameHeartbeat: empty keep-alive; the reader refreshes its read
 //     deadline and moves on. Sent every HeartbeatInterval per

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -36,11 +37,6 @@ type TCPConfig struct {
 	// on DialTCP's context tightens this further; context cancellation
 	// aborts the rendezvous immediately.
 	DialTimeout time.Duration
-	// DialBackoff shapes the retry cadence while dialing peers that have
-	// not bound their listener yet: capped exponential growth with
-	// jitter. Zero values take the Backoff defaults (25ms base, 1s cap,
-	// x2 growth, ±20% jitter).
-	DialBackoff Backoff
 	// Epoch is the fabric generation this process rendezvouses at. The
 	// handshake carries it, and peers at different generations refuse to
 	// connect (ErrEpochMismatch): after a failure, survivors re-form the
@@ -57,18 +53,11 @@ type TCPConfig struct {
 	// read: a connection silent for this long marks its peer failed.
 	// Default 10 x HeartbeatInterval.
 	HeartbeatTimeout time.Duration
-	// MaxFrame caps one wire frame's payload bytes. Default 1 GiB.
-	MaxFrame int
 	// Policy is the wire compression policy this process runs under. The
 	// rendezvous handshake carries its fingerprint, and peers whose
 	// fingerprints differ refuse to connect (ErrCompressionMismatch):
 	// a policy split would desync the replicas' quantization grids.
 	Policy Policy
-	// Elastic keeps the rendezvous listener open after the fabric is up,
-	// so prospective members can knock with the join handshake
-	// (membership.go) while training runs. Without it the listener closes
-	// once every peer is connected and membership is static.
-	Elastic bool
 }
 
 // handshakeMagic opens every peer connection, followed by the dialer's
@@ -118,24 +107,11 @@ const (
 // peer that reads it marks just that process departed — nobody waits for
 // anybody in order to close.
 type TCP struct {
-	topo     Topology
-	proc     int
-	epoch    int
-	maxFrame int
-	pool     *bufPool
-	local    []bool // per endpoint: hosted by this process
-
-	// Elastic-membership state: the listener kept open for joiners, this
-	// process's policy fingerprint and the cluster address list (to vet
-	// join requests), and at most one parked joiner connection awaiting
-	// an admission offer (membership.go).
-	elastic     bool
-	fingerprint string
-	addrs       []string
-	ln          net.Listener
-	joinMu      sync.Mutex
-	joinConn    net.Conn
-	joinReq     *JoinRequest
+	topo  Topology
+	proc  int
+	epoch int
+	pool  *bufPool
+	local []bool // per endpoint: hosted by this process
 
 	hbInterval time.Duration // <= 0: heartbeats and read deadlines off
 	hbTimeout  time.Duration
@@ -262,14 +238,6 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	maxFrame := cfg.MaxFrame
-	if maxFrame <= 0 {
-		maxFrame = maxFrameDefault
-	}
-	if maxFrame >= frameCtrlMin {
-		// The top length-word values are reserved for control frames.
-		maxFrame = frameCtrlMin - 1
-	}
 	hbInterval := cfg.HeartbeatInterval
 	if hbInterval == 0 {
 		hbInterval = time.Second
@@ -285,17 +253,15 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 
 	f := newFabric(topo, cfg.Process, func(rank int) bool { return topo.ProcessOf(rank) == cfg.Process })
 	f.epoch = cfg.Epoch
-	f.maxFrame = maxFrame
 	f.hbInterval = hbInterval
 	f.hbTimeout = hbTimeout
 	f.conns = make([]*wireConn, procs)
 
-	// An elastic fabric listens even when no peer rendezvous is expected
-	// (the highest-indexed process, or a single-machine cluster): the
-	// listener is the door joiners knock on.
+	// The listener lives for the rendezvous only: a process with no
+	// higher-indexed peer has nobody to accept and listens not at all.
 	nAccept := procs - 1 - cfg.Process
 	var ln net.Listener
-	if nAccept > 0 || cfg.Elastic {
+	if nAccept > 0 {
 		ln = cfg.Listener
 		if ln == nil {
 			var err error
@@ -307,9 +273,6 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		cfg.Listener.Close()
 	}
 	fingerprint := cfg.Policy.Fingerprint()
-	f.elastic = cfg.Elastic
-	f.fingerprint = fingerprint
-	f.addrs = append([]string(nil), cfg.Addrs...)
 	type acceptRes struct {
 		peer int
 		conn net.Conn
@@ -320,7 +283,6 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		if ln != nil {
 			ln.Close() // ends the accept goroutine
 		}
-		f.closeJoin()
 		for _, wc := range f.conns {
 			if wc != nil {
 				wc.conn.Close()
@@ -341,11 +303,9 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 	if ln != nil {
 		// Accept until the listener closes, not until nAccept good
 		// handshakes: a duplicate connection from a restarted peer must
-		// not eat a genuine peer's slot. On a static fabric the success
-		// path closes the listener once all peers are connected (the fail
-		// path closes it on error); an elastic fabric keeps it open for
-		// joiners until shutdown, so the goroutine is tracked and reaped
-		// by Close.
+		// not eat a genuine peer's slot. The success path closes the
+		// listener once all peers are connected, the fail path on error;
+		// the goroutine is tracked, so Close reaps it either way.
 		f.readers.Add(1)
 		go func() {
 			defer f.readers.Done()
@@ -358,10 +318,6 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 				var magic [4]byte
 				if _, err := io.ReadFull(conn, magic[:]); err != nil {
 					conn.Close()
-					continue
-				}
-				if magic == joinMagic {
-					f.acceptJoin(conn)
 					continue
 				}
 				if magic != handshakeMagic {
@@ -419,61 +375,66 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		}()
 	}
 
+	// One dial loop per lower-indexed peer. A refused connect and a
+	// handshake dropped mid-way — the peer's fabric tearing down between
+	// accepting and answering, an epoch transition in flight (elastic
+	// grow, recovery rebind) — are the same retryable attempt; only an
+	// explicit rejection (wrong epoch, wrong policy) is final. One connect
+	// waits at most a second, so a peer that binds late is found soon.
+	dialer := net.Dialer{Deadline: deadline, Timeout: time.Second}
 	for q := 0; q < cfg.Process; q++ {
 		hs := append(append([]byte(nil), handshakeMagic[:]...), 0, 0, 0, 0, 0, 0, 0, 0)
 		binary.LittleEndian.PutUint16(hs[4:], uint16(cfg.Process))
 		binary.LittleEndian.PutUint16(hs[6:], uint16(len(fingerprint)))
 		binary.LittleEndian.PutUint32(hs[8:], uint32(cfg.Epoch))
 		hs = append(hs, fingerprint...)
-		// A write error or a dropped connection mid-handshake means the
-		// peer's fabric tore down between accepting and answering — an
-		// epoch transition in flight (elastic grow, recovery rebind).
-		// That is as transient as connection-refused, so redial; only an
-		// explicit rejection (wrong epoch, wrong policy) is final.
-		rng := rand.New(rand.NewSource(int64(cfg.Process)*104729 + int64(q)*7919 + 1))
-		var conn net.Conn
-		for attempt := 0; ; attempt++ {
-			c, err := dialRetry(ctx, cfg.Addrs[q], deadline, cfg.DialBackoff)
+		try := func() (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, "tcp", cfg.Addrs[q])
 			if err != nil {
-				return fail(fmt.Errorf("transport: process %d dialing peer %d (%s): %w",
-					cfg.Process, q, cfg.Addrs[q],
-					&errs.PeerFailure{Rank: q, Epoch: cfg.Epoch, Cause: err}))
+				return nil, err
 			}
-			herr := func() error {
-				if _, err := c.Write(hs); err != nil {
-					return fmt.Errorf("transport: handshake to peer %d: %w", q, err)
-				}
-				var ack [1]byte
-				c.SetReadDeadline(deadline)
-				if _, err := io.ReadFull(c, ack[:]); err != nil {
-					return fmt.Errorf("transport: handshake ack from peer %d: %w", q, err)
-				}
-				c.SetReadDeadline(time.Time{})
-				switch ack[0] {
-				case ackOK:
-					return nil
-				case ackEpoch:
-					return fmt.Errorf("transport: process %d at epoch %d rejected by peer %d: %w",
-						cfg.Process, cfg.Epoch, q, errs.ErrEpochMismatch)
-				default:
-					return fmt.Errorf("transport: process %d compression policy %q rejected by peer %d: %w",
-						cfg.Process, fingerprint, q, errs.ErrCompressionMismatch)
-				}
-			}()
-			if herr == nil {
-				conn = c
-				break
+			c.SetDeadline(deadline)
+			var ack [1]byte
+			if _, err = c.Write(hs); err == nil {
+				_, err = io.ReadFull(c, ack[:])
+			}
+			switch {
+			case err != nil:
+				err = fmt.Errorf("transport: handshake with peer %d: %w", q, err)
+			case ack[0] == ackEpoch:
+				err = fmt.Errorf("transport: process %d at epoch %d rejected by peer %d: %w",
+					cfg.Process, cfg.Epoch, q, errs.ErrEpochMismatch)
+			case ack[0] != ackOK:
+				err = fmt.Errorf("transport: process %d compression policy %q rejected by peer %d: %w",
+					cfg.Process, fingerprint, q, errs.ErrCompressionMismatch)
+			default:
+				c.SetDeadline(time.Time{})
+				return c, nil
 			}
 			c.Close()
-			if errors.Is(herr, errs.ErrEpochMismatch) || errors.Is(herr, errs.ErrCompressionMismatch) ||
-				time.Now().After(deadline) || ctx.Err() != nil { //parallax:allow(detsource) -- rendezvous retry budget; wall-clock by design
-				return fail(herr)
+			return nil, err
+		}
+		// Seeded per (process, peer): a restarting fleet's redials spread
+		// out, and a run's pacing is reproducible.
+		rng := rand.New(rand.NewSource(int64(cfg.Process)*104729 + int64(q)*7919 + 1))
+		for attempt := 0; f.conns[q] == nil; attempt++ {
+			conn, err := try()
+			if err == nil {
+				f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{})}
+				continue
 			}
-			if err := cfg.DialBackoff.Wait(ctx, attempt, rng); err != nil {
+			if errors.Is(err, errs.ErrEpochMismatch) || errors.Is(err, errs.ErrCompressionMismatch) {
 				return fail(err)
 			}
+			if ctx.Err() == nil && time.Now().Before(deadline) { //parallax:allow(detsource) -- rendezvous retry budget; wall-clock by design
+				if err = (Backoff{}).Wait(ctx, attempt, rng); err == nil {
+					continue
+				}
+			}
+			return fail(fmt.Errorf("transport: process %d dialing peer %d (%s): %w",
+				cfg.Process, q, cfg.Addrs[q],
+				&errs.PeerFailure{Rank: q, Epoch: cfg.Epoch, Cause: cmp.Or(ctx.Err(), err)}))
 		}
-		f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{})}
 	}
 	// A rendezvous timeout is a peer failure too — some expected agent
 	// never showed up — so it carries the first missing rank and matches
@@ -515,11 +476,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		}
 	}
 	if ln != nil {
-		if f.elastic {
-			f.ln = ln // stays open: joiners knock here (DESIGN.md §14)
-		} else {
-			ln.Close() // all peers connected; membership is static
-		}
+		ln.Close() // all peers connected
 	}
 	for peer, wc := range f.conns {
 		if wc == nil {
@@ -551,148 +508,6 @@ func readHandshake(conn net.Conn) (peer int, fp string, epoch int, err error) {
 		return 0, "", 0, err
 	}
 	return peer, string(raw), epoch, nil
-}
-
-// acceptJoin handles one join-handshake connection (magic already
-// consumed): decode the request, vet it, and park the connection until
-// the session layer agrees on admission and calls OfferJoin (or the
-// fabric shuts down). One joiner parks at a time; later ones are told
-// to retry (joinAckBusy).
-func (f *TCP) acceptJoin(conn net.Conn) {
-	if !f.elastic {
-		conn.Close()
-		return
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		conn.Close()
-		return
-	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if n <= 0 || n > maxJoinFrame {
-		conn.Close()
-		return
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		conn.Close()
-		return
-	}
-	req, err := DecodeJoinRequest(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if req.Fingerprint != f.fingerprint {
-		conn.Write([]byte{ackPolicy}) // a different job, not a member-to-be
-		conn.Close()
-		return
-	}
-	for _, a := range f.addrs {
-		if a == req.Addr {
-			conn.Close() // already a member (a duplicate rank); let it time out
-			return
-		}
-	}
-	conn.SetReadDeadline(time.Time{})
-	f.joinMu.Lock()
-	if f.joinConn != nil {
-		f.joinMu.Unlock()
-		conn.Write([]byte{joinAckBusy})
-		conn.Close()
-		return
-	}
-	select {
-	case <-f.closed:
-		f.joinMu.Unlock()
-		conn.Close()
-		return
-	default:
-	}
-	if _, err := conn.Write([]byte{joinAckWait}); err != nil {
-		f.joinMu.Unlock()
-		conn.Close()
-		return
-	}
-	f.joinConn, f.joinReq = conn, req
-	f.joinMu.Unlock()
-}
-
-// PendingJoin returns a copy of the join request parked on this
-// process's listener, or nil when none is. The session layer polls it
-// at step boundaries to turn knocks into admission proposals.
-func (f *TCP) PendingJoin() *JoinRequest {
-	f.joinMu.Lock()
-	defer f.joinMu.Unlock()
-	if f.joinReq == nil {
-		return nil
-	}
-	r := *f.joinReq
-	return &r
-}
-
-// OfferJoin delivers the agreed membership to the parked joiner and
-// releases the connection. Call it only after the new epoch is durable
-// (EPOCH/MEMBERS written): the joiner dials the new epoch the moment
-// the offer lands.
-func (f *TCP) OfferJoin(m *Membership) error {
-	f.joinMu.Lock()
-	conn := f.joinConn
-	f.joinConn, f.joinReq = nil, nil
-	f.joinMu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("transport: no joiner parked on process %d", f.proc)
-	}
-	defer conn.Close()
-	payload := AppendMembership(nil, m)
-	buf := appendU32(make([]byte, 0, 4+len(payload)), uint32(len(payload)))
-	buf = append(buf, payload...)
-	conn.SetWriteDeadline(time.Now().Add(10 * time.Second)) //parallax:allow(detsource) -- join-offer write deadline; connection management, not step control flow
-	if _, err := conn.Write(buf); err != nil {
-		return fmt.Errorf("transport: delivering join offer: %w", err)
-	}
-	return nil
-}
-
-// closeJoin drops a parked joiner connection, if any; the joiner sees
-// the close and retries against the next epoch's listener.
-func (f *TCP) closeJoin() {
-	f.joinMu.Lock()
-	conn := f.joinConn
-	f.joinConn, f.joinReq = nil, nil
-	f.joinMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// dialRetry dials until the deadline under the capped-exponential
-// backoff schedule; agents may start in any order, and a recovering
-// fleet's redial storm is spread by the schedule's jitter.
-func dialRetry(ctx context.Context, addr string, deadline time.Time, bo Backoff) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano())) //parallax:allow(detsource) -- redial jitter: deliberately unsynchronized pacing, spreads the fleet's redial storm
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		wait := time.Until(deadline) //parallax:allow(detsource) -- dial retry budget; wall-clock by design
-		if wait <= 0 {
-			return nil, fmt.Errorf("dial timed out")
-		}
-		if wait > time.Second {
-			wait = time.Second
-		}
-		conn, err := net.DialTimeout("tcp", addr, wait)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) { //parallax:allow(detsource) -- dial retry budget; wall-clock by design
-			return nil, err
-		}
-		if err := bo.Wait(ctx, attempt, rng); err != nil {
-			return nil, err
-		}
-	}
 }
 
 // Topology returns the fabric's endpoint layout.
@@ -739,10 +554,6 @@ func (f *TCP) Close() error {
 func (f *TCP) shutdown(bye bool) {
 	f.closeOnce.Do(func() {
 		close(f.closed)
-		if f.ln != nil {
-			f.ln.Close() // ends the elastic accept goroutine
-		}
-		f.closeJoin()
 		for _, wc := range f.conns {
 			switch {
 			case wc == nil:
@@ -798,8 +609,8 @@ func (f *TCP) reader(peer int, wc *wireConn) {
 			return
 		}
 		n := int(word)
-		if n > f.maxFrame {
-			f.readerFailed(peer, fmt.Errorf("frame of %d bytes exceeds cap %d", n, f.maxFrame))
+		if n > maxFrame {
+			f.readerFailed(peer, fmt.Errorf("frame of %d bytes exceeds cap %d", n, maxFrame))
 			return
 		}
 		if cap(payload) < n {

@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 
-	"parallax/internal/transport"
+	"parallax/internal/checkpoint"
 )
 
 // Membership change kinds, chosen so leave > join within one machine's
@@ -55,15 +55,15 @@ func decodeProposal(code float64) (machine, kind int, err error) {
 
 // admitMember appends a joiner to a member list, copying — proposal
 // records must not alias the live list.
-func admitMember(members []transport.Member, m transport.Member) []transport.Member {
-	out := make([]transport.Member, 0, len(members)+1)
+func admitMember(members []checkpoint.Member, m checkpoint.Member) []checkpoint.Member {
+	out := make([]checkpoint.Member, 0, len(members)+1)
 	out = append(out, members...)
 	return append(out, m)
 }
 
 // removeMember drops the member at the given index, copying.
-func removeMember(members []transport.Member, machine int) []transport.Member {
-	out := make([]transport.Member, 0, len(members)-1)
+func removeMember(members []checkpoint.Member, machine int) []checkpoint.Member {
+	out := make([]checkpoint.Member, 0, len(members)-1)
 	out = append(out, members[:machine]...)
 	return append(out, members[machine:][1:]...)
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"parallax/internal/checkpoint"
-	"parallax/internal/transport"
 )
 
 func TestProposalCodeRoundTrip(t *testing.T) {
@@ -52,11 +51,11 @@ func TestProposalPrecedence(t *testing.T) {
 // memberState is one simulated agent's view of the cluster.
 type memberState struct {
 	epoch   int
-	members []transport.Member
+	members []checkpoint.Member
 }
 
 func (st *memberState) topoFP() string {
-	m := &transport.Membership{Epoch: st.epoch, Parts: 1, Joiner: -1, Members: st.members}
+	m := &checkpoint.Membership{Epoch: st.epoch, Parts: 1, Joiner: -1, Members: st.members}
 	return checkpoint.TopoFingerprint(resourceFromMembers(m))
 }
 
@@ -70,7 +69,7 @@ func (st *memberState) applyWinner(winner, kind int, t *testing.T) {
 	}
 	switch kind {
 	case proposeJoin:
-		st.members = admitMember(st.members, transport.Member{
+		st.members = admitMember(st.members, checkpoint.Member{
 			Addr: fmt.Sprintf("joiner-e%d:%d", st.epoch+1, winner), GPUs: 2,
 		})
 	case proposeLeave:
@@ -92,12 +91,12 @@ func TestMembershipConvergesUnderRandomOrderings(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			start := []transport.Member{
+			start := []checkpoint.Member{
 				{Addr: "a0:1", GPUs: 2}, {Addr: "a1:1", GPUs: 2}, {Addr: "a2:1", GPUs: 2},
 			}
 			agents := make([]*memberState, 3)
 			for i := range agents {
-				agents[i] = &memberState{members: append([]transport.Member(nil), start...)}
+				agents[i] = &memberState{members: append([]checkpoint.Member(nil), start...)}
 			}
 			for round := 0; round < 40; round++ {
 				n := len(agents[0].members)
@@ -175,7 +174,7 @@ func TestMembershipConvergesUnderRandomOrderings(t *testing.T) {
 }
 
 // TestMembershipLeaveBeatsJoinSameMachine: when one machine both hosts
-// a parked joiner and wants to leave, the departure wins — a leaving
+// a pending joiner and wants to leave, the departure wins — a leaving
 // machine must not admit a joiner it won't be around to serve.
 func TestMembershipLeaveBeatsJoinSameMachine(t *testing.T) {
 	got := slices.Max([]float64{

@@ -39,9 +39,9 @@ func resolveConfig(opts []Option) Config {
 		dc := *cfg.Dist // the option's struct may be shared across Opens
 		if dc.DialTimeout <= 0 {
 			dc.DialTimeout = 10 * time.Second
-			if dc.JoinTarget != "" {
-				// A joiner waits, parked, for a step boundary to admit it —
-				// the same kind of wait as a re-rendezvous.
+			if dc.JoinAddr != "" {
+				// A joiner waits for a step boundary to admit it — the same
+				// kind of wait as a re-rendezvous.
 				dc.DialTimeout = cfg.Recovery.RedialTimeout
 			}
 		}
@@ -144,7 +144,7 @@ func WithResidentPS(fleet *PSFleet, namespace string) Option {
 }
 
 // WithElastic enables elastic cluster membership (DESIGN.md §14): new
-// agents join the running cluster with DistConfig.JoinTarget, members
+// agents join the running cluster with DistConfig.JoinAddr, members
 // depart voluntarily with Session.Leave, and — with
 // RecoveryPolicy.AllowShrink — the cluster sheds a dead machine instead
 // of waiting for its restart. Transitions happen at step boundaries and

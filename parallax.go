@@ -254,7 +254,7 @@ type Config struct {
 	// value (disabled) surfaces the failure as a step error instead.
 	Recovery RecoveryPolicy
 	// Elastic enables elastic cluster membership (DESIGN.md §14): a new
-	// agent started with DistConfig.JoinTarget is admitted into the
+	// agent started with DistConfig.JoinAddr is admitted into the
 	// running cluster at a step boundary, and departures — voluntary
 	// (Session.Leave) or crash-driven (Recovery.AllowShrink) — reshard
 	// the departing machine's parameter-server state onto the survivors
@@ -351,18 +351,16 @@ type DistConfig struct {
 	// always rebinds from Addrs, so tests that exercise recovery must
 	// list real addresses even when they hand over a listener.
 	Listener net.Listener
-	// JoinTarget, when non-empty, starts this agent as a JOINER instead
-	// of a founding member: rather than rendezvousing from Addrs, Open
-	// sends a join request to the given running agent's address
-	// ("host:port"), waits to be admitted at a step boundary, pulls its
-	// shard of the training state from the cluster's auto-checkpoint
-	// root, and enters the collective at the agreed step. Requires
-	// Config.Elastic, JoinAddr, and AutoCheckpoint on the shared root.
-	// Machine and Addrs are ignored (the admission offer assigns them).
-	JoinTarget string
-	// JoinAddr is the address this joining agent will serve on — the
-	// address the survivors will dial at the post-admission rendezvous.
-	// Only used with JoinTarget.
+	// JoinAddr, when non-empty, starts this agent as a JOINER instead of
+	// a founding member, serving on the given address ("host:port") once
+	// admitted. Rather than rendezvousing from Addrs, Open files a join
+	// request in the cluster's auto-checkpoint root, waits until a step
+	// boundary admits it (the root's MEMBERS record names it), pulls its
+	// shard of the training state from the root, and enters the
+	// collective at the agreed step. No member's address is needed.
+	// Requires Config.Elastic and AutoCheckpoint on the shared root;
+	// DialTimeout (default: Recovery.RedialTimeout) bounds the wait.
+	// Machine and Addrs are ignored (the MEMBERS record assigns them).
 	JoinAddr string
 	// Chaos arms the deterministic fault-injection harness on this
 	// agent's fabric (internal/chaos): a comma-separated fault spec such

@@ -126,7 +126,6 @@ func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector
 			DialTimeout: time.Until(deadline),
 			Policy:      cfg.Compression,
 			Epoch:       epoch,
-			Elastic:     cfg.Elastic,
 		})
 		if err == nil {
 			var fab transport.Fabric = tcp
@@ -220,7 +219,7 @@ func (s *Session) maybeAutoSave() error {
 // recovery for err rather than surfacing it.
 func (d *stepDriver) recoverable(err error) bool {
 	s := d.s
-	if !errors.Is(err, ErrPeerFailed) || s.closed {
+	if !errors.Is(err, ErrPeerFailed) || s.closed.Load() {
 		return false
 	}
 	// Recovery replays the steps since the restore point from the feed
@@ -291,7 +290,7 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	if err != nil {
 		return err
 	}
-	rec := &transport.Membership{
+	rec := &checkpoint.Membership{
 		Epoch: s.epoch + 1, Step: meta0.Step, Cursor: meta0.Cursor,
 		Parts: meta0.Parts, Joiner: -1,
 		Members: removeMember(s.currentMembers().Members, failed),

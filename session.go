@@ -54,8 +54,10 @@ import (
 // A Session must not run Steps, Save, or Repartition concurrently with
 // each other.
 type Session struct {
-	g   *Graph
-	cfg Config // options with defaults resolved; placement lives in liveRuntime.dist
+	g *Graph
+	// cfg is the options with defaults resolved, fixed by Open. cfg.Dist is
+	// the launch placement; the live one is liveRuntime.dist.
+	cfg Config
 	liveRuntime
 
 	// cursor counts dataset batches the step drivers have drawn;
@@ -63,7 +65,9 @@ type Session struct {
 	// its dataset by.
 	cursor      int64
 	pendingSkip int64
-	closed      bool
+	// closed is set by Close and by a failed rebuild, and read by Leave
+	// from any goroutine.
+	closed atomic.Bool
 
 	// Failure-recovery state (recovery.go): the recovery counter reported
 	// in StepStats, the feed log replays draw from, and the chaos injector
@@ -128,8 +132,8 @@ func (t target) machine() int {
 // cluster with no flag changes (DESIGN.md §12).
 func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
 	cfg := resolveConfig(opts)
-	if cfg.Dist != nil && cfg.Dist.JoinTarget != "" {
-		tgt, dir, err := requestAdmission(ctx, resource, cfg)
+	if cfg.Dist != nil && cfg.Dist.JoinAddr != "" {
+		tgt, dir, err := awaitAdmission(ctx, resource, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +180,11 @@ func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource Reso
 
 // openAt is a new session's first rebuild. A founding or restarting
 // agent rendezvouses at the epoch recorded in the auto-checkpoint root;
-// a joiner arrives with the epoch of its admission offer and owes the
-// re-formed cluster the same post-transition re-save the survivors run.
+// a joiner arrives with the epoch of the MEMBERS record that admitted it
+// and owes the re-formed cluster the same post-transition re-save the
+// survivors run.
 func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, joined bool) (*Session, error) {
 	s := &Session{g: g, cfg: cfg}
-	s.cfg.Dist = nil // the launch placement; the live one is liveRuntime.dist
 	if root := cfg.AutoCheckpoint.Dir; root != "" && !joined {
 		var err error
 		if tgt.epoch, err = checkpoint.ReadEpoch(root); err != nil {
@@ -259,7 +263,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 			if rt.trainer != nil {
 				rt.trainer.Close()
 			}
-			s.closed = true
+			s.closed.Store(true)
 		}
 	}()
 	var fab transport.Fabric
@@ -485,7 +489,7 @@ func (s *Session) install(dir string, head *shardHead) error {
 // cursor, and the partition decision — is everything OpenFromCheckpoint
 // needs for a bit-identical resume.
 func (s *Session) Save(dir string) error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("parallax: save on %w session", ErrClosed)
 	}
 	meta := checkpoint.Meta{
@@ -605,7 +609,7 @@ type stepDriver struct {
 // code path behind the public iterators, including the partition
 // search a session opened without a fixed count runs first.
 func (s *Session) drive(ctx context.Context, next func(step, worker int) (Feed, error), yield func(StepStats, error) bool) {
-	if s.closed {
+	if s.closed.Load() {
 		yield(StepStats{}, fmt.Errorf("parallax: steps on %w session", ErrClosed))
 		return
 	}
@@ -839,7 +843,7 @@ func (s *Session) StepCount() int { return s.trainer.StepCount() }
 // same p between the same steps (the partition search does this
 // automatically).
 func (s *Session) Repartition(p int) error {
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("parallax: repartition on %w session", ErrClosed)
 	}
 	if p < 1 {
@@ -863,7 +867,7 @@ func (s *Session) Repartition(p int) error {
 // fabric. Close is idempotent; the session must not be used afterwards
 // (operations return ErrClosed).
 func (s *Session) Close() error {
-	s.closed = true
+	s.closed.Store(true)
 	s.trainer.Close()
 	return nil
 }
@@ -897,7 +901,7 @@ func (s *Session) SparsePartitions() int { return s.parts }
 // calls VarValue for it between the same steps, and none returns — nor
 // can go on to Close — before all have read.
 func (s *Session) VarValue(name string) (*Dense, error) {
-	if s.closed {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("parallax: read on %w session", ErrClosed)
 	}
 	return s.trainer.VarValue(name)
