@@ -10,15 +10,30 @@ package tensor
 //
 // Grid round trips are exact by construction: every finite binary16 /
 // bfloat16 value is exactly representable in float32, expanding and
-// re-rounding it reproduces the same bits. NaNs keep their (truncated)
-// payloads, with a quiet bit forced when truncation would otherwise
-// collapse the payload to zero and turn the NaN into an infinity.
+// re-rounding it reproduces the same bits. A bfloat16 NaN keeps its
+// truncated payload, with a quiet bit forced when truncation would
+// otherwise collapse it into an infinity. A binary16 NaN is quieted in
+// both directions, the way F16C's VCVTPS2PH and VCVTPH2PS do it: the
+// Go routines are bit for bit the hardware's on all 2^32 floats and all
+// 2^16 halves, so an agent with F16C and one without agree on every
+// bit, NaNs included. Only a signalling half NaN does not survive the
+// round trip; nothing here produces one.
+//
+// The f16 bulk routines (QuantizeF16, EncodeF16, DecodeF16) are the one
+// run-time dispatched kernel of the package: on amd64 with F16C they run
+// the hardware conversions (half_amd64.s), elsewhere the Go routines,
+// which stay their oracle. A binary16 conversion is one correctly
+// rounded operation, so the path taken cannot move a bit.
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // F32ToF16Bits rounds a float32 to the nearest IEEE-754 binary16 value
 // (ties to even) and returns its bit pattern. Overflow rounds to ±Inf,
-// magnitudes below the subnormal range round to ±0.
+// magnitudes below the subnormal range round to ±0, and a NaN becomes
+// the quiet half NaN with its payload's top nine bits.
 func F32ToF16Bits(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
@@ -28,11 +43,7 @@ func F32ToF16Bits(f float32) uint16 {
 		if man == 0 {
 			return sign | 0x7C00
 		}
-		m := uint16(man >> 13)
-		if m == 0 {
-			m = 0x200 // payload truncated away: force the quiet bit
-		}
-		return sign | 0x7C00 | m
+		return sign | 0x7E00 | uint16(man>>13)
 	}
 	e := exp - 127 + 15
 	if e >= 0x1F { // |f| >= 2^16: past the largest half, round to Inf
@@ -63,14 +74,17 @@ func F32ToF16Bits(f float32) uint16 {
 }
 
 // F16BitsToF32 expands a binary16 bit pattern to the float32 with the
-// same value (exact: every half is representable).
+// same value (exact: every half is representable); a NaN keeps its
+// payload and comes out quiet.
 func F16BitsToF32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1F
 	man := uint32(h & 0x3FF)
 	switch {
-	case exp == 0x1F: // Inf / NaN, payload preserved
-		return math.Float32frombits(sign | 0x7F800000 | man<<13)
+	case exp == 0x1F && man == 0:
+		return math.Float32frombits(sign | 0x7F800000)
+	case exp == 0x1F: // NaN: payload preserved, quiet bit set
+		return math.Float32frombits(sign | 0x7FC00000 | man<<13)
 	case exp == 0:
 		if man == 0 {
 			return math.Float32frombits(sign)
@@ -108,7 +122,21 @@ func BF16BitsToF32(h uint16) float32 {
 
 // QuantizeF16 rounds every element onto the binary16 grid in place
 // (round-to-nearest-even). Idempotent: on-grid values are fixed points.
-func QuantizeF16(x []float32) {
+func QuantizeF16(x []float32) { quantizeF16(x) }
+
+// EncodeF16 writes src as little-endian binary16 bit patterns,
+// F32ToF16Bits of each element, to the first 2*len(src) bytes of dst.
+func EncodeF16(dst []byte, src []float32) { encodeF16(dst[:2*len(src)], src) }
+
+// DecodeF16 expands the first len(dst) little-endian binary16 values of
+// src into dst, F16BitsToF32 of each. It reports false if one of them
+// was a signalling NaN — a pattern F32ToF16Bits never produces, which
+// decodes quieted — so a caller that needs canonical input can refuse
+// it.
+func DecodeF16(dst []float32, src []byte) bool { return decodeF16(dst, src[:2*len(dst)]) }
+
+// quantizeF16Generic is QuantizeF16's Go loop.
+func quantizeF16Generic(x []float32) {
 	n := len(x)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -120,6 +148,26 @@ func QuantizeF16(x []float32) {
 	for ; i < n; i++ {
 		x[i] = F16BitsToF32(F32ToF16Bits(x[i]))
 	}
+}
+
+// encodeF16Generic is EncodeF16's Go loop; len(dst) is 2*len(src).
+func encodeF16Generic(dst []byte, src []float32) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint16(dst[2*i:], F32ToF16Bits(v))
+	}
+}
+
+// decodeF16Generic is DecodeF16's Go loop; len(src) is 2*len(dst).
+func decodeF16Generic(dst []float32, src []byte) bool {
+	ok := true
+	for i := range dst {
+		h := binary.LittleEndian.Uint16(src[2*i:])
+		if h&0x7E00 == 0x7C00 && h&0x1FF != 0 { // signalling NaN
+			ok = false
+		}
+		dst[i] = F16BitsToF32(h)
+	}
+	return ok
 }
 
 // QuantizeBF16 rounds every element onto the bfloat16 grid in place

@@ -1,7 +1,13 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -42,26 +48,157 @@ func TestF16Conversions(t *testing.T) {
 			t.Errorf("%s: F32ToF16Bits(%g) = %#04x, want %#04x", c.name, c.in, got, c.bits)
 		}
 	}
-	// Expansion of every case's bit pattern re-rounds to the same bits:
-	// the grid is a fixed point of the round trip.
+	// Expansion of every half re-rounds to the same bits: the grid is a
+	// fixed point of the round trip. A signalling NaN is the exception:
+	// it comes back quiet.
 	for h := 0; h <= 0xFFFF; h++ {
 		f := F16BitsToF32(uint16(h))
-		if got := F32ToF16Bits(f); got != uint16(h) {
-			t.Fatalf("half round trip %#04x -> %g -> %#04x", h, f, got)
+		want := uint16(h)
+		if h&0x7C00 == 0x7C00 && h&0x3FF != 0 {
+			want |= 0x200
+		}
+		if got := F32ToF16Bits(f); got != want {
+			t.Fatalf("half round trip %#04x -> %g -> %#04x, want %#04x", h, f, got, want)
 		}
 	}
-	// NaN handling: payload survives, and a payload that truncates to
-	// zero must not collapse into an infinity.
-	qnan := math.Float32frombits(0x7FC00001)
-	if got := F32ToF16Bits(qnan); got&0x7C00 != 0x7C00 || got&0x3FF == 0 {
-		t.Errorf("quiet NaN converted to %#04x, not a NaN", got)
+	// NaN handling, the way F16C does it: a NaN keeps the top of its
+	// payload and comes out quiet in either direction, so a payload that
+	// truncates to zero cannot collapse into an infinity.
+	for _, c := range []struct {
+		name string
+		in   uint32
+		bits uint16
+	}{
+		{"quietNaN", 0x7FC02000, 0x7E01},
+		{"signallingNaN", 0x7F802000, 0x7E01},
+		{"negSignallingNaN", 0xFF802000, 0xFE01},
+		{"thinNaN", 0x7F800001, 0x7E00}, // payload entirely below bit 13
+	} {
+		if got := F32ToF16Bits(math.Float32frombits(c.in)); got != c.bits {
+			t.Errorf("%s: F32ToF16Bits(%#08x) = %#04x, want %#04x", c.name, c.in, got, c.bits)
+		}
 	}
-	thinNaN := math.Float32frombits(0x7F800001) // payload entirely below bit 13
-	if got := F32ToF16Bits(thinNaN); got != 0x7E00 {
-		t.Errorf("thin NaN converted to %#04x, want 0x7E00", got)
+	for _, c := range []struct {
+		in   uint16
+		bits uint32
+	}{
+		{0x7E00, 0x7FC00000},
+		{0x7C01, 0x7FC02000}, // signalling: quieted
+		{0xFE01, 0xFFC02000},
+	} {
+		if got := math.Float32bits(F16BitsToF32(c.in)); got != c.bits {
+			t.Errorf("F16BitsToF32(%#04x) = %#08x, want %#08x", c.in, got, c.bits)
+		}
 	}
-	if !math.IsNaN(float64(F16BitsToF32(0x7E00))) {
-		t.Error("expanded NaN is not NaN")
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// f16Mismatch runs EncodeF16 and QuantizeF16 on src (enc and q are
+// scratch of 2*len(src) bytes and len(src) floats) and describes the
+// first element whose bits differ from the scalar Go routines'.
+func f16Mismatch(src []float32, enc []byte, q []float32) error {
+	EncodeF16(enc, src)
+	copy(q, src)
+	QuantizeF16(q)
+	for i, v := range src {
+		h := F32ToF16Bits(v)
+		if got := binary.LittleEndian.Uint16(enc[2*i:]); got != h {
+			return fmt.Errorf("EncodeF16 of %#08x = %#04x, want %#04x", math.Float32bits(v), got, h)
+		}
+		if got, want := math.Float32bits(q[i]), math.Float32bits(F16BitsToF32(h)); got != want {
+			return fmt.Errorf("QuantizeF16 of %#08x = %#08x, want %#08x", math.Float32bits(v), got, want)
+		}
+	}
+	return nil
+}
+
+// sweepF16 checks every float32 bit pattern in [lo, hi) with
+// f16Mismatch, a chunk at a time over GOMAXPROCS goroutines.
+func sweepF16(t *testing.T, lo, hi uint64) {
+	t.Helper()
+	const chunk = 1 << 14
+	var next atomic.Uint64
+	next.Store(lo)
+	var wg sync.WaitGroup
+	errs := make(chan error, runtime.GOMAXPROCS(0))
+	for range cap(errs) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, enc, q := make([]float32, chunk), make([]byte, 2*chunk), make([]float32, chunk)
+			for {
+				start := next.Add(chunk) - chunk
+				if start >= hi {
+					return
+				}
+				s := src[:min(chunk, hi-start)]
+				for i := range s {
+					s[i] = math.Float32frombits(uint32(start + uint64(i)))
+				}
+				if err := f16Mismatch(s, enc, q); err != nil {
+					errs <- err
+					next.Store(hi) // stop the others
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestF16BulkMatchesScalar pins the bulk f16 routines — F16C on amd64
+// when the CPU has it — to the scalar Go routines bit for bit: every
+// positive float32 whose exponent can round to a half boundary (101–143),
+// the f32 denormals (0), Inf and every NaN (255); a seeded sample of
+// both signs and every exponent; and the decode of all 65,536 halves.
+// The whole 2^32 sweep is TestF16BulkExhaustive (-tags exhaustive).
+// The race detector makes the sweep ~15× slower and has nothing to find
+// in it, so under -race only the sample and the decode run.
+func TestF16BulkMatchesScalar(t *testing.T) {
+	if !raceEnabled {
+		sweepF16(t, 0, 1<<23)
+		sweepF16(t, 101<<23, 144<<23)
+		sweepF16(t, 255<<23, 256<<23)
+	}
+
+	rng := rand.New(rand.NewPCG(26, 16))
+	src := make([]float32, 1<<20)
+	for i := range src {
+		src[i] = math.Float32frombits(rng.Uint32())
+	}
+	if err := f16Mismatch(src, make([]byte, 2*len(src)), make([]float32, len(src))); err != nil {
+		t.Error(err)
+	}
+
+	halves := make([]byte, 2<<16)
+	for h := range 1 << 16 {
+		binary.LittleEndian.PutUint16(halves[2*h:], uint16(h))
+	}
+	dec := make([]float32, 1<<16)
+	if DecodeF16(dec, halves) {
+		t.Error("DecodeF16 of every half did not report the signalling NaNs")
+	}
+	for h, v := range dec {
+		if got, want := math.Float32bits(v), math.Float32bits(F16BitsToF32(uint16(h))); got != want {
+			t.Fatalf("DecodeF16 of %#04x = %#08x, want %#08x", h, got, want)
+		}
+	}
+	// Every half the encoder can produce, i.e. all but the signalling
+	// NaNs, decodes as canonical.
+	canonical := halves[:0]
+	for h := range 1 << 16 {
+		if F32ToF16Bits(F16BitsToF32(uint16(h))) == uint16(h) {
+			canonical = binary.LittleEndian.AppendUint16(canonical, uint16(h))
+		}
+	}
+	if !DecodeF16(dec[:len(canonical)/2], canonical) {
+		t.Error("DecodeF16 refused halves without a signalling NaN")
 	}
 }
 

@@ -26,12 +26,14 @@ package tensor
 // On amd64 the loops are hand-written SSE2 (kernels_amd64.s): four
 // float32 lanes do to four elements, or to Dot's four partial sums, what
 // the Go loops below do to one, MULPS then ADDPS, so the bits are the
-// same. SSE2 is the amd64 baseline, so nothing is detected or dispatched
-// at run time; AVX2/FMA would change either the lane count of Dot's
-// partial sums or the number of roundings, i.e. every loss bit. The Go
-// loops in this file are the !amd64 build and the oracle the assembly is
-// tested against; their float32(...) conversions keep compilers that
-// fuse x*y+z (arm64, GOAMD64=v3) to the same two roundings.
+// same. SSE2 is the amd64 baseline, so these kernels detect and dispatch
+// nothing at run time (the f16 conversions of half.go are the package's
+// one dispatched kernel); AVX2/FMA would change either the lane count
+// of Dot's partial sums or the number of roundings, i.e. every loss
+// bit. The Go loops in this file are the !amd64 build and the oracle the
+// assembly is tested against; their float32(...) conversions keep
+// compilers that fuse x*y+z (arm64, GOAMD64=v3) to the same two
+// roundings.
 //
 // When two NaNs meet, which payload survives is the operand order an
 // implementation picked, not arithmetic: NaN-ness is part of the

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -225,6 +226,8 @@ func checkAgainstGeneric(t *testing.T, vals []float32, a float32, n, off int) {
 	AddTo(got, got)
 	wantSameBits(t, what("AddTo aliased"), got, want)
 
+	checkF16AgainstGeneric(t, src, off, what)
+
 	// The 4-column dot: 6 rows of b, so one group of four and two
 	// columns left to Dot.
 	const cols = 6
@@ -250,11 +253,58 @@ func checkAgainstGeneric(t *testing.T, vals []float32, a float32, n, off int) {
 	}
 }
 
+// checkF16AgainstGeneric runs the three f16 bulk routines on src, which
+// starts at offset off into its backing array, and requires exactly the
+// bits of their Go loops, NaN payloads included: quantize in place,
+// encode into a longer buffer whose tail must come back untouched, and
+// decode of src's own bit patterns read as len(src) halves.
+func checkF16AgainstGeneric(t *testing.T, src []float32, off int, what func(string) string) {
+	t.Helper()
+	n := len(src)
+	want := append([]float32(nil), src...)
+	quantizeF16Generic(want)
+	got := append(make([]float32, off), src...)[off:]
+	QuantizeF16(got)
+	wantBits(t, what("QuantizeF16"), got, want)
+
+	wantEnc := bytes.Repeat([]byte{0xA5}, 2*n+3)
+	encodeF16Generic(wantEnc[:2*n], src)
+	gotEnc := append(make([]byte, off), bytes.Repeat([]byte{0xA5}, 2*n+3)...)[off:]
+	EncodeF16(gotEnc, src)
+	if !bytes.Equal(gotEnc, wantEnc) {
+		t.Fatalf("%s:\n%x\nwant\n%x", what("EncodeF16"), gotEnc, wantEnc)
+	}
+
+	raw := make([]byte, off+4*n)[off:]
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+	}
+	want = make([]float32, n)
+	wantOK := decodeF16Generic(want, raw[:2*n])
+	got = make([]float32, off+n)[off:]
+	if gotOK := DecodeF16(got, raw); gotOK != wantOK {
+		t.Fatalf("%s reported %v, want %v", what("DecodeF16"), gotOK, wantOK)
+	}
+	wantBits(t, what("DecodeF16"), got, want)
+}
+
+// wantBits is wantSameBits without the NaN allowance: the f16 routines
+// are exact on NaN payloads too.
+func wantBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s elem %d: %#08x, want %#08x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
 // specials are the values a lane-wise kernel could treat differently
 // from scalar code: NaN, infinities, both zeros, denormals, and sums
-// that overflow or cancel.
+// that overflow or cancel. 0x7F80FC01 is a signalling NaN whose low
+// half, read as binary16, is one too.
 var specials = []float32{
-	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), math.Float32frombits(0x7F80FC01), float32(math.Inf(1)), float32(math.Inf(-1)),
 	0, float32(math.Copysign(0, -1)),
 	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -3e-41,
 	math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.1, 3,

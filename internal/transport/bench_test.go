@@ -27,7 +27,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			_, _, got, err := decodeMessage(buf, pool)
+			_, _, got, err := decodeMessage(buf, pool, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			if _, _, _, err := decodeMessage(buf, pool); err != nil {
+			if _, _, _, err := decodeMessage(buf, pool, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -71,7 +71,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			if _, _, _, err := decodeMessage(buf, pool); err != nil {
+			if _, _, _, err := decodeMessage(buf, pool, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			_, _, got, err := decodeMessage(buf, pool)
+			_, _, got, err := decodeMessage(buf, pool, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			if _, _, _, err := decodeMessage(buf, pool); err != nil {
+			if _, _, _, err := decodeMessage(buf, pool, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf = appendMessage(buf[:0], 0, 1, m)
-			if _, _, _, err := decodeMessage(buf, pool); err != nil {
+			if _, _, _, err := decodeMessage(buf, pool, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

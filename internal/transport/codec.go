@@ -274,13 +274,34 @@ func (d *Decoder) F32s(n int, dst []float32) error {
 	return nil
 }
 
+// maxInternedTags caps a tagInterner: a step uses a few dozen tags, so
+// the cap is only reached by a peer inventing tags, which then costs an
+// allocation per frame, never memory.
+const maxInternedTags = 1024
+
+// tagInterner hands out one string per distinct frame tag, so a
+// connection's reader allocates each tag once instead of once per frame.
+// It belongs to one reader goroutine; a nil tagInterner interns nothing.
+type tagInterner map[string]string
+
+func (ti tagInterner) intern(b []byte) string {
+	if s, ok := ti[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if ti != nil && len(ti) < maxInternedTags {
+		ti[s] = s
+	}
+	return s
+}
+
 // decodeMessage decodes one payload. Float chunk buffers come from pool
-// (the receiver recycles them); sparse tensors and PS messages are
-// freshly allocated and owned by the receiver. The frame's codec is
-// recorded on the message (and on its PSMsg or SparseChunk), so
-// re-encoding reproduces the bytes. Trailing bytes after the body are an
-// error: frames are canonical.
-func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error) {
+// (the receiver recycles them) and the tag from tags; sparse tensors and
+// PS messages are freshly allocated and owned by the receiver. The
+// frame's codec is recorded on the message (and on its PSMsg or
+// SparseChunk), so re-encoding reproduces the bytes. Trailing bytes
+// after the body are an error: frames are canonical.
+func decodeMessage(b []byte, pool *bufPool, tags tagInterner) (src, dst int, m message, err error) {
 	d := NewDecoder(b)
 	s16, err := d.U16()
 	if err != nil {
@@ -302,7 +323,7 @@ func decodeMessage(b []byte, pool *bufPool) (src, dst int, m message, err error)
 	if err != nil {
 		return 0, 0, m, err
 	}
-	m.tag = string(tag)
+	m.tag = tags.intern(tag)
 	m.kind = kind(k & (1<<codecShift - 1))
 	m.codec = Codec(k >> codecShift)
 	if !m.codec.valid() {

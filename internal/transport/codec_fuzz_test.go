@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -115,7 +116,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pool := newBufPool()
-		src, dst, m, err := decodeMessage(b, pool)
+		src, dst, m, err := decodeMessage(b, pool, nil)
 		if err != nil {
 			return // malformed input rejected; that is the contract
 		}
@@ -123,7 +124,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(re, b) {
 			t.Fatalf("encoding not canonical:\n%x\nvs\n%x", b, re)
 		}
-		src2, dst2, m2, err := decodeMessage(re, pool)
+		src2, dst2, m2, err := decodeMessage(re, pool, nil)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -224,7 +225,7 @@ func sameSparse(a, b *tensor.Sparse) bool {
 func TestCodecRoundTripsSeeds(t *testing.T) {
 	pool := newBufPool()
 	for i, m := range seedMessages() {
-		src, dst, got, err := decodeMessage(appendMessage(nil, 3, 5, m), pool)
+		src, dst, got, err := decodeMessage(appendMessage(nil, 3, 5, m), pool, nil)
 		if err != nil {
 			t.Fatalf("seed %d did not decode: %v", i, err)
 		}
@@ -234,18 +235,47 @@ func TestCodecRoundTripsSeeds(t *testing.T) {
 	}
 }
 
+// TestReceiveTagsInterned pins the reader's tag interning: a repeated tag
+// decodes without allocating, and a peer inventing tags fills the
+// interner only up to its cap while every frame still decodes to its own
+// tag.
+func TestReceiveTagsInterned(t *testing.T) {
+	pool := newBufPool()
+	tags := tagInterner{}
+	frame := appendMessage(nil, 0, 1, message{tag: "fuse/0/rs", kind: kindScalar, scalar: 1})
+	decode := func(b []byte) string {
+		_, _, m, err := decodeMessage(b, pool, tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.tag
+	}
+	if allocs := testing.AllocsPerRun(100, func() { decode(frame) }); allocs != 0 {
+		t.Errorf("decoding a known tag allocated %v times", allocs)
+	}
+	for i := range maxInternedTags + 10 {
+		tag := fmt.Sprintf("t%d", i)
+		if got := decode(appendMessage(nil, 0, 1, message{tag: tag, kind: kindScalar})); got != tag {
+			t.Fatalf("frame tagged %q decoded as %q", tag, got)
+		}
+	}
+	if len(tags) != maxInternedTags {
+		t.Errorf("interner holds %d tags, cap %d", len(tags), maxInternedTags)
+	}
+}
+
 // TestCodecRejectsTruncation slices every seed frame at every boundary:
 // all prefixes must decode with an error, not a panic.
 func TestCodecRejectsTruncation(t *testing.T) {
 	pool := newBufPool()
 	for _, b := range seedFrames() {
 		for cut := 0; cut < len(b); cut++ {
-			if _, _, _, err := decodeMessage(b[:cut], pool); err == nil {
+			if _, _, _, err := decodeMessage(b[:cut], pool, nil); err == nil {
 				t.Fatalf("truncated frame (%d of %d bytes) decoded", cut, len(b))
 			}
 		}
 		// Trailing garbage is rejected too: frames are canonical.
-		if _, _, _, err := decodeMessage(append(append([]byte(nil), b...), 0), pool); err == nil {
+		if _, _, _, err := decodeMessage(append(append([]byte(nil), b...), 0), pool, nil); err == nil {
 			t.Fatal("frame with trailing byte decoded")
 		}
 	}
@@ -288,6 +318,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			4, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0),
 		"non-minimal varint": append(header(kindF32Sparse, CodecF32),
 			9, 0, 0, 0, 1, 0, 0, 0, 0x80, 0x00, 0, 0, 0, 0),
+		"signalling NaN half":  append(header(kindF32, CodecF16), 1, 0, 0, 0, 0x01, 0x7C),
 		"unknown codec":        append(header(kindF32, 3), 0, 0, 0, 0),
 		"scalar under a codec": append(header(kindScalar, CodecF16), 0, 0, 0, 0, 0, 0, 0, 0),
 		"unknown index mode": append(header(kindSparse, CodecF32),
@@ -295,7 +326,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		"ascending rows in raw mode": append(header(kindSparse, CodecF32),
 			5, 0, 0, 0, 0, 0, 0, 0 /*width 0*/, rawIndexMode, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0),
 	} {
-		if _, _, _, err := decodeMessage(b, pool); err == nil {
+		if _, _, _, err := decodeMessage(b, pool, nil); err == nil {
 			t.Errorf("%s decoded", name)
 		}
 	}

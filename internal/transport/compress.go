@@ -143,9 +143,7 @@ type SparseChunk struct {
 func AppendF16s(b []byte, data []float32) []byte {
 	off := len(b)
 	b = slices.Grow(b, 2*len(data))[:off+2*len(data)]
-	for i, v := range data {
-		binary.LittleEndian.PutUint16(b[off+2*i:], tensor.F32ToF16Bits(v))
-	}
+	tensor.EncodeF16(b[off:], data)
 	return b
 }
 
@@ -180,14 +178,15 @@ func payloadElemSize(c Codec) int {
 }
 
 // F16s consumes n binary16 values, expanding them into dst — the
-// decoder for AppendF16s.
+// decoder for AppendF16s. A signalling NaN is an error: the encoder
+// never writes one, so a frame holding one is not canonical.
 func (d *Decoder) F16s(n int, dst []float32) error {
 	s, err := d.Bytes(n * 2)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = tensor.F16BitsToF32(binary.LittleEndian.Uint16(s[i*2:]))
+	if !tensor.DecodeF16(dst[:n], s) {
+		return fmt.Errorf("transport: signalling NaN in a binary16 payload")
 	}
 	return nil
 }

@@ -579,6 +579,7 @@ func (f *TCP) reader(peer int, wc *wireConn) {
 	br := bufio.NewReaderSize(wc.conn, 1<<16)
 	var lenBuf [4]byte
 	var payload []byte
+	tags := tagInterner{}
 	for {
 		if f.hbInterval > 0 {
 			wc.slide(f.hbTimeout)
@@ -620,7 +621,7 @@ func (f *TCP) reader(peer int, wc *wireConn) {
 			f.readerFailed(peer, err)
 			return
 		}
-		src, dst, m, err := decodeMessage(payload[:n], f.pool)
+		src, dst, m, err := decodeMessage(payload[:n], f.pool, tags)
 		if err != nil || !f.Local(dst) || f.topo.ProcessOf(src) != peer {
 			if err == nil {
 				err = fmt.Errorf("misrouted frame src=%d dst=%d", src, dst)
