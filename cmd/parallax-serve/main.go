@@ -1,6 +1,6 @@
 // Command parallax-serve runs the multi-tenant training service: a
-// long-lived daemon hosting many concurrent training jobs on one
-// resident parameter-server fleet. Jobs are submitted over HTTP as
+// long-lived daemon hosting many concurrent training jobs, each with its
+// own parameter servers. Jobs are submitted over HTTP as
 // jobspec JSON documents, scheduled against the cluster's GPU
 // inventory with per-tenant fair share, and observable live — step
 // streams as NDJSON, cluster and per-job metrics as Prometheus text.
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7600", "HTTP listen address")
-	machines := flag.Int("machines", 2, "cluster machines (resident PS fleet size and admission bound)")
+	machines := flag.Int("machines", 2, "cluster machines (admission bound)")
 	gpus := flag.Int("gpus", 2, "GPUs per machine (admission bound)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()

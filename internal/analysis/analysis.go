@@ -13,8 +13,8 @@
 //     sentinel that no in-package path ever constructs is dead code.
 //   - lockheld: no blocking operations (channel ops, Conduit/net IO,
 //     foreign Cond.Wait, time.Sleep) while a sync.Mutex/RWMutex is
-//     held — the deadlock shape the namespace-scoped Abort protocol
-//     (§13) exists to break.
+//     held — the deadlock shape the parameter server's Abort protocol
+//     (§3) exists to break.
 //
 // The package mirrors the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic) but is dependency-free: the build is

@@ -8,8 +8,8 @@ import (
 )
 
 // LockHeld flags blocking operations performed while a sync.Mutex or
-// sync.RWMutex is held — the deadlock shape the namespace-scoped
-// Abort protocol (§13) exists to break by hand: a goroutine parks on
+// sync.RWMutex is held — the deadlock shape the parameter server's
+// Abort protocol (§3) exists to break by hand: a goroutine parks on
 // a channel or a Conduit round trip with a server lock held, and
 // every other goroutine that needs the lock parks behind it forever.
 //

@@ -428,42 +428,51 @@ func ShardPath(dir string, machine int) string {
 }
 
 // WriteShard atomically writes meta.Machine's shard under dir (created
-// if missing): the bytes land in a temp file first and are renamed into
-// place, so a crash mid-save never leaves a truncated shard behind.
+// if missing), so a crash mid-save never leaves a truncated shard
+// behind.
 func WriteShard(dir string, meta Meta, recs []Record) error {
 	b, err := Encode(meta, recs)
 	if err != nil {
 		return err
 	}
+	return writeAtomic(dir, filepath.Base(ShardPath(dir, meta.Machine)), b)
+}
+
+// writeAtomic is the one durable write behind every file in a checkpoint
+// root — shards, EPOCH, MEMBERS, proposals, join requests and refusals:
+// the bytes land in a temp file in dir (created if missing) and are
+// renamed into place, so a reader sees the old bytes or the new, never a
+// torn file. The file is synced before the rename — without it the
+// rename can become durable before the data blocks, and a crash would
+// leave an empty or truncated file under the final name — and the
+// directory after it, so the rename itself survives a crash.
+func writeAtomic(dir, base string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := ShardPath(dir, meta.Machine)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
 		return err
 	}
-	// Sync before the rename: without it the rename can become durable
-	// before the data blocks, and a crash would leave a truncated shard
-	// under the final name — the torn save the temp-file dance exists to
-	// prevent.
-	if _, err := tmp.Write(b); err == nil {
+	name := tmp.Name()
+	if _, err := tmp.Write(data); err == nil {
 		err = tmp.Sync()
 	}
 	if err != nil {
 		tmp.Close()
-		os.Remove(tmp.Name())
+		os.Remove(name)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+		os.Remove(name)
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(name, filepath.Join(dir, base)); err != nil {
+		os.Remove(name)
 		return err
 	}
-	// Make the rename itself durable.
+	// Some filesystems refuse to sync a directory; the rename stands
+	// either way.
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

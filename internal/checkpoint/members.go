@@ -489,26 +489,3 @@ func TakeJoinRefusal(root, addr string) (*JoinRequest, error) {
 	}
 	return r, os.Remove(path)
 }
-
-// writeAtomic is the temp+rename write behind every control file in the
-// root: a reader sees the old bytes or the new, never a torn file.
-func writeAtomic(dir, base string, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, filepath.Join(dir, base))
-}

@@ -1,10 +1,10 @@
 // Cluster resource inventory for the multi-tenant serving daemon:
 // admission control charges every job against it before a Session is
-// opened, so concurrent tenants can never oversubscribe the fleet's
+// opened, so concurrent tenants can never oversubscribe the cluster's
 // GPUs (DESIGN.md §13). GPUs are exclusive — a job's workers own them
-// for its lifetime. PS capacity is not a second axis: servers are
-// resident (one per machine, shared by all tenants via namespaces), so
-// a job only needs its machine count to fit the fleet.
+// for its lifetime. PS capacity is not a second axis: each job runs one
+// server of its own per machine it spans, so a job only needs its
+// machine count to fit the cluster.
 package cluster
 
 import (
@@ -16,9 +16,9 @@ import (
 type Demand struct {
 	// GPUs is the worker count: machines × gpus-per-machine.
 	GPUs int
-	// Machines is how many machines the job spans; its namespaces live
-	// on that many resident servers. Must fit the inventory's machine
-	// count but is not an exclusive charge.
+	// Machines is how many machines the job spans, one of its parameter
+	// servers on each. Must fit the inventory's machine count but is not
+	// an exclusive charge.
 	Machines int
 }
 

@@ -103,7 +103,7 @@ func TestSnapshotAndReshardRoundTrip(t *testing.T) {
 	}
 	newRanges := tensor.PartitionRows(rows, 5)
 	owned := []int{0, 1, 2, 3, 4}
-	if err := anon(srv).ReshardVar("emb", value, newRanges, owned, true, []*tensor.Dense{velocity}, 2); err != nil {
+	if err := srv.ReshardVar("emb", value, newRanges, owned, true, []*tensor.Dense{velocity}, 2); err != nil {
 		t.Fatal(err)
 	}
 	for pi := range newRanges {
@@ -135,22 +135,22 @@ func TestReshardValidation(t *testing.T) {
 	pushAll(t, srv, ranges, rows, width, 1)
 
 	newRanges := tensor.PartitionRows(rows, 2)
-	if err := anon(srv).ReshardVar("emb", init, newRanges, []int{0, 1}, true, nil, 1); err == nil {
+	if err := srv.ReshardVar("emb", init, newRanges, []int{0, 1}, true, nil, 1); err == nil {
 		t.Fatal("reshard without slot tensors accepted for a stateful optimizer")
 	}
 	short := tensor.NewDense(rows-1, width)
-	if err := anon(srv).ReshardVar("emb", init, newRanges, []int{0, 1}, true, []*tensor.Dense{short}, 1); err == nil {
+	if err := srv.ReshardVar("emb", init, newRanges, []int{0, 1}, true, []*tensor.Dense{short}, 1); err == nil {
 		t.Fatal("reshard with undersized slot tensor accepted")
 	}
 
 	// Drop the variable: the old partitions (and their velocity) go away.
-	if err := anon(srv).ReshardVar("emb", init, newRanges, nil, true, nil, 1); err != nil {
+	if err := srv.ReshardVar("emb", init, newRanges, nil, true, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Version("emb", 0); err == nil {
 		t.Fatal("dropped variable still served")
 	}
-	mom := anon(srv).cfg.Optimizer.(*optim.Momentum)
+	mom := srv.cfg.Optimizer.(*optim.Momentum)
 	for _, key := range []string{"emb/part0", "emb/part1", "emb/part2"} {
 		if mom.SlotValue("velocity", key) != nil {
 			t.Fatalf("velocity for %s survived the drop", key)
@@ -177,7 +177,7 @@ func TestSnapshotStatelessOptimizer(t *testing.T) {
 	if len(slots) != 0 {
 		t.Fatalf("SGD snapshot has %d slots", len(slots))
 	}
-	if err := anon(srv).ReshardVar("v", init, tensor.PartitionRows(6, 3), []int{0, 1, 2}, false, nil, 0); err != nil {
+	if err := srv.ReshardVar("v", init, tensor.PartitionRows(6, 3), []int{0, 1, 2}, false, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 }

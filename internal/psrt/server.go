@@ -11,12 +11,9 @@
 // ... each accumulator handles gradients of a single sparse variable") —
 // and pulls for the next iteration block until the update lands.
 //
-// A Server is a name table and nothing else: every variable belongs to a
-// Namespace (namespace.go), which carries the config, the optimizer
-// instance and the abort state its variables are governed by. A private
-// trainer registers the anonymous namespace "" (qualified name = bare
-// name); tenants of a resident fleet register named ones on the same
-// kind of server. The data plane is batched — PullManyInto,
+// A Server belongs to one job: it holds that job's Config (with its own
+// optimizer instance), its abort state and a table of its variables keyed
+// by name. The data plane is batched — PullManyInto,
 // PushDenseMany, PushSparseMany are the only pull/push shapes; a single
 // partition is a one-element batch. A pull reads its partition whole or,
 // given PullReq.Rows, only the rows listed: a worker whose graph merely
@@ -25,7 +22,7 @@
 //
 // The partitioning is not fixed for the server's lifetime: SnapshotPart
 // exports a partition's value and optimizer slot state, and
-// Namespace.ReshardVar replaces a variable's partitioning in place (live
+// Server.ReshardVar replaces a variable's partitioning in place (live
 // resharding, DESIGN.md §9), seeding versions so the synchronous
 // protocol continues without a discontinuity.
 //
@@ -59,7 +56,7 @@ import (
 	"parallax/internal/tensor"
 )
 
-// Config is the update semantics of one namespace's variables.
+// Config is the update semantics of one server's variables.
 type Config struct {
 	// Sources is the number of gradient pushes expected per partition per
 	// step (workers, or machines under local aggregation): an update
@@ -89,12 +86,19 @@ func (c Config) meanDiv() int {
 	return c.Sources
 }
 
-// Server hosts variable partitions: the qualified-name table the data
-// plane resolves, and the namespaces that own its entries.
+// Server hosts variable partitions under one Config.
 type Server struct {
-	mu         sync.Mutex
-	vars       map[string]*servedVar
-	namespaces map[string]*Namespace
+	cfg  Config
+	mu   sync.Mutex
+	vars map[string]*servedVar
+
+	// abortErr, once set, wakes and fails every blocked version/
+	// aggregation wait on the server's variables: the synchronous
+	// protocol's waits are satisfied by peer pushes, so when the
+	// transport underneath dies mid-step the missing pushes never arrive
+	// and only Abort can unpark the waiters.
+	abortMu  sync.Mutex
+	abortErr error
 }
 
 type servedVar struct {
@@ -107,10 +111,9 @@ type servedVar struct {
 	// keys[pi] is the optimizer state key for partition pi, precomputed so
 	// the per-push apply path never formats strings.
 	keys []string
-	// ns is the owning namespace: its config (with its own optimizer
-	// instance) governs this variable's updates, its Abort fails this
-	// variable's waits.
-	ns *Namespace
+	// srv is the hosting server: its config governs this variable's
+	// updates, its Abort fails this variable's waits.
+	srv *Server
 }
 
 type part struct {
@@ -138,50 +141,142 @@ type part struct {
 	version int64 // applied updates
 }
 
-// validateConfig checks a namespace config's invariants.
-func validateConfig(cfg Config) error {
+// NewServer creates an empty server whose variables are governed by cfg:
+// sources, aggregation, update mode, and the optimizer instance, which
+// the server owns exclusively. One per machine is the paper's layout
+// (§4.2).
+func NewServer(cfg Config) (*Server, error) {
 	if cfg.Sources <= 0 {
-		return fmt.Errorf("psrt: server needs Sources > 0")
+		return nil, fmt.Errorf("psrt: server needs Sources > 0")
 	}
 	if cfg.Optimizer == nil {
-		return fmt.Errorf("psrt: nil optimizer")
+		return nil, fmt.Errorf("psrt: nil optimizer")
+	}
+	return &Server{cfg: cfg, vars: map[string]*servedVar{}}, nil
+}
+
+// AddVar registers a variable (or a subset of its partitions). init is
+// the full initial value; ranges lists the row ranges of ALL partitions
+// (so indices agree across servers); owned lists which partition indices
+// this server hosts.
+func (s *Server) AddVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.vars[name]; dup {
+		return fmt.Errorf("psrt: variable %q already registered", name)
+	}
+	_, err := s.addVarLocked(name, init, ranges, owned, sparse)
+	return err
+}
+
+// ReshardVar replaces a variable's partitioning in place — the install
+// phase of live resharding and of checkpoint restore. The old servedVar
+// (if any) is dropped and its partitions' optimizer slot state deleted;
+// if owned is non-empty a new servedVar is installed with values sliced
+// from the assembled full value init, optimizer slots sliced from the
+// assembled full slot tensors (SlotState.Slots order; pass nil for
+// stateless optimizers), and every owned partition's version and
+// aggregation sequence seeded to version, so the synchronous pull/clip
+// protocol continues counting steps without a discontinuity.
+//
+// ReshardVar must only run while the variable is quiescent: no pushes,
+// pulls, or snapshots in flight (the trainer guarantees this with its
+// cross-agent resharding barriers).
+func (s *Server) ReshardVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool, slots []*tensor.Dense, version int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ss, stateful := s.cfg.Optimizer.(optim.SlotState)
+	if old, ok := s.vars[name]; ok {
+		for pi, p := range old.parts {
+			if stateful && p != nil {
+				ss.DeleteKey(old.keys[pi])
+			}
+		}
+		delete(s.vars, name)
+	}
+	if len(owned) == 0 {
+		return nil
+	}
+	if stateful && len(slots) != len(ss.Slots()) {
+		return fmt.Errorf("psrt: reshard of %q has %d slot tensors, optimizer keeps %d slots",
+			name, len(slots), len(ss.Slots()))
+	}
+	v, err := s.addVarLocked(name, init, ranges, owned, sparse)
+	if err != nil {
+		return err
+	}
+	for _, pi := range owned {
+		p := v.parts[pi]
+		p.version = version
+		p.aggSeq = version
+		if !stateful || ranges[pi].Len() == 0 {
+			continue
+		}
+		rr := ranges[pi]
+		for k, slot := range ss.Slots() {
+			if slots[k].NumElements() != v.dim0*v.width {
+				return fmt.Errorf("psrt: reshard slot %q of %q has %d elements, variable has %d",
+					slot, name, slots[k].NumElements(), v.dim0*v.width)
+			}
+			sv := tensor.NewDense(rr.Len(), v.width)
+			copy(sv.Data(), slots[k].Data()[rr.Start*v.width:rr.End*v.width])
+			ss.SetSlot(slot, v.keys[pi], sv)
+		}
 	}
 	return nil
 }
 
-// NewResident creates an empty server: every variable is registered
-// through a Namespace handle and carries that namespace's config. One
-// per machine is the paper's layout (§4.2), whether the machine serves
-// one private trainer or a fleet of tenants (see Fleet).
-func NewResident() *Server {
-	return &Server{vars: map[string]*servedVar{}, namespaces: map[string]*Namespace{}}
-}
-
-// NewServer is shorthand for a server whose anonymous namespace is
-// already registered under cfg — the private server of one trainer;
-// AddVar registers bare-named variables on it.
-func NewServer(cfg Config) (*Server, error) {
-	s := NewResident()
-	if _, err := s.Namespace("", cfg); err != nil {
-		return nil, err
+// SlotNames returns the server optimizer's slot names in SlotState
+// order (empty for stateless optimizers) — the labels SnapshotPart's
+// slot tensors carry in a checkpoint.
+func (s *Server) SlotNames() []string {
+	if ss, ok := s.cfg.Optimizer.(optim.SlotState); ok {
+		return ss.Slots()
 	}
-	return s, nil
+	return nil
 }
 
-// AddVar is Namespace.AddVar on the anonymous namespace.
-func (s *Server) AddVar(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) error {
+// Abort fails every present and future blocking wait (pulls, snapshots,
+// WaitAggregatedNormSquared) on the server's variables with err. The
+// trainer calls it when its transport fabric dies, so workers parked on
+// a version wait — whose outstanding pushes will never arrive from the
+// dead peer — fail fast with the fabric's attributed error instead of
+// hanging on a condition variable forever. Idempotent; the first error
+// wins. Non-blocking operations (pushes, resharding) are unaffected: the
+// aborted server's state remains readable for post-mortem snapshots.
+func (s *Server) Abort(err error) {
+	if err == nil {
+		return
+	}
+	s.abortMu.Lock()
+	if s.abortErr == nil {
+		s.abortErr = err
+	}
+	s.abortMu.Unlock()
 	s.mu.Lock()
-	n := s.namespaces[""]
-	s.mu.Unlock()
-	if n == nil {
-		return fmt.Errorf("psrt: server has no anonymous namespace to register %q under", name)
+	var parts []*part
+	for _, v := range s.vars {
+		parts = append(parts, v.parts...) //parallax:orderinvariant -- wakeup set: the order of cond Broadcasts is unobservable
 	}
-	return n.AddVar(name, init, ranges, owned, sparse)
+	s.mu.Unlock()
+	for _, p := range parts {
+		if p != nil {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+	}
 }
 
-// addVarLocked builds and registers a servedVar owned by namespace ns
-// under the qualified name; the caller holds s.mu.
-func (s *Server) addVarLocked(ns *Namespace, name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) (*servedVar, error) {
+// aborted returns the server's Abort error, if any.
+func (s *Server) aborted() error {
+	s.abortMu.Lock()
+	defer s.abortMu.Unlock()
+	return s.abortErr
+}
+
+// addVarLocked builds and registers a servedVar; the caller holds s.mu.
+func (s *Server) addVarLocked(name string, init *tensor.Dense, ranges []tensor.RowRange, owned []int, sparse bool) (*servedVar, error) {
 	if init.Rank() < 1 {
 		return nil, fmt.Errorf("psrt: variable %q has rank 0", name)
 	}
@@ -194,7 +289,7 @@ func (s *Server) addVarLocked(ns *Namespace, name string, init *tensor.Dense, ra
 		dim0:   init.Dim(0),
 		parts:  make([]*part, len(ranges)),
 		keys:   make([]string, len(ranges)),
-		ns:     ns,
+		srv:    s,
 	}
 	for _, pi := range owned {
 		if pi < 0 || pi >= len(ranges) {
@@ -243,10 +338,10 @@ func (v *servedVar) partAt(pi int) (*part, error) {
 
 // waitVersion parks until p's version reaches minVersion (pass the
 // iteration number for synchronous training; 0 never waits) or v's
-// namespace is aborted. The caller holds p.mu.
+// server is aborted. The caller holds p.mu.
 func (v *servedVar) waitVersion(p *part, minVersion int64) error {
 	for p.version < minVersion {
-		if err := v.ns.aborted(); err != nil {
+		if err := v.srv.aborted(); err != nil {
 			return err
 		}
 		p.cond.Wait()
@@ -280,7 +375,7 @@ func (v *servedVar) pushDense(pi int, grad *tensor.Dense) error {
 		tensor.AddTo(grad.Data(), p.accDense.Data())
 	}
 	p.pushes++
-	if p.pushes == v.ns.cfg.Sources {
+	if p.pushes == v.srv.cfg.Sources {
 		v.completeLocked(pi, p)
 	}
 	return nil
@@ -301,7 +396,7 @@ func (v *servedVar) pushSparse(pi int, grad *tensor.Sparse) error {
 	defer p.mu.Unlock()
 	p.accSparse = append(p.accSparse, grad)
 	p.pushes++
-	if p.pushes == v.ns.cfg.Sources {
+	if p.pushes == v.srv.cfg.Sources {
 		v.completeLocked(pi, p)
 	}
 	return nil
@@ -310,7 +405,7 @@ func (v *servedVar) pushSparse(pi int, grad *tensor.Sparse) error {
 // completeLocked aggregates the accumulator; with DeferUpdates it parks the
 // aggregated gradient for the chief, otherwise applies immediately.
 func (v *servedVar) completeLocked(pi int, p *part) {
-	cfg := &v.ns.cfg
+	cfg := &v.srv.cfg
 	if v.sparse {
 		agg := tensor.SumSparse(p.accSparse)
 		optim.FinalizeSparse(agg, cfg.meanDiv(), cfg.SparseAgg)
@@ -345,13 +440,13 @@ func (v *servedVar) applyLocked(pi int, p *part, scale float32) {
 		if scale != 1 {
 			g.Scale(scale)
 		}
-		v.ns.cfg.Optimizer.ApplySparse(v.keys[pi], p.value, g)
+		v.srv.cfg.Optimizer.ApplySparse(v.keys[pi], p.value, g)
 	} else {
 		g := p.aggDense
 		if scale != 1 {
 			g.Scale(scale)
 		}
-		v.ns.cfg.Optimizer.ApplyDense(v.keys[pi], p.value, g)
+		v.srv.cfg.Optimizer.ApplyDense(v.keys[pi], p.value, g)
 	}
 	p.aggSparse = nil
 	p.aggDense = nil // the persistent accDense buffer itself is kept
@@ -374,7 +469,7 @@ func (s *Server) WaitAggregatedNormSquared(name string, pi int, seq int64) (floa
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.aggSeq < seq {
-		if aerr := v.ns.aborted(); aerr != nil {
+		if aerr := v.srv.aborted(); aerr != nil {
 			return 0, aerr
 		}
 		p.cond.Wait()
@@ -599,7 +694,7 @@ func (s *Server) SnapshotPart(name string, pi int, minVersion int64) (*tensor.De
 	}
 	val := p.value.Clone()
 	var slots []*tensor.Dense
-	if ss, ok := v.ns.cfg.Optimizer.(optim.SlotState); ok {
+	if ss, ok := v.srv.cfg.Optimizer.(optim.SlotState); ok {
 		for _, slot := range ss.Slots() {
 			if sv := ss.SlotValue(slot, v.keys[pi]); sv != nil {
 				slots = append(slots, sv.Clone())

@@ -1,9 +1,11 @@
 package psrt
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"parallax/internal/optim"
 	"parallax/internal/tensor"
@@ -19,9 +21,6 @@ func pushDense(s *Server, name string, pi int, g *tensor.Dense) error {
 func pushSparse(s *Server, name string, pi int, g *tensor.Sparse) error {
 	return s.PushSparseMany([]SparsePush{{Name: name, Part: pi, Grad: g}})
 }
-
-// anon returns the anonymous namespace NewServer registered.
-func anon(s *Server) *Namespace { return s.namespaces[""] }
 
 func TestSyncDenseAggregatesMean(t *testing.T) {
 	s, err := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggMean, SparseAgg: optim.AggMean})
@@ -181,6 +180,68 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(Config{Sources: 1}); err == nil {
 		t.Fatal("nil optimizer must fail")
+	}
+}
+
+// TestServerAbort: Abort fails every parked and future wait with its
+// error (the first one wins), while pushes and resharding keep working
+// on the aborted server's state.
+func TestServerAbort(t *testing.T) {
+	s, err := NewServer(Config{Sources: 1, Optimizer: optim.NewMomentum(1, 0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddVar("w", tensor.FromSlice([]float32{10}, 1, 1), fullRange(1), []int{0}, false); err != nil {
+		t.Fatal(err)
+	}
+	// Each wait asks for version/aggregation 99, which never arrives.
+	waits := map[string]func() error{
+		"Pull": func() error { _, err := s.Pull("w", 0, 99); return err },
+		"SnapshotPart": func() error {
+			_, _, err := s.SnapshotPart("w", 0, 99)
+			return err
+		},
+		"WaitAggregatedNormSquared": func() error {
+			_, err := s.WaitAggregatedNormSquared("w", 0, 99)
+			return err
+		},
+	}
+	done := map[string]chan error{}
+	for name, wait := range waits {
+		ch := make(chan error, 1)
+		done[name] = ch
+		go func() { ch <- wait() }()
+	}
+	time.Sleep(10 * time.Millisecond) // let the waits park
+	boom := errors.New("fabric died")
+	s.Abort(boom)
+	s.Abort(errors.New("a later failure"))
+	for name, wait := range waits {
+		select {
+		case err := <-done[name]:
+			if !errors.Is(err, boom) {
+				t.Fatalf("parked %s returned %v, want the first abort error", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parked %s survived Abort", name)
+		}
+		if err := wait(); !errors.Is(err, boom) {
+			t.Fatalf("%s after Abort returned %v, want the first abort error", name, err)
+		}
+	}
+
+	if err := pushDense(s, "w", 0, tensor.FromSlice([]float32{2}, 1, 1)); err != nil {
+		t.Fatalf("push after Abort: %v", err)
+	}
+	val, slots, err := s.SnapshotPart("w", 0, 1)
+	if err != nil {
+		t.Fatalf("satisfied snapshot after Abort: %v", err)
+	}
+	if val.Data()[0] != 8 {
+		t.Fatalf("value = %v after the post-abort push, want 8", val.Data()[0])
+	}
+	if err := s.ReshardVar("w", val, fullRange(1), []int{0}, false, slots, 1); err != nil {
+		t.Fatalf("ReshardVar after Abort: %v", err)
 	}
 }
 

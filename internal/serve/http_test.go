@@ -52,7 +52,7 @@ func TestHTTPSubmitAndLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatal(err)
 	}
-	if v.ID == "" || v.Tenant != "acme" || v.Namespace != "acme/"+v.ID {
+	if v.ID == "" || v.Tenant != "acme" {
 		t.Fatalf("bad view: %+v", v)
 	}
 	if v.Spec.LR != 0.5 || v.Spec.Arch != "hybrid" {

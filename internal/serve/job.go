@@ -1,14 +1,11 @@
 // Package serve is the multi-tenant training service: a long-running
-// daemon hosting many concurrent Sessions on one resident parameter-
-// server fleet (DESIGN.md §13). Jobs arrive as jobspec.Spec documents,
-// pass admission control against the cluster inventory, train on their
-// own goroutine under their own PS namespace, and expose their step
-// stream, checkpoints, and Prometheus metrics over HTTP.
-//
-// This turns the paper's per-job runtime into a service: the
-// one-server-per-machine layout (§4.2) becomes a persistent fleet that
-// outlives any job, and the per-job graph transformation runs at
-// admission time instead of process start.
+// daemon hosting many concurrent Sessions (DESIGN.md §13). Jobs arrive
+// as jobspec.Spec documents, pass admission control against the cluster
+// inventory, train on their own goroutine with their own parameter
+// servers — one per machine, as the paper's runtime launches them
+// (§4.2) — and expose their step stream, checkpoints, and Prometheus
+// metrics over HTTP. The per-job graph transformation runs at admission
+// time instead of process start.
 package serve
 
 import (
@@ -113,11 +110,6 @@ func newJob(id, tenant string, spec jobspec.Spec, seq int) *Job {
 	return j
 }
 
-// Namespace is the job's PS namespace on the resident fleet:
-// tenant-qualified so same-named variables of different tenants (or of
-// two jobs of one tenant) never collide.
-func (j *Job) Namespace() string { return j.Tenant + "/" + j.ID }
-
 // State returns the current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()
@@ -191,7 +183,6 @@ func (j *Job) waitSteps(ctx context.Context, from int) (events []StepEvent, term
 type View struct {
 	ID        string       `json:"id"`
 	Tenant    string       `json:"tenant"`
-	Namespace string       `json:"namespace"`
 	State     State        `json:"state"`
 	Error     string       `json:"error,omitempty"`
 	Spec      jobspec.Spec `json:"spec"`
@@ -213,7 +204,7 @@ func (j *Job) View() View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := View{
-		ID: j.ID, Tenant: j.Tenant, Namespace: j.Namespace(),
+		ID: j.ID, Tenant: j.Tenant,
 		State: j.state, Error: j.err, Spec: j.Spec,
 		GPUs: j.Demand.GPUs, Submitted: j.submitted,
 		StepsDone: len(j.steps),

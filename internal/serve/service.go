@@ -18,12 +18,12 @@ import (
 // (HTTP 400).
 var ErrRejected = errors.New("admission rejected")
 
-// Service hosts many training jobs on one resident PS fleet. One
-// Service per daemon; all methods are safe for concurrent use.
+// Service hosts many training jobs, each with its own parameter
+// servers. One Service per daemon; all methods are safe for concurrent
+// use.
 type Service struct {
-	fleet *parallax.PSFleet
-	inv   *cluster.Inventory
-	met   *serviceMetrics
+	inv *cluster.Inventory
+	met *serviceMetrics
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -36,29 +36,20 @@ type Service struct {
 }
 
 // New creates a service for a cluster of machines × gpusPerMachine:
-// that shape bounds every admission decision, and the resident fleet
-// spans the machines.
+// that shape bounds every admission decision.
 func New(machines, gpusPerMachine int) (*Service, error) {
 	inv, err := cluster.NewInventory(machines, gpusPerMachine)
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := parallax.NewPSFleet(machines)
-	if err != nil {
-		return nil, err
-	}
 	s := &Service{
-		fleet: fleet, inv: inv, met: newServiceMetrics(),
+		inv: inv, met: newServiceMetrics(),
 		jobs: map[string]*Job{}, alloc: map[string]int{},
 	}
 	s.met.capacityGPUs.Set(float64(inv.CapacityGPUs()))
 	s.met.freeGPUs.Set(float64(inv.FreeGPUs()))
 	return s, nil
 }
-
-// Fleet exposes the resident fleet (observability: namespaces per
-// machine).
-func (s *Service) Fleet() *parallax.PSFleet { return s.fleet }
 
 // Submit validates and admits one job for tenant. A spec that can
 // never fit the cluster returns ErrRejected; an admissible one is
@@ -283,10 +274,6 @@ func (s *Service) run(ctx context.Context, j *Job) {
 		finish(Failed, err, 0, 0)
 		return
 	}
-	// The job joins the resident fleet under its own namespace: its
-	// variables live on the shared per-machine servers, isolated from
-	// every other tenant's same-named variables.
-	opts = append(opts, parallax.WithResidentPS(s.fleet, j.Namespace()))
 	sess, err := parallax.Open(ctx, spec.Graph(), spec.Resources(), opts...)
 	if err != nil {
 		finish(Failed, fmt.Errorf("open: %w", err), 0, 0)

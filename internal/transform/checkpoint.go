@@ -53,8 +53,8 @@ func slotNamesOf(o optim.Optimizer) ([]string, optim.SlotState) {
 // replica-managed variable from the first local replica (replicas
 // perform identical updates, so its bits are the job's bits), then
 // every parameter-server partition m's server hosts — values and
-// optimizer slots in partition-local row coordinates, under the bare
-// variable name so checkpoints move between namespaces — then the top-k
+// optimizer slots in partition-local row coordinates, under the
+// variable's name — then the top-k
 // error-feedback residuals of m's workers (Name is the worker's global
 // rank in decimal, Part the fusion bucket; none unless the compression
 // policy keeps residuals).
@@ -94,13 +94,13 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 			if r.assign.Servers[pi] != m || rr.Len() == 0 {
 				continue
 			}
-			val, slots, err := w0.ps[m].SnapshotPart(r.psName, pi, int64(t.step))
+			val, slots, err := w0.ps[m].SnapshotPart(r.v.Name, pi, int64(t.step))
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, checkpoint.Record{
 				Kind: checkpoint.KindServerPart, Name: r.v.Name, Part: pi, Value: val,
-				SlotNames: slices.Clone(t.ns[m].SlotNames()), Slots: slots,
+				SlotNames: slices.Clone(t.servers[m].SlotNames()), Slots: slots,
 			})
 		}
 	}
@@ -134,10 +134,10 @@ func (t *Trainer) Restore(recs []checkpoint.Record, step int64, reshard bool) er
 		return err
 	}
 	full := make([]psState, len(t.routes))
-	var psSlots []string // every local namespace was built by the same NewOptimizer
-	for _, ns := range t.ns {
-		if ns != nil {
-			psSlots = ns.SlotNames()
+	var psSlots []string // every local server was built by the same NewOptimizer
+	for _, srv := range t.servers {
+		if srv != nil {
+			psSlots = srv.SlotNames()
 		}
 	}
 	for _, rec := range recs {

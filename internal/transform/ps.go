@@ -180,7 +180,7 @@ func (t *Trainer) stepPullReqs(w *worker, feed graph.Feed) {
 			if rr.Len() == 0 {
 				continue
 			}
-			req := psrt.PullReq{Name: r.psName, Part: pi, Dst: w.pullDst[ri][pi]}
+			req := psrt.PullReq{Name: r.v.Name, Part: pi, Dst: w.pullDst[ri][pi]}
 			if r.rowInputs != nil {
 				n := 0
 				for n < len(ids) && ids[n] < rr.End {
@@ -251,7 +251,7 @@ func (t *Trainer) pushPS(w *worker, ri int, dense *tensor.Dense, sp *tensor.Spar
 			reqs := w.sparseReqs[:0]
 			for _, pi := range owned {
 				t.bytesPushed.Add(parts[pi].Bytes())
-				reqs = append(reqs, psrt.SparsePush{Name: r.psName, Part: pi, Grad: parts[pi]})
+				reqs = append(reqs, psrt.SparsePush{Name: r.v.Name, Part: pi, Grad: parts[pi]})
 			}
 			w.sparseReqs = reqs[:0]
 			if err := w.ps[m].PushSparseMany(reqs); err != nil {
@@ -279,7 +279,7 @@ func (t *Trainer) pushPS(w *worker, ri int, dense *tensor.Dense, sp *tensor.Spar
 					part = dense.SliceRows(rr.Start, rr.End)
 				}
 				t.bytesPushed.Add(part.Bytes())
-				reqs = append(reqs, psrt.DensePush{Name: r.psName, Part: pi, Grad: part})
+				reqs = append(reqs, psrt.DensePush{Name: r.v.Name, Part: pi, Grad: part})
 			}
 			w.denseReqs = reqs[:0]
 			if err := w.ps[m].PushDenseMany(reqs); err != nil {
@@ -362,7 +362,7 @@ func (t *Trainer) VarValue(name string) (_ *tensor.Dense, err error) {
 		if rr.Len() == 0 {
 			continue
 		}
-		req := []psrt.PullReq{{Name: r.psName, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
+		req := []psrt.PullReq{{Name: r.v.Name, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
 		if err := w0.ps[r.assign.Servers[pi]].PullManyInto(int64(t.step), req); err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ import (
 //  2. Barrier: no agent may install while a peer still reads the old
 //     partitions.
 //  3. Install: each agent reshards its LOCAL servers
-//     (psrt.Namespace.ReshardVar) — values and slot rows re-sliced to the
+//     (psrt.Server.ReshardVar) — values and slot rows re-sliced to the
 //     new ranges, versions seeded to the step counter — and rebuilds its
 //     routing (each route's partition ranges and per-server partition
 //     lists, local-aggregation slots and views, batched pull requests).
@@ -90,7 +90,7 @@ func (t *Trainer) Repartition(newPlan *core.Plan) (err error) {
 			if rr.Len() == 0 {
 				continue
 			}
-			val, slots, err := w0.ps[r.assign.Servers[pi]].SnapshotPart(r.psName, pi, minV)
+			val, slots, err := w0.ps[r.assign.Servers[pi]].SnapshotPart(r.v.Name, pi, minV)
 			if err == nil {
 				err = full[ri].place(r, pi, val, slots)
 			}
@@ -168,14 +168,14 @@ func (st *psState) place(r *varRoute, pi int, val *tensor.Dense, slots []*tensor
 // installPS re-registers r on every local server from the assembled
 // state: each server's owned row ranges under r's (possibly just
 // replaced) partitioning, values and slot rows re-sliced, versions and
-// aggregation sequences seeded to version (psrt.Namespace.ReshardVar).
+// aggregation sequences seeded to version (psrt.Server.ReshardVar).
 // A server that owns nothing of r afterwards just drops what it had.
 func (t *Trainer) installPS(r *varRoute, st psState, version int64) error {
-	for m, ns := range t.ns {
-		if ns == nil {
+	for m, srv := range t.servers {
+		if srv == nil {
 			continue
 		}
-		if err := ns.ReshardVar(r.v.Name, st.value, r.ranges, r.parts[m],
+		if err := srv.ReshardVar(r.v.Name, st.value, r.ranges, r.parts[m],
 			r.assign.Sparse, st.slots, version); err != nil {
 			return err
 		}

@@ -158,8 +158,8 @@ func TestGoroutineInventoryIsFixedAtNew(t *testing.T) {
 // trainer is refused by the trainer itself, with the ErrClosed sentinel
 // — it does not reach for the closed fabric, mistake what it finds there
 // for a failure, and fail-stop a second time. A variable read is refused
-// the same way, for a PS variable (whose namespace Close dropped) and for
-// a replica-managed one (whose stale replica it must not hand out).
+// the same way, for a PS variable and for a replica-managed one (whose
+// stale replica it must not hand out).
 func TestClosedTrainerRefusesFanOut(t *testing.T) {
 	_, trs := distKillTrainers(t, nil)
 	trs[0].Close()

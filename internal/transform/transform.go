@@ -29,10 +29,9 @@
 //     fabric dies. Everything else the trainer does across its workers
 //     — a step, a boundary agreement, the startup broadcast — is one
 //     fan-out (onWorkers) onto the compute goroutines. Each local
-//     machine's parameter server — a fresh one, or a resident fleet's —
-//     is joined under the trainer's psrt.Namespace (the anonymous one
-//     unless a fleet is named), the one handle variables are
-//     registered, resharded, aborted and dropped through.
+//     machine's parameter server is a psrt.Server of the trainer's own,
+//     which its variables are registered, resharded and aborted
+//     through.
 //   - All dense AllReduce variables are packed at build time into a few
 //     size-capped fusion buckets; each step runs ONE collective per bucket
 //     over a contiguous buffer instead of one per variable, and the
@@ -143,17 +142,6 @@ type Options struct {
 	// variables are additionally broadcast from worker 0 at build time so
 	// replicas start bit-identical.
 	Fabric transport.Fabric
-	// Resident, when set, hosts this trainer's PS variables on the given
-	// long-lived fleet's servers instead of fresh ones — the multi-tenant
-	// service mode. PSNamespace must then name the tenant (e.g.
-	// "tenant/jobID"); every variable is registered under it so
-	// same-named variables of concurrent jobs never collide. Without a
-	// fleet the namespace is the anonymous one, "". Either way the
-	// namespace is dropped wholesale when the trainer closes. A fleet
-	// lives in the daemon's process, so it cannot be combined with a
-	// distributed Fabric.
-	Resident    *psrt.Fleet
-	PSNamespace string
 }
 
 // varRoute is one variable's synchronization route: the method its plan
@@ -165,11 +153,6 @@ type varRoute struct {
 	// parts[m] lists, ascending, the partitions machine m's server owns
 	// (nil where it owns none); set with assign and ranges by partition.
 	parts [][]int
-	// psName is the name this variable is served under on its PS servers:
-	// v.Name qualified with the trainer's namespace (v.Name itself under
-	// the anonymous one). Precomputed so the pull/push/clip hot paths and
-	// snapshot/restore never re-derive it.
-	psName string
 	// rowInputs makes a PS route's pull row-addressed: the graph's int
 	// inputs whose ids are the only rows of v a step reads (gatherInputs).
 	// Each step a worker then pulls just the rows its feed names; nil
@@ -209,16 +192,11 @@ type Trainer struct {
 	// ascending global rank (worker.go).
 	local []*worker
 
-	// ns[m] is this trainer's namespace on LOCAL machine m's server (the
-	// fleet's, or a fresh one); nil for machines hosted elsewhere, the
-	// whole slice nil when the plan has no PS variables. Variable
-	// registration, resharding, checkpoint slot metadata, abort and drop
-	// go through the handle with UNqualified names — qualification is
-	// the handle's concern, which keeps checkpoint records namespace-free
-	// and portable between deployments; the data plane reaches the
-	// server behind it under the qualified names.
-	ns     []*psrt.Namespace
-	routes []varRoute
+	// servers[m] is LOCAL machine m's parameter server, this trainer's
+	// own; nil for machines hosted elsewhere, the whole slice nil when the
+	// plan has no PS variables.
+	servers []*psrt.Server
+	routes  []varRoute
 	// routeIdx resolves a variable name to its route index; read-only
 	// after New, so the gradient-ready callback can use it concurrently.
 	routeIdx map[string]int
@@ -266,31 +244,15 @@ func (t *Trainer) recoverClosed(errp *error) {
 	}
 }
 
-// dropNamespaces releases this trainer's namespaces from their servers.
-// Idempotent, and deliberately non-mutating: the fabric-death watcher
-// reads t.ns concurrently, and aborting a dropped namespace is harmless.
-func (t *Trainer) dropNamespaces() {
-	for _, ns := range t.ns {
-		if ns != nil {
-			ns.Drop()
-		}
-	}
-}
-
 // New builds a trainer for graph g under the given plan and resources and
 // starts its persistent runtime. Call Close to stop the goroutines when
 // the trainer is no longer needed.
 func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	// The trainer owns opts.Fabric from the moment New is called: any
 	// error, the pre-build validations' included, tears it down, so a
-	// failed New leaks neither sockets nor goroutines, nor leaves its
-	// namespace claimed on servers that outlive it.
+	// failed New leaks neither sockets nor goroutines.
 	fab := opts.Fabric
-	var t *Trainer
 	fail := func(err error) (*Trainer, error) {
-		if t != nil {
-			t.dropNamespaces()
-		}
 		if fab != nil {
 			fab.Close()
 		}
@@ -313,23 +275,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	if err := opts.Compression.Validate(); err != nil {
 		return fail(err)
 	}
-	if opts.Resident != nil {
-		// Resident fleets are an in-daemon construct: remote agents have no
-		// conduit to a fleet server, and a per-tenant namespace abort must
-		// never be escalated to a whole-fleet one by the fabric watcher.
-		if opts.Fabric != nil {
-			return fail(fmt.Errorf("transform: resident PS fleet requires single-process mode"))
-		}
-		if opts.PSNamespace == "" {
-			return fail(fmt.Errorf("transform: resident PS fleet requires a namespace"))
-		}
-		if opts.Resident.Machines() < opts.Resource.NumMachines() {
-			return fail(fmt.Errorf("transform: cluster spans %d machines, resident fleet has %d",
-				opts.Resource.NumMachines(), opts.Resident.Machines()))
-		}
-	} else if opts.PSNamespace != "" {
-		return fail(fmt.Errorf("transform: PS namespace %q without a resident fleet", opts.PSNamespace))
-	}
 
 	workers := opts.Resource.TotalGPUs()
 	machines := opts.Resource.NumMachines()
@@ -341,7 +286,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	if fab == nil {
 		fab = transport.NewInproc(topo)
 	}
-	t = &Trainer{
+	t := &Trainer{
 		opt: opts, workers: workers, machines: machines,
 		fab: fab, dist: fab.Distributed(),
 	}
@@ -403,7 +348,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		case core.MethodPS:
 			anyPS = true
 			r.partition(a, machines)
-			r.psName = psrt.QualifiedName(opts.PSNamespace, v.Name)
 			r.rowInputs = gatherInputs(g, v)
 		case core.MethodAllGatherv:
 			r.agvTag = "agv/" + v.Name
@@ -414,23 +358,18 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 
 	// One server per local machine if needed (§4.2: "if sparse variables
 	// are included in the graph, Parallax launches a server process for
-	// each machine") — the fleet's resident one or a fresh one — joined
-	// under this trainer's namespace, which carries its own optimizer
-	// instance; and one endpoint row per local worker: direct calls to
-	// colocated servers, wire stubs for remote ones.
+	// each machine"), each with its own optimizer instance; and one
+	// endpoint row per local worker: direct calls to colocated servers,
+	// wire stubs for remote ones.
 	if anyPS {
 		sources := workers
 		if opts.LocalAggregation {
 			sources = machines
 		}
-		t.ns = make([]*psrt.Namespace, machines)
+		t.servers = make([]*psrt.Server, machines)
 		for _, m := range t.localMachines {
-			srv := psrt.NewResident()
-			if opts.Resident != nil {
-				srv = opts.Resident.Server(m)
-			}
 			var err error
-			t.ns[m], err = srv.Namespace(opts.PSNamespace, psrt.Config{
+			t.servers[m], err = psrt.NewServer(psrt.Config{
 				Sources:      sources,
 				Optimizer:    opts.NewOptimizer(),
 				DenseAgg:     opts.DenseAgg,
@@ -449,11 +388,11 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			// Machine-ordered registration: each server's own state is
 			// independent, but the registration sequence is part of the §8
 			// deterministic startup discipline.
-			for m, ns := range t.ns {
-				if ns == nil || len(r.parts[m]) == 0 {
+			for m, srv := range t.servers {
+				if srv == nil || len(r.parts[m]) == 0 {
 					continue // hosted by another agent, or not one of r's servers
 				}
-				if err := ns.AddVar(r.v.Name, r.v.Init, r.ranges, r.parts[m], r.assign.Sparse); err != nil {
+				if err := srv.AddVar(r.v.Name, r.v.Init, r.ranges, r.parts[m], r.assign.Sparse); err != nil {
 					return fail(err)
 				}
 			}
@@ -461,8 +400,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		for _, w := range t.local {
 			w.ps = make([]psrt.Endpoint, machines)
 			for m := 0; m < machines; m++ {
-				if t.ns[m] != nil {
-					w.ps[m] = t.ns[m].Server()
+				if t.servers[m] != nil {
+					w.ps[m] = t.servers[m]
 				} else {
 					cl := psrt.NewClient(fab.Conduit(w.rank), topo.ServerEndpoint(m))
 					cl.SetCodec(opts.Compression.Codec)
@@ -503,8 +442,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		go t.workerLoop(w)
 	}
 	if anyPS && t.dist {
-		for m, ns := range t.ns {
-			if ns == nil {
+		for m, srv := range t.servers {
+			if srv == nil {
 				continue
 			}
 			srvConduit := fab.Conduit(topo.ServerEndpoint(m))
@@ -519,7 +458,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 					// the serving loop just ends (the requester is gone).
 					defer t.recoverClosed(new(error))
 					psrt.ServeConduit(srv, srvConduit, w)
-				}(ns.Server(), w)
+				}(srv, w)
 			}
 		}
 	}
@@ -528,9 +467,8 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		// pushes, so a dead peer would park local workers (and serving
 		// loops answering other survivors) inside a server cond.Wait
 		// forever — a condition variable the fabric cannot cancel. Watch
-		// for fabric death and abort this trainer's namespace on every local
-		// server with the attributed failure; a fleet server's other tenants
-		// keep running.
+		// for fabric death and abort every local server with the
+		// attributed failure.
 		t.bg.Add(1)
 		go func() {
 			defer t.bg.Done()
@@ -539,9 +477,9 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			if err == nil {
 				err = fmt.Errorf("psrt: transport %w", errs.ErrClosed)
 			}
-			for _, ns := range t.ns {
-				if ns != nil {
-					ns.Abort(err)
+			for _, srv := range t.servers {
+				if srv != nil {
+					srv.Abort(err)
 				}
 			}
 		}()
@@ -596,7 +534,7 @@ func (t *Trainer) Distributed() bool { return t.dist }
 // goodbye is the whole shutdown protocol (DESIGN.md §8): what this agent
 // owes its peers for the last boundary they agreed on — a step, an
 // agreement, a VarValue — was written before that boundary completed
-// here. The closing fabric wakes the watcher, whose namespace abort
+// here. The closing fabric wakes the watcher, whose server abort
 // releases a serving loop parked on a version wait. Idempotent; the
 // trainer must not be used afterwards.
 func (t *Trainer) Close() {
@@ -608,9 +546,6 @@ func (t *Trainer) Close() {
 		}
 		t.fab.Close()
 		t.bg.Wait()
-		// A fleet's servers outlive this trainer: hand the namespace's
-		// variables (and its name) back.
-		t.dropNamespaces()
 	})
 }
 
@@ -649,11 +584,6 @@ func (t *Trainer) onWorkers(what string, fn workerFn) error {
 	}
 	return nil
 }
-
-// Fabric returns the trainer's transport fabric, so the session layer
-// can reach fabric-specific surfaces (the elastic join listener). The
-// trainer still owns it; callers must not Close it.
-func (t *Trainer) Fabric() transport.Fabric { return t.fab }
 
 // AgreeMax is the cluster-wide scalar agreement every session-level
 // decision rides on: each worker all-gathers v in rank order under tag

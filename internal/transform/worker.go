@@ -407,7 +407,7 @@ func (t *Trainer) workerStep(w *worker, step int, feed graph.Feed) (float64, err
 				norm2 += g.Values.L2NormSquared()
 			case core.MethodPS:
 				for pi := range r.ranges {
-					n2, err := w.ps[r.assign.Servers[pi]].WaitAggregatedNormSquared(r.psName, pi, int64(step+1))
+					n2, err := w.ps[r.assign.Servers[pi]].WaitAggregatedNormSquared(r.v.Name, pi, int64(step+1))
 					if err != nil {
 						return 0, err
 					}
@@ -424,7 +424,7 @@ func (t *Trainer) workerStep(w *worker, step int, feed graph.Feed) (float64, err
 					continue
 				}
 				for pi := range r.ranges {
-					if err := w.ps[r.assign.Servers[pi]].ApplyUpdate(r.psName, pi, scale); err != nil {
+					if err := w.ps[r.assign.Servers[pi]].ApplyUpdate(r.v.Name, pi, scale); err != nil {
 						return 0, err
 					}
 				}

@@ -130,19 +130,6 @@ func WithAutoCheckpoint(dir string, everyN int) Option {
 	return func(c *Config) { c.AutoCheckpoint = AutoCheckpointSpec{Dir: dir, EveryN: everyN} }
 }
 
-// WithResidentPS hosts the session's parameter-server variables on a
-// shared long-lived fleet (NewPSFleet) under the given tenant namespace
-// (e.g. "tenant/jobID") instead of launching private per-session
-// servers — the multi-tenant service mode (DESIGN.md §13). Variables are
-// registered namespace-qualified, so concurrent sessions may use
-// identical variable names without collision, and the namespace is
-// released when the session closes. The namespace must be unique among
-// the sessions currently open on the fleet. Resident mode is
-// single-process only: it cannot be combined with WithDist.
-func WithResidentPS(fleet *PSFleet, namespace string) Option {
-	return func(c *Config) { c.ResidentPS, c.PSNamespace = fleet, namespace }
-}
-
 // WithElastic enables elastic cluster membership (DESIGN.md §14): new
 // agents join the running cluster with DistConfig.JoinAddr, members
 // depart voluntarily with Session.Leave, and — with

@@ -263,16 +263,6 @@ type Config struct {
 	// OpenFromCheckpoint's topology check so a checkpoint from one
 	// machine count restores onto another via the resharding path.
 	Elastic bool
-	// ResidentPS hosts this session's parameter-server variables on a
-	// long-lived shared fleet under PSNamespace instead of private
-	// per-session servers — the multi-tenant service mode (see NewPSFleet
-	// and WithResidentPS). Requires single-process mode (no Dist) and a
-	// non-empty namespace; the fleet must span at least as many machines
-	// as the session's resources.
-	ResidentPS *PSFleet
-	// PSNamespace is the tenant namespace (e.g. "tenant/jobID") this
-	// session's variables are served under on the resident fleet.
-	PSNamespace string
 }
 
 // AutoCheckpointSpec configures periodic automatic checkpoints: every

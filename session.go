@@ -231,7 +231,7 @@ func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, j
 // closed (ErrClosed).
 func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err error) {
 	cfg := s.cfg
-	if err := validateTarget(s.g, tgt, cfg); err != nil {
+	if err := validateTarget(s.g, tgt); err != nil {
 		return err
 	}
 	var head *shardHead
@@ -284,8 +284,6 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		FusionBytes:      cfg.FusionBytes,
 		Compression:      cfg.Compression,
 		Fabric:           fab,
-		Resident:         cfg.ResidentPS.fleet(),
-		PSNamespace:      cfg.PSNamespace,
 	})
 	if err != nil {
 		return err
@@ -313,30 +311,13 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 	return s.verifyJoin()
 }
 
-// validateTarget refuses graphs, clusters, and option combinations no
-// runtime can be built for.
-func validateTarget(g *Graph, tgt target, cfg Config) error {
+// validateTarget refuses graphs and clusters no runtime can be built
+// for.
+func validateTarget(g *Graph, tgt target) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	if err := tgt.resource.Validate(); err != nil {
-		return err
-	}
-	if cfg.ResidentPS != nil {
-		if tgt.dist != nil {
-			return fmt.Errorf("parallax: resident PS fleet requires single-process mode")
-		}
-		if cfg.PSNamespace == "" {
-			return fmt.Errorf("parallax: resident PS fleet requires a namespace (WithResidentPS)")
-		}
-		if cfg.ResidentPS.Machines() < tgt.resource.NumMachines() {
-			return fmt.Errorf("parallax: session spans %d machines, resident fleet has %d",
-				tgt.resource.NumMachines(), cfg.ResidentPS.Machines())
-		}
-	} else if cfg.PSNamespace != "" {
-		return fmt.Errorf("parallax: PS namespace %q without a resident fleet", cfg.PSNamespace)
-	}
-	return nil
+	return tgt.resource.Validate()
 }
 
 // decide settles the partition count, the plan built for it, and how
