@@ -455,7 +455,7 @@ func writeAtomic(dir, base string, data []byte) error {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
+	if _, err = tmp.Write(data); err == nil {
 		err = tmp.Sync()
 	}
 	if err != nil {

@@ -169,6 +169,23 @@ func TestConcurrentTenantsIsolatedAndBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both jobs must hold the cluster at once, each with its own
+	// servers; a run that serialized them would prove nothing about
+	// isolation.
+	sawBoth := false
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		if a.State() == Running && z.State() == Running {
+			sawBoth = true
+			break
+		}
+		if a.State().Terminal() || z.State().Terminal() {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !sawBoth {
+		t.Fatal("never observed both tenants' jobs running concurrently")
+	}
 	if st := waitTerminal(t, a); st != Succeeded {
 		t.Fatalf("job a: %s (%s)", st, a.View().Error)
 	}
