@@ -33,9 +33,24 @@ func NewGradSet() *GradSet {
 // runtime object: it keeps its per-step scratch tables and its dense
 // scratch tensors between steps, so it must only be driven by one
 // goroutine at a time.
+//
+// A variable is stored whole, or — when NewExec names it among its
+// rowVars — row-addressed: its storage then holds only the rows one
+// step gathers, packed in the ascending order of the ids SetRows binds,
+// so a replica of an embedding costs a batch, not the vocabulary. The
+// backward pass does not care which: a gathered table's gradient is
+// built from the feed's global ids either way.
 type Exec struct {
 	g      *Graph
 	values map[string]*tensor.Dense // variable storage by name
+
+	// rows[name] is a row-addressed variable's binding, and rowOf[id]
+	// the same binding by the variable's node ID (nil for variables
+	// stored whole); slotIdx[id] is a gather node's per-step scratch of
+	// storage slots, allocated only for gathers of row-addressed tables.
+	rows    map[string]*rowBinding
+	rowOf   []*rowBinding
+	slotIdx [][]int
 
 	// Per-step scratch, reused across Step calls.
 	floats    []*tensor.Dense
@@ -54,28 +69,112 @@ type Exec struct {
 	drawn int
 }
 
+// rowBinding says which rows a row-addressed variable's storage holds:
+// storage row k is the variable's row ids[k].
+type rowBinding struct {
+	v   *Variable
+	ids []int // strictly ascending, borrowed from SetRows
+}
+
+// slots maps global row ids to the storage slots they are bound to,
+// into out; an id the binding does not hold is an error.
+func (b *rowBinding) slots(out, ids []int) ([]int, error) {
+	for i, id := range ids {
+		k, ok := slices.BinarySearch(b.ids, id)
+		if !ok {
+			return nil, fmt.Errorf("graph: gather of %s row %d, which SetRows did not bind", b.v.Name, id)
+		}
+		out[i] = k
+	}
+	return out, nil
+}
+
 // NewExec creates an executor with variables initialized from their Init
 // tensors. It returns an error if the graph is invalid or a variable has
 // no initial value (accounting-mode graphs cannot be executed).
-func NewExec(g *Graph) (*Exec, error) {
+//
+// rowVars names variables to store row-addressed: each must be one the
+// graph only gathers, by graph inputs (Graph.GatherInputs), and gets
+// storage of Σ(index-input lengths) rows — every row one step can
+// gather — instead of a clone of its Init. Its rows hold nothing until
+// SetRows binds them and the caller fills them (the trainer pulls them
+// from the parameter servers).
+func NewExec(g *Graph, rowVars ...string) (*Exec, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	vals := make(map[string]*tensor.Dense, len(g.vars))
+	e := &Exec{
+		g: g, values: make(map[string]*tensor.Dense, len(g.vars)),
+		rows: map[string]*rowBinding{}, rowOf: make([]*rowBinding, len(g.nodes)), slotIdx: make([][]int, len(g.nodes)),
+	}
+	for _, name := range rowVars {
+		i := slices.IndexFunc(g.vars, func(v *Variable) bool { return v.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("graph: row-addressed variable %q is not in the graph", name)
+		}
+		if e.rows[name] != nil {
+			return nil, fmt.Errorf("graph: row-addressed variable %q named twice", name)
+		}
+		v := g.vars[i]
+		ins := g.GatherInputs(v)
+		if ins == nil {
+			return nil, fmt.Errorf("graph: variable %q cannot be row-addressed: the graph reads it other than by gathering graph inputs", name)
+		}
+		capacity := 0
+		for _, in := range ins {
+			capacity += in.Shape[0]
+		}
+		e.values[name] = tensor.NewDense(capacity, v.Shape[1])
+		e.rows[name] = &rowBinding{v: v}
+		e.rowOf[v.node.ID] = e.rows[name]
+	}
 	for _, v := range g.vars {
 		if v.Init == nil {
 			return nil, fmt.Errorf("graph: variable %q has no initial value; accounting-mode graphs are not executable", v.Name)
 		}
-		vals[v.Name] = v.Init.Clone()
+		if e.rows[v.Name] == nil {
+			e.values[v.Name] = v.Init.Clone()
+		}
 	}
-	return &Exec{g: g, values: vals}, nil
+	for _, n := range g.nodes {
+		if n.Kind == OpGather && e.rowOf[n.Inputs[0].ID] != nil {
+			e.slotIdx[n.ID] = make([]int, n.Inputs[1].Shape[0])
+		}
+	}
+	return e, nil
 }
 
 // Graph returns the executor's graph.
 func (e *Exec) Graph() *Graph { return e.g }
 
+// SetRows binds the rows a row-addressed variable's storage holds until
+// the next SetRows for it: storage row k is the variable's row ids[k].
+// ids must be strictly ascending row ids of the variable, no more of
+// them than the storage has rows, and must name every id the next
+// steps' feeds gather from it; Step fails on one it does not. ids is
+// borrowed until the next call.
+func (e *Exec) SetRows(name string, ids []int) error {
+	b, ok := e.rows[name]
+	if !ok {
+		return fmt.Errorf("graph: variable %q is not row-addressed", name)
+	}
+	if held := e.values[name].Dim(0); len(ids) > held {
+		return fmt.Errorf("graph: %d rows of %s bound, its storage holds %d", len(ids), name, held)
+	}
+	rows := b.v.Shape[0]
+	for k, id := range ids {
+		if id < 0 || id >= rows || k > 0 && id <= ids[k-1] {
+			return fmt.Errorf("graph: rows bound to %s are not strictly ascending ids in [0,%d): %d at %d", name, rows, id, k)
+		}
+	}
+	b.ids = ids
+	return nil
+}
+
 // VarValue returns the current value of a variable (live storage, not a
 // copy). The runtimes use it to apply updates and synchronize replicas.
+// A row-addressed variable's value is its packed storage: SetRows says
+// which rows it holds.
 func (e *Exec) VarValue(name string) *tensor.Dense {
 	v, ok := e.values[name]
 	if !ok {
@@ -201,6 +300,12 @@ func (e *Exec) StepStream(feed Feed, onReady GradReady) (float64, *GradSet, erro
 			floats[n.ID] = e.values[n.Name]
 		case OpGather:
 			table, idx := floats[n.Inputs[0].ID], ints[n.Inputs[1].ID]
+			if b := e.rowOf[n.Inputs[0].ID]; b != nil {
+				var err error
+				if idx, err = b.slots(e.slotIdx[n.ID], idx); err != nil {
+					return 0, nil, err
+				}
+			}
 			floats[n.ID] = tensor.GatherInto(e.scratch(len(idx), table.RowWidth()), table, idx)
 		case OpMatMul:
 			a, b := floats[n.Inputs[0].ID], floats[n.Inputs[1].ID]

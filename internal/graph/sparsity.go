@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // GradKind classifies a variable's gradient type, the property Parallax's
 // hybrid architecture dispatches on: dense gradients synchronize via
 // AllReduce, sparse gradients via parameter servers (§3.1).
@@ -47,6 +49,33 @@ func (g *Graph) GradKind(v *Variable) GradKind {
 		}
 	}
 	return kind
+}
+
+// GatherInputs returns the int inputs indexing v when the graph only
+// gathers v — its gradient is sparse — and every such Gather takes its
+// indices straight from a graph input, so a feed names every row of v a
+// step can read; nil otherwise. Such a variable is row-addressable: a
+// step needs only the rows its feed names, whatever happened to the
+// others (NewExec's rowVars, the trainer's row-addressed pulls). It is a
+// property of the graph alone.
+func (g *Graph) GatherInputs(v *Variable) []*Node {
+	if g.GradKind(v) != GradSparse {
+		return nil
+	}
+	var ins []*Node
+	for _, n := range g.nodes {
+		if n.Kind != OpGather || n.Inputs[0].Var != v {
+			continue
+		}
+		idx := n.Inputs[1]
+		if idx.Kind != OpInput {
+			return nil
+		}
+		if !slices.Contains(ins, idx) {
+			ins = append(ins, idx)
+		}
+	}
+	return ins
 }
 
 // DenseVariables returns variables with dense gradients, in declaration

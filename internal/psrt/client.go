@@ -116,9 +116,15 @@ func (c *Client) SendPull(minVersion int64, reqs []PullReq) error {
 		if r.Rows == nil {
 			continue
 		}
-		// The frame encoder cannot express (and the scatter below cannot
-		// survive) a malformed list, so it is refused before it travels.
-		if err := checkRows(r.Rows, r.Dst.Dim(0)); err != nil {
+		// The frame encoder cannot express a malformed list (the grammar
+		// carries rows strictly ascending and below 2^31), and a Dst that
+		// is not one row per listed row cannot take the packed reply, so
+		// either is refused before anything travels; the partition's
+		// length is the server's to check.
+		if len(r.Rows) != r.Dst.Dim(0) {
+			return fmt.Errorf("psrt: pull of %s/%d: %d rows listed for a %d-row dst", r.Name, r.Part, len(r.Rows), r.Dst.Dim(0))
+		}
+		if err := checkRows(r.Rows, 1<<31); err != nil {
 			return fmt.Errorf("psrt: pull of %s/%d: %w", r.Name, r.Part, err)
 		}
 		if m.Rows == nil {
@@ -131,8 +137,9 @@ func (c *Client) SendPull(minVersion int64, reqs []PullReq) error {
 }
 
 // RecvPull blocks for the reply to the SendPull of the same reqs and
-// copies the values into their destinations; a row-addressed request's
-// reply carries just its rows, packed, scattered to their rows of Dst.
+// copies the values into their destinations as they come: a
+// row-addressed request's reply carries just its rows, packed, which is
+// the shape of its Dst.
 func (c *Client) RecvPull(reqs []PullReq) error {
 	rep, err := c.reply()
 	if err != nil {
@@ -142,22 +149,12 @@ func (c *Client) RecvPull(reqs []PullReq) error {
 		return fmt.Errorf("psrt: pull reply has %d tensors for %d requests", len(rep.Dense), len(reqs))
 	}
 	for i := range reqs {
-		src, dst, rows := rep.Dense[i].Data(), reqs[i].Dst, reqs[i].Rows
-		w, want := dst.RowWidth(), dst.NumElements()
-		if rows != nil {
-			want = len(rows) * w
-		}
-		if len(src) != want {
+		src, dst := rep.Dense[i].Data(), reqs[i].Dst.Data()
+		if len(src) != len(dst) {
 			return fmt.Errorf("psrt: pull reply %s/%d has %d elements, want %d",
-				reqs[i].Name, reqs[i].Part, len(src), want)
+				reqs[i].Name, reqs[i].Part, len(src), len(dst))
 		}
-		if rows == nil {
-			copy(dst.Data(), src)
-			continue
-		}
-		for k, r := range rows {
-			copy(dst.Data()[r*w:(r+1)*w], src[k*w:(k+1)*w])
-		}
+		copy(dst, src)
 	}
 	return nil
 }

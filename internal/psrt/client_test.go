@@ -115,10 +115,11 @@ func TestClientSparsePushAndNormApply(t *testing.T) {
 	}
 }
 
-// A row-addressed pull copies exactly the listed rows, each to its own
-// row of the destination view, and nothing else — the same through a
-// direct call and through the wire, where the reply carries the rows
-// packed. An empty list is a request for no rows, not for the partition.
+// A row-addressed pull copies exactly the listed rows, packed — row k
+// of the destination receives listed row k — and nothing else, the same
+// through a direct call and through the wire, where the reply carries
+// the rows packed and is copied as is. An empty list is a request for
+// no rows, not for the partition.
 func TestRowAddressedPull(t *testing.T) {
 	client, srv, stop := newWired(t, Config{Sources: 1, Optimizer: optim.NewSGD(1)})
 	defer stop()
@@ -128,24 +129,24 @@ func TestRowAddressedPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, ep := range map[string]Endpoint{"direct": srv, "wired": client} {
-		dst := tensor.NewDense(7, 2)
-		dst.Fill(-1)
+		// Three packed rows and a spare one no request addresses.
+		packed := tensor.NewDense(4, 2)
+		packed.Fill(-1)
 		if err := ep.PullManyInto(0, []PullReq{
-			{Name: "emb", Part: 0, Dst: dst.SliceRows(0, 4), Rows: []int{0, 3}},
-			{Name: "emb", Part: 1, Dst: dst.SliceRows(4, 7), Rows: []int{1}},
-			{Name: "emb", Part: 1, Dst: dst.SliceRows(4, 7), Rows: []int{}},
+			{Name: "emb", Part: 0, Dst: packed.SliceRows(0, 2), Rows: []int{0, 3}},
+			{Name: "emb", Part: 1, Dst: packed.SliceRows(2, 3), Rows: []int{1}},
+			{Name: "emb", Part: 1, Dst: packed.SliceRows(3, 3), Rows: []int{}},
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pulled := map[int]bool{0: true, 3: true, 5: true}
-		for r := 0; r < 7; r++ {
+		for k, r := range []int{0, 3, 5, -1} {
 			for c := 0; c < 2; c++ {
 				want := float32(-1)
-				if pulled[r] {
+				if r >= 0 {
 					want = init.At(r, c)
 				}
-				if got := dst.At(r, c); got != want {
-					t.Errorf("%s: dst[%d,%d] = %v, want %v", name, r, c, got, want)
+				if got := packed.At(k, c); got != want {
+					t.Errorf("%s: packed[%d,%d] = %v, want %v", name, k, c, got, want)
 				}
 			}
 		}
@@ -187,14 +188,30 @@ func TestClientErrorsTravelAsReplies(t *testing.T) {
 	} {
 		served := handle(srv, &transport.PSMsg{Op: transport.PSPullMany,
 			Names: []string{"emb"}, Parts: []int{c.part}, Rows: [][]int{c.rows}}).Err
+		packed := dst.SliceRows(0, len(c.rows))
 		for how, err := range map[string]error{
-			"direct": srv.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: dst, Rows: c.rows}}),
-			"wired":  client.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: dst, Rows: c.rows}}),
+			"direct": srv.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: packed, Rows: c.rows}}),
+			"wired":  client.PullManyInto(0, []PullReq{{Name: "emb", Part: c.part, Dst: packed, Rows: c.rows}}),
 			"served": errors.New(served),
 		} {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s row list, %s: err = %v, want %q", name, how, err, c.want)
 			}
+		}
+	}
+	// A destination that is not one row per listed row is refused, by the
+	// server and by the client before anything is sent.
+	misSized := []PullReq{{Name: "emb", Part: 0, Dst: dst.SliceRows(0, 3), Rows: []int{1, 2}}}
+	for _, c := range []struct {
+		how  string
+		err  error
+		want string
+	}{
+		{"direct", srv.PullManyInto(0, misSized), "dst has 48 elements, want 32"},
+		{"wired", client.SendPull(0, misSized), "2 rows listed for a 3-row dst"},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("mis-sized dst, %s: err = %v, want %q", c.how, c.err, c.want)
 		}
 	}
 	// A batch whose rows would not fit one reply frame is refused before
@@ -211,14 +228,14 @@ func TestClientErrorsTravelAsReplies(t *testing.T) {
 		t.Errorf("oversized batch: err = %q with %d tensors", rep.Err, len(rep.Dense))
 	}
 	// The connection outlives all of it.
-	if err := client.PullManyInto(0, []PullReq{{Name: "emb", Part: 0, Dst: dst, Rows: []int{3}}}); err != nil {
+	if err := client.PullManyInto(0, []PullReq{{Name: "emb", Part: 0, Dst: dst.SliceRows(0, 1), Rows: []int{3}}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // A reply that does not carry len(rows) x width values for a
-// row-addressed item is an error at the client, not a scatter out of
-// bounds.
+// row-addressed item is an error at the client, not a short or
+// overlong copy into its packed destination.
 func TestClientRejectsMisSizedRowReply(t *testing.T) {
 	fab := transport.NewInproc(transport.Topology{Workers: 1, Machines: 1, MachineOfWorker: []int{0}})
 	defer fab.Close()
@@ -229,7 +246,7 @@ func TestClientRejectsMisSizedRowReply(t *testing.T) {
 		}
 	}()
 	err := NewClient(fab.Conduit(0), 1).PullManyInto(0, []PullReq{
-		{Name: "emb", Part: 0, Dst: tensor.NewDense(4, 2), Rows: []int{0, 3}}})
+		{Name: "emb", Part: 0, Dst: tensor.NewDense(2, 2), Rows: []int{0, 3}}})
 	if err == nil || !strings.Contains(err.Error(), "has 5 elements, want 4") {
 		t.Fatalf("err = %v", err)
 	}

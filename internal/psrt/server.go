@@ -16,9 +16,10 @@
 // by name. The data plane is batched — PullManyInto,
 // PushDenseMany, PushSparseMany are the only pull/push shapes; a single
 // partition is a one-element batch. A pull reads its partition whole or,
-// given PullReq.Rows, only the rows listed: a worker whose graph merely
-// gathers from an embedding fetches the rows its batch names, which is
-// what keeping sparse variables on servers is for (§3.1: αw, not w).
+// given PullReq.Rows, only the rows listed, packed: a worker whose graph
+// merely gathers from an embedding fetches and holds the rows its batch
+// names, which is what keeping sparse variables on servers is for (§3.1:
+// αw, not w).
 //
 // The partitioning is not fixed for the server's lifetime: SnapshotPart
 // exports a partition's value and optimizer slot state, and
@@ -43,9 +44,9 @@
 //   - PullManyInto copies into caller-owned buffers (typically SliceRows
 //     views of replica storage) and allocates nothing, whether a request
 //     reads its whole partition or only the rows it lists (PullReq.Rows,
-//     borrowed for the call); the serving loop instead takes a fresh
-//     packed copy, because it must not hold a partition lock while it
-//     serializes.
+//     borrowed for the call, into a Dst of that many rows); the serving
+//     loop instead takes a fresh packed copy, because it must not hold a
+//     partition lock while it serializes.
 package psrt
 
 import (
@@ -524,8 +525,8 @@ func (s *Server) pullPacked(name string, pi int, minVersion int64, rows []int) (
 }
 
 // checkRows reports whether rows is a well-formed row list for a
-// partition (or partition view) of n rows: strictly ascending — hence
-// duplicate-free — and inside [0, n).
+// partition of n rows: strictly ascending — hence duplicate-free — and
+// inside [0, n).
 func checkRows(rows []int, n int) error {
 	for k, r := range rows {
 		if r < 0 || r >= n {
@@ -539,9 +540,9 @@ func checkRows(rows []int, n int) error {
 }
 
 // pullInto copies the partition's value into dst once its version is at
-// least minVersion: all of it, or with a row list just those rows, each
-// to its own row of dst. dst must have the partition's element count
-// either way.
+// least minVersion: all of it into a dst shaped like the partition, or
+// with a row list just those rows, packed — dst row k receives partition
+// row rows[k].
 func (v *servedVar) pullInto(pi int, minVersion int64, rows []int, dst *tensor.Dense) error {
 	p, err := v.partAt(pi)
 	if err != nil {
@@ -552,20 +553,23 @@ func (v *servedVar) pullInto(pi int, minVersion int64, rows []int, dst *tensor.D
 	if err := v.waitVersion(p, minVersion); err != nil {
 		return err
 	}
-	if dst.NumElements() != p.value.NumElements() {
-		return fmt.Errorf("psrt: pull of %s/%d: dst has %d elements, partition has %d",
-			v.name, pi, dst.NumElements(), p.value.NumElements())
+	want := p.value.NumElements()
+	if rows != nil {
+		if err := checkRows(rows, p.value.Dim(0)); err != nil {
+			return fmt.Errorf("psrt: pull of %s/%d: %w", v.name, pi, err)
+		}
+		want = len(rows) * v.width
+	}
+	if dst.NumElements() != want {
+		return fmt.Errorf("psrt: pull of %s/%d: dst has %d elements, want %d", v.name, pi, dst.NumElements(), want)
 	}
 	if rows == nil {
 		copy(dst.Data(), p.value.Data())
 		return nil
 	}
-	if err := checkRows(rows, p.value.Dim(0)); err != nil {
-		return fmt.Errorf("psrt: pull of %s/%d: %w", v.name, pi, err)
-	}
 	w, src, out := v.width, p.value.Data(), dst.Data()
-	for _, r := range rows {
-		copy(out[r*w:(r+1)*w], src[r*w:(r+1)*w])
+	for k, r := range rows {
+		copy(out[k*w:(k+1)*w], src[r*w:(r+1)*w])
 	}
 	return nil
 }
@@ -573,11 +577,11 @@ func (v *servedVar) pullInto(pi int, minVersion int64, rows []int, dst *tensor.D
 // PullReq is one partition read of a batched PullManyInto: copy partition
 // Part of variable Name into the caller-owned view Dst, which is shaped
 // like the partition. A non-nil Rows makes the read row-addressed: only
-// the listed partition-local rows (strictly ascending) are copied, each
-// to its own row of Dst, and the rest of Dst is left as it was — what a
-// worker asks for when its batch gathers a few rows of an embedding
-// (§3.1: a sparse variable on PS moves αw, not w). Rows is borrowed for
-// the call.
+// the listed partition-local rows (strictly ascending) are copied,
+// packed — Dst has len(Rows) rows, and row k receives partition row
+// Rows[k] — what a worker asks for when its batch gathers a few rows of
+// an embedding and its replica holds just those (§3.1: a sparse
+// variable on PS moves αw, not w). Rows is borrowed for the call.
 type PullReq struct {
 	Name string
 	Part int

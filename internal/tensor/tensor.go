@@ -106,17 +106,29 @@ func (t *Dense) Clone() *Dense {
 // heap-copying them (the paper partitions variables by contiguous row
 // ranges, §3.2).
 func (t *Dense) SliceRows(start, end int) *Dense {
+	v := &Dense{shape: make([]int, len(t.shape))}
+	v.ResliceRows(t, start, end)
+	return v
+}
+
+// ResliceRows makes v, in place, the view t.SliceRows(start, end) would
+// return, reusing v's header and shape: a view that moves every step
+// (a pull destination into packed storage) moves without allocating. v
+// must have t's rank.
+func (v *Dense) ResliceRows(t *Dense, start, end int) {
 	if len(t.shape) == 0 {
 		panic("tensor: SliceRows on rank-0 tensor")
+	}
+	if len(v.shape) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: rank-%d view of a rank-%d tensor", len(v.shape), len(t.shape)))
 	}
 	if start < 0 || end < start || end > t.shape[0] {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range [0,%d]", start, end, t.shape[0]))
 	}
 	w := t.RowWidth()
-	shape := make([]int, len(t.shape))
-	shape[0] = end - start
-	copy(shape[1:], t.shape[1:])
-	return &Dense{shape: shape, data: t.data[start*w : end*w : end*w]}
+	v.shape[0] = end - start
+	copy(v.shape[1:], t.shape[1:])
+	v.data = t.data[start*w : end*w : end*w]
 }
 
 // At returns the element at the given row-major indices.

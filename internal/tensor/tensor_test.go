@@ -59,6 +59,37 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// A resliced view is the view SliceRows would build, moved in place
+// without allocating, and its capacity stops at its last row.
+func TestResliceRowsMovesViewInPlace(t *testing.T) {
+	base := NewDense(5, 2)
+	for i := range base.Data() {
+		base.Data()[i] = float32(i)
+	}
+	v := base.SliceRows(0, 0)
+	if n := testing.AllocsPerRun(10, func() { v.ResliceRows(base, 1, 3) }); n != 0 {
+		t.Fatalf("ResliceRows allocates %v objects", n)
+	}
+	want := base.SliceRows(1, 3)
+	if !v.SameShape(want) || v.MaxAbsDiff(want) != 0 || cap(v.Data()) != 4 {
+		t.Fatalf("resliced view %v (cap %d), want %v", v, cap(v.Data()), want)
+	}
+	v.Data()[0] = -1
+	if base.At(1, 0) != -1 {
+		t.Fatal("resliced view does not alias its base")
+	}
+	v.ResliceRows(base, 5, 5)
+	if v.Dim(0) != 0 || v.NumElements() != 0 {
+		t.Fatalf("empty reslice has shape %v", v.Shape())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reslice past the base did not panic")
+		}
+	}()
+	v.ResliceRows(base, 4, 6)
+}
+
 func TestAddIntoSubScaleAXPY(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{10, 20, 30}, 3)

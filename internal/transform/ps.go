@@ -11,32 +11,6 @@ import (
 	"parallax/internal/tensor"
 )
 
-// gatherInputs returns the int inputs indexing v when the graph only
-// gathers v — its gradient is sparse — and every such Gather takes its
-// indices straight from a graph input, so a feed names every row of v a
-// step can read; nil otherwise. It is a property of the graph alone:
-// whatever the optimizer does to rows a step does not read, the replica
-// does not look at them.
-func gatherInputs(g *graph.Graph, v *graph.Variable) []*graph.Node {
-	if g.GradKind(v) != graph.GradSparse {
-		return nil
-	}
-	var ins []*graph.Node
-	for _, n := range g.Nodes() {
-		if n.Kind != graph.OpGather || n.Inputs[0].Var != v {
-			continue
-		}
-		idx := n.Inputs[1]
-		if idx.Kind != graph.OpInput {
-			return nil
-		}
-		if !slices.Contains(ins, idx) {
-			ins = append(ins, idx)
-		}
-	}
-	return ins
-}
-
 // partition sets a PS route's assignment and derives from it the row
 // range of every partition and the partitions every machine's server
 // owns, so the push path issues one batched call per server and
@@ -118,12 +92,15 @@ func (t *Trainer) resetSlots() {
 
 // buildPullReqs precomputes, per local worker, what the per-step request
 // lists are filled from: each PS partition's destination view into the
-// worker's replica storage and, for a row-addressed route, id scratch
-// sized for a whole feed, so stepPullReqs allocates nothing.
+// worker's replica storage — fixed for a whole-partition route, a
+// header stepPullReqs re-points into the packed storage for a
+// row-addressed one — and, for a row-addressed route, id scratch sized
+// for a whole feed, so stepPullReqs allocates nothing.
 func (t *Trainer) buildPullReqs() {
 	for _, w := range t.local {
 		w.pullReqs = make([][]psrt.PullReq, t.machines)
 		w.pullDst = make([][]*tensor.Dense, len(t.routes))
+		w.pullIDs = make([][]int, len(t.routes))
 		w.pullRows = make([][]int, len(t.routes))
 		perServer := make([]int, t.machines) // most requests a step can address to each
 		for ri, r := range t.routes {
@@ -133,15 +110,16 @@ func (t *Trainer) buildPullReqs() {
 			val := w.exec.VarValue(r.v.Name)
 			w.pullDst[ri] = make([]*tensor.Dense, len(r.ranges))
 			for pi, rr := range r.ranges {
-				w.pullDst[ri][pi] = val.SliceRows(rr.Start, rr.End)
+				if r.rowInputs != nil {
+					w.pullDst[ri][pi] = val.SliceRows(0, 0)
+				} else {
+					w.pullDst[ri][pi] = val.SliceRows(rr.Start, rr.End)
+				}
 				perServer[r.assign.Servers[pi]]++
 			}
 			if r.rowInputs != nil {
-				ids := 0
-				for _, in := range r.rowInputs {
-					ids += in.Shape[0]
-				}
-				w.pullRows[ri] = make([]int, 0, ids)
+				w.pullIDs[ri] = make([]int, 0, val.Dim(0))
+				w.pullRows[ri] = make([]int, val.Dim(0))
 			}
 		}
 		for m, n := range perServer {
@@ -152,12 +130,13 @@ func (t *Trainer) buildPullReqs() {
 
 // stepPullReqs refills worker w's per-server pull lists for one step.
 // Requests for one variable stay adjacent so the server amortizes its
-// lookup. A row-addressed route asks each partition for the rows the
-// feed gathers from it — the union over the route's index inputs,
-// sorted, deduplicated and made partition-local — and leaves a partition
-// the batch does not touch out altogether; checkFeed has already held
-// every id inside the table.
-func (t *Trainer) stepPullReqs(w *worker, feed graph.Feed) {
+// lookup. A row-addressed route binds the rows the feed gathers — the
+// union over the route's index inputs, sorted and deduplicated — to
+// its packed replica storage (graph.Exec.SetRows), then asks each
+// partition for its run of them, made partition-local, into that run of
+// the storage, and leaves a partition the batch does not touch out
+// altogether; checkFeed has already held every id inside the table.
+func (t *Trainer) stepPullReqs(w *worker, feed graph.Feed) error {
 	reqs := w.pullReqs
 	for m := range reqs {
 		reqs[m] = reqs[m][:0]
@@ -167,35 +146,44 @@ func (t *Trainer) stepPullReqs(w *worker, feed graph.Feed) {
 		if r.assign.Method != core.MethodPS {
 			continue
 		}
-		var ids []int
+		var ids, rows []int
+		var store *tensor.Dense
 		if r.rowInputs != nil {
-			ids = w.pullRows[ri][:0]
+			ids = w.pullIDs[ri][:0]
 			for _, in := range r.rowInputs {
 				ids = append(ids, feed.Ints[in.Name]...)
 			}
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
+			w.pullIDs[ri] = ids
+			if err := w.exec.SetRows(r.v.Name, ids); err != nil {
+				return err
+			}
+			rows, store = w.pullRows[ri], w.exec.VarValue(r.v.Name)
 		}
+		k := 0 // the packed slot of the partition's first row
 		for pi, rr := range r.ranges {
 			if rr.Len() == 0 {
 				continue
 			}
 			req := psrt.PullReq{Name: r.v.Name, Part: pi, Dst: w.pullDst[ri][pi]}
 			if r.rowInputs != nil {
-				n := 0
+				n := k
 				for n < len(ids) && ids[n] < rr.End {
-					ids[n] -= rr.Start
+					rows[n] = ids[n] - rr.Start
 					n++
 				}
-				if n == 0 {
+				if n == k {
 					continue
 				}
-				req.Rows, ids = ids[:n:n], ids[n:]
+				req.Dst.ResliceRows(store, k, n)
+				req.Rows, k = rows[k:n:n], n
 			}
 			m := r.assign.Servers[pi]
 			reqs[m] = append(reqs[m], req)
 		}
 	}
+	return nil
 }
 
 // pull is worker w's pull phase, one batched request per server its
@@ -358,12 +346,17 @@ func (t *Trainer) VarValue(name string) (_ *tensor.Dense, err error) {
 		return w0.exec.VarValue(name).Clone(), nil
 	}
 	out := tensor.NewDense(r.v.Shape...)
-	for pi, rr := range r.ranges {
-		if rr.Len() == 0 {
+	for m, owned := range r.parts {
+		var reqs []psrt.PullReq
+		for _, pi := range owned {
+			if rr := r.ranges[pi]; rr.Len() > 0 {
+				reqs = append(reqs, psrt.PullReq{Name: r.v.Name, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)})
+			}
+		}
+		if len(reqs) == 0 {
 			continue
 		}
-		req := []psrt.PullReq{{Name: r.v.Name, Part: pi, Dst: out.SliceRows(rr.Start, rr.End)}}
-		if err := w0.ps[r.assign.Servers[pi]].PullManyInto(int64(t.step), req); err != nil {
+		if err := w0.ps[m].PullManyInto(int64(t.step), reqs); err != nil {
 			return nil, err
 		}
 	}

@@ -24,11 +24,20 @@ import (
 )
 
 // wholePartitionPulls is the test-only seam: it clears the graph-derived
-// row addressing, so every PS partition is pulled whole each step.
+// row addressing and gives every worker a full replica, so every PS
+// partition is pulled whole each step. Call it before the first step.
 func wholePartitionPulls(tr *Trainer) {
 	for ri := range tr.routes {
 		tr.routes[ri].rowInputs = nil
 	}
+	for _, w := range tr.local {
+		full, err := graph.NewExec(w.exec.Graph())
+		if err != nil {
+			panic(err)
+		}
+		w.exec = full
+	}
+	tr.buildPullReqs()
 }
 
 // rowModel is one graph of the bit-identity matrix with its deterministic
@@ -307,8 +316,30 @@ func TestRowPullRequestsFollowTheFeed(t *testing.T) {
 // A graph that also reads the table densely, or a plan that promotes the
 // sparse variable to AllReduce, must keep its old behaviour: whole
 // partitions from the servers in the first case, no pull at all in the
-// second.
+// second, and a full replica in each worker either way, as under
+// AllGatherv. Only a PS table the graph merely gathers is stored as one
+// step's rows: Σ(index-input lengths) of them.
 func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
+	requireReplicaRows := func(what string, tr *Trainer, name string, rows int) {
+		t.Helper()
+		for _, w := range tr.local {
+			if got := w.exec.VarValue(name).Shape(); got[0] != rows || len(got) != 2 {
+				t.Errorf("%s: worker %d stores %s as %v, want %d rows", what, w.rank, name, got, rows)
+			}
+		}
+	}
+	two := twoIndexModel()
+	tg := two.build()
+	rowTr, err := New(tg, Options{Plan: planFor(t, tg, core.ArchHybrid, 2, 4), Resource: cluster.Uniform(2, 2),
+		DenseAgg: optim.AggMean, SparseAgg: optim.AggMean,
+		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rowTr.Close()
+	requireReplicaRows("two index inputs of 6", rowTr, "emb", 12)
+	requireReplicaRows("two index inputs of 6", rowTr, "out/kernel", 16)
+
 	ri := cluster.Uniform(2, 2)
 	const vocab, dim, batch = 30, 8, 4
 	rng := tensor.NewRNG(11)
@@ -351,6 +382,7 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	if pulled != vocab+dim {
 		t.Errorf("worker 0 pulled %d whole rows, want every row of both variables (%d)", pulled, vocab+dim)
 	}
+	requireReplicaRows("densely read graph", tr, "emb", vocab)
 
 	// The same TinyLM whose embedding is row-addressed under PS is not
 	// pulled at all once α promotes it to AllReduce.
@@ -379,6 +411,22 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	if _, err := ar.Step(lmf); err != nil {
 		t.Fatal(err)
 	}
+	requireReplicaRows("α-promoted to AllReduce", ar, "embedding", cfg.Vocab)
+	agv, err := New(lm, newOpts(planFor(t, lm, core.ArchAR, 2, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agv.Close()
+	if m := agv.routes[agv.routeIdx["embedding"]].assign.Method; m != core.MethodAllGatherv {
+		t.Fatalf("embedding under AllReduce-only routed %v, want AllGatherv", m)
+	}
+	requireReplicaRows("AllGatherv", agv, "embedding", cfg.Vocab)
+	ps, err := New(lm, newOpts(planFor(t, lm, core.ArchHybrid, 2, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	requireReplicaRows("parameter servers", ps, "embedding", cfg.Batch)
 }
 
 // Deriving a step's row sets — collect, sort, deduplicate, bucket by

@@ -18,6 +18,7 @@ import (
 	"parallax/internal/graph"
 	"parallax/internal/models"
 	"parallax/internal/optim"
+	"parallax/internal/psrt"
 	"parallax/internal/tensor"
 )
 
@@ -103,12 +104,14 @@ func TestPersistentWorkersAndClose(t *testing.T) {
 }
 
 // The pull path must route server state into the right replica rows. A
-// worker pulls only the rows its feed gathers, so after a few steps (the
-// servers have moved away from Init) every row the last step's feed
-// named must hold, in that worker's replica, exactly what the servers
-// held when the step began — a partition view or a partition-local row
-// id with a wrong offset would corrupt exactly this — and VarValue must
-// still assemble the whole table from the servers, which alone hold it.
+// worker pulls only the rows its feed gathers and holds only those,
+// packed, so after a few steps (the servers have moved away from Init)
+// every row the last step's feed named must hold, in the slot of that
+// worker's replica its SetRows binding gives it, exactly what the
+// servers held when the step began — a packed run, a partition-local
+// row id or a binding with a wrong offset would corrupt exactly this —
+// and VarValue must still assemble the whole table from the servers,
+// which alone hold it.
 func TestPullViewsMatchServerState(t *testing.T) {
 	cfg := models.DefaultTinyLM()
 	mutate := func(o *Options) { o.LocalAggregation = true }
@@ -133,18 +136,66 @@ func TestPullViewsMatchServerState(t *testing.T) {
 	if before.MaxAbsDiff(tr.routes[tr.routeIdx["embedding"]].v.Init) == 0 {
 		t.Fatal("servers still at Init before the last step; test is vacuous")
 	}
-	width := cfg.Dim
+	width, ri := cfg.Dim, tr.routeIdx["embedding"]
 	for w := 0; w < tr.Workers(); w++ {
-		replica := tr.local[w].exec.VarValue("embedding").Data()
+		replica, bound := tr.local[w].exec.VarValue("embedding").Data(), tr.local[w].pullIDs[ri]
 		for _, id := range feeds[w].Ints["tokens"] {
+			slot, ok := slices.BinarySearch(bound, id)
+			if !ok {
+				t.Fatalf("worker %d: fed row %d is not bound to its replica (%v)", w, id, bound)
+			}
 			for c := 0; c < width; c++ {
-				if got, want := replica[id*width+c], before.At(id, c); math.Float32bits(got) != math.Float32bits(want) {
-					t.Fatalf("worker %d replica row %d col %d = %v, servers held %v when the step began", w, id, c, got, want)
+				if got, want := replica[slot*width+c], before.At(id, c); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("worker %d replica row %d (slot %d) col %d = %v, servers held %v when the step began", w, id, slot, c, got, want)
 				}
 			}
 		}
 	}
 	requireSameVars(t, "row-addressed vs whole-partition pulls", tr, whole)
+}
+
+// pullBatches records the batches the endpoint it wraps is asked to pull.
+type pullBatches struct {
+	psrt.Endpoint
+	batches *[][]int // the partitions of each call, in call order
+}
+
+func (p pullBatches) PullManyInto(minVersion int64, reqs []psrt.PullReq) error {
+	var parts []int
+	for _, r := range reqs {
+		parts = append(parts, r.Part)
+	}
+	*p.batches = append(*p.batches, parts)
+	return p.Endpoint.PullManyInto(minVersion, reqs)
+}
+
+// VarValue reads a partitioned variable with one batched call per
+// server, every partition the server owns in it, as a step's pull does.
+func TestVarValueOneCallPerServer(t *testing.T) {
+	cfg := models.DefaultTinyLM()
+	tr := newTrainer(t, cfg, core.ArchHybrid, cluster.Uniform(2, 2), 4, nil)
+	feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, 1)
+	if _, err := tr.Step(feeds); err != nil {
+		t.Fatal(err)
+	}
+	w0 := tr.local[0]
+	batches := make([][][]int, len(w0.ps))
+	for m, ep := range w0.ps {
+		w0.ps[m] = pullBatches{ep, &batches[m]}
+	}
+	if _, err := tr.VarValue("embedding"); err != nil {
+		t.Fatal(err)
+	}
+	r := tr.routes[tr.routeIdx["embedding"]]
+	for m, owned := range r.parts {
+		want := [][]int{owned}
+		if len(owned) == 0 {
+			want = nil
+		}
+		if !slices.EqualFunc(batches[m], want, slices.Equal[[]int]) {
+			t.Errorf("server %d: VarValue pulled batches %v, want %v", m, batches[m], want)
+		}
+	}
 }
 
 // Bad feeds must be rejected before dispatch: a worker failing mid-step

@@ -48,12 +48,13 @@
 //     pull phase is pipelined across them: the worker sends every remote
 //     server its request, serves the colocated pulls while those are in
 //     flight, then collects the replies.
-//   - Where the graph only gathers a PS variable (gatherInputs), the pull
-//     is row-addressed: each step a worker asks for the rows its own feed
-//     names and for nothing of a partition it does not touch. Its replica
-//     of such a table is a cache of gathered rows; the servers alone hold
-//     the whole of it, and everything that needs the whole — VarValue,
-//     snapshots, reshards — reads it from them.
+//   - Where the graph only gathers a PS variable (graph.GatherInputs),
+//     the pull is row-addressed: each step a worker asks for the rows its
+//     own feed names and for nothing of a partition it does not touch,
+//     and its replica of such a table holds just those rows, packed
+//     (graph.NewExec's rowVars). The servers alone hold the whole of it,
+//     and everything that needs the whole — VarValue, snapshots,
+//     reshards — reads it from them.
 //
 // Nothing after New spawns a goroutine or arms a timer — not Step, not
 // an agreement, not Close — and Step builds no maps and formats no
@@ -153,10 +154,11 @@ type varRoute struct {
 	// parts[m] lists, ascending, the partitions machine m's server owns
 	// (nil where it owns none); set with assign and ranges by partition.
 	parts [][]int
-	// rowInputs makes a PS route's pull row-addressed: the graph's int
-	// inputs whose ids are the only rows of v a step reads (gatherInputs).
-	// Each step a worker then pulls just the rows its feed names; nil
-	// pulls every partition whole.
+	// rowInputs makes a PS route row-addressed: the graph's int inputs
+	// whose ids are the only rows of v a step reads (GatherInputs). Each
+	// step a worker then pulls just the rows its feed names into a
+	// replica that holds only those; nil pulls every partition whole
+	// into a whole replica.
 	rowInputs []*graph.Node
 	// slots[m] is the local-aggregation slot on machine m (PS routes under
 	// LocalAggregation only); merge buffers exist only for machines
@@ -310,6 +312,32 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			t.localMachines = append(t.localMachines, m)
 		}
 	}
+	// Route variables. A PS route the graph only gathers is
+	// row-addressed: its pull names rows, and each replica stores just
+	// the rows a step gathers.
+	anyPS := false
+	var rowVars []string
+	t.routeIdx = make(map[string]int, len(vars))
+	for i, v := range vars {
+		a := opts.Plan.Assignments[i]
+		if a.Name != v.Name {
+			return fail(fmt.Errorf("transform: plan assignment %d is %q, variable is %q", i, a.Name, v.Name))
+		}
+		r := varRoute{v: v, assign: a, bucket: -1}
+		switch a.Method {
+		case core.MethodPS:
+			anyPS = true
+			r.partition(a, machines)
+			if r.rowInputs = g.GatherInputs(v); r.rowInputs != nil {
+				rowVars = append(rowVars, v.Name)
+			}
+		case core.MethodAllGatherv:
+			r.agvTag = "agv/" + v.Name
+		}
+		t.routeIdx[v.Name] = len(t.routes)
+		t.routes = append(t.routes, r)
+	}
+
 	// Replicate the graph: one executor per local GPU (§4.3: "main
 	// computation operations ... are replicated as many as the number of
 	// GPUs"; remote GPUs are replicated by their own agents). A worker
@@ -322,7 +350,7 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		if !fab.Local(rank) {
 			continue
 		}
-		e, err := graph.NewExec(g)
+		e, err := graph.NewExec(g, rowVars...)
 		if err != nil {
 			return fail(err)
 		}
@@ -333,27 +361,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 	}
 	if len(t.local) == 0 {
 		return fail(fmt.Errorf("transform: fabric hosts no worker of this cluster"))
-	}
-
-	// Route variables.
-	anyPS := false
-	t.routeIdx = make(map[string]int, len(vars))
-	for i, v := range vars {
-		a := opts.Plan.Assignments[i]
-		if a.Name != v.Name {
-			return fail(fmt.Errorf("transform: plan assignment %d is %q, variable is %q", i, a.Name, v.Name))
-		}
-		r := varRoute{v: v, assign: a, bucket: -1}
-		switch a.Method {
-		case core.MethodPS:
-			anyPS = true
-			r.partition(a, machines)
-			r.rowInputs = gatherInputs(g, v)
-		case core.MethodAllGatherv:
-			r.agvTag = "agv/" + v.Name
-		}
-		t.routeIdx[v.Name] = len(t.routes)
-		t.routes = append(t.routes, r)
 	}
 
 	// One server per local machine if needed (§4.2: "if sparse variables

@@ -62,11 +62,15 @@ type worker struct {
 	// pullReqs[m] is the batched pull request list issued to server m at
 	// the top of a step, refilled from the step's feed (stepPullReqs);
 	// pullDst[ri][pi] is a request's destination, a zero-copy view of
-	// partition pi's rows in the replica's storage, and pullRows[ri] the
-	// scratch a row-addressed route's sorted ids — and the requests' row
-	// lists, which alias it — live in.
+	// the replica's storage: partition pi's rows, or for a row-addressed
+	// route its run of the step's packed rows. For such a route
+	// pullIDs[ri] holds the step's sorted global ids, in scratch sized
+	// for a whole feed — the replica's SetRows binding — and
+	// pullRows[ri] is the scratch their partition-local rows, which the
+	// requests' row lists alias, live in.
 	pullReqs [][]psrt.PullReq
 	pullDst  [][]*tensor.Dense
+	pullIDs  [][]int
 	pullRows [][]int
 	// arSparse[ri] holds the AllGatherv-aggregated gradient for route ri
 	// within a step (indexed, not keyed, to avoid per-step maps).
@@ -330,7 +334,9 @@ func (t *Trainer) workerStep(w *worker, step int, feed graph.Feed) (float64, err
 	// Version step means "after step updates have applied".
 	pullStart := now()
 	if w.ps != nil {
-		t.stepPullReqs(w, feed)
+		if err := t.stepPullReqs(w, feed); err != nil {
+			return 0, err
+		}
 		if err := t.pull(w, int64(step)); err != nil {
 			return 0, err
 		}
