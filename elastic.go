@@ -387,7 +387,7 @@ func (s *Session) Leave() error {
 		return fmt.Errorf("parallax: leave on %w session", ErrClosed)
 	}
 	if !s.cfg.Elastic || s.cfg.Dist == nil || s.cfg.AutoCheckpoint.Dir == "" {
-		return fmt.Errorf("parallax: Leave requires WithElastic, WithDist, and WithAutoCheckpoint")
+		return fmt.Errorf("parallax: Leave requires WithElastic, WithDistConfig, and WithAutoCheckpoint")
 	}
 	s.leaving.Store(true)
 	return nil

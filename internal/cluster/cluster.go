@@ -125,18 +125,10 @@ func (r ResourceInfo) Validate() error {
 	return nil
 }
 
-// WorkerID maps (machine, localGPU index) to a global worker rank, packing
-// machines in order. It is the rank layout used by all runtimes.
-func (r ResourceInfo) WorkerID(machine, localGPU int) int {
-	id := 0
-	for i := 0; i < machine; i++ {
-		id += len(r.Machines[i].GPUs)
-	}
-	return id + localGPU
-}
-
 // WorkerMachines returns the machine index of every global worker rank,
-// the worker→machine map the transport topology is built from.
+// the worker→machine map the transport topology is built from: ranks
+// are machine-major, machine m's GPUs numbered after machine m-1's. It
+// is the rank layout used by all runtimes.
 func (r ResourceInfo) WorkerMachines() []int {
 	out := make([]int, 0, r.TotalGPUs())
 	for m, machine := range r.Machines {

@@ -59,15 +59,13 @@ func TestValidateRejectsDuplicates(t *testing.T) {
 
 func TestWorkerRankMapping(t *testing.T) {
 	r := Uniform(3, 4)
-	if got := r.WorkerID(0, 0); got != 0 {
-		t.Fatalf("WorkerID(0,0) = %d", got)
-	}
-	if got := r.WorkerID(2, 3); got != 11 {
-		t.Fatalf("WorkerID(2,3) = %d, want 11", got)
+	machines := r.WorkerMachines()
+	if len(machines) != 12 {
+		t.Fatalf("WorkerMachines has %d ranks, want 12", len(machines))
 	}
 	for w := 0; w < 12; w++ {
-		if got, want := r.MachineOfWorker(w), w/4; got != want {
-			t.Fatalf("MachineOfWorker(%d) = %d, want %d", w, got, want)
+		if got, want := r.MachineOfWorker(w), w/4; got != want || machines[w] != want {
+			t.Fatalf("worker %d: MachineOfWorker %d, WorkerMachines %d, want %d", w, got, machines[w], want)
 		}
 	}
 }

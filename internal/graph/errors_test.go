@@ -137,21 +137,10 @@ func TestVarValueAccessors(t *testing.T) {
 	g.SoftmaxCE(g.MatMul(x, w), l)
 	e, _ := NewExec(g)
 
-	// SetVarValue round trip.
-	nv := rng.RandN(1, 2, 3)
-	e.SetVarValue("w", nv)
-	if e.VarValue("w").MaxAbsDiff(nv) != 0 {
-		t.Error("SetVarValue lost data")
+	// VarValue hands out the variable's own storage.
+	if e.VarValue("w") != e.VarValue("w") || e.VarValue("w").MaxAbsDiff(w.Var.Init) != 0 {
+		t.Error("VarValue is not the variable's storage")
 	}
-	// Shape mismatch panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on shape mismatch")
-			}
-		}()
-		e.SetVarValue("w", tensor.NewDense(3, 2))
-	}()
 	// Unknown variable panics.
 	func() {
 		defer func() {

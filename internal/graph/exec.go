@@ -183,19 +183,6 @@ func (e *Exec) VarValue(name string) *tensor.Dense {
 	return v
 }
 
-// SetVarValue replaces a variable's storage (used when pulling fresh values
-// from a parameter server).
-func (e *Exec) SetVarValue(name string, t *tensor.Dense) {
-	cur, ok := e.values[name]
-	if !ok {
-		panic(fmt.Sprintf("graph: unknown variable %q", name))
-	}
-	if !cur.SameShape(t) {
-		panic(fmt.Sprintf("graph: SetVarValue shape mismatch for %q: %v vs %v", name, cur.Shape(), t.Shape()))
-	}
-	e.values[name] = t
-}
-
 // GradReady observes one variable's gradient the moment the backward
 // sweep finishes it: exactly one of dense/sparse is non-nil, and the
 // tensors are the same ones placed in the step's GradSet. See StepStream

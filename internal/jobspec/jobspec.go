@@ -148,7 +148,7 @@ func (s Spec) Dataset() *data.ZipfText {
 }
 
 // Options assembles the session options the spec encodes. The returned
-// slice is safe to append deployment-specific options to (WithDist,
+// slice is safe to append deployment-specific options to (WithDistConfig,
 // WithAutoCheckpoint, ...).
 func (s Spec) Options() ([]parallax.Option, error) {
 	arch, err := s.ArchValue()

@@ -39,8 +39,8 @@ const Tag = "ps"
 // is one request/reply round trip: the client encodes the batched
 // request, the serving loop on the remote agent replays it against the
 // real Server and answers. Because the client blocks for the reply
-// before returning, borrowed dense views inside push requests follow the
-// same borrowing contract as direct PushDenseMany calls. The pull also
+// before returning, and the request is serialized before the reply
+// comes, a push borrows its dense views only for the call. The pull also
 // comes as its two halves, SendPull and RecvPull, so a worker can have
 // one request in flight to every server at once.
 //
@@ -161,7 +161,8 @@ func (c *Client) RecvPull(reqs []PullReq) error {
 
 // PushDenseMany ships a batch of dense partition gradients. The gradient
 // views are borrowed only until the call returns (the request is
-// serialized before the reply unblocks us).
+// serialized before the reply unblocks us), and Rank does not travel:
+// the serving loop stamps its client's.
 func (c *Client) PushDenseMany(reqs []DensePush) error {
 	m := &transport.PSMsg{Op: transport.PSPushDenseMany, Codec: c.codec}
 	for i := range reqs {
@@ -231,8 +232,10 @@ func (c *Client) SnapshotPart(name string, pi int, minVersion int64) (*tensor.De
 
 // ServeConduit answers one remote client's parameter-server requests
 // against s until the fabric closes or the client's process says
-// goodbye: the serving half of the wire protocol. The trainer runs one
-// ServeConduit goroutine per (local server, remote worker) pair;
+// goodbye: the serving half of the wire protocol. client is the remote
+// worker's rank, which places its pushes in the servers' folds. The
+// trainer runs one ServeConduit goroutine per (local server, remote
+// worker) pair;
 // requests from one client are strictly sequential (the client blocks
 // for each reply), while different clients' loops run concurrently
 // against the server's per-partition locks — the same concurrency
@@ -243,14 +246,15 @@ func ServeConduit(s *Server, t transport.Conduit, client int) {
 		if req == nil {
 			return // fabric closed, or the client departed
 		}
-		t.SendPS(client, Tag, handle(s, req))
+		t.SendPS(client, Tag, handle(s, client, req))
 	}
 }
 
-// handle replays one decoded request against the server and builds the
-// reply. Errors travel as strings in the reply rather than tearing the
-// connection down, mirroring the error returns of direct calls.
-func handle(s *Server, req *transport.PSMsg) *transport.PSMsg {
+// handle replays one decoded request from the worker of rank client
+// against the server and builds the reply. Errors travel as strings in
+// the reply rather than tearing the connection down, mirroring the error
+// returns of direct calls.
+func handle(s *Server, client int, req *transport.PSMsg) *transport.PSMsg {
 	rep := &transport.PSMsg{Op: transport.PSReply}
 	fail := func(err error) *transport.PSMsg {
 		rep.Err = err.Error()
@@ -270,22 +274,23 @@ func handle(s *Server, req *transport.PSMsg) *transport.PSMsg {
 			if v, err = s.varFor(v, name); err != nil {
 				return fail(err)
 			}
-			if rows, pi := req.RowsAt(i), req.Parts[i]; rows != nil {
-				elems += len(rows) * v.width
-			} else if pi >= 0 && pi < len(v.ranges) {
-				elems += v.ranges[pi].Len() * v.width
-			}
+			elems += v.pullRows(req.Parts[i], req.RowsAt(i)) * v.width
 			if elems > maxReplyElems {
 				return fail(fmt.Errorf("psrt: pull of %d items asks for more than the %d values one reply carries",
 					len(req.Names), maxReplyElems))
 			}
 		}
-		// Each item is copied into a fresh tensor under the partition
-		// lock, so the serving loop never holds locks during
+		// Each item is copied into a fresh packed tensor under the
+		// partition lock, so the serving loop never holds locks during
 		// serialization.
 		for i, name := range req.Names {
-			val, err := s.pullPacked(name, req.Parts[i], req.Version, req.RowsAt(i))
-			if err != nil {
+			var err error
+			if v, err = s.varFor(v, name); err != nil {
+				return fail(err)
+			}
+			pi, rows := req.Parts[i], req.RowsAt(i)
+			val := tensor.NewDense(v.pullRows(pi, rows), v.width)
+			if err := v.pullInto(pi, req.Version, rows, val); err != nil {
 				return fail(err)
 			}
 			rep.Dense = append(rep.Dense, val)
@@ -296,7 +301,7 @@ func handle(s *Server, req *transport.PSMsg) *transport.PSMsg {
 		}
 		reqs := make([]DensePush, len(req.Names))
 		for i := range req.Names {
-			reqs[i] = DensePush{Name: req.Names[i], Part: req.Parts[i], Grad: req.Dense[i]}
+			reqs[i] = DensePush{Name: req.Names[i], Part: req.Parts[i], Rank: client, Grad: req.Dense[i]}
 		}
 		if err := s.PushDenseMany(reqs); err != nil {
 			return fail(err)
@@ -307,7 +312,7 @@ func handle(s *Server, req *transport.PSMsg) *transport.PSMsg {
 		}
 		reqs := make([]SparsePush, len(req.Names))
 		for i := range req.Names {
-			reqs[i] = SparsePush{Name: req.Names[i], Part: req.Parts[i], Grad: req.Sparse[i]}
+			reqs[i] = SparsePush{Name: req.Names[i], Part: req.Parts[i], Rank: client, Grad: req.Sparse[i]}
 		}
 		if err := s.PushSparseMany(reqs); err != nil {
 			return fail(err)

@@ -186,7 +186,7 @@ func TestClientErrorsTravelAsReplies(t *testing.T) {
 		"negative":            {0, []int{-1}, "out of range"},
 		"partition elsewhere": {1, []int{0}, "not hosted here"},
 	} {
-		served := handle(srv, &transport.PSMsg{Op: transport.PSPullMany,
+		served := handle(srv, 0, &transport.PSMsg{Op: transport.PSPullMany,
 			Names: []string{"emb"}, Parts: []int{c.part}, Rows: [][]int{c.rows}}).Err
 		packed := dst.SliceRows(0, len(c.rows))
 		for how, err := range map[string]error{
@@ -224,7 +224,7 @@ func TestClientErrorsTravelAsReplies(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		big.Names, big.Parts, big.Rows = append(big.Names, "emb"), append(big.Parts, 0), append(big.Rows, all)
 	}
-	if rep := handle(srv, big); !strings.Contains(rep.Err, "one reply carries") || len(rep.Dense) != 0 {
+	if rep := handle(srv, 0, big); !strings.Contains(rep.Err, "one reply carries") || len(rep.Dense) != 0 {
 		t.Errorf("oversized batch: err = %q with %d tensors", rep.Err, len(rep.Dense))
 	}
 	// The connection outlives all of it.

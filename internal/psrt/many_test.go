@@ -34,7 +34,7 @@ func TestPushSparseManyAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := srv.Pull("e", 0, 1)
+	got, err := pull(srv, "e", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

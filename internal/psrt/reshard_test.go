@@ -107,7 +107,7 @@ func TestSnapshotAndReshardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi := range newRanges {
-		v, err := srv.Version("emb", pi)
+		v, err := version(srv, "emb", pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestReshardValidation(t *testing.T) {
 	if err := srv.ReshardVar("emb", init, newRanges, nil, true, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Version("emb", 0); err == nil {
+	if _, err := version(srv, "emb", 0); err == nil {
 		t.Fatal("dropped variable still served")
 	}
 	mom := srv.cfg.Optimizer.(*optim.Momentum)

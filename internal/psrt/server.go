@@ -27,16 +27,29 @@
 // resharding, DESIGN.md §9), seeding versions so the synchronous
 // protocol continues without a discontinuity.
 //
+// # Aggregation order
+//
+// A partition parks the step's pushes in order of the pushing worker's
+// rank (DensePush.Rank, SparsePush.Rank; the serving loop stamps a wire
+// push with its client's rank), and the last push folds them in that
+// order, dense and sparse alike. float32 addition does not associate,
+// so a fold in arrival order would make the sum depend on scheduling
+// and wire jitter once a partition has three or more sources. Ranks are
+// machine-major, so under local aggregation this is machine order and
+// without it worker order; neither depends on the partition count, so
+// a reshard changes no bit. Pushes of equal rank keep their arrival
+// order.
+//
 // # Buffer ownership
 //
 // The runtime is allocation-disciplined so a persistent training loop does
 // not churn the heap:
 //
-//   - PushDenseMany borrows each Grad only for the duration of the call
-//     and never mutates it. Callers may pass zero-copy views
-//     (tensor.SliceRows) of live gradient buffers and reuse them
-//     immediately after the call returns. Each partition keeps a
-//     preallocated accumulator that the borrowed gradient is summed into.
+//   - PushDenseMany borrows each Grad until the partition has folded the
+//     step, which happens inside the step's last push, and never mutates
+//     it. Callers may pass zero-copy views (tensor.SliceRows) of gradient
+//     buffers that live until the next step. Each partition keeps a
+//     preallocated buffer the parked gradients are folded into.
 //   - PushSparseMany takes ownership of each Grad: the server may retain
 //     and mutate it until the partition's update has been applied. Callers
 //     must hand over freshly built tensors (SplitSparse output qualifies)
@@ -45,12 +58,13 @@
 //     views of replica storage) and allocates nothing, whether a request
 //     reads its whole partition or only the rows it lists (PullReq.Rows,
 //     borrowed for the call, into a Dst of that many rows); the serving
-//     loop instead takes a fresh packed copy, because it must not hold a
-//     partition lock while it serializes.
+//     loop instead pulls into a fresh packed tensor, because it must not
+//     hold a partition lock while it serializes.
 package psrt
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"parallax/internal/optim"
@@ -123,15 +137,18 @@ type part struct {
 
 	value *tensor.Dense // [range.Len(), width]
 
-	// accDense is the partition's persistent dense gradient buffer: the
-	// accumulator and (between aggregation and apply) the aggregated
-	// gradient. It is allocated once
-	// in AddVar for dense variables and reused every step — the trainer's
-	// step boundary guarantees step i+1's first push cannot arrive before
-	// step i's update applied (DESIGN.md §3).
-	accDense  *tensor.Dense
-	accSparse []*tensor.Sparse // retained pushed gradients (ownership transferred)
-	pushes    int
+	// accDense is the partition's persistent dense fold buffer: the
+	// aggregated gradient between the fold and the apply. It is allocated
+	// once in AddVar for dense variables and reused every step — the
+	// trainer's step boundary guarantees step i+1's first push cannot
+	// arrive before step i's update applied (DESIGN.md §3).
+	accDense *tensor.Dense
+	// ranks parks the step's pushes until the last one arrives, sorted
+	// by the pushing worker's rank (equal ranks in arrival order); dense
+	// (borrowed) or sparse (owned) holds their gradients in that order.
+	ranks  []int
+	dense  []*tensor.Dense
+	sparse []*tensor.Sparse
 
 	aggregated bool // DeferUpdates: gradients aggregated, not applied
 	aggDense   *tensor.Dense
@@ -299,9 +316,12 @@ func (s *Server) addVarLocked(name string, init *tensor.Dense, ranges []tensor.R
 		rr := ranges[pi]
 		val := tensor.NewDense(rr.Len(), width)
 		copy(val.Data(), init.Data()[rr.Start*width:rr.End*width])
-		p := &part{value: val}
-		if !sparse {
+		p := &part{value: val, ranks: make([]int, 0, s.cfg.Sources)}
+		if sparse {
+			p.sparse = make([]*tensor.Sparse, 0, s.cfg.Sources)
+		} else {
 			p.accDense = tensor.NewDense(rr.Len(), width)
+			p.dense = make([]*tensor.Dense, 0, s.cfg.Sources)
 		}
 		p.cond = sync.NewCond(&p.mu)
 		v.parts[pi] = p
@@ -350,74 +370,61 @@ func (v *servedVar) waitVersion(p *part, minVersion int64) error {
 	return nil
 }
 
-// pushDense delivers one source's dense gradient for a partition, in
+// push parks one source's gradient for a partition, in
 // partition-local coordinates (the full tensor for unpartitioned
-// variables). grad is borrowed for the call and never mutated.
-func (v *servedVar) pushDense(pi int, grad *tensor.Dense) error {
+// variables): dense or sparse, whichever the variable is, the other
+// nil. It keeps the step's pushes sorted by rank, and the step's last
+// push folds them (completeLocked).
+func (v *servedVar) push(pi, rank int, dense *tensor.Dense, sparse *tensor.Sparse) error {
 	p, err := v.partAt(pi)
 	if err != nil {
 		return err
 	}
-	if v.sparse {
+	switch {
+	case v.sparse && sparse == nil:
 		return fmt.Errorf("psrt: dense push to sparse variable %q", v.name)
-	}
-	if grad.NumElements() != v.ranges[pi].Len()*v.width {
-		return fmt.Errorf("psrt: dense push to %s/%d has %d elements, partition wants %d",
-			v.name, pi, grad.NumElements(), v.ranges[pi].Len()*v.width)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pushes == 0 {
-		copy(p.accDense.Data(), grad.Data())
-	} else {
-		// Accumulate flat: the gradient may arrive with a different rank
-		// than the [rows, width] accumulator (a rank-1 bias pushed as a
-		// whole), and both layouts are row-major.
-		tensor.AddTo(grad.Data(), p.accDense.Data())
-	}
-	p.pushes++
-	if p.pushes == v.srv.cfg.Sources {
-		v.completeLocked(pi, p)
-	}
-	return nil
-}
-
-// pushSparse delivers one source's sparse gradient for a partition, rows
-// in partition-local coordinates. Ownership of grad transfers to the
-// server until the partition's update applies.
-func (v *servedVar) pushSparse(pi int, grad *tensor.Sparse) error {
-	p, err := v.partAt(pi)
-	if err != nil {
-		return err
-	}
-	if !v.sparse {
+	case !v.sparse && dense == nil:
 		return fmt.Errorf("psrt: sparse push to dense variable %q", v.name)
+	case dense != nil && dense.NumElements() != v.ranges[pi].Len()*v.width:
+		return fmt.Errorf("psrt: dense push to %s/%d has %d elements, partition wants %d",
+			v.name, pi, dense.NumElements(), v.ranges[pi].Len()*v.width)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.accSparse = append(p.accSparse, grad)
-	p.pushes++
-	if p.pushes == v.srv.cfg.Sources {
+	k := len(p.ranks)
+	for k > 0 && p.ranks[k-1] > rank {
+		k--
+	}
+	p.ranks = slices.Insert(p.ranks, k, rank)
+	if v.sparse {
+		p.sparse = slices.Insert(p.sparse, k, sparse)
+	} else {
+		p.dense = slices.Insert(p.dense, k, dense)
+	}
+	if len(p.ranks) == v.srv.cfg.Sources {
 		v.completeLocked(pi, p)
 	}
 	return nil
 }
 
-// completeLocked aggregates the accumulator; with DeferUpdates it parks the
-// aggregated gradient for the chief, otherwise applies immediately.
+// completeLocked folds the parked pushes in rank order; with
+// DeferUpdates it parks the aggregated gradient for the chief, otherwise
+// applies immediately.
 func (v *servedVar) completeLocked(pi int, p *part) {
 	cfg := &v.srv.cfg
 	if v.sparse {
-		agg := tensor.SumSparse(p.accSparse)
+		agg := tensor.SumSparse(p.sparse)
 		optim.FinalizeSparse(agg, cfg.meanDiv(), cfg.SparseAgg)
 		p.aggSparse = agg
-		clear(p.accSparse)
-		p.accSparse = p.accSparse[:0]
+		clear(p.sparse)
+		p.sparse = p.sparse[:0]
 	} else {
-		optim.FinalizeDense(p.accDense, cfg.meanDiv(), cfg.DenseAgg)
+		optim.FinalizeDense(tensor.SumDenseInto(p.accDense, p.dense), cfg.meanDiv(), cfg.DenseAgg)
 		p.aggDense = p.accDense
+		clear(p.dense)
+		p.dense = p.dense[:0]
 	}
-	p.pushes = 0
+	p.ranks = p.ranks[:0]
 	p.aggregated = true
 	p.aggSeq++
 	if !cfg.DeferUpdates {
@@ -494,36 +501,6 @@ func (s *Server) ApplyUpdate(name string, pi int, scale float32) error {
 	return nil
 }
 
-// Pull returns a copy of the whole partition's value once its version is
-// at least minVersion.
-func (s *Server) Pull(name string, pi int, minVersion int64) (*tensor.Dense, error) {
-	return s.pullPacked(name, pi, minVersion, nil)
-}
-
-// pullPacked is the read the serving loop answers a remote PullManyInto
-// item with: a fresh copy of the partition's value — or, with a row
-// list, of just those rows packed in list order — taken under the
-// partition lock once its version is at least minVersion, so nothing is
-// held during serialization.
-func (s *Server) pullPacked(name string, pi int, minVersion int64, rows []int) (*tensor.Dense, error) {
-	v, p, err := s.lookup(name, pi)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := v.waitVersion(p, minVersion); err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		return p.value.Clone(), nil
-	}
-	if err := checkRows(rows, p.value.Dim(0)); err != nil {
-		return nil, fmt.Errorf("psrt: pull of %s/%d: %w", name, pi, err)
-	}
-	return tensor.Gather(p.value, rows), nil
-}
-
 // checkRows reports whether rows is a well-formed row list for a
 // partition of n rows: strictly ascending — hence duplicate-free — and
 // inside [0, n).
@@ -537,6 +514,19 @@ func checkRows(rows []int, n int) error {
 		}
 	}
 	return nil
+}
+
+// pullRows is the number of rows a pull of partition pi reads: the
+// listed ones, or the whole partition (none for a partition out of
+// range, which pullInto refuses).
+func (v *servedVar) pullRows(pi int, rows []int) int {
+	switch {
+	case rows != nil:
+		return len(rows)
+	case pi >= 0 && pi < len(v.ranges):
+		return v.ranges[pi].Len()
+	}
+	return 0
 }
 
 // pullInto copies the partition's value into dst once its version is at
@@ -589,19 +579,22 @@ type PullReq struct {
 	Rows []int
 }
 
-// DensePush is one partition write of a batched PushDenseMany; Grad is
-// borrowed for the call.
+// DensePush is one partition write of a batched PushDenseMany: Grad is
+// borrowed until the partition has folded the step, and Rank, the
+// pushing worker's rank, places it in the fold.
 type DensePush struct {
 	Name string
 	Part int
+	Rank int
 	Grad *tensor.Dense
 }
 
-// SparsePush is one partition write of a batched PushSparseMany; Grad's
-// ownership transfers to the server.
+// SparsePush is one partition write of a batched PushSparseMany: Grad's
+// ownership transfers to the server, and Rank places it in the fold.
 type SparsePush struct {
 	Name string
 	Part int
+	Rank int
 	Grad *tensor.Sparse
 }
 
@@ -641,7 +634,7 @@ func (s *Server) PushDenseMany(reqs []DensePush) (err error) {
 		if v, err = s.varFor(v, r.Name); err != nil {
 			return err
 		}
-		if err = v.pushDense(r.Part, r.Grad); err != nil {
+		if err = v.push(r.Part, r.Rank, r.Grad, nil); err != nil {
 			return err
 		}
 	}
@@ -656,22 +649,11 @@ func (s *Server) PushSparseMany(reqs []SparsePush) (err error) {
 		if v, err = s.varFor(v, r.Name); err != nil {
 			return err
 		}
-		if err = v.pushSparse(r.Part, r.Grad); err != nil {
+		if err = v.push(r.Part, r.Rank, nil, r.Grad); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Version returns the partition's applied-update count.
-func (s *Server) Version(name string, pi int) (int64, error) {
-	_, p, err := s.lookup(name, pi)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.version, nil
 }
 
 // SnapshotPart returns copies of one partition's value and of its

@@ -9,6 +9,7 @@ import (
 
 	"parallax/internal/optim"
 	"parallax/internal/tensor"
+	"parallax/internal/transport"
 )
 
 func fullRange(dim0 int) []tensor.RowRange { return tensor.PartitionRows(dim0, 1) }
@@ -20,6 +21,28 @@ func pushDense(s *Server, name string, pi int, g *tensor.Dense) error {
 
 func pushSparse(s *Server, name string, pi int, g *tensor.Sparse) error {
 	return s.PushSparseMany([]SparsePush{{Name: name, Part: pi, Grad: g}})
+}
+
+// pull reads partition pi whole into a fresh tensor once its version
+// reaches minVersion.
+func pull(s *Server, name string, pi int, minVersion int64) (*tensor.Dense, error) {
+	v, err := s.lookupVar(name)
+	if err != nil {
+		return nil, err
+	}
+	dst := tensor.NewDense(v.pullRows(pi, nil), v.width)
+	return dst, s.PullManyInto(minVersion, []PullReq{{Name: name, Part: pi, Dst: dst}})
+}
+
+// version is partition pi's applied-update count.
+func version(s *Server, name string, pi int) (int64, error) {
+	_, p, err := s.lookup(name, pi)
+	if err != nil {
+		return 0, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.version, nil
 }
 
 func TestSyncDenseAggregatesMean(t *testing.T) {
@@ -36,13 +59,13 @@ func TestSyncDenseAggregatesMean(t *testing.T) {
 	if err := pushDense(s, "w", 0, g1); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Version("w", 0); v != 0 {
+	if v, _ := version(s, "w", 0); v != 0 {
 		t.Fatal("update applied before all pushes")
 	}
 	if err := pushDense(s, "w", 0, g2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Pull("w", 0, 1)
+	got, err := pull(s, "w", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +90,69 @@ func TestSyncSparseAggregatesSum(t *testing.T) {
 	if err := pushSparse(s, "emb", 0, sp2); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Pull("emb", 0, 1)
+	got, _ := pull(s, "emb", 0, 1)
 	if got.At(1, 0) != 5 || got.At(3, 0) != 5 || got.At(0, 0) != 10 {
 		t.Fatalf("value = %v", got.Data())
 	}
+}
+
+// TestFoldFollowsRankNotArrival: three sources push onto one row, in
+// every arrival order, dense and sparse, directly and through the
+// serving loop (which ranks a push by its client). In rank order the
+// row sums to (1e8 + 1) - 1e8 = 0 in float32, in arrival order [0 2 1]
+// to (1e8 - 1e8) + 1 = 1: the server must fold by rank every time.
+func TestFoldFollowsRankNotArrival(t *testing.T) {
+	byRank := []float32{1e8, 1, -1e8}
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, sparse := range []bool{false, true} {
+		for _, served := range []bool{false, true} {
+			for _, order := range orders {
+				s, err := NewServer(Config{Sources: 3, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggSum, SparseAgg: optim.AggSum})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.AddVar("w", tensor.NewDense(1, 1), fullRange(1), []int{0}, sparse); err != nil {
+					t.Fatal(err)
+				}
+				for _, rank := range order {
+					g := tensor.FromSlice([]float32{byRank[rank]}, 1, 1)
+					var err error
+					switch {
+					case served && sparse:
+						err = errorOf(handle(s, rank, &transport.PSMsg{Op: transport.PSPushSparseMany, Names: []string{"w"}, Parts: []int{0},
+							Sparse: []*tensor.Sparse{tensor.NewSparse([]int{0}, g, 1)}}))
+					case served:
+						err = errorOf(handle(s, rank, &transport.PSMsg{Op: transport.PSPushDenseMany, Names: []string{"w"}, Parts: []int{0},
+							Dense: []*tensor.Dense{g}}))
+					case sparse:
+						err = s.PushSparseMany([]SparsePush{{Name: "w", Part: 0, Rank: rank, Grad: tensor.NewSparse([]int{0}, g, 1)}})
+					default:
+						err = s.PushDenseMany([]DensePush{{Name: "w", Part: 0, Rank: rank, Grad: g}})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := pull(s, "w", 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// SGD lr 1 from 0: the value is minus the folded sum, 0 in
+				// rank order.
+				if v := got.At(0, 0); v != 0 {
+					t.Errorf("sparse=%v served=%v arrival order %v: value %v, want 0 (the rank-order fold)", sparse, served, order, v)
+				}
+			}
+		}
+	}
+}
+
+// errorOf is a serving-loop reply's error.
+func errorOf(rep *transport.PSMsg) error {
+	if rep.Err != "" {
+		return errors.New(rep.Err)
+	}
+	return nil
 }
 
 func TestPartitionedVariableAcrossServers(t *testing.T) {
@@ -92,8 +174,8 @@ func TestPartitionedVariableAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each server got its slice of the initial value.
-	v0, _ := s0.Pull("emb", 0, 0)
-	v1, _ := s1.Pull("emb", 1, 0)
+	v0, _ := pull(s0, "emb", 0, 0)
+	v1, _ := pull(s1, "emb", 1, 0)
 	if v0.At(0, 0) != 0 || v0.At(1, 0) != 1 || v1.At(0, 0) != 2 || v1.At(1, 0) != 3 {
 		t.Fatalf("sharding wrong: %v %v", v0.Data(), v1.Data())
 	}
@@ -112,7 +194,7 @@ func TestSyncPullBlocksUntilUpdate(t *testing.T) {
 	}
 	done := make(chan float32)
 	go func() {
-		v, err := s.Pull("w", 0, 1) // waits for first update
+		v, err := pull(s, "w", 0, 1) // waits for first update
 		if err != nil {
 			t.Error(err)
 		}
@@ -158,7 +240,7 @@ func TestDeferUpdatesChiefClippingPath(t *testing.T) {
 	if math.Abs(norm2-16) > 1e-6 {
 		t.Fatalf("norm2 = %v, want 16", norm2)
 	}
-	got, _ := s.Pull("emb", 0, 1)
+	got, _ := pull(s, "emb", 0, 1)
 	if got.At(0, 0) != -2 { // 0 - 1*(4*0.5)
 		t.Fatalf("value = %v, want -2", got.At(0, 0))
 	}
@@ -196,7 +278,7 @@ func TestServerAbort(t *testing.T) {
 	}
 	// Each wait asks for version/aggregation 99, which never arrives.
 	waits := map[string]func() error{
-		"Pull": func() error { _, err := s.Pull("w", 0, 99); return err },
+		"Pull": func() error { _, err := pull(s, "w", 0, 99); return err },
 		"SnapshotPart": func() error {
 			_, _, err := s.SnapshotPart("w", 0, 99)
 			return err
@@ -282,7 +364,7 @@ func TestConcurrentPushersRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Pull("emb", 0, int64(it+1)); err != nil {
+				if _, err := pull(s, "emb", 0, int64(it+1)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -290,7 +372,7 @@ func TestConcurrentPushersRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if v, _ := s.Version("emb", 0); v != steps {
+	if v, _ := version(s, "emb", 0); v != steps {
 		t.Fatalf("version = %d, want %d", v, steps)
 	}
 }

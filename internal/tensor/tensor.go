@@ -187,6 +187,27 @@ func (t *Dense) AddInto(o *Dense) {
 	AddTo(o.data, t.data)
 }
 
+// SumDenseInto overwrites dst with the sum of parts folded in list order,
+// ((p0 + p1) + p2) + …, and returns dst: the dense twin of SumSparse.
+// The sum is taken flat, so a part may have another rank than dst (a
+// rank-1 bias against a [rows, 1] buffer) as long as it holds as many
+// elements; both layouts are row-major.
+func SumDenseInto(dst *Dense, parts []*Dense) *Dense {
+	if len(parts) == 0 {
+		panic("tensor: SumDenseInto of no parts")
+	}
+	for _, p := range parts {
+		if len(p.data) != len(dst.data) {
+			panic(fmt.Sprintf("tensor: SumDenseInto of %v into %v", p.shape, dst.shape))
+		}
+	}
+	copy(dst.data, parts[0].data)
+	for _, p := range parts[1:] {
+		AddTo(p.data, dst.data)
+	}
+	return dst
+}
+
 // Sub subtracts o from t element-wise. Shapes must match.
 func (t *Dense) Sub(o *Dense) {
 	if !t.SameShape(o) {

@@ -116,6 +116,23 @@ func TestAddIntoSubScaleAXPY(t *testing.T) {
 	}
 }
 
+// SumDenseInto folds in list order, flat across ranks: (1e8 + 1) - 1e8
+// is 0 in float32, while 1 + (1e8 - 1e8) would be 1.
+func TestSumDenseIntoFoldsInListOrder(t *testing.T) {
+	dst := NewDense(1, 2)
+	dst.Fill(7)
+	parts := []*Dense{FromSlice([]float32{1e8, 2}, 2), FromSlice([]float32{1, 3}, 1, 2), FromSlice([]float32{-1e8, 4}, 2)}
+	if got := SumDenseInto(dst, parts); got != dst || dst.At(0, 0) != 0 || dst.At(0, 1) != 9 {
+		t.Fatalf("SumDenseInto = %v, want [0 9]", dst.Data())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SumDenseInto of a mis-sized part did not panic")
+		}
+	}()
+	SumDenseInto(dst, []*Dense{NewDense(3)})
+}
+
 func TestL2NormAndMaxAbsDiff(t *testing.T) {
 	a := FromSlice([]float32{3, 4}, 2)
 	if got := a.L2Norm(); math.Abs(got-5) > 1e-9 {

@@ -70,19 +70,36 @@ func dialTestFabricsN(t *testing.T, topo transport.Topology) []*transport.TCP {
 }
 
 // TestDistributedTCPBitIdenticalToInprocess is the acceptance check of
-// the wire transport: a 2-machine × 2-GPU hybrid run (sparse embedding
-// over partitioned parameter servers with local aggregation, dense
-// layers over fused ring AllReduce) split across two TCP-connected
-// trainers must reproduce the single-process loss trajectory bit for
-// bit, and so must the trained variables.
+// the wire transport: a 2-machine × 2-GPU run split across two
+// TCP-connected trainers must reproduce the single-process loss
+// trajectory bit for bit, and so must the trained variables. The hybrid
+// case puts the sparse embedding on partitioned parameter servers with
+// local aggregation (two pushes a partition) and the dense layers on
+// fused ring AllReduce; the naive-PS case puts every variable on the
+// servers without local aggregation, so each partition folds four
+// pushes, which only a rank-ordered fold makes reproducible.
 func TestDistributedTCPBitIdenticalToInprocess(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		arch   core.Arch
+		mutate func(*Options)
+	}{
+		{"hybrid", core.ArchHybrid, func(o *Options) { o.LocalAggregation = true }},
+		{"naive-ps", core.ArchNaivePS, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) { distributedMatchesInprocess(t, tc.arch, tc.mutate) })
+	}
+}
+
+// distributedMatchesInprocess is one case of
+// TestDistributedTCPBitIdenticalToInprocess.
+func distributedMatchesInprocess(t *testing.T, arch core.Arch, mutate func(*Options)) {
 	cfg := models.DefaultTinyLM()
 	ri := cluster.Uniform(2, 2)
 	const steps = 8
-	mutate := func(o *Options) { o.LocalAggregation = true }
 
 	// Reference: the whole cluster in one trainer over the channel fabric.
-	ref := newTrainer(t, cfg, core.ArchHybrid, ri, 3, mutate)
+	ref := newTrainer(t, cfg, arch, ri, 3, mutate)
 	refLosses := make([]float64, steps)
 	for s := 0; s < steps; s++ {
 		feeds, _ := lmFeeds(ref.Workers(), cfg.Batch, cfg.Vocab, int64(s))
@@ -111,7 +128,7 @@ func TestDistributedTCPBitIdenticalToInprocess(t *testing.T) {
 			res := &results[p]
 			g := models.BuildTinyLM(cfg)
 			opts := Options{
-				Plan:     planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
+				Plan:     planFor(t, g, arch, ri.NumMachines(), 3),
 				Resource: ri,
 				NewOptimizer: func() optim.Optimizer {
 					return optim.NewSGD(0.2)
@@ -120,7 +137,9 @@ func TestDistributedTCPBitIdenticalToInprocess(t *testing.T) {
 				SparseAgg: optim.AggMean,
 				Fabric:    fabs[p],
 			}
-			mutate(&opts)
+			if mutate != nil {
+				mutate(&opts)
+			}
 			tr, err := New(g, opts)
 			if err != nil {
 				res.err = err

@@ -24,68 +24,85 @@ func (r *varRoute) partition(a core.Assignment, machines int) {
 	}
 }
 
-// aggSlot collects one machine's worker gradients for one variable in one
-// step; the last worker to arrive acts as the machine's local chief and
-// pushes the merged gradient (§5: "a worker in the machine becomes a local
-// chief worker to collect gradients within a machine and send them to
-// servers"). Slots are resolved to (route, machine) integer indices at
-// build time and reset in place between steps, so the hot loop never
-// touches a map or formats a key.
+// aggSlot collects one step's gradients for one PS route from the
+// workers that push as one source: a machine's workers under local
+// aggregation, where the last worker to arrive acts as the machine's
+// local chief and pushes the merged gradient (§5: "a worker in the
+// machine becomes a local chief worker to collect gradients within a
+// machine and send them to servers"), and a lone worker without it.
+// Slots are resolved to integer indices at build time and reset in place
+// between steps, so the hot loop never touches a map or formats a key.
 //
-// Gradients park in per-local-GPU entries and the chief merges them in
-// GPU-rank order, NOT arrival order: float32 addition is commutative but
-// not associative, so an arrival-order fold would make the merged
-// gradient depend on goroutine scheduling — and wire jitter would make a
-// TCP run drift from the in-process run in the last ulp. Rank-ordered
-// merging keeps the loss trajectory bitwise identical across runs and
+// Gradients park in per-member entries and the chief merges them in
+// member (GPU-rank) order, NOT arrival order: float32 addition is
+// commutative but not associative, so an arrival-order fold would make
+// the merged gradient depend on goroutine scheduling — and wire jitter
+// would make a TCP run drift from the in-process run in the last ulp.
+// The servers fold the chiefs' pushes by rank for the same reason
+// (psrt), so the loss trajectory is bitwise identical across runs and
 // deployment modes. Parking the pointers is safe: they stay valid until
 // the owning worker's next backward pass, which cannot start before the
-// current synchronous step completes.
+// current synchronous step completes; the merge buffer, which the
+// servers borrow until they fold, lives as long.
 type aggSlot struct {
-	mu        sync.Mutex
-	got       int
-	sparse    []*tensor.Sparse // [localGPU] this step's sparse gradients
-	denseSrcs []*tensor.Dense  // [localGPU] this step's dense gradients
-	dense     *tensor.Dense    // preallocated merge buffer (dense variables)
-	views     []*tensor.Dense  // [pi] zero-copy partition views into dense
+	mu     sync.Mutex
+	got    int
+	sparse []*tensor.Sparse // [member] this step's sparse gradients
+	dense  []*tensor.Dense  // [member] this step's dense gradients
+	merged *tensor.Dense    // preallocated merge buffer (dense variables)
+	views  []*tensor.Dense  // [pi] zero-copy partition views into merged
 }
 
-// buildSlots preallocates the per-(route, machine) local-aggregation slots
-// and, for dense variables, their merge buffers and partition views.
-// Merge buffers exist only for machines whose workers run here.
+// slotOf returns worker w's aggregation slot on every PS route, its
+// member index there, and the slot's member count.
+func (t *Trainer) slotOf(w *worker) (slot, member, members int) {
+	if t.opt.LocalAggregation {
+		return w.machine, w.gpu, t.opt.Resource.GPUsPerMachine(w.machine)
+	}
+	return w.rank, 0, 1
+}
+
+// buildSlots preallocates every PS route's aggregation slots — one per
+// machine under local aggregation, one per worker without — and, for
+// dense variables, their merge buffers and partition views. Buffers
+// exist only for the slots of workers hosted here.
 func (t *Trainer) buildSlots() {
 	for ri := range t.routes {
 		r := &t.routes[ri]
-		if !t.opt.LocalAggregation || r.assign.Method != core.MethodPS {
+		if r.assign.Method != core.MethodPS {
 			continue
 		}
-		r.slots = make([]aggSlot, t.machines)
-		for _, m := range t.localMachines {
-			slot := &r.slots[m]
-			if r.assign.Sparse {
-				slot.sparse = make([]*tensor.Sparse, t.opt.Resource.GPUsPerMachine(m))
-				continue
-			}
-			slot.denseSrcs = make([]*tensor.Dense, t.opt.Resource.GPUsPerMachine(m))
-			slot.dense = tensor.NewDense(r.v.Shape...)
-			slot.views = make([]*tensor.Dense, len(r.ranges))
-			for pi, rr := range r.ranges {
-				slot.views[pi] = slot.dense.SliceRows(rr.Start, rr.End)
+		r.slots = make([]aggSlot, t.workers) // bounds a slot index either way
+		for _, w := range t.local {
+			si, _, members := t.slotOf(w)
+			slot := &r.slots[si]
+			switch {
+			case slot.sparse != nil || slot.dense != nil:
+				// built for another member
+			case r.assign.Sparse:
+				slot.sparse = make([]*tensor.Sparse, members)
+			default:
+				slot.dense = make([]*tensor.Dense, members)
+				slot.merged = tensor.NewDense(r.v.Shape...)
+				slot.views = make([]*tensor.Dense, len(r.ranges))
+				for pi, rr := range r.ranges {
+					slot.views[pi] = slot.merged.SliceRows(rr.Start, rr.End)
+				}
 			}
 		}
 	}
 }
 
-// resetSlots rewinds the local-aggregation slots for the next step. It
-// runs between steps, when every worker is parked on its task channel, so
-// the channel handshake orders these writes against the workers' accesses.
+// resetSlots rewinds the aggregation slots for the next step. It runs
+// between steps, when every worker is parked on its task channel, so the
+// channel handshake orders these writes against the workers' accesses.
 func (t *Trainer) resetSlots() {
 	for ri := range t.routes {
 		for m := range t.routes[ri].slots {
 			s := &t.routes[ri].slots[m]
 			s.got = 0
 			clear(s.sparse)
-			clear(s.denseSrcs)
+			clear(s.dense)
 		}
 	}
 }
@@ -215,114 +232,78 @@ func (t *Trainer) pull(w *worker, minVersion int64) error {
 	return nil
 }
 
-// pushPS routes worker w's gradient for PS route ri: split by partition,
-// optionally merge within the machine, push to the owning servers with
-// one batched call per server. Dense partitions travel as zero-copy views
-// (psrt borrows them only for the call — a wire push serializes them
-// before its reply unblocks us); sparse partitions are freshly split and
-// ownership transfers to the server. Runs on the worker's comm goroutine.
+// pushPS routes worker w's gradient for PS route ri: park it in its
+// aggregation slot, and if it is the slot's last, merge the slot in
+// member order, quantize, split by partition and push to the owning
+// servers under w's rank, one batched call per server. Dense partitions
+// travel as zero-copy views of the slot's merge buffer (psrt borrows
+// them until it folds; a wire push serializes them before its reply
+// unblocks us); sparse partitions are freshly split and ownership
+// transfers to the server. Runs on the worker's comm goroutine.
 func (t *Trainer) pushPS(w *worker, ri int, dense *tensor.Dense, sp *tensor.Sparse) error {
 	r := &t.routes[ri]
+	si, member, members := t.slotOf(w)
+	slot := &r.slots[si]
+	slot.mu.Lock()
+	if r.assign.Sparse {
+		slot.sparse[member] = sp
+	} else {
+		slot.dense[member] = dense
+	}
+	slot.got++
+	last := slot.got == members
+	if last && r.assign.Sparse {
+		sp = tensor.SumSparse(slot.sparse)
+	} else if last {
+		tensor.SumDenseInto(slot.merged, slot.dense)
+	}
+	slot.mu.Unlock()
+	if !last {
+		return nil
+	}
 
-	pushSparseParts := func(parts []*tensor.Sparse) error {
-		// Data-plane quantization: the split copies are rounded onto the
-		// codec grid before any push, colocated or remote, so the servers
-		// aggregate identical bits on every fabric. (SplitSparse allocates
-		// fresh value storage, so this never touches the exec's gradient.)
+	// Data-plane quantization: the merged gradient is rounded onto the
+	// codec grid before any push, colocated or remote, so the servers
+	// aggregate identical bits on every fabric. (SplitSparse allocates
+	// fresh value storage, and the dense merge buffer is the slot's own,
+	// so this never touches an exec's gradient.)
+	codec := t.opt.Compression.Codec
+	var parts []*tensor.Sparse
+	if r.assign.Sparse {
+		parts = tensor.SplitSparse(sp, r.ranges)
 		for _, p := range parts {
-			t.opt.Compression.Codec.Quantize(p.Values.Data())
+			codec.Quantize(p.Values.Data())
 		}
-		for m, owned := range r.parts {
-			if len(owned) == 0 {
-				continue
-			}
+	} else {
+		codec.Quantize(slot.merged.Data())
+	}
+	for m, owned := range r.parts {
+		if len(owned) == 0 {
+			continue
+		}
+		var err error
+		if r.assign.Sparse {
 			reqs := w.sparseReqs[:0]
 			for _, pi := range owned {
 				t.bytesPushed.Add(parts[pi].Bytes())
-				reqs = append(reqs, psrt.SparsePush{Name: r.v.Name, Part: pi, Grad: parts[pi]})
+				reqs = append(reqs, psrt.SparsePush{Name: r.v.Name, Part: pi, Rank: w.rank, Grad: parts[pi]})
 			}
 			w.sparseReqs = reqs[:0]
-			if err := w.ps[m].PushSparseMany(reqs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	pushDenseParts := func(dense *tensor.Dense, views []*tensor.Dense) error {
-		for m, owned := range r.parts {
-			if len(owned) == 0 {
-				continue
-			}
+			err = w.ps[m].PushSparseMany(reqs)
+		} else {
 			reqs := w.denseReqs[:0]
 			for _, pi := range owned {
-				rr := r.ranges[pi]
-				part := dense
-				if views != nil {
-					part = views[pi]
-				} else if rr.Start != 0 || rr.End != dense.Dim(0) {
-					// Without local aggregation the gradient is a fresh
-					// exec-owned tensor each step, so partition views cannot
-					// be precomputed; the per-push SliceRows header is the
-					// remaining (cheap) allocation on this non-default path.
-					part = dense.SliceRows(rr.Start, rr.End)
-				}
-				t.bytesPushed.Add(part.Bytes())
-				reqs = append(reqs, psrt.DensePush{Name: r.v.Name, Part: pi, Grad: part})
+				t.bytesPushed.Add(slot.views[pi].Bytes())
+				reqs = append(reqs, psrt.DensePush{Name: r.v.Name, Part: pi, Rank: w.rank, Grad: slot.views[pi]})
 			}
 			w.denseReqs = reqs[:0]
-			if err := w.ps[m].PushDenseMany(reqs); err != nil {
-				return err
-			}
+			err = w.ps[m].PushDenseMany(reqs)
 		}
-		return nil
-	}
-
-	if !t.opt.LocalAggregation {
-		if r.assign.Sparse {
-			return pushSparseParts(tensor.SplitSparse(sp, r.ranges))
-		}
-		// Quantize the gradient before it splits into partition views.
-		// The buffer is the exec's gradient storage, dead until the next
-		// backward pass overwrites it; PS routes never read it locally.
-		t.opt.Compression.Codec.Quantize(dense.Data())
-		return pushDenseParts(dense, nil)
-	}
-
-	// Local aggregation: gradients park in GPU-rank-indexed slot entries
-	// and the machine's last-arriving worker merges them in rank order
-	// (see aggSlot) and pushes.
-	gpus := t.opt.Resource.GPUsPerMachine(w.machine)
-	slot := &r.slots[w.machine]
-	slot.mu.Lock()
-	if r.assign.Sparse {
-		slot.sparse[w.gpu] = sp
-	} else {
-		slot.denseSrcs[w.gpu] = dense
-	}
-	slot.got++
-	doPush := slot.got == gpus
-	var sparseMerged *tensor.Sparse
-	if doPush {
-		if r.assign.Sparse {
-			sparseMerged = tensor.SumSparse(slot.sparse)
-		} else {
-			copy(slot.dense.Data(), slot.denseSrcs[0].Data())
-			for i := 1; i < gpus; i++ {
-				slot.dense.AddInto(slot.denseSrcs[i])
-			}
+		if err != nil {
+			return err
 		}
 	}
-	slot.mu.Unlock()
-	if !doPush {
-		return nil
-	}
-	if r.assign.Sparse {
-		return pushSparseParts(tensor.SplitSparse(sparseMerged, r.ranges))
-	}
-	// Quantize the machine-merged gradient (the chief's exact f32 fold)
-	// before the partition views ship it.
-	t.opt.Compression.Codec.Quantize(slot.dense.Data())
-	return pushDenseParts(slot.dense, slot.views)
+	return nil
 }
 
 // VarValue reconstructs the current full value of a variable: from the

@@ -28,7 +28,7 @@ import (
 //     (psrt.Server.ReshardVar) — values and slot rows re-sliced to the
 //     new ranges, versions seeded to the step counter — and rebuilds its
 //     routing (each route's partition ranges and per-server partition
-//     lists, local-aggregation slots and views, batched pull requests).
+//     lists, aggregation slots and views, batched pull requests).
 //  4. Barrier: no agent may step before every peer serves the new
 //     partitioning.
 //

@@ -183,11 +183,7 @@ func TestClosedTrainerRefusesFanOut(t *testing.T) {
 // worker has two remote servers, so its pull phase has two requests in
 // flight while it reads its colocated server — and the run, a live
 // reshard included, reproduces the single-process losses and embedding
-// bit for bit. A server folds its sources' pushes in arrival order,
-// which beyond two sources can move a sum's last ulp (DESIGN.md §8), so
-// machine m's workers only look up tokens ≡ m (mod 3): every embedding
-// row then gets its gradient from one machine and the comparison is
-// exact whatever the arrival order.
+// bit for bit: the servers fold their three sources in rank order.
 func TestPipelinedPullsThreeAgentsBitIdentical(t *testing.T) {
 	cfg := models.DefaultTinyLM()
 	ri := cluster.Uniform(3, 2)
@@ -196,12 +192,7 @@ func TestPipelinedPullsThreeAgentsBitIdentical(t *testing.T) {
 	lm := models.BuildTinyLM(cfg)
 	plan5, plan7 := planFor(t, lm, core.ArchHybrid, 3, 5), planFor(t, lm, core.ArchHybrid, 3, 7)
 	feedsAt := func(s int) []graph.Feed {
-		feeds, _ := lmFeeds(6, cfg.Batch, cfg.Vocab-3, int64(s))
-		for w, f := range feeds {
-			for i, tok := range f.Ints["tokens"] {
-				f.Ints["tokens"][i] = tok - tok%3 + ri.WorkerMachines()[w]
-			}
-		}
+		feeds, _ := lmFeeds(6, cfg.Batch, cfg.Vocab, int64(s))
 		return feeds
 	}
 	run := func(tr *Trainer) (losses []float64, emb []float32, err error) {

@@ -73,7 +73,7 @@
 // owns its fan-out and tears it down; worker.go is one hosted GPU — the
 // worker value, its two goroutines and the Step they run; fusion.go packs
 // the AllReduce buckets; ps.go holds the parameter-server routes, the
-// local-aggregation slots, the pulls and pushes and VarValue; reshard.go
+// aggregation slots, the pulls and pushes and VarValue; reshard.go
 // is Repartition and the state install it shares with checkpoint.go's
 // Snapshot and Restore.
 package transform
@@ -160,9 +160,9 @@ type varRoute struct {
 	// replica that holds only those; nil pulls every partition whole
 	// into a whole replica.
 	rowInputs []*graph.Node
-	// slots[m] is the local-aggregation slot on machine m (PS routes under
-	// LocalAggregation only); merge buffers exist only for machines
-	// hosted here.
+	// slots are a PS route's aggregation slots, indexed by slotOf: one
+	// per machine under LocalAggregation, one per worker without; merge
+	// buffers exist only for slots hosted here.
 	slots []aggSlot
 	// bucket is a dense AllReduce route's fusion bucket, -1 for others.
 	bucket int

@@ -105,16 +105,10 @@ func WithCompression(p CompressionPolicy) Option {
 	return func(c *Config) { c.Compression = p }
 }
 
-// WithDist places this process as machine `machine` of a multi-process
-// cluster: addrs lists one agent address per machine. The rendezvous
-// deadline comes from Open's context (tightened by DistConfig's
-// DialTimeout, default 10s); use WithDistConfig for the full contract.
-func WithDist(machine int, addrs ...string) Option {
-	return func(c *Config) { c.Dist = &DistConfig{Machine: machine, Addrs: addrs} }
-}
-
-// WithDistConfig places this process in a multi-process cluster with
-// full control over the rendezvous (pre-bound listener, dial timeout).
+// WithDistConfig places this process in a multi-process cluster as
+// machine dc.Machine, dc.Addrs listing one agent address per machine, or
+// as a joiner (dc.JoinAddr). The rendezvous deadline comes from Open's
+// context, tightened by dc.DialTimeout (default 10s).
 func WithDistConfig(dc DistConfig) Option {
 	return func(c *Config) { c.Dist = &dc }
 }

@@ -29,7 +29,7 @@
 // type, builds the hybrid plan (AllReduce for dense variables, partitioned
 // parameter servers for sparse ones), and starts the persistent runtime
 // that executes synchronous data-parallel steps — in one process, or
-// spanning agent processes over TCP (WithDist).
+// spanning agent processes over TCP (WithDistConfig).
 //
 // # Sessions
 //

@@ -122,7 +122,7 @@ func (t target) machine() int {
 
 // Open is the paper's get_runner (§4.1): it builds a Session for the
 // single-GPU graph on the given cluster. ctx governs establishment: for
-// distributed sessions (WithDist) the peer-rendezvous deadline is the
+// distributed sessions (WithDistConfig) the peer-rendezvous deadline is the
 // earlier of ctx's deadline and the configured DialTimeout, and
 // cancelling ctx aborts the rendezvous.
 //
@@ -869,7 +869,7 @@ func (s *Session) ShardMap() string {
 func (s *Session) Workers() int { return s.workers }
 
 // LocalWorkers returns the global ranks this process hosts — all
-// workers in single-process mode, one machine's share under WithDist.
+// workers in single-process mode, one machine's share under WithDistConfig.
 func (s *Session) LocalWorkers() []int { return s.trainer.LocalWorkers() }
 
 // SparsePartitions returns the partition count in effect (searched,
@@ -877,7 +877,7 @@ func (s *Session) LocalWorkers() []int { return s.trainer.LocalWorkers() }
 func (s *Session) SparsePartitions() int { return s.parts }
 
 // VarValue returns the current full value of a variable (assembled from
-// the servers for PS variables). Under WithDist the peers' servers hold
+// the servers for PS variables). Under WithDistConfig the peers' servers hold
 // part of a PS variable, so reading one is collective: every agent
 // calls VarValue for it between the same steps, and none returns — nor
 // can go on to Close — before all have read.
