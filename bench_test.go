@@ -64,8 +64,7 @@ func stepFeeds(b *testing.B, s *Session, feeds []Feed) {
 // dense hidden/softmax layers synchronized through fused ring AllReduce,
 // on a 2-machine × 2-GPU cluster. ns/op and allocs/op here are the
 // persistent-runtime regression guard (see CHANGES.md for the
-// before/after record); BenchmarkTrainerStepUnfused is the same workload
-// with per-variable collectives.
+// before/after record).
 func BenchmarkTrainerStep(b *testing.B) {
 	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32), 1000, 32, WithSparsePartitions(8))
 }
@@ -104,19 +103,12 @@ func benchTrainerSteps(b *testing.B, g *Graph, vocab, batch int, opts ...Option)
 	stepFeeds(b, runner, feeds)
 }
 
-// BenchmarkTrainerStepUnfused is BenchmarkTrainerStep with fusion
-// disabled (one collective per dense variable): the before/after pair for
-// the fused synchronization schedule on the LM hybrid workload.
-func BenchmarkTrainerStepUnfused(b *testing.B) {
-	benchTrainerSteps(b, buildLMBenchGraph(1000, 32, 32), 1000, 32,
-		WithSparsePartitions(8), WithFusionBytes(-1))
-}
-
 // BenchmarkTrainerStepFusedManySmallDense measures the schedule where
 // fusion matters most: a deep MLP with dozens of small dense variables,
-// where the per-variable schedule pays one full collective latency per
-// tensor and the fused schedule runs a single bucket. The "unfused"
-// sub-benchmark is the per-variable baseline.
+// which a per-variable schedule would synchronize with one full
+// collective latency per tensor and the fused schedule runs as a single
+// bucket (BenchmarkAllReduceManySmallTensors in internal/collective
+// measures the two schedules side by side).
 func BenchmarkTrainerStepFusedManySmallDense(b *testing.B) {
 	const (
 		vocab  = 32
@@ -140,10 +132,5 @@ func BenchmarkTrainerStepFusedManySmallDense(b *testing.B) {
 		g.SoftmaxCE(g.MatMul(h, out), labels)
 		return g
 	}
-	b.Run("fused", func(b *testing.B) {
-		benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly))
-	})
-	b.Run("unfused", func(b *testing.B) {
-		benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly), WithFusionBytes(-1))
-	})
+	benchTrainerSteps(b, build(), vocab, batch, WithArch(AllReduceOnly))
 }

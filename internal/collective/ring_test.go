@@ -77,7 +77,7 @@ func TestAllReduceMeanMatchesSequential(t *testing.T) {
 		g := grads[c.Rank()].Clone()
 		AllReduceCodecTagged(c, TagsFor("g"), g, transport.CodecF32)
 		sums[c.Rank()] = g.Clone()
-		optim.FinalizeDense(g, c.Size(), optim.AggMean)
+		optim.FinalizeDense(g, c.Size())
 		outs[c.Rank()] = g
 	})
 	for r := range outs {
@@ -108,7 +108,7 @@ func TestReplicasStayIdenticalOverSteps(t *testing.T) {
 		for step := 0; step < 5; step++ {
 			g := tensor.NewRNG(int64(step*10+c.Rank())).RandN(1, 6)
 			AllReduceTagged(c, tags, g)
-			optim.FinalizeDense(g, c.Size(), optim.AggMean)
+			optim.FinalizeDense(g, c.Size())
 			opt.ApplyDense("v", v, g)
 		}
 		finals[c.Rank()] = v

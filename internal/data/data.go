@@ -155,8 +155,9 @@ func (z *ZipfText) Vocab() int { return z.vocab }
 
 // MeasureAlpha empirically estimates the α a dataset induces on an
 // embedding of the dataset's vocabulary: the mean over iters batches of
-// (unique tokens in batch) / vocab. This is the quantity Parallax uses to
-// decide dense-vs-sparse treatment when α approaches 1 (§3.1).
+// (unique tokens in batch) / vocab. This is the quantity the paper's
+// α-threshold rule reads to decide dense-vs-sparse treatment when α
+// approaches 1 (§3.1); only the simulator applies that rule.
 func MeasureAlpha(d Dataset, vocab, iters int) float64 {
 	var sum float64
 	for i := 0; i < iters; i++ {

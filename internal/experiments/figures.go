@@ -124,8 +124,6 @@ func trainDistributedToTarget(g *graph.Graph, feeds func(step, workers int) []gr
 	tr, err := transform.New(g, transform.Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.5) },
-		DenseAgg:         optim.AggMean,
-		SparseAgg:        optim.AggMean,
 		LocalAggregation: true,
 	})
 	if err != nil {

@@ -90,8 +90,7 @@ func (b *rowBinding) slots(out, ids []int) ([]int, error) {
 }
 
 // NewExec creates an executor with variables initialized from their Init
-// tensors. It returns an error if the graph is invalid or a variable has
-// no initial value (accounting-mode graphs cannot be executed).
+// tensors. It returns an error if the graph is invalid.
 //
 // rowVars names variables to store row-addressed: each must be one the
 // graph only gathers, by graph inputs (Graph.GatherInputs), and gets
@@ -129,9 +128,6 @@ func NewExec(g *Graph, rowVars ...string) (*Exec, error) {
 		e.rowOf[v.node.ID] = e.rows[name]
 	}
 	for _, v := range g.vars {
-		if v.Init == nil {
-			return nil, fmt.Errorf("graph: variable %q has no initial value; accounting-mode graphs are not executable", v.Name)
-		}
 		if e.rows[v.Name] == nil {
 			e.values[v.Name] = v.Init.Clone()
 		}

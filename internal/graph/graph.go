@@ -110,9 +110,7 @@ type Node struct {
 // Variable is a trainable parameter of the model.
 type Variable struct {
 	Name string
-	// Init is the initial value; its shape is the variable's shape. In
-	// accounting mode (paper-scale models) Init may be nil and only
-	// Elements is meaningful.
+	// Init is the initial value; its shape is the variable's shape.
 	Init *tensor.Dense
 	// Shape of the variable.
 	Shape []int
@@ -178,20 +176,6 @@ func (g *Graph) Variable(name string, init *tensor.Dense) *Node {
 		Name:           name,
 		Init:           init,
 		Shape:          append([]int(nil), init.Shape()...),
-		PartitionScope: g.inPartitionScope,
-	}
-	n := g.add(&Node{Kind: OpVariable, Name: name, DType: Float, Shape: v.Shape, Var: v})
-	v.node = n
-	g.vars = append(g.vars, v)
-	return n
-}
-
-// VariableSpec declares a parameter by shape only (no storage), for
-// accounting-mode graphs at paper scale.
-func (g *Graph) VariableSpec(name string, shape ...int) *Node {
-	v := &Variable{
-		Name:           name,
-		Shape:          append([]int(nil), shape...),
 		PartitionScope: g.inPartitionScope,
 	}
 	n := g.add(&Node{Kind: OpVariable, Name: name, DType: Float, Shape: v.Shape, Var: v})

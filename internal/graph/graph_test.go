@@ -257,23 +257,6 @@ func TestZeroGradForUntouchedStep(t *testing.T) {
 	}
 }
 
-func TestModelAlphaWeighting(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	g := New()
-	tokens := g.Input("tokens", Int, 2)
-	labels := g.Input("labels", Int, 2)
-	emb := g.Variable("emb", rng.RandN(0.1, 100, 10)) // 1000 elements, sparse
-	w := g.Variable("w", rng.RandN(0.1, 10, 10))      // 100 elements, dense
-	h := g.Gather(emb, tokens)
-	g.SoftmaxCE(g.MatMul(h, w), labels)
-	// α_model = (0.5*1000 + 1.0*100) / 1100
-	got := g.ModelAlpha(map[string]float64{"emb": 0.5})
-	want := (0.5*1000 + 100) / 1100
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ModelAlpha = %v, want %v", got, want)
-	}
-}
-
 func TestConcatColsForwardBackward(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	g := New()
@@ -302,24 +285,5 @@ func TestConcatColsForwardBackward(t *testing.T) {
 	}
 	if gs.Dense["w"] == nil {
 		t.Fatal("missing dense grad for w")
-	}
-}
-
-func TestVariableSpecNotExecutable(t *testing.T) {
-	g := New()
-	tokens := g.Input("tokens", Int, 2)
-	labels := g.Input("labels", Int, 2)
-	emb := g.VariableSpec("emb", 100, 10)
-	w := g.VariableSpec("w", 10, 10)
-	g.SoftmaxCE(g.MatMul(g.Gather(emb, tokens), w), labels)
-	if _, err := NewExec(g); err == nil {
-		t.Fatal("NewExec should reject spec-only variables")
-	}
-	// But sparsity classification still works.
-	if k := g.GradKind(g.Variables()[0]); k != GradSparse {
-		t.Fatalf("spec emb kind = %v", k)
-	}
-	if g.Variables()[0].Elements() != 1000 || g.Variables()[0].Bytes() != 4000 {
-		t.Fatal("spec sizes wrong")
 	}
 }

@@ -101,25 +101,3 @@ func (g *Graph) SparseVariables() []*Variable {
 	}
 	return out
 }
-
-// ModelAlpha computes α_model as defined in §2.2: a weighted average of
-// per-variable α values, each variable weighted by its element count.
-// Dense variables have α = 1; sparse variables use the supplied per-
-// variable α (the average fraction of rows touched per iteration, a
-// property of the workload).
-func (g *Graph) ModelAlpha(sparseAlpha map[string]float64) float64 {
-	var num, den float64
-	for _, v := range g.vars {
-		e := float64(v.Elements())
-		a := 1.0
-		if g.GradKind(v) == GradSparse {
-			a = sparseAlpha[v.Name]
-		}
-		num += a * e
-		den += e
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

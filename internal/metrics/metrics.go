@@ -44,16 +44,6 @@ func HumanBytes(v float64) string {
 	}
 }
 
-// ScalingEfficiency is the paper's footnote-1 metric: measured speedup over
-// the ideal linear speedup, as a fraction in [0,1] (19% for NMT on 48 GPUs
-// under TF, etc.).
-func ScalingEfficiency(throughputN, throughput1 float64, n int) float64 {
-	if throughput1 <= 0 || n <= 0 {
-		return 0
-	}
-	return throughputN / (throughput1 * float64(n))
-}
-
 // NormalizedThroughput is Figure 9's y-axis: throughput relative to one
 // GPU.
 func NormalizedThroughput(throughputN, throughput1 float64) float64 {

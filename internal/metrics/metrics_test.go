@@ -34,16 +34,6 @@ func TestHumanBytes(t *testing.T) {
 	}
 }
 
-func TestScalingEfficiency(t *testing.T) {
-	// Paper §1: LM on TF with 48 GPUs has 7% scaling efficiency.
-	if got := ScalingEfficiency(98_900, 29_100, 48); got < 0.06 || got > 0.08 {
-		t.Fatalf("efficiency = %v, want ~0.07", got)
-	}
-	if ScalingEfficiency(1, 0, 4) != 0 {
-		t.Fatal("zero baseline must give 0")
-	}
-}
-
 func TestNormalizedThroughput(t *testing.T) {
 	if got := NormalizedThroughput(7600, 191); got < 39 || got > 41 {
 		t.Fatalf("normalized = %v, want ~39.8", got)

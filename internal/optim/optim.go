@@ -1,14 +1,13 @@
 // Package optim implements the optimizers and gradient utilities used by
 // the training runtimes: plain SGD and momentum SGD, each supporting both
 // dense gradients and sparse (IndexedSlices) gradients, plus global-norm
-// clipping and the mean/sum aggregation policies exposed through
-// ParallaxConfig (§4.1: "aggregation methods for each type of variable
-// indicating whether to compute the average of gradients ... or the sum").
+// clipping and the mean that finalizes a gradient aggregated over workers
+// (§4.1 lets ParallaxConfig choose "the average of gradients ... or the
+// sum"; every job here takes the average).
 package optim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -144,36 +143,18 @@ func (m *Momentum) ApplySparse(name string, v *tensor.Dense, g *tensor.Sparse) {
 	}
 }
 
-// AggMethod selects how gradients from N workers combine.
-type AggMethod int
-
-const (
-	// AggMean divides the summed gradient by the worker count (the usual
-	// synchronous-SGD convention).
-	AggMean AggMethod = iota
-	// AggSum keeps the raw sum.
-	AggSum
-)
-
-func (a AggMethod) String() string {
-	if a == AggSum {
-		return "sum"
-	}
-	return "mean"
-}
-
-// FinalizeDense converts a summed dense gradient to the configured
-// aggregation in place.
-func FinalizeDense(g *tensor.Dense, workers int, m AggMethod) {
-	if m == AggMean && workers > 1 {
+// FinalizeDense turns a dense gradient summed over workers into their
+// mean in place (the synchronous-SGD convention).
+func FinalizeDense(g *tensor.Dense, workers int) {
+	if workers > 1 {
 		g.Scale(1 / float32(workers))
 	}
 }
 
-// FinalizeSparse converts a concatenated/summed sparse gradient to the
-// configured aggregation in place.
-func FinalizeSparse(g *tensor.Sparse, workers int, m AggMethod) {
-	if m == AggMean && workers > 1 {
+// FinalizeSparse turns a concatenated/summed sparse gradient over
+// workers into their mean in place.
+func FinalizeSparse(g *tensor.Sparse, workers int) {
+	if workers > 1 {
 		g.Scale(1 / float32(workers))
 	}
 }
@@ -218,7 +199,3 @@ func ClipByGlobalNorm(gs *graph.GradSet, maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// LossIsFinite reports whether a loss value is usable (guards training
-// loops against divergence).
-func LossIsFinite(l float64) bool { return !math.IsNaN(l) && !math.IsInf(l, 0) }

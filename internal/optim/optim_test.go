@@ -61,20 +61,26 @@ func TestMomentumSparseMatchesDenseEquivalent(t *testing.T) {
 	}
 }
 
+// Finalizing takes the mean over workers; over one worker (the divisor a
+// caller passes to keep the raw sum) it leaves the gradient as it is.
 func TestFinalizeMeanAndSum(t *testing.T) {
 	g := tensor.FromSlice([]float32{8}, 1)
-	FinalizeDense(g, 4, AggMean)
+	FinalizeDense(g, 4)
 	if g.At(0) != 2 {
 		t.Fatalf("mean = %v, want 2", g.At(0))
 	}
-	FinalizeDense(g, 4, AggSum)
+	FinalizeDense(g, 1)
 	if g.At(0) != 2 {
-		t.Fatal("sum must not rescale")
+		t.Fatal("a divisor of 1 must not rescale")
 	}
 	sp := tensor.NewSparse([]int{0}, tensor.FromSlice([]float32{8}, 1, 1), 2)
-	FinalizeSparse(sp, 2, AggMean)
+	FinalizeSparse(sp, 2)
 	if sp.Values.At(0, 0) != 4 {
 		t.Fatalf("sparse mean = %v, want 4", sp.Values.At(0, 0))
+	}
+	FinalizeSparse(sp, 1)
+	if sp.Values.At(0, 0) != 4 {
+		t.Fatal("a sparse divisor of 1 must not rescale")
 	}
 }
 
@@ -106,11 +112,5 @@ func TestClipNoOpBelowThreshold(t *testing.T) {
 	ClipByGlobalNorm(gs, 10)
 	if gs.Dense["a"].At(0) != 0.3 {
 		t.Fatal("clip modified gradient below threshold")
-	}
-}
-
-func TestLossIsFinite(t *testing.T) {
-	if !LossIsFinite(1.5) || LossIsFinite(math.NaN()) || LossIsFinite(math.Inf(1)) {
-		t.Fatal("LossIsFinite wrong")
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 func TestPushSparseManyAggregates(t *testing.T) {
 	srv, err := NewServer(Config{
-		Sources:   2,
-		Optimizer: optim.NewSGD(1),
-		SparseAgg: optim.AggSum,
+		Sources:     2,
+		Optimizer:   optim.NewSGD(1),
+		MeanDivisor: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestPushSparseManyAggregates(t *testing.T) {
 // version 1 is released by the update that completes when the last
 // source pushes.
 func TestPullManyIntoBlocksUntilVersion(t *testing.T) {
-	srv, err := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.1), DenseAgg: optim.AggSum})
+	srv, err := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.1), MeanDivisor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

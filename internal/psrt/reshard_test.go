@@ -17,10 +17,9 @@ import (
 func momentumServer(t *testing.T, rows, width, parts int) (*Server, *tensor.Dense, []tensor.RowRange) {
 	t.Helper()
 	srv, err := NewServer(Config{
-		Sources:   1,
-		Optimizer: optim.NewMomentum(0.5, 0.9),
-		DenseAgg:  optim.AggSum,
-		SparseAgg: optim.AggSum,
+		Sources:     1,
+		Optimizer:   optim.NewMomentum(0.5, 0.9),
+		MeanDivisor: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -81,15 +81,14 @@ type Config struct {
 	// Optimizer applies aggregated gradients to served variables. Each
 	// server owns the update ops for its variables (smart placement).
 	Optimizer optim.Optimizer
-	DenseAgg  optim.AggMethod
-	SparseAgg optim.AggMethod
 	// DeferUpdates holds aggregated gradients until ApplyUpdate is called
 	// (the chief-worker clipping path).
 	DeferUpdates bool
-	// MeanDivisor is the denominator used for AggMean finalization. Under
-	// local aggregation each push already sums a whole machine's workers,
-	// so the mean must divide by the total worker count, not by the number
-	// of pushes. Zero means "use Sources".
+	// MeanDivisor is the denominator of the mean an aggregated gradient
+	// becomes. Under local aggregation each push already sums a whole
+	// machine's workers, so the mean must divide by the total worker
+	// count, not by the number of pushes. Zero means "use Sources"; 1
+	// keeps the raw sum.
 	MeanDivisor int
 }
 
@@ -414,12 +413,12 @@ func (v *servedVar) completeLocked(pi int, p *part) {
 	cfg := &v.srv.cfg
 	if v.sparse {
 		agg := tensor.SumSparse(p.sparse)
-		optim.FinalizeSparse(agg, cfg.meanDiv(), cfg.SparseAgg)
+		optim.FinalizeSparse(agg, cfg.meanDiv())
 		p.aggSparse = agg
 		clear(p.sparse)
 		p.sparse = p.sparse[:0]
 	} else {
-		optim.FinalizeDense(tensor.SumDenseInto(p.accDense, p.dense), cfg.meanDiv(), cfg.DenseAgg)
+		optim.FinalizeDense(tensor.SumDenseInto(p.accDense, p.dense), cfg.meanDiv())
 		p.aggDense = p.accDense
 		clear(p.dense)
 		p.dense = p.dense[:0]

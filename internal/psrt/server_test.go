@@ -46,7 +46,7 @@ func version(s *Server, name string, pi int) (int64, error) {
 }
 
 func TestSyncDenseAggregatesMean(t *testing.T) {
-	s, err := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggMean, SparseAgg: optim.AggMean})
+	s, err := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSyncDenseAggregatesMean(t *testing.T) {
 }
 
 func TestSyncSparseAggregatesSum(t *testing.T) {
-	s, _ := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggSum, SparseAgg: optim.AggSum})
+	s, _ := NewServer(Config{Sources: 2, Optimizer: optim.NewSGD(1), MeanDivisor: 1})
 	init := tensor.NewDense(4, 1)
 	init.Fill(10)
 	if err := s.AddVar("emb", init, fullRange(4), []int{0}, true); err != nil {
@@ -107,7 +107,7 @@ func TestFoldFollowsRankNotArrival(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		for _, served := range []bool{false, true} {
 			for _, order := range orders {
-				s, err := NewServer(Config{Sources: 3, Optimizer: optim.NewSGD(1), DenseAgg: optim.AggSum, SparseAgg: optim.AggSum})
+				s, err := NewServer(Config{Sources: 3, Optimizer: optim.NewSGD(1), MeanDivisor: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func errorOf(rep *transport.PSMsg) error {
 func TestPartitionedVariableAcrossServers(t *testing.T) {
 	// Two servers each own one partition of a 4-row variable.
 	mk := func() *Server {
-		s, _ := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(1), SparseAgg: optim.AggSum})
+		s, _ := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(1), MeanDivisor: 1})
 		return s
 	}
 	s0, s1 := mk(), mk()
@@ -187,7 +187,7 @@ func TestPartitionedVariableAcrossServers(t *testing.T) {
 }
 
 func TestSyncPullBlocksUntilUpdate(t *testing.T) {
-	s, _ := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.5), DenseAgg: optim.AggSum})
+	s, _ := NewServer(Config{Sources: 1, Optimizer: optim.NewSGD(0.5), MeanDivisor: 1})
 	init := tensor.FromSlice([]float32{4}, 1, 1)
 	if err := s.AddVar("w", init, fullRange(1), []int{0}, false); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSyncPullBlocksUntilUpdate(t *testing.T) {
 
 func TestDeferUpdatesChiefClippingPath(t *testing.T) {
 	s, _ := NewServer(Config{
-		Sources: 1, Optimizer: optim.NewSGD(1), SparseAgg: optim.AggSum,
+		Sources: 1, Optimizer: optim.NewSGD(1), MeanDivisor: 1,
 		DeferUpdates: true,
 	})
 	init := tensor.NewDense(2, 1)
@@ -346,7 +346,7 @@ func TestTypeMismatchErrors(t *testing.T) {
 
 func TestConcurrentPushersRace(t *testing.T) {
 	const sources = 8
-	s, _ := NewServer(Config{Sources: sources, Optimizer: optim.NewSGD(1), SparseAgg: optim.AggSum})
+	s, _ := NewServer(Config{Sources: sources, Optimizer: optim.NewSGD(1), MeanDivisor: 1})
 	init := tensor.NewDense(16, 2)
 	if err := s.AddVar("emb", init, fullRange(16), []int{0}, true); err != nil {
 		t.Fatal(err)

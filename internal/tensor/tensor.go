@@ -243,9 +243,6 @@ func (t *Dense) L2NormSquared() float64 {
 	return s
 }
 
-// L2Norm returns sqrt(L2NormSquared).
-func (t *Dense) L2Norm() float64 { return math.Sqrt(t.L2NormSquared()) }
-
 // MaxAbsDiff returns the largest absolute element-wise difference between
 // t and o. Shapes must match.
 func (t *Dense) MaxAbsDiff(o *Dense) float64 {

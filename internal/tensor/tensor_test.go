@@ -135,8 +135,8 @@ func TestSumDenseIntoFoldsInListOrder(t *testing.T) {
 
 func TestL2NormAndMaxAbsDiff(t *testing.T) {
 	a := FromSlice([]float32{3, 4}, 2)
-	if got := a.L2Norm(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("L2Norm = %v, want 5", got)
+	if got := a.L2NormSquared(); got != 25 {
+		t.Fatalf("L2NormSquared = %v, want 25", got)
 	}
 	b := FromSlice([]float32{3, 7}, 2)
 	if got := a.MaxAbsDiff(b); got != 3 {

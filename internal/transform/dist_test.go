@@ -133,9 +133,7 @@ func distributedMatchesInprocess(t *testing.T, arch core.Arch, mutate func(*Opti
 				NewOptimizer: func() optim.Optimizer {
 					return optim.NewSGD(0.2)
 				},
-				DenseAgg:  optim.AggMean,
-				SparseAgg: optim.AggMean,
-				Fabric:    fabs[p],
+				Fabric: fabs[p],
 			}
 			if mutate != nil {
 				mutate(&opts)
@@ -239,8 +237,6 @@ func TestDistributedClipAndAGVOverTCP(t *testing.T) {
 						Plan:         planFor(t, g, tc.arch, ri.NumMachines(), 2),
 						Resource:     ri,
 						NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) },
-						DenseAgg:     optim.AggMean,
-						SparseAgg:    optim.AggMean,
 						Fabric:       fabs[p],
 					}
 					if tc.mutate != nil {

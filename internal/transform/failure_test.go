@@ -45,8 +45,6 @@ func distKillTrainers(t *testing.T, wrap func(p int, fab *transport.TCP) transpo
 			Plan:             planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
 			Resource:         ri,
 			NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.2) },
-			DenseAgg:         optim.AggMean,
-			SparseAgg:        optim.AggMean,
 			LocalAggregation: true,
 			Fabric:           fab,
 		})
@@ -194,8 +192,6 @@ func TestInprocKillMidStep(t *testing.T) {
 		Plan:             planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
 		Resource:         ri,
 		NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.2) },
-		DenseAgg:         optim.AggMean,
-		SparseAgg:        optim.AggMean,
 		LocalAggregation: true,
 		Fabric:           fab,
 	})

@@ -63,8 +63,7 @@ func trainAR(t *testing.T, ri cluster.ResourceInfo, fusionBytes int64, steps int
 	tr, err := New(g, Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer: newOpt,
-		DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
-		FusionBytes: fusionBytes,
+		FusionBytes:  fusionBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +128,7 @@ func TestBucketPacking(t *testing.T) {
 		tr, err := New(g, Options{
 			Plan: planFor(t, g, core.ArchAR, 1, 1), Resource: ri,
 			NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.1) },
-			DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
-			FusionBytes: fusion,
+			FusionBytes:  fusion,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +188,7 @@ func TestRaceOverlappedClippedHybridMatchesSequential(t *testing.T) {
 	ri := cluster.Uniform(2, 2)
 	tr, err := New(gd, Options{
 		Plan: planFor(t, gd, core.ArchHybrid, 2, 3), Resource: ri,
-		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(lr) },
-		DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
+		NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(lr) },
 		LocalAggregation: true,
 		ClipNorm:         clip,
 		FusionBytes:      256, // force multiple buckets
@@ -229,8 +226,7 @@ func TestFusedLossTrajectoryMatchesUnfused(t *testing.T) {
 		tr, err := New(g, Options{
 			Plan: planFor(t, g, core.ArchAR, 2, 1), Resource: cluster.Uniform(2, 2),
 			NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.4) },
-			DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
-			FusionBytes: fusion,
+			FusionBytes:  fusion,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -212,8 +212,6 @@ func TestRepartitionOverTCPBitIdentical(t *testing.T) {
 				Plan:         planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
 				Resource:     ri,
 				NewOptimizer: func() optim.Optimizer { return optim.NewMomentum(0.2, 0.9) },
-				DenseAgg:     optim.AggMean,
-				SparseAgg:    optim.AggMean,
 				Fabric:       fabs[p],
 			}
 			opts.LocalAggregation = true

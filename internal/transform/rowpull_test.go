@@ -165,8 +165,6 @@ func runRowModel(t *testing.T, m rowModel, run rowRun, steps int) rowResult {
 					Plan:             planFor(t, g, core.ArchHybrid, ri.NumMachines(), run.parts),
 					Resource:         ri,
 					NewOptimizer:     func() optim.Optimizer { return optim.NewMomentum(0.2, 0.9) },
-					DenseAgg:         optim.AggMean,
-					SparseAgg:        optim.AggMean,
 					LocalAggregation: true,
 				}
 				if run.tcp {
@@ -313,12 +311,10 @@ func TestRowPullRequestsFollowTheFeed(t *testing.T) {
 	}}, 4)
 }
 
-// A graph that also reads the table densely, or a plan that promotes the
-// sparse variable to AllReduce, must keep its old behaviour: whole
-// partitions from the servers in the first case, no pull at all in the
-// second, and a full replica in each worker either way, as under
-// AllGatherv. Only a PS table the graph merely gathers is stored as one
-// step's rows: Σ(index-input lengths) of them.
+// A graph that also reads the table densely must keep its old
+// behaviour: whole partitions from the servers and a full replica in
+// each worker, as under AllGatherv. Only a PS table the graph merely
+// gathers is stored as one step's rows: Σ(index-input lengths) of them.
 func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	requireReplicaRows := func(what string, tr *Trainer, name string, rows int) {
 		t.Helper()
@@ -331,7 +327,6 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	two := twoIndexModel()
 	tg := two.build()
 	rowTr, err := New(tg, Options{Plan: planFor(t, tg, core.ArchHybrid, 2, 4), Resource: cluster.Uniform(2, 2),
-		DenseAgg: optim.AggMean, SparseAgg: optim.AggMean,
 		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) }})
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +347,7 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	out := g.Variable("out/kernel", rng.RandN(0.1, dim, 5))
 	g.SoftmaxCE(g.MatMul(g.Add(g.Gather(emb, tokens), g.MatMul(bag, emb)), out), labels)
 	newOpts := func(plan *core.Plan) Options {
-		return Options{Plan: plan, Resource: ri, DenseAgg: optim.AggMean, SparseAgg: optim.AggMean,
-			NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) }}
+		return Options{Plan: plan, Resource: ri, NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) }}
 	}
 	tr, err := New(g, newOpts(planFor(t, g, core.ArchOptPS, 2, 3)))
 	if err != nil {
@@ -384,34 +378,8 @@ func TestRowPullOnlyWhereTheGraphOnlyGathers(t *testing.T) {
 	}
 	requireReplicaRows("densely read graph", tr, "emb", vocab)
 
-	// The same TinyLM whose embedding is row-addressed under PS is not
-	// pulled at all once α promotes it to AllReduce.
 	cfg := models.DefaultTinyLM()
 	lm := models.BuildTinyLM(cfg)
-	var vars []core.VarInfo
-	for _, v := range lm.Variables() {
-		vars = append(vars, core.VarInfo{Name: v.Name, Rows: int64(v.Shape[0]), Width: int64(varWidth(v)),
-			Sparse: lm.GradKind(v) == graph.GradSparse, Alpha: 0.9, PartitionTarget: v.PartitionScope >= 0})
-	}
-	plan, err := core.BuildPlan(vars, core.Options{Arch: core.ArchHybrid, NumMachines: 2,
-		SparsePartitions: 3, AlphaDenseThreshold: 0.5, SmartPlacement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar, err := New(lm, newOpts(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ar.Close()
-	if ar.routes[ar.routeIdx["embedding"]].assign.Method != core.MethodAllReduce || ar.local[0].ps != nil {
-		t.Fatalf("embedding at α=0.9 routed %v with ps=%v, want AllReduce and no servers",
-			ar.routes[ar.routeIdx["embedding"]].assign.Method, ar.local[0].ps != nil)
-	}
-	lmf, _ := lmFeeds(4, cfg.Batch, cfg.Vocab, 1)
-	if _, err := ar.Step(lmf); err != nil {
-		t.Fatal(err)
-	}
-	requireReplicaRows("α-promoted to AllReduce", ar, "embedding", cfg.Vocab)
 	agv, err := New(lm, newOpts(planFor(t, lm, core.ArchAR, 2, 1)))
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,6 @@ func newTrainer(t *testing.T, cfg models.TinyLMConfig, arch core.Arch, ri cluste
 		NewOptimizer: func() optim.Optimizer {
 			return optim.NewSGD(0.2)
 		},
-		DenseAgg:  optim.AggMean,
-		SparseAgg: optim.AggMean,
 	}
 	if mutate != nil {
 		mutate(&opts)

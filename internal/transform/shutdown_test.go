@@ -96,8 +96,6 @@ func TestGoroutineInventoryIsFixedAtNew(t *testing.T) {
 			Plan:             plan3,
 			Resource:         ri,
 			NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.2) },
-			DenseAgg:         optim.AggMean,
-			SparseAgg:        optim.AggMean,
 			LocalAggregation: true,
 			Fabric:           &sampledFabric{Fabric: fabs[p], peak: &peak},
 		})
@@ -236,8 +234,6 @@ func TestPipelinedPullsThreeAgentsBitIdentical(t *testing.T) {
 				Plan:         plan5,
 				Resource:     ri,
 				NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) },
-				DenseAgg:     optim.AggMean,
-				SparseAgg:    optim.AggMean,
 				Fabric:       fabs[p],
 			}
 			mutate(&opts)

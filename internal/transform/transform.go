@@ -105,8 +105,6 @@ type Options struct {
 	// per AR replica and one per server, so stateful optimizers (momentum)
 	// keep correctly scoped slots.
 	NewOptimizer func() optim.Optimizer
-	DenseAgg     optim.AggMethod
-	SparseAgg    optim.AggMethod
 	// LocalAggregation merges gradients inside each machine before pushing
 	// to servers (Parallax's optimized PS).
 	LocalAggregation bool
@@ -114,9 +112,11 @@ type Options struct {
 	// forces the deferred-update chief path on the servers.
 	ClipNorm float64
 	// FusionBytes caps the size of one dense-AllReduce fusion bucket.
-	// 0 selects the default (4 MiB); a negative value disables fusion
-	// entirely — one bucket per variable — which is the reference
-	// schedule the fusion equivalence tests compare against. Either way
+	// 0 selects the default (4 MiB), the cap every session runs with; a
+	// negative value disables fusion entirely — one bucket per variable —
+	// which is the reference schedule the fusion equivalence tests
+	// compare against (they also force several buckets with a small
+	// cap). Either way
 	// the synchronization results are bit-identical: the collective's
 	// rank-ordered reduction makes float32 sums independent of bucket
 	// layout.
@@ -274,6 +274,11 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 		return fail(fmt.Errorf("transform: plan has %d assignments for %d variables",
 			len(opts.Plan.Assignments), len(vars)))
 	}
+	for _, a := range opts.Plan.Assignments {
+		if a.TreatAsDense {
+			return fail(fmt.Errorf("transform: %s: sparse variable promoted to dense AllReduce; the α-threshold rule is simulated only", a.Name))
+		}
+	}
 	if err := opts.Compression.Validate(); err != nil {
 		return fail(err)
 	}
@@ -379,8 +384,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			t.servers[m], err = psrt.NewServer(psrt.Config{
 				Sources:      sources,
 				Optimizer:    opts.NewOptimizer(),
-				DenseAgg:     opts.DenseAgg,
-				SparseAgg:    opts.SparseAgg,
 				DeferUpdates: opts.ClipNorm > 0,
 				MeanDivisor:  workers,
 			})

@@ -113,8 +113,6 @@ func trainDistributed(t *testing.T, cfg models.TinyLMConfig, arch core.Arch, ri 
 		NewOptimizer: func() optim.Optimizer {
 			return optim.NewSGD(lr)
 		},
-		DenseAgg:         optim.AggMean,
-		SparseAgg:        optim.AggMean,
 		LocalAggregation: localAgg,
 	})
 	if err != nil {
@@ -141,8 +139,9 @@ func trainDistributed(t *testing.T, cfg models.TinyLMConfig, arch core.Arch, ri 
 // "correctness"): distributed training under every architecture produces
 // the same variable trajectories as the equivalent single-GPU run.
 //
-// With AggMean over W workers of per-worker-mean gradients, the update
-// equals single-GPU training on the concatenated batch of W·b examples.
+// With mean aggregation over W workers of per-worker-mean gradients, the
+// update equals single-GPU training on the concatenated batch of W·b
+// examples.
 func TestDistributedMatchesSequential(t *testing.T) {
 	cfg := models.TinyLMConfig{Vocab: 60, Dim: 8, Hidden: 12, Batch: 6, Seed: 7}
 	const steps = 4
@@ -184,7 +183,6 @@ func TestAllReplicasAgreeOnARVariables(t *testing.T) {
 	tr, err := New(g, Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.2) },
-		DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +211,6 @@ func TestLossDecreasesUnderHybridTraining(t *testing.T) {
 	tr, err := New(g, Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.5) },
-		DenseAgg:         optim.AggMean,
-		SparseAgg:        optim.AggMean,
 		LocalAggregation: true,
 	})
 	if err != nil {
@@ -284,8 +280,7 @@ func TestClippingMatchesSequentialClipped(t *testing.T) {
 	tr, err := New(gd, Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(lr) },
-		DenseAgg:     optim.AggMean, SparseAgg: optim.AggMean,
-		ClipNorm: clip,
+		ClipNorm:     clip,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +311,6 @@ func TestNMTModelWithTwoPartitionedEmbeddings(t *testing.T) {
 	tr, err := New(g, Options{
 		Plan: plan, Resource: ri,
 		NewOptimizer:     func() optim.Optimizer { return optim.NewSGD(0.3) },
-		DenseAgg:         optim.AggMean,
-		SparseAgg:        optim.AggMean,
 		LocalAggregation: true,
 	})
 	if err != nil {
@@ -361,5 +354,27 @@ func TestNewValidations(t *testing.T) {
 	}
 	if _, err := New(g, Options{Plan: plan, Resource: ri}); err == nil {
 		t.Error("nil optimizer factory must fail")
+	}
+
+	// The simulator's α-threshold rule promotes a sparse variable to the
+	// dense AllReduce; the runtime has no dense gradient to reduce for it.
+	var vars []core.VarInfo
+	for _, v := range g.Variables() {
+		vars = append(vars, core.VarInfo{Name: v.Name, Rows: int64(v.Shape[0]), Width: int64(varWidth(v)),
+			Sparse: g.GradKind(v) == graph.GradSparse, Alpha: 0.9, PartitionTarget: v.PartitionScope >= 0})
+	}
+	promoted, err := core.BuildPlan(vars, core.Options{Arch: core.ArchHybrid, NumMachines: 2,
+		SparsePartitions: 2, AlphaDenseThreshold: 0.5, SmartPlacement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := promoted.Assignments[0]; a.Name != "embedding" || !a.TreatAsDense {
+		t.Fatalf("first assignment %s treatAsDense=%v, want the promoted embedding", a.Name, a.TreatAsDense)
+	}
+	tr, err := New(g, Options{Plan: promoted, Resource: ri,
+		NewOptimizer: func() optim.Optimizer { return optim.NewSGD(0.1) }})
+	if err == nil {
+		tr.Close()
+		t.Error("a plan with an α-promoted sparse variable must fail")
 	}
 }

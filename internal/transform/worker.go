@@ -180,9 +180,8 @@ func (t *Trainer) commTask(w *worker, task commTask) (err error) {
 	case commBucket:
 		// One collective per fusion bucket: sum across all workers (the
 		// ring under the policy's codec, or top-k sparsified with error
-		// feedback), then the configured finalization — every worker ends
-		// up holding the identical aggregated gradient, the
-		// AR-architecture invariant.
+		// feedback), then the mean — every worker ends up holding the
+		// identical aggregated gradient, the AR-architecture invariant.
 		tags, buf := t.buckets[task.idx].tags, w.fuseBufs[task.idx]
 		if policy := t.opt.Compression; policy.TopK > 0 {
 			collective.AllReduceTopKTagged(w.comm, tags, buf, policy.TopK, policy.Codec,
@@ -190,10 +189,10 @@ func (t *Trainer) commTask(w *worker, task commTask) (err error) {
 		} else {
 			collective.AllReduceCodecTagged(w.comm, tags, buf, policy.Codec)
 		}
-		optim.FinalizeDense(buf, t.workers, t.opt.DenseAgg)
+		optim.FinalizeDense(buf, t.workers)
 	case commSparse:
 		out := collective.AllGathervTagged(w.comm, t.routes[task.idx].agvTag, task.sparse)
-		optim.FinalizeSparse(out, t.workers, t.opt.SparseAgg)
+		optim.FinalizeSparse(out, t.workers)
 		w.arSparse[task.idx] = out
 	case commPS:
 		return t.pushPS(w, task.idx, task.dense, task.sparse)
@@ -358,14 +357,7 @@ func (t *Trainer) workerStep(w *worker, step int, feed graph.Feed) (float64, err
 		switch t.routes[ri].assign.Method {
 		case core.MethodAllReduce:
 			view := w.fuseViews[ri]
-			if d != nil {
-				copy(view.Data(), d.Data())
-			} else {
-				// A sparse variable promoted to dense treatment (α
-				// threshold): densify straight into the fusion view.
-				view.Zero()
-				sp.ToDenseInto(view)
-			}
+			copy(view.Data(), d.Data())
 			t.bytesPushed.Add(view.Bytes())
 			b := t.routes[ri].bucket
 			if pending[b]--; pending[b] == 0 {

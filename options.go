@@ -26,12 +26,6 @@ func resolveConfig(opts []Option) Config {
 	if cfg.AutoCheckpoint.EveryN <= 0 {
 		cfg.AutoCheckpoint.EveryN = 10
 	}
-	if cfg.AutoCheckpoint.Keep <= 0 {
-		cfg.AutoCheckpoint.Keep = 3
-	}
-	if cfg.Recovery.MaxRecoveries <= 0 {
-		cfg.Recovery.MaxRecoveries = 3
-	}
 	if cfg.Recovery.RedialTimeout <= 0 {
 		cfg.Recovery.RedialTimeout = 2 * time.Minute
 	}
@@ -59,12 +53,6 @@ func WithOptimizer(newOptimizer func() Optimizer) Option {
 	return func(c *Config) { c.NewOptimizer = newOptimizer }
 }
 
-// WithAggregation chooses mean or sum aggregation per gradient type
-// (§4.1; default mean for both).
-func WithAggregation(dense, sparse AggMethod) Option {
-	return func(c *Config) { c.DenseAgg, c.SparseAgg = dense, sparse }
-}
-
 // WithSparsePartitions fixes the sparse-variable partition count; 0
 // (the default) lets the first step loop search for it on the live
 // runtime (see Config.SparsePartitions).
@@ -72,26 +60,9 @@ func WithSparsePartitions(p int) Option {
 	return func(c *Config) { c.SparsePartitions = p }
 }
 
-// WithAlphaHints supplies per-variable sparsity estimates, used only by
-// the α-threshold rule (WithAlphaDenseThreshold; see MeasureAlpha).
-func WithAlphaHints(hints map[string]float64) Option {
-	return func(c *Config) { c.AlphaHint = hints }
-}
-
-// WithAlphaDenseThreshold promotes sparse variables with α at or above
-// the threshold to dense AllReduce treatment (§3.1; 0 disables).
-func WithAlphaDenseThreshold(threshold float64) Option {
-	return func(c *Config) { c.AlphaDenseThreshold = threshold }
-}
-
 // WithClipNorm enables global-norm gradient clipping via the
 // chief-worker aggregated-gradient read-back (§5).
 func WithClipNorm(norm float64) Option { return func(c *Config) { c.ClipNorm = norm } }
-
-// WithFusionBytes caps one dense-AllReduce fusion bucket (0 selects the
-// 4 MiB default, negative disables fusion; results are bit-identical
-// either way).
-func WithFusionBytes(n int64) Option { return func(c *Config) { c.FusionBytes = n } }
 
 // WithCompression selects the wire-compression policy for the job's
 // gradient traffic (DESIGN.md §11): CompressionF16/CompressionBF16 for

@@ -134,18 +134,6 @@ func ParseResources(text string) (ResourceInfo, error) { return cluster.Parse(te
 // paper's parallax.shard, Fig. 3 line 6).
 func Shard(d Dataset, w, n int) Dataset { return data.NewShard(d, w, n) }
 
-// AggMethod selects how worker gradients combine.
-type AggMethod = optim.AggMethod
-
-// Aggregation methods for Config.
-const (
-	// AggMean averages gradients over workers (the synchronous-SGD
-	// convention and the default).
-	AggMean = optim.AggMean
-	// AggSum keeps the raw sum.
-	AggSum = optim.AggSum
-)
-
 // Arch selects the training architecture; the zero value (Hybrid) is
 // Parallax's sparsity-aware default. The alternatives exist for baselines
 // and experiments.
@@ -189,9 +177,6 @@ type Config struct {
 	// NewOptimizer constructs optimizer instances (one per replica, one
 	// per server). Default: SGD with learning rate 0.1.
 	NewOptimizer func() Optimizer
-	// DenseAgg / SparseAgg choose mean or sum aggregation per gradient
-	// type (§4.1). Default AggMean for both.
-	DenseAgg, SparseAgg AggMethod
 	// SparsePartitions fixes the partition count for variables declared
 	// inside partitioner scopes. 0 (the default) searches for it on the
 	// live runtime (§3.2; DESIGN.md §9): when the plan partitions a
@@ -208,28 +193,12 @@ type Config struct {
 	// in lockstep. Auto-checkpoints and membership changes wait until
 	// the search has settled.
 	SparsePartitions int
-	// AlphaHint estimates, per sparse variable, the fraction of rows one
-	// worker's batch touches; used only by the α-threshold rule. Unset
-	// entries default to 0.05. Measure real values with MeasureAlpha.
-	AlphaHint map[string]float64
-	// AlphaDenseThreshold promotes sparse variables with α at or above
-	// the threshold to dense AllReduce treatment (§3.1). 0 disables the
-	// rule (the default, matching the paper's deployed configuration).
-	AlphaDenseThreshold float64
 	// ClipNorm > 0 enables global-norm gradient clipping via the
 	// chief-worker aggregated-gradient read-back (§5). The global-norm
 	// sum groups by partition, so with clipping on, reproducible bits
 	// need a pinned SparsePartitions: the search's probe sequence depends
 	// on measured wall-clock times.
 	ClipNorm float64
-	// FusionBytes caps one dense-AllReduce fusion bucket (the trainer
-	// packs all dense AR variables into contiguous fusion buffers and
-	// runs one collective per bucket per step). 0 selects the 4 MiB
-	// default; negative disables fusion, running one collective per
-	// variable. Results are bit-identical either way; the knob trades
-	// per-collective latency against how early the first bucket can
-	// overlap the backward pass.
-	FusionBytes int64
 	// Compression selects the wire-compression policy for gradient
 	// traffic (DESIGN.md §11; see WithCompression and the
 	// CompressionF16/CompressionBF16/CompressionTopK presets). The zero
@@ -267,8 +236,8 @@ type Config struct {
 
 // AutoCheckpointSpec configures periodic automatic checkpoints: every
 // EveryN completed steps the session saves a full checkpoint under
-// Dir/step-<n>/ (see Session.Save for what is captured), keeps the most
-// recent few, and records the fabric epoch in Dir/EPOCH. In distributed
+// Dir/step-<n>/ (see Session.Save for what is captured), keeps the three
+// most recent, and records the fabric epoch in Dir/EPOCH. In distributed
 // mode every agent must see the same Dir (shared or replicated
 // filesystem) — each writes its own machine's shard, and a step's
 // checkpoint counts as complete only once every shard is present.
@@ -278,9 +247,6 @@ type AutoCheckpointSpec struct {
 	// EveryN saves after every EveryN completed steps; <= 0 defaults
 	// to 10.
 	EveryN int
-	// Keep is how many complete step checkpoints to retain; <= 0
-	// defaults to 3.
-	Keep int
 }
 
 // RecoveryPolicy configures automatic failure recovery for distributed
@@ -297,9 +263,6 @@ type AutoCheckpointSpec struct {
 type RecoveryPolicy struct {
 	// Enabled turns recovery on; requires AutoCheckpoint and Dist.
 	Enabled bool
-	// MaxRecoveries bounds how many failures one session survives before
-	// giving up and surfacing the error; <= 0 defaults to 3.
-	MaxRecoveries int
 	// RedialTimeout bounds the re-rendezvous after a failure — it must
 	// outlast the failed agent's restart. <= 0 defaults to 2 minutes.
 	RedialTimeout time.Duration
@@ -363,7 +326,9 @@ type DistConfig struct {
 }
 
 // MeasureAlpha estimates the α a dataset induces on a vocabulary of the
-// given size (§2.2): the mean fraction of rows touched per batch.
+// given size (§2.2): the mean fraction of rows touched per batch. It is
+// an input to the simulator's models (examples/sweep); a session's plan
+// does not read α, because the α-threshold rule is simulated only.
 func MeasureAlpha(d Dataset, vocab, iters int) float64 {
 	return data.MeasureAlpha(d, vocab, iters)
 }

@@ -312,15 +312,13 @@ func TestPartitionSearchOnLiveSteps(t *testing.T) {
 }
 
 // TestNoSearchWithoutServerPartitions: the search is gated on the plan,
-// not the graph. When the architecture (or the α-threshold rule) routes
-// the graph's only partition target through collectives there is
-// nothing to reshard, so the decision is fixed at Open and the first
-// loop spends no step on probes.
+// not the graph. When the architecture routes the graph's only
+// partition target through collectives there is nothing to reshard, so
+// the decision is fixed at Open and the first loop spends no step on
+// probes.
 func TestNoSearchWithoutServerPartitions(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"AllReduceOnly": {WithArch(AllReduceOnly)},
-		"alpha threshold": {WithAlphaHints(map[string]float64{"embedding": 0.9}),
-			WithAlphaDenseThreshold(0.5)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			runner := openSession(t, buildAPIModel(8, 600), Uniform(2, 2), opts...)
@@ -404,7 +402,7 @@ func TestOptionVariants(t *testing.T) {
 		{WithArch(PSOnly), WithSparsePartitions(2)},
 		{WithArch(OptimizedPS), WithSparsePartitions(2)},
 		{WithArch(Hybrid), WithSparsePartitions(2), WithClipNorm(1.0)},
-		{WithArch(Hybrid), WithSparsePartitions(2), WithAggregation(AggSum, AggSum),
+		{WithArch(Hybrid), WithSparsePartitions(2),
 			WithOptimizer(func() Optimizer { return NewMomentum(0.01, 0.9) })},
 	} {
 		runner, err := Open(context.Background(), g, Uniform(2, 1), opts...)

@@ -177,6 +177,10 @@ func (s *Session) verifyJoin() error {
 	return nil
 }
 
+// autoCheckpointKeep is how many complete step checkpoints an
+// auto-checkpoint root retains.
+const autoCheckpointKeep = 3
+
 // maybeAutoSave writes the periodic checkpoint when the step count
 // crosses the cadence. The schedule is a pure function of the step
 // count, so every agent saves between the same steps without
@@ -203,7 +207,7 @@ func (s *Session) maybeAutoSave() error {
 	// deletes on a shared filesystem.
 	for _, m := range s.trainer.LocalMachines() {
 		if m == 0 {
-			if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), s.cfg.AutoCheckpoint.Keep); err != nil {
+			if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), autoCheckpointKeep); err != nil {
 				return err
 			}
 			break
@@ -214,6 +218,10 @@ func (s *Session) maybeAutoSave() error {
 	}
 	return nil
 }
+
+// maxRecoveries bounds how many failures one session survives before
+// giving up and surfacing the error.
+const maxRecoveries = 3
 
 // recoverable reports whether the driver should attempt in-place
 // recovery for err rather than surfacing it.
@@ -238,7 +246,7 @@ func (d *stepDriver) recoverable(err error) bool {
 			return false
 		}
 	}
-	return s.recoveries < s.cfg.Recovery.MaxRecoveries
+	return s.recoveries < maxRecoveries
 }
 
 // recover performs one recovery: every survivor rebuilds at the next

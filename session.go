@@ -277,11 +277,8 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		Plan:             rt.plan,
 		Resource:         rt.resource,
 		NewOptimizer:     cfg.NewOptimizer,
-		DenseAgg:         cfg.DenseAgg,
-		SparseAgg:        cfg.SparseAgg,
 		LocalAggregation: arch == core.ArchHybrid || arch == core.ArchOptPS,
 		ClipNorm:         cfg.ClipNorm,
-		FusionBytes:      cfg.FusionBytes,
 		Compression:      cfg.Compression,
 		Fabric:           fab,
 	})
@@ -345,8 +342,8 @@ func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error)
 	}
 	// Which variables are partitioned on servers does not depend on the
 	// count, so the plan just built says whether there is anything to
-	// search over: an architecture or α-threshold that routes every
-	// partition target through collectives leaves nothing to reshard.
+	// search over: an architecture that routes every partition target
+	// through collectives leaves nothing to reshard.
 	if search && searchBound(rt.plan) > 0 {
 		rt.decision = PartitionDecision{Source: "online", Pending: true}
 	} else if head == nil && cfg.SparsePartitions == 0 {
@@ -905,9 +902,6 @@ func (s *Session) Describe() string {
 		if a.Method == core.MethodPS && a.Partitions > 1 {
 			extra = fmt.Sprintf(" x%d partitions", a.Partitions)
 		}
-		if a.TreatAsDense {
-			extra += " (promoted to dense)"
-		}
 		kind := "dense"
 		if a.Sparse {
 			kind = "sparse"
@@ -922,12 +916,11 @@ func (s *Session) Describe() string {
 // so both produce identical placements for identical inputs.
 func buildPlan(g *Graph, resource ResourceInfo, cfg Config, parts int) (*core.Plan, error) {
 	arch := cfg.Arch.coreArch()
-	return core.BuildPlan(planVars(g, cfg.AlphaHint), core.Options{
-		Arch:                arch,
-		NumMachines:         resource.NumMachines(),
-		SparsePartitions:    parts,
-		AlphaDenseThreshold: cfg.AlphaDenseThreshold,
-		SmartPlacement:      arch == core.ArchHybrid || arch == core.ArchOptPS,
+	return core.BuildPlan(planVars(g), core.Options{
+		Arch:             arch,
+		NumMachines:      resource.NumMachines(),
+		SparsePartitions: parts,
+		SmartPlacement:   arch == core.ArchHybrid || arch == core.ArchOptPS,
 	})
 }
 
@@ -948,8 +941,10 @@ func searchBound(plan *core.Plan) int {
 	return partition.Bound(maxRows)
 }
 
-// planVars converts graph variables to planner inputs using the α hints.
-func planVars(g *Graph, alphaHint map[string]float64) []core.VarInfo {
+// planVars converts graph variables to planner inputs. A sparse
+// variable's α only has to pass BuildPlan's (0,1] check: the runtime
+// has no α-threshold rule, so no placement reads it.
+func planVars(g *Graph) []core.VarInfo {
 	var vars []core.VarInfo
 	for _, v := range g.Variables() {
 		width := int64(1)
@@ -959,10 +954,7 @@ func planVars(g *Graph, alphaHint map[string]float64) []core.VarInfo {
 		sparse := g.GradKind(v) == graph.GradSparse
 		alpha := 1.0
 		if sparse {
-			alpha = alphaHint[v.Name]
-			if alpha <= 0 || alpha > 1 {
-				alpha = 0.05
-			}
+			alpha = 0.05
 		}
 		vars = append(vars, core.VarInfo{
 			Name: v.Name, Rows: int64(v.Shape[0]), Width: width,
