@@ -115,8 +115,9 @@ func (s *Session) pendingJoin(cur *checkpoint.Membership) (*checkpoint.JoinReque
 //  3. a barrier round confirms every shard is durably on disk — and
 //     calls the change off on every agent when the claim found the
 //     request withdrawn;
-//  4. everyone records the winner's published member list and the new
-//     epoch in the root: MEMBERS naming the joiner is its admission;
+//  4. everyone records the winner's published member list, which carries
+//     the new epoch, as MEMBERS: MEMBERS naming the joiner is its
+//     admission;
 //  5. departing machines close and surface ErrLeft; survivors rebuild
 //     at the new world size from the boundary save.
 func (s *Session) transition(ctx context.Context, proposal float64) error {
@@ -151,9 +152,6 @@ func (s *Session) transition(ctx context.Context, proposal float64) error {
 	if rec.Step != int64(step) {
 		return fmt.Errorf("parallax: membership record for epoch %d proposes step %d but the cluster is at step %d",
 			s.epoch+1, rec.Step, step)
-	}
-	if err := checkpoint.WriteEpoch(root, s.epoch+1); err != nil {
-		return err
 	}
 	if err := checkpoint.WriteMembers(root, rec); err != nil {
 		return err

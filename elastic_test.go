@@ -262,6 +262,7 @@ func TestSessionElasticGrowTCP(t *testing.T) {
 	if m.Members[2].Addr != joinAddr {
 		t.Fatalf("MEMBERS[2] = %q, want the joiner %q", m.Members[2].Addr, joinAddr)
 	}
+	requireRootRecord(t, root, 1, sessions[0], sessions[1], joiner)
 	closeInTurn(sessions[0], sessions[1], joiner)
 	waitSessionGoroutines(t, base)
 }
@@ -337,6 +338,7 @@ func TestSessionElasticLeaveTCP(t *testing.T) {
 	if err != nil || m == nil || len(m.Members) != 2 {
 		t.Fatalf("MEMBERS record %+v (err %v), want 2 members", m, err)
 	}
+	requireRootRecord(t, root, 1, sessions[0], sessions[1])
 	// A distributed session resizes through membership, never in place.
 	if err := sessions[0].Resize(context.Background(), Uniform(2, 2)); err == nil {
 		t.Fatal("Resize on a distributed session must refuse")
@@ -418,6 +420,7 @@ func TestSessionElasticShrinkOnKillTCP(t *testing.T) {
 	if err != nil || m == nil || len(m.Members) != 2 {
 		t.Fatalf("MEMBERS record %+v (err %v), want 2 members", m, err)
 	}
+	requireRootRecord(t, root, 1, sessions[0], sessions[1])
 	closeInTurn(sessions...)
 	waitSessionGoroutines(t, base)
 }

@@ -1,13 +1,13 @@
 // Package chaos is the deterministic fault-injection harness for the
-// failure-recovery protocol (DESIGN.md §12). It wraps any
-// transport.Fabric and injects faults at exact step boundaries, driven
-// by a compact spec string — so a CI round can kill an agent at step 17,
-// watch the cluster re-rendezvous at epoch+1, and assert the final loss
-// bits equal an uninterrupted reference run.
+// failure-recovery protocol (DESIGN.md §12). It injects faults into a
+// transport.Fabric at exact step boundaries, driven by a compact spec
+// string — so a CI round can kill an agent at step 17, watch the
+// cluster re-rendezvous at epoch+1, and assert the final loss bits
+// equal an uninterrupted reference run.
 //
-// Faults are step-indexed, never timer-driven: the trainer reports each
-// step index through the fabric's SetStep hook before any exchange of
-// that step, and the injector fires exactly there. Two runs with the
+// Faults are step-indexed, never timer-driven: the session calls Step
+// with each step index and its live fabric before the step's first
+// exchange, and the injector fires exactly there. Two runs with the
 // same spec and seed inject byte-identical fault schedules.
 //
 // Spec grammar (comma-separated faults):
@@ -33,8 +33,8 @@
 //	                P is the machine it hosts
 //
 // The injector is created once per process and survives fabric
-// rebuilds: after an in-place recovery the session re-wraps the fresh
-// fabric with the same injector, so a fault that already fired does not
+// rebuilds: after an in-place recovery the session hands the same
+// injector the fresh fabric, so a fault that already fired does not
 // fire again when the replayed steps pass its index a second time.
 package chaos
 
@@ -73,7 +73,7 @@ type Fault struct {
 }
 
 // Injector owns a process's fault schedule. Create one with Parse and
-// wrap every fabric generation with Wrap; the fired-state carries over
+// call Step with every fabric generation; the fired-state carries over
 // so replayed steps after a recovery do not re-trigger old faults.
 type Injector struct {
 	mu     sync.Mutex
@@ -159,39 +159,10 @@ func Parse(spec string, seed int64) (*Injector, error) {
 	return inj, nil
 }
 
-// Wrap returns fab with this injector's faults armed. The wrapper is a
-// transparent transport.Fabric; it additionally exposes SetStep (the
-// trainer's step hook, where step-indexed faults fire) and the
-// BeforeSave/AfterSave checkpoint hooks the session calls around
-// auto-checkpoint writes.
-func (inj *Injector) Wrap(fab transport.Fabric) *Fabric {
-	return &Fabric{Fabric: fab, inj: inj}
-}
-
-// Fabric is a fault-injecting fabric wrapper; see Injector.Wrap.
-type Fabric struct {
-	transport.Fabric
-	inj *Injector
-}
-
-// selfProcess locates the process index this fabric belongs to.
-func (f *Fabric) selfProcess() int {
-	topo := f.Topology()
-	for p := 0; p < topo.Processes(); p++ {
-		if topo.Machines > 0 && f.Local(topo.ServerEndpoint(p)) {
-			return p
-		}
-	}
-	return 0
-}
-
-// SetStep receives each step index from the trainer before the step's
-// first exchange and fires every armed fault scheduled there.
-func (f *Fabric) SetStep(step int) {
-	if h, ok := f.Fabric.(interface{ SetStep(int) }); ok {
-		h.SetStep(step)
-	}
-	inj := f.inj
+// Step fires every armed fault scheduled at step; the session calls it
+// before the step's first exchange. kill and sever act on fab, the
+// fabric the step is about to run on.
+func (inj *Injector) Step(step int, fab transport.Fabric) {
 	inj.mu.Lock()
 	var fire []*Fault
 	for i := range inj.faults {
@@ -230,9 +201,11 @@ func (f *Fabric) SetStep(step int) {
 		case faultCrash:
 			inj.Exit(137)
 		case faultKill:
-			f.kill(step)
+			kill(fab, step)
 		case faultSever:
-			f.sever(ft.Peer)
+			if t, ok := fab.(interface{ SeverPeer(int) error }); ok {
+				t.SeverPeer(ft.Peer)
+			}
 		case faultJoin:
 			if inj.OnJoin != nil {
 				inj.OnJoin(step)
@@ -249,25 +222,26 @@ func (f *Fabric) SetStep(step int) {
 // tears down abruptly with no peer-down announcement, and the local
 // attribution is this process's own rank — matching what every remote
 // survivor concludes from the broken connections.
-func (f *Fabric) kill(step int) {
-	f.Fail(f.selfProcess(), fmt.Errorf("chaos: injected kill at step %d", step))
-}
-
-func (f *Fabric) sever(peer int) {
-	if t, ok := f.Fabric.(interface{ SeverPeer(int) error }); ok {
-		t.SeverPeer(peer)
+func kill(fab transport.Fabric, step int) {
+	self, topo := 0, fab.Topology()
+	for p := 0; p < topo.Processes(); p++ {
+		if topo.Machines > 0 && fab.Local(topo.ServerEndpoint(p)) {
+			self = p
+			break
+		}
 	}
+	fab.Fail(self, fmt.Errorf("chaos: injected kill at step %d", step))
 }
 
 // BeforeSave fires crash-before-save faults; the session calls it just
 // before writing the auto-checkpoint for a step.
-func (f *Fabric) BeforeSave(step int) { f.inj.saveHook(step, faultCrashBeforeSave) }
+func (inj *Injector) BeforeSave(step int) { inj.crashAroundSave(step, faultCrashBeforeSave) }
 
 // AfterSave fires crash-after-save faults; the session calls it right
 // after the auto-checkpoint for a step is durably on disk.
-func (f *Fabric) AfterSave(step int) { f.inj.saveHook(step, faultCrashAfterSave) }
+func (inj *Injector) AfterSave(step int) { inj.crashAroundSave(step, faultCrashAfterSave) }
 
-func (inj *Injector) saveHook(step, kind int) {
+func (inj *Injector) crashAroundSave(step, kind int) {
 	inj.mu.Lock()
 	exit := false
 	for i := range inj.faults {

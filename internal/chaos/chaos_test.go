@@ -63,13 +63,13 @@ func TestKillAttributesAndCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
-	fab.SetStep(0)
-	fab.SetStep(1)
+	fab := transport.NewInproc(testTopo())
+	inj.Step(0, fab)
+	inj.Step(1, fab)
 	if fab.Err() != nil {
 		t.Fatalf("fault fired early: %v", fab.Err())
 	}
-	fab.SetStep(2)
+	inj.Step(2, fab)
 	e := fab.Err()
 	if !errors.Is(e, errs.ErrPeerFailed) {
 		t.Fatalf("after kill, Err() = %v, want ErrPeerFailed", e)
@@ -81,7 +81,7 @@ func TestKillAttributesAndCloses(t *testing.T) {
 	select {
 	case <-fab.Done():
 	case <-time.After(time.Second):
-		t.Fatal("inner fabric not closed by the kill")
+		t.Fatal("fabric not closed by the kill")
 	}
 }
 
@@ -94,26 +94,26 @@ func TestCrashCallsExit(t *testing.T) {
 	}
 	code := -1
 	inj.Exit = func(c int) { code = c }
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
+	fab := transport.NewInproc(testTopo())
 	defer fab.Close()
-	fab.SetStep(2)
+	inj.Step(2, fab)
 	if code != -1 {
 		t.Fatalf("crash fired at step 2, want step 3")
 	}
-	fab.SetStep(3)
+	inj.Step(3, fab)
 	if code != 137 {
 		t.Fatalf("crash exit code %d, want 137", code)
 	}
 	// Fired once: the replayed step after a recovery must not crash again.
 	code = -1
-	fab.SetStep(3)
+	inj.Step(3, fab)
 	if code != -1 {
 		t.Fatalf("crash re-fired on a replayed step")
 	}
 }
 
 // crash-before-save / crash-after-save fire through the checkpoint
-// hooks, not SetStep, and each fires exactly once.
+// hooks, not Step, and each fires exactly once.
 func TestCrashAroundSaveHooks(t *testing.T) {
 	inj, err := Parse("crash-before-save@10,crash-after-save@20", 1)
 	if err != nil {
@@ -121,54 +121,55 @@ func TestCrashAroundSaveHooks(t *testing.T) {
 	}
 	var codes []int
 	inj.Exit = func(c int) { codes = append(codes, c) }
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
+	fab := transport.NewInproc(testTopo())
 	defer fab.Close()
 
-	fab.SetStep(10) // step hook must NOT fire save faults
+	inj.Step(10, fab) // step hook must NOT fire save faults
 	if len(codes) != 0 {
-		t.Fatalf("save fault fired from SetStep")
+		t.Fatalf("save fault fired from Step")
 	}
-	fab.BeforeSave(9)
-	fab.AfterSave(9)
+	inj.BeforeSave(9)
+	inj.AfterSave(9)
 	if len(codes) != 0 {
 		t.Fatalf("save fault fired at the wrong step")
 	}
-	fab.BeforeSave(10)
+	inj.BeforeSave(10)
 	if len(codes) != 1 || codes[0] != 137 {
 		t.Fatalf("crash-before-save codes %v, want [137]", codes)
 	}
-	fab.AfterSave(20)
+	inj.AfterSave(20)
 	if len(codes) != 2 {
 		t.Fatalf("crash-after-save codes %v, want two exits", codes)
 	}
-	fab.BeforeSave(10)
-	fab.AfterSave(20)
+	inj.BeforeSave(10)
+	inj.AfterSave(20)
 	if len(codes) != 2 {
 		t.Fatalf("save faults re-fired: %v", codes)
 	}
 }
 
 // The injector outlives fabric generations: a fault that fired on one
-// wrap must not fire again when the session re-wraps a fresh fabric
-// after recovery and the replayed steps pass its index a second time.
+// fabric must not fire again when the session hands the injector a
+// fresh fabric after recovery and the replayed steps pass its index a
+// second time.
 func TestFiredFaultsSurviveRewrap(t *testing.T) {
 	inj, err := Parse("kill@2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab1 := inj.Wrap(transport.NewInproc(testTopo()))
-	fab1.SetStep(2)
+	fab1 := transport.NewInproc(testTopo())
+	inj.Step(2, fab1)
 	if !errors.Is(fab1.Err(), errs.ErrPeerFailed) {
 		t.Fatalf("kill did not fire on the first generation: %v", fab1.Err())
 	}
 
-	// New fabric generation, same injector: Wrap clears the recorded
-	// kill but keeps the fired-state.
-	fab2 := inj.Wrap(transport.NewInproc(testTopo()))
+	// New fabric generation, same injector: the fresh fabric carries no
+	// recorded kill, and the injector keeps the fired-state.
+	fab2 := transport.NewInproc(testTopo())
 	defer fab2.Close()
-	fab2.SetStep(2) // the replayed step crosses the fault's index again
+	inj.Step(2, fab2) // the replayed step crosses the fault's index again
 	if err := fab2.Err(); err != nil {
-		t.Fatalf("fired fault re-triggered on re-wrap: %v", err)
+		t.Fatalf("fired fault re-triggered on a new fabric generation: %v", err)
 	}
 	select {
 	case <-fab2.Done():
@@ -189,10 +190,10 @@ func TestJoinLeaveHooksFireOnce(t *testing.T) {
 	var leaves [][2]int
 	inj.OnJoin = func(step int) { joins = append(joins, step) }
 	inj.OnLeave = func(step, machine int) { leaves = append(leaves, [2]int{step, machine}) }
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
+	fab := transport.NewInproc(testTopo())
 	defer fab.Close()
 	for s := 0; s < 6; s++ {
-		fab.SetStep(s)
+		inj.Step(s, fab)
 	}
 	if len(joins) != 1 || joins[0] != 2 {
 		t.Fatalf("OnJoin fired at %v, want exactly [2]", joins)
@@ -206,13 +207,13 @@ func TestJoinLeaveHooksFireOnce(t *testing.T) {
 	// Replayed steps after a rebuild must not re-fire membership cues —
 	// a second join request for an already-admitted agent would be
 	// rejected as a stale rejoin, but there is no reason to send one.
-	fab2 := inj.Wrap(transport.NewInproc(testTopo()))
+	fab2 := transport.NewInproc(testTopo())
 	defer fab2.Close()
 	for s := 0; s < 6; s++ {
-		fab2.SetStep(s)
+		inj.Step(s, fab2)
 	}
 	if len(joins) != 1 || len(leaves) != 1 {
-		t.Fatalf("membership cues re-fired on re-wrap: joins %v leaves %v", joins, leaves)
+		t.Fatalf("membership cues re-fired on a new fabric generation: joins %v leaves %v", joins, leaves)
 	}
 }
 
@@ -223,9 +224,9 @@ func TestJoinLeaveNilHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
+	fab := transport.NewInproc(testTopo())
 	defer fab.Close()
-	fab.SetStep(1)
+	inj.Step(1, fab)
 	if err := fab.Err(); err != nil {
 		t.Fatalf("nil-hook join/leave failed the fabric: %v", err)
 	}
@@ -238,10 +239,10 @@ func TestDelayAndSlowDoNotFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := inj.Wrap(transport.NewInproc(testTopo()))
+	fab := transport.NewInproc(testTopo())
 	defer fab.Close()
 	for s := 0; s < 5; s++ {
-		fab.SetStep(s)
+		inj.Step(s, fab)
 	}
 	if err := fab.Err(); err != nil {
 		t.Fatalf("delay/slow marked the fabric failed: %v", err)

@@ -17,7 +17,7 @@ import (
 func TestWriteAtomicReportsFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	old := []byte("3\n")
-	if err := writeAtomic(dir, epochFile, old); err != nil {
+	if err := writeAtomic(dir, membersFile, old); err != nil {
 		t.Fatal(err)
 	}
 
@@ -30,7 +30,7 @@ func TestWriteAtomicReportsFailedWrite(t *testing.T) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &capped); err != nil {
 		t.Skip("setrlimit:", err)
 	}
-	err := writeAtomic(dir, epochFile, make([]byte, 4096))
+	err := writeAtomic(dir, membersFile, make([]byte, 4096))
 	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); rerr != nil {
 		t.Fatal("restoring file size limit:", rerr)
 	}
@@ -38,7 +38,7 @@ func TestWriteAtomicReportsFailedWrite(t *testing.T) {
 		t.Fatal("write past the file size limit returned nil")
 	}
 
-	got, rerr := os.ReadFile(filepath.Join(dir, epochFile))
+	got, rerr := os.ReadFile(filepath.Join(dir, membersFile))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -50,6 +50,6 @@ func TestWriteAtomicReportsFailedWrite(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	if len(ents) != 1 {
-		t.Fatalf("failed write left %d entries behind, want only %s", len(ents), epochFile)
+		t.Fatalf("failed write left %d entries behind, want only %s", len(ents), membersFile)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // under one root directory, one subdirectory per saved step —
 //
 //	root/
-//	  EPOCH            current fabric generation (recovery protocol)
+//	  MEMBERS          current fabric generation and roster (members.go)
 //	  step-00000010/   a normal checkpoint directory (machine-*.ckpt)
 //	  step-00000020/
 //
@@ -23,8 +23,6 @@ import (
 // agents independently scan the root and restore from the latest
 // complete step, then verify cluster-wide agreement on it over the
 // fresh fabric.
-
-const epochFile = "EPOCH"
 
 // StepDir returns the auto-checkpoint directory for one saved step.
 func StepDir(root string, step int) string {
@@ -136,31 +134,4 @@ func PruneAuto(root string, machines, keep int) error {
 		}
 	}
 	return firstErr
-}
-
-// ReadEpoch returns the fabric generation recorded in root, 0 when the
-// root or the record does not exist yet (a fresh run's first epoch).
-func ReadEpoch(root string) (int, error) {
-	b, err := os.ReadFile(filepath.Join(root, epochFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(string(b)))
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("checkpoint: malformed epoch record in %s: %q", root, b)
-	}
-	return n, nil
-}
-
-// WriteEpoch atomically records the fabric generation in root, creating
-// the root if needed. Survivors write epoch+1 before re-dialing; a
-// restarted agent reads it before joining, and re-reads on
-// ErrEpochMismatch. Concurrent writers always write the same value
-// (everyone computes lastEpoch+1 from the same record), so the atomic
-// rename makes any interleaving safe.
-func WriteEpoch(root string, epoch int) error {
-	return writeAtomic(root, epochFile, []byte(strconv.Itoa(epoch)+"\n"))
 }

@@ -113,37 +113,30 @@ func TestPruneAutoKeepsNewestIncomplete(t *testing.T) {
 	}
 }
 
+// The fabric epoch lives in MEMBERS alone: ReadEpoch reads the record's
+// Epoch, 0 before any record exists, and a leftover EPOCH file from an
+// older build does not count.
 func TestEpochRoundtrip(t *testing.T) {
 	root := t.TempDir()
-	// Absent file reads as epoch 0 — a fresh cluster.
+	// Absent record reads as epoch 0 — a fresh cluster.
 	if e, err := ReadEpoch(root); err != nil || e != 0 {
 		t.Fatalf("fresh root epoch %d err %v, want 0 nil", e, err)
 	}
+	if err := os.WriteFile(filepath.Join(root, "EPOCH"), []byte("5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := ReadEpoch(root); err != nil || e != 0 {
+		t.Fatalf("root with only an EPOCH file reads epoch %d err %v, want 0 nil", e, err)
+	}
 	for _, e := range []int{1, 2, 7} {
-		if err := WriteEpoch(root, e); err != nil {
+		m := &Membership{Epoch: e, Step: 10, Cursor: 40, Parts: 2, Joiner: -1,
+			Members: []Member{{Addr: "127.0.0.1:7751", GPUs: 2}, {Addr: "127.0.0.1:7752", GPUs: 2}}}
+		if err := WriteMembers(root, m); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadEpoch(root)
 		if err != nil || got != e {
 			t.Fatalf("epoch roundtrip: got %d err %v, want %d", got, err, e)
 		}
-	}
-	// WriteEpoch creates the root if needed (first save may come later).
-	fresh := filepath.Join(root, "sub")
-	if err := WriteEpoch(fresh, 3); err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := ReadEpoch(fresh); e != 3 {
-		t.Fatalf("epoch in created root = %d, want 3", e)
-	}
-}
-
-func TestReadEpochMalformed(t *testing.T) {
-	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "EPOCH"), []byte("not-a-number\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadEpoch(root); err == nil {
-		t.Fatal("malformed EPOCH file read without error")
 	}
 }

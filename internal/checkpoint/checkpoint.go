@@ -439,7 +439,7 @@ func WriteShard(dir string, meta Meta, recs []Record) error {
 }
 
 // writeAtomic is the one durable write behind every file in a checkpoint
-// root — shards, EPOCH, MEMBERS, proposals, join requests and refusals:
+// root — shards, MEMBERS, proposals, join requests and refusals:
 // the bytes land in a temp file in dir (created if missing) and are
 // renamed into place, so a reader sees the old bytes or the new, never a
 // torn file. The file is synced before the rename — without it the

@@ -1,26 +1,26 @@
 package checkpoint
 
-// Durable membership records for elastic clusters (DESIGN.md §14),
-// living next to EPOCH in the auto-checkpoint root — the one medium
-// every membership fact moves through:
+// Durable membership records (DESIGN.md §12, §14), living in the
+// auto-checkpoint root — the one medium every membership fact moves
+// through:
 //
 //	root/
-//	  EPOCH                        current fabric generation
-//	  MEMBERS                      agreed membership of that generation
+//	  MEMBERS                      current fabric generation and its members
 //	  membership/
 //	    epoch-00000002-from-001    machine 1's proposal for epoch 2
 //	  join/
 //	    3132372e...                a prospective member's join request
 //	    3132372e....refused        a member's answer to a refused one
 //
-// MEMBERS is the authoritative member list: a restarted agent reads it
-// before rendezvous and reindexes itself by its own address (or learns
+// MEMBERS is the root's one record of the fabric epoch (ReadEpoch reads
+// its Epoch) and the authoritative member list: a restarted agent reads
+// it before rendezvous and reindexes itself by its own address (or learns
 // it was shrunk away), and a joiner reads it to learn it was admitted.
 // Proposal records are written by a proposer BEFORE its membership
 // agreement round, so once the cluster max-folds a winner, every
 // survivor can read the winner's full member list off the shared root —
 // the scalar agreement only has to carry the winner's identity. All
-// writes use the same atomic temp+rename as WriteEpoch; concurrent
+// writes use the same atomic temp+rename as the shards; concurrent
 // writers of MEMBERS write identical bytes (everyone adopts the same
 // agreed record), so any interleaving is safe.
 //
@@ -338,6 +338,17 @@ func ReadMembers(root string) (*Membership, error) {
 		return nil, fmt.Errorf("checkpoint: malformed MEMBERS record in %s: %w", root, err)
 	}
 	return m, nil
+}
+
+// ReadEpoch returns the fabric generation recorded in root: the epoch of
+// its MEMBERS record, 0 when there is none yet (a fresh run's first
+// epoch).
+func ReadEpoch(root string) (int, error) {
+	m, err := ReadMembers(root)
+	if m == nil {
+		return 0, err
+	}
+	return m.Epoch, nil
 }
 
 // WriteMembers atomically records the agreed membership in root.

@@ -175,7 +175,7 @@ func TestRepartitionPeerDeathBetweenBarriers(t *testing.T) {
 }
 
 // TestInprocKillMidStep is the in-process-fabric variant: the chaos
-// wrapper kills the fabric at a fixed step, and the trainer must
+// injector kills the fabric at a fixed step, and the trainer must
 // surface ErrPeerFailed through the same failStep attribution path.
 func TestInprocKillMidStep(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -187,7 +187,7 @@ func TestInprocKillMidStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := inj.Wrap(transport.NewInproc(topo))
+	fab := transport.NewInproc(topo)
 	tr, err := New(g, Options{
 		Plan:             planFor(t, g, core.ArchHybrid, ri.NumMachines(), 3),
 		Resource:         ri,
@@ -201,6 +201,7 @@ func TestInprocKillMidStep(t *testing.T) {
 	var stepErr error
 	for s := 0; s < 5; s++ {
 		feeds, _ := lmFeeds(tr.Workers(), cfg.Batch, cfg.Vocab, int64(s))
+		inj.Step(s, fab)
 		if _, err := tr.Step(feeds); err != nil {
 			stepErr = err
 			break

@@ -219,11 +219,6 @@ type Trainer struct {
 	closeOnce sync.Once
 	closed    atomic.Bool
 	step      int
-
-	// stepHook, when the fabric implements SetStep(int) (the chaos
-	// fault-injection wrapper), is invoked at the top of every Step so
-	// step-indexed faults fire deterministically. Nil otherwise.
-	stepHook func(int)
 }
 
 // recoverClosed converts a recovered transport.ClosedPanic — the typed
@@ -494,12 +489,6 @@ func New(g *graph.Graph, opts Options) (*Trainer, error) {
 			}
 		}()
 	}
-	// The chaos fault-injection wrapper exposes SetStep so step-indexed
-	// faults fire at deterministic points; a plain fabric has no hook.
-	if h, ok := fab.(interface{ SetStep(int) }); ok {
-		t.stepHook = h.SetStep
-	}
-
 	// Distributed startup: broadcast worker 0's AR-managed variable
 	// values so replicas across agents start bit-identical even if an
 	// agent's initializer drifted. A peer dying during the exchange fails
@@ -631,9 +620,9 @@ func (t *Trainer) AgreeMax(tag string, v float64) (float64, error) {
 // the failed rank, which is what recovery policies key on. The session
 // layer may then rebuild a whole new trainer at the next epoch
 // (DESIGN.md §12). Single-process errors pass through untouched —
-// everything stays local and recoverable — except that the chaos
-// wrapper's injected kill records a rank-attributed failure the caller
-// must see (the in-process analogue of a peer crash).
+// everything stays local and recoverable — except that a chaos
+// injector's kill records a rank-attributed failure the caller must see
+// (the in-process analogue of a peer crash).
 func (t *Trainer) failStep(err error) error {
 	if t.dist {
 		t.fab.Close()

@@ -230,9 +230,6 @@ func (t *Trainer) Step(feeds []graph.Feed) (float64, error) {
 	}
 	step := t.step
 	t.step++
-	if t.stepHook != nil {
-		t.stepHook(step)
-	}
 	t.resetSlots()
 	t.bytesPushed.Store(0)
 	base := t.fab.Stats()

@@ -156,6 +156,61 @@ func TestTCPPeerDownBroadcastAlignsAttribution(t *testing.T) {
 	}
 }
 
+// A send that finds its socket broken must not outrun the peer-down
+// frame waiting unread on the same connection. Process 2 crashes while
+// process 0's readers are parked on full inboxes; process 1 observes the
+// crash, announces it to process 0 and tears down. Process 0 then sends
+// to process 1 and the write fails: the failure is still process 2's,
+// not that of the messenger whose socket broke.
+func TestTCPBrokenSendDefersToPeerDown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	topo := Topology{Workers: 3, Machines: 3, MachineOfWorker: []int{0, 1, 2}}
+	fabs := mustDialN(t, 3, topo, nil)
+
+	// Fill endpoint 0's inboxes; each reader takes one more frame and
+	// parks on its full queue.
+	for _, p := range []int{1, 2} {
+		q := fabs[0].queue(p, 0, "fill")
+		for i := 0; i <= cap(q); i++ {
+			fabs[p].Conduit(p).SendF32(0, "fill", []float32{float32(i)})
+		}
+		for len(q) < cap(q) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	fabs[2].Fail(2, errors.New("injected crash"))
+	waitDone(t, fabs[1], "process 1")
+
+	send := func() (failed bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(ClosedPanic); !ok {
+					panic(r)
+				}
+				failed = true
+			}
+		}()
+		fabs[0].Conduit(0).SendF32(1, "after", []float32{1})
+		return false
+	}
+	for i := 0; !send(); i++ {
+		if i == 1000 {
+			t.Fatal("sends to the torn-down process kept succeeding")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for p := 0; p < 2; p++ {
+		var pf *errs.PeerFailure
+		if err := fabs[p].Err(); !errors.As(err, &pf) || pf.Rank != 2 {
+			t.Fatalf("process %d attributed %v, want rank 2", p, err)
+		}
+	}
+	for _, f := range fabs {
+		f.Close()
+	}
+	waitGoroutines(t, base)
+}
+
 // A single severed connection (broken link, not a dead process) still
 // fail-stops both sides with an attribution.
 func TestTCPSeveredLinkFailsStop(t *testing.T) {

@@ -148,6 +148,10 @@ type wireConn struct {
 	mu   sync.Mutex
 	buf  []byte
 	gone chan struct{} // closed by the reader at the peer's goodbye; all it sent is queued by then
+	// broken is closed by the first send that finds the socket broken; the
+	// reader then drops data frames and reads on only to attribute.
+	broken    chan struct{}
+	breakOnce sync.Once
 	// dl orders the reader's sliding deadline against sayBye's last one.
 	dl      sync.Mutex
 	leaving bool
@@ -420,7 +424,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 		for attempt := 0; f.conns[q] == nil; attempt++ {
 			conn, err := try()
 			if err == nil {
-				f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{})}
+				f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{}), broken: make(chan struct{})}
 				continue
 			}
 			if errors.Is(err, errs.ErrEpochMismatch) || errors.Is(err, errs.ErrCompressionMismatch) {
@@ -466,7 +470,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 				r.conn.Close() // duplicate from a retrying peer
 				continue
 			}
-			f.conns[r.peer] = &wireConn{conn: r.conn, gone: make(chan struct{})}
+			f.conns[r.peer] = &wireConn{conn: r.conn, gone: make(chan struct{}), broken: make(chan struct{})}
 			got++
 		case <-ctx.Done():
 			return fail(fmt.Errorf("transport: process %d rendezvous aborted: %w",
@@ -635,6 +639,8 @@ func (f *TCP) reader(peer int, wc *wireConn) {
 		case <-f.closed:
 			// Nobody will take it; an orderly Close reads on to the peer's
 			// end of stream, a failure has closed the connection.
+		case <-wc.broken:
+			// The fabric is failing; what is left to read is who failed.
 		}
 	}
 }
@@ -695,10 +701,18 @@ func (f *TCP) sendWire(src, dst int, m message) {
 		case <-wc.gone:
 			return // the peer said goodbye: drop
 		default:
-			f.failPeer(f.topo.ProcessOf(dst), err)
-			panic(ClosedPanic{Err: fmt.Errorf("transport: endpoint %d send tag %q to %d: %w",
-				src, m.tag, dst, f.Err())})
 		}
+		// A failed write names no culprit: the peer may have torn down over
+		// a third process, its peer-down frame unread here. The reader reads
+		// on to that frame or to the socket's error and fails the fabric.
+		wc.breakOnce.Do(func() { close(wc.broken) })
+		select {
+		case <-f.closed:
+		case <-wc.gone:
+			return // the peer said goodbye: drop
+		}
+		panic(ClosedPanic{Err: fmt.Errorf("transport: endpoint %d send tag %q to %d: %w",
+			src, m.tag, dst, cmp.Or(f.Err(), errs.ErrClosed))})
 	}
 	f.sent.Add(int64(n))
 	if compressedFrame(m) {

@@ -236,8 +236,9 @@ type Config struct {
 
 // AutoCheckpointSpec configures periodic automatic checkpoints: every
 // EveryN completed steps the session saves a full checkpoint under
-// Dir/step-<n>/ (see Session.Save for what is captured), keeps the three
-// most recent, and records the fabric epoch in Dir/EPOCH. In distributed
+// Dir/step-<n>/ (see Session.Save for what is captured) and keeps the
+// three most recent; a recovery or membership change records the new
+// fabric epoch with its roster in Dir/MEMBERS. In distributed
 // mode every agent must see the same Dir (shared or replicated
 // filesystem) — each writes its own machine's shard, and a step's
 // checkpoint counts as complete only once every shard is present.
@@ -252,14 +253,15 @@ type AutoCheckpointSpec struct {
 // RecoveryPolicy configures automatic failure recovery for distributed
 // sessions (DESIGN.md §12). When a peer agent dies mid-run, every
 // survivor's step driver observes ErrPeerFailed, tears down the dead
-// fabric, bumps the epoch in the auto-checkpoint root, re-dials its
-// peers at the new epoch, restores the latest complete auto-checkpoint,
+// fabric, records the next epoch with its roster and restore point in
+// the auto-checkpoint root's MEMBERS record, re-dials its peers at the
+// new epoch, restores the latest complete auto-checkpoint,
 // verifies cluster agreement on the restore step, and resumes — the
 // Steps iterator continues as if the failure never happened (each step
 // is yielded exactly once; replayed steps after the restore point are
 // suppressed). The failed agent rejoins the same way: its supervisor
-// restarts it with the same flags, it reads the epoch from the
-// auto-checkpoint root, and the rendezvous completes.
+// restarts it with the same flags, it reads the epoch from MEMBERS,
+// and the rendezvous completes.
 type RecoveryPolicy struct {
 	// Enabled turns recovery on; requires AutoCheckpoint and Dist.
 	Enabled bool

@@ -7,8 +7,8 @@ package parallax
 //     dead peer into a rank-attributed ErrPeerFailed on every survivor
 //     within the heartbeat window; the trainer converts the torn fabric
 //     into a step error carrying that attribution.
-//  2. Recovery — each survivor bumps the fabric epoch recorded in the
-//     auto-checkpoint root and rebuilds (Session.rebuild) at the new
+//  2. Recovery — each survivor bumps the fabric epoch by writing the
+//     root's MEMBERS record and rebuilds (Session.rebuild) at the new
 //     epoch from the latest complete auto-checkpoint: teardown of the
 //     dead runtime, re-dial (waiting out the failed agent's restart),
 //     restore, and a cluster-wide agreement on the restore step. The Steps iterator then continues: steps
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"parallax/internal/chaos"
 	"parallax/internal/checkpoint"
 	"parallax/internal/data"
 	"parallax/internal/transport"
@@ -89,13 +88,6 @@ func (l *feedLog) rewindTo(cursor int64) error {
 	return nil
 }
 
-// checkpointHooks are the fault-injection points around an
-// auto-checkpoint write (crash-before-save / crash-after-save faults).
-type checkpointHooks interface {
-	BeforeSave(step int)
-	AfterSave(step int)
-}
-
 // fabricSeam, when an in-package test sets it, wraps every fabric
 // dialFabric establishes so the test can observe the frames a session
 // sends (nil outside tests).
@@ -106,9 +98,8 @@ var fabricSeam func(transport.Fabric) transport.Fabric
 // tgt.epoch; on ErrEpochMismatch — a restarting agent raced a
 // survivor's epoch bump — it re-reads the epoch recorded in the
 // auto-checkpoint root and retries, paced by the dialer's backoff
-// schedule, until the rendezvous deadline or ctx is done. The injector,
-// when armed, wraps the fabric with the chaos harness.
-func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector) (transport.Fabric, int, error) {
+// schedule, until the rendezvous deadline or ctx is done.
+func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, int, error) {
 	d := tgt.dist
 	deadline := time.Now().Add(d.DialTimeout)
 	listener := d.Listener
@@ -131,9 +122,6 @@ func dialFabric(ctx context.Context, tgt target, cfg Config, inj *chaos.Injector
 			var fab transport.Fabric = tcp
 			if fabricSeam != nil {
 				fab = fabricSeam(fab)
-			}
-			if inj != nil {
-				fab = inj.Wrap(fab)
 			}
 			return fab, epoch, nil
 		}
@@ -193,14 +181,14 @@ func (s *Session) maybeAutoSave() error {
 		return nil
 	}
 	dir := checkpoint.StepDir(root, step)
-	if s.saveHook != nil {
-		s.saveHook.BeforeSave(step)
+	if s.chaos != nil {
+		s.chaos.BeforeSave(step)
 	}
 	if err := s.Save(dir); err != nil {
 		return fmt.Errorf("parallax: auto-checkpoint at step %d: %w", step, err)
 	}
-	if s.saveHook != nil {
-		s.saveHook.AfterSave(step)
+	if s.chaos != nil {
+		s.chaos.AfterSave(step)
 	}
 	// One agent prunes (machine 0's host — always present); racing
 	// removals from every agent would trip over each other's partial
@@ -277,35 +265,35 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	if step < 0 {
 		return fmt.Errorf("parallax: no complete auto-checkpoint under %s to recover from", root)
 	}
-	// Every survivor writes the same bytes; the atomic renames commute.
-	if err := checkpoint.WriteEpoch(root, s.epoch+1); err != nil {
-		return err
-	}
-	failed, shrink := s.shrinkTarget(cause)
-	if !shrink {
-		// The rendezvous window must outlast the failed agent's supervisor
-		// restarting it.
-		return s.rebuild(ctx, target{resource: s.resource, dist: s.redial(), epoch: s.epoch + 1}, sdir)
-	}
-	// Elastic shrink (DESIGN.md §14): shed the dead machine instead of
-	// waiting out its restart. Every survivor independently derives the
-	// identical post-shrink membership (same failure attribution, same
-	// member list). Unlike the in-place path, the post-shrink loss
-	// trajectory necessarily diverges from the uninterrupted run — a
-	// machine's workers vanished — but every step is still yielded
-	// exactly once.
 	meta0, _, err := checkpoint.ReadShard(sdir, 0)
 	if err != nil {
 		return err
 	}
+	// The next epoch's record: the same roster, or under an elastic
+	// shrink policy the roster without the failed machine. Every survivor
+	// derives it from the same inputs and writes the same bytes; the
+	// atomic renames commute.
 	rec := &checkpoint.Membership{
 		Epoch: s.epoch + 1, Step: meta0.Step, Cursor: meta0.Cursor,
-		Parts: meta0.Parts, Joiner: -1,
-		Members: removeMember(s.currentMembers().Members, failed),
+		Parts: meta0.Parts, Joiner: -1, Members: s.currentMembers().Members,
+	}
+	failed, shrink := s.shrinkTarget(cause)
+	if shrink {
+		rec.Members = removeMember(rec.Members, failed)
 	}
 	if err := checkpoint.WriteMembers(root, rec); err != nil {
 		return err
 	}
+	if !shrink {
+		// The rendezvous window must outlast the failed agent's supervisor
+		// restarting it.
+		return s.rebuild(ctx, target{resource: s.resource, dist: s.redial(), epoch: rec.Epoch}, sdir)
+	}
+	// Elastic shrink (DESIGN.md §14): shed the dead machine instead of
+	// waiting out its restart. Unlike the in-place path, the post-shrink
+	// loss trajectory necessarily diverges from the uninterrupted run — a
+	// machine's workers vanished — but every step is still yielded
+	// exactly once.
 	return s.rebuildAs(ctx, rec, sdir)
 }
 

@@ -8,9 +8,14 @@ package parallax
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -242,8 +247,33 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	if e, err := checkpoint.ReadEpoch(root); err != nil || e != 1 {
 		t.Fatalf("recorded epoch %d (err %v), want 1", e, err)
 	}
+	requireRootRecord(t, root, 1, sessions[:]...)
 	closeInTurn(sessions[:]...)
 	waitSessionGoroutines(t, base)
+}
+
+// requireRootRecord checks the checkpoint root's one durable record of
+// the cluster after a recovery or a membership change: MEMBERS holds
+// the epoch every survivor runs at and lists their roster, and no EPOCH
+// file sits beside it.
+func requireRootRecord(t *testing.T, root string, epoch int, survivors ...*Session) {
+	t.Helper()
+	m, err := checkpoint.ReadMembers(root)
+	if err != nil || m == nil {
+		t.Fatalf("MEMBERS record %+v (err %v), want one", m, err)
+	}
+	if m.Epoch != epoch {
+		t.Fatalf("MEMBERS at epoch %d, want %d", m.Epoch, epoch)
+	}
+	for i, s := range survivors {
+		if s.Epoch() != m.Epoch || !slices.Equal(m.Addrs(), s.Members()) {
+			t.Fatalf("MEMBERS lists %v at epoch %d; survivor %d runs %v at epoch %d",
+				m.Addrs(), m.Epoch, i, s.Members(), s.Epoch())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "EPOCH")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("root holds an EPOCH file (stat: %v); MEMBERS is the only record of the epoch", err)
+	}
 }
 
 type errDupStep int

@@ -99,9 +99,9 @@ type liveRuntime struct {
 	// decision.Pending is the partition search's one piece of state: set
 	// by decide, cleared when the search settles, saved in checkpoints.
 	decision PartitionDecision
-	// saveHook is the fabric's fault-injection points around
-	// auto-checkpoint writes (nil unless the chaos harness is armed).
-	saveHook checkpointHooks
+	// fab is the fabric the trainer was built on, where chaos faults
+	// fire; nil in single-process mode, where chaos cannot be armed.
+	fab transport.Fabric
 }
 
 // target names where a rebuild lands: the roster, this agent's place in
@@ -266,9 +266,8 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 			s.closed.Store(true)
 		}
 	}()
-	var fab transport.Fabric
 	if tgt.dist != nil {
-		if fab, rt.epoch, err = dialFabric(ctx, tgt, cfg, s.chaos); err != nil {
+		if rt.fab, rt.epoch, err = dialFabric(ctx, tgt, cfg); err != nil {
 			return err
 		}
 	}
@@ -280,12 +279,11 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		LocalAggregation: arch == core.ArchHybrid || arch == core.ArchOptPS,
 		ClipNorm:         cfg.ClipNorm,
 		Compression:      cfg.Compression,
-		Fabric:           fab,
+		Fabric:           rt.fab,
 	})
 	if err != nil {
 		return err
 	}
-	rt.saveHook, _ = fab.(checkpointHooks)
 	// A fresh session fast-forwards the dataset its first Steps call is
 	// handed; a live one keeps its dataset position and replays from the
 	// feed log instead.
@@ -798,6 +796,9 @@ func (s *Session) oneStep(next func(step, worker int) (Feed, error)) (StepStats,
 		s.feeds[w] = f
 	}
 	start := time.Now()
+	if s.chaos != nil {
+		s.chaos.Step(step, s.fab)
+	}
 	if _, err := s.trainer.Step(s.feeds); err != nil {
 		return StepStats{}, err
 	}
