@@ -1,17 +1,14 @@
 // Package optim implements the optimizers and gradient utilities used by
 // the training runtimes: plain SGD and momentum SGD, each supporting both
-// dense gradients and sparse (IndexedSlices) gradients, plus global-norm
-// clipping and the mean that finalizes a gradient aggregated over workers
+// dense gradients and sparse (IndexedSlices) gradients, plus the mean
+// that finalizes a gradient aggregated over workers
 // (§4.1 lets ParallaxConfig choose "the average of gradients ... or the
 // sum"; every job here takes the average).
 package optim
 
 import (
-	"fmt"
-	"slices"
 	"sync"
 
-	"parallax/internal/graph"
 	"parallax/internal/tensor"
 )
 
@@ -157,45 +154,4 @@ func FinalizeSparse(g *tensor.Sparse, workers int) {
 	if workers > 1 {
 		g.Scale(1 / float32(workers))
 	}
-}
-
-// ClipByGlobalNorm scales all gradients in gs so their joint L2 norm does
-// not exceed maxNorm, returning the pre-clip norm. This is the operation
-// whose need for *aggregated* gradients forces the chief-worker read-back
-// path in §5.
-func ClipByGlobalNorm(gs *graph.GradSet, maxNorm float64) float64 {
-	if maxNorm <= 0 {
-		panic(fmt.Sprintf("optim: maxNorm %v", maxNorm))
-	}
-	// Collect in sorted-name order: GlobalNorm folds the squared norms
-	// in slice order, and a map-ordered fold would make the clip scale
-	// — and therefore every clipped bit — differ run to run.
-	var denseNames, sparseNames []string
-	for name := range gs.Dense {
-		denseNames = append(denseNames, name)
-	}
-	slices.Sort(denseNames)
-	for name := range gs.Sparse {
-		sparseNames = append(sparseNames, name)
-	}
-	slices.Sort(sparseNames)
-	dense := make([]*tensor.Dense, 0, len(denseNames))
-	for _, name := range denseNames {
-		dense = append(dense, gs.Dense[name])
-	}
-	sparse := make([]*tensor.Sparse, 0, len(sparseNames))
-	for _, name := range sparseNames {
-		sparse = append(sparse, gs.Sparse[name])
-	}
-	norm := tensor.GlobalNorm(dense, sparse)
-	if norm > maxNorm && norm > 0 {
-		scale := float32(maxNorm / norm)
-		for _, d := range dense {
-			d.Scale(scale)
-		}
-		for _, s := range sparse {
-			s.Scale(scale)
-		}
-	}
-	return norm
 }

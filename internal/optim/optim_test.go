@@ -1,10 +1,8 @@
 package optim
 
 import (
-	"math"
 	"testing"
 
-	"parallax/internal/graph"
 	"parallax/internal/tensor"
 )
 
@@ -81,36 +79,5 @@ func TestFinalizeMeanAndSum(t *testing.T) {
 	FinalizeSparse(sp, 1)
 	if sp.Values.At(0, 0) != 4 {
 		t.Fatal("a sparse divisor of 1 must not rescale")
-	}
-}
-
-func TestClipByGlobalNorm(t *testing.T) {
-	gs := graph.NewGradSet()
-	gs.Dense["a"] = tensor.FromSlice([]float32{3}, 1)
-	gs.Sparse["b"] = tensor.NewSparse([]int{0}, tensor.FromSlice([]float32{4}, 1, 1), 2)
-	norm := ClipByGlobalNorm(gs, 1.0)
-	if math.Abs(norm-5) > 1e-6 {
-		t.Fatalf("pre-clip norm = %v, want 5", norm)
-	}
-	// After clipping, joint norm must be 1.
-	var dense []*tensor.Dense
-	var sparse []*tensor.Sparse
-	for _, d := range gs.Dense {
-		dense = append(dense, d)
-	}
-	for _, s := range gs.Sparse {
-		sparse = append(sparse, s)
-	}
-	if got := tensor.GlobalNorm(dense, sparse); math.Abs(got-1) > 1e-5 {
-		t.Fatalf("post-clip norm = %v, want 1", got)
-	}
-}
-
-func TestClipNoOpBelowThreshold(t *testing.T) {
-	gs := graph.NewGradSet()
-	gs.Dense["a"] = tensor.FromSlice([]float32{0.3}, 1)
-	ClipByGlobalNorm(gs, 10)
-	if gs.Dense["a"].At(0) != 0.3 {
-		t.Fatal("clip modified gradient below threshold")
 	}
 }

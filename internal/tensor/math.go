@@ -184,17 +184,3 @@ func rowMax(row []float32) float32 {
 	}
 	return m
 }
-
-// GlobalNorm returns the L2 norm across a mixed set of dense and sparse
-// gradients, as used for gradient clipping (§5: "compute a global norm of
-// gradients for clipping").
-func GlobalNorm(dense []*Dense, sparse []*Sparse) float64 {
-	var s float64
-	for _, d := range dense {
-		s += d.L2NormSquared()
-	}
-	for _, sp := range sparse {
-		s += sp.L2NormSquared()
-	}
-	return math.Sqrt(s)
-}

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // RowRange describes one partition of a variable's first dimension:
 // rows [Start, End).
@@ -34,24 +37,6 @@ func PartitionRows(dim0, p int) []RowRange {
 	return out
 }
 
-// PartitionOfRow returns the index of the partition containing row, given
-// the ranges produced by PartitionRows for the same dim0.
-func PartitionOfRow(ranges []RowRange, row int) int {
-	lo, hi := 0, len(ranges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case row < ranges[mid].Start:
-			hi = mid
-		case row >= ranges[mid].End:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	panic(fmt.Sprintf("tensor: row %d not covered by %d ranges", row, len(ranges)))
-}
-
 // SplitSparse routes each slice of s to the partition owning its row and
 // returns one sparse tensor per partition, with rows re-based to the
 // partition's local coordinates (row - Start). Empty partitions get a
@@ -71,7 +56,12 @@ func SplitSparse(s *Sparse, ranges []RowRange) []*Sparse {
 	counts := make([]int, np)
 	assign := make([]int, len(s.Rows))
 	for i, r := range s.Rows {
-		p := PartitionOfRow(ranges, r)
+		// The ranges tile [0, dim0) in order: r's owner is the first
+		// range ending past it.
+		p := sort.Search(np, func(p int) bool { return ranges[p].End > r })
+		if p == np || r < ranges[p].Start {
+			panic(fmt.Sprintf("tensor: row %d not covered by %d ranges", r, np))
+		}
 		assign[i] = p
 		counts[p]++
 	}

@@ -131,16 +131,6 @@ func TestPartitionRowsCoversExactly(t *testing.T) {
 	}
 }
 
-func TestPartitionOfRow(t *testing.T) {
-	rs := PartitionRows(100, 7)
-	for row := 0; row < 100; row++ {
-		p := PartitionOfRow(rs, row)
-		if row < rs[p].Start || row >= rs[p].End {
-			t.Fatalf("row %d assigned to wrong partition %d (%+v)", row, p, rs[p])
-		}
-	}
-}
-
 func TestSplitStitchRoundTrip(t *testing.T) {
 	g := NewRNG(11)
 	const dim0, w = 50, 3

@@ -265,14 +265,6 @@ func TestSoftmaxCrossEntropyMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestGlobalNormMixesDenseAndSparse(t *testing.T) {
-	d := FromSlice([]float32{3}, 1)
-	sp := NewSparse([]int{0}, FromSlice([]float32{4}, 1, 1), 5)
-	if got := GlobalNorm([]*Dense{d}, []*Sparse{sp}); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("GlobalNorm = %v, want 5", got)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42).RandN(1, 8)
 	b := NewRNG(42).RandN(1, 8)

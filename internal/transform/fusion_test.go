@@ -175,7 +175,7 @@ func TestRaceOverlappedClippedHybridMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optim.ClipByGlobalNorm(grads, clip)
+		clipSequential(grads, clip)
 		for name, d := range grads.Dense {
 			opt.ApplyDense(name, es.VarValue(name), d)
 		}

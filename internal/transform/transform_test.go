@@ -69,6 +69,27 @@ func lmFeeds(workers, batch, vocab int, seed int64) ([]graph.Feed, graph.Feed) {
 	return feeds, graph.Feed{Ints: map[string][]int{"tokens": allTok, "labels": allLbl}}
 }
 
+// clipSequential scales every gradient in gs so their joint L2 norm is
+// at most maxNorm: the single-GPU reference for the trainer's ClipNorm.
+func clipSequential(gs *graph.GradSet, maxNorm float64) {
+	var norm2 float64
+	for _, d := range gs.Dense {
+		norm2 += d.L2NormSquared()
+	}
+	for _, sp := range gs.Sparse {
+		norm2 += sp.L2NormSquared()
+	}
+	if norm := math.Sqrt(norm2); norm > maxNorm {
+		scale := float32(maxNorm / norm)
+		for _, d := range gs.Dense {
+			d.Scale(scale)
+		}
+		for _, sp := range gs.Sparse {
+			sp.Scale(scale)
+		}
+	}
+}
+
 // trainSequential runs the mathematically equivalent single-GPU training:
 // same initial variables, concatenated batch, same learning rate.
 func trainSequential(t *testing.T, cfg models.TinyLMConfig, workers, steps int, lr float32, seed int64) map[string]*tensor.Dense {
@@ -264,7 +285,7 @@ func TestClippingMatchesSequentialClipped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		optim.ClipByGlobalNorm(grads, clip)
+		clipSequential(grads, clip)
 		for name, d := range grads.Dense {
 			opt.ApplyDense(name, es.VarValue(name), d)
 		}

@@ -33,9 +33,10 @@ type TCPConfig struct {
 	// peers). The fabric takes ownership.
 	Listener net.Listener
 	// DialTimeout bounds the whole rendezvous — dialing lower-indexed
-	// peers and accepting higher-indexed ones. Default 10s. A deadline
-	// on DialTCP's context tightens this further; context cancellation
-	// aborts the rendezvous immediately.
+	// peers, retries included, and accepting higher-indexed ones. Default
+	// 10s. DialTCP derives one context from its own with this timeout, so
+	// a deadline on the caller's context tightens it further and
+	// cancelling that context aborts the rendezvous immediately.
 	DialTimeout time.Duration
 	// Epoch is the fabric generation this process rendezvouses at. The
 	// handshake carries it, and peers at different generations refuse to
@@ -86,9 +87,10 @@ const (
 // agent process; NewInproc builds the zero-peer instance, where every
 // endpoint is local and nothing below applies.
 //
-// Rendezvous is static: process p dials every peer q < p and accepts
-// from every peer q > p, so each unordered process pair shares exactly
-// one connection. A dedicated reader goroutine per connection drains
+// Rendezvous is static: process p dials every peer q < p and then
+// accepts from every peer q > p, so each unordered process pair shares
+// exactly one connection. It runs on DialTCP's caller's goroutine; once
+// it is done, a dedicated reader goroutine per connection drains
 // frames into per-(source, destination, tag) queues, so a peer's send
 // never blocks on this side's consumption order — the property that
 // keeps concurrent large sends from deadlocking on kernel socket
@@ -216,13 +218,15 @@ func NewInproc(topo Topology) *TCP {
 	return newFabric(topo, 0, func(int) bool { return true })
 }
 
-// DialTCP establishes the fabric: it listens for higher-indexed peers,
-// dials lower-indexed ones (retrying, so agents may start in any
-// order), and returns once every peer connection is up. The rendezvous
-// deadline is the earlier of ctx's deadline and now+DialTimeout, and
-// cancelling ctx aborts the rendezvous immediately (the returned error
-// then wraps ctx's error, so callers can match it with errors.Is). On
-// failure everything opened so far is torn down and an error returned.
+// DialTCP establishes the fabric: it dials every lower-indexed peer
+// (retrying, so agents may start in any order), then accepts every
+// higher-indexed one, and returns once every peer connection is up. The
+// rendezvous runs on the caller's goroutine under one context: ctx
+// tightened by DialTimeout. Every wait — connect, backoff, handshake,
+// accept — ends with it, and cancelling ctx aborts the rendezvous (the
+// returned error then wraps ctx's error, so callers can match it with
+// errors.Is). On failure everything opened so far is torn down and an
+// error returned.
 func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 	topo := cfg.Topo
 	if err := topo.Validate(); err != nil {
@@ -250,10 +254,8 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 	if hbTimeout <= 0 {
 		hbTimeout = 10 * hbInterval
 	}
-	deadline := time.Now().Add(timeout) //parallax:allow(detsource) -- rendezvous deadline is wall-clock by design; the data plane starts only after the epoch-fenced handshake
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
+	rctx, cancel := context.WithTimeout(ctx, timeout) //parallax:allow(detsource) -- rendezvous deadline is wall-clock by design; the data plane starts only after the epoch-fenced handshake
+	defer cancel()
 
 	f := newFabric(topo, cfg.Process, func(rank int) bool { return topo.ProcessOf(rank) == cfg.Process })
 	f.epoch = cfg.Epoch
@@ -263,229 +265,130 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 
 	// The listener lives for the rendezvous only: a process with no
 	// higher-indexed peer has nobody to accept and listens not at all.
+	// It is bound before the dials, so a higher peer's connect lands in
+	// the backlog and waits there for this process's accepts.
 	nAccept := procs - 1 - cfg.Process
 	var ln net.Listener
 	if nAccept > 0 {
-		ln = cfg.Listener
-		if ln == nil {
+		if ln = cfg.Listener; ln == nil {
 			var err error
 			if ln, err = net.Listen("tcp", cfg.Addrs[cfg.Process]); err != nil {
 				return nil, err
 			}
 		}
+		stop := context.AfterFunc(rctx, func() { ln.Close() }) // unblocks Accept
+		defer func() { stop(); ln.Close() }()
 	} else if cfg.Listener != nil {
 		cfg.Listener.Close()
 	}
-	fingerprint := cfg.Policy.Fingerprint()
-	type acceptRes struct {
-		peer int
-		conn net.Conn
-		err  error
-	}
-	accCh := make(chan acceptRes, nAccept+4)
+	conns := make([]net.Conn, procs)
 	fail := func(err error) (*TCP, error) {
-		if ln != nil {
-			ln.Close() // ends the accept goroutine
-		}
-		for _, wc := range f.conns {
-			if wc != nil {
-				wc.conn.Close()
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
 			}
 		}
-		for { // close accepted-but-unclaimed connections
-			select {
-			case r := <-accCh:
-				if r.conn != nil {
-					r.conn.Close()
-				}
-			default:
-				return nil, err
-			}
-		}
+		return nil, err
 	}
 
-	if ln != nil {
-		// Accept until the listener closes, not until nAccept good
-		// handshakes: a duplicate connection from a restarted peer must
-		// not eat a genuine peer's slot. The success path closes the
-		// listener once all peers are connected, the fail path on error;
-		// the goroutine is tracked, so Close reaps it either way.
-		f.readers.Add(1)
-		go func() {
-			defer f.readers.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return // listener closed; a premature break surfaces as a timeout below
-				}
-				conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //parallax:allow(detsource) -- handshake read deadline; connection management, not step control flow
-				var magic [4]byte
-				if _, err := io.ReadFull(conn, magic[:]); err != nil {
-					conn.Close()
-					continue
-				}
-				if magic != handshakeMagic {
-					conn.Close() // junk
-					continue
-				}
-				peer, peerFP, peerEpoch, err := readHandshake(conn)
-				if err != nil || peer <= cfg.Process || peer >= procs {
-					conn.Close() // junk or misrouted connection
-					continue
-				}
-				if peerEpoch != cfg.Epoch {
-					// A peer from another fabric generation: tell it
-					// (ackEpoch). When the peer is AHEAD, this process is
-					// the stale one — fail the rendezvous so the caller
-					// re-reads the cluster epoch and retries; when the peer
-					// is behind, keep accepting (the stale peer will catch
-					// up and redial).
-					conn.Write([]byte{ackEpoch})
-					conn.Close()
-					if peerEpoch > cfg.Epoch {
-						select {
-						case accCh <- acceptRes{err: fmt.Errorf(
-							"transport: process %d at epoch %d, peer %d already at %d: %w",
-							cfg.Process, cfg.Epoch, peer, peerEpoch, errs.ErrEpochMismatch)}:
-						default:
-						}
-					}
-					continue
-				}
-				if peerFP != fingerprint {
-					// A real peer with the wrong policy: tell it
-					// (ackPolicy), then fail the rendezvous — this is a
-					// deployment error, not junk to ignore.
-					conn.Write([]byte{ackPolicy})
-					conn.Close()
-					select {
-					case accCh <- acceptRes{err: fmt.Errorf(
-						"transport: process %d compression policy %q, peer %d has %q: %w",
-						cfg.Process, fingerprint, peer, peerFP, errs.ErrCompressionMismatch)}:
-					default:
-					}
-					continue
-				}
-				if _, err := conn.Write([]byte{ackOK}); err != nil {
-					conn.Close()
-					continue
-				}
-				select {
-				case accCh <- acceptRes{peer: peer, conn: conn}:
-				default:
-					conn.Close() // rendezvous already over
-				}
-			}
-		}()
-	}
-
-	// One dial loop per lower-indexed peer. A refused connect and a
-	// handshake dropped mid-way — the peer's fabric tearing down between
-	// accepting and answering, an epoch transition in flight (elastic
-	// grow, recovery rebind) — are the same retryable attempt; only an
-	// explicit rejection (wrong epoch, wrong policy) is final. One connect
-	// waits at most a second, so a peer that binds late is found soon.
-	dialer := net.Dialer{Deadline: deadline, Timeout: time.Second}
-	for q := 0; q < cfg.Process; q++ {
-		hs := append(append([]byte(nil), handshakeMagic[:]...), 0, 0, 0, 0, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint16(hs[4:], uint16(cfg.Process))
-		binary.LittleEndian.PutUint16(hs[6:], uint16(len(fingerprint)))
-		binary.LittleEndian.PutUint32(hs[8:], uint32(cfg.Epoch))
-		hs = append(hs, fingerprint...)
-		try := func() (net.Conn, error) {
-			c, err := dialer.DialContext(ctx, "tcp", cfg.Addrs[q])
-			if err != nil {
-				return nil, err
-			}
-			c.SetDeadline(deadline)
-			var ack [1]byte
-			if _, err = c.Write(hs); err == nil {
-				_, err = io.ReadFull(c, ack[:])
-			}
-			switch {
-			case err != nil:
-				err = fmt.Errorf("transport: handshake with peer %d: %w", q, err)
-			case ack[0] == ackEpoch:
-				err = fmt.Errorf("transport: process %d at epoch %d rejected by peer %d: %w",
-					cfg.Process, cfg.Epoch, q, errs.ErrEpochMismatch)
-			case ack[0] != ackOK:
-				err = fmt.Errorf("transport: process %d compression policy %q rejected by peer %d: %w",
-					cfg.Process, fingerprint, q, errs.ErrCompressionMismatch)
-			default:
-				c.SetDeadline(time.Time{})
-				return c, nil
-			}
-			c.Close()
+	// Dial down. A refused connect and a handshake dropped mid-way — the
+	// peer's fabric tearing down between accepting and answering, an
+	// epoch transition in flight (elastic grow, recovery rebind) — are
+	// the same retryable attempt; only an explicit rejection (wrong
+	// epoch, wrong policy) is final. One connect waits at most a second,
+	// so a peer that binds late is found soon.
+	fingerprint := cfg.Policy.Fingerprint()
+	hs := binary.LittleEndian.AppendUint16(append([]byte(nil), handshakeMagic[:]...), uint16(cfg.Process))
+	hs = binary.LittleEndian.AppendUint16(hs, uint16(len(fingerprint)))
+	hs = binary.LittleEndian.AppendUint32(hs, uint32(cfg.Epoch))
+	hs = append(hs, fingerprint...)
+	dialer := net.Dialer{Timeout: time.Second}
+	try := func(q int) (net.Conn, error) {
+		c, err := dialer.DialContext(rctx, "tcp", cfg.Addrs[q])
+		if err != nil {
 			return nil, err
 		}
+		// The ack comes once q reaches its accepts; the wait ends with
+		// the rendezvous.
+		stop := context.AfterFunc(rctx, func() { c.Close() })
+		var ack [1]byte
+		if _, err = c.Write(hs); err == nil {
+			_, err = io.ReadFull(c, ack[:])
+		}
+		switch {
+		case !stop():
+			err = rctx.Err()
+		case err != nil:
+			err = fmt.Errorf("transport: handshake with peer %d: %w", q, err)
+		case ack[0] == ackEpoch:
+			err = fmt.Errorf("transport: process %d at epoch %d rejected by peer %d: %w",
+				cfg.Process, cfg.Epoch, q, errs.ErrEpochMismatch)
+		case ack[0] != ackOK:
+			err = fmt.Errorf("transport: process %d compression policy %q rejected by peer %d: %w",
+				cfg.Process, fingerprint, q, errs.ErrCompressionMismatch)
+		default:
+			return c, nil
+		}
+		c.Close()
+		return nil, err
+	}
+	for q := 0; q < cfg.Process; q++ {
 		// Seeded per (process, peer): a restarting fleet's redials spread
 		// out, and a run's pacing is reproducible.
 		rng := rand.New(rand.NewSource(int64(cfg.Process)*104729 + int64(q)*7919 + 1))
-		for attempt := 0; f.conns[q] == nil; attempt++ {
-			conn, err := try()
-			if err == nil {
-				f.conns[q] = &wireConn{conn: conn, gone: make(chan struct{}), broken: make(chan struct{})}
-				continue
-			}
-			if errors.Is(err, errs.ErrEpochMismatch) || errors.Is(err, errs.ErrCompressionMismatch) {
+		for attempt := 0; conns[q] == nil; attempt++ {
+			c, err := try(q)
+			switch {
+			case err == nil:
+				conns[q] = c
+			case errors.Is(err, errs.ErrEpochMismatch) || errors.Is(err, errs.ErrCompressionMismatch):
 				return fail(err)
-			}
-			if ctx.Err() == nil && time.Now().Before(deadline) { //parallax:allow(detsource) -- rendezvous retry budget; wall-clock by design
-				if err = (Backoff{}).Wait(ctx, attempt, rng); err == nil {
-					continue
-				}
-			}
-			return fail(fmt.Errorf("transport: process %d dialing peer %d (%s): %w",
-				cfg.Process, q, cfg.Addrs[q],
-				&errs.PeerFailure{Rank: q, Epoch: cfg.Epoch, Cause: cmp.Or(ctx.Err(), err)}))
-		}
-	}
-	// A rendezvous timeout is a peer failure too — some expected agent
-	// never showed up — so it carries the first missing rank and matches
-	// errs.ErrPeerFailed, letting recovery policies treat "died before
-	// connecting" and "died mid-step" uniformly.
-	timeoutErr := func(got int) error {
-		missing := -1
-		for p := cfg.Process + 1; p < procs; p++ {
-			if f.conns[p] == nil {
-				missing = p
-				break
+			case (Backoff{}).Wait(rctx, attempt, rng) != nil:
+				return fail(fmt.Errorf("transport: process %d dialing peer %d (%s): %w",
+					cfg.Process, q, cfg.Addrs[q],
+					&errs.PeerFailure{Rank: q, Epoch: cfg.Epoch, Cause: cmp.Or(ctx.Err(), err)}))
 			}
 		}
-		return fmt.Errorf("transport: process %d timed out waiting for %d peer(s): %w",
-			cfg.Process, nAccept-got,
-			&errs.PeerFailure{Rank: missing, Epoch: cfg.Epoch, Cause: errs.ErrPeerFailed})
 	}
+
+	// Accept up. Every lower peer has reached its own accepts by the time
+	// this process reaches its own, so the dial-down, accept-up order
+	// cannot deadlock. Accept until every higher peer has a connection,
+	// not until nAccept good handshakes: a duplicate connection from a
+	// restarted peer must not eat a genuine peer's slot.
 	for got := 0; got < nAccept; {
-		wait := time.Until(deadline) //parallax:allow(detsource) -- accept-side rendezvous budget; wall-clock by design
-		if wait <= 0 {
-			return fail(timeoutErr(got))
+		c, err := ln.Accept()
+		if err != nil {
+			if ctx.Err() == context.Canceled {
+				return fail(fmt.Errorf("transport: process %d rendezvous aborted: %w", cfg.Process, ctx.Err()))
+			}
+			// A rendezvous timeout is a peer failure too — some expected
+			// agent never showed up — so it carries the first missing rank
+			// and matches errs.ErrPeerFailed, letting recovery policies
+			// treat "died before connecting" and "died mid-step" uniformly.
+			missing := cfg.Process + 1 + slices.IndexFunc(conns[cfg.Process+1:], func(c net.Conn) bool { return c == nil })
+			return fail(fmt.Errorf("transport: process %d timed out waiting for %d peer(s): %w",
+				cfg.Process, nAccept-got,
+				&errs.PeerFailure{Rank: missing, Epoch: cfg.Epoch, Cause: errs.ErrPeerFailed}))
 		}
-		select {
-		case r := <-accCh:
-			if r.err != nil {
-				return fail(r.err)
-			}
-			if f.conns[r.peer] != nil {
-				r.conn.Close() // duplicate from a retrying peer
-				continue
-			}
-			f.conns[r.peer] = &wireConn{conn: r.conn, gone: make(chan struct{}), broken: make(chan struct{})}
+		peer, err := admit(rctx, c, cfg, fingerprint)
+		switch {
+		case err != nil:
+			return fail(err)
+		case peer < 0:
+		case conns[peer] != nil:
+			c.Close() // duplicate from a retrying peer
+		default:
+			conns[peer] = c
 			got++
-		case <-ctx.Done():
-			return fail(fmt.Errorf("transport: process %d rendezvous aborted: %w",
-				cfg.Process, ctx.Err()))
-		case <-time.After(wait): //parallax:allow(detsource) -- accept-side rendezvous budget; wall-clock by design
-			return fail(timeoutErr(got))
 		}
 	}
-	if ln != nil {
-		ln.Close() // all peers connected
-	}
-	for peer, wc := range f.conns {
-		if wc == nil {
+	for peer, c := range conns {
+		if c == nil {
 			continue
 		}
+		wc := &wireConn{conn: c, gone: make(chan struct{}), broken: make(chan struct{})}
+		f.conns[peer] = wc
 		f.readers.Add(1)
 		go f.reader(peer, wc)
 		if f.hbInterval > 0 {
@@ -496,18 +399,62 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 	return f, nil
 }
 
-// readHandshake reads the rendezvous header after the accept loop has
-// consumed (and matched) the 4 magic bytes; the loop armed the read
-// deadline, readHandshake clears it.
+// admit runs the acceptor's side of one handshake on c: it reads the
+// dialer's magic and header and answers with one ack byte. It returns the
+// dialer's process index once c is admitted (ackOK sent); -1 when c is
+// dropped — junk, misrouted, or a peer behind this epoch (answered
+// ackEpoch, it will catch up and redial); and an error when the
+// rendezvous must fail — a peer ahead of this epoch (this process is the
+// stale one and must re-read the cluster epoch) or one under another
+// compression policy (a deployment error). Only an admitted c stays open.
+// A silent dialer holds the accept loop for at most 5 s, and not past the
+// end of ctx.
+func admit(ctx context.Context, c net.Conn, cfg TCPConfig, fingerprint string) (int, error) {
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //parallax:allow(detsource) -- handshake read deadline; connection management, not step control flow
+	peer, peerFP, peerEpoch, err := readHandshake(c)
+	var fatal error
+	switch {
+	case err != nil || peer <= cfg.Process || peer >= len(cfg.Addrs):
+		// junk or misrouted connection
+	case peerEpoch != cfg.Epoch:
+		c.Write([]byte{ackEpoch})
+		if peerEpoch > cfg.Epoch {
+			fatal = fmt.Errorf("transport: process %d at epoch %d, peer %d already at %d: %w",
+				cfg.Process, cfg.Epoch, peer, peerEpoch, errs.ErrEpochMismatch)
+		}
+	case peerFP != fingerprint:
+		c.Write([]byte{ackPolicy})
+		fatal = fmt.Errorf("transport: process %d compression policy %q, peer %d has %q: %w",
+			cfg.Process, fingerprint, peer, peerFP, errs.ErrCompressionMismatch)
+	default:
+		c.SetReadDeadline(time.Time{})
+		if _, err := c.Write([]byte{ackOK}); stop() && err == nil {
+			return peer, nil
+		}
+	}
+	stop()
+	c.Close()
+	return -1, fatal
+}
+
+// readHandshake reads a dialer's rendezvous header: the magic, then the
+// process index, fingerprint length and epoch, then the fingerprint. A
+// foreign magic is an error, read before anything else is waited for.
 func readHandshake(conn net.Conn) (peer int, fp string, epoch int, err error) {
-	defer conn.SetReadDeadline(time.Time{})
-	var hs [8]byte
-	if _, err := io.ReadFull(conn, hs[:]); err != nil {
+	var hs [12]byte
+	if _, err := io.ReadFull(conn, hs[:4]); err != nil {
 		return 0, "", 0, err
 	}
-	peer = int(binary.LittleEndian.Uint16(hs[0:2]))
-	epoch = int(binary.LittleEndian.Uint32(hs[4:8]))
-	raw := make([]byte, binary.LittleEndian.Uint16(hs[2:4]))
+	if [4]byte(hs[:4]) != handshakeMagic {
+		return 0, "", 0, fmt.Errorf("transport: handshake magic %q", hs[:4])
+	}
+	if _, err := io.ReadFull(conn, hs[4:]); err != nil {
+		return 0, "", 0, err
+	}
+	peer = int(binary.LittleEndian.Uint16(hs[4:6]))
+	epoch = int(binary.LittleEndian.Uint32(hs[8:12]))
+	raw := make([]byte, binary.LittleEndian.Uint16(hs[6:8]))
 	if _, err := io.ReadFull(conn, raw); err != nil {
 		return 0, "", 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -204,6 +205,123 @@ func TestTCPDialObservesContextCancel(t *testing.T) {
 		t.Fatal("accept rendezvous ignored the context deadline")
 	}
 	waitGoroutines(t, base)
+}
+
+// TestTCPRendezvousReverseStartOrder: processes dial down and then accept
+// up, so a cluster whose agents start highest index first — every dialer
+// ahead of the peer it dials — still forms, with a connection on every
+// pair.
+func TestTCPRendezvousReverseStartOrder(t *testing.T) {
+	const n = 5
+	topo := Topology{Workers: n, Machines: n, MachineOfWorker: []int{0, 1, 2, 3, 4}}
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for p := range lns {
+		lns[p] = mustListen(t)
+		addrs[p] = lns[p].Addr().String()
+	}
+	fabs := make([]*TCP, n)
+	errsOut := make([]error, n)
+	var wg sync.WaitGroup
+	for p := n - 1; p >= 0; p-- {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			fabs[p], errsOut[p] = DialTCP(context.Background(), TCPConfig{
+				Topo: topo, Process: p, Addrs: addrs, Listener: lns[p], DialTimeout: 10 * time.Second,
+			})
+		}(p)
+		time.Sleep(20 * time.Millisecond)
+	}
+	wg.Wait()
+	for p, err := range errsOut {
+		if err != nil {
+			t.Fatalf("process %d: %v", p, err)
+		}
+		defer fabs[p].Close()
+	}
+	for p := range fabs {
+		for q := range fabs {
+			if q != p {
+				fabs[p].Conduit(p).SendScalar(q, "pair", float64(10*p+q))
+			}
+		}
+	}
+	for p := range fabs {
+		for q := range fabs {
+			if q == p {
+				continue
+			}
+			if v := fabs[p].Conduit(p).RecvScalar(q, "pair"); v != float64(10*q+p) {
+				t.Errorf("process %d got %v from %d, want %d", p, v, q, 10*q+p)
+			}
+		}
+	}
+}
+
+// TestTCPAcceptRunsNoGoroutine: the rendezvous runs on the caller's
+// goroutine, so a process waiting for a peer that never comes adds no
+// goroutine of its own.
+func TestTCPAcceptRunsNoGoroutine(t *testing.T) {
+	ln := mustListen(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := DialTCP(ctx, TCPConfig{
+			Topo: twoMachineTopo(), Process: 0,
+			Addrs:       []string{ln.Addr().String(), "127.0.0.1:1"},
+			Listener:    ln,
+			DialTimeout: 30 * time.Second,
+		})
+		done <- err
+	}()
+	for i := 0; i < 10; i++ {
+		time.Sleep(20 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n > base+1 {
+			t.Errorf("poll %d: %d goroutines while accepting, want at most %d", i, n, base+1)
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTCPSilentConnectionYieldsToCancel: a connection that never sends
+// its handshake holds the accept loop no longer than the rendezvous
+// lasts — a cancel still ends DialTCP at once, and the silent connection
+// is closed with it.
+func TestTCPSilentConnectionYieldsToCancel(t *testing.T) {
+	ln := mustListen(t)
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err = DialTCP(ctx, TCPConfig{
+		Topo: twoMachineTopo(), Process: 0,
+		Addrs:       []string{ln.Addr().String(), "127.0.0.1:1"},
+		Listener:    ln,
+		DialTimeout: 30 * time.Second,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if since := time.Since(start); since > time.Second {
+		t.Fatalf("cancelled rendezvous took %v", since)
+	}
+	silent.SetReadDeadline(time.Now().Add(time.Second))
+	var b [1]byte
+	if _, err := silent.Read(b[:]); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the silent connection outlived the rendezvous")
+	}
 }
 
 func mustListen(t *testing.T) net.Listener {

@@ -296,9 +296,10 @@ type DistConfig struct {
 	// address per machine of the ResourceInfo.
 	Addrs []string
 	// DialTimeout bounds the whole peer rendezvous (agents may start in
-	// any order and retry dials until then). Default 10s. The context
-	// passed to Open tightens this further: its deadline caps the
-	// rendezvous and cancelling it aborts the rendezvous immediately.
+	// any order and retry dials until then), including the redials of an
+	// agent that finds itself behind the cluster's epoch. Default 10s.
+	// The context passed to Open tightens this further: its deadline caps
+	// the rendezvous and cancelling it aborts the rendezvous immediately.
 	DialTimeout time.Duration
 	// Listener optionally supplies a pre-bound listener for
 	// Addrs[Machine] (tests bind ":0" and hand the resolved address to

@@ -21,6 +21,7 @@ package parallax
 //     checkpoint, and the rendezvous completes once all peers arrive.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -98,14 +99,16 @@ var fabricSeam func(transport.Fabric) transport.Fabric
 // tgt.epoch; on ErrEpochMismatch — a restarting agent raced a
 // survivor's epoch bump — it re-reads the epoch recorded in the
 // auto-checkpoint root and retries, paced by the dialer's backoff
-// schedule, until the rendezvous deadline or ctx is done.
+// schedule. One DialTimeout bounds the attempts and the waits between
+// them; once it passes, the last attempt's error is returned.
 func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, int, error) {
 	d := tgt.dist
-	deadline := time.Now().Add(d.DialTimeout)
+	rctx, cancel := context.WithTimeout(ctx, d.DialTimeout)
+	defer cancel()
 	listener := d.Listener
 	epoch := tgt.epoch
 	for attempt := 0; ; attempt++ {
-		tcp, err := transport.DialTCP(ctx, transport.TCPConfig{
+		tcp, err := transport.DialTCP(rctx, transport.TCPConfig{
 			Topo: transport.Topology{
 				Workers:         tgt.resource.TotalGPUs(),
 				Machines:        tgt.resource.NumMachines(),
@@ -114,7 +117,7 @@ func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, 
 			Process:     d.Machine,
 			Addrs:       d.Addrs,
 			Listener:    listener,
-			DialTimeout: time.Until(deadline),
+			DialTimeout: d.DialTimeout,
 			Policy:      cfg.Compression,
 			Epoch:       epoch,
 		})
@@ -125,9 +128,11 @@ func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, 
 			}
 			return fab, epoch, nil
 		}
-		if !errors.Is(err, ErrEpochMismatch) || cfg.AutoCheckpoint.Dir == "" ||
-			time.Now().After(deadline) || ctx.Err() != nil {
+		if !errors.Is(err, ErrEpochMismatch) || cfg.AutoCheckpoint.Dir == "" || rctx.Err() != nil {
 			return nil, 0, err
+		}
+		if (transport.Backoff{}).Wait(rctx, attempt, nil) != nil {
+			return nil, 0, cmp.Or(ctx.Err(), err)
 		}
 		if epoch, err = checkpoint.ReadEpoch(cfg.AutoCheckpoint.Dir); err != nil {
 			return nil, 0, err
@@ -135,9 +140,6 @@ func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, 
 		// The fabric consumed (and closed) the listener; retries rebind
 		// from the address list.
 		listener = nil
-		if err := (transport.Backoff{}).Wait(ctx, attempt, nil); err != nil {
-			return nil, 0, err
-		}
 	}
 }
 
@@ -246,13 +248,11 @@ func (d *stepDriver) recoverable(err error) bool {
 // failure the combined error is surfaced and the session is closed.
 func (d *stepDriver) recover(cause error) error {
 	s := d.s
-	start := time.Now()
 	if err := s.recoverFrom(d.ctx, cause); err != nil {
 		s.Close() // the failed trainer is dead either way
 		return fmt.Errorf("parallax: recovery from peer failure gave up: %v (original failure: %w)", err, cause)
 	}
 	s.recoveries++
-	s.lastRecovery = time.Since(start)
 	return nil
 }
 

@@ -67,6 +67,56 @@ func TestFeedLogTrimAndRewind(t *testing.T) {
 // saves periodically without any Save call; a fresh Open on the same
 // root resumes from the latest complete save, and the continued run
 // matches an uninterrupted one bit for bit.
+// TestDialFabricEpochRetriesStayInsideDialTimeout: a restarting agent
+// that is told its epoch is stale re-reads the root and redials, and
+// one DialTimeout bounds the whole catch-up. Here the cluster's only
+// other member answers the first handshake with the epoch-mismatch ack
+// and then accepts without ever answering; the retry must still end
+// within the 20 ms window (plus slack), not restart the rendezvous's
+// 10 s default.
+func TestDialFabricEpochRetriesStayInsideDialTimeout(t *testing.T) {
+	root := t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addrs := []string{ln.Addr().String(), "127.0.0.1:1"}
+	if err := checkpoint.WriteMembers(root, &checkpoint.Membership{
+		Epoch: 1, Parts: 1, Joiner: -1, Members: []checkpoint.Member{{Addr: addrs[0], GPUs: 1}, {Addr: addrs[1], GPUs: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for i := 0; ; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if i == 0 {
+				c.Write([]byte{2}) // the epoch-mismatch ack
+				c.Close()
+			}
+		}
+	}()
+	tgt := target{
+		resource: Uniform(2, 1),
+		dist:     &DistConfig{Machine: 1, Addrs: addrs, DialTimeout: 20 * time.Millisecond},
+	}
+	start := time.Now()
+	fab, _, err := dialFabric(context.Background(), tgt, Config{AutoCheckpoint: AutoCheckpointSpec{Dir: root}})
+	if fab != nil {
+		fab.Close()
+	}
+	if !errors.Is(err, ErrEpochMismatch) && !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("err = %v, want ErrEpochMismatch or ErrPeerFailed", err)
+	}
+	if since := time.Since(start); since > time.Second {
+		t.Fatalf("a 20ms DialTimeout ran for %v", since)
+	}
+}
+
 func TestSessionAutoCheckpointResume(t *testing.T) {
 	const every, total = 4, 10
 	refLosses, refEmb := runSessionSteps(t, total, momentumOpts()...)

@@ -677,7 +677,9 @@ func (d *stepDriver) run() {
 		st, err := d.advance()
 		if err != nil {
 			if d.recoverable(err) {
+				start := time.Now()
 				if err = d.recover(err); err == nil {
+					s.lastRecovery = time.Since(start)
 					continue
 				}
 			}
