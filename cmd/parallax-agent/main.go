@@ -89,7 +89,6 @@ func main() {
 		"with -elastic and -recover: shed a dead peer by resharding onto the survivors instead of waiting out its restart")
 	leaveAt := flag.Int("leave-at", -1, "request a voluntary departure from the elastic cluster after completing this step (testing/preemption drills)")
 	chaosSpec := flag.String("chaos", "", "fault-injection spec, e.g. kill@17 (internal testing knob; see internal/chaos)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for randomized chaos faults (internal testing knob)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -151,7 +150,7 @@ func main() {
 	}
 	if *join != "" {
 		opts = append(opts, parallax.WithDistConfig(parallax.DistConfig{
-			JoinAddr: *join, DialTimeout: *dialTimeout, Chaos: *chaosSpec, ChaosSeed: *chaosSeed,
+			JoinAddr: *join, DialTimeout: *dialTimeout, Chaos: *chaosSpec,
 		}))
 	} else if *addrs != "" {
 		list := strings.Split(*addrs, ",")
@@ -159,8 +158,7 @@ func main() {
 			log.Fatalf("-machine %d out of range for %d addresses", *machine, len(list))
 		}
 		opts = append(opts, parallax.WithDistConfig(parallax.DistConfig{
-			Machine: *machine, Addrs: list, DialTimeout: *dialTimeout,
-			Chaos: *chaosSpec, ChaosSeed: *chaosSeed,
+			Machine: *machine, Addrs: list, DialTimeout: *dialTimeout, Chaos: *chaosSpec,
 		}))
 	} else if *machine >= 0 {
 		log.Fatal("-machine requires -addrs")

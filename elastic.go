@@ -46,7 +46,7 @@ import (
 // memberRounds reports whether this session contributes membership
 // proposals to the step-boundary control word.
 func (s *Session) memberRounds() bool {
-	return s.cfg.Elastic && s.dist != nil && s.cfg.AutoCheckpoint.Dir != "" && !s.closed.Load()
+	return s.cfg.Elastic && s.dist != nil && !s.closed.Load()
 }
 
 // localProposal decides what this agent contributes to the boundary's
@@ -59,7 +59,7 @@ func (s *Session) localProposal() (float64, error) {
 	cur := s.currentMembers()
 	rec := &checkpoint.Membership{
 		Epoch: s.epoch + 1, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
-		Parts: s.parts, Joiner: -1,
+		Parts: s.decision.P, Joiner: -1,
 	}
 	kind := proposeLeave
 	if s.leaving.Load() {
@@ -210,7 +210,7 @@ func (s *Session) resave(dir string) error {
 func (s *Session) redial() *DistConfig {
 	dc := *s.dist
 	dc.Listener = nil
-	dc.DialTimeout = s.cfg.Recovery.RedialTimeout
+	dc.DialTimeout = redialTimeout
 	return &dc
 }
 
@@ -242,12 +242,6 @@ func (t *target) place(m *checkpoint.Membership, addr string) error {
 // up (ctx done, DialTimeout passed) withdraws its request.
 func awaitAdmission(ctx context.Context, resource ResourceInfo, cfg Config) (target, string, error) {
 	d, root := cfg.Dist, cfg.AutoCheckpoint.Dir
-	if !cfg.Elastic {
-		return target{}, "", fmt.Errorf("parallax: DistConfig.JoinAddr requires WithElastic")
-	}
-	if root == "" {
-		return target{}, "", fmt.Errorf("parallax: joining requires WithAutoCheckpoint on the cluster's shared root")
-	}
 	if err := resource.Validate(); err != nil {
 		return target{}, "", err
 	}
@@ -302,7 +296,7 @@ func awaitAdmission(ctx context.Context, resource ResourceInfo, cfg Config) (tar
 				return target{}, "", ctx.Err()
 			}
 		}
-		_ = transport.Backoff{}.Wait(ctx, attempt, nil) // a done ctx is handled above
+		_ = transport.Backoff(ctx, attempt, nil) // a done ctx is handled above
 	}
 }
 
@@ -350,7 +344,7 @@ func (s *Session) currentMembers() *checkpoint.Membership {
 	}
 	return &checkpoint.Membership{
 		Epoch: s.epoch, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
-		Parts: s.parts, Joiner: -1, Members: members,
+		Parts: s.decision.P, Joiner: -1, Members: members,
 	}
 }
 
@@ -384,8 +378,8 @@ func (s *Session) Leave() error {
 	if s.closed.Load() {
 		return fmt.Errorf("parallax: leave on %w session", ErrClosed)
 	}
-	if !s.cfg.Elastic || s.cfg.Dist == nil || s.cfg.AutoCheckpoint.Dir == "" {
-		return fmt.Errorf("parallax: Leave requires WithElastic, WithDistConfig, and WithAutoCheckpoint")
+	if !s.cfg.Elastic || s.cfg.Dist == nil {
+		return fmt.Errorf("parallax: Leave requires WithElastic and WithDistConfig")
 	}
 	s.leaving.Store(true)
 	return nil

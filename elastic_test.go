@@ -74,7 +74,7 @@ func elasticOpts(root string) []Option {
 	return append(momentumOpts(),
 		WithAutoCheckpoint(root, 4),
 		WithElastic(),
-		WithRecovery(RecoveryPolicy{Enabled: true, RedialTimeout: 30 * time.Second}))
+		WithRecovery(RecoveryPolicy{Enabled: true}))
 }
 
 type elasticResult struct {
@@ -280,7 +280,6 @@ func TestSessionElasticLeaveTCP(t *testing.T) {
 	sessions, _ := elasticTCPCluster(t, 3, func(p int, dc *DistConfig) []Option {
 		if p == 2 {
 			dc.Chaos = "leave@5:2"
-			dc.ChaosSeed = 1
 		}
 		return elasticOpts(root)
 	})
@@ -361,12 +360,11 @@ func TestSessionElasticShrinkOnKillTCP(t *testing.T) {
 	sessions, _ := elasticTCPCluster(t, 3, func(p int, dc *DistConfig) []Option {
 		if p == 2 {
 			dc.Chaos = "kill@6"
-			dc.ChaosSeed = 1
 		}
 		return append(momentumOpts(),
 			WithAutoCheckpoint(root, 4),
 			WithElastic(),
-			WithRecovery(RecoveryPolicy{Enabled: true, AllowShrink: true, RedialTimeout: 30 * time.Second}))
+			WithRecovery(RecoveryPolicy{Enabled: true, AllowShrink: true}))
 	})
 
 	res := make([]elasticResult, 3)
@@ -439,12 +437,11 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 	sessions := recoveryTCPPair(t, func(p int, dc *DistConfig) []Option {
 		if p == 1 {
 			dc.Chaos = "kill@6"
-			dc.ChaosSeed = 1
 		}
 		return append(momentumOpts(),
 			WithAutoCheckpoint(root, every),
 			WithElastic(),
-			WithRecovery(RecoveryPolicy{Enabled: true, RedialTimeout: 30 * time.Second}))
+			WithRecovery(RecoveryPolicy{Enabled: true}))
 	})
 
 	res := [2]elasticResult{}
@@ -889,7 +886,7 @@ func TestSessionElasticFabricKeepsNoListener(t *testing.T) {
 	staticRoot, root := t.TempDir(), t.TempDir()
 	static, _ := elasticTCPCluster(t, 2, func(int, *DistConfig) []Option {
 		return append(momentumOpts(), WithAutoCheckpoint(staticRoot, 4),
-			WithRecovery(RecoveryPolicy{Enabled: true, RedialTimeout: 30 * time.Second}))
+			WithRecovery(RecoveryPolicy{Enabled: true}))
 	})
 	want := settledStarts()
 	closeInTurn(static...)

@@ -8,7 +8,7 @@
 // Faults are step-indexed, never timer-driven: the session calls Step
 // with each step index and its live fabric before the step's first
 // exchange, and the injector fires exactly there. Two runs with the
-// same spec and seed inject byte-identical fault schedules.
+// same spec inject byte-identical fault schedules.
 //
 // Spec grammar (comma-separated faults):
 //
@@ -23,7 +23,7 @@
 //	                auto-checkpoint at step K
 //	crash-after-save@K    hard-exit just after writing it
 //	delay@K:D       sleep duration D once, before step K (e.g. 50ms)
-//	slow@K:D        from step K on, sleep a seed-jittered duration around
+//	slow@K:D        from step K on, sleep a jittered duration around
 //	                D before every step (slow-peer throttling)
 //	join@K          fire the OnJoin hook once at step K — the harness's
 //	                cue to launch a joining agent against the elastic
@@ -93,10 +93,10 @@ type Injector struct {
 	OnLeave func(step, machine int)
 }
 
-// Parse builds an injector from a fault spec. The seed drives the
-// jitter of slow-peer throttling; everything else is exact.
-func Parse(spec string, seed int64) (*Injector, error) {
-	inj := &Injector{rng: rand.New(rand.NewSource(seed)), Exit: os.Exit}
+// Parse builds an injector from a fault spec. Slow-peer jitter draws
+// from a fixed seed (1); everything else is exact.
+func Parse(spec string) (*Injector, error) {
+	inj := &Injector{rng: rand.New(rand.NewSource(1)), Exit: os.Exit}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -181,7 +181,7 @@ func (inj *Injector) Step(step int, fab transport.Fabric) {
 		}
 	}
 	// Draw slow-peer jitter under the lock so the schedule is a pure
-	// function of (spec, seed, step sequence).
+	// function of (spec, step sequence).
 	var naps []time.Duration
 	for _, ft := range fire {
 		switch ft.Kind {

@@ -30,7 +30,7 @@ func TestParseSpecs(t *testing.T) {
 		"  kill@1 , crash@2  ",
 	}
 	for _, spec := range good {
-		if _, err := Parse(spec, 1); err != nil {
+		if _, err := Parse(spec); err != nil {
 			t.Errorf("Parse(%q) = %v, want ok", spec, err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestParseSpecs(t *testing.T) {
 		"join@x",          // bad step
 	}
 	for _, spec := range bad {
-		if _, err := Parse(spec, 1); err == nil {
+		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
 	}
@@ -59,7 +59,7 @@ func TestParseSpecs(t *testing.T) {
 // A kill must record a rank-attributed ErrPeerFailed on the fabric —
 // the in-process one included — and tear it down.
 func TestKillAttributesAndCloses(t *testing.T) {
-	inj, err := Parse("kill@2", 1)
+	inj, err := Parse("kill@2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestKillAttributesAndCloses(t *testing.T) {
 // crash faults call the injector's Exit hook (os.Exit in production,
 // recorded here) with status 137.
 func TestCrashCallsExit(t *testing.T) {
-	inj, err := Parse("crash@3", 1)
+	inj, err := Parse("crash@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCrashCallsExit(t *testing.T) {
 // crash-before-save / crash-after-save fire through the checkpoint
 // hooks, not Step, and each fires exactly once.
 func TestCrashAroundSaveHooks(t *testing.T) {
-	inj, err := Parse("crash-before-save@10,crash-after-save@20", 1)
+	inj, err := Parse("crash-before-save@10,crash-after-save@20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCrashAroundSaveHooks(t *testing.T) {
 // fresh fabric after recovery and the replayed steps pass its index a
 // second time.
 func TestFiredFaultsSurviveRewrap(t *testing.T) {
-	inj, err := Parse("kill@2", 1)
+	inj, err := Parse("kill@2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFiredFaultsSurviveRewrap(t *testing.T) {
 // the right arguments, and never mark the fabric failed — membership
 // churn is not a fault in the failure-attribution sense.
 func TestJoinLeaveHooksFireOnce(t *testing.T) {
-	inj, err := Parse("join@2,leave@4:1", 1)
+	inj, err := Parse("join@2,leave@4:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestJoinLeaveHooksFireOnce(t *testing.T) {
 // Nil hooks are legal: an agent without an elastic harness parses and
 // runs a join/leave spec as a no-op instead of panicking.
 func TestJoinLeaveNilHooks(t *testing.T) {
-	inj, err := Parse("join@1,leave@1:0", 1)
+	inj, err := Parse("join@1,leave@1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +233,9 @@ func TestJoinLeaveNilHooks(t *testing.T) {
 }
 
 // delay and slow faults only sleep — the schedule is deterministic in
-// (spec, seed), and neither marks the fabric failed.
+// the spec, and neither marks the fabric failed.
 func TestDelayAndSlowDoNotFail(t *testing.T) {
-	inj, err := Parse("delay@1:1ms,slow@2:1ms", 7)
+	inj, err := Parse("delay@1:1ms,slow@2:1ms")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,23 +26,28 @@ import (
 )
 
 // Arch selects the overall training architecture. The four values match
-// the systems compared in Table 4.
+// the systems compared in Table 4; Parallax's default, ArchHybrid, is
+// the zero value.
 type Arch int
 
 const (
+	// ArchHybrid is Parallax's default: AllReduce for dense variables,
+	// optimized PS for sparse variables.
+	ArchHybrid Arch = iota
 	// ArchAR synchronizes everything with collectives (Horovod): AllReduce
 	// for dense gradients, AllGatherv for sparse ones.
-	ArchAR Arch = iota
+	ArchAR
 	// ArchNaivePS synchronizes everything through parameter servers with
 	// per-worker pull/push and no local aggregation (TF-PS).
 	ArchNaivePS
 	// ArchOptPS is Parallax's optimized PS: local aggregation and smart
 	// operation placement, still PS for all variables.
 	ArchOptPS
-	// ArchHybrid is Parallax's default: AllReduce for dense variables,
-	// optimized PS for sparse variables.
-	ArchHybrid
 )
+
+// Optimized reports whether the architecture gets §4.3's local
+// aggregation and smart placement: OptPS and Hybrid, not the baselines.
+func (a Arch) Optimized() bool { return a == ArchOptPS || a == ArchHybrid }
 
 func (a Arch) String() string {
 	switch a {

@@ -66,14 +66,13 @@ func FastForward(ds Dataset, cursor int64) error {
 // ZipfText generates token batches with Zipf-distributed ids over a fixed
 // vocabulary: rank-r word has probability ∝ 1/(r+q)^s.
 type ZipfText struct {
-	vocab     int
-	batch     int
-	seqLen    int
-	rng       *tensor.RNG
-	cum       []float64 // cumulative distribution over vocabulary ranks
-	perm      []int     // rank -> token id shuffle, so hot ids are spread out
-	drawn     int64     // batches drawn (the resume cursor)
-	labelSkew bool
+	vocab  int
+	batch  int
+	seqLen int
+	rng    *tensor.RNG
+	cum    []float64 // cumulative distribution over vocabulary ranks
+	perm   []int     // rank -> token id shuffle, so hot ids are spread out
+	drawn  int64     // batches drawn (the resume cursor)
 }
 
 // NewZipfText creates a generator: batch sentences of seqLen words each,

@@ -27,7 +27,7 @@ func RunArch(spec *models.Spec, arch core.Arch, machines, gpus, parts int, hw cl
 		Arch:             arch,
 		NumMachines:      machines,
 		SparsePartitions: parts,
-		SmartPlacement:   arch == core.ArchOptPS || arch == core.ArchHybrid,
+		SmartPlacement:   arch.Optimized(),
 	})
 	if err != nil {
 		return Result{}, err
@@ -38,6 +38,6 @@ func RunArch(spec *models.Spec, arch core.Arch, machines, gpus, parts int, hw cl
 		Machines:         machines,
 		GPUsPerMachine:   gpus,
 		HW:               hw,
-		LocalAggregation: arch == core.ArchOptPS || arch == core.ArchHybrid,
+		LocalAggregation: arch.Optimized(),
 	})
 }

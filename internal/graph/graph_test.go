@@ -70,9 +70,6 @@ func TestGradKindClassification(t *testing.T) {
 			t.Fatalf("%s grad kind = %v, want dense", name, k)
 		}
 	}
-	if len(g.SparseVariables()) != 1 || len(g.DenseVariables()) != 3 {
-		t.Fatalf("sparse=%d dense=%d", len(g.SparseVariables()), len(g.DenseVariables()))
-	}
 }
 
 func TestMixedUseVariableIsDense(t *testing.T) {

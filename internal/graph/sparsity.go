@@ -77,27 +77,3 @@ func (g *Graph) GatherInputs(v *Variable) []*Node {
 	}
 	return ins
 }
-
-// DenseVariables returns variables with dense gradients, in declaration
-// order.
-func (g *Graph) DenseVariables() []*Variable {
-	var out []*Variable
-	for _, v := range g.vars {
-		if g.GradKind(v) == GradDense {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// SparseVariables returns variables with sparse gradients, in declaration
-// order.
-func (g *Graph) SparseVariables() []*Variable {
-	var out []*Variable
-	for _, v := range g.vars {
-		if g.GradKind(v) == GradSparse {
-			out = append(out, v)
-		}
-	}
-	return out
-}

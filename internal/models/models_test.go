@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"parallax/internal/graph"
@@ -107,34 +108,37 @@ func TestConstructedLMAlphaSweepsModelAlpha(t *testing.T) {
 }
 
 func TestTinyModelsBuildAndClassify(t *testing.T) {
-	lm := BuildTinyLM(DefaultTinyLM())
-	if err := lm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lm.SparseVariables()) != 1 || len(lm.DenseVariables()) != 3 {
-		t.Fatalf("TinyLM sparse=%d dense=%d", len(lm.SparseVariables()), len(lm.DenseVariables()))
-	}
-
-	nmt := BuildTinyNMT(DefaultTinyNMT())
-	if err := nmt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(nmt.SparseVariables()) != 2 {
-		t.Fatalf("TinyNMT sparse vars = %d, want 2", len(nmt.SparseVariables()))
-	}
-	// Both embeddings share one partitioner scope (Fig. 3).
-	for _, v := range nmt.SparseVariables() {
-		if v.PartitionScope != 0 {
-			t.Fatalf("%s scope = %d, want 0", v.Name, v.PartitionScope)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		// sparse names the variables with sparse gradients, all declared in
+		// partitioner scope 0 (Fig. 3); every other variable is dense.
+		sparse []string
+	}{
+		{"TinyLM", BuildTinyLM(DefaultTinyLM()), []string{"embedding"}},
+		{"TinyNMT", BuildTinyNMT(DefaultTinyNMT()), []string{"emb_enc", "emb_dec"}},
+		{"TinyMLP", BuildTinyMLP(DefaultTinyMLP()), nil},
+	} {
+		if err := tc.g.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-
-	mlp := BuildTinyMLP(DefaultTinyMLP())
-	if err := mlp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(mlp.SparseVariables()) != 0 {
-		t.Fatal("TinyMLP must be dense-only")
+		found := 0
+		for _, v := range tc.g.Variables() {
+			want := graph.GradDense
+			if slices.Contains(tc.sparse, v.Name) {
+				want = graph.GradSparse
+				found++
+				if v.PartitionScope != 0 {
+					t.Errorf("%s %s: scope = %d, want 0", tc.name, v.Name, v.PartitionScope)
+				}
+			}
+			if k := tc.g.GradKind(v); k != want {
+				t.Errorf("%s %s: grad kind = %v, want %v", tc.name, v.Name, k, want)
+			}
+		}
+		if found != len(tc.sparse) {
+			t.Errorf("%s: %d of the sparse variables %v declared", tc.name, found, tc.sparse)
+		}
 	}
 }
 

@@ -77,13 +77,12 @@ type Job struct {
 	Demand cluster.Demand
 	seq    int // admission order, for FIFO-within-tenant
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on step append and state change
-	state     State
-	err       string
-	steps     []StepEvent
-	stepCount int // session StepCount at last observation
-	cancel    context.CancelFunc
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast on step append and state change
+	state  State
+	err    string
+	steps  []StepEvent
+	cancel context.CancelFunc
 
 	submitted time.Time
 	started   time.Time
@@ -147,11 +146,10 @@ func (j *Job) finish(s State, err error, finalLoss float64, finalBits uint64) {
 }
 
 // observe appends one completed step to the history.
-func (j *Job) observe(ev StepEvent, sessionSteps int) {
+func (j *Job) observe(ev StepEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.steps = append(j.steps, ev)
-	j.stepCount = sessionSteps
 	j.cond.Broadcast()
 }
 

@@ -297,7 +297,7 @@ func (s *Service) run(ctx context.Context, j *Job) {
 		stats.Observe(st)
 		s.met.observeStep(j, st)
 		s.met.observeSession(j, sess.Epoch(), sess.Recoveries())
-		j.observe(stepEvent(st), sess.StepCount())
+		j.observe(stepEvent(st))
 		s.answerCheckpoints(j, sess)
 		if st.Step >= spec.Steps-1 {
 			break

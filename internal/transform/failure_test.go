@@ -183,7 +183,7 @@ func TestInprocKillMidStep(t *testing.T) {
 	ri := cluster.Uniform(2, 2)
 	g := models.BuildTinyLM(cfg)
 	topo := transport.Topology{Workers: 4, Machines: 2, MachineOfWorker: ri.WorkerMachines()}
-	inj, err := chaos.Parse("kill@2", 1)
+	inj, err := chaos.Parse("kill@2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,11 +214,12 @@ func TestAllReplicasAgreeOnARVariables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, v := range g.DenseVariables() {
-		ref := tr.local[0].exec.VarValue(v.Name)
+	// TinyLM's dense variables, the ones the hybrid plan all-reduces.
+	for _, name := range []string{"lstm/kernel", "lstm/bias", "softmax/kernel"} {
+		ref := tr.local[0].exec.VarValue(name)
 		for w := 1; w < 3; w++ {
-			if tr.local[w].exec.VarValue(v.Name).MaxAbsDiff(ref) > 1e-6 {
-				t.Errorf("replica %d variable %s out of sync", w, v.Name)
+			if tr.local[w].exec.VarValue(name).MaxAbsDiff(ref) > 1e-6 {
+				t.Errorf("replica %d variable %s out of sync", w, name)
 			}
 		}
 	}

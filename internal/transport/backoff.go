@@ -18,14 +18,10 @@ const (
 	backoffJitter = 0.2
 )
 
-// Backoff is the capped exponential retry schedule with jitter that every
-// retry loop waits on: the rendezvous dialer, the session's epoch
-// re-read, and a joiner's wait for admission.
-type Backoff struct{}
-
-// delay returns the sleep before retry attempt k (0-based). rng may be
-// nil, which disables jitter (used by tests pinning the raw schedule).
-func (Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
+// backoffDelay returns the sleep before retry attempt k (0-based). rng
+// may be nil, which disables jitter (used by tests pinning the raw
+// schedule).
+func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
 	d := backoffBase
 	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
@@ -37,9 +33,12 @@ func (Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// Wait sleeps out attempt k's delay, or returns ctx's error once done.
-func (b Backoff) Wait(ctx context.Context, attempt int, rng *rand.Rand) error {
-	t := time.NewTimer(b.delay(attempt, rng))
+// Backoff sleeps out retry attempt k's delay on the capped exponential
+// schedule with jitter that every retry loop waits on — the rendezvous
+// dialer, the session's epoch re-read, and a joiner's wait for
+// admission — or returns ctx's error once done.
+func Backoff(ctx context.Context, attempt int, rng *rand.Rand) error {
+	t := time.NewTimer(backoffDelay(attempt, rng))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

@@ -343,7 +343,7 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 				conns[q] = c
 			case errors.Is(err, errs.ErrEpochMismatch) || errors.Is(err, errs.ErrCompressionMismatch):
 				return fail(err)
-			case (Backoff{}).Wait(rctx, attempt, rng) != nil:
+			case Backoff(rctx, attempt, rng) != nil:
 				return fail(fmt.Errorf("transport: process %d dialing peer %d (%s): %w",
 					cfg.Process, q, cfg.Addrs[q],
 					&errs.PeerFailure{Rank: q, Epoch: cfg.Epoch, Cause: cmp.Or(ctx.Err(), err)}))

@@ -8,26 +8,38 @@ package parallax
 //
 // The options compose left to right, so later options win.
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Option configures a Session being opened.
 type Option func(*Config)
 
-// resolveConfig folds the options into a Config and resolves every
-// documented default, so no use site carries a fallback of its own.
-func resolveConfig(opts []Option) Config {
+// resolveConfig folds the options into a Config, resolves every
+// documented default and refuses every combination the docs forbid, so
+// no use site carries a fallback or a re-check of its own.
+func resolveConfig(opts []Option) (Config, error) {
 	var cfg Config
 	for _, o := range opts {
 		o(&cfg)
+	}
+	root := cfg.AutoCheckpoint.Dir
+	switch {
+	case cfg.Recovery.Enabled && root == "":
+		return Config{}, fmt.Errorf("parallax: WithRecovery requires WithAutoCheckpoint")
+	case cfg.Recovery.AllowShrink && !cfg.Recovery.Enabled:
+		return Config{}, fmt.Errorf("parallax: RecoveryPolicy.AllowShrink requires Enabled")
+	case cfg.Dist != nil && cfg.Dist.JoinAddr != "" && !cfg.Elastic:
+		return Config{}, fmt.Errorf("parallax: DistConfig.JoinAddr requires WithElastic")
+	case cfg.Dist != nil && cfg.Elastic && root == "":
+		return Config{}, fmt.Errorf("parallax: WithElastic on a distributed session requires WithAutoCheckpoint on the cluster's shared root")
 	}
 	if cfg.NewOptimizer == nil {
 		cfg.NewOptimizer = func() Optimizer { return NewSGD(0.1) }
 	}
 	if cfg.AutoCheckpoint.EveryN <= 0 {
 		cfg.AutoCheckpoint.EveryN = 10
-	}
-	if cfg.Recovery.RedialTimeout <= 0 {
-		cfg.Recovery.RedialTimeout = 2 * time.Minute
 	}
 	if cfg.Dist != nil {
 		dc := *cfg.Dist // the option's struct may be shared across Opens
@@ -36,12 +48,12 @@ func resolveConfig(opts []Option) Config {
 			if dc.JoinAddr != "" {
 				// A joiner waits for a step boundary to admit it — the same
 				// kind of wait as a re-rendezvous.
-				dc.DialTimeout = cfg.Recovery.RedialTimeout
+				dc.DialTimeout = redialTimeout
 			}
 		}
 		cfg.Dist = &dc
 	}
-	return cfg
+	return cfg, nil
 }
 
 // WithArch selects the training architecture (default Hybrid).
@@ -100,11 +112,12 @@ func WithAutoCheckpoint(dir string, everyN int) Option {
 // depart voluntarily with Session.Leave, and — with
 // RecoveryPolicy.AllowShrink — the cluster sheds a dead machine instead
 // of waiting for its restart. Transitions happen at step boundaries and
-// move state through the auto-checkpoint root, so WithAutoCheckpoint is
-// required. WithElastic also unlocks cross-topology restores: a
-// checkpoint written at one machine count opens at another through the
-// resharding path (without it, OpenFromCheckpoint hard-rejects the
-// mismatch with ErrTopologyMismatch).
+// move state through the auto-checkpoint root, so Open refuses a
+// distributed WithElastic without WithAutoCheckpoint. WithElastic also
+// unlocks cross-topology restores: a checkpoint written at one machine
+// count opens at another through the resharding path (without it,
+// OpenFromCheckpoint hard-rejects the mismatch with
+// ErrTopologyMismatch).
 func WithElastic() Option { return func(c *Config) { c.Elastic = true } }
 
 // WithRecovery installs the failure-recovery policy (DESIGN.md §12):
@@ -114,8 +127,9 @@ func WithElastic() Option { return func(c *Config) { c.Elastic = true } }
 // bit-identically instead of yielding ErrPeerFailed. Steps recovers in
 // place (it keeps the feed log the replay draws from); StepsFeeds owns
 // its feed source and surfaces ErrPeerFailed. Requires
-// WithAutoCheckpoint. WithRecovery(RecoveryPolicy{Enabled: true})
-// selects the defaults (3 recoveries, 2-minute redial window).
+// WithAutoCheckpoint: Open refuses an enabled policy without it.
+// Every recovery allows 2 minutes for the re-rendezvous, and a session
+// survives at most 3 recoveries.
 func WithRecovery(policy RecoveryPolicy) Option {
 	return func(c *Config) { c.Recovery = policy }
 }

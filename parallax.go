@@ -137,34 +137,20 @@ func Shard(d Dataset, w, n int) Dataset { return data.NewShard(d, w, n) }
 // Arch selects the training architecture; the zero value (Hybrid) is
 // Parallax's sparsity-aware default. The alternatives exist for baselines
 // and experiments.
-type Arch int
+type Arch = core.Arch
 
 // Architectures.
 const (
 	// Hybrid uses AllReduce for dense variables and parameter servers for
 	// sparse ones (the paper's contribution).
-	Hybrid Arch = iota
+	Hybrid = core.ArchHybrid
 	// AllReduceOnly forces collectives for everything (Horovod-style).
-	AllReduceOnly
+	AllReduceOnly = core.ArchAR
 	// PSOnly forces naive parameter servers for everything (TF-PS-style).
-	PSOnly
+	PSOnly = core.ArchNaivePS
 	// OptimizedPS forces Parallax's optimized parameter servers.
-	OptimizedPS
+	OptimizedPS = core.ArchOptPS
 )
-
-// coreArch maps the public architecture to the planner's.
-func (a Arch) coreArch() core.Arch {
-	switch a {
-	case AllReduceOnly:
-		return core.ArchAR
-	case PSOnly:
-		return core.ArchNaivePS
-	case OptimizedPS:
-		return core.ArchOptPS
-	default:
-		return core.ArchHybrid
-	}
-}
 
 // Config is the ParallaxConfig of §4.1: the optional knobs the Options
 // set, one field each; the zero value is a sensible default (hybrid
@@ -219,18 +205,21 @@ type Config struct {
 	// Recovery lets a distributed session survive a peer agent's failure:
 	// on ErrPeerFailed the survivors re-rendezvous at the next fabric
 	// epoch, restore the latest complete auto-checkpoint, and continue the
-	// Steps iterator bit-identically. Requires AutoCheckpoint. The zero
-	// value (disabled) surfaces the failure as a step error instead.
+	// Steps iterator bit-identically. Open refuses it without
+	// AutoCheckpoint. The zero value (disabled) surfaces the failure as a
+	// step error instead.
 	Recovery RecoveryPolicy
 	// Elastic enables elastic cluster membership (DESIGN.md §14): a new
 	// agent started with DistConfig.JoinAddr is admitted into the
 	// running cluster at a step boundary, and departures — voluntary
 	// (Session.Leave) or crash-driven (Recovery.AllowShrink) — reshard
 	// the departing machine's parameter-server state onto the survivors
-	// without a restart. Requires AutoCheckpoint (transitions hand state
-	// between topologies through the checkpoint root); it also relaxes
-	// OpenFromCheckpoint's topology check so a checkpoint from one
-	// machine count restores onto another via the resharding path.
+	// without a restart. Open refuses it on a distributed session without
+	// AutoCheckpoint (transitions hand state between topologies through
+	// the checkpoint root). It also relaxes OpenFromCheckpoint's topology
+	// check, in one process too, where it needs no root: a checkpoint
+	// from one machine count restores onto another via the resharding
+	// path (and Session.Resize reshards in place).
 	Elastic bool
 }
 
@@ -261,13 +250,12 @@ type AutoCheckpointSpec struct {
 // is yielded exactly once; replayed steps after the restore point are
 // suppressed). The failed agent rejoins the same way: its supervisor
 // restarts it with the same flags, it reads the epoch from MEMBERS,
-// and the rendezvous completes.
+// and the rendezvous completes. Each re-rendezvous allows 2 minutes,
+// and a session survives at most 3 recoveries.
 type RecoveryPolicy struct {
-	// Enabled turns recovery on; requires AutoCheckpoint and Dist.
+	// Enabled turns recovery on for a distributed session; Open refuses
+	// it without AutoCheckpoint.
 	Enabled bool
-	// RedialTimeout bounds the re-rendezvous after a failure — it must
-	// outlast the failed agent's restart. <= 0 defaults to 2 minutes.
-	RedialTimeout time.Duration
 	// AllowShrink, with Config.Elastic, changes what happens when a peer
 	// fails and does not come back: instead of re-dialing the same
 	// topology and waiting for a restart, the survivors agree on a
@@ -277,7 +265,7 @@ type RecoveryPolicy struct {
 	// rather than dead, fails fast instead of recovering in place. The
 	// post-shrink loss trajectory necessarily diverges from the
 	// uninterrupted run (a machine's workers vanished), but every step is
-	// still yielded exactly once.
+	// still yielded exactly once. Open refuses it without Enabled.
 	AllowShrink bool
 }
 
@@ -315,17 +303,16 @@ type DistConfig struct {
 	// shard of the training state from the root, and enters the
 	// collective at the agreed step. No member's address is needed.
 	// Requires Config.Elastic and AutoCheckpoint on the shared root;
-	// DialTimeout (default: Recovery.RedialTimeout) bounds the wait.
+	// DialTimeout (default 2 minutes, the recovery redial window) bounds
+	// the wait.
 	// Machine and Addrs are ignored (the MEMBERS record assigns them).
 	JoinAddr string
 	// Chaos arms the deterministic fault-injection harness on this
 	// agent's fabric (internal/chaos): a comma-separated fault spec such
 	// as "kill@17" or "delay@5:50ms". Testing/CI knob — not for
-	// production use; see the chaos package for the grammar.
+	// production use; see the chaos package for the grammar (slow-peer
+	// jitter draws from a fixed seed, so every run replays the schedule).
 	Chaos string
-	// ChaosSeed seeds the jitter source of randomized chaos faults
-	// (slow-peer throttling). Step-indexed faults ignore it.
-	ChaosSeed int64
 }
 
 // MeasureAlpha estimates the α a dataset induces on a vocabulary of the

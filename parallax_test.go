@@ -3,6 +3,7 @@ package parallax
 import (
 	"context"
 	"math"
+	"net"
 	"strings"
 	"testing"
 
@@ -144,6 +145,39 @@ func TestOpenValidations(t *testing.T) {
 	g2 := buildAPIModel(2, 10)
 	if _, err := Open(context.Background(), g2, ResourceInfo{}); err == nil {
 		t.Fatal("empty resources must fail")
+	}
+
+	// Option combinations the docs forbid are refused before any runtime
+	// exists, instead of opening a session that ignores them. The
+	// distributed case is one machine on a pre-bound listener, which
+	// rendezvouses with no peer.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	solo := DistConfig{Addrs: []string{ln.Addr().String()}, Listener: ln}
+	root := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want string
+	}{
+		{"unknown architecture", []Option{WithArch(Arch(99))}, "unknown arch"},
+		{"recovery without auto-checkpoint", []Option{WithRecovery(RecoveryPolicy{Enabled: true})},
+			"WithRecovery requires WithAutoCheckpoint"},
+		{"shrink without recovery", []Option{WithAutoCheckpoint(root, 4), WithRecovery(RecoveryPolicy{AllowShrink: true})},
+			"AllowShrink requires Enabled"},
+		{"distributed elastic without auto-checkpoint", []Option{WithElastic(), WithDistConfig(solo)},
+			"requires WithAutoCheckpoint"},
+	} {
+		s, err := Open(context.Background(), g2, Uniform(1, 1), tc.opts...)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: Open succeeded", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

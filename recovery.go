@@ -131,7 +131,7 @@ func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, 
 		if !errors.Is(err, ErrEpochMismatch) || cfg.AutoCheckpoint.Dir == "" || rctx.Err() != nil {
 			return nil, 0, err
 		}
-		if (transport.Backoff{}).Wait(rctx, attempt, nil) != nil {
+		if transport.Backoff(rctx, attempt, nil) != nil {
 			return nil, 0, cmp.Or(ctx.Err(), err)
 		}
 		if epoch, err = checkpoint.ReadEpoch(cfg.AutoCheckpoint.Dir); err != nil {
@@ -152,7 +152,7 @@ func dialFabric(ctx context.Context, tgt target, cfg Config) (transport.Fabric, 
 // one verifyJoin per fabric generation, keeping the collective schedule
 // aligned.
 func (s *Session) verifyJoin() error {
-	if s.dist == nil || !s.cfg.Recovery.Enabled || s.cfg.AutoCheckpoint.Dir == "" {
+	if s.dist == nil || !s.cfg.Recovery.Enabled {
 		return nil
 	}
 	step := s.trainer.StepCount()
@@ -210,8 +210,9 @@ func (s *Session) maybeAutoSave() error {
 }
 
 // maxRecoveries bounds how many failures one session survives before
-// giving up and surfacing the error.
-const maxRecoveries = 3
+// giving up and surfacing the error; redialTimeout bounds each
+// re-rendezvous, which must outlast a failed agent's restart.
+const maxRecoveries, redialTimeout = 3, 2 * time.Minute
 
 // recoverable reports whether the driver should attempt in-place
 // recovery for err rather than surfacing it.
@@ -223,7 +224,7 @@ func (d *stepDriver) recoverable(err error) bool {
 	// Recovery replays the steps since the restore point from the feed
 	// log, which only Steps keeps (StepsFeeds owns its feed source and
 	// surfaces the failure).
-	if s.dist == nil || !s.cfg.Recovery.Enabled || s.cfg.AutoCheckpoint.Dir == "" || s.replay == nil {
+	if s.dist == nil || !s.cfg.Recovery.Enabled || s.replay == nil {
 		return false
 	}
 	// Under an elastic shrink policy a self-attributed failure is

@@ -222,11 +222,10 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	sessions := recoveryTCPPair(t, func(p int, dc *DistConfig) []Option {
 		if p == 1 {
 			dc.Chaos = "kill@6"
-			dc.ChaosSeed = 1
 		}
 		return append(momentumOpts(),
 			WithAutoCheckpoint(root, every),
-			WithRecovery(RecoveryPolicy{Enabled: true, RedialTimeout: 30 * time.Second}))
+			WithRecovery(RecoveryPolicy{Enabled: true}))
 	})
 
 	type result struct {

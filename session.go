@@ -93,7 +93,6 @@ type liveRuntime struct {
 	dist     *DistConfig // this agent's placement; nil in single-process mode
 	epoch    int         // fabric generation, reported in StepStats
 	workers  int
-	parts    int
 	feeds    []Feed
 
 	// decision.Pending is the partition search's one piece of state: set
@@ -131,7 +130,10 @@ func (t target) machine() int {
 // latest one — which is how a restarted agent rejoins a recovering
 // cluster with no flag changes (DESIGN.md §12).
 func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
-	cfg := resolveConfig(opts)
+	cfg, err := resolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Dist != nil && cfg.Dist.JoinAddr != "" {
 		tgt, dir, err := awaitAdmission(ctx, resource, cfg)
 		if err != nil {
@@ -174,7 +176,10 @@ func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) 
 // replicated filesystem): each reads its own machine's shard plus shard
 // 0's replica variables.
 func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
-	cfg := resolveConfig(opts)
+	cfg, err := resolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	return openAt(ctx, g, cfg, target{resource: resource, dist: cfg.Dist}, dir, false)
 }
 
@@ -248,7 +253,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		return err
 	}
 	if s.chaos == nil && tgt.dist != nil && tgt.dist.Chaos != "" {
-		if s.chaos, err = chaos.Parse(tgt.dist.Chaos, tgt.dist.ChaosSeed); err != nil {
+		if s.chaos, err = chaos.Parse(tgt.dist.Chaos); err != nil {
 			return err
 		}
 	}
@@ -271,12 +276,11 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 			return err
 		}
 	}
-	arch := cfg.Arch.coreArch()
 	rt.trainer, err = transform.New(s.g, transform.Options{
 		Plan:             rt.plan,
 		Resource:         rt.resource,
 		NewOptimizer:     cfg.NewOptimizer,
-		LocalAggregation: arch == core.ArchHybrid || arch == core.ArchOptPS,
+		LocalAggregation: cfg.Arch.Optimized(),
 		ClipNorm:         cfg.ClipNorm,
 		Compression:      cfg.Compression,
 		Fabric:           rt.fab,
@@ -319,23 +323,23 @@ func validateTarget(g *Graph, tgt target) error {
 // the count was chosen: fixed by configuration, restored from the
 // checkpoint, or left pending for the search the first step loop runs.
 func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error) {
-	rt.parts = cfg.SparsePartitions
-	rt.decision = PartitionDecision{Source: "fixed"}
-	search := rt.parts == 0
+	d := &rt.decision
+	*d = PartitionDecision{P: cfg.SparsePartitions, Source: "fixed"}
+	search := d.P == 0
 	if head != nil {
 		// A restored session rebuilds the plan with exactly the
 		// checkpointed partition count — even if the original run searched
 		// for it — so the plan fingerprints can be compared. A search that
 		// had not run yet at save time runs on the first Steps call, as it
 		// would have in the original run.
-		rt.parts, search = head.meta.Parts, search && head.meta.DecisionPending
-		rt.decision.Source = head.meta.DecisionSource
+		d.P, search = head.meta.Parts, search && head.meta.DecisionPending
+		d.Source = head.meta.DecisionSource
 	} else if search {
 		// The search starts from the paper's initial sample point, one
 		// partition per machine.
-		rt.parts = rt.resource.NumMachines()
+		d.P = rt.resource.NumMachines()
 	}
-	if rt.plan, err = buildPlan(g, rt.resource, cfg, rt.parts); err != nil {
+	if rt.plan, err = buildPlan(g, rt.resource, cfg, d.P); err != nil {
 		return err
 	}
 	// Which variables are partitioned on servers does not depend on the
@@ -343,11 +347,10 @@ func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error)
 	// search over: an architecture that routes every partition target
 	// through collectives leaves nothing to reshard.
 	if search && searchBound(rt.plan) > 0 {
-		rt.decision = PartitionDecision{Source: "online", Pending: true}
+		d.Source, d.Pending = "online", true
 	} else if head == nil && cfg.SparsePartitions == 0 {
-		rt.parts = 1 // nothing is partitioned; the plan is the same at any count
+		d.P = 1 // nothing is partitioned; the plan is the same at any count
 	}
-	rt.decision.P = rt.parts
 	return nil
 }
 
@@ -472,7 +475,7 @@ func (s *Session) Save(dir string) error {
 		Machines:        s.resource.NumMachines(),
 		Step:            int64(s.trainer.StepCount()),
 		Cursor:          s.cursor,
-		Parts:           s.parts,
+		Parts:           s.decision.P,
 		DecisionSource:  s.decision.Source,
 		DecisionPending: s.decision.Pending,
 		TopoFP:          checkpoint.TopoFingerprint(s.resource),
@@ -838,7 +841,6 @@ func (s *Session) Repartition(p int) error {
 		return err
 	}
 	s.plan = plan
-	s.parts = p
 	s.decision.P = p
 	return nil
 }
@@ -874,7 +876,7 @@ func (s *Session) LocalWorkers() []int { return s.trainer.LocalWorkers() }
 
 // SparsePartitions returns the partition count in effect (searched,
 // configured, or restored).
-func (s *Session) SparsePartitions() int { return s.parts }
+func (s *Session) SparsePartitions() int { return s.decision.P }
 
 // VarValue returns the current full value of a variable (assembled from
 // the servers for PS variables). Under WithDistConfig the peers' servers hold
@@ -918,12 +920,11 @@ func (s *Session) Describe() string {
 // count — shared between session construction and live repartitioning
 // so both produce identical placements for identical inputs.
 func buildPlan(g *Graph, resource ResourceInfo, cfg Config, parts int) (*core.Plan, error) {
-	arch := cfg.Arch.coreArch()
 	return core.BuildPlan(planVars(g), core.Options{
-		Arch:             arch,
+		Arch:             cfg.Arch,
 		NumMachines:      resource.NumMachines(),
 		SparsePartitions: parts,
-		SmartPlacement:   arch == core.ArchHybrid || arch == core.ArchOptPS,
+		SmartPlacement:   cfg.Arch.Optimized(),
 	})
 }
 
