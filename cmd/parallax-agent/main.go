@@ -80,7 +80,7 @@ func main() {
 		"auto-checkpoint root (shared across agents): periodic saves land under it, and a (re)started agent resumes from the latest complete one automatically")
 	autoEvery := flag.Int("auto-checkpoint-every", 10, "auto-checkpoint cadence in steps")
 	recov := flag.Bool("recover", false,
-		"survive peer-agent failures: re-rendezvous at the next fabric epoch and restore the latest auto-checkpoint (requires -auto-checkpoint; see OPERATIONS.md)")
+		"survive peer-agent failures: re-rendezvous at the next fabric epoch and restore the latest auto-checkpoint (requires -auto-checkpoint and -machine or -join; see OPERATIONS.md)")
 	elastic := flag.Bool("elastic", false,
 		"enable elastic membership (DESIGN.md §14): the cluster admits joiners and sheds leavers at step boundaries without a restart (requires -auto-checkpoint on a shared root)")
 	join := flag.String("join", "",

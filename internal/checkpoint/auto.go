@@ -33,32 +33,38 @@ func StepDir(root string, step int) string {
 // every machine's shard. It returns step = -1 (no error) when the root
 // does not exist or holds no complete checkpoint.
 func LatestComplete(root string, machines int) (step int, dir string, err error) {
-	ents, rerr := os.ReadDir(root)
-	if rerr != nil {
-		if os.IsNotExist(rerr) {
-			return -1, "", nil
-		}
-		return -1, "", rerr
+	complete, _, err := stepDirs(root, machines)
+	if err != nil || len(complete) == 0 {
+		return -1, "", err
 	}
-	steps := make([]int, 0, len(ents))
+	step = complete[len(complete)-1]
+	return step, StepDir(root, step), nil
+}
+
+// stepDirs lists root's step directories split by completeness, the
+// complete ones in ascending step order. A root that does not exist
+// holds none.
+func stepDirs(root string, machines int) (complete, incomplete []int, err error) {
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil, nil
+		}
+		return nil, nil, err
+	}
 	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
 		n, ok := parseStepDir(e.Name())
-		if !ok {
+		if !e.IsDir() || !ok {
 			continue
 		}
-		steps = append(steps, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(steps)))
-	for _, n := range steps {
-		d := StepDir(root, n)
-		if stepComplete(d, machines) {
-			return n, d, nil
+		if stepComplete(StepDir(root, n), machines) {
+			complete = append(complete, n)
+		} else {
+			incomplete = append(incomplete, n)
 		}
 	}
-	return -1, "", nil
+	sort.Ints(complete)
+	return complete, incomplete, nil
 }
 
 func parseStepDir(name string) (int, bool) {
@@ -92,29 +98,10 @@ func PruneAuto(root string, machines, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
-	ents, err := os.ReadDir(root)
+	complete, incomplete, err := stepDirs(root, machines)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
-	var complete, incomplete []int
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		n, ok := parseStepDir(e.Name())
-		if !ok {
-			continue
-		}
-		if stepComplete(StepDir(root, n), machines) {
-			complete = append(complete, n)
-		} else {
-			incomplete = append(incomplete, n)
-		}
-	}
-	sort.Ints(complete)
 	var firstErr error
 	rm := func(step int) {
 		if err := os.RemoveAll(StepDir(root, step)); err != nil && firstErr == nil {

@@ -24,43 +24,15 @@ type Batch struct {
 	Labels []int
 }
 
-// Dataset produces an endless, deterministic stream of batches.
+// Dataset produces an endless, deterministic, forward-only stream of
+// batches. A consumer resumes one by constructing it exactly like the
+// original and drawing up to the saved position.
 type Dataset interface {
 	// Next returns the next batch.
 	Next() Batch
 	// BatchTokens returns how many tokens each batch carries (batch size ×
 	// sequence length), the unit of the paper's words/sec throughput.
 	BatchTokens() int
-}
-
-// Resumable is a Dataset whose read position can be captured and
-// restored — the dataset half of checkpoint/resume. The cursor is the
-// number of batches drawn so far; restoring a job fast-forwards an
-// identically constructed dataset to the saved cursor, after which the
-// stream continues bit-identically to the uninterrupted run. Datasets
-// without the interface are resumed by drawing and discarding batches,
-// which is equivalent but pays the allocation; Seek exists to skip the
-// batch assembly.
-type Resumable interface {
-	Dataset
-	// Cursor returns the number of batches drawn so far.
-	Cursor() int64
-	// Seek advances the stream to an absolute cursor. Rewinding is not
-	// supported (the generators are forward-only): seeking before the
-	// current cursor is an error.
-	SeekBatch(cursor int64) error
-}
-
-// FastForward advances ds to the given cursor: through Seek when the
-// dataset is Resumable, by drawing and discarding batches otherwise.
-func FastForward(ds Dataset, cursor int64) error {
-	if r, ok := ds.(Resumable); ok {
-		return r.SeekBatch(cursor)
-	}
-	for i := int64(0); i < cursor; i++ {
-		ds.Next()
-	}
-	return nil
 }
 
 // ZipfText generates token batches with Zipf-distributed ids over a fixed
@@ -72,7 +44,6 @@ type ZipfText struct {
 	rng    *tensor.RNG
 	cum    []float64 // cumulative distribution over vocabulary ranks
 	perm   []int     // rank -> token id shuffle, so hot ids are spread out
-	drawn  int64     // batches drawn (the resume cursor)
 }
 
 // NewZipfText creates a generator: batch sentences of seqLen words each,
@@ -122,28 +93,7 @@ func (z *ZipfText) Next() Batch {
 		b.Tokens[i] = z.sample()
 		b.Labels[i] = z.sample()
 	}
-	z.drawn++
 	return b
-}
-
-// Cursor implements Resumable.
-func (z *ZipfText) Cursor() int64 { return z.drawn }
-
-// SeekBatch implements Resumable: the generator replays exactly the sample
-// draws the skipped batches would have made (without assembling them),
-// so the stream after Seek is bit-identical to one that actually drew
-// every batch.
-func (z *ZipfText) SeekBatch(cursor int64) error {
-	if cursor < z.drawn {
-		return fmt.Errorf("data: seek to batch %d behind cursor %d (forward-only stream)", cursor, z.drawn)
-	}
-	samples := 2 * z.batch * z.seqLen // tokens + labels per batch
-	for ; z.drawn < cursor; z.drawn++ {
-		for i := 0; i < samples; i++ {
-			z.sample()
-		}
-	}
-	return nil
 }
 
 // BatchTokens implements Dataset.
@@ -174,7 +124,6 @@ type Shard struct {
 	base    Dataset
 	worker  int
 	workers int
-	drawn   int64
 	started bool
 }
 
@@ -198,30 +147,11 @@ func (s *Shard) Next() Batch {
 			s.base.Next()
 		}
 	}
-	s.drawn++
 	return s.base.Next()
 }
 
 // BatchTokens implements Dataset.
 func (s *Shard) BatchTokens() int { return s.base.BatchTokens() }
-
-// Cursor implements Resumable: the number of shard batches this worker
-// has drawn (not the base stream's position).
-func (s *Shard) Cursor() int64 { return s.drawn }
-
-// SeekBatch implements Resumable by drawing and discarding shard batches,
-// which keeps the skip arithmetic (including the first-call offset) in
-// one place; the base dataset's own Seek cannot be used directly
-// because the shard interleaves skips with reads.
-func (s *Shard) SeekBatch(cursor int64) error {
-	if cursor < s.drawn {
-		return fmt.Errorf("data: seek to batch %d behind cursor %d (forward-only stream)", cursor, s.drawn)
-	}
-	for s.drawn < cursor {
-		s.Next()
-	}
-	return nil
-}
 
 // Images generates synthetic image-classification batches: feature tensors
 // plus labels, for the dense-model examples.

@@ -118,59 +118,3 @@ func TestImagesLearnableSignal(t *testing.T) {
 	_ = x2
 	_ = labels2
 }
-
-// TestZipfSeekMatchesReplay: seeking to a cursor yields the same stream
-// as drawing every batch up to it — the property checkpoint resume
-// relies on.
-func TestZipfSeekMatchesReplay(t *testing.T) {
-	replayed := NewZipfText(200, 4, 3, 1.0, 5)
-	for i := 0; i < 7; i++ {
-		replayed.Next()
-	}
-	seeked := NewZipfText(200, 4, 3, 1.0, 5)
-	if err := seeked.SeekBatch(7); err != nil {
-		t.Fatal(err)
-	}
-	if seeked.Cursor() != 7 || replayed.Cursor() != 7 {
-		t.Fatalf("cursors %d / %d, want 7", seeked.Cursor(), replayed.Cursor())
-	}
-	for b := 0; b < 3; b++ {
-		want, got := replayed.Next(), seeked.Next()
-		for i := range want.Tokens {
-			if want.Tokens[i] != got.Tokens[i] || want.Labels[i] != got.Labels[i] {
-				t.Fatalf("batch %d position %d diverged after seek", b, i)
-			}
-		}
-	}
-	if err := seeked.SeekBatch(1); err == nil {
-		t.Fatal("rewinding seek succeeded")
-	}
-}
-
-// TestShardSeekMatchesReplay: the shard's cursor counts shard batches,
-// and seeking reproduces the exact round-robin skip pattern.
-func TestShardSeekMatchesReplay(t *testing.T) {
-	replayed := NewShard(NewZipfText(100, 2, 2, 1.0, 8), 1, 3)
-	for i := 0; i < 5; i++ {
-		replayed.Next()
-	}
-	seeked := NewShard(NewZipfText(100, 2, 2, 1.0, 8), 1, 3)
-	if err := seeked.SeekBatch(5); err != nil {
-		t.Fatal(err)
-	}
-	want, got := replayed.Next(), seeked.Next()
-	for i := range want.Tokens {
-		if want.Tokens[i] != got.Tokens[i] {
-			t.Fatalf("token %d diverged after shard seek", i)
-		}
-	}
-	// FastForward falls back to replay for plain datasets and uses Seek
-	// for resumable ones; both must land on the same stream position.
-	ff := NewZipfText(100, 2, 2, 1.0, 8)
-	if err := FastForward(ff, 4); err != nil {
-		t.Fatal(err)
-	}
-	if ff.Cursor() != 4 {
-		t.Fatalf("FastForward left cursor at %d", ff.Cursor())
-	}
-}

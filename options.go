@@ -28,6 +28,8 @@ func resolveConfig(opts []Option) (Config, error) {
 	switch {
 	case cfg.Recovery.Enabled && root == "":
 		return Config{}, fmt.Errorf("parallax: WithRecovery requires WithAutoCheckpoint")
+	case cfg.Recovery.Enabled && cfg.Dist == nil:
+		return Config{}, fmt.Errorf("parallax: WithRecovery requires WithDistConfig (a single-process session has no peer to lose)")
 	case cfg.Recovery.AllowShrink && !cfg.Recovery.Enabled:
 		return Config{}, fmt.Errorf("parallax: RecoveryPolicy.AllowShrink requires Enabled")
 	case cfg.Dist != nil && cfg.Dist.JoinAddr != "" && !cfg.Elastic:
@@ -127,7 +129,9 @@ func WithElastic() Option { return func(c *Config) { c.Elastic = true } }
 // bit-identically instead of yielding ErrPeerFailed. Steps recovers in
 // place (it keeps the feed log the replay draws from); StepsFeeds owns
 // its feed source and surfaces ErrPeerFailed. Requires
-// WithAutoCheckpoint: Open refuses an enabled policy without it.
+// WithAutoCheckpoint and WithDistConfig: Open refuses an enabled policy
+// without either, so an in-process parallax-agent -recover fails at
+// Open.
 // Every recovery allows 2 minutes for the re-rendezvous, and a session
 // survives at most 3 recoveries.
 func WithRecovery(policy RecoveryPolicy) Option {

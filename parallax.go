@@ -254,7 +254,7 @@ type AutoCheckpointSpec struct {
 // and a session survives at most 3 recoveries.
 type RecoveryPolicy struct {
 	// Enabled turns recovery on for a distributed session; Open refuses
-	// it without AutoCheckpoint.
+	// it without AutoCheckpoint or without Dist.
 	Enabled bool
 	// AllowShrink, with Config.Elastic, changes what happens when a peer
 	// fails and does not come back: instead of re-dialing the same

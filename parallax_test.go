@@ -166,6 +166,8 @@ func TestOpenValidations(t *testing.T) {
 		{"unknown architecture", []Option{WithArch(Arch(99))}, "unknown arch"},
 		{"recovery without auto-checkpoint", []Option{WithRecovery(RecoveryPolicy{Enabled: true})},
 			"WithRecovery requires WithAutoCheckpoint"},
+		{"single-process recovery", []Option{WithAutoCheckpoint(root, 4), WithRecovery(RecoveryPolicy{Enabled: true})},
+			"WithRecovery requires WithDistConfig"},
 		{"shrink without recovery", []Option{WithAutoCheckpoint(root, 4), WithRecovery(RecoveryPolicy{AllowShrink: true})},
 			"AllowShrink requires Enabled"},
 		{"distributed elastic without auto-checkpoint", []Option{WithElastic(), WithDistConfig(solo)},

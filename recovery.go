@@ -11,11 +11,12 @@ package parallax
 //     root's MEMBERS record and rebuilds (Session.rebuild) at the new
 //     epoch from the latest complete auto-checkpoint: teardown of the
 //     dead runtime, re-dial (waiting out the failed agent's restart),
-//     restore, and a cluster-wide agreement on the restore step. The Steps iterator then continues: steps
-//     between the restore point and the failure replay from the feed
-//     log with their emissions suppressed, so the caller sees every
-//     step exactly once and the loss trajectory is bit-identical to an
-//     uninterrupted run.
+//     restore, and a cluster-wide agreement on the restore step. The
+//     Steps iterator then continues: steps between the restore point
+//     and the failure replay from the feed log — the same record that
+//     positions a restored session in its dataset — with their
+//     emissions suppressed, so the caller sees every step exactly once
+//     and the loss trajectory is bit-identical to an uninterrupted run.
 //  3. The failed agent rejoins by plain restart: Open with the same
 //     AutoCheckpoint directory reads the new epoch and the same
 //     checkpoint, and the rendezvous completes once all peers arrive.
@@ -32,30 +33,41 @@ import (
 	"parallax/internal/transport"
 )
 
-// feedLog buffers the batches the step driver has drawn since the
-// oldest auto-checkpoint a recovery might restore, so a survivor can
-// replay the exact feeds of the steps it re-runs. The forward-only
-// Resumable contract makes re-reading the dataset impossible; the log
-// is the rewind. It is trimmed after every auto-save to the
-// second-most-recent save's cursor — the restore point falls back to
-// the previous checkpoint when a peer died mid-save, so that save's
-// feeds must stay replayable.
+// feedLog is a Steps session's position in its forward-only dataset:
+// it counts the batches drawn, so a log armed at a restored cursor
+// discards up to it on its first draw. With saves set (auto-checkpoint
+// on) it also buffers the batches drawn since the oldest auto-checkpoint
+// a recovery might restore, and rewindTo replays them. It is trimmed
+// after every auto-save to the second-most-recent save's cursor — the
+// restore point falls back to the previous checkpoint when a peer died
+// mid-save, so that save's feeds must stay replayable. With saves nil
+// it records nothing and its base tracks the draws.
 type feedLog struct {
 	base    int64 // dataset cursor of entries[0]
 	pos     int   // next index to serve; == len(entries) means live
+	drawn   int64 // batches taken from the dataset
 	entries []data.Batch
 	saves   []int64 // cursors of the two most recent auto-saves
 }
 
-// next serves the replayed batch when rewound, otherwise draws live
-// from ds and records the batch for future replays.
+// next serves the replayed batch when rewound; otherwise it discards
+// batches until the dataset stands at the log's position, draws one
+// live, and records it for future replays.
 func (l *feedLog) next(ds Dataset) data.Batch {
 	if l.pos < len(l.entries) {
 		b := l.entries[l.pos]
 		l.pos++
 		return b
 	}
+	for ; l.drawn < l.base+int64(l.pos); l.drawn++ {
+		ds.Next()
+	}
 	b := ds.Next()
+	l.drawn++
+	if l.saves == nil {
+		l.base++
+		return b
+	}
 	l.entries = append(l.entries, b)
 	l.pos++
 	return b

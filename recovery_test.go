@@ -63,6 +63,38 @@ func TestFeedLogTrimAndRewind(t *testing.T) {
 	}
 }
 
+// TestFeedLogIsTheDatasetPosition: a log armed at a restored cursor
+// discards up to it on its first draw, so it serves exactly the batch
+// an uninterrupted stream reaches next; a log without saves records
+// nothing while its base follows the draws.
+func TestFeedLogIsTheDatasetPosition(t *testing.T) {
+	ref := data.NewZipfText(150, 8, 1, 1.0, 5)
+	var want data.Batch
+	for i := 0; i < 8; i++ {
+		want = ref.Next()
+	}
+	l := &feedLog{base: 7, saves: []int64{7}}
+	if got := l.next(data.NewZipfText(150, 8, 1, 1.0, 5)); !slices.Equal(got.Tokens, want.Tokens) || !slices.Equal(got.Labels, want.Labels) {
+		t.Fatal("a log armed at cursor 7 does not serve the stream's 8th batch")
+	}
+	if l.drawn != 8 || l.base != 7 || len(l.entries) != 1 {
+		t.Fatalf("drawn %d base %d entries %d, want 8, 7 and 1", l.drawn, l.base, len(l.entries))
+	}
+
+	ds := data.NewZipfText(150, 8, 1, 1.0, 5)
+	bare := &feedLog{base: 3}
+	for i := 0; i < 5; i++ {
+		bare.next(ds)
+	}
+	if len(bare.entries) != 0 || bare.base != 8 || bare.drawn != 8 {
+		t.Fatalf("a log without saves kept %d entries at base %d after %d draws, want 0 at 8 after 8",
+			len(bare.entries), bare.base, bare.drawn)
+	}
+	if err := bare.rewindTo(8); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionAutoCheckpointResume: a session with WithAutoCheckpoint
 // saves periodically without any Save call; a fresh Open on the same
 // root resumes from the latest complete save, and the continued run

@@ -11,7 +11,6 @@ import (
 	"parallax/internal/chaos"
 	"parallax/internal/checkpoint"
 	"parallax/internal/core"
-	"parallax/internal/data"
 	"parallax/internal/graph"
 	"parallax/internal/metrics"
 	"parallax/internal/partition"
@@ -60,18 +59,17 @@ type Session struct {
 	cfg Config
 	liveRuntime
 
-	// cursor counts dataset batches the step drivers have drawn;
-	// pendingSkip is the restored cursor the next Steps call fast-forwards
-	// its dataset by.
-	cursor      int64
-	pendingSkip int64
+	// cursor counts dataset batches the step drivers have drawn (the
+	// quantity Save persists).
+	cursor int64
 	// closed is set by Close and by a failed rebuild, and read by Leave
 	// from any goroutine.
 	closed atomic.Bool
 
 	// Failure-recovery state (recovery.go): the recovery counter reported
-	// in StepStats, the feed log replays draw from, and the chaos injector
-	// that survives fabric rebuilds.
+	// in StepStats, the feed log that positions Steps in its dataset and
+	// that replays draw from, and the chaos injector that survives fabric
+	// rebuilds.
 	recoveries   int
 	lastRecovery time.Duration
 	replay       *feedLog
@@ -288,19 +286,14 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 	if err != nil {
 		return err
 	}
-	// A fresh session fast-forwards the dataset its first Steps call is
-	// handed; a live one keeps its dataset position and replays from the
-	// feed log instead.
-	fresh := s.trainer == nil
 	s.liveRuntime = rt
 	if head != nil {
 		if err = s.install(dir, head); err != nil {
 			return err
 		}
+		// A fresh session's first Steps call arms its feed log at this
+		// cursor; a live one rewinds the log it has.
 		s.cursor = head.meta.Cursor
-		if fresh {
-			s.pendingSkip = head.meta.Cursor
-		}
 		if s.replay != nil {
 			if err = s.replay.rewindTo(head.meta.Cursor); err != nil {
 				return err
@@ -501,9 +494,11 @@ func (s *Session) Save(dir string) error {
 // iteration draws one batch per worker from ds (successive batches to
 // successive workers, so one endless stream is consumed as disjoint
 // shards) and yields the step's StepStats. The iterator is endless —
-// range over it and break (or cancel ctx) when done. The first call on
-// a restored session fast-forwards ds to the checkpointed cursor, so
-// pass a dataset constructed exactly like the original run's.
+// range over it and break (or cancel ctx) when done. The session's
+// place in ds is its feed log (recovery.go), armed by the first call at
+// the session's cursor: on a restored session the first draw discards
+// the batches the checkpoint already consumed, so pass a dataset
+// constructed exactly like the original run's.
 //
 // On an error — a failed step, or ctx cancelled — the iterator yields
 // (zero stats, err) once and stops. Graphs with differently named
@@ -517,18 +512,13 @@ func (s *Session) Steps(ctx context.Context, ds Dataset) iter.Seq2[StepStats, er
 				return
 			}
 		}
-		if s.pendingSkip > 0 {
-			if err := data.FastForward(ds, s.pendingSkip); err != nil {
-				yield(StepStats{}, err)
-				return
+		// An auto-checkpointing session's log also records what a
+		// recovery replays.
+		if s.replay == nil {
+			s.replay = &feedLog{base: s.cursor}
+			if s.cfg.AutoCheckpoint.Dir != "" {
+				s.replay.saves = []int64{s.cursor}
 			}
-			s.pendingSkip = 0
-		}
-		// Failure recovery replays steps from a feed log (recovery.go);
-		// arm it from the current cursor the first time the session is
-		// auto-checkpointing.
-		if s.cfg.AutoCheckpoint.Dir != "" && s.replay == nil {
-			s.replay = &feedLog{base: s.cursor, saves: []int64{s.cursor}}
 		}
 		s.drive(ctx, s.datasetFeeds(ds), yield)
 	}
@@ -547,16 +537,11 @@ func (s *Session) StepsFeeds(ctx context.Context, next func(step, worker int) (F
 
 // datasetFeeds adapts an endless batch stream to the feed callback,
 // advancing the session's dataset cursor (the quantity Save persists).
-// With recovery armed, every batch routes through the feed log so a
-// post-failure replay serves the original batches again.
+// Every batch routes through the feed log, which holds the position in
+// ds and serves a post-failure replay the original batches again.
 func (s *Session) datasetFeeds(ds Dataset) func(step, worker int) (Feed, error) {
 	return func(step, worker int) (Feed, error) {
-		var b data.Batch
-		if s.replay != nil {
-			b = s.replay.next(ds)
-		} else {
-			b = ds.Next()
-		}
+		b := s.replay.next(ds)
 		s.cursor++
 		return Feed{Ints: map[string][]int{"tokens": b.Tokens, "labels": b.Labels}}, nil
 	}
