@@ -50,7 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -64,36 +64,56 @@ import (
 )
 
 func main() {
+	// SIGINT/SIGTERM cancel the context; the step loop drains the
+	// in-flight step, every agent stops at the same agreed boundary, and
+	// the deferred teardown (plus the final checkpoint) runs.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the agent behind its process boundary: it returns the exit
+// status (2 for a bad flag, 1 for a failed run, 0 for -h and success).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int { fmt.Fprintln(stderr, "parallax-agent:", err); return 1 }
+	fs := flag.NewFlagSet("parallax-agent", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	spec := jobspec.Default()
 	spec.Partitions = 8
-	machine := flag.Int("machine", -1, "machine index this agent hosts (-1 = run the whole cluster in-process)")
-	addrs := flag.String("addrs", "", "comma-separated agent addresses, one per machine (required with -machine >= 0)")
-	machines := flag.Int("machines", 2, "machine count for the in-process reference mode (ignored when -addrs is set)")
-	gpus := flag.Int("gpus", 2, "GPUs per machine")
-	spec.BindCommonFlags(flag.CommandLine)
-	flag.IntVar(&spec.Partitions, "partitions", spec.Partitions,
+	machine := fs.Int("machine", -1, "machine index this agent hosts (-1 = run the whole cluster in-process)")
+	addrs := fs.String("addrs", "", "comma-separated agent addresses, one per machine (required with -machine >= 0)")
+	machines := fs.Int("machines", 2, "machine count for the in-process reference mode (ignored when -addrs is set)")
+	gpus := fs.Int("gpus", 2, "GPUs per machine")
+	spec.BindCommonFlags(fs)
+	fs.IntVar(&spec.Partitions, "partitions", spec.Partitions,
 		"sparse partitions; 0 searches for the count during the first steps (agents agree on every measurement, so they reshard in lockstep)")
-	dialTimeout := flag.Duration("dial-timeout", 15*time.Second, "peer rendezvous timeout")
-	ckpt := flag.String("checkpoint", "", "checkpoint directory: written on exit (normal completion or SIGINT/SIGTERM drain)")
-	resume := flag.Bool("resume", false, "resume from -checkpoint instead of initializing (run it on every agent)")
-	autoCkpt := flag.String("auto-checkpoint", "",
+	dialTimeout := fs.Duration("dial-timeout", 15*time.Second, "peer rendezvous timeout")
+	ckpt := fs.String("checkpoint", "", "checkpoint directory: written on exit (normal completion or SIGINT/SIGTERM drain)")
+	resume := fs.Bool("resume", false, "resume from -checkpoint instead of initializing (run it on every agent)")
+	autoCkpt := fs.String("auto-checkpoint", "",
 		"auto-checkpoint root (shared across agents): periodic saves land under it, and a (re)started agent resumes from the latest complete one automatically")
-	autoEvery := flag.Int("auto-checkpoint-every", 10, "auto-checkpoint cadence in steps")
-	recov := flag.Bool("recover", false,
+	autoEvery := fs.Int("auto-checkpoint-every", 10, "auto-checkpoint cadence in steps")
+	recov := fs.Bool("recover", false,
 		"survive peer-agent failures: re-rendezvous at the next fabric epoch and restore the latest auto-checkpoint (requires -auto-checkpoint and -machine or -join; see OPERATIONS.md)")
-	elastic := flag.Bool("elastic", false,
+	elastic := fs.Bool("elastic", false,
 		"enable elastic membership (DESIGN.md §14): the cluster admits joiners and sheds leavers at step boundaries without a restart (requires -auto-checkpoint on a shared root)")
-	join := flag.String("join", "",
+	join := fs.String("join", "",
 		"join a running elastic cluster, serving on the given address once admitted, instead of rendezvousing from -addrs: the join request goes through the -auto-checkpoint root, so no member address is needed (requires -elastic)")
-	allowShrink := flag.Bool("allow-shrink", false,
+	allowShrink := fs.Bool("allow-shrink", false,
 		"with -elastic and -recover: shed a dead peer by resharding onto the survivors instead of waiting out its restart")
-	leaveAt := flag.Int("leave-at", -1, "request a voluntary departure from the elastic cluster after completing this step (testing/preemption drills)")
-	chaosSpec := flag.String("chaos", "", "fault-injection spec, e.g. kill@17 (internal testing knob; see internal/chaos)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	leaveAt := fs.Int("leave-at", -1, "request a voluntary departure from the elastic cluster after completing this step (testing/preemption drills)")
+	chaosSpec := fs.String("chaos", "", "fault-injection spec, e.g. kill@17 (internal testing knob; see internal/chaos)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *version {
-		fmt.Println(buildinfo.Get())
-		return
+		fmt.Fprintln(stdout, buildinfo.Get())
+		return 0
 	}
 
 	spec.Machines, spec.GPUs = *machines, *gpus
@@ -105,48 +125,35 @@ func main() {
 		spec.Machines = len(strings.Split(*addrs, ","))
 	}
 	if err := spec.Validate(); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if *resume && *ckpt == "" {
-		log.Fatal("-resume requires -checkpoint")
+		return fail(errors.New("-resume requires -checkpoint"))
 	}
 	policy, err := parallax.ParseCompression(spec.Compression)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	// SIGINT/SIGTERM cancel the context; the step loop drains the
-	// in-flight step, every agent stops at the same agreed boundary, and
-	// the deferred teardown (plus the final checkpoint) runs.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	// Open refuses recovery without a root, shrink without recovery and
+	// a join without elasticity; the agent checks only what Open cannot.
 	opts, err := spec.Options()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if *autoCkpt != "" {
 		opts = append(opts, parallax.WithAutoCheckpoint(*autoCkpt, *autoEvery))
 	}
-	if *recov {
-		if *autoCkpt == "" {
-			log.Fatal("-recover requires -auto-checkpoint")
-		}
-		opts = append(opts, parallax.WithRecovery(parallax.RecoveryPolicy{
-			Enabled: true, AllowShrink: *allowShrink,
-		}))
-	} else if *allowShrink {
-		log.Fatal("-allow-shrink requires -recover")
+	if *recov || *allowShrink {
+		opts = append(opts, parallax.WithRecovery(parallax.RecoveryPolicy{Enabled: *recov, AllowShrink: *allowShrink}))
 	}
 	if *elastic {
 		if *autoCkpt == "" {
-			log.Fatal("-elastic requires -auto-checkpoint")
+			return fail(errors.New("-elastic requires -auto-checkpoint"))
 		}
 		opts = append(opts, parallax.WithElastic())
-	} else if *join != "" {
-		log.Fatal("-join requires -elastic")
 	} else if *leaveAt >= 0 {
-		log.Fatal("-leave-at requires -elastic")
+		return fail(errors.New("-leave-at requires -elastic"))
 	}
 	if *join != "" {
 		opts = append(opts, parallax.WithDistConfig(parallax.DistConfig{
@@ -155,21 +162,20 @@ func main() {
 	} else if *addrs != "" {
 		list := strings.Split(*addrs, ",")
 		if *machine < 0 || *machine >= len(list) {
-			log.Fatalf("-machine %d out of range for %d addresses", *machine, len(list))
+			return fail(fmt.Errorf("-machine %d out of range for %d addresses", *machine, len(list)))
 		}
 		opts = append(opts, parallax.WithDistConfig(parallax.DistConfig{
 			Machine: *machine, Addrs: list, DialTimeout: *dialTimeout, Chaos: *chaosSpec,
 		}))
 	} else if *machine >= 0 {
-		log.Fatal("-machine requires -addrs")
+		return fail(errors.New("-machine requires -addrs"))
 	} else if *chaosSpec != "" {
-		log.Fatal("-chaos requires a distributed run (-machine/-addrs)")
+		return fail(errors.New("-chaos requires a distributed run (-machine/-addrs)"))
 	}
 
 	// Every agent must build the identical graph: fixed seed, fixed
 	// shapes (see parallax.DistConfig and internal/jobspec).
-	g := spec.Graph()
-	resources := spec.Resources()
+	g, resources := spec.Graph(), spec.Resources()
 	var sess *parallax.Session
 	if *resume {
 		sess, err = parallax.OpenFromCheckpoint(ctx, *ckpt, g, resources, opts...)
@@ -177,19 +183,18 @@ func main() {
 		sess, err = parallax.Open(ctx, g, resources, opts...)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer sess.Close()
-	fmt.Print(sess.Describe())
-	fmt.Print(policy.Describe())
-	fmt.Printf("local workers: %v of %d\n", sess.LocalWorkers(), sess.Workers())
+	fmt.Fprint(stdout, sess.Describe(), policy.Describe())
+	fmt.Fprintf(stdout, "local workers: %v of %d\n", sess.LocalWorkers(), sess.Workers())
 	if *resume {
-		fmt.Printf("resumed from %s at step %d\n", *ckpt, sess.StepCount())
+		fmt.Fprintf(stdout, "resumed from %s at step %d\n", *ckpt, sess.StepCount())
 	}
 	if *autoCkpt != "" && sess.StepCount() > 0 {
-		fmt.Printf("auto-resumed from %s at step %d (epoch %d)\n", *autoCkpt, sess.StepCount(), sess.Epoch())
+		fmt.Fprintf(stdout, "auto-resumed from %s at step %d (epoch %d)\n", *autoCkpt, sess.StepCount(), sess.Epoch())
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// One identically seeded stream per agent: the session draws every
 	// worker's shard from it (skipping the shards remote agents consume),
@@ -199,11 +204,11 @@ func main() {
 	if sess.StepCount() >= spec.Steps {
 		// The checkpoint already covers the requested horizon: re-saving
 		// the untouched state is fine, training past it is not.
-		fmt.Printf("nothing to do: checkpoint at step %d >= -steps %d\n", sess.StepCount(), spec.Steps)
-		return
+		fmt.Fprintf(stdout, "nothing to do: checkpoint at step %d >= -steps %d\n", sess.StepCount(), spec.Steps)
+		return 0
 	}
 	var stats parallax.LoopStats
-	interrupted, left := false, false
+	interrupted := false
 	for st, err := range sess.Steps(ctx, ds) {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -211,58 +216,53 @@ func main() {
 				break
 			}
 			if errors.Is(err, parallax.ErrLeft) {
-				left = true
-				break
+				// A voluntary departure is a clean shutdown: the survivors
+				// own the resharded state from here.
+				fmt.Fprintf(stdout, "left the cluster cleanly after step %d\n", sess.StepCount())
+				return 0
 			}
-			log.Fatal(err)
+			return fail(err)
 		}
 		stats.Observe(st)
 		if st.Step%10 == 0 || st.Step == spec.Steps-1 {
-			fmt.Printf("step %4d  loss %.6f  (%v, wire tx %d KB rx %d KB)\n",
+			fmt.Fprintf(stdout, "step %4d  loss %.6f  (%v, wire tx %d KB rx %d KB)\n",
 				st.Step, st.Loss, st.StepTime.Round(10*time.Microsecond),
 				st.WireSentBytes/1024, st.WireRecvBytes/1024)
 		}
 		if *leaveAt >= 0 && st.Step == *leaveAt {
 			if err := sess.Leave(); err != nil {
-				log.Fatalf("leave: %v", err)
+				return fail(fmt.Errorf("leave: %w", err))
 			}
 		}
 		if st.Step >= spec.Steps-1 {
 			break
 		}
 	}
-	if left {
-		// A voluntary departure is a clean shutdown: the survivors own the
-		// resharded state from here.
-		fmt.Printf("left the cluster cleanly after step %d\n", sess.StepCount())
-		return
-	}
 
 	if *ckpt != "" {
 		if err := sess.Save(*ckpt); err != nil {
-			log.Fatalf("checkpoint: %v", err)
+			return fail(fmt.Errorf("checkpoint: %w", err))
 		}
-		fmt.Printf("checkpoint saved to %s at step %d\n", *ckpt, sess.StepCount())
+		fmt.Fprintf(stdout, "checkpoint saved to %s at step %d\n", *ckpt, sess.StepCount())
 	}
 	if interrupted {
-		fmt.Printf("interrupted: drained cleanly after step %d\n", sess.StepCount()-1)
-		return
+		fmt.Fprintf(stdout, "interrupted: drained cleanly after step %d\n", sess.StepCount()-1)
+		return 0
 	}
 	if sess.Recoveries() > 0 {
-		// Recovery timings ride the CI artifact (recovery.txt).
-		fmt.Printf("recoveries %d  epoch %d  last recovery %v\n",
+		fmt.Fprintf(stdout, "recoveries %d  epoch %d  last recovery %v\n",
 			sess.Recoveries(), sess.Epoch(), sess.LastRecoveryDuration().Round(time.Millisecond))
 	}
-	fmt.Printf("\n%s\n", stats)
+	fmt.Fprintf(stdout, "\n%s\n", stats)
 	if spec.Partitions == 0 {
 		// The settled decision: which P the search chose, from which
 		// sampled bracket, and where the rows now live.
-		fmt.Print(sess.PartitionDecision())
-		fmt.Print(sess.ShardMap())
+		fmt.Fprint(stdout, sess.PartitionDecision(), sess.ShardMap())
 	}
 	// The bit pattern is the cross-process equivalence check: a TCP run's
 	// final loss must equal the in-process reference exactly — with
 	// -partitions 0 too (resharding is lossless), and across a
 	// checkpoint/resume split (restore is bit-identical).
-	fmt.Printf("final loss bits=%016x loss=%.17g\n", math.Float64bits(stats.LastLoss), stats.LastLoss)
+	fmt.Fprintf(stdout, "final loss bits=%016x loss=%.17g\n", math.Float64bits(stats.LastLoss), stats.LastLoss)
+	return 0
 }
