@@ -152,16 +152,19 @@ func TestGoroutineInventoryIsFixedAtNew(t *testing.T) {
 	waitGoroutines(t, start)
 }
 
-// TestClosedTrainerRefusesFanOut: an agreement on a closed distributed
-// trainer is refused by the trainer itself, with the ErrClosed sentinel
-// — it does not reach for the closed fabric, mistake what it finds there
-// for a failure, and fail-stop a second time. A variable read is refused
-// the same way, for a PS variable and for a replica-managed one (whose
-// stale replica it must not hand out).
+// TestClosedTrainerRefusesFanOut: an agreement on a closed trainer is
+// refused by the trainer itself, with the ErrClosed sentinel — a
+// distributed one does not reach for the closed fabric, mistake what it
+// finds there for a failure, and fail-stop a second time, and a
+// single-process one does not hand back v as if it had agreed. A variable
+// read is refused the same way, for a PS variable and for a
+// replica-managed one (whose stale replica it must not hand out).
 func TestClosedTrainerRefusesFanOut(t *testing.T) {
-	_, trs := distKillTrainers(t, nil)
-	trs[0].Close()
-	trs[1].Close()
+	_, dist := distKillTrainers(t, nil)
+	trs := append(dist[:], newTrainer(t, models.DefaultTinyLM(), core.ArchHybrid, cluster.Uniform(2, 2), 3, nil))
+	for _, tr := range trs {
+		tr.Close()
+	}
 	refused := func(err error) bool {
 		return errors.Is(err, errs.ErrClosed) && !errors.Is(err, errs.ErrPeerFailed) && strings.Contains(err.Error(), "closed trainer")
 	}

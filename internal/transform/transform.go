@@ -593,10 +593,14 @@ func (t *Trainer) onWorkers(what string, fn workerFn) error {
 // repartitioning in lockstep, and (with v = 0) a plain barrier. Every
 // agent must call it at the same points with the same tag; it must not
 // run concurrently with Step. Single-process trainers return v
-// unchanged.
-// A non-nil error means the fabric died mid-agreement (peer failure);
-// the trainer is torn down fail-stop, exactly like a failed Step.
+// unchanged. A closed trainer refuses with ErrClosed, single-process or
+// not; any other non-nil error means the fabric died mid-agreement (peer
+// failure), and the trainer is torn down fail-stop, exactly like a
+// failed Step.
 func (t *Trainer) AgreeMax(tag string, v float64) (float64, error) {
+	if err := t.live("agreement"); err != nil {
+		return 0, err
+	}
 	if !t.dist {
 		return v, nil
 	}

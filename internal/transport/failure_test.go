@@ -158,7 +158,7 @@ func TestTCPPeerDownBroadcastAlignsAttribution(t *testing.T) {
 
 // A send that finds its socket broken must not outrun the peer-down
 // frame waiting unread on the same connection. Process 2 crashes while
-// process 0's readers are parked on full inboxes; process 1 observes the
+// process 0's readers are parked on full pipes; process 1 observes the
 // crash, announces it to process 0 and tears down. Process 0 then sends
 // to process 1 and the write fails: the failure is still process 2's,
 // not that of the messenger whose socket broke.
@@ -167,10 +167,10 @@ func TestTCPBrokenSendDefersToPeerDown(t *testing.T) {
 	topo := Topology{Workers: 3, Machines: 3, MachineOfWorker: []int{0, 1, 2}}
 	fabs := mustDialN(t, 3, topo, nil)
 
-	// Fill endpoint 0's inboxes; each reader takes one more frame and
-	// parks on its full queue.
+	// Fill endpoint 0's pipes; each reader takes one more frame and
+	// parks on its full pipe.
 	for _, p := range []int{1, 2} {
-		q := fabs[0].queue(p, 0, "fill")
+		q := fabs[0].pipes[p][0]
 		for i := 0; i <= cap(q); i++ {
 			fabs[p].Conduit(p).SendF32(0, "fill", []float32{float32(i)})
 		}

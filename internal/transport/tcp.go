@@ -81,20 +81,20 @@ const (
 )
 
 // TCP is the fabric: one buffered FIFO channel (pipe) per directed pair
-// of endpoints this process hosts, and one persistent length-prefixed
-// framed connection per peer process, reused across steps, for the rest.
-// The local table says which is which. DialTCP builds the fabric of one
-// agent process; NewInproc builds the zero-peer instance, where every
-// endpoint is local and nothing below applies.
+// into an endpoint this process hosts, which every receive reads, and
+// one persistent length-prefixed framed connection per peer process,
+// reused across steps, for sends to the rest. DialTCP builds the fabric
+// of one agent process; NewInproc builds the zero-peer instance, where
+// every endpoint is local and nothing below applies.
 //
 // Rendezvous is static: process p dials every peer q < p and then
 // accepts from every peer q > p, so each unordered process pair shares
 // exactly one connection. It runs on DialTCP's caller's goroutine; once
-// it is done, a dedicated reader goroutine per connection drains
-// frames into per-(source, destination, tag) queues, so a peer's send
-// never blocks on this side's consumption order — the property that
-// keeps concurrent large sends from deadlocking on kernel socket
-// buffers.
+// it is done, a dedicated reader goroutine per connection drains frames
+// into the pipes of their (source, destination) pairs, so a peer's send
+// does not wait for this side's receives until a pipe is full — the
+// property that keeps concurrent large sends from deadlocking on kernel
+// socket buffers.
 //
 // Failure model is fail-stop per epoch, with attribution: a broken or
 // silent connection (heartbeat timeout) marks its peer failed, the
@@ -121,11 +121,8 @@ type TCP struct {
 	failMu  sync.Mutex
 	failure error // first *errs.PeerFailure observed, nil while healthy
 
-	pipes [][]chan message // pipes[src][dst] for local pairs, nil elsewhere
+	pipes [][]chan message // pipes[src][dst] for every local dst, nil elsewhere
 	conns []*wireConn      // per peer process, nil for self
-
-	inboxMu sync.Mutex
-	inbox   map[inboxKey]chan message
 
 	sent     atomic.Int64
 	recv     atomic.Int64
@@ -135,11 +132,6 @@ type TCP struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	readers   sync.WaitGroup
-}
-
-type inboxKey struct {
-	src, dst int
-	tag      string
 }
 
 // wireConn is one peer connection: writes are serialized under mu and
@@ -169,15 +161,17 @@ func (wc *wireConn) slide(within time.Duration) {
 	wc.dl.Unlock()
 }
 
-// pipeDepth sizes the per-pair channel buffers so the collectives'
-// send-then-receive pattern cannot deadlock: a collective puts at most
-// one message per tag on a directed pair, so a sender a few collectives
-// ahead of its receiver still does not block.
+// pipeDepth bounds what a directed pair may have outstanding. Past it the
+// sender waits — a local endpoint, or a connection's reader and with it
+// every frame behind. A collective puts at most one message per tag on a
+// pair and a PS client has one request in flight per server, so a sender
+// a few collectives ahead of its receiver still does not block.
 const pipeDepth = 8
 
 // newFabric builds the part every fabric has: the local table, one pipe
-// per directed local pair, the chunk pool and the inbox of the wire
-// queues. DialTCP adds connections for the endpoints that are not local.
+// per directed pair into a local endpoint, whatever the source, and the
+// chunk pool. DialTCP adds connections for the endpoints that are not
+// local.
 func newFabric(topo Topology, proc int, local func(rank int) bool) *TCP {
 	n := topo.Endpoints()
 	f := &TCP{
@@ -186,16 +180,12 @@ func newFabric(topo Topology, proc int, local func(rank int) bool) *TCP {
 		pool:   newBufPool(),
 		local:  make([]bool, n),
 		pipes:  make([][]chan message, n),
-		inbox:  make(map[inboxKey]chan message),
 		closed: make(chan struct{}),
 	}
 	for r := range f.local {
 		f.local[r] = local(r)
 	}
 	for s := range f.pipes {
-		if !f.local[s] {
-			continue
-		}
 		f.pipes[s] = make([]chan message, n)
 		for d := range f.pipes[s] {
 			if f.local[d] {
@@ -383,12 +373,17 @@ func DialTCP(ctx context.Context, cfg TCPConfig) (*TCP, error) {
 			got++
 		}
 	}
+	// Every connection is published before any reader starts: a reader
+	// that fails at once shuts the fabric down over all of f.conns.
 	for peer, c := range conns {
-		if c == nil {
+		if c != nil {
+			f.conns[peer] = &wireConn{conn: c, gone: make(chan struct{}), broken: make(chan struct{})}
+		}
+	}
+	for peer, wc := range f.conns {
+		if wc == nil {
 			continue
 		}
-		wc := &wireConn{conn: c, gone: make(chan struct{}), broken: make(chan struct{})}
-		f.conns[peer] = wc
 		f.readers.Add(1)
 		go f.reader(peer, wc)
 		if f.hbInterval > 0 {
@@ -517,8 +512,8 @@ func (f *TCP) shutdown(bye bool) {
 	})
 }
 
-// reader drains one peer connection into the per-(src, dst, tag) inbox
-// queues. Every frame read is armed with the heartbeat read deadline
+// reader drains one peer connection into the pipes of its frames' pairs.
+// Every frame read is armed with the heartbeat read deadline
 // (refreshed per chunk for large payloads, so a slow-but-alive bulk
 // transfer never trips it); a timeout, read error, or decode error
 // marks the peer failed and shuts the whole fabric down so blocked
@@ -582,7 +577,7 @@ func (f *TCP) reader(peer int, wc *wireConn) {
 		}
 		f.recv.Add(int64(4 + n))
 		select {
-		case f.queue(src, dst, m.tag) <- m:
+		case f.pipes[src][dst] <- m:
 		case <-f.closed:
 			// Nobody will take it; an orderly Close reads on to the peer's
 			// end of stream, a failure has closed the connection.
@@ -611,21 +606,6 @@ func (f *TCP) readPayload(br *bufio.Reader, wc *wireConn, p []byte) error {
 		}
 	}
 	return nil
-}
-
-// queue returns the inbox channel for a (src, dst, tag) stream, creating
-// it on first use (either side — reader or receiver — may get there
-// first).
-func (f *TCP) queue(src, dst int, tag string) chan message {
-	key := inboxKey{src: src, dst: dst, tag: tag}
-	f.inboxMu.Lock()
-	q := f.inbox[key]
-	if q == nil {
-		q = make(chan message, 64)
-		f.inbox[key] = q
-	}
-	f.inboxMu.Unlock()
-	return q
 }
 
 // sendWire frames and writes one datagram to dst's process. The frame is
@@ -691,19 +671,22 @@ func (c conduit) send(dst int, m message) {
 	}
 }
 
-// recv blocks for the next message from src under tag and asserts its
+// recv blocks for the next message on the pair's pipe and asserts its
 // tag and kind: a mismatch means two endpoints' protocols diverged, which
 // is a bug, so it panics rather than silently reordering. ok is false
-// once the fabric is closed, or src's process has said goodbye and the
-// queue holds nothing more from it.
+// once the fabric is closed — even with messages still queued — or src's
+// process has said goodbye and the pipe holds nothing more from it.
 func (c conduit) recv(src int, tag string, k kind) (m message, ok bool) {
-	var q chan message
-	var gone chan struct{} // stays nil for a local source: a pipe's sender cannot depart
-	if c.f.local[src] {
-		q = c.f.pipes[src][c.rank]
-	} else {
-		q = c.f.queue(src, c.rank, tag)
+	q := c.f.pipes[src][c.rank]
+	var gone chan struct{} // stays nil for a local source: it cannot depart
+	if !c.f.local[src] {
 		gone = c.f.conns[c.f.topo.ProcessOf(src)].gone
+	}
+	// Its own select: one that also had a message ready would pick at random.
+	select {
+	case <-c.f.closed:
+		return message{}, false
+	default:
 	}
 	select {
 	case m = <-q: // fast path: message already queued

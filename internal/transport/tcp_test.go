@@ -69,33 +69,6 @@ func TestTCPExchangeAcrossProcesses(t *testing.T) {
 	}
 }
 
-func TestTCPConcurrentTagsOnePair(t *testing.T) {
-	// Two concurrent request/reply streams between the same endpoints
-	// under different tags: the per-tag inbox queues must demultiplex.
-	f0, f1 := dialPair(t, twoMachineTopo())
-	a, b := f0.Conduit(0), f1.Conduit(1)
-	var wg sync.WaitGroup
-	for _, tag := range []string{"t1", "t2"} {
-		wg.Add(2)
-		go func(tag string) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				a.SendScalar(1, tag, float64(i))
-			}
-		}(tag)
-		go func(tag string) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if v := b.RecvScalar(0, tag); v != float64(i) {
-					t.Errorf("tag %s msg %d = %v", tag, i, v)
-					return
-				}
-			}
-		}(tag)
-	}
-	wg.Wait()
-}
-
 func TestTCPRingCollectiveShapedTraffic(t *testing.T) {
 	// The ring schedule's send-then-recv pattern with chunks far larger
 	// than a socket buffer: both sides send 4 MB simultaneously, which
@@ -451,8 +424,8 @@ func TestTCPClientOwedReplyFailsDepartedServer(t *testing.T) {
 func TestTCPCloseReadsToThePeersEndOfStream(t *testing.T) {
 	base := runtime.NumGoroutine()
 	f0, f1 := dialPair(t, twoMachineTopo())
-	// More frames than process 0's inbox queue holds: its reader parks on
-	// the queue and the rest stay in the socket.
+	// More frames than process 0's pipe from endpoint 1 holds: its reader
+	// parks on the pipe and the rest stay in the socket.
 	for i := 0; i < 500; i++ {
 		f1.Conduit(1).SendF32(0, "unreceived", make([]float32, 256))
 	}

@@ -10,23 +10,27 @@
 // A training cluster exposes one transport endpoint per communicating
 // party: worker (GPU) ranks 0..W-1 followed by parameter-server ranks
 // W..W+M-1, one server per machine (Topology). Every endpoint obtains a
-// Conduit from the process's Fabric; a message is addressed by
-// (destination endpoint, rendezvous tag). Tags are the build-time strings
+// Conduit from the process's Fabric; a message carries its destination
+// endpoint and a rendezvous tag. Tags are the build-time strings
 // internal/collective and internal/transform precompute ("fuse/0/rs",
-// "agv/embedding", ...); the fabric guarantees FIFO delivery per
-// (source, destination, tag).
+// "agv/embedding", ...). Each directed (source, destination) pair is one
+// FIFO queue whatever the link, and the tag is an assertion, not an
+// address: a receive that finds another tag at the head of its pair's
+// queue panics naming both, because the two endpoints' schedules have
+// diverged.
 //
 // # Fabrics
 //
 // There is one fabric implementation (TCP) and one Conduit behind it. A
 // per-endpoint local table decides how a pair exchanges:
 //
-//   - both endpoints hosted by this process: a pipe — one buffered Go
-//     channel per directed pair; float chunks travel as pooled buffers,
-//     sparse tensors and PS batches as pointers. Zero serialization.
+//   - both endpoints hosted by this process: straight into the pair's
+//     queue, a pipe (one buffered Go channel per directed pair); float
+//     chunks travel as pooled buffers, sparse tensors and PS batches as
+//     pointers. Zero serialization.
 //   - otherwise: the persistent length-prefixed framed connection to the
 //     peer's process, one dialer/listener pair per peer, reused across
-//     steps.
+//     steps, whose reader delivers into the same pipe on the far side.
 //
 // DialTCP builds one agent process's fabric; NewInproc builds the
 // instance with every endpoint local, which therefore has no listener,
@@ -146,9 +150,9 @@ type Stats struct {
 // Conduit is one endpoint's handle on the fabric: point-to-point tagged
 // message exchange with the other endpoints of the topology. All methods
 // are safe for use by the multiple goroutines a trainer endpoint runs
-// (worker, comm goroutine), provided no two goroutines exchange
-// on the same (peer, tag) pair concurrently — the per-pair FIFO is the
-// ordering guarantee the collective schedule relies on.
+// (worker, comm goroutine), provided no two goroutines exchange with the
+// same peer concurrently — the pair's one FIFO, not the tag, carries the
+// order the collective schedule relies on.
 type Conduit interface {
 	// Rank returns this endpoint's rank in the topology.
 	Rank() int

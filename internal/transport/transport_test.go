@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,6 +158,53 @@ func TestLocalPairContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// eachPair runs fn on a pair of worker conduits a -> b of each fabric: the
+// in-process one, and two loopback agents with one worker each. rx is the
+// fabric that hosts b.
+func eachPair(t *testing.T, fn func(t *testing.T, a, b Conduit, rx *TCP)) {
+	t.Run("inproc", func(t *testing.T) {
+		f := NewInproc(WorkersOnly(2))
+		t.Cleanup(func() { f.Close() })
+		fn(t, f.Conduit(0), f.Conduit(1), f)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		f0, f1 := dialPair(t, twoMachineTopo())
+		fn(t, f0.Conduit(0), f1.Conduit(1), f1)
+	})
+}
+
+// A pair is one FIFO queue whatever its link: a receive that finds
+// another tag at the head of the queue is a diverged schedule, and it
+// panics naming both tags instead of taking the message out of order.
+func TestOutOfOrderTagPanics(t *testing.T) {
+	eachPair(t, func(t *testing.T, a, b Conduit, _ *TCP) {
+		a.SendScalar(b.Rank(), "a", 1)
+		a.SendScalar(b.Rank(), "b", 2)
+		msg, _ := recovered(func() { b.RecvScalar(a.Rank(), "b") }).(string)
+		if !strings.Contains(msg, `"a"`) || !strings.Contains(msg, `"b"`) {
+			t.Fatalf("receiving b ahead of a raised %q, want a panic naming both tags", msg)
+		}
+	})
+}
+
+// A torn-down fabric delivers nothing, not even what was queued before
+// the teardown: an agreement whose receives were all queued must not
+// report success on a dead fabric.
+func TestClosedFabricReceiveFails(t *testing.T) {
+	eachPair(t, func(t *testing.T, a, b Conduit, rx *TCP) {
+		a.SendScalar(b.Rank(), "x", 7)
+		for len(rx.pipes[a.Rank()][b.Rank()]) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		rx.Fail(rx.proc, errors.New("injected crash"))
+		if p := recovered(func() { b.RecvScalar(a.Rank(), "x") }); p == nil {
+			t.Fatal("a receive on the torn-down fabric returned the queued message")
+		} else if _, ok := p.(ClosedPanic); !ok {
+			t.Fatalf("a receive on the torn-down fabric raised %v, want ClosedPanic", p)
+		}
+	})
 }
 
 // waitGoroutines polls until the goroutine count settles back to at most
