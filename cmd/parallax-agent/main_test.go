@@ -465,8 +465,12 @@ func (o *output) contains(s string) (<-chan struct{}, bool) {
 	return o.grew, false
 }
 
-// TestAgentUsage: -h lists the flags and exits 0, as CI's flag count
-// relies on; an unknown flag exits 2.
+// maxFlags caps the agent's flags: the public knob surface is the
+// knobs the entry points set, so a new flag makes room by deleting one.
+const maxFlags = 24
+
+// TestAgentUsage: -h lists the flags, at most maxFlags of them, and
+// exits 0; an unknown flag exits 2.
 func TestAgentUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(t.Context(), []string{"-h"}, &stdout, &stderr); code != 0 {
@@ -482,6 +486,9 @@ func TestAgentUsage(t *testing.T) {
 		if !listed[f] {
 			t.Errorf("-h does not list %s:\n%s", f, stderr.String())
 		}
+	}
+	if len(listed) > maxFlags {
+		t.Errorf("-h lists %d flags, over the budget of %d: delete one to make room", len(listed), maxFlags)
 	}
 	if code := run(t.Context(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("an unknown flag exited %d, want 2", code)

@@ -23,7 +23,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,42 +37,63 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7600", "HTTP listen address")
-	machines := flag.Int("machines", 2, "cluster machines (admission bound)")
-	gpus := flag.Int("gpus", 2, "GPUs per machine (admission bound)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the service behind its process boundary: it serves until ctx
+// is cancelled, then drains, and returns the exit status (2 for a bad
+// flag, 1 for a failure, 0 for -h and after a drain).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("parallax-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", ":7600", "HTTP listen address")
+	machines := fs.Int("machines", 2, "cluster machines (admission bound)")
+	gpus := fs.Int("gpus", 2, "GPUs per machine (admission bound)")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *version {
-		fmt.Println(buildinfo.Get())
-		return
+		fmt.Fprintln(stdout, buildinfo.Get())
+		return 0
 	}
 
+	logger := log.New(stderr, "", log.LstdFlags)
+	fail := func(err error) int { logger.Print(err); return 1 }
 	svc, err := serve.New(*machines, *gpus)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	srv := &http.Server{Addr: *listen, Handler: serve.Handler(svc)}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fail(err)
+	}
+	srv := &http.Server{Handler: serve.Handler(svc)}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("parallax-serve %s listening on %s (%d machines x %d GPUs)",
-		buildinfo.Version, *listen, *machines, *gpus)
+	go func() { errCh <- srv.Serve(ln) }()
+	logger.Printf("parallax-serve %s listening on %s (%d machines x %d GPUs)",
+		buildinfo.Version, ln.Addr(), *machines, *gpus)
 
+	code := 0
 	select {
 	case err := <-errCh:
-		log.Fatal(err)
+		code = fail(err)
 	case <-ctx.Done():
+		logger.Print("draining: cancelling jobs and shutting down")
 	}
-	log.Print("draining: cancelling jobs and shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(drainCtx); err != nil {
-		log.Printf("job drain: %v", err)
+		code = fail(fmt.Errorf("job drain: %w", err))
 	}
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
+		logger.Printf("http shutdown: %v", err)
 	}
+	return code
 }

@@ -1,6 +1,13 @@
 package analysis
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+// loadModule type-checks the whole module once per test binary: the
+// self-test and the budget read the same load.
+var loadModule = sync.OnceValues(func() ([]*Package, error) { return Load("./...") })
 
 // TestRepoCleanUnderParallaxvet is the self-test gate: the whole
 // module must run clean under all four analyzers. A new
@@ -13,7 +20,7 @@ func TestRepoCleanUnderParallaxvet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module via go list -export")
 	}
-	pkgs, err := Load("./...")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

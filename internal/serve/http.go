@@ -31,8 +31,7 @@ func Handler(s *Service) http.Handler {
 		// Partial specs inherit the standard workload's defaults, so a
 		// body like {"spec":{"steps":20}} is a complete job.
 		req.Spec = jobspec.Default()
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		j, err := s.Submit(req.Tenant, req.Spec)
@@ -69,8 +68,7 @@ func Handler(s *Service) http.Handler {
 		var req struct {
 			Dir string `json:"dir"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		step, err := s.Checkpoint(r.Context(), r.PathValue("id"), req.Dir)
@@ -124,6 +122,24 @@ func streamSteps(w http.ResponseWriter, r *http.Request, j *Job) {
 			return
 		}
 	}
+}
+
+// maxBodyBytes bounds a request body: a job request is a few hundred
+// bytes, and its tenant becomes a metrics label.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, answering 413 for a body
+// over maxBodyBytes and 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return err == nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -118,6 +118,30 @@ func TestHTTPRejectionCodes(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPBodiesAreBounded: a request body just over 1 MiB is refused
+// with 413 before it is decoded, on both endpoints that read one, so an
+// oversized tenant never becomes a job or a metrics label.
+func TestHTTPBodiesAreBounded(t *testing.T) {
+	s, ts := newTestServer(t, 1, 1)
+	huge := strings.Repeat("a", 1<<20)
+	for _, c := range []struct{ path, body string }{
+		{"/jobs", `{"tenant":"` + huge + `","spec":{"machines":1,"gpus":1,"steps":1}}`},
+		{"/jobs/job-000001/checkpoint", `{"dir":"` + huge + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: %d, want 413", c.path, len(c.body), resp.StatusCode)
+		}
+	}
+	if views := s.Views(); len(views) != 0 {
+		t.Errorf("an oversized request became %d jobs", len(views))
+	}
+}
+
 func TestHTTPStepStreamFollowsToTerminal(t *testing.T) {
 	_, ts := newTestServer(t, 1, 1)
 	resp, body := postJSON(t, ts.URL+"/jobs", map[string]any{
