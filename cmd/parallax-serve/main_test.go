@@ -28,10 +28,11 @@ const pinnedNone = "4017c06869b5ad18"
 // TestServe drives the service end to end through run on a
 // 127.0.0.1:0 listener: two tenants train at once on a 2×4 cluster.
 // Tenant A's job streams its 30 steps and ends with the pinned bits;
-// tenant B's endless job is checkpointed, cancelled, and its checkpoint
-// restores through the library; the metrics carry both jobs' series;
+// tenant B's endless job is checkpointed into a relative directory,
+// cancelled, and its checkpoint restores through the library; the metrics carry both jobs' series;
 // and cancelling the context drains the service.
 func TestServe(t *testing.T) {
+	t.Chdir(t.TempDir()) // the daemon's working directory, where checkpoints land
 	ctx, cancel := context.WithCancel(t.Context())
 	defer cancel()
 	var stderr syncBuffer
@@ -76,8 +77,9 @@ func TestServe(t *testing.T) {
 		t.Fatalf("tenant A ended %s with bits %s, want succeeded with the agent's %s", v.State, v.FinalLossBits, pinnedNone)
 	}
 
-	// Tenant B is checkpointed between steps, then cancelled.
-	dir := filepath.Join(t.TempDir(), "ckpt")
+	// Tenant B is checkpointed between steps, into a directory below the
+	// daemon's working directory, then cancelled.
+	dir := filepath.Join("ckpt", "zeta")
 	code, body := call(t, "POST", base+"/jobs/"+b+"/checkpoint", `{"dir":"`+dir+`"}`)
 	var ck struct{ Step int }
 	if err := json.Unmarshal(body, &ck); code != http.StatusOK || err != nil || ck.Step < 1 {

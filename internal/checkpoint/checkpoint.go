@@ -39,8 +39,11 @@
 // records (one per worker × fusion bucket of top-k error-feedback state).
 // Version 1 — the format before wire compression, without the fingerprint
 // or residuals — still decodes, as fingerprint "none". Decoding validates every declared length
-// against the remaining bytes before allocating, so truncated or corrupt
-// files yield errors, never panics (FuzzCheckpointDecode pins this). An
+// against the remaining bytes before allocating (a record count against
+// the 20 bytes of the smallest record), so truncated or corrupt files
+// yield errors, never panics (FuzzCheckpointDecode pins this); the
+// Decoder keeps the first error, so Decode reads field after field and
+// returns what End reports. An
 // unrecognized magic or version fails with errs.ErrCheckpointVersion;
 // topology/plan fingerprint mismatches are the caller's to check
 // (errs.ErrTopologyMismatch), compression fingerprint mismatches
@@ -246,177 +249,108 @@ func Encode(meta Meta, recs []Record) ([]byte, error) {
 	return b, nil
 }
 
-func decodeStr(d *transport.Decoder) (string, error) {
-	n, err := d.U16()
-	if err != nil {
-		return "", err
-	}
-	s, err := d.Bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(s), nil
-}
+func decodeStr(d *transport.Decoder) string { return string(d.Bytes(int(d.U16()))) }
 
-func decodeTensor(d *transport.Decoder) (*tensor.Dense, error) {
-	rank, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
+func decodeTensor(d *transport.Decoder) *tensor.Dense {
+	rank := d.U8()
 	if rank == 0 || rank > maxRank {
-		return nil, fmt.Errorf("checkpoint: tensor rank %d outside [1,%d]", rank, maxRank)
+		d.Fail(fmt.Errorf("checkpoint: tensor rank %d outside [1,%d]", rank, maxRank))
+		return nil
 	}
 	shape := make([]int, rank)
 	elems := uint64(1)
 	for i := range shape {
-		dim, err := d.U32()
-		if err != nil {
-			return nil, err
-		}
+		dim := d.U32()
 		// Overflow-guard the product: a crafted shape like [2³²−1, 2³²−1, k]
 		// must not wrap to a small element count and slip past the
 		// cross-check below.
 		if dim != 0 && elems > math.MaxUint64/uint64(dim) {
-			return nil, fmt.Errorf("checkpoint: tensor shape %v overflows element count", shape[:i+1])
+			d.Fail(fmt.Errorf("checkpoint: tensor shape %v overflows element count", shape[:i+1]))
+			return nil
 		}
 		shape[i] = int(dim)
 		elems *= uint64(dim)
 	}
-	n, err := d.Count(4) // rejects counts that cannot fit the remaining bytes
-	if err != nil {
-		return nil, err
-	}
+	n := d.Count(4) // rejects counts that cannot fit the remaining bytes
 	if uint64(n) != elems {
-		return nil, fmt.Errorf("checkpoint: tensor declares %d elements, shape %v has %d", n, shape, elems)
+		d.Fail(fmt.Errorf("checkpoint: tensor declares %d elements, shape %v has %d", n, shape, elems))
+		return nil
 	}
 	t := tensor.NewDense(shape...)
-	if err := d.F32s(n, t.Data()); err != nil {
-		return nil, err
-	}
-	return t, nil
+	d.F32s(n, t.Data())
+	return t
 }
+
+// minRecordBytes is the encoding of the smallest record: kind, an empty
+// name, part, rank 1 with its one dim, the element count and the slot
+// count. A shard's declared record count is bounded by it, so a record
+// count the remaining bytes cannot hold never sizes an allocation.
+const minRecordBytes = 1 + 2 + 4 + 1 + 4 + 4 + 4
 
 // Decode parses one shard. Malformed input returns an error — wrapping
 // errs.ErrCheckpointVersion when the magic or format version is not
 // ours — and never panics.
 func Decode(b []byte) (Meta, []Record, error) {
-	var meta Meta
 	d := transport.NewDecoder(b)
-	head, err := d.Bytes(len(magic) + 1)
-	if err != nil {
-		return meta, nil, fmt.Errorf("checkpoint: %w: file too short for header", errs.ErrCheckpointVersion)
+	if d.Remaining() < len(magic)+1 {
+		d.Fail(fmt.Errorf("checkpoint: %w: file too short for header", errs.ErrCheckpointVersion))
 	}
-	if [7]byte(head[:7]) != magic {
-		return meta, nil, fmt.Errorf("checkpoint: %w: bad magic", errs.ErrCheckpointVersion)
+	if string(d.Bytes(len(magic))) != string(magic[:]) {
+		d.Fail(fmt.Errorf("checkpoint: %w: bad magic", errs.ErrCheckpointVersion))
 	}
-	version := head[7]
+	version := d.U8()
 	if version != Version && version != VersionCompressed {
-		return meta, nil, fmt.Errorf("checkpoint: %w: file version %d, this build reads %d and %d",
-			errs.ErrCheckpointVersion, version, Version, VersionCompressed)
+		d.Fail(fmt.Errorf("checkpoint: %w: file version %d, this build reads %d and %d",
+			errs.ErrCheckpointVersion, version, Version, VersionCompressed))
 	}
-	machine, err := d.U32()
-	if err != nil {
-		return meta, nil, err
+	meta := Meta{
+		Machine:         int(d.U32()),
+		Machines:        int(d.U32()),
+		Step:            int64(d.U64()),
+		Cursor:          int64(d.U64()),
+		Parts:           int(d.U32()),
+		DecisionPending: d.U8()&1 != 0,
+		DecisionSource:  decodeStr(d),
+		TopoFP:          decodeStr(d),
+		PlanFP:          decodeStr(d),
+		Compression:     "none", // all a version-1 shard can be
 	}
-	machines, err := d.U32()
-	if err != nil {
-		return meta, nil, err
-	}
-	step, err := d.U64()
-	if err != nil {
-		return meta, nil, err
-	}
-	cursor, err := d.U64()
-	if err != nil {
-		return meta, nil, err
-	}
-	parts, err := d.U32()
-	if err != nil {
-		return meta, nil, err
-	}
-	flags, err := d.U8()
-	if err != nil {
-		return meta, nil, err
-	}
-	meta.Machine, meta.Machines = int(machine), int(machines)
-	meta.Step, meta.Cursor = int64(step), int64(cursor)
-	meta.Parts = int(parts)
-	meta.DecisionPending = flags&1 != 0
-	if meta.DecisionSource, err = decodeStr(d); err != nil {
-		return meta, nil, err
-	}
-	if meta.TopoFP, err = decodeStr(d); err != nil {
-		return meta, nil, err
-	}
-	if meta.PlanFP, err = decodeStr(d); err != nil {
-		return meta, nil, err
-	}
-	meta.Compression = "none" // all a version-1 shard can be
 	if version >= VersionCompressed {
-		if meta.Compression, err = decodeStr(d); err != nil {
-			return meta, nil, err
-		}
+		meta.Compression = decodeStr(d)
 	}
-	nrecs, err := d.Count(1)
-	if err != nil {
-		return meta, nil, err
-	}
+	nrecs := d.Count(minRecordBytes)
 	recs := make([]Record, 0, nrecs)
-	for i := 0; i < nrecs; i++ {
-		var r Record
-		kind, err := d.U8()
-		if err != nil {
-			return meta, nil, err
-		}
-		r.Kind = RecordKind(kind)
+	for i := 0; i < nrecs && d.Err() == nil; i++ {
+		r := Record{Kind: RecordKind(d.U8())}
 		switch r.Kind {
 		case KindReplica, KindServerPart:
 		case KindResidual:
 			if version < VersionCompressed {
-				return meta, nil, fmt.Errorf("checkpoint: record %d is a residual in a version-%d file", i, version)
+				d.Fail(fmt.Errorf("checkpoint: record %d is a residual in a version-%d file", i, version))
 			}
 		default:
-			return meta, nil, fmt.Errorf("checkpoint: record %d has unknown kind %d", i, kind)
+			d.Fail(fmt.Errorf("checkpoint: record %d has unknown kind %d", i, r.Kind))
 		}
-		if r.Name, err = decodeStr(d); err != nil {
-			return meta, nil, err
-		}
-		part, err := d.U32()
-		if err != nil {
-			return meta, nil, err
-		}
-		r.Part = int(part)
-		if r.Value, err = decodeTensor(d); err != nil {
-			return meta, nil, err
-		}
-		nslots, err := d.Count(1)
-		if err != nil {
-			return meta, nil, err
-		}
-		for k := 0; k < nslots; k++ {
-			name, err := decodeStr(d)
-			if err != nil {
-				return meta, nil, err
-			}
-			n, err := d.Count(4)
-			if err != nil {
-				return meta, nil, err
-			}
-			if n != r.Value.NumElements() {
-				return meta, nil, fmt.Errorf("checkpoint: record %q slot %q has %d elements, value has %d",
-					r.Name, name, n, r.Value.NumElements())
+		r.Name = decodeStr(d)
+		r.Part = int(d.U32())
+		r.Value = decodeTensor(d)
+		nslots := d.Count(1)
+		for k := 0; k < nslots && d.Err() == nil; k++ {
+			name := decodeStr(d)
+			if n := d.Count(4); n != r.Value.NumElements() {
+				d.Fail(fmt.Errorf("checkpoint: record %q slot %q has %d elements, value has %d",
+					r.Name, name, n, r.Value.NumElements()))
+				break
 			}
 			s := tensor.NewDense(r.Value.Shape()...)
-			if err := d.F32s(n, s.Data()); err != nil {
-				return meta, nil, err
-			}
+			d.F32s(s.NumElements(), s.Data())
 			r.SlotNames = append(r.SlotNames, name)
 			r.Slots = append(r.Slots, s)
 		}
 		recs = append(recs, r)
 	}
-	if d.Remaining() != 0 {
-		return meta, nil, fmt.Errorf("checkpoint: %d trailing bytes after last record", d.Remaining())
+	if err := d.End(); err != nil {
+		return meta, nil, err
 	}
 	return meta, recs, nil
 }

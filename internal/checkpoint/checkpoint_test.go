@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"parallax/internal/cluster"
@@ -83,19 +85,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruption: every truncation of a valid shard and the
-// classic corruptions (bad magic, future version, trailing garbage) are
+// TestDecodeRejectsCorruption: the classic corruptions (a file shorter
+// than its header, bad magic, future version, trailing garbage) are
 // errors, not panics; version problems match errs.ErrCheckpointVersion.
+// Truncations are TestEveryPrefixRefused's.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	meta, recs := sampleShard()
 	b, err := Encode(meta, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < len(b); n++ {
-		if _, _, err := Decode(b[:n]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded successfully", n, len(b))
-		}
+	if _, _, err := Decode(b[:len(magic)]); !errors.Is(err, errs.ErrCheckpointVersion) {
+		t.Fatalf("short header error = %v, want ErrCheckpointVersion", err)
 	}
 	bad := append([]byte(nil), b...)
 	bad[0] = 'X'
@@ -109,6 +110,85 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Decode(append(append([]byte(nil), b...), 0xEE)); err == nil {
 		t.Fatal("trailing byte decoded successfully")
+	}
+}
+
+// TestEveryPrefixRefused feeds every strict prefix of every encoding this
+// package decodes — a version-2 shard with and without residual records,
+// a version-1 shard, each sample membership and join request — to its
+// decoder, and the whole encoding plus one byte: each must be an error,
+// never a panic or a success, and the encoding itself must decode.
+func TestEveryPrefixRefused(t *testing.T) {
+	shard := func(b []byte) error { _, _, err := Decode(b); return err }
+	member := func(b []byte) error { _, err := DecodeMembership(b); return err }
+	join := func(b []byte) error { _, err := DecodeJoinRequest(b); return err }
+	meta, recs := sampleShard()
+	v2, err := Encode(meta, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmeta, crecs := meta, append(recs, Record{Kind: KindResidual, Name: "0", Part: 1, Value: tensor.NewDense(3)})
+	cmeta.Compression = "dense=f16,topk=0.1,psdense=f16,pssparse=f16,delta=true"
+	compressed, err := Encode(cmeta, crecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type encoding struct {
+		name   string
+		b      []byte
+		decode func([]byte) error
+	}
+	cases := []encoding{
+		{"v2 shard", v2, shard},
+		{"v2 shard with a residual", compressed, shard},
+		{"v1 shard", encodeV1(t, meta, recs), shard},
+	}
+	for i, m := range sampleMemberships() {
+		cases = append(cases, encoding{fmt.Sprintf("membership %d", i), AppendMembership(nil, m), member})
+	}
+	for i, r := range sampleJoinRequests() {
+		cases = append(cases, encoding{fmt.Sprintf("join request %d", i), AppendJoinRequest(nil, r), join})
+	}
+	for _, c := range cases {
+		if err := c.decode(c.b); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for n := range len(c.b) {
+			if c.decode(c.b[:n]) == nil {
+				t.Fatalf("%s: the first %d of %d bytes decoded", c.name, n, len(c.b))
+			}
+		}
+		if c.decode(append(c.b[:len(c.b):len(c.b)], 0)) == nil {
+			t.Fatalf("%s: a trailing byte decoded", c.name)
+		}
+	}
+}
+
+// TestDecodeBoundsRecordCount: a shard that declares more records than
+// its bytes could hold costs at most 8× its length in allocations before
+// Decode refuses it. The count is bounded by the 20 bytes of the
+// smallest record, not by one byte per record, which let a 1 MiB shard
+// declaring 2^20 records allocate 88 bytes of Record per declared one.
+func TestDecodeBoundsRecordCount(t *testing.T) {
+	meta, _ := sampleShard()
+	head, err := Encode(meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = 1 << 20
+	for _, nrecs := range []uint32{body, body / minRecordBytes} {
+		b := append(head[:len(head)-4:len(head)-4], make([]byte, 4+body)...)
+		binary.LittleEndian.PutUint32(b[len(head)-4:], nrecs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Decode(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d zero-byte records decoded", nrecs)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(b)) {
+			t.Errorf("a %d-byte shard declaring %d records allocated %d B, over 8× its length", len(b), nrecs, alloc)
+		}
 	}
 }
 

@@ -170,72 +170,26 @@ func AppendMembership(b []byte, m *Membership) []byte {
 // never panics.
 func DecodeMembership(b []byte) (*Membership, error) {
 	d := transport.NewDecoder(b)
-	ver, err := d.U8()
-	if err != nil {
-		return nil, err
+	if ver := d.U8(); ver != membershipVersion {
+		d.Fail(fmt.Errorf("checkpoint: membership record version %d (want %d)", ver, membershipVersion))
 	}
-	if ver != membershipVersion {
-		return nil, fmt.Errorf("checkpoint: membership record version %d (want %d)", ver, membershipVersion)
-	}
-	epoch, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	step, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	cursor, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
+	epoch, step, cursor := d.U32(), d.U64(), d.U64()
 	if step > 1<<62 || cursor > 1<<62 {
-		return nil, fmt.Errorf("checkpoint: membership step/cursor out of range")
+		d.Fail(fmt.Errorf("checkpoint: membership step/cursor out of range"))
 	}
-	parts, err := d.U32()
-	if err != nil {
-		return nil, err
+	m := &Membership{Epoch: int(epoch), Step: int64(step), Cursor: int64(cursor), Parts: int(d.U32()), Joiner: -1}
+	if joiner := d.U16(); joiner != noJoiner {
+		m.Joiner = int(joiner)
 	}
-	joiner16, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	n16, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	n := int(n16)
+	n := int(d.U16())
 	if n < 1 || n > maxMembers {
-		return nil, fmt.Errorf("checkpoint: membership record declares %d members (want 1..%d)", n, maxMembers)
+		d.Fail(fmt.Errorf("checkpoint: membership record declares %d members (want 1..%d)", n, maxMembers))
 	}
-	m := &Membership{
-		Epoch:   int(epoch),
-		Step:    int64(step),
-		Cursor:  int64(cursor),
-		Parts:   int(parts),
-		Joiner:  -1,
-		Members: make([]Member, n),
+	for i := 0; i < n && d.Err() == nil; i++ {
+		m.Members = append(m.Members, Member{Addr: string(d.Bytes(int(d.U8()))), GPUs: int(d.U16())})
 	}
-	if joiner16 != noJoiner {
-		m.Joiner = int(joiner16)
-	}
-	for i := range m.Members {
-		alen, err := d.U8()
-		if err != nil {
-			return nil, err
-		}
-		addr, err := d.Bytes(int(alen))
-		if err != nil {
-			return nil, err
-		}
-		gpus, err := d.U16()
-		if err != nil {
-			return nil, err
-		}
-		m.Members[i] = Member{Addr: string(addr), GPUs: int(gpus)}
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: membership record has %d trailing bytes", d.Remaining())
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -285,37 +239,17 @@ func AppendJoinRequest(b []byte, r *JoinRequest) []byte {
 // error-not-panic discipline as DecodeMembership.
 func DecodeJoinRequest(b []byte) (*JoinRequest, error) {
 	d := transport.NewDecoder(b)
-	ver, err := d.U8()
-	if err != nil {
+	if ver := d.U8(); ver != membershipVersion {
+		d.Fail(fmt.Errorf("checkpoint: join request version %d (want %d)", ver, membershipVersion))
+	}
+	r := &JoinRequest{
+		GPUs:        int(d.U16()),
+		Addr:        string(d.Bytes(int(d.U8()))),
+		Fingerprint: string(d.Bytes(int(d.U16()))),
+	}
+	if err := d.End(); err != nil {
 		return nil, err
 	}
-	if ver != membershipVersion {
-		return nil, fmt.Errorf("checkpoint: join request version %d (want %d)", ver, membershipVersion)
-	}
-	gpus, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	alen, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
-	addr, err := d.Bytes(int(alen))
-	if err != nil {
-		return nil, err
-	}
-	flen, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	fp, err := d.Bytes(int(flen))
-	if err != nil {
-		return nil, err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: join request has %d trailing bytes", d.Remaining())
-	}
-	r := &JoinRequest{Addr: string(addr), GPUs: int(gpus), Fingerprint: string(fp)}
 	if err := r.validate(); err != nil {
 		return nil, err
 	}

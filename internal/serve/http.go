@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 
 	"parallax/internal/buildinfo"
 	"parallax/internal/jobspec"
@@ -16,7 +17,7 @@ import (
 //	GET    /jobs                  list all jobs
 //	GET    /jobs/{id}             one job (incl. final_loss_bits when terminal)
 //	GET    /jobs/{id}/steps       NDJSON step stream, follows until terminal
-//	POST   /jobs/{id}/checkpoint  {dir} → save between steps
+//	POST   /jobs/{id}/checkpoint  {dir} → save between steps (dir local to the working directory)
 //	DELETE /jobs/{id}             cancel
 //	GET    /metrics               Prometheus text exposition
 //	GET    /healthz               liveness
@@ -69,6 +70,12 @@ func Handler(s *Service) http.Handler {
 			Dir string `json:"dir"`
 		}
 		if !decodeBody(w, r, &req) {
+			return
+		}
+		// A client names a directory below the daemon's working
+		// directory, never one elsewhere on its filesystem.
+		if !filepath.IsLocal(req.Dir) {
+			httpError(w, http.StatusBadRequest, errors.New("checkpoint dir must be a relative path below the daemon's working directory"))
 			return
 		}
 		step, err := s.Checkpoint(r.Context(), r.PathValue("id"), req.Dir)

@@ -8,9 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"parallax/internal/checkpoint"
 )
 
 func newTestServer(t *testing.T, machines, gpus int) (*Service, *httptest.Server) {
@@ -118,6 +122,32 @@ func TestHTTPRejectionCodes(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPTenantIsALabel: a tenant becomes a label on every per-tenant
+// series, so POST /jobs takes 1..64 bytes of [A-Za-z0-9._-] (an empty
+// tenant is "default") and answers anything else with 400, creating no
+// job.
+func TestHTTPTenantIsALabel(t *testing.T) {
+	s, ts := newTestServer(t, 1, 1)
+	spec := map[string]any{"machines": 1, "gpus": 1, "vocab": 200, "batch": 8, "steps": 1, "partitions": 4}
+	for _, bad := range []string{strings.Repeat("a", 65), strings.Repeat("a", 1_000_000), "acme corp", "ténant", `a"b`, "a\nb"} {
+		resp, body := postJSON(t, ts.URL+"/jobs", map[string]any{"tenant": bad, "spec": spec})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("tenant of %d bytes %.20q: %d %.200s, want 400", len(bad), bad, resp.StatusCode, body)
+		}
+	}
+	if views := s.Views(); len(views) != 0 {
+		t.Fatalf("refused tenants became %d jobs", len(views))
+	}
+	for tenant, want := range map[string]string{strings.Repeat("Z", 64): strings.Repeat("Z", 64), "": "default", "a.b_c-9": "a.b_c-9"} {
+		resp, body := postJSON(t, ts.URL+"/jobs", map[string]any{"tenant": tenant, "spec": spec})
+		var v View
+		json.Unmarshal(body, &v)
+		if resp.StatusCode != http.StatusAccepted || v.Tenant != want {
+			t.Errorf("tenant %q: %d, tenant %q, want 202 and %q", tenant, resp.StatusCode, v.Tenant, want)
+		}
+	}
+}
+
 // TestHTTPBodiesAreBounded: a request body just over 1 MiB is refused
 // with 413 before it is decoded, on both endpoints that read one, so an
 // oversized tenant never becomes a job or a metrics label.
@@ -186,6 +216,7 @@ func TestHTTPStepStreamFollowsToTerminal(t *testing.T) {
 }
 
 func TestHTTPCheckpointCancelMetricsHealthVersion(t *testing.T) {
+	t.Chdir(t.TempDir()) // the daemon's working directory, where checkpoints land
 	_, ts := newTestServer(t, 1, 2)
 	resp, body := postJSON(t, ts.URL+"/jobs", map[string]any{
 		"tenant": "acme",
@@ -197,8 +228,9 @@ func TestHTTPCheckpointCancelMetricsHealthVersion(t *testing.T) {
 	var v View
 	json.Unmarshal(body, &v)
 
-	// Checkpoint the running job.
-	dir := t.TempDir()
+	// Checkpoint the running job into a directory below the working
+	// directory.
+	dir := filepath.Join("ckpt", "j1")
 	deadline := time.Now().Add(30 * time.Second)
 	var ckptResp *http.Response
 	var ckptBody []byte
@@ -219,6 +251,21 @@ func TestHTTPCheckpointCancelMetricsHealthVersion(t *testing.T) {
 	json.Unmarshal(ckptBody, &ck)
 	if ck.Dir != dir || ck.Step < 1 {
 		t.Fatalf("checkpoint response: %+v", ck)
+	}
+	if _, err := os.Stat(checkpoint.ShardPath(dir, 0)); err != nil {
+		t.Fatalf("checkpoint wrote no shard: %v", err)
+	}
+	// A directory outside the working directory is refused with 400, and
+	// nothing is written there.
+	outside := t.TempDir()
+	for _, bad := range []string{filepath.Join(outside, "abs"), filepath.Join("..", filepath.Base(outside), "up"), ""} {
+		r, b := postJSON(t, ts.URL+"/jobs/"+v.ID+"/checkpoint", map[string]any{"dir": bad})
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("checkpoint into %q: %d %s, want 400", bad, r.StatusCode, b)
+		}
+	}
+	if ents, _ := os.ReadDir(outside); len(ents) != 0 {
+		t.Errorf("a refused checkpoint wrote %d entries outside the working directory", len(ents))
 	}
 
 	// Metrics expose the running job's series.

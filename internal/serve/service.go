@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"sync"
 
@@ -51,12 +52,22 @@ func New(machines, gpusPerMachine int) (*Service, error) {
 	return s, nil
 }
 
-// Submit validates and admits one job for tenant. A spec that can
-// never fit the cluster returns ErrRejected; an admissible one is
-// queued (and started immediately when the free share covers it).
+// tenantName is what a tenant may be. A tenant labels every per-tenant
+// metrics series, so it stays short and needs no escaping in the
+// exposition format.
+var tenantName = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+
+// Submit validates and admits one job for tenant ("" means "default").
+// A tenant outside [A-Za-z0-9._-]{1,64} or an invalid spec is an error;
+// a spec that can never fit the cluster returns ErrRejected; an
+// admissible one is queued (and started immediately when the free share
+// covers it).
 func (s *Service) Submit(tenant string, spec jobspec.Spec) (*Job, error) {
 	if tenant == "" {
 		tenant = "default"
+	}
+	if !tenantName.MatchString(tenant) {
+		return nil, fmt.Errorf("tenant of %d bytes does not match %s", len(tenant), tenantName)
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err

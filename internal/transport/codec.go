@@ -189,10 +189,21 @@ func appendPS(b []byte, m *PSMsg, codec Codec) []byte {
 // declared length is validated against the remaining bytes before any
 // allocation, so truncated or hostile input yields an error, never a
 // panic or an unbounded allocation. It decodes the wire frames here and
-// is reused by internal/checkpoint for the on-disk checkpoint format.
+// is reused by internal/checkpoint for the checkpoint shards and the
+// membership records.
+//
+// A Decoder keeps its first error, as bufio.Scanner does. A read past
+// the end, or a malformed field its caller reports through Fail, stops
+// the decode: every later read consumes nothing and returns zero, and
+// End returns that first error. A decoder of a record therefore reads
+// field after field and asks for the error in two places only: before
+// it allocates or indexes by a decoded value, and at End. The bulk float
+// reads also return the decoder's error, for a caller that reads one
+// payload and nothing else; a record decoder drops it and calls End.
 type Decoder struct {
 	b   []byte
 	off int
+	err error
 }
 
 // NewDecoder returns a Decoder positioned at the start of b.
@@ -201,77 +212,95 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 // Remaining returns how many undecoded bytes are left.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
-// Bytes consumes and returns the next n bytes (a view, not a copy).
-func (d *Decoder) Bytes(n int) ([]byte, error) {
+// Err returns the decoder's first error, nil while it has none.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err as the decoder's error unless an earlier one is
+// recorded; Fail(nil) records nothing.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// End returns the decoder's first error or, when there is none, refuses
+// bytes left after the last field: every encoding decoded here is
+// canonical.
+func (d *Decoder) End() error {
+	if d.err == nil && d.Remaining() != 0 {
+		d.err = fmt.Errorf("transport: %d trailing bytes after the last field", d.Remaining())
+	}
+	return d.err
+}
+
+// Bytes consumes and returns the next n bytes (a view, not a copy), or
+// nil once the decoder has failed.
+func (d *Decoder) Bytes(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
 	if n < 0 || d.Remaining() < n {
-		return nil, fmt.Errorf("transport: frame truncated: want %d bytes, have %d", n, d.Remaining())
+		d.err = fmt.Errorf("transport: frame truncated: want %d bytes, have %d", n, d.Remaining())
+		return nil
 	}
 	s := d.b[d.off : d.off+n]
 	d.off += n
-	return s, nil
+	return s
 }
 
 // U8 consumes one byte.
-func (d *Decoder) U8() (byte, error) {
-	s, err := d.Bytes(1)
-	if err != nil {
-		return 0, err
+func (d *Decoder) U8() byte {
+	if s := d.Bytes(1); s != nil {
+		return s[0]
 	}
-	return s[0], nil
+	return 0
 }
 
 // U16 consumes a little-endian uint16.
-func (d *Decoder) U16() (uint16, error) {
-	s, err := d.Bytes(2)
-	if err != nil {
-		return 0, err
+func (d *Decoder) U16() uint16 {
+	if s := d.Bytes(2); s != nil {
+		return binary.LittleEndian.Uint16(s)
 	}
-	return binary.LittleEndian.Uint16(s), nil
+	return 0
 }
 
 // U32 consumes a little-endian uint32.
-func (d *Decoder) U32() (uint32, error) {
-	s, err := d.Bytes(4)
-	if err != nil {
-		return 0, err
+func (d *Decoder) U32() uint32 {
+	if s := d.Bytes(4); s != nil {
+		return binary.LittleEndian.Uint32(s)
 	}
-	return binary.LittleEndian.Uint32(s), nil
+	return 0
 }
 
 // U64 consumes a little-endian uint64.
-func (d *Decoder) U64() (uint64, error) {
-	s, err := d.Bytes(8)
-	if err != nil {
-		return 0, err
+func (d *Decoder) U64() uint64 {
+	if s := d.Bytes(8); s != nil {
+		return binary.LittleEndian.Uint64(s)
 	}
-	return binary.LittleEndian.Uint64(s), nil
+	return 0
 }
 
 // Count reads a u32 element count and rejects values that could not fit
 // in the remaining bytes at elemSize bytes each — the oversized-frame
 // guard that keeps a hostile length field from driving a huge
 // allocation.
-func (d *Decoder) Count(elemSize int) (int, error) {
-	n, err := d.U32()
-	if err != nil {
-		return 0, err
-	}
+func (d *Decoder) Count(elemSize int) int {
+	n := d.U32()
 	if uint64(n)*uint64(elemSize) > uint64(d.Remaining()) {
-		return 0, fmt.Errorf("transport: frame declares %d elements, only %d bytes remain", n, d.Remaining())
+		d.Fail(fmt.Errorf("transport: frame declares %d elements, only %d bytes remain", n, d.Remaining()))
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
-// F32s consumes n little-endian float32 values into dst.
+// F32s consumes n little-endian float32 values into dst and returns the
+// decoder's error.
 func (d *Decoder) F32s(n int, dst []float32) error {
-	s, err := d.Bytes(n * 4)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
+	s := d.Bytes(n * 4)
+	for i := 0; i < len(s)/4; i++ {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[i*4:]))
 	}
-	return nil
+	return d.err
 }
 
 // maxInternedTags caps a tagInterner: a step uses a few dozen tags, so
@@ -303,220 +332,115 @@ func (ti tagInterner) intern(b []byte) string {
 // after the body are an error: frames are canonical.
 func decodeMessage(b []byte, pool *bufPool, tags tagInterner) (src, dst int, m message, err error) {
 	d := NewDecoder(b)
-	s16, err := d.U16()
-	if err != nil {
-		return 0, 0, m, err
-	}
-	d16, err := d.U16()
-	if err != nil {
-		return 0, 0, m, err
-	}
-	k, err := d.U8()
-	if err != nil {
-		return 0, 0, m, err
-	}
-	tagLen, err := d.U8()
-	if err != nil {
-		return 0, 0, m, err
-	}
-	tag, err := d.Bytes(int(tagLen))
-	if err != nil {
-		return 0, 0, m, err
-	}
-	m.tag = tags.intern(tag)
+	src, dst = int(d.U16()), int(d.U16())
+	k := d.U8()
+	m.tag = tags.intern(d.Bytes(int(d.U8())))
 	m.kind = kind(k & (1<<codecShift - 1))
 	m.codec = Codec(k >> codecShift)
 	if !m.codec.valid() {
-		return 0, 0, m, fmt.Errorf("transport: unknown payload codec %d", m.codec)
+		d.Fail(fmt.Errorf("transport: unknown payload codec %d", m.codec))
 	}
 	switch m.kind {
 	case kindF32:
-		n, err := d.Count(payloadElemSize(m.codec))
-		if err != nil {
-			return 0, 0, m, err
-		}
-		buf := pool.get(n)
-		if err := d.floats(n, buf, m.codec); err != nil {
-			pool.put(buf)
-			return 0, 0, m, err
-		}
-		m.f32 = buf
+		n := d.Count(payloadElemSize(m.codec))
+		m.f32 = pool.get(n)
+		d.floats(n, m.f32, m.codec)
 	case kindScalar:
 		if m.codec != CodecF32 {
-			return 0, 0, m, fmt.Errorf("transport: scalar frame under codec %s", m.codec)
+			d.Fail(fmt.Errorf("transport: scalar frame under codec %s", m.codec))
 		}
-		bits, err := d.U64()
-		if err != nil {
-			return 0, 0, m, err
-		}
-		m.scalar = math.Float64frombits(bits)
+		m.scalar = math.Float64frombits(d.U64())
 	case kindSparse:
-		m.sparse, err = decodeSparse(d, m.codec)
+		m.sparse = decodeSparse(d, m.codec)
 	case kindPS:
-		m.ps, err = decodePS(d, m.codec)
+		m.ps = decodePS(d, m.codec)
 	case kindF32Sparse:
-		m.topk, err = decodeF32Sparse(d, m.codec)
+		m.topk = decodeF32Sparse(d, m.codec)
 	default:
-		return 0, 0, m, fmt.Errorf("transport: unknown frame kind %d", m.kind)
+		d.Fail(fmt.Errorf("transport: unknown frame kind %d", m.kind))
 	}
-	if err != nil {
-		return 0, 0, m, err
+	if err = d.End(); err != nil {
+		pool.put(m.f32)
+		return 0, 0, message{}, err
 	}
-	if d.Remaining() != 0 {
-		return 0, 0, m, fmt.Errorf("transport: %d trailing bytes after frame body", d.Remaining())
-	}
-	return int(s16), int(d16), m, nil
+	return src, dst, m, nil
 }
 
 // decodeSparse decodes the sparse body. Delta-mode rows are strictly
 // ascending by construction (each gap >= 1); raw-mode rows must NOT be —
 // the canonical-choice rule that makes decode(encode(x)) byte-stable.
-func decodeSparse(d *Decoder, codec Codec) (*tensor.Sparse, error) {
-	dim0, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	width, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	mode, err := d.U8()
-	if err != nil {
-		return nil, err
-	}
+func decodeSparse(d *Decoder, codec Codec) *tensor.Sparse {
+	dim0, width, mode := d.U32(), d.U32(), d.U8()
 	if mode > deltaIndexMode {
-		return nil, fmt.Errorf("transport: unknown sparse index mode %d", mode)
+		d.Fail(fmt.Errorf("transport: unknown sparse index mode %d", mode))
 	}
-	nrows, err := d.Count(1) // >= 1 byte per row in either mode
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]int, nrows)
+	rows := make([]int, d.Count(1)) // >= 1 byte per row in either mode
 	if mode == deltaIndexMode {
-		if err := decodeDeltas(d, rows, dim0); err != nil {
-			return nil, err
-		}
+		decodeDeltas(d, rows, dim0)
 	} else {
 		for i := range rows {
-			r, err := d.U32()
-			if err != nil {
-				return nil, err
-			}
+			r := d.U32()
 			if r >= dim0 {
-				return nil, fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0)
+				d.Fail(fmt.Errorf("transport: sparse row %d out of range [0,%d)", r, dim0))
 			}
 			rows[i] = int(r)
 		}
 		if rowsAscending(rows) {
-			return nil, fmt.Errorf("transport: ascending rows must use delta index mode")
+			d.Fail(fmt.Errorf("transport: ascending rows must use delta index mode"))
 		}
 	}
+	nrows := len(rows)
 	if uint64(nrows)*uint64(width)*uint64(payloadElemSize(codec)) > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("transport: sparse values %dx%d exceed remaining %d bytes",
-			nrows, width, d.Remaining())
+		d.Fail(fmt.Errorf("transport: sparse values %dx%d exceed remaining %d bytes",
+			nrows, width, d.Remaining()))
+	}
+	if d.Err() != nil {
+		return nil
 	}
 	vals := tensor.NewDense(nrows, int(width))
-	if err := d.floats(nrows*int(width), vals.Data(), codec); err != nil {
-		return nil, err
-	}
-	return &tensor.Sparse{Rows: rows, Values: vals, Dim0: int(dim0)}, nil
+	d.floats(nrows*int(width), vals.Data(), codec)
+	return &tensor.Sparse{Rows: rows, Values: vals, Dim0: int(dim0)}
 }
 
-func decodePS(d *Decoder, codec Codec) (*PSMsg, error) {
-	m := &PSMsg{Codec: codec}
-	op, err := d.U8()
-	if err != nil {
-		return nil, err
+func decodePS(d *Decoder, codec Codec) *PSMsg {
+	op := d.U8()
+	if op == 0 || PSOp(op) > PSReply {
+		d.Fail(fmt.Errorf("transport: unknown PS op %d", op))
 	}
-	m.Op = PSOp(op)
-	if m.Op == 0 || m.Op > PSReply {
-		return nil, fmt.Errorf("transport: unknown PS op %d", op)
+	m := &PSMsg{
+		Codec:   codec,
+		Op:      PSOp(op),
+		Version: int64(d.U64()),
+		Scale:   math.Float32frombits(d.U32()),
+		Scalar:  math.Float64frombits(d.U64()),
+		Err:     string(d.Bytes(int(d.U16()))),
 	}
-	ver, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	m.Version = int64(ver)
-	scale, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	m.Scale = math.Float32frombits(scale)
-	scalar, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	m.Scalar = math.Float64frombits(scalar)
-	errLen, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	errBytes, err := d.Bytes(int(errLen))
-	if err != nil {
-		return nil, err
-	}
-	m.Err = string(errBytes)
-	nItems, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nItems); i++ {
-		nameLen, err := d.U8()
-		if err != nil {
-			return nil, err
-		}
-		name, err := d.Bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		part, err := d.U32()
-		if err != nil {
-			return nil, err
-		}
-		m.Names = append(m.Names, string(name))
+	nItems := int(d.U16())
+	for i := 0; i < nItems && d.Err() == nil; i++ {
+		name := string(d.Bytes(int(d.U8())))
+		part := d.U32()
+		m.Names = append(m.Names, name)
 		m.Parts = append(m.Parts, int(part&^psRowsFlag))
 		if part&psRowsFlag == 0 {
 			continue
 		}
-		nrows, err := d.Count(1) // >= 1 byte per row
-		if err != nil {
-			return nil, err
-		}
 		if m.Rows == nil {
 			m.Rows = make([][]int, nItems)
 		}
-		m.Rows[i] = make([]int, nrows)
 		// The partition's length is the server's to check; the wire only
 		// keeps a row, like a partition index, below 2^31.
-		if err := decodeDeltas(d, m.Rows[i], 1<<31); err != nil {
-			return nil, err
-		}
+		m.Rows[i] = make([]int, d.Count(1)) // >= 1 byte per row
+		decodeDeltas(d, m.Rows[i], 1<<31)
 	}
-	nDense, err := d.U16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nDense); i++ {
-		n, err := d.Count(payloadElemSize(codec))
-		if err != nil {
-			return nil, err
-		}
-		t := tensor.NewDense(n)
-		if err := d.floats(n, t.Data(), codec); err != nil {
-			return nil, err
-		}
+	nDense := int(d.U16())
+	for i := 0; i < nDense && d.Err() == nil; i++ {
+		t := tensor.NewDense(d.Count(payloadElemSize(codec)))
+		d.floats(t.NumElements(), t.Data(), codec)
 		m.Dense = append(m.Dense, t)
 	}
-	nSparse, err := d.U16()
-	if err != nil {
-		return nil, err
+	nSparse := int(d.U16())
+	for i := 0; i < nSparse && d.Err() == nil; i++ {
+		m.Sparse = append(m.Sparse, decodeSparse(d, codec))
 	}
-	for i := 0; i < int(nSparse); i++ {
-		s, err := decodeSparse(d, codec)
-		if err != nil {
-			return nil, err
-		}
-		m.Sparse = append(m.Sparse, s)
-	}
-	return m, nil
+	return m
 }

@@ -30,10 +30,11 @@ func psMessage(ps *PSMsg) message {
 	return message{tag: "ps", kind: kindPS, codec: ps.Codec, ps: ps}
 }
 
-// seedMessages returns one well-formed message per frame kind and codec:
-// dense chunks, sparse IndexedSlices in both index modes, scalars, the
-// batched parameter-server request/reply shapes (pulls whole and
-// row-addressed) and a top-k sparsified chunk.
+// seedMessages returns well-formed messages of every frame kind under
+// every codec the kind admits (a scalar travels exact only): dense
+// chunks, sparse IndexedSlices in both index modes, scalars, the batched
+// parameter-server request/reply shapes (pulls whole and row-addressed)
+// and top-k sparsified chunks.
 func seedMessages() []message {
 	dup := tensor.NewSparse([]int{0, 2, 2}, tensor.FromSlice([]float32{1, -2, 3, 4, 0, 6}, 3, 2), 5)
 	ascending := tensor.NewSparse([]int{1, 4, 9}, tensor.FromSlice([]float32{1, -2, 3, 4, 0.5, 6}, 3, 2), 16)
@@ -68,9 +69,13 @@ func seedMessages() []message {
 		{tag: "fuse/1/rs", kind: kindF32Sparse, topk: &SparseChunk{
 			Len: 10, Idx: []int32{2, 5}, Vals: []float32{1, 2}}},
 	}
+	bf16 := ch
+	bf16.Codec = CodecBF16
+	msgs = append(msgs, message{tag: "fuse/1/rs", kind: kindF32Sparse, codec: bf16.Codec, topk: &bf16})
 	for _, codec := range []Codec{CodecF16, CodecBF16} {
 		msgs = append(msgs,
 			message{tag: "fuse/0/rs", kind: kindF32, codec: codec, f32: onGrid()},
+			message{tag: "agv/embedding", kind: kindSparse, codec: codec, sparse: unsorted},
 			psMessage(&PSMsg{
 				Op: PSPushDenseMany, Names: []string{"w"}, Parts: []int{1},
 				Dense: []*tensor.Dense{tensor.FromSlice(onGrid(), 6)}, Codec: codec}),
@@ -264,19 +269,22 @@ func TestReceiveTagsInterned(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsTruncation slices every seed frame at every boundary:
-// all prefixes must decode with an error, not a panic.
+// TestCodecRejectsTruncation slices every seed frame (every kind under
+// every codec) at every boundary: each strict prefix, and the whole
+// frame plus one byte, must decode with an error, not a panic — whichever
+// field the cut lands in, the decoder's first error must reach the
+// caller.
 func TestCodecRejectsTruncation(t *testing.T) {
 	pool := newBufPool()
-	for _, b := range seedFrames() {
+	for i, b := range seedFrames() {
 		for cut := 0; cut < len(b); cut++ {
 			if _, _, _, err := decodeMessage(b[:cut], pool, nil); err == nil {
-				t.Fatalf("truncated frame (%d of %d bytes) decoded", cut, len(b))
+				t.Fatalf("frame %d truncated to %d of %d bytes decoded", i, cut, len(b))
 			}
 		}
 		// Trailing garbage is rejected too: frames are canonical.
 		if _, _, _, err := decodeMessage(append(append([]byte(nil), b...), 0), pool, nil); err == nil {
-			t.Fatal("frame with trailing byte decoded")
+			t.Fatalf("frame %d with a trailing byte decoded", i)
 		}
 	}
 }

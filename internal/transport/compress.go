@@ -178,67 +178,57 @@ func payloadElemSize(c Codec) int {
 }
 
 // F16s consumes n binary16 values, expanding them into dst — the
-// decoder for AppendF16s. A signalling NaN is an error: the encoder
-// never writes one, so a frame holding one is not canonical.
+// decoder for AppendF16s — and returns the decoder's error. A
+// signalling NaN is an error: the encoder never writes one, so a frame
+// holding one is not canonical.
 func (d *Decoder) F16s(n int, dst []float32) error {
-	s, err := d.Bytes(n * 2)
-	if err != nil {
-		return err
+	if s := d.Bytes(n * 2); s != nil && !tensor.DecodeF16(dst[:n], s) {
+		d.Fail(fmt.Errorf("transport: signalling NaN in a binary16 payload"))
 	}
-	if !tensor.DecodeF16(dst[:n], s) {
-		return fmt.Errorf("transport: signalling NaN in a binary16 payload")
-	}
-	return nil
+	return d.err
 }
 
-// BF16s consumes n bfloat16 values, expanding them into dst.
+// BF16s consumes n bfloat16 values, expanding them into dst, and
+// returns the decoder's error.
 func (d *Decoder) BF16s(n int, dst []float32) error {
-	s, err := d.Bytes(n * 2)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
+	s := d.Bytes(n * 2)
+	for i := 0; i < len(s)/2; i++ {
 		dst[i] = tensor.BF16BitsToF32(binary.LittleEndian.Uint16(s[i*2:]))
 	}
-	return nil
+	return d.err
 }
 
 // floats consumes n values under a codec.
-func (d *Decoder) floats(n int, dst []float32, c Codec) error {
+func (d *Decoder) floats(n int, dst []float32, c Codec) {
 	switch c {
 	case CodecF16:
-		return d.F16s(n, dst)
+		d.F16s(n, dst)
 	case CodecBF16:
-		return d.BF16s(n, dst)
+		d.BF16s(n, dst)
+	default:
+		d.F32s(n, dst)
 	}
-	return d.F32s(n, dst)
 }
 
 // uvarint consumes one minimal-length LEB128 varint and rejects
-// non-minimal encodings (a shorter encoding exists) and values past 5
-// bytes — both would break the canonical re-encode property the frame
-// fuzzer pins.
-func (d *Decoder) uvarint() (uint64, error) {
+// non-minimal encodings (a shorter encoding exists) and values past 32
+// bits — both would break the canonical re-encode property the frame
+// fuzzer pins. A failed decoder reads a zero byte, which ends the loop.
+func (d *Decoder) uvarint() uint64 {
 	var v uint64
-	var shift uint
 	for i := 0; ; i++ {
-		c, err := d.U8()
-		if err != nil {
-			return 0, err
+		c := d.U8()
+		if i == 4 && c > 0x0F { // the fifth byte holds bits 28..31 and no continuation
+			d.Fail(fmt.Errorf("transport: varint exceeds 32 bits"))
+			return 0
 		}
-		if i == 4 && c > 0x0F { // 5 bytes already cover 35 bits > u32 range
-			return 0, fmt.Errorf("transport: varint exceeds 32 bits")
-		}
-		v |= uint64(c&0x7F) << shift
+		v |= uint64(c&0x7F) << (7 * i)
 		if c&0x80 == 0 {
 			if c == 0 && i > 0 {
-				return 0, fmt.Errorf("transport: non-minimal varint")
+				d.Fail(fmt.Errorf("transport: non-minimal varint"))
+				return 0
 			}
-			return v, nil
-		}
-		shift += 7
-		if i == 4 {
-			return 0, fmt.Errorf("transport: varint exceeds 32 bits")
+			return v
 		}
 	}
 }
@@ -257,26 +247,22 @@ func appendDeltas[T int | int32](b []byte, xs []T) []byte {
 // decodeDeltas fills dst from appendDeltas' encoding, rejecting a zero
 // gap (the sequence must be strictly ascending) and indices at or past
 // limit.
-func decodeDeltas[T int | int32](d *Decoder, dst []T, limit uint32) error {
+func decodeDeltas[T int | int32](d *Decoder, dst []T, limit uint32) {
 	prev := uint64(0)
 	for i := range dst {
-		v, err := d.uvarint()
-		if err != nil {
-			return err
-		}
+		v := d.uvarint()
 		if i > 0 {
 			if v == 0 {
-				return fmt.Errorf("transport: non-monotone delta index (zero delta)")
+				d.Fail(fmt.Errorf("transport: non-monotone delta index (zero delta)"))
 			}
 			v += prev
 		}
 		if v >= uint64(limit) {
-			return fmt.Errorf("transport: index %d out of range [0,%d)", v, limit)
+			d.Fail(fmt.Errorf("transport: index %d out of range [0,%d)", v, limit))
 		}
 		dst[i] = T(v)
 		prev = v
 	}
-	return nil
 }
 
 // Index modes of the sparse body; see codec.go for the canonical rule.
@@ -298,30 +284,23 @@ func rowsAscending(rows []int) bool {
 
 // decodeF32Sparse decodes a kindF32Sparse body. Indices must be
 // strictly ascending and inside [0, len); values expand onto f32.
-func decodeF32Sparse(d *Decoder, codec Codec) (*SparseChunk, error) {
-	length, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	nnz, err := d.Count(1)
-	if err != nil {
-		return nil, err
-	}
+func decodeF32Sparse(d *Decoder, codec Codec) *SparseChunk {
+	length, nnz := d.U32(), d.Count(1)
 	if nnz > int(length) {
-		return nil, fmt.Errorf("transport: sparsified chunk with %d of %d survivors", nnz, length)
+		d.Fail(fmt.Errorf("transport: sparsified chunk with %d of %d survivors", nnz, length))
+		return nil
 	}
 	idx := make([]int32, nnz)
-	if err := decodeDeltas(d, idx, length); err != nil {
-		return nil, err
-	}
+	decodeDeltas(d, idx, length)
 	if uint64(nnz)*uint64(payloadElemSize(codec)) > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("transport: sparsified values exceed remaining %d bytes", d.Remaining())
+		d.Fail(fmt.Errorf("transport: sparsified values exceed remaining %d bytes", d.Remaining()))
+	}
+	if d.Err() != nil {
+		return nil
 	}
 	vals := make([]float32, nnz)
-	if err := d.floats(nnz, vals, codec); err != nil {
-		return nil, err
-	}
-	return &SparseChunk{Len: int(length), Idx: idx, Vals: vals, Codec: codec}, nil
+	d.floats(nnz, vals, codec)
+	return &SparseChunk{Len: int(length), Idx: idx, Vals: vals, Codec: codec}
 }
 
 // compressedFrame reports whether a message travels under a
