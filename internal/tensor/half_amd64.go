@@ -21,14 +21,6 @@ func encodeF16Kernel(dst *byte, src *float32, n int)
 //go:noescape
 func decodeF16Kernel(dst *float32, src *byte, n int) bool
 
-// cpuHasF16C reports whether the CPU has AVX and F16C and the OS saves
-// the YMM registers (CPUID leaf 1, then XGETBV).
-func cpuHasF16C() bool
-
-// hasF16C picks the f16 path once per process. Which one runs cannot
-// change a bit (see half.go); tests clear it to run the Go loops.
-var hasF16C = cpuHasF16C()
-
 func quantizeF16(x []float32) {
 	n := 0
 	if hasF16C {

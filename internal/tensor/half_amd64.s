@@ -7,26 +7,6 @@
 // of 8. Every kernel ends in VZEROUPPER: the SSE2 kernels
 // (kernels_amd64.s) run next on the same goroutine.
 
-// func cpuHasF16C() bool
-TEXT ·cpuHasF16C(SB), NOSPLIT, $0-1
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x38000000, CX // OSXSAVE (27), AVX (28), F16C (29)
-	CMPL  CX, $0x38000000
-	JNE   nof16c
-	XORL  CX, CX
-	XGETBV                // XCR0: the OS saves XMM (1) and YMM (2) state
-	ANDL  $6, AX
-	CMPL  AX, $6
-	JNE   nof16c
-	MOVB  $1, ret+0(FP)
-	RET
-
-nof16c:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func quantizeF16Kernel(x *float32, n int)
 TEXT ·quantizeF16Kernel(SB), NOSPLIT, $0-16
 	MOVQ x+0(FP), DI

@@ -13,11 +13,7 @@ func TestF16GoPathOnAMD64(t *testing.T) {
 	defer func(saved bool) { hasF16C = saved }(hasF16C)
 	hasF16C = false
 
-	ordinary := NewRNG(7).RandN(1, 1009).data
-	mixed := append([]float32(nil), ordinary[:97]...)
-	for i, v := range specials {
-		mixed[(i*7)%len(mixed)] = v
-	}
+	ordinary, mixed := testValues()
 	for n := 0; n <= 130; n++ {
 		for off := 0; off < 8; off++ {
 			what := func(k string) string { return fmt.Sprintf("%s n=%d off=%d (Go path)", k, n, off) }

@@ -114,11 +114,15 @@ func f16Mismatch(src []float32, enc []byte, q []float32) error {
 	return nil
 }
 
-// sweepF16 checks every float32 bit pattern in [lo, hi) with
-// f16Mismatch, a chunk at a time over GOMAXPROCS goroutines.
-func sweepF16(t *testing.T, lo, hi uint64) {
+// sweepChunk is how many bit patterns a sweep hands a check at once.
+const sweepChunk = 1 << 14
+
+// sweep checks every float32 bit pattern in [lo, hi), at most
+// sweepChunk at a time over GOMAXPROCS goroutines, each with its own
+// check from newCheck (which owns that goroutine's scratch buffers). It
+// stops at the first error.
+func sweep(t *testing.T, lo, hi uint64, newCheck func() func(src []float32) error) {
 	t.Helper()
-	const chunk = 1 << 14
 	var next atomic.Uint64
 	next.Store(lo)
 	var wg sync.WaitGroup
@@ -127,17 +131,17 @@ func sweepF16(t *testing.T, lo, hi uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			src, enc, q := make([]float32, chunk), make([]byte, 2*chunk), make([]float32, chunk)
+			src, check := make([]float32, sweepChunk), newCheck()
 			for {
-				start := next.Add(chunk) - chunk
+				start := next.Add(sweepChunk) - sweepChunk
 				if start >= hi {
 					return
 				}
-				s := src[:min(chunk, hi-start)]
+				s := src[:min(sweepChunk, hi-start)]
 				for i := range s {
 					s[i] = math.Float32frombits(uint32(start + uint64(i)))
 				}
-				if err := f16Mismatch(s, enc, q); err != nil {
+				if err := check(s); err != nil {
 					errs <- err
 					next.Store(hi) // stop the others
 					return
@@ -150,6 +154,15 @@ func sweepF16(t *testing.T, lo, hi uint64) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// sweepF16 sweeps [lo, hi) with f16Mismatch.
+func sweepF16(t *testing.T, lo, hi uint64) {
+	t.Helper()
+	sweep(t, lo, hi, func() func([]float32) error {
+		enc, q := make([]byte, 2*sweepChunk), make([]float32, sweepChunk)
+		return func(src []float32) error { return f16Mismatch(src, enc, q) }
+	})
 }
 
 // TestF16BulkMatchesScalar pins the bulk f16 routines — F16C on amd64

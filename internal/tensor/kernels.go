@@ -27,13 +27,14 @@ package tensor
 // float32 lanes do to four elements, or to Dot's four partial sums, what
 // the Go loops below do to one, MULPS then ADDPS, so the bits are the
 // same. SSE2 is the amd64 baseline, so these kernels detect and dispatch
-// nothing at run time (the f16 conversions of half.go are the package's
-// one dispatched kernel); AVX2/FMA would change either the lane count
-// of Dot's partial sums or the number of roundings, i.e. every loss
-// bit. The Go loops in this file are the !amd64 build and the oracle the
-// assembly is tested against; their float32(...) conversions keep
-// compilers that fuse x*y+z (arm64, GOAMD64=v3) to the same two
-// roundings.
+// nothing at run time; AVX2/FMA would change either the lane count of
+// Dot's partial sums or the number of roundings, i.e. every loss bit.
+// The package dispatches two other kernels, both picked by one CPUID
+// probe at start-up (cpu_amd64.go) and neither able to move a bit: the
+// f16 conversions (half.go) and the exp under tanh (exp.go). The Go
+// loops in this file are the !amd64 build and the oracle the assembly
+// is tested against; their float32(...) conversions keep a compiler
+// that fuses x*y+z (Go does on arm64) to the same two roundings.
 //
 // When two NaNs meet, which payload survives is the operand order an
 // implementation picked, not arithmetic: NaN-ness is part of the

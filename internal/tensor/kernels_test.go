@@ -227,6 +227,7 @@ func checkAgainstGeneric(t *testing.T, vals []float32, a float32, n, off int) {
 	wantSameBits(t, what("AddTo aliased"), got, want)
 
 	checkF16AgainstGeneric(t, src, off, what)
+	checkTanhAgainstPort(t, src, off, what)
 
 	// The 4-column dot: 6 rows of b, so one group of four and two
 	// columns left to Dot.
@@ -308,17 +309,31 @@ var specials = []float32{
 	0, float32(math.Copysign(0, -1)),
 	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -3e-41,
 	math.MaxFloat32, -math.MaxFloat32, 1, -1, 0.1, 3,
+	// tanh's branch points: 0.625 and the saturation point tanhMaxLog,
+	// the float32s on either side of each, of both signs.
+	0.625, -math.Nextafter32(0.625, 0), math.Nextafter32(tanhMaxLog, 0), -float32(tanhMaxLog), 44, -45,
+}
+
+// testValues are the operands the kernel comparisons cut their inputs
+// from: 1009 seeded normals, and 97 of them with every special value
+// spread through.
+func testValues() (ordinary, mixed []float32) {
+	ordinary = NewRNG(7).RandN(1, 1009).data
+	mixed = append([]float32(nil), ordinary[:97]...)
+	for i, v := range specials {
+		mixed[(i*7)%len(mixed)] = v
+	}
+	return ordinary, mixed
 }
 
 // The assembly against the generic Go loops, in math.Float32bits, for
 // every length 0…130 at every start offset 0…7 (unaligned loads and all
 // three tail lengths), on ordinary values and on the special ones.
+// The exp kernel is held to the Go port in float64 bits the same way,
+// on values spread around its range [expLo, expHi] and on the specials
+// that take the port's exits, and tanh on an input of several chunks.
 func TestAsmKernelsMatchGeneric(t *testing.T) {
-	ordinary := NewRNG(7).RandN(1, 1009).data
-	mixed := append([]float32(nil), ordinary[:97]...)
-	for i, v := range specials {
-		mixed[(i*7)%len(mixed)] = v
-	}
+	ordinary, mixed := testValues()
 	for n := 0; n <= 130; n++ {
 		for off := 0; off < 8; off++ {
 			checkAgainstGeneric(t, ordinary, 0.37, n, off)
@@ -328,9 +343,19 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 	for _, a := range specials {
 		checkAgainstGeneric(t, mixed, a, 67, 1)
 	}
+	ordinary64, mixed64 := expTestValues()
+	for n := 0; n <= 130; n++ {
+		for off := 0; off < 8; off++ {
+			what := func(k string) string { return fmt.Sprintf("%s n=%d off=%d", k, n, off) }
+			checkExpAgainstPort(t, ordinary64[:n], off, what)
+			checkExpAgainstPort(t, mixed64[:min(n, len(mixed64))], off, what)
+		}
+	}
+	checkTanhAgainstPort(t, ordinary, 3, func(k string) string { return k + " n=1009 off=3" })
 }
 
-// FuzzKernelsMatchGeneric is the same property on raw bit patterns.
+// FuzzKernelsMatchGeneric is the same property on raw bit patterns,
+// read as float32 for every kernel and as float64 for exp.
 func FuzzKernelsMatchGeneric(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 192, 127, 1, 0, 0, 0}, uint32(0x3f000000), uint8(37), uint8(3))
 	f.Add([]byte{0, 0, 128, 255, 0, 0, 0, 128}, uint32(0), uint8(130), uint8(0))
@@ -343,5 +368,10 @@ func FuzzKernelsMatchGeneric(f *testing.F) {
 			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 		checkAgainstGeneric(t, vals, math.Float32frombits(abits), int(n)%131, int(off)%8)
+		vals64 := make([]float64, len(raw)/8)
+		for i := range vals64 {
+			vals64[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkExpAgainstPort(t, vals64, int(off)%8, func(k string) string { return k })
 	})
 }

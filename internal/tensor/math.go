@@ -120,13 +120,27 @@ func ReluBackwardInto(out, x, dy *Dense) *Dense {
 	return out
 }
 
-// TanhForwardInto computes out = tanh(x) element-wise. out may be x.
+// tanhChunk is how many elements TanhForwardInto takes at a time: its
+// exps sit in a stack array of this many float64.
+const tanhChunk = 256
+
+// TanhForwardInto computes out = tanh(x) element-wise, with the bits of
+// math.Tanh on an FMA CPU (exp.go) on every CPU. out may be x.
 func TanhForwardInto(out, x *Dense) *Dense {
 	if !out.SameShape(x) {
 		panic(fmt.Sprintf("tensor: TanhForward shape mismatch %v -> %v", x.shape, out.shape))
 	}
-	for i, v := range x.data {
-		out.data[i] = float32(math.Tanh(float64(v)))
+	var buf [tanhChunk]float64
+	src, dst := x.data, out.data
+	for len(src) > 0 {
+		n := min(len(src), tanhChunk)
+		e := buf[:n]
+		for i, v := range src[:n] {
+			e[i] = 2 * min(math.Abs(float64(v)), tanhMaxLog)
+		}
+		expSlice(e, e)
+		tanh(dst[:n], src[:n], e)
+		src, dst = src[n:], dst[n:]
 	}
 	return out
 }
