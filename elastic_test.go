@@ -430,7 +430,7 @@ func TestSessionElasticShrinkOnKillTCP(t *testing.T) {
 // uninterrupted single-process reference.
 func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 	const every, total = 4, 12
-	refLosses, _ := runSessionSteps(t, total, momentumOpts()...)
+	refLosses, refState := runSessionSteps(t, total, momentumOpts()...)
 
 	base := runtime.NumGoroutine()
 	root := t.TempDir()
@@ -445,12 +445,15 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 	})
 
 	res := [2]elasticResult{}
+	states := [2]map[string][]uint32{}
 	var wg sync.WaitGroup
 	for p := 0; p < 2; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			res[p] = driveElastic(sessions[p], total, nil)
+			if res[p] = driveElastic(sessions[p], total, nil); res[p].err == nil {
+				states[p], res[p].err = stateBits(sessions[p])
+			}
 		}(p)
 	}
 	waitElastic(t, &wg, "elastic same-size recovery")
@@ -473,6 +476,9 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 		}
 		if got := len(sessions[p].Members()); got != 2 {
 			t.Fatalf("agent %d sees %d members, want 2 (no membership change)", p, got)
+		}
+		if err := sameState(states[p], refState); err != nil {
+			t.Fatalf("agent %d trained state: %v", p, err)
 		}
 	}
 	closeInTurn(sessions[:]...)

@@ -72,6 +72,8 @@ var budget = []budgetRow{
 		"a Steps session's dataset position is its feed log, so datasets are plain forward streams"},
 	{"", "declarations named Resumable", declared("Resumable"), 0,
 		"a Steps session's dataset position is its feed log, so datasets are plain forward streams"},
+	{"parallax", "references to checkpoint.ReadShard", uses("parallax/internal/checkpoint", "ReadShard"), 0,
+		"every restore reads the whole checkpoint through checkpoint.Read, so the session has no per-shard second mode (DESIGN.md §10)"},
 	{"parallax/cmd/parallax-agent", "links to parallax/internal/engine", links("parallax/internal/engine"), 0,
 		"the runtime trains on real steps; the paper model is for the paper tables and stays out of the agent binary"},
 }
@@ -154,6 +156,7 @@ func TestBudgetCounters(t *testing.T) {
 		{"With* functions", funcs("With"), 1},
 		{"PXJN magics", spells("PXJN"), 2},
 		{"links to time", links("time"), 1},
+		{"references to time.Sleep", uses("time", "Sleep"), 1},
 		{"links to parallax/internal/engine", links("parallax/internal/engine"), 0},
 	} {
 		if got := c.count(p); got.n != c.want {
@@ -254,6 +257,25 @@ func declared(name string) func(*Package) tally {
 		inspect(p, func(n ast.Node) {
 			if id, ok := n.(*ast.Ident); ok && id.Name == name && p.Info.Defs[id] != nil {
 				c.add(p, id.Pos(), name)
+			}
+		})
+		return c
+	}
+}
+
+// uses counts references to the package-level object name of the
+// package at path.
+func uses(path, name string) func(*Package) tally {
+	return func(p *Package) tally {
+		var c tally
+		inspect(p, func(n ast.Node) {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return
+			}
+			obj := p.Info.Uses[id]
+			if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Pkg().Scope().Lookup(name) == obj {
+				c.add(p, id.Pos(), path+"."+name)
 			}
 		})
 		return c

@@ -429,3 +429,32 @@ func ReadShard(dir string, machine int) (Meta, []Record, error) {
 	}
 	return meta, recs, nil
 }
+
+// Read reads the whole checkpoint in dir: shard 0, then shards 1 up to
+// the machine count shard 0 declares, every record in machine order. A
+// missing shard is refused by index, and so is a shard whose job
+// metadata differs from shard 0's — a torn save, mixing shards of two
+// saves. The returned Meta is shard 0's.
+func Read(dir string) (Meta, []Record, error) {
+	meta, recs, err := ReadShard(dir, 0)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	if meta.Machines < 1 {
+		return Meta{}, nil, fmt.Errorf("checkpoint: %s declares %d machines", ShardPath(dir, 0), meta.Machines)
+	}
+	// The loop is bounded by shard 0's count, and a corrupt count stops
+	// at the first shard that is not on disk.
+	for m := 1; m < meta.Machines; m++ {
+		mm, mrecs, err := ReadShard(dir, m)
+		if err != nil {
+			return Meta{}, nil, fmt.Errorf("checkpoint: shard %d of %d: %w", m, meta.Machines, err)
+		}
+		if mm.Machine = meta.Machine; mm != meta {
+			return Meta{}, nil, fmt.Errorf("checkpoint: %s: shard %d (step %d) disagrees with shard 0 (step %d): torn save?",
+				dir, m, mm.Step, meta.Step)
+		}
+		recs = append(recs, mrecs...)
+	}
+	return meta, recs, nil
+}

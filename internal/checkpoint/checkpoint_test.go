@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"parallax/internal/cluster"
@@ -340,4 +341,94 @@ func TestVersionGating(t *testing.T) {
 	if _, _, err := Decode(encodeV1(t, meta, recs)); err == nil {
 		t.Fatal("version-1 file with residual records decoded successfully")
 	}
+}
+
+// TestRead covers the whole-checkpoint reader: shards in machine order
+// under shard 0's meta, and a refusal for every shard that is missing
+// or disagrees with shard 0 on the job's metadata.
+func TestRead(t *testing.T) {
+	meta, recs := sampleShard()
+	meta.Machines = 3
+	write := func(t *testing.T, dir string, m int, edits ...func(*Meta)) {
+		t.Helper()
+		mm := meta
+		mm.Machine = m
+		for _, edit := range edits {
+			if edit != nil {
+				edit(&mm)
+			}
+		}
+		if err := WriteShard(dir, mm, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name     string
+		machines int         // shards 0..machines-1 are written
+		skip     int         // a shard index left unwritten, or -1
+		all      func(*Meta) // applied to every shard
+		edit     func(*Meta) // applied to shard 1 after all
+		want     string      // "" reads cleanly
+	}{
+		{name: "whole", machines: 3, skip: -1},
+		{name: "single shard", machines: 1, skip: -1, all: func(m *Meta) { m.Machines = 1 }},
+		{name: "stray shard past the count", machines: 4, skip: -1},
+		{name: "step", machines: 3, skip: -1, edit: func(m *Meta) { m.Step++ }, want: "torn save"},
+		{name: "cursor", machines: 3, skip: -1, edit: func(m *Meta) { m.Cursor++ }, want: "torn save"},
+		{name: "parts", machines: 3, skip: -1, edit: func(m *Meta) { m.Parts++ }, want: "torn save"},
+		{name: "plan", machines: 3, skip: -1, edit: func(m *Meta) { m.PlanFP = "fnv64a:0" }, want: "torn save"},
+		{name: "topology", machines: 3, skip: -1, edit: func(m *Meta) { m.TopoFP = "machines=3 gpus=1,1,1" }, want: "torn save"},
+		{name: "machine count", machines: 3, skip: -1, edit: func(m *Meta) { m.Machines = 4 }, want: "torn save"},
+		{name: "compression", machines: 3, skip: -1, edit: func(m *Meta) { m.Compression = "f16" }, want: "torn save"},
+		{name: "decision", machines: 3, skip: -1, edit: func(m *Meta) { m.DecisionPending = true }, want: "torn save"},
+		{name: "missing middle shard", machines: 3, skip: 1, want: "shard 1 of 3"},
+		{name: "missing last shard", machines: 3, skip: 2, want: "shard 2 of 3"},
+		{name: "missing shard 0", machines: 3, skip: 0, want: "machine-0.ckpt"},
+		{name: "corrupt count", machines: 3, skip: -1, all: func(m *Meta) { m.Machines = math.MaxInt32 },
+			want: fmt.Sprintf("shard 3 of %d", math.MaxInt32)},
+		{name: "no machines", machines: 1, skip: -1, all: func(m *Meta) { m.Machines = 0 }, want: "declares 0 machines"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for m := 0; m < c.machines; m++ {
+				switch m {
+				case c.skip:
+				case 1:
+					write(t, dir, m, c.all, c.edit)
+				default:
+					write(t, dir, m, c.all)
+				}
+			}
+			got, gotRecs, err := Read(dir)
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Read = %v, want an error naming %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := meta
+			want.Machine = 0
+			if c.all != nil {
+				c.all(&want)
+			}
+			if got != want {
+				t.Fatalf("meta %+v, want shard 0's %+v", got, want)
+			}
+			if n := want.Machines * len(recs); len(gotRecs) != n {
+				t.Fatalf("%d records, want %d (every shard's, none past the count)", len(gotRecs), n)
+			}
+		})
+	}
+	t.Run("missing shard wraps not-exist", func(t *testing.T) {
+		dir := t.TempDir()
+		write(t, dir, 0)
+		write(t, dir, 2)
+		if _, _, err := Read(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Read = %v, want os.ErrNotExist", err)
+		}
+	})
 }

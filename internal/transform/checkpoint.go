@@ -117,18 +117,17 @@ func (t *Trainer) Snapshot(m int) ([]checkpoint.Record, error) {
 	return out, nil
 }
 
-// Restore installs checkpointed state — the records of every shard this
-// process needs, in any order — and sets the step counter; it must run
-// before the first Step. Replica records go into every local replica;
-// server-partition records (which cover at least every partition a
-// local server owns) are assembled into full variables and installed
-// with versions seeded to step. Residual records of workers hosted
-// elsewhere are a peer's to restore; with reshard set — a checkpoint
-// written at another topology, whose worker numbering has no mapping
-// onto this one — all of them are dropped and error feedback restarts
-// from zero. A record the plan, optimizer or policy has no place for is
-// a configuration mismatch (errs.ErrTopologyMismatch), never a silent
-// drop.
+// Restore installs checkpointed state — a whole checkpoint's records
+// (checkpoint.Read), in any order — and sets the step counter; it must
+// run before the first Step. Replica records go into every local
+// replica; server-partition records are assembled into full variables
+// and each local server installs its share, with versions seeded to
+// step. Residual records of workers hosted elsewhere are a peer's to
+// restore; with reshard set — a checkpoint written at another topology,
+// whose worker numbering has no mapping onto this one — all of them are
+// dropped and error feedback restarts from zero. A record the plan,
+// optimizer or policy has no place for is a configuration mismatch
+// (errs.ErrTopologyMismatch), never a silent drop.
 func (t *Trainer) Restore(recs []checkpoint.Record, step int64, reshard bool) error {
 	if err := t.live("restore"); err != nil {
 		return err

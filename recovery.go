@@ -278,7 +278,8 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	if step < 0 {
 		return fmt.Errorf("parallax: no complete auto-checkpoint under %s to recover from", root)
 	}
-	meta0, _, err := checkpoint.ReadShard(sdir, 0)
+	// Read whole, so a torn save is refused before MEMBERS names it.
+	meta, _, err := checkpoint.Read(sdir)
 	if err != nil {
 		return err
 	}
@@ -287,8 +288,8 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	// derives it from the same inputs and writes the same bytes; the
 	// atomic renames commute.
 	rec := &checkpoint.Membership{
-		Epoch: s.epoch + 1, Step: meta0.Step, Cursor: meta0.Cursor,
-		Parts: meta0.Parts, Joiner: -1, Members: s.currentMembers().Members,
+		Epoch: s.epoch + 1, Step: meta.Step, Cursor: meta.Cursor,
+		Parts: meta.Parts, Joiner: -1, Members: s.currentMembers().Members,
 	}
 	failed, shrink := s.shrinkTarget(cause)
 	if shrink {

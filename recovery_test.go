@@ -151,7 +151,7 @@ func TestDialFabricEpochRetriesStayInsideDialTimeout(t *testing.T) {
 
 func TestSessionAutoCheckpointResume(t *testing.T) {
 	const every, total = 4, 10
-	refLosses, refEmb := runSessionSteps(t, total, momentumOpts()...)
+	refLosses, refState := runSessionSteps(t, total, momentumOpts()...)
 
 	root := t.TempDir()
 	opts := append(momentumOpts(), WithAutoCheckpoint(root, every))
@@ -193,14 +193,12 @@ func TestSessionAutoCheckpointResume(t *testing.T) {
 			break
 		}
 	}
-	emb, err := s2.VarValue("embedding")
+	state, err := stateBits(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range refEmb {
-		if math.Float32bits(emb.Data()[i]) != math.Float32bits(v) {
-			t.Fatalf("embedding[%d] diverged after auto-resume", i)
-		}
+	if err := sameState(state, refState); err != nil {
+		t.Fatalf("after auto-resume: %v", err)
 	}
 }
 
@@ -247,7 +245,7 @@ func recoveryTCPPair(t *testing.T, perProc func(p int, dc *DistConfig) []Option)
 // report the recovery.
 func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	const every, total = 4, 12
-	refLosses, _ := runSessionSteps(t, total, momentumOpts()...)
+	refLosses, refState := runSessionSteps(t, total, momentumOpts()...)
 
 	base := runtime.NumGoroutine()
 	root := t.TempDir()
@@ -263,6 +261,7 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 	type result struct {
 		losses map[int]float64
 		last   StepStats
+		state  map[string][]uint32
 		err    error
 	}
 	res := [2]result{}
@@ -285,9 +284,10 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 				r.losses[st.Step] = st.Loss
 				r.last = st
 				if st.Step == total-1 {
-					return
+					break
 				}
 			}
+			r.state, r.err = stateBits(sessions[p])
 		}(p)
 	}
 	done := make(chan struct{})
@@ -323,6 +323,9 @@ func TestSessionChaosKillRecoversBitIdentical(t *testing.T) {
 		}
 		if d := sessions[p].LastRecoveryDuration(); d <= 0 {
 			t.Fatalf("agent %d recovery duration %v, want > 0", p, d)
+		}
+		if err := sameState(res[p].state, refState); err != nil {
+			t.Fatalf("agent %d trained state: %v", p, err)
 		}
 	}
 	if e, err := checkpoint.ReadEpoch(root); err != nil || e != 1 {

@@ -109,14 +109,6 @@ type target struct {
 	epoch    int
 }
 
-// machine is the index of the checkpoint shard this agent owns.
-func (t target) machine() int {
-	if t.dist == nil {
-		return 0
-	}
-	return t.dist.Machine
-}
-
 // Open is the paper's get_runner (§4.1): it builds a Session for the
 // single-GPU graph on the given cluster. ctx governs establishment: for
 // distributed sessions (WithDistConfig) the peer-rendezvous deadline is the
@@ -170,9 +162,9 @@ func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) 
 // same seeds); the restore re-validates the cluster topology and the
 // rebuilt synchronization plan against the checkpoint's fingerprints
 // and refuses a mismatch with ErrTopologyMismatch. In distributed mode
-// every agent restores from the same checkpoint directory (shared or
-// replicated filesystem): each reads its own machine's shard plus shard
-// 0's replica variables.
+// every agent restores from the same checkpoint directory, shared or
+// fully replicated: each reads every shard and installs its own
+// machine's share.
 func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
 	cfg, err := resolveConfig(opts)
 	if err != nil {
@@ -222,24 +214,27 @@ func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, j
 // in-place recovery, membership transitions, the joiner, and Resize are
 // all callers that only choose tgt and dir.
 //
-// The general case is the cross-topology reshard-install: a checkpoint
-// written at another topology (WithElastic opts in) is read whole, its
-// server partitions are re-placed onto the new servers, and worker-
-// indexed residuals are dropped. The same-topology restore is its
-// identity instance — plan fingerprint checked, residuals kept.
+// The checkpoint is always read whole (checkpoint.Read), and the
+// trainer installs the share this process hosts. The general case is
+// the cross-topology reshard-install: a checkpoint written at another
+// topology (WithElastic opts in) has its server partitions re-placed
+// onto the new servers and its worker-indexed residuals dropped. The
+// same-topology restore is its identity instance — plan fingerprint
+// checked, residuals kept.
 //
-// Everything that can be refused without touching the live runtime is
-// checked first, so a bad argument leaves the session running. After
-// the teardown there is one rule: a failed rebuild leaves the session
-// closed (ErrClosed).
+// Everything that can be refused without a built trainer — the target,
+// a missing or torn checkpoint, the topology, compression and plan
+// fingerprints — is checked first, so a refusal leaves the session
+// running. After the teardown there is one rule: a failed rebuild
+// leaves the session closed (ErrClosed).
 func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err error) {
 	cfg := s.cfg
 	if err := validateTarget(s.g, tgt); err != nil {
 		return err
 	}
-	var head *shardHead
+	var ck *saved
 	if dir != "" {
-		if head, err = readShardHead(dir, tgt, cfg); err != nil {
+		if ck, err = readSaved(dir, tgt, cfg); err != nil {
 			return err
 		}
 	}
@@ -247,8 +242,19 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		resource: tgt.resource, dist: tgt.dist, epoch: tgt.epoch,
 		workers: tgt.resource.TotalGPUs(), feeds: make([]Feed, tgt.resource.TotalGPUs()),
 	}
-	if err = rt.decide(s.g, cfg, head); err != nil {
+	if err = rt.decide(s.g, cfg, ck); err != nil {
 		return err
+	}
+	// A resharding install re-places state: server placement is a function
+	// of the machine count, so the rebuilt plan's fingerprint legitimately
+	// differs from the checkpoint's. Partition ranges do not — they depend
+	// only on row counts and the partition count, which the restore
+	// preserves — so re-placing the checkpointed parts is exact.
+	if ck != nil && !ck.reshard {
+		if fp := checkpoint.PlanFingerprint(rt.plan); fp != ck.meta.PlanFP {
+			return fmt.Errorf("parallax: %w: checkpoint plan fingerprint %q, rebuilt plan is %q",
+				ErrTopologyMismatch, ck.meta.PlanFP, fp)
+		}
 	}
 	if s.chaos == nil && tgt.dist != nil && tgt.dist.Chaos != "" {
 		if s.chaos, err = chaos.Parse(tgt.dist.Chaos); err != nil {
@@ -287,15 +293,15 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		return err
 	}
 	s.liveRuntime = rt
-	if head != nil {
-		if err = s.install(dir, head); err != nil {
+	if ck != nil {
+		if err = s.trainer.Restore(ck.recs, ck.meta.Step, ck.reshard); err != nil {
 			return err
 		}
 		// A fresh session's first Steps call arms its feed log at this
 		// cursor; a live one rewinds the log it has.
-		s.cursor = head.meta.Cursor
+		s.cursor = ck.meta.Cursor
 		if s.replay != nil {
-			if err = s.replay.rewindTo(head.meta.Cursor); err != nil {
+			if err = s.replay.rewindTo(ck.meta.Cursor); err != nil {
 				return err
 			}
 		}
@@ -315,18 +321,18 @@ func validateTarget(g *Graph, tgt target) error {
 // decide settles the partition count, the plan built for it, and how
 // the count was chosen: fixed by configuration, restored from the
 // checkpoint, or left pending for the search the first step loop runs.
-func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error) {
+func (rt *liveRuntime) decide(g *Graph, cfg Config, ck *saved) (err error) {
 	d := &rt.decision
 	*d = PartitionDecision{P: cfg.SparsePartitions, Source: "fixed"}
 	search := d.P == 0
-	if head != nil {
+	if ck != nil {
 		// A restored session rebuilds the plan with exactly the
 		// checkpointed partition count — even if the original run searched
 		// for it — so the plan fingerprints can be compared. A search that
 		// had not run yet at save time runs on the first Steps call, as it
 		// would have in the original run.
-		d.P, search = head.meta.Parts, search && head.meta.DecisionPending
-		d.Source = head.meta.DecisionSource
+		d.P, search = ck.meta.Parts, search && ck.meta.DecisionPending
+		d.Source = ck.meta.DecisionSource
 	} else if search {
 		// The search starts from the paper's initial sample point, one
 		// partition per machine.
@@ -341,115 +347,48 @@ func (rt *liveRuntime) decide(g *Graph, cfg Config, head *shardHead) (err error)
 	// through collectives leaves nothing to reshard.
 	if search && searchBound(rt.plan) > 0 {
 		d.Source, d.Pending = "online", true
-	} else if head == nil && cfg.SparsePartitions == 0 {
+	} else if ck == nil && cfg.SparsePartitions == 0 {
 		d.P = 1 // nothing is partitioned; the plan is the same at any count
 	}
 	return nil
 }
 
-// shardHead is what rebuild learns from a checkpoint before committing
-// to it: one shard's meta (every shard carries the same job-level
-// fields) and that shard's records.
-type shardHead struct {
-	machine int
-	meta    checkpoint.Meta
-	recs    []checkpoint.Record
+// saved is a checkpoint read whole before rebuild commits to it: shard
+// 0's meta (every shard carries the same job-level fields) and every
+// shard's records.
+type saved struct {
+	meta checkpoint.Meta
+	recs []checkpoint.Record
 	// reshard marks a checkpoint written at another topology.
 	reshard bool
 }
 
-// readShardHead reads this agent's shard of the checkpoint in dir and
-// checks the checkpoint can be restored onto tgt under cfg.
-func readShardHead(dir string, tgt target, cfg Config) (*shardHead, error) {
-	h := &shardHead{machine: tgt.machine()}
+// readSaved reads the checkpoint in dir and checks it can be restored
+// onto tgt under cfg.
+func readSaved(dir string, tgt target, cfg Config) (*saved, error) {
+	ck := &saved{}
 	var err error
-	h.meta, h.recs, err = checkpoint.ReadShard(dir, h.machine)
-	if err != nil {
-		if !cfg.Elastic || h.machine == 0 {
-			return nil, err
-		}
-		// An elastic regrow may give this machine an index with no shard
-		// in a checkpoint written at a smaller topology; shard 0 always
-		// exists and carries the same meta, and the resharding install
-		// reads every shard anyway.
-		meta0, recs0, err0 := checkpoint.ReadShard(dir, 0)
-		if err0 != nil || h.machine < meta0.Machines {
-			return nil, err
-		}
-		h.machine, h.meta, h.recs = 0, meta0, recs0
+	if ck.meta, ck.recs, err = checkpoint.Read(dir); err != nil {
+		return nil, err
 	}
-	if fp := checkpoint.TopoFingerprint(tgt.resource); fp != h.meta.TopoFP {
+	if fp := checkpoint.TopoFingerprint(tgt.resource); fp != ck.meta.TopoFP {
 		// Restoring onto a different topology is only sound through the
 		// resharding install — the caller must opt in.
 		if !cfg.Elastic {
 			return nil, fmt.Errorf("parallax: %w: checkpoint topology %q, cluster is %q (WithElastic enables cross-topology restore)",
-				ErrTopologyMismatch, h.meta.TopoFP, fp)
+				ErrTopologyMismatch, ck.meta.TopoFP, fp)
 		}
-		h.reshard = true
+		ck.reshard = true
 	}
 	// The compression policy is part of the job's identity: restoring
 	// under a different policy would resume a different optimization
 	// trajectory (and orphan or fabricate error-feedback residuals).
 	// Version-1 checkpoints predate the field and decode as "none".
-	if fp := cfg.Compression.Fingerprint(); fp != h.meta.Compression {
+	if fp := cfg.Compression.Fingerprint(); fp != ck.meta.Compression {
 		return nil, fmt.Errorf("parallax: %w: checkpoint written with policy %q, session configured with %q",
-			ErrCompressionMismatch, h.meta.Compression, fp)
+			ErrCompressionMismatch, ck.meta.Compression, fp)
 	}
-	return h, nil
-}
-
-// install loads the remaining shards and seeds the freshly built
-// trainer with the checkpointed state.
-func (s *Session) install(dir string, head *shardHead) error {
-	meta := head.meta
-	// A resharding install re-places state: server placement is a function
-	// of the machine count, so the rebuilt plan's fingerprint legitimately
-	// differs from the checkpoint's. Partition ranges are not — they
-	// depend only on row counts and the partition count, which the restore
-	// preserves — so re-placing the checkpointed parts onto the new
-	// servers is exact.
-	if !head.reshard {
-		if fp := checkpoint.PlanFingerprint(s.plan); fp != meta.PlanFP {
-			return fmt.Errorf("parallax: %w: checkpoint plan fingerprint %q, rebuilt plan is %q",
-				ErrTopologyMismatch, meta.PlanFP, fp)
-		}
-	}
-	// Which shards this process needs, in machine-index order: its own
-	// (read already) and shard 0 for the replica variables — or all of
-	// them in single-process mode, where this process hosts every machine,
-	// and when resharding, where old server parts live anywhere.
-	need := []int{0}
-	if head.machine != 0 {
-		need = append(need, head.machine)
-	}
-	if head.reshard || s.dist == nil {
-		need = make([]int, meta.Machines)
-		for m := range need {
-			need[m] = m
-		}
-	}
-	recs := head.recs
-	for _, m := range need {
-		if m == head.machine {
-			continue
-		}
-		mm, mrecs, err := checkpoint.ReadShard(dir, m)
-		if err != nil {
-			return err
-		}
-		if mm.Step != meta.Step || mm.Cursor != meta.Cursor || mm.Parts != meta.Parts ||
-			mm.PlanFP != meta.PlanFP || mm.TopoFP != meta.TopoFP {
-			return fmt.Errorf("parallax: checkpoint shard %d disagrees with shard %d (torn save?)", m, head.machine)
-		}
-		recs = append(recs, mrecs...)
-	}
-	// Each shard carries its own machine's workers' top-k residuals, so
-	// the trainer keeps those of the workers it hosts (shard 0, read for
-	// the replica variables, may belong to a peer agent). A resharding
-	// install drops residuals entirely: they are indexed by the old
-	// worker numbering, which has no mapping onto the new one; error
-	// feedback restarts from zero after a topology change.
-	return s.trainer.Restore(recs, meta.Step, head.reshard)
+	return ck, nil
 }
 
 // Save captures the session's full training state into a checkpoint

@@ -8,10 +8,12 @@ package parallax
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,8 +59,9 @@ func momentumOpts() []Option {
 }
 
 // runSessionSteps opens a session, drives it to totalSteps completed
-// steps, and returns the per-step losses indexed by absolute step.
-func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, []float32) {
+// steps, and returns the per-step losses indexed by absolute step and
+// the trained state (stateBits).
+func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, map[string][]uint32) {
 	t.Helper()
 	g := buildAPIModel(8, 150)
 	s, err := Open(context.Background(), g, Uniform(2, 2), opts...)
@@ -76,11 +79,50 @@ func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, [
 			break
 		}
 	}
-	emb, err := s.VarValue("embedding")
+	state, err := stateBits(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return losses, emb.Data()
+	return losses, state
+}
+
+// stateBits reads every variable's value, PS and replicated, as float
+// bits. Under WithDistConfig it is collective, like VarValue: every
+// agent calls it between the same steps.
+func stateBits(s *Session) (map[string][]uint32, error) {
+	state := map[string][]uint32{}
+	for _, v := range s.g.Variables() {
+		d, err := s.VarValue(v.Name)
+		if err != nil {
+			return nil, err
+		}
+		bits := make([]uint32, len(d.Data()))
+		for i, x := range d.Data() {
+			bits[i] = math.Float32bits(x)
+		}
+		state[v.Name] = bits
+	}
+	return state, nil
+}
+
+// sameState reports the first element at which got's variables differ
+// from want's bits.
+func sameState(got, want map[string][]uint32) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d variables, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if len(g) != len(w) {
+			return fmt.Errorf("%s has %d elements, want %d", name, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				return fmt.Errorf("%s[%d] = %x, uninterrupted run %x", name, i, g[i], w[i])
+			}
+		}
+	}
+	return nil
 }
 
 // TestSessionCheckpointResumeBitIdentical is the tentpole acceptance
@@ -89,7 +131,7 @@ func runSessionSteps(t *testing.T, totalSteps int, opts ...Option) ([]float64, [
 // uninterrupted run's, momentum slot state included.
 func TestSessionCheckpointResumeBitIdentical(t *testing.T) {
 	const saveAt, total = 4, 10
-	refLosses, refEmb := runSessionSteps(t, total, momentumOpts()...)
+	refLosses, refState := runSessionSteps(t, total, momentumOpts()...)
 
 	dir := t.TempDir()
 	g := buildAPIModel(8, 150)
@@ -141,15 +183,12 @@ func TestSessionCheckpointResumeBitIdentical(t *testing.T) {
 			break
 		}
 	}
-	emb, err := s2.VarValue("embedding")
+	state, err := stateBits(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range refEmb {
-		if math.Float32bits(emb.Data()[i]) != math.Float32bits(v) {
-			t.Fatalf("embedding[%d] %x after resume, want %x",
-				i, math.Float32bits(emb.Data()[i]), math.Float32bits(v))
-		}
+	if err := sameState(state, refState); err != nil {
+		t.Fatalf("after resume: %v", err)
 	}
 }
 
@@ -204,6 +243,69 @@ func TestSessionCheckpointValidation(t *testing.T) {
 	if err := open(Uniform(2, 2), momentumOpts()...); !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("future version: err = %v, want ErrCheckpointVersion", err)
 	}
+}
+
+// TestSessionRebuildRefusesBeforeTeardown: a rebuild from a torn
+// checkpoint (shard 1 from another step's save) or from one whose plan
+// fingerprint differs is refused before the live runtime is torn down,
+// so the session keeps stepping with losses bit-identical to a run no
+// rebuild was attempted on.
+func TestSessionRebuildRefusesBeforeTeardown(t *testing.T) {
+	ctx := context.Background()
+	refLosses, _ := runSessionSteps(t, 8, momentumOpts()...)
+	s := openSession(t, buildAPIModel(8, 150), Uniform(2, 2), momentumOpts()...)
+	defer s.Close()
+	ds := data.NewZipfText(150, 8, 1, 1.0, 5)
+	step := func(n int) {
+		t.Helper()
+		runSteps(t, s, ds, n, func(st StepStats) {
+			if math.Float64bits(st.Loss) != math.Float64bits(refLosses[st.Step]) {
+				t.Fatalf("step %d loss %x, untouched run %x",
+					st.Step, math.Float64bits(st.Loss), math.Float64bits(refLosses[st.Step]))
+			}
+		})
+	}
+	save := func() string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	here := func() target { return target{resource: s.resource, dist: s.dist, epoch: s.epoch} }
+
+	step(2)
+	early := save()
+	step(2)
+	torn := save()
+	b, err := os.ReadFile(checkpoint.ShardPath(early, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(checkpoint.ShardPath(torn, 1), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.rebuild(ctx, here(), torn); err == nil || !strings.Contains(err.Error(), "torn save") {
+		t.Fatalf("rebuild from a torn checkpoint: %v, want the torn-save refusal", err)
+	}
+	step(2)
+
+	other := save()
+	for m := range 2 {
+		meta, recs, err := checkpoint.ReadShard(other, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta.PlanFP = "fnv64a:0000000000000000"
+		if err := checkpoint.WriteShard(other, meta, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.rebuild(ctx, here(), other); !errors.Is(err, ErrTopologyMismatch) {
+		t.Fatalf("rebuild from another plan's checkpoint: %v, want ErrTopologyMismatch", err)
+	}
+	step(2)
 }
 
 // TestSessionCancelMidLoop: cancelling the Steps context ends the
@@ -534,7 +636,7 @@ func TestSessionCloseWaitsForNoPeer(t *testing.T) {
 // for bit.
 func TestSessionTCPCheckpointResume(t *testing.T) {
 	const saveAt, total = 4, 8
-	refLosses, refEmb := runSessionSteps(t, total, momentumOpts()...)
+	refLosses, refState := runSessionSteps(t, total, momentumOpts()...)
 	dir := t.TempDir()
 
 	phase := func(restore bool, from, to int) {
@@ -604,17 +706,11 @@ func TestSessionTCPCheckpointResume(t *testing.T) {
 				if !restore {
 					return
 				}
-				emb, err := s.VarValue("embedding")
-				if err != nil {
-					agentErr[p] = err
-					return
+				state, err := stateBits(s)
+				if err == nil {
+					err = sameState(state, refState)
 				}
-				for i, v := range refEmb {
-					if math.Float32bits(emb.Data()[i]) != math.Float32bits(v) {
-						t.Errorf("agent %d embedding[%d] diverged after resume", p, i)
-						return
-					}
-				}
+				agentErr[p] = err
 			}(p)
 		}
 		wg.Wait()
