@@ -126,11 +126,22 @@ var scenarios = []scenario{
 		agents(2, "-steps 12 -checkpoint {root}", "checkpoint saved"),
 		agents(2, "-checkpoint {root} -resume", "resumed from {root} at step 12"),
 	}},
+	// The same at three machines: every agent reads three shards.
+	{name: "resume/three", ref: "-machines 3", pin: "machines3", machines: 3, phases: [][]proc{
+		agents(3, "-steps 12 -checkpoint {root}", "checkpoint saved"),
+		agents(3, "-checkpoint {root} -resume", "resumed from {root} at step 12"),
+	}},
 	// Agent 1's fabric is torn down at step 17; both agents recover in
 	// place from the step-10 auto-checkpoint.
 	{name: "chaos/kill", ref: "-machines 2", pin: "none", machines: 2, members: true, phases: [][]proc{{
 		member(0, recoverable, "recoveries 1"),
 		member(1, recoverable+" -chaos kill@17", "recoveries 1"),
+	}}},
+	// The same at three machines, agent 2's fabric torn down.
+	{name: "chaos/kill-three", ref: "-machines 3", pin: "machines3", machines: 3, members: true, phases: [][]proc{{
+		member(0, recoverable, "recoveries 1"),
+		member(1, recoverable, "recoveries 1"),
+		member(2, recoverable+" -chaos kill@17", "recoveries 1"),
 	}}},
 	// Agent 1 hard-exits at step 17 and is restarted without the fault
 	// (a fresh process must not re-fire it); agent 0 waits out the

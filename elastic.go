@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"time"
 
 	"parallax/internal/checkpoint"
@@ -162,34 +161,38 @@ func (s *Session) transition(ctx context.Context, proposal float64) error {
 		s.Close()
 		return fmt.Errorf("parallax: %w at step %d (epoch %d)", ErrLeft, step, s.epoch+1)
 	}
-	return s.rebuildAs(ctx, rec, sdir)
+	ck, err := load(sdir)
+	if err != nil {
+		return err
+	}
+	return s.rebuildAs(ctx, rec, ck)
 }
 
 // rebuildAs rebuilds this agent as a member of the agreed membership
-// from the checkpoint in sdir (written at the previous topology), then
-// settles the re-formed cluster with resave.
-func (s *Session) rebuildAs(ctx context.Context, mem *checkpoint.Membership, sdir string) error {
+// from ck (written at the previous topology), then settles the re-formed
+// cluster with resave.
+func (s *Session) rebuildAs(ctx context.Context, mem *checkpoint.Membership, ck *saved) error {
 	tgt := target{dist: s.redial(), epoch: mem.Epoch}
 	if err := tgt.place(mem, s.dist.Addrs[s.dist.Machine]); err != nil {
 		return err
 	}
-	if err := s.rebuild(ctx, tgt, sdir); err != nil {
+	if err := s.rebuild(ctx, tgt, ck); err != nil {
 		return err
 	}
-	return s.resave(sdir)
+	return s.resave()
 }
 
 // resave is the collective schedule every member of a re-formed cluster
-// — survivor or joiner — runs after its rebuild: re-save dir at the new
-// topology between two barrier rounds, making it a valid recovery
-// fallback at the new machine count. The barriers bracket the overwrite
-// so no member reads old-topology shards that a faster peer is already
-// replacing.
-func (s *Session) resave(dir string) error {
+// — survivor or joiner — runs after its rebuild: re-save the restored
+// step's auto-checkpoint at the new topology between two barrier rounds,
+// making it a valid recovery fallback at the new machine count. The
+// barriers bracket the overwrite so no member reads old-topology shards
+// that a faster peer is already replacing.
+func (s *Session) resave() error {
 	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
 		return err
 	}
-	if err := s.Save(dir); err != nil {
+	if err := s.Save(checkpoint.StepDir(s.cfg.AutoCheckpoint.Dir, s.trainer.StepCount())); err != nil {
 		return err
 	}
 	if _, err := s.trainer.AgreeMax("member", 0); err != nil {
@@ -335,17 +338,14 @@ func (s *Session) shrinkTarget(cause error) (int, bool) {
 	return pf.Rank, true
 }
 
-// currentMembers renders the session's live membership from its address
-// list and resources.
+// currentMembers renders the session's live member list from its
+// address list and resources; the record's other fields are left unset.
 func (s *Session) currentMembers() *checkpoint.Membership {
 	members := make([]checkpoint.Member, len(s.dist.Addrs))
 	for i := range members {
 		members[i] = checkpoint.Member{Addr: s.dist.Addrs[i], GPUs: s.resource.GPUsPerMachine(i)}
 	}
-	return &checkpoint.Membership{
-		Epoch: s.epoch, Step: int64(s.trainer.StepCount()), Cursor: s.cursor,
-		Parts: s.decision.P, Joiner: -1, Members: members,
-	}
+	return &checkpoint.Membership{Joiner: -1, Members: members}
 }
 
 // resourceFromMembers derives the cluster resources a membership
@@ -386,9 +386,9 @@ func (s *Session) Leave() error {
 }
 
 // Resize reshards a single-process elastic session to a different
-// machine set in place: the session saves its state, rebuilds the
-// runtime at the new resources, and restores through the same
-// resharding path distributed transitions use. Like Repartition, it
+// machine set in place: the session snapshots its state in memory,
+// rebuilds the runtime at the new resources, and restores through the
+// same resharding path distributed transitions use. Like Repartition, it
 // must not run concurrently with the step drivers. Distributed clusters
 // resize through JoinAddr and Leave instead.
 func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
@@ -401,15 +401,15 @@ func (s *Session) Resize(ctx context.Context, resource ResourceInfo) error {
 	if !s.cfg.Elastic {
 		return fmt.Errorf("parallax: Resize requires WithElastic")
 	}
-	dir, err := os.MkdirTemp("", "parallax-resize-*")
+	ck := &saved{}
+	err := s.snapshot(func(meta checkpoint.Meta, recs []checkpoint.Record) error {
+		ck.meta, ck.recs = meta, append(ck.recs, recs...)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	if err := s.Save(dir); err != nil {
-		return err
-	}
-	return s.rebuild(ctx, target{resource: resource, epoch: s.epoch}, dir)
+	return s.rebuild(ctx, target{resource: resource, epoch: s.epoch}, ck)
 }
 
 // Members returns the agent addresses of the cluster this session is

@@ -15,6 +15,7 @@ import (
 	"maps"
 	"math"
 	"net"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -486,9 +487,10 @@ func TestSessionElasticKillRecoverBitIdentical(t *testing.T) {
 }
 
 // TestSessionElasticResizeInProc drives the single-process resharding
-// path: a 2×2 elastic session grows to 3×2 and back mid-run. Every
-// resize preserves the variables bit for bit, the step counter, and the
-// exactly-once step numbering across the Steps calls that bracket it.
+// path: a 2×2 elastic session grows to 3×2 and back mid-run, with no
+// writable temporary directory. Every resize preserves every variable,
+// PS and replicated, bit for bit, the step counter, and the exactly-once
+// step numbering across the Steps calls that bracket it.
 func TestSessionElasticResizeInProc(t *testing.T) {
 	ctx := context.Background()
 	refLosses, _ := runSessionSteps(t, 6, momentumOpts()...)
@@ -521,7 +523,17 @@ func TestSessionElasticResizeInProc(t *testing.T) {
 			t.Fatalf("pre-resize step %d diverged from the reference", step)
 		}
 	}
-	before := varBits(t, s, "embedding")
+	state := func() map[string][]uint32 {
+		t.Helper()
+		bits, err := stateBits(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bits
+	}
+	// Resize snapshots in memory: it needs no writable temporary directory.
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	before := state()
 	if err := s.Resize(ctx, Uniform(3, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -531,25 +543,19 @@ func TestSessionElasticResizeInProc(t *testing.T) {
 	if s.Workers() != 6 {
 		t.Fatalf("Workers after grow = %d, want 6", s.Workers())
 	}
-	after := varBits(t, s, "embedding")
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("embedding[%d] changed across the grow resize", i)
-		}
+	if err := sameState(state(), before); err != nil {
+		t.Fatalf("state changed across the grow resize: %v", err)
 	}
 	runTo(9)
-	mid := varBits(t, s, "embedding")
+	mid := state()
 	if err := s.Resize(ctx, Uniform(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Workers() != 4 {
 		t.Fatalf("Workers after shrink = %d, want 4", s.Workers())
 	}
-	back := varBits(t, s, "embedding")
-	for i := range mid {
-		if mid[i] != back[i] {
-			t.Fatalf("embedding[%d] changed across the shrink resize", i)
-		}
+	if err := sameState(state(), mid); err != nil {
+		t.Fatalf("state changed across the shrink resize: %v", err)
 	}
 	runTo(11)
 	if len(seen) != 12 {

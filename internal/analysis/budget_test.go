@@ -74,6 +74,10 @@ var budget = []budgetRow{
 		"a Steps session's dataset position is its feed log, so datasets are plain forward streams"},
 	{"parallax", "references to checkpoint.ReadShard", uses("parallax/internal/checkpoint", "ReadShard"), 0,
 		"every restore reads the whole checkpoint through checkpoint.Read, so the session has no per-shard second mode (DESIGN.md §10)"},
+	{"parallax", "references to checkpoint.Read", uses("parallax/internal/checkpoint", "Read"), 1,
+		"load is the one place the session reads a checkpoint, so each restore reads it once (DESIGN.md §10)"},
+	{"parallax", "references to os.MkdirTemp", uses("os", "MkdirTemp"), 0,
+		"Resize restores its own in-memory snapshot and never touches the disk (DESIGN.md §10)"},
 	{"parallax/cmd/parallax-agent", "links to parallax/internal/engine", links("parallax/internal/engine"), 0,
 		"the runtime trains on real steps; the paper model is for the paper tables and stays out of the agent binary"},
 }

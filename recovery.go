@@ -207,12 +207,9 @@ func (s *Session) maybeAutoSave() error {
 	// One agent prunes (machine 0's host — always present); racing
 	// removals from every agent would trip over each other's partial
 	// deletes on a shared filesystem.
-	for _, m := range s.trainer.LocalMachines() {
-		if m == 0 {
-			if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), autoCheckpointKeep); err != nil {
-				return err
-			}
-			break
+	if s.dist == nil || s.dist.Machine == 0 {
+		if err := checkpoint.PruneAuto(root, s.resource.NumMachines(), autoCheckpointKeep); err != nil {
+			return err
 		}
 	}
 	if s.replay != nil {
@@ -278,8 +275,9 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	if step < 0 {
 		return fmt.Errorf("parallax: no complete auto-checkpoint under %s to recover from", root)
 	}
-	// Read whole, so a torn save is refused before MEMBERS names it.
-	meta, _, err := checkpoint.Read(sdir)
+	// Read whole, once: a torn save is refused before MEMBERS names it, and
+	// the rebuild restores what was read here.
+	ck, err := load(sdir)
 	if err != nil {
 		return err
 	}
@@ -288,8 +286,8 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	// derives it from the same inputs and writes the same bytes; the
 	// atomic renames commute.
 	rec := &checkpoint.Membership{
-		Epoch: s.epoch + 1, Step: meta.Step, Cursor: meta.Cursor,
-		Parts: meta.Parts, Joiner: -1, Members: s.currentMembers().Members,
+		Epoch: s.epoch + 1, Step: ck.meta.Step, Cursor: ck.meta.Cursor,
+		Parts: ck.meta.Parts, Joiner: -1, Members: s.currentMembers().Members,
 	}
 	failed, shrink := s.shrinkTarget(cause)
 	if shrink {
@@ -301,14 +299,14 @@ func (s *Session) recoverFrom(ctx context.Context, cause error) error {
 	if !shrink {
 		// The rendezvous window must outlast the failed agent's supervisor
 		// restarting it.
-		return s.rebuild(ctx, target{resource: s.resource, dist: s.redial(), epoch: rec.Epoch}, sdir)
+		return s.rebuild(ctx, target{resource: s.resource, dist: s.redial(), epoch: rec.Epoch}, ck)
 	}
 	// Elastic shrink (DESIGN.md §14): shed the dead machine instead of
 	// waiting out its restart. Unlike the in-place path, the post-shrink
 	// loss trajectory necessarily diverges from the uninterrupted run — a
 	// machine's workers vanished — but every step is still yielded
 	// exactly once.
-	return s.rebuildAs(ctx, rec, sdir)
+	return s.rebuildAs(ctx, rec, ck)
 }
 
 // Epoch returns the fabric generation the session is currently running

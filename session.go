@@ -1,6 +1,7 @@
 package parallax
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
@@ -164,8 +165,11 @@ func Open(ctx context.Context, g *Graph, resource ResourceInfo, opts ...Option) 
 // and refuses a mismatch with ErrTopologyMismatch. In distributed mode
 // every agent restores from the same checkpoint directory, shared or
 // fully replicated: each reads every shard and installs its own
-// machine's share.
+// machine's share. An empty dir names no checkpoint and is refused.
 func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource ResourceInfo, opts ...Option) (*Session, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("parallax: OpenFromCheckpoint needs a checkpoint directory")
+	}
 	cfg, err := resolveConfig(opts)
 	if err != nil {
 		return nil, err
@@ -177,20 +181,26 @@ func OpenFromCheckpoint(ctx context.Context, dir string, g *Graph, resource Reso
 // agent rendezvouses at the epoch recorded in the auto-checkpoint root;
 // a joiner arrives with the epoch of the MEMBERS record that admitted it
 // and owes the re-formed cluster the same post-transition re-save the
-// survivors run.
+// survivors run. dir is the checkpoint to restore ("" for none).
 func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, joined bool) (*Session, error) {
 	s := &Session{g: g, cfg: cfg}
+	var ck *saved
+	var err error
+	if dir != "" {
+		if ck, err = load(dir); err != nil {
+			return nil, err
+		}
+	}
 	if root := cfg.AutoCheckpoint.Dir; root != "" && !joined {
-		var err error
 		if tgt.epoch, err = checkpoint.ReadEpoch(root); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.rebuild(ctx, tgt, dir); err != nil {
+	if err := s.rebuild(ctx, tgt, ck); err != nil {
 		return nil, err
 	}
 	if joined {
-		if err := s.resave(dir); err != nil {
+		if err := s.resave(); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -208,34 +218,47 @@ func openAt(ctx context.Context, g *Graph, cfg Config, tgt target, dir string, j
 }
 
 // rebuild is the one way a session gets a runtime: it tears down the
-// live trainer (if any), brings one up for tgt, installs the checkpoint
-// in dir ("" starts from the graph's initial values), and adopts the
-// result. Open's first build and auto-resume, OpenFromCheckpoint,
-// in-place recovery, membership transitions, the joiner, and Resize are
-// all callers that only choose tgt and dir.
+// live trainer (if any), brings one up for tgt, installs ck (nil starts
+// from the graph's initial values), and adopts the result. Open's first
+// build and auto-resume, OpenFromCheckpoint, in-place recovery,
+// membership transitions, the joiner, and Resize are all callers that
+// only choose tgt and the checkpoint they hold (load's, or a snapshot).
 //
-// The checkpoint is always read whole (checkpoint.Read), and the
-// trainer installs the share this process hosts. The general case is
+// The trainer installs the share this process hosts. The general case is
 // the cross-topology reshard-install: a checkpoint written at another
 // topology (WithElastic opts in) has its server partitions re-placed
 // onto the new servers and its worker-indexed residuals dropped. The
 // same-topology restore is its identity instance — plan fingerprint
 // checked, residuals kept.
 //
-// Everything that can be refused without a built trainer — the target,
-// a missing or torn checkpoint, the topology, compression and plan
-// fingerprints — is checked first, so a refusal leaves the session
-// running. After the teardown there is one rule: a failed rebuild
-// leaves the session closed (ErrClosed).
-func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err error) {
+// Everything that can be refused without a built trainer — the graph and
+// target, the topology, compression and plan fingerprints (and, in load,
+// a missing or torn checkpoint) — is checked first, so a refusal leaves
+// the session running. After the teardown there is one rule: a failed
+// rebuild leaves the session closed (ErrClosed).
+func (s *Session) rebuild(ctx context.Context, tgt target, ck *saved) (err error) {
 	cfg := s.cfg
-	if err := validateTarget(s.g, tgt); err != nil {
+	if err := cmp.Or(s.g.Validate(), tgt.resource.Validate()); err != nil {
 		return err
 	}
-	var ck *saved
-	if dir != "" {
-		if ck, err = readSaved(dir, tgt, cfg); err != nil {
-			return err
+	reshard := false
+	if ck != nil {
+		if fp := checkpoint.TopoFingerprint(tgt.resource); fp != ck.meta.TopoFP {
+			// Restoring onto a different topology is only sound through the
+			// resharding install — the caller must opt in.
+			if !cfg.Elastic {
+				return fmt.Errorf("parallax: %w: checkpoint topology %q, cluster is %q (WithElastic enables cross-topology restore)",
+					ErrTopologyMismatch, ck.meta.TopoFP, fp)
+			}
+			reshard = true
+		}
+		// The compression policy is part of the job's identity: restoring
+		// under a different policy would resume a different optimization
+		// trajectory (and orphan or fabricate error-feedback residuals).
+		// Version-1 checkpoints predate the field and decode as "none".
+		if fp := cfg.Compression.Fingerprint(); fp != ck.meta.Compression {
+			return fmt.Errorf("parallax: %w: checkpoint written with policy %q, session configured with %q",
+				ErrCompressionMismatch, ck.meta.Compression, fp)
 		}
 	}
 	rt := liveRuntime{
@@ -250,7 +273,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 	// differs from the checkpoint's. Partition ranges do not — they depend
 	// only on row counts and the partition count, which the restore
 	// preserves — so re-placing the checkpointed parts is exact.
-	if ck != nil && !ck.reshard {
+	if ck != nil && !reshard {
 		if fp := checkpoint.PlanFingerprint(rt.plan); fp != ck.meta.PlanFP {
 			return fmt.Errorf("parallax: %w: checkpoint plan fingerprint %q, rebuilt plan is %q",
 				ErrTopologyMismatch, ck.meta.PlanFP, fp)
@@ -294,7 +317,7 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 	}
 	s.liveRuntime = rt
 	if ck != nil {
-		if err = s.trainer.Restore(ck.recs, ck.meta.Step, ck.reshard); err != nil {
+		if err = s.trainer.Restore(ck.recs, ck.meta.Step, reshard); err != nil {
 			return err
 		}
 		// A fresh session's first Steps call arms its feed log at this
@@ -307,15 +330,6 @@ func (s *Session) rebuild(ctx context.Context, tgt target, dir string) (err erro
 		}
 	}
 	return s.verifyJoin()
-}
-
-// validateTarget refuses graphs and clusters no runtime can be built
-// for.
-func validateTarget(g *Graph, tgt target) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	return tgt.resource.Validate()
 }
 
 // decide settles the partition count, the plan built for it, and how
@@ -353,42 +367,21 @@ func (rt *liveRuntime) decide(g *Graph, cfg Config, ck *saved) (err error) {
 	return nil
 }
 
-// saved is a checkpoint read whole before rebuild commits to it: shard
-// 0's meta (every shard carries the same job-level fields) and every
-// shard's records.
+// saved is a checkpoint held whole before rebuild commits to it: the
+// job-level meta every shard carries and every shard's records.
 type saved struct {
 	meta checkpoint.Meta
 	recs []checkpoint.Record
-	// reshard marks a checkpoint written at another topology.
-	reshard bool
 }
 
-// readSaved reads the checkpoint in dir and checks it can be restored
-// onto tgt under cfg.
-func readSaved(dir string, tgt target, cfg Config) (*saved, error) {
-	ck := &saved{}
-	var err error
-	if ck.meta, ck.recs, err = checkpoint.Read(dir); err != nil {
+// load reads the checkpoint in dir whole: the one place a session reads
+// one, so a missing or torn save is refused before any rebuild starts.
+func load(dir string) (*saved, error) {
+	meta, recs, err := checkpoint.Read(dir)
+	if err != nil {
 		return nil, err
 	}
-	if fp := checkpoint.TopoFingerprint(tgt.resource); fp != ck.meta.TopoFP {
-		// Restoring onto a different topology is only sound through the
-		// resharding install — the caller must opt in.
-		if !cfg.Elastic {
-			return nil, fmt.Errorf("parallax: %w: checkpoint topology %q, cluster is %q (WithElastic enables cross-topology restore)",
-				ErrTopologyMismatch, ck.meta.TopoFP, fp)
-		}
-		ck.reshard = true
-	}
-	// The compression policy is part of the job's identity: restoring
-	// under a different policy would resume a different optimization
-	// trajectory (and orphan or fabricate error-feedback residuals).
-	// Version-1 checkpoints predate the field and decode as "none".
-	if fp := cfg.Compression.Fingerprint(); fp != ck.meta.Compression {
-		return nil, fmt.Errorf("parallax: %w: checkpoint written with policy %q, session configured with %q",
-			ErrCompressionMismatch, ck.meta.Compression, fp)
-	}
-	return ck, nil
+	return &saved{meta: meta, recs: recs}, nil
 }
 
 // Save captures the session's full training state into a checkpoint
@@ -403,6 +396,14 @@ func (s *Session) Save(dir string) error {
 	if s.closed.Load() {
 		return fmt.Errorf("parallax: save on %w session", ErrClosed)
 	}
+	return s.snapshot(func(meta checkpoint.Meta, recs []checkpoint.Record) error {
+		return checkpoint.WriteShard(dir, meta, recs)
+	})
+}
+
+// snapshot hands put each machine this process hosts: its shard's meta
+// and records, as Save writes them.
+func (s *Session) snapshot(put func(checkpoint.Meta, []checkpoint.Record) error) error {
 	meta := checkpoint.Meta{
 		Machines:        s.resource.NumMachines(),
 		Step:            int64(s.trainer.StepCount()),
@@ -422,7 +423,7 @@ func (s *Session) Save(dir string) error {
 			return err
 		}
 		meta.Machine = m
-		if err := checkpoint.WriteShard(dir, meta, recs); err != nil {
+		if err := put(meta, recs); err != nil {
 			return err
 		}
 	}

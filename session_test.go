@@ -195,7 +195,8 @@ func TestSessionCheckpointResumeBitIdentical(t *testing.T) {
 // TestSessionCheckpointValidation: restores that cannot be correct are
 // refused with the typed sentinels — wrong cluster shape, wrong
 // architecture (plan fingerprint), wrong optimizer (slot state), and a
-// checkpoint from a future format version.
+// checkpoint from a future format version — and an empty directory,
+// which names no checkpoint, opens nothing.
 func TestSessionCheckpointValidation(t *testing.T) {
 	dir := t.TempDir()
 	g := buildAPIModel(8, 150)
@@ -220,6 +221,10 @@ func TestSessionCheckpointValidation(t *testing.T) {
 	open := func(res ResourceInfo, opts ...Option) error {
 		_, err := OpenFromCheckpoint(context.Background(), dir, buildAPIModel(8, 150), res, opts...)
 		return err
+	}
+	if s, err := OpenFromCheckpoint(context.Background(), "", buildAPIModel(8, 150), Uniform(2, 2), momentumOpts()...); err == nil {
+		defer s.Close()
+		t.Fatalf("no checkpoint directory: opened a session at step %d", s.StepCount())
 	}
 	if err := open(Uniform(2, 3), momentumOpts()...); !errors.Is(err, ErrTopologyMismatch) {
 		t.Fatalf("wrong GPU count: err = %v, want ErrTopologyMismatch", err)
@@ -286,7 +291,7 @@ func TestSessionRebuildRefusesBeforeTeardown(t *testing.T) {
 	if err := os.WriteFile(checkpoint.ShardPath(torn, 1), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.rebuild(ctx, here(), torn); err == nil || !strings.Contains(err.Error(), "torn save") {
+	if _, err := load(torn); err == nil || !strings.Contains(err.Error(), "torn save") {
 		t.Fatalf("rebuild from a torn checkpoint: %v, want the torn-save refusal", err)
 	}
 	step(2)
@@ -302,7 +307,11 @@ func TestSessionRebuildRefusesBeforeTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.rebuild(ctx, here(), other); !errors.Is(err, ErrTopologyMismatch) {
+	ck, err := load(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.rebuild(ctx, here(), ck); !errors.Is(err, ErrTopologyMismatch) {
 		t.Fatalf("rebuild from another plan's checkpoint: %v, want ErrTopologyMismatch", err)
 	}
 	step(2)
